@@ -148,7 +148,10 @@ class LiveHttpProvider:
                     raise ProviderRejection(
                         f"provider returned HTTP {response.status_code}: {response.text[:200]}"
                     )
-                payload = response.json()
+                try:
+                    payload = response.json()
+                except ValueError as exc:
+                    raise ProviderRejection("provider response body is not JSON") from exc
                 try:
                     text = payload["choices"][0]["message"]["content"]
                 except (KeyError, IndexError, TypeError) as exc:

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import NoApplicableSite, NoDistinctMutant
+from .errors import NoApplicableSite, NoDistinctMutant, SimulationError, SvLoopError
 from .frontend.ast import (
     AlwaysSeq,
     Assignment,
@@ -35,7 +35,7 @@ from .frontend.elaborate import ElaboratedDesign, elaborate
 from .frontend.parser import parse_design
 from .frontend.printer import ast_to_source
 from .frontend.signature import extract_signature, signature_of
-from .sim.engine import run
+from .sim.engine import product_search, run
 from .sim.stimulus import UnitTest
 
 EXHAUSTIVE_INPUT_BITS = 12
@@ -462,11 +462,20 @@ def find_witness(reference, mutant, signature, seed,
     """Stimulus on which the two designs provably diverge, or None.
 
     Combinational designs with at most 12 stimulus bits are diffed
-    exhaustively; everything else gets ``budget`` seeded random tests of
-    ``cycles`` cycles each.
+    exhaustively. A sequential pair that the product-machine search
+    proves equivalent within ``budget * cycles`` steps (the random
+    search's own cost) returns None at once. Everything else gets
+    ``budget`` seeded random tests of ``cycles`` cycles each, which stay
+    the only source of sequential witnesses.
     """
     if not reference.is_sequential and _total_input_bits(reference) <= EXHAUSTIVE_INPUT_BITS:
         return _exhaustive_witness(reference, mutant, signature)
+    if reference.is_sequential:
+        try:
+            if product_search(reference, mutant, signature, budget * cycles):
+                return None
+        except SimulationError:
+            pass
     return _random_witness(reference, mutant, signature, seed, budget, cycles)
 
 
@@ -502,7 +511,7 @@ def inject(
             candidate = elaborate(parse_design(candidate_src), candidate_src)
             if extract_signature(candidate) != signature:
                 continue
-        except Exception:
+        except SvLoopError:
             continue
         witness = find_witness(reference, candidate, signature, seed, budget, cycles)
         if witness is None:

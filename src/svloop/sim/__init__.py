@@ -1,14 +1,13 @@
 """Cycle-based simulator: execution, coverage, stimulus format, VCD."""
 
 from .coverage import CoverageCollector, CoverageReport, collect_coverage
-from .engine import SAMPLE_DISCIPLINE, Trace, run
+from .engine import Trace, run
 from .stimulus import UnitTest, matches_signature, parse_stimulus
 from .vcd import export_vcd, read_vcd
 
 __all__ = [
     "CoverageCollector",
     "CoverageReport",
-    "SAMPLE_DISCIPLINE",
     "Trace",
     "UnitTest",
     "collect_coverage",

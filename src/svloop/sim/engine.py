@@ -4,11 +4,13 @@ Each cycle: drive the stimulus row (asynchronous edge events fire
 immediately), settle combinational logic to a fixed point, raise the
 harness clock, commit nonblocking updates, settle again, then sample
 every signal. The harness clock is lowered at the start of the next
-cycle, which is when ``negedge``-clocked processes fire.
+cycle, which is when ``negedge``-clocked processes fire. ``run`` and
+``product_search`` both advance a design through this one cycle body.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from ..errors import SettleDivergence, StimulusMismatch
@@ -19,27 +21,42 @@ from .stimulus import UnitTest
 
 SETTLE_CAP = 1000
 
-SAMPLE_DISCIPLINE = "sampled once per cycle after clock edge, commit, and settle"
-
 
 @dataclass(frozen=True)
 class Trace:
     values: dict[str, tuple[int, ...]]
     cycles: int
-    discipline: str = SAMPLE_DISCIPLINE
-
-    def restricted_to(self, names) -> "Trace":
-        return Trace({n: self.values[n] for n in names}, self.cycles, self.discipline)
 
 
 class _Machine:
-    def __init__(self, design: ElaboratedDesign, collector=None):
+    """One design under the test harness; its state is ``values``."""
+
+    def __init__(self, design: ElaboratedDesign, signature: DesignSignature, collector=None):
         self.design = design
         self.signals = design.signals
         self.values = {name: 0 for name in design.signals}
         self.collector = collector
-        self.changed = False
         self._masks = {name: (1 << info.width) - 1 for name, info in design.signals.items()}
+        self.clock = clock = signature.clock
+        self.columns = [p.name for p in signature.stimulus_inputs]
+        seq = design.seq_processes
+        self._posedge_clock = [
+            p for p in seq if any(ev.signal == clock and ev.edge == "posedge" for ev in p.events)
+        ]
+        self._negedge_clock = [
+            p for p in seq if any(ev.signal == clock and ev.edge == "negedge" for ev in p.events)
+        ]
+        # (signal, edge) -> indices of the processes that event triggers
+        self._edge_triggers: dict[tuple[str, str], set[int]] = {}
+        for i, proc in enumerate(seq):
+            for ev in proc.events:
+                self._edge_triggers.setdefault((ev.signal, ev.edge), set()).add(i)
+
+    def state(self) -> tuple[int, ...]:
+        return tuple(self.values.values())
+
+    def load(self, state: tuple[int, ...]):
+        self.values = dict(zip(self.signals, state))
 
     # --- expression evaluation ---
 
@@ -105,7 +122,6 @@ class _Machine:
         value &= self._masks[target]
         if self.values[target] != value:
             self.values[target] = value
-            self.changed = True
 
     def exec_body(self, body, nba: dict):
         collector = self.collector
@@ -179,6 +195,33 @@ class _Machine:
         for target, value in nba.items():
             self.write(target, value)
 
+    def step(self, row):
+        """One harness cycle on one stimulus row, ready to be sampled."""
+        values = self.values
+        clock = self.clock
+        if clock is not None and values[clock] == 1:
+            values[clock] = 0
+            if self._negedge_clock:
+                self.fire_seq(self._negedge_clock)
+                self.settle()
+        triggered: set[int] = set()
+        for name, value in zip(self.columns, row):
+            old = values[name]
+            if old == value:
+                continue
+            values[name] = value
+            edge = "posedge" if old == 0 and value != 0 else "negedge"
+            triggered.update(self._edge_triggers.get((name, edge), ()))
+        if triggered:
+            seq = self.design.seq_processes
+            self.fire_seq([seq[i] for i in sorted(triggered)])
+        self.settle()
+        if clock is not None:
+            values[clock] = 1
+            if self._posedge_clock:
+                self.fire_seq(self._posedge_clock)
+            self.settle()
+
 
 def run(
     design: ElaboratedDesign,
@@ -199,49 +242,61 @@ def run(
             )
         )
 
-    machine = _Machine(design, collector)
-    clock = sig.clock
-    seq = design.seq_processes
-    posedge_clock = [
-        p for p in seq if any(ev.signal == clock and ev.edge == "posedge" for ev in p.events)
-    ]
-    negedge_clock = [
-        p for p in seq if any(ev.signal == clock and ev.edge == "negedge" for ev in p.events)
-    ]
-    columns = [p.name for p in test.columns]
+    machine = _Machine(design, sig, collector)
     samples: dict[str, list[int]] = {name: [] for name in design.signals}
 
     machine.settle()
-    for n in range(test.cycles):
-        if clock is not None and n > 0 and machine.values[clock] == 1:
-            machine.values[clock] = 0
-            if negedge_clock:
-                machine.fire_seq(negedge_clock)
-                machine.settle()
-        row = test.rows[n]
-        triggered = []
-        for name, value in zip(columns, row):
-            old = machine.values[name]
-            if old == value:
-                continue
-            machine.values[name] = value
-            edge = "posedge" if old == 0 and value != 0 else "negedge"
-            for proc in seq:
-                if any(ev.signal == name and ev.edge == edge for ev in proc.events):
-                    if proc not in triggered:
-                        triggered.append(proc)
-        if triggered:
-            ordered = [p for p in seq if p in triggered]
-            machine.fire_seq(ordered)
-        machine.settle()
-        if clock is not None:
-            machine.values[clock] = 1
-            if posedge_clock:
-                machine.fire_seq(posedge_clock)
-            machine.settle()
+    for row in test.rows:
+        machine.step(row)
         for name in samples:
             samples[name].append(machine.values[name])
         if collector is not None:
             collector.sample(machine.values)
 
     return Trace({name: tuple(vals) for name, vals in samples.items()}, test.cycles)
+
+
+def product_search(
+    reference: ElaboratedDesign,
+    mutant: ElaboratedDesign,
+    signature: DesignSignature,
+    max_steps: int,
+) -> bool | None:
+    """Breadth-first search of the (reference, mutant) product machine.
+
+    Starts from the settled all-zero state that ``run`` starts from and
+    steps both designs on every stimulus row from every reachable state
+    pair. Returns False as soon as a step leaves the signature outputs
+    different, True when no unvisited state pair remains (no stimulus
+    sequence of any length tells the designs apart), and None after
+    ``max_steps`` steps without either answer.
+    """
+    outputs = [p.name for p in signature.outputs]
+    ranges = [range(1 << p.width) for p in signature.stimulus_inputs]
+    ref = _Machine(reference, signature)
+    mut = _Machine(mutant, signature)
+    ref.settle()
+    mut.settle()
+    start = (ref.state(), mut.state())
+    seen = {start}
+    frontier = [start]
+    steps = 0
+    while frontier:
+        reached = []
+        for ref_state, mut_state in frontier:
+            for row in itertools.product(*ranges):
+                if steps == max_steps:
+                    return None
+                steps += 1
+                ref.load(ref_state)
+                ref.step(row)
+                mut.load(mut_state)
+                mut.step(row)
+                if any(ref.values[o] != mut.values[o] for o in outputs):
+                    return False
+                pair = (ref.state(), mut.state())
+                if pair not in seen:
+                    seen.add(pair)
+                    reached.append(pair)
+        frontier = reached
+    return True

@@ -2,10 +2,20 @@ import difflib
 
 import pytest
 
-from svloop.errors import NoApplicableSite
+from svloop import mutate
+from svloop.errors import ElaborationError, NoApplicableSite, NoDistinctMutant
 from svloop.frontend import elaborate_source, extract_signature
-from svloop.mutate import inject, list_operators, make_corpus
+from svloop.mutate import (
+    RANDOM_TEST_CYCLES,
+    RANDOM_TESTS,
+    _random_witness,
+    find_witness,
+    inject,
+    list_operators,
+    make_corpus,
+)
 from svloop.sim import run
+from svloop.sim.engine import product_search
 
 # applicability audit of the desk corpus, derived by hand from the designs
 # and re-checked here against the real catalog
@@ -19,6 +29,27 @@ EXPECTED_RECORDS = {
 }
 
 SEQUENTIAL_ONLY = {"BC06", "BC07", "BC08", "BC10"}
+
+# a 5-bit counter and a mutant that wraps from 30 instead of 31: they
+# differ only once the count reaches 31, which no 20-cycle test can do
+COUNT5 = """module count5 (
+  input clk,
+  input rst,
+  output [4:0] count
+);
+  reg [4:0] value;
+  always @(posedge clk or posedge rst) begin
+    if (rst) begin
+      value <= 5'd0;
+    end else begin
+      value <= NEXT;
+    end
+  end
+  assign count = value;
+endmodule
+"""
+COUNT5_REF = COUNT5.replace("NEXT", "value + 5'd1")
+COUNT5_MUT = COUNT5.replace("NEXT", "(value == 5'd30) ? 5'd0 : value + 5'd1")
 
 
 class TestCatalog:
@@ -72,6 +103,69 @@ class TestInject:
                 assert extract_signature(mutant) == extract_signature(problem.design), (
                     problem.id, bc_id,
                 )
+
+
+class TestEquivalenceProof:
+    def test_proven_equivalent_has_no_random_witness(self, problems, monkeypatch):
+        # every sequential candidate inject reaches at seed 1: a product-search
+        # proof of equivalence must agree with the full random search
+        reached = []
+        real = mutate.find_witness
+
+        def recording(reference, candidate, signature, *args):
+            reached.append((reference, candidate, signature))
+            return real(reference, candidate, signature, *args)
+
+        monkeypatch.setattr(mutate, "find_witness", recording)
+        for problem in problems.values():
+            if not problem.design.is_sequential:
+                continue
+            for op in list_operators():
+                try:
+                    inject(problem.design, op, seed=1)
+                except (NoApplicableSite, NoDistinctMutant):
+                    pass
+        proven = 0
+        for reference, candidate, signature in reached:
+            if product_search(reference, candidate, signature,
+                              RANDOM_TESTS * RANDOM_TEST_CYCLES) is True:
+                proven += 1
+                assert _random_witness(reference, candidate, signature, 1) is None
+        assert proven and len(reached) > proven
+
+    def test_late_divergence_found_by_search_but_not_by_random_tests(self):
+        reference = elaborate_source(COUNT5_REF)
+        mutant = elaborate_source(COUNT5_MUT)
+        signature = extract_signature(reference)
+        assert product_search(reference, mutant, signature, 10_000) is False
+        assert product_search(reference, reference, signature, 10_000) is True
+        # too few steps to reach count 31: undecided
+        assert product_search(reference, mutant, signature, 40) is None
+        # a found mismatch is not a witness: 20-cycle random tests decide
+        assert find_witness(reference, mutant, signature, seed=1) is None
+        witness = find_witness(reference, mutant, signature, seed=1, budget=200, cycles=40)
+        assert witness is not None
+        ref_trace = run(reference, witness, signature)
+        mut_trace = run(mutant, witness, signature)
+        assert ref_trace.values["count"] != mut_trace.values["count"]
+
+
+class TestInjectErrors:
+    def test_candidate_failing_elaboration_is_skipped(self, problems, monkeypatch):
+        def failing(ast, source):
+            raise ElaborationError("rejected for the test", 1, 0)
+
+        monkeypatch.setattr(mutate, "elaborate", failing)
+        with pytest.raises(NoDistinctMutant):
+            inject(problems["counter3"].design, list_operators()[3], seed=1)
+
+    def test_non_toolkit_exception_propagates(self, problems, monkeypatch):
+        def broken(ast, source):
+            raise RuntimeError("bug in the toolkit")
+
+        monkeypatch.setattr(mutate, "elaborate", broken)
+        with pytest.raises(RuntimeError, match="bug in the toolkit"):
+            inject(problems["counter3"].design, list_operators()[3], seed=1)
 
 
 class TestCorpus:

@@ -5,7 +5,10 @@ import requests
 
 from svloop.errors import ProviderRejection, ProviderTimeout
 from svloop.gateway import GenConfig, ProviderBinding
+from svloop.gateway.config import ENV_ENDPOINT, ENV_KEY, ENV_MODEL
 from svloop.gateway.providers import LiveHttpProvider
+from svloop.manifest import RunConfig
+from svloop.matrix import evaluate_matrix
 
 CFG = GenConfig()
 
@@ -24,6 +27,8 @@ class FakeResponse:
         self.text = text
 
     def json(self):
+        if self._payload is None:
+            raise requests.JSONDecodeError("Expecting value", self.text, 0)
         return self._payload
 
 
@@ -61,6 +66,34 @@ def test_malformed_body_is_rejection(monkeypatch):
     monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(200, {"oops": 1}))
     with pytest.raises(ProviderRejection, match="malformed"):
         LiveHttpProvider(live_binding()).complete("p", CFG)
+
+
+def test_non_json_body_is_rejection(monkeypatch):
+    monkeypatch.setattr(
+        requests, "post", lambda *a, **k: FakeResponse(200, text="<html>busy</html>")
+    )
+    with pytest.raises(ProviderRejection, match="not JSON"):
+        LiveHttpProvider(live_binding()).complete("p", CFG)
+
+
+def test_non_json_body_does_not_abort_evaluate(monkeypatch, problems, tmp_path):
+    monkeypatch.setattr(
+        requests, "post", lambda *a, **k: FakeResponse(200, text="<html>busy</html>")
+    )
+    monkeypatch.setenv(ENV_ENDPOINT, "https://llm.example/v1/chat")
+    monkeypatch.setenv(ENV_MODEL, "m-1")
+    monkeypatch.setenv(ENV_KEY, "secret-key")
+    out = tmp_path / "run"
+    summary = evaluate_matrix([problems["full_adder"]], RunConfig(provider="live"), out)
+    assert (out / "summary.json").exists()
+    assert "error" not in summary["problems"]["full_adder"]
+    genstates = sorted(out.glob("problems/full_adder/sources/*/genstate.json"))
+    assert genstates
+    for path in genstates:
+        rejections = json.loads(path.read_text())["rejections"]
+        assert rejections and all(
+            r["reason"] == "provider" and "not JSON" in r["detail"] for r in rejections
+        )
 
 
 def test_timeout_retries_then_raises(monkeypatch):

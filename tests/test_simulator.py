@@ -240,7 +240,7 @@ class TestVcd:
         blob = export_vcd(trace, p.signature)
         loaded, loaded_sig = read_vcd(blob)
         names = [port.name for port in p.signature.inputs + p.signature.outputs]
-        assert loaded.values == trace.restricted_to(names).values
+        assert loaded.values == {n: trace.values[n] for n in names}
         assert loaded.cycles == trace.cycles
         assert [port.name for port in loaded_sig.inputs] == names
 
