@@ -66,10 +66,6 @@ class StimulusMismatch(SimulationError):
     """Unit-test columns do not match the design signature."""
 
 
-class SettleDivergence(SimulationError):
-    """Combinational settling did not reach a fixed point within the cap."""
-
-
 # --- verdict / metrics ------------------------------------------------------
 
 class TraceShapeMismatch(SvLoopError):

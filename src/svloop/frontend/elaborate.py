@@ -68,6 +68,7 @@ class ElaboratedDesign:
     branch_arms: list[tuple]
     fsm_registers: dict[str, list[int]]           # state reg -> sorted constant values
     _signature_cache: object = field(default=None, repr=False, compare=False)
+    _lowered_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def is_sequential(self) -> bool:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import and_, or_
 from typing import Optional
 
 from ..frontend.ast import walk_stmts
@@ -74,13 +76,16 @@ class CoverageCollector:
                 lines[stmt.stmt_id] = stmt.line
         return lines
 
-    def sample(self, values: dict[str, int]):
+    def observe(self, values: dict[str, tuple[int, ...]]):
+        """Fold one finished trace's signal columns into the toggle and
+        FSM state sets: a bit was seen at 1 if any sample has it set,
+        at 0 unless every sample has it set."""
         for name in self.ones:
-            value = values[name]
-            self.ones[name] |= value
-            self.zeros[name] |= ~value & self._masks[name]
+            column = values[name]
+            self.ones[name] |= reduce(or_, column)
+            self.zeros[name] |= ~reduce(and_, column) & self._masks[name]
         for reg in self.fsm_seen:
-            self.fsm_seen[reg].add(values[reg])
+            self.fsm_seen[reg].update(values[reg])
 
     def report(self) -> CoverageReport:
         design = self.design

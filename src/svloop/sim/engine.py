@@ -13,13 +13,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ..errors import SettleDivergence, StimulusMismatch
-from ..frontend.ast import Assignment, Case, If
+from ..errors import StimulusMismatch
 from ..frontend.elaborate import ElaboratedDesign
 from ..frontend.signature import DesignSignature, signature_of
+from .lower import lower
 from .stimulus import UnitTest
-
-SETTLE_CAP = 1000
 
 
 @dataclass(frozen=True)
@@ -29,198 +27,91 @@ class Trace:
 
 
 class _Machine:
-    """One design under the test harness; its state is ``values``."""
+    """One design under the test harness; its state is the list ``values``,
+    indexed like ``design.signals``."""
 
     def __init__(self, design: ElaboratedDesign, signature: DesignSignature, collector=None):
-        self.design = design
-        self.signals = design.signals
-        self.values = {name: 0 for name in design.signals}
-        self.collector = collector
-        self._masks = {name: (1 << info.width) - 1 for name, info in design.signals.items()}
-        self.clock = clock = signature.clock
-        self.columns = [p.name for p in signature.stimulus_inputs]
+        index = {name: i for i, name in enumerate(design.signals)}
+        self.index = index
+        self.values = [0] * len(index)
+        bind = lower(design, collector is not None)
+        if collector is None:
+            self.sweep, processes = bind()
+        else:
+            self.sweep, processes = bind(collector.stmts.add, collector.arms.add)
+        clock = signature.clock
+        self.clock = None if clock is None else index[clock]
+        self.columns = [index[p.name] for p in signature.stimulus_inputs]
         seq = design.seq_processes
+        self.processes = processes
         self._posedge_clock = [
-            p for p in seq if any(ev.signal == clock and ev.edge == "posedge" for ev in p.events)
+            f for p, f in zip(seq, processes)
+            if any(ev.signal == clock and ev.edge == "posedge" for ev in p.events)
         ]
         self._negedge_clock = [
-            p for p in seq if any(ev.signal == clock and ev.edge == "negedge" for ev in p.events)
+            f for p, f in zip(seq, processes)
+            if any(ev.signal == clock and ev.edge == "negedge" for ev in p.events)
         ]
-        # (signal, edge) -> indices of the processes that event triggers
-        self._edge_triggers: dict[tuple[str, str], set[int]] = {}
+        # signal index -> (processes a negedge triggers, ... a posedge triggers)
+        self._edge_triggers: dict[int, tuple[set[int], set[int]]] = {}
         for i, proc in enumerate(seq):
             for ev in proc.events:
-                self._edge_triggers.setdefault((ev.signal, ev.edge), set()).add(i)
+                edges = self._edge_triggers.setdefault(index[ev.signal], (set(), set()))
+                edges[ev.edge == "posedge"].add(i)
 
     def state(self) -> tuple[int, ...]:
-        return tuple(self.values.values())
+        return tuple(self.values)
 
     def load(self, state: tuple[int, ...]):
-        self.values = dict(zip(self.signals, state))
-
-    # --- expression evaluation ---
-
-    def eval(self, expr):
-        kind = type(expr).__name__
-        if kind == "Ident":
-            return self.values[expr.name]
-        if kind == "Literal":
-            return expr.value & ((1 << expr.eval_width) - 1)
-        if kind == "Binary":
-            op = expr.op
-            if op == "&&":
-                return 1 if (self.eval(expr.left) and self.eval(expr.right)) else 0
-            if op == "||":
-                return 1 if (self.eval(expr.left) or self.eval(expr.right)) else 0
-            left = self.eval(expr.left)
-            right = self.eval(expr.right)
-            if op == "&":
-                return left & right
-            if op == "|":
-                return left | right
-            if op == "^":
-                return left ^ right
-            if op == "+":
-                return (left + right) & ((1 << expr.eval_width) - 1)
-            if op == "-":
-                return (left - right) & ((1 << expr.eval_width) - 1)
-            if op == "==":
-                return 1 if left == right else 0
-            if op == "!=":
-                return 1 if left != right else 0
-            if op == "<":
-                return 1 if left < right else 0
-            if op == "<=":
-                return 1 if left <= right else 0
-            if op == ">":
-                return 1 if left > right else 0
-            if op == ">=":
-                return 1 if left >= right else 0
-            if op == ">>":
-                return left >> right
-            if op == "<<":
-                if right >= expr.eval_width:
-                    return 0
-                return (left << right) & ((1 << expr.eval_width) - 1)
-            raise ValueError(f"unknown operator {op}")
-        if kind == "Unary":
-            if expr.op == "!":
-                return 0 if self.eval(expr.operand) else 1
-            value = self.eval(expr.operand)
-            if expr.op == "~":
-                return ~value & ((1 << expr.eval_width) - 1)
-            return (-value) & ((1 << expr.eval_width) - 1)
-        if kind == "Ternary":
-            if self.eval(expr.cond):
-                return self.eval(expr.then)
-            return self.eval(expr.other)
-        raise TypeError(kind)
-
-    # --- statement execution ---
-
-    def write(self, target: str, value: int):
-        value &= self._masks[target]
-        if self.values[target] != value:
-            self.values[target] = value
-
-    def exec_body(self, body, nba: dict):
-        collector = self.collector
-        for stmt in body:
-            if collector is not None:
-                collector.stmts.add(stmt.stmt_id)
-            if isinstance(stmt, Assignment):
-                value = self.eval(stmt.expr)
-                if stmt.blocking:
-                    self.write(stmt.target, value)
-                else:
-                    nba[stmt.target] = value & self._masks[stmt.target]
-            elif isinstance(stmt, If):
-                taken = bool(self.eval(stmt.cond))
-                if collector is not None:
-                    collector.arms.add((stmt.stmt_id, "then" if taken else "else"))
-                if taken:
-                    self.exec_body(stmt.then_body, nba)
-                elif stmt.else_body is not None:
-                    self.exec_body(stmt.else_body, nba)
-            elif isinstance(stmt, Case):
-                subject = self.eval(stmt.subject)
-                for i, item in enumerate(stmt.items):
-                    if any(self.eval(lbl) == subject for lbl in item.labels):
-                        if collector is not None:
-                            collector.arms.add((stmt.stmt_id, i))
-                        self.exec_body(item.body, nba)
-                        break
-                else:
-                    if stmt.default_body is not None:
-                        if collector is not None:
-                            collector.arms.add((stmt.stmt_id, "default"))
-                        self.exec_body(stmt.default_body, nba)
-            else:
-                raise TypeError(type(stmt).__name__)
-
-    def run_comb_node(self, node):
-        kind, idx = node
-        if kind == "assign":
-            item = self.design.cont_assigns[idx]
-            if self.collector is not None:
-                self.collector.stmts.add(item.stmt_id)
-            self.write(item.target, self.eval(item.expr))
-        else:
-            nba: dict = {}
-            self.exec_body(self.design.comb_processes[idx].body, nba)
-            for target, value in nba.items():
-                self.write(target, value)
+        self.values[:] = state
 
     def settle(self):
-        # Convergence is judged on end-of-sweep values: intermediate blocking
-        # writes inside one body (default-then-override) are not oscillation.
-        order = self.design.comb_order
-        if not order:
-            return
-        values = self.values
-        for _ in range(SETTLE_CAP):
-            before = dict(values)
-            for node in order:
-                self.run_comb_node(node)
-            if values == before:
-                return
-        raise SettleDivergence(
-            f"combinational logic did not settle within {SETTLE_CAP} sweeps"
-        )
+        """Bring combinational logic to its fixed point: one sweep.
 
-    def fire_seq(self, processes):
+        Elaboration rejects every combinational node that reads a signal
+        it writes and orders ``comb_order`` topologically over read-write
+        edges, so each node runs after everything it reads has its final
+        value and a second sweep could change nothing.
+        """
+        self.sweep(self.values)
+
+    def fire(self, processes):
+        values = self.values
         nba: dict = {}
         for proc in processes:
-            self.exec_body(proc.body, nba)
-        for target, value in nba.items():
-            self.write(target, value)
+            proc(values, nba)
+        for i, value in nba.items():
+            values[i] = value
 
     def step(self, row):
         """One harness cycle on one stimulus row, ready to be sampled."""
         values = self.values
+        sweep = self.sweep
         clock = self.clock
         if clock is not None and values[clock] == 1:
             values[clock] = 0
             if self._negedge_clock:
-                self.fire_seq(self._negedge_clock)
-                self.settle()
-        triggered: set[int] = set()
-        for name, value in zip(self.columns, row):
-            old = values[name]
+                self.fire(self._negedge_clock)
+                sweep(values)
+        triggers = self._edge_triggers
+        triggered = None
+        for i, value in zip(self.columns, row):
+            old = values[i]
             if old == value:
                 continue
-            values[name] = value
-            edge = "posedge" if old == 0 and value != 0 else "negedge"
-            triggered.update(self._edge_triggers.get((name, edge), ()))
+            values[i] = value
+            if i in triggers:
+                if triggered is None:
+                    triggered = set()
+                triggered.update(triggers[i][old == 0 and value != 0])
         if triggered:
-            seq = self.design.seq_processes
-            self.fire_seq([seq[i] for i in sorted(triggered)])
-        self.settle()
+            self.fire([self.processes[i] for i in sorted(triggered)])
+        sweep(values)
         if clock is not None:
             values[clock] = 1
             if self._posedge_clock:
-                self.fire_seq(self._posedge_clock)
-            self.settle()
+                self.fire(self._posedge_clock)
+            sweep(values)
 
 
 def run(
@@ -243,17 +134,16 @@ def run(
         )
 
     machine = _Machine(design, sig, collector)
-    samples: dict[str, list[int]] = {name: [] for name in design.signals}
-
+    step, values = machine.step, machine.values
+    samples = []
     machine.settle()
     for row in test.rows:
-        machine.step(row)
-        for name in samples:
-            samples[name].append(machine.values[name])
-        if collector is not None:
-            collector.sample(machine.values)
-
-    return Trace({name: tuple(vals) for name, vals in samples.items()}, test.cycles)
+        step(row)
+        samples.append(tuple(values))
+    trace = Trace(dict(zip(design.signals, zip(*samples))), test.cycles)
+    if collector is not None:
+        collector.observe(trace.values)
+    return trace
 
 
 def product_search(
@@ -271,10 +161,10 @@ def product_search(
     sequence of any length tells the designs apart), and None after
     ``max_steps`` steps without either answer.
     """
-    outputs = [p.name for p in signature.outputs]
     ranges = [range(1 << p.width) for p in signature.stimulus_inputs]
     ref = _Machine(reference, signature)
     mut = _Machine(mutant, signature)
+    outputs = [(ref.index[p.name], mut.index[p.name]) for p in signature.outputs]
     ref.settle()
     mut.settle()
     start = (ref.state(), mut.state())
@@ -292,7 +182,7 @@ def product_search(
                 ref.step(row)
                 mut.load(mut_state)
                 mut.step(row)
-                if any(ref.values[o] != mut.values[o] for o in outputs):
+                if any(ref.values[r] != mut.values[m] for r, m in outputs):
                     return False
                 pair = (ref.state(), mut.state())
                 if pair not in seen:

@@ -1,9 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from svloop.manifest import RunConfig, copy_corpus, load_corpus, write_mutation_corpus
 from svloop.mutate import make_corpus
 
 CORPUS_SEED = 1
+
+# every run draws the same examples and no example fails on wall time
+settings.register_profile("svloop", derandomize=True, deadline=None)
+settings.load_profile("svloop")
 
 
 @pytest.fixture(scope="session")
