@@ -245,8 +245,9 @@ def cmd_debug(args) -> int:
                        script_dir=args.mock_script, seed=args.seed,
                        iteration_cap=args.iters, mismatch_limit=args.mismatch_k)
     provider = build_provider(_binding(args))
-    state = debug_loop(problem.spec(), mutants[args.target], tests, config.gen_config(),
-                       provider, iteration_cap=args.iters, mismatch_limit=args.mismatch_k)
+    state = debug_loop(problem.spec(), elaborate_source(mutants[args.target]), tests,
+                       config.gen_config(), provider, iteration_cap=args.iters,
+                       mismatch_limit=args.mismatch_k)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "final.sv").write_text(state.design.text, "utf-8")

@@ -188,10 +188,6 @@ class DesignAst:
         return [it for it in self.items if isinstance(it, ParamDecl)]
 
     @property
-    def nets(self) -> list[NetDecl]:
-        return [it for it in self.items if isinstance(it, NetDecl)]
-
-    @property
     def assigns(self) -> list[ContAssign]:
         return [it for it in self.items if isinstance(it, ContAssign)]
 

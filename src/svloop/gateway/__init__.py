@@ -17,7 +17,6 @@ from .providers import (
     RecordingProvider,
     ScriptedMockProvider,
     build_provider,
-    complete,
     prompt_digest,
     save_mock_script,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "build_debug_prompt",
     "build_provider",
     "build_testgen_prompt",
-    "complete",
     "estimate_tokens",
     "parse_patch",
     "parse_unit_test",

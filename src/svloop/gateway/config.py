@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import ProviderRejection
-from ..frontend.ast import DesignSource
+from ..frontend.elaborate import ElaboratedDesign
 from ..frontend.signature import DesignSignature
 
 NLS = "nls"
@@ -52,7 +52,7 @@ class ProblemSpec:
 
     description: str
     signature: DesignSignature
-    reference: DesignSource
+    oracle: ElaboratedDesign
     exemplars: tuple[Exemplar, ...] = ()
 
     def __post_init__(self):

@@ -18,7 +18,7 @@ from ..errors import (
     UnsupportedConstruct,
 )
 from ..frontend.ast import DesignSource
-from ..frontend.elaborate import elaborate
+from ..frontend.elaborate import ElaboratedDesign, elaborate
 from ..frontend.parser import parse_design
 from ..frontend.signature import DesignSignature, extract_signature
 from ..sim.stimulus import UnitTest, parse_stimulus
@@ -34,9 +34,9 @@ def parse_unit_test(response: str, signature: DesignSignature, test_id: str = "t
     return parse_stimulus(response, signature, test_id)
 
 
-def parse_patch(response: str, expected: DesignSignature) -> DesignSource:
-    """Extract the first complete module and require it to parse,
-    elaborate, and preserve the expected signature."""
+def parse_patch(response: str, expected: DesignSignature) -> ElaboratedDesign:
+    """Extract the first complete module, require it to parse, elaborate
+    and preserve the expected signature, and return its elaboration."""
     match = _MODULE_RE.search(response)
     if match is None:
         raise NoModuleFound("response contains no module ... endmodule block")
@@ -61,4 +61,4 @@ def parse_patch(response: str, expected: DesignSignature) -> DesignSource:
             f"patch signature {signature.module_name}({signature.inputs} -> "
             f"{signature.outputs}) does not preserve the expected interface",
         )
-    return source
+    return design

@@ -182,8 +182,3 @@ def build_provider(binding: ProviderBinding, log_dir=None):
     if binding.kind == "mock":
         return ScriptedMockProvider.from_dir(binding.script_dir)
     return LiveHttpProvider(binding, log_dir)
-
-
-def complete(binding: ProviderBinding, prompt: str, cfg: GenConfig) -> str:
-    """One-shot convenience; loops should build a provider once instead."""
-    return build_provider(binding).complete(prompt, cfg)

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .errors import GatewayError, SimulationError, SvLoopError
 from .frontend.ast import DesignSource
-from .frontend.elaborate import ElaboratedDesign, elaborate_source
+from .frontend.elaborate import ElaboratedDesign
 from .gateway.config import GenConfig, NLSC, ProblemSpec
 from .gateway.extract import parse_patch, parse_unit_test
 from .gateway.prompts import build_debug_prompt, build_testgen_prompt
@@ -93,11 +93,11 @@ def generate_tests(
 ) -> TestGenState:
     """Run the coverage-gated generation loop against the oracle.
 
-    The oracle must elaborate (fatal otherwise). Tests are valid when they
-    are well-formed for the signature and simulatable on the oracle;
-    passing the (unknown) candidate design is not required.
+    Tests are valid when they are well-formed for the signature and
+    simulatable on the oracle; passing the (unknown) candidate design is
+    not required.
     """
-    oracle = elaborate_source(spec.reference)
+    oracle = spec.oracle
     signature = spec.signature
     buggy = source_mutant if cfg.strategy == NLSC else None
     if cfg.strategy == NLSC and source_mutant is None:
@@ -172,7 +172,7 @@ def _suite_verdicts(design: ElaboratedDesign, tests, oracle_traces, outputs, sig
 
 def debug(
     spec: ProblemSpec,
-    buggy: DesignSource,
+    buggy: ElaboratedDesign,
     tests,
     cfg: GenConfig,
     provider,
@@ -188,18 +188,13 @@ def debug(
     tests = list(tests)
     if not tests:
         raise ValueError("debug requires at least one unit test")
-    oracle = elaborate_source(spec.reference)
     signature = spec.signature
     outputs = [p.name for p in signature.outputs]
-    oracle_traces = {t.id: run(oracle, t, signature) for t in tests}
+    oracle_traces = {t.id: run(spec.oracle, t, signature) for t in tests}
 
-    current_source = buggy
-    current_design = elaborate_source(buggy)
-    verdicts, traces = _suite_verdicts(
-        current_design, tests, oracle_traces, outputs, signature
-    )
+    verdicts, traces = _suite_verdicts(buggy, tests, oracle_traces, outputs, signature)
     best = pass_fraction(verdicts)
-    state = DebugState(design=current_source, best_pass=best, initial_pass=best)
+    state = DebugState(design=buggy.source, best_pass=best, initial_pass=best)
 
     for iteration in range(1, iteration_cap + 1):
         if state.best_pass == 1:
@@ -214,7 +209,7 @@ def debug(
             test_id=tests[failing_at].id,
             limit=mismatch_limit,
         )
-        prompt = build_debug_prompt(spec, current_source, tests[failing_at], summary)
+        prompt = build_debug_prompt(spec, state.design, tests[failing_at], summary)
         try:
             response = provider.complete(prompt, cfg)
             state.provider_calls += 1
@@ -225,8 +220,7 @@ def debug(
             continue
         state.exchanges.append(Exchange(iteration, prompt, response))
         try:
-            patch_source = parse_patch(response, signature)
-            patched = elaborate_source(patch_source)
+            patched = parse_patch(response, signature)
             new_verdicts, new_traces = _suite_verdicts(
                 patched, tests, oracle_traces, outputs, signature
             )
@@ -236,11 +230,9 @@ def debug(
             continue
         fraction = pass_fraction(new_verdicts)
         if fraction > state.best_pass:
-            current_source = patch_source
-            current_design = patched
             verdicts, traces = new_verdicts, new_traces
             state.best_pass = fraction
-            state.design = current_source
+            state.design = patched.source
             state.history.append(
                 PatchAttempt(iteration, True, fraction, "pass fraction increased")
             )

@@ -54,7 +54,7 @@ class Problem:
         return self.manifest.id
 
     def spec(self) -> ProblemSpec:
-        return ProblemSpec(self.description, self.signature, self.reference, self.exemplars)
+        return ProblemSpec(self.description, self.signature, self.design, self.exemplars)
 
     def mutants(self) -> list[tuple[str, DesignSource, UnitTest]]:
         """(bc id, source, witness) for every mutant recorded on disk."""

@@ -209,7 +209,7 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
             else:
                 result.cells[(src_id, tgt_id)] = cell
 
-    for tgt_id, tgt_source, _ in mutants:
+    for tgt_id, _, _ in mutants:
         debug_dir = out_dir / "debug" / tgt_id.lower()
         state_file = debug_dir / "state.json"
         if state_file.exists():
@@ -223,7 +223,7 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
         else:
             state = debug(
                 spec,
-                tgt_source,
+                target_designs[tgt_id],
                 tests,
                 gen_cfg,
                 provider,

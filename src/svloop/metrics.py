@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import TraceShapeMismatch
 from .sim.engine import Trace
+from .verdict import compare
 
 BIN_EDGES = [Fraction(k, 5) for k in range(1, 5)]  # 20/40/60/80 %
 
@@ -60,20 +60,9 @@ def attack_rate(verdicts) -> Fraction:
 
 
 def divergence_rate(t_pass: Trace, t_fail: Trace, outputs) -> Fraction:
-    """Fraction of cycles on which any output differs between the traces."""
-    outputs = list(outputs)
-    if t_pass.cycles != t_fail.cycles:
-        raise TraceShapeMismatch(
-            f"trace lengths differ: {t_pass.cycles} vs {t_fail.cycles}"
-        )
-    for name in outputs:
-        if name not in t_pass.values or name not in t_fail.values:
-            raise TraceShapeMismatch(f"output {name!r} missing from a trace")
-    divergent = 0
-    for n in range(t_pass.cycles):
-        if any(t_pass.values[o][n] != t_fail.values[o][n] for o in outputs):
-            divergent += 1
-    return Fraction(divergent, t_pass.cycles)
+    """Fraction of cycles on which any output differs between the traces:
+    the mismatch count of their verdict."""
+    return Fraction(compare(t_fail, t_pass, outputs).mismatch_count, t_pass.cycles)
 
 
 def divergent_attack(ar: int, dr: Fraction) -> Fraction:
@@ -117,10 +106,3 @@ def bin_values(values) -> BinnedDistribution:
     ordered = sorted(values)
     median = ordered[(len(ordered) - 1) // 2]
     return BinnedDistribution(tuple(counts), median, bin_index(median))
-
-
-def cross_check_pair(result: PairResult) -> None:
-    """Invariant audit used by tests and report emission."""
-    assert result.da <= result.dr
-    assert result.da <= result.ar
-    assert 0 <= result.dr <= 1

@@ -102,17 +102,17 @@ def parse_stimulus(text: str, signature: DesignSignature, test_id: str = "t0") -
             continue
         fields = line.split()
         if len(fields) != len(expected):
-            if rows and not all(set(f) <= set("01") for f in fields):
+            if rows and any(f.strip("01") for f in fields):
                 break  # trailing prose after the block
             raise MalformedStimulus(
                 f"expected {len(expected)} values, found {len(fields)}", line=offset
             )
         row = []
         for value_text, port in zip(fields, expected):
-            if set(value_text) - set("01"):
+            if value_text.strip("01"):
                 # pure prose that happens to split into m words ends the
                 # block; a row mixing binary and garbage is corruption
-                if rows and not any(set(f) <= set("01") for f in fields):
+                if rows and all(f.strip("01") for f in fields):
                     fields = None
                     break
                 raise MalformedStimulus(

@@ -251,12 +251,14 @@ def test_criterion_7_debug_loop_contract(problems):
     source, witness = mutants["BC06"]
 
     # (a) reference patch terminates in one iteration at pass fraction 1.0
-    state_a = debug(p.spec(), source, [witness], CFG, ListProvider([p.reference.text]))
+    state_a = debug(p.spec(), elaborate_source(source), [witness], CFG,
+                    ListProvider([p.reference.text]))
     assert state_a.solved and state_a.iterations == 1 and state_a.best_pass == 1
 
     # (b) useless patches: exactly 5 iterations, original retained,
     #     bPass non-decreasing throughout
-    state_b = debug(p.spec(), source, [witness], CFG, ListProvider([source.text] * 5))
+    state_b = debug(p.spec(), elaborate_source(source), [witness], CFG,
+                    ListProvider([source.text] * 5))
     assert state_b.iterations == 5
     assert state_b.design is source
     assert state_b.best_pass == state_b.initial_pass
@@ -271,7 +273,7 @@ def test_criterion_7_debug_loop_contract(problems):
 
     spec, tests = cmp_problem()
     state_c = debug(
-        spec, DesignSource(CMP_BUGGY, "mutant BC02"), tests, CFG,
+        spec, elaborate_source(DesignSource(CMP_BUGGY, "mutant BC02")), tests, CFG,
         ListProvider([CMP_HALF, CMP_REF]),
     )
     assert state_c.initial_pass == Fraction(2, 5)
@@ -329,10 +331,11 @@ def test_criterion_9_robustness_fuzz(problems):
         rejections += sum(1 for r in state.rejections if r.reason in ("parse", "provider"))
 
     patch_garbage = malformed_patch_responses(rng, 500, source.text)
+    target = elaborate_source(source)
     for start in range(0, 500, 5):
         batch = patch_garbage[start:start + 5]
         provider = ListProvider(batch)
-        state = debug(spec, source, [witness], CFG, provider, iteration_cap=5)
+        state = debug(spec, target, [witness], CFG, provider, iteration_cap=5)
         assert state.iterations == 5
         assert state.design is source
         assert len(state.rejections) == 5

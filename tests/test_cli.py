@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -128,6 +129,30 @@ class TestLoopCommands:
         assert (out / "final.sv").exists()
         assert "repaired" in capsys.readouterr().out
 
+    def test_debug_target_that_does_not_elaborate(self, cli_corpus, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(cli_corpus, corpus)
+        problem_dir = corpus / "problems" / "arbiter2"
+        manifest = json.loads((problem_dir / "manifest.json").read_text())
+        witness = next(r["witness"] for r in manifest["records"] if r["bc_id"] == "BC06")
+        (tmp_path / "suite").mkdir()
+        (tmp_path / "suite" / "w.stim").write_text(witness)
+        (tmp_path / "script").mkdir()
+        # two continuous assignments that read each other: a combinational loop
+        ref = (problem_dir / "ref.sv").read_text()
+        looped = ref.replace("endmodule", "  wire p;\n  wire q;\n  assign p = q;\n"
+                             "  assign q = p;\nendmodule")
+        (problem_dir / "bc06.sv").write_text(looped)
+        code = main([
+            "debug", "arbiter2", "--problems", str(corpus), "--target", "BC06",
+            "--tests", str(tmp_path / "suite"), "--out", str(tmp_path / "out"),
+            "--mock-script", str(tmp_path / "script"),
+        ])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_mock_without_script_is_provider_error(self, cli_corpus, tmp_path, capsys):
         code = main([
             "gen-tests", "arbiter2", "--problems", cli_corpus, "--source", "BC01",
@@ -164,8 +189,6 @@ class TestEvaluateAndReport:
         record_mock_script([problems[0]], script, tmp_path / "scratch")
         sub = tmp_path / "sub"
         (sub / "problems").mkdir(parents=True)
-        import shutil
-
         shutil.copytree(problems[0].root, sub / "problems" / problems[0].id)
         shutil.copy(corpus_dir / "exemplars.json", sub / "exemplars.json")
         run_dir = tmp_path / "run"

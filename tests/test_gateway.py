@@ -14,6 +14,7 @@ from svloop.gateway import (
     ProviderBinding,
     ScriptedMockProvider,
     build_debug_prompt,
+    build_provider,
     build_testgen_prompt,
     parse_patch,
     parse_unit_test,
@@ -116,7 +117,7 @@ class TestTestgenPrompt:
     def test_overflow(self, fa_spec):
         cfg = GenConfig(strategy="nlsc", max_input_tokens=50)
         with pytest.raises(PromptOverflow):
-            build_testgen_prompt(cfg, fa_spec, fa_spec.reference)
+            build_testgen_prompt(cfg, fa_spec, fa_spec.oracle.source)
 
 
 class TestDebugPrompt:
@@ -206,11 +207,9 @@ class TestMockProvider:
             ProviderBinding("mock")
 
     def test_one_shot_complete_surface(self, tmp_path):
-        from svloop.gateway import complete
-
         save_mock_script(tmp_path / "s", ["scripted answer"])
-        binding = ProviderBinding.mock(str(tmp_path / "s"))
-        assert complete(binding, "any prompt", GenConfig()) == "scripted answer"
+        provider = build_provider(ProviderBinding.mock(str(tmp_path / "s")))
+        assert provider.complete("any prompt", GenConfig()) == "scripted answer"
 
 
 class TestParseUnitTest:
@@ -240,8 +239,8 @@ class TestParsePatch:
         p = problems["arbiter2"]
         response = "The corrected module:\n\n" + p.reference.text + "\nThat fixes it."
         patch = parse_patch(response, p.signature)
-        assert patch.origin == "patched"
-        assert patch.text.strip().startswith("module arbiter2")
+        assert patch.source.origin == "patched"
+        assert patch.source.text.strip().startswith("module arbiter2")
 
     def test_port_rename_rejected(self, problems):
         p = problems["arbiter2"]

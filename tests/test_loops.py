@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ def cmp_problem():
     spec = ProblemSpec(
         "Output y is 1 when the 3-bit input x is at least 4.",
         signature,
-        DesignSource(CMP_REF),
+        design,
     )
     tests = [
         UnitTest(f"t{i}", signature.stimulus_inputs, ((x,),))
@@ -117,7 +118,7 @@ class TestDebugLoop:
     def test_reference_patch_terminates_first_iteration(self, problems):
         p, source, tests = self.failing_suite(problems)
         provider = ListProvider([p.reference.text])
-        state = debug(p.spec(), source, tests, CFG, provider)
+        state = debug(p.spec(), elaborate_source(source), tests, CFG, provider)
         assert state.solved
         assert state.iterations == 1
         assert state.best_pass == 1
@@ -125,7 +126,7 @@ class TestDebugLoop:
     def test_useless_patches_run_the_full_budget(self, problems):
         p, source, tests = self.failing_suite(problems)
         provider = ListProvider([source.text] * 5)
-        state = debug(p.spec(), source, tests, CFG, provider)
+        state = debug(p.spec(), elaborate_source(source), tests, CFG, provider)
         assert state.iterations == 5
         assert state.provider_calls == 5
         assert state.design is source
@@ -137,7 +138,7 @@ class TestDebugLoop:
         spec, tests = cmp_problem()
         buggy = DesignSource(CMP_BUGGY, "mutant BC02")
         provider = ListProvider([CMP_HALF, CMP_REF])
-        state = debug(spec, buggy, tests, CFG, provider)
+        state = debug(spec, elaborate_source(buggy), tests, CFG, provider)
         assert state.initial_pass == Fraction(2, 5)
         accepted = [h.pass_fraction for h in state.history if h.accepted]
         assert accepted == [Fraction(7, 10), Fraction(1)]
@@ -148,7 +149,7 @@ class TestDebugLoop:
         provider = ListProvider(
             ["nonsense", source.text, p.reference.text, "unused", "unused"]
         )
-        state = debug(p.spec(), source, tests, CFG, provider)
+        state = debug(p.spec(), elaborate_source(source), tests, CFG, provider)
         assert state.solved and state.iterations == 3
         seen = state.initial_pass
         for h in state.history:
@@ -159,18 +160,61 @@ class TestDebugLoop:
     def test_budget_is_at_most_five_provider_calls(self, problems):
         p, source, tests = self.failing_suite(problems)
         provider = ListProvider(["junk"] * 12)
-        state = debug(p.spec(), source, tests, CFG, provider)
+        state = debug(p.spec(), elaborate_source(source), tests, CFG, provider)
         assert state.provider_calls == 5
 
     def test_requires_tests(self, problems):
         p, source, _ = self.failing_suite(problems)
         with pytest.raises(ValueError):
-            debug(p.spec(), source, [], CFG, ListProvider([]))
+            debug(p.spec(), elaborate_source(source), [], CFG, ListProvider([]))
 
     def test_already_passing_suite_short_circuits(self, problems):
         p = problems["arbiter2"]
         mutants = {bc: src for bc, src, _ in p.mutants()}
         quiet = parse_stimulus("inputs: rst[1], r1[1], r2[1]\n1 0 0\n1 0 0\n", p.signature, "quiet")
         provider = ListProvider([])
-        state = debug(p.spec(), mutants["BC06"], [quiet], CFG, provider)
+        state = debug(p.spec(), elaborate_source(mutants["BC06"]), [quiet], CFG, provider)
         assert state.solved and state.iterations == 0 and state.provider_calls == 0
+
+
+class TestElaborationCount:
+    """Both loops reuse the designs they are given: the oracle in the spec,
+    the debug target, and the design ``parse_patch`` elaborated."""
+
+    @pytest.fixture()
+    def elaborations(self, monkeypatch):
+        # svloop.frontend re-exports the function elaborate, which hides
+        # the submodule of the same name from attribute access
+        module = importlib.import_module("svloop.frontend.elaborate")
+        original = module.ElaboratedDesign
+        built = []
+
+        def counting(*args, **kwargs):
+            design = original(*args, **kwargs)
+            built.append(design.name)
+            return design
+
+        monkeypatch.setattr(module, "ElaboratedDesign", counting)
+        return built
+
+    def test_generate_tests_elaborates_nothing(self, problems, elaborations):
+        p = problems["arbiter2"]
+        provider = ListProvider([RISING_A, RISING_C, "garbage", RISING_D])
+        state = generate_tests(p.spec(), p.reference, CFG, provider, iteration_cap=4)
+        assert state.tests and provider.calls_made == 4
+        assert elaborations == []
+
+    def test_debug_elaborates_each_parseable_patch_once(self, problems, elaborations):
+        p = problems["arbiter2"]
+        source, witness = {bc: (s, w) for bc, s, w in p.mutants()}["BC06"]
+        target = elaborate_source(source)
+        elaborations.clear()
+        responses = [
+            "nonsense",
+            "module arbiter2 (input a;\nendmodule",  # module that does not parse
+            source.text,
+            p.reference.text,
+        ]
+        state = debug(p.spec(), target, [witness], CFG, ListProvider(responses))
+        assert state.solved and state.iterations == 4
+        assert elaborations == ["arbiter2", "arbiter2"]

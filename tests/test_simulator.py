@@ -201,6 +201,12 @@ class TestStimulusFormat:
     def test_width_enforced(self, problems):
         with pytest.raises(MalformedStimulus):
             parse_stimulus("inputs: a[4], b[4], cin[1]\n000 0000 0\n", problems["adder4"].signature)
+        # a non-binary character inside a value of the right width
+        with pytest.raises(MalformedStimulus) as exc:
+            parse_stimulus("inputs: a[4], b[4], cin[1]\n1010 0101 1\n0a10 0000 0\n",
+                           problems["adder4"].signature)
+        assert str(exc.value) == "non-binary value '0a10' for a"
+        assert exc.value.line == 3
 
     def test_multibit_values(self, problems):
         p = problems["adder4"]
