@@ -214,7 +214,7 @@ def cmd_gen_tests(args) -> int:
     config = RunConfig(strategy=args.strategy, shots=args.shots, provider=args.provider,
                        script_dir=args.mock_script, seed=args.seed,
                        iteration_cap=args.iters, mismatch_limit=args.mismatch_k)
-    provider = build_provider(_binding(args))
+    provider = build_provider(_binding(args), Path(args.out) / "provider_log")
     state = generate_tests(problem.spec(), mutants[args.source], config.gen_config(),
                            provider, iteration_cap=args.iters)
     out = Path(args.out)
@@ -244,7 +244,7 @@ def cmd_debug(args) -> int:
     config = RunConfig(strategy=args.strategy, shots=args.shots, provider=args.provider,
                        script_dir=args.mock_script, seed=args.seed,
                        iteration_cap=args.iters, mismatch_limit=args.mismatch_k)
-    provider = build_provider(_binding(args))
+    provider = build_provider(_binding(args), Path(args.out) / "provider_log")
     state = debug_loop(problem.spec(), elaborate_source(mutants[args.target]), tests,
                        config.gen_config(), provider, iteration_cap=args.iters,
                        mismatch_limit=args.mismatch_k)

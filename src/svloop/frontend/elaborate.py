@@ -8,7 +8,6 @@ silent truncation on assignment.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 from ..errors import (
@@ -55,7 +54,6 @@ class SignalInfo:
 class ElaboratedDesign:
     name: str
     source: DesignSource
-    ast: DesignAst
     params: dict[str, tuple[int, int]]            # name -> (value, width)
     signals: dict[str, SignalInfo]
     input_ports: list[str]
@@ -260,13 +258,15 @@ def _detect_fsm_registers(seq_processes, params) -> dict[str, list[int]]:
 def elaborate(ast: DesignAst, source: DesignSource | None = None) -> ElaboratedDesign:
     """Resolve a parsed design into an executable form.
 
-    The input AST is not modified; annotations land on a private copy.
+    Elaboration consumes ``ast``: parameters are folded into its
+    expressions and widths and statement ids are written onto its nodes,
+    which the returned design then shares. Pass a parse that nothing
+    else reads afterwards.
     """
     if source is None:
         from .printer import ast_to_source
 
         source = DesignSource(ast_to_source(ast), "reference")
-    ast = copy.deepcopy(ast)
 
     params: dict[str, tuple[int, int]] = {}
     for item in ast.items:
@@ -481,7 +481,6 @@ def elaborate(ast: DesignAst, source: DesignSource | None = None) -> ElaboratedD
     return ElaboratedDesign(
         name=ast.name,
         source=source,
-        ast=ast,
         params=params,
         signals=signals,
         input_ports=input_ports,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -352,7 +353,9 @@ def evaluate_matrix(problems: list[Problem], config: RunConfig, out_root) -> dic
 
     With ``config.jobs > 1`` problems are evaluated in separate processes;
     a shared sequential mock script is only meaningful single-process, so
-    parallel runs should use digest-keyed scripts.
+    parallel runs should use digest-keyed scripts. A worker process that
+    dies breaks the pool, and every problem it leaves unfinished gets an
+    error entry.
     """
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
@@ -375,7 +378,7 @@ def evaluate_matrix(problems: list[Problem], config: RunConfig, out_root) -> dic
             for pid, future in futures.items():
                 try:
                     summary["problems"][pid] = future.result()
-                except (SvLoopError, OSError) as exc:
+                except (SvLoopError, OSError, BrokenProcessPool) as exc:
                     summary["problems"][pid] = _error_entry(exc)
     else:
         binding = _binding_from_config(config)

@@ -11,7 +11,6 @@ seeded site is tried.
 
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -144,7 +143,7 @@ def _flat_stmts(body):
 
 
 def _replace_expr(holder_ast: DesignAst, path: str, transform):
-    """Apply ``transform`` to the expression at ``path`` in a fresh copy."""
+    """Apply ``transform`` to the expression at ``path`` in ``holder_ast``."""
     found = []
 
     def visit(p, e):
@@ -171,7 +170,9 @@ def _seq_reset_bodies(ast: DesignAst):
 # --- the ten operators ---------------------------------------------------------
 
 def _collect_sites(op: MutationOperator, ast: DesignAst, design: ElaboratedDesign):
-    """Enumerate applicable sites; each site closure edits a *given* AST copy."""
+    """Enumerate applicable sites. Each site closure edits the AST it is
+    given, finding its node by path and index, so it applies to any fresh
+    parse of the same source."""
     sites: list[tuple[str, int, Callable[[DesignAst], None]]] = []
     bc = op.bc_id
 
@@ -318,68 +319,68 @@ def _constant_idents(expr, reg, param_names):
         yield from _constant_idents(expr.other, reg, param_names)
 
 
-# transform factories: each returns a function editing a fresh AST copy
+# transform factories: each returns a function editing the AST it is given
 
 def _swap_binary_op(path, new_op):
-    def edit(ast_copy):
-        _replace_expr(ast_copy, path, lambda e: setattr(e, "op", new_op))
+    def edit(ast):
+        _replace_expr(ast, path, lambda e: setattr(e, "op", new_op))
     return edit
 
 
 def _negate_if(item_idx, stmt_idx):
-    def edit(ast_copy):
-        stmt = _flat_stmts(ast_copy.items[item_idx].body)[stmt_idx]
+    def edit(ast):
+        stmt = _flat_stmts(ast.items[item_idx].body)[stmt_idx]
         stmt.cond = Unary("!", stmt.cond, line=stmt.cond.line, col=stmt.cond.col)
     return edit
 
 
 def _negate_ternary(path):
-    def edit(ast_copy):
+    def edit(ast):
         def transform(expr):
             expr.cond = Unary("!", expr.cond, line=expr.cond.line, col=expr.cond.col)
-        _replace_expr(ast_copy, path, transform)
+        _replace_expr(ast, path, transform)
     return edit
 
 
 def _flip_literal(path, bit):
-    def edit(ast_copy):
+    def edit(ast):
         def transform(lit):
             lit.value ^= 1 << bit
             if lit.size is not None:
                 lit.value &= (1 << lit.size) - 1
-        _replace_expr(ast_copy, path, transform)
+        _replace_expr(ast, path, transform)
     return edit
 
 
 def _bump_literal(path):
-    def edit(ast_copy):
+    def edit(ast):
         def transform(lit):
             limit = (1 << lit.size) - 1 if lit.size is not None else None
             if limit is not None and lit.value + 1 > limit:
                 lit.value -= 1
             else:
                 lit.value += 1
-        _replace_expr(ast_copy, path, transform)
+        _replace_expr(ast, path, transform)
     return edit
 
 
 def _retarget_transition(item_idx, stmt_idx, replacement):
-    def edit(ast_copy):
-        stmt = _flat_stmts(ast_copy.items[item_idx].body)[stmt_idx]
+    def edit(ast):
+        stmt = _flat_stmts(ast.items[item_idx].body)[stmt_idx]
         stmt.expr = Ident(replacement, line=stmt.expr.line, col=stmt.expr.col)
     return edit
 
 
 def _delete_case_arm(item_idx, stmt_idx, arm_idx):
-    def edit(ast_copy):
-        stmt = _flat_stmts(ast_copy.items[item_idx].body)[stmt_idx]
+    def edit(ast):
+        stmt = _flat_stmts(ast.items[item_idx].body)[stmt_idx]
         del stmt.items[arm_idx]
     return edit
 
 
 def _xor_reset_literal(item_idx, stmt_idx):
-    def edit(ast_copy):
-        stmt = _flat_stmts(ast_copy.items[item_idx].body)[stmt_idx]
+    def edit(ast):
+        stmt = _flat_stmts(ast.items[item_idx].body)[stmt_idx]
         lit = stmt.expr
         lit.value ^= 1
         if lit.size is not None:
@@ -388,15 +389,15 @@ def _xor_reset_literal(item_idx, stmt_idx):
 
 
 def _swap_blocking(item_idx, stmt_idx):
-    def edit(ast_copy):
-        stmt = _flat_stmts(ast_copy.items[item_idx].body)[stmt_idx]
+    def edit(ast):
+        stmt = _flat_stmts(ast.items[item_idx].body)[stmt_idx]
         stmt.blocking = not stmt.blocking
     return edit
 
 
 def _flip_edge(item_idx, event_idx):
-    def edit(ast_copy):
-        event = ast_copy.items[item_idx].events[event_idx]
+    def edit(ast):
+        event = ast.items[item_idx].events[event_idx]
         event.edge = "negedge" if event.edge == "posedge" else "posedge"
     return edit
 
@@ -501,9 +502,11 @@ def inject(
     rng = random.Random((seed << 8) ^ int(op.bc_id[2:]))
     order = list(range(len(sites)))
     rng.shuffle(order)
-    for rank in order:
+    for attempt, rank in enumerate(order):
         path, line, edit = sites[rank]
-        candidate_ast = copy.deepcopy(clean_ast)
+        # the first candidate edits the parse its sites came from; each
+        # later one edits a fresh parse, so no edit leaks into the next
+        candidate_ast = parse_design(reference.source) if attempt else clean_ast
         try:
             edit(candidate_ast)
             text = ast_to_source(candidate_ast)

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 from support import record_mock_script, valid_arbiter_stimulus
 from svloop.cli import EXIT_DATA, EXIT_PROVIDER, EXIT_USAGE, main
+from svloop import matrix
 from svloop.manifest import load_corpus
 
 
@@ -199,6 +201,28 @@ class TestEvaluateAndReport:
         out = tmp_path / "reports" / "here"
         assert main(["report", str(run_dir), "--out", str(out)]) == 0
         assert (out / "report.json").exists()
+
+    def test_dying_worker_becomes_error_entry(self, corpus_dir, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.setattr(matrix, "_evaluate_problem_task", _task_dying_on_seq_detect)
+        run_dir = tmp_path / "run"
+        code = main([
+            "evaluate", "--problems", str(corpus_dir), "--out", str(run_dir),
+            "--mock-script", str(tmp_path / "script"), "--jobs", "2",
+        ])
+        assert code == EXIT_DATA
+        summary = json.loads((run_dir / "summary.json").read_text())
+        ids = {p.id for p in load_corpus(corpus_dir)}
+        assert set(summary["problems"]) == ids
+        assert summary["problems"]["seq_detect"]["error"].startswith("BrokenProcessPool")
+        assert "seq_detect: 0 cells" in capsys.readouterr().out
+
+
+def _task_dying_on_seq_detect(problem_dir, config_dict, out_dir):
+    # module level, so a worker process can unpickle it
+    if Path(problem_dir).name == "seq_detect":
+        os._exit(1)
+    return {"mutants": 0, "cells": 0, "skipped_cells": 0, "debug_solved": 0}
 
 
 class TestUsage:

@@ -1,5 +1,8 @@
+import copy
+
 import pytest
 
+from support import OracleBackedResponder
 from svloop.errors import (
     AmbiguousClock,
     CombinationalLoop,
@@ -16,6 +19,10 @@ from svloop.frontend import (
     extract_signature,
     parse_design,
 )
+from svloop.frontend.ast import Literal
+from svloop.manifest import RunConfig
+from svloop.matrix import evaluate_problem
+from svloop.mutate import make_corpus
 
 FULL_ADDER = """
 module full_adder (
@@ -189,6 +196,34 @@ class TestElaborate:
             ("posedge", "clk"),
             ("posedge", "rst"),
         ]
+
+    def test_elaboration_consumes_its_ast(self):
+        ast = parse_design(DesignSource(ARBITER))
+        design = elaborate(ast)
+        # the design shares the given nodes, with parameters folded in place
+        assert design.seq_processes[0] is ast.items[-1]
+        reset_state = design.seq_processes[0].body[0].then_body[0]
+        assert isinstance(reset_state.expr, Literal) and reset_state.expr.value == 0
+        assert reset_state.expr.eval_width == 2
+
+
+class TestNoAstCopies:
+    def test_corpus_build_and_evaluation_copy_no_ast(self, problems, tmp_path,
+                                                     monkeypatch):
+        calls = []
+        real = copy.deepcopy
+
+        def counting(*args, **kwargs):
+            calls.append(type(args[0]).__name__)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(copy, "deepcopy", counting)
+        for problem in problems.values():
+            make_corpus(problem.design, seed=1)
+        responder = OracleBackedResponder(list(problems.values()), seed=0)
+        config = RunConfig(provider="mock", script_dir="(in-memory)", seed=1)
+        evaluate_problem(problems["arbiter2"], config, responder, tmp_path / "arb")
+        assert calls == []
 
 
 class TestSignature:

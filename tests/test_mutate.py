@@ -4,10 +4,11 @@ import pytest
 
 from svloop import mutate
 from svloop.errors import ElaborationError, NoApplicableSite, NoDistinctMutant
-from svloop.frontend import elaborate_source, extract_signature
+from svloop.frontend import ast_to_source, elaborate_source, extract_signature, parse_design
 from svloop.mutate import (
     RANDOM_TEST_CYCLES,
     RANDOM_TESTS,
+    _collect_sites,
     _random_witness,
     find_witness,
     inject,
@@ -148,6 +149,39 @@ class TestEquivalenceProof:
         ref_trace = run(reference, witness, signature)
         mut_trace = run(mutant, witness, signature)
         assert ref_trace.values["count"] != mut_trace.values["count"]
+
+
+class TestCandidateIsolation:
+    def test_later_candidates_carry_only_their_own_edit(self, problems, monkeypatch):
+        # with the first candidate of every operator rejected, the record
+        # comes from a later candidate; an edit leaking from one candidate
+        # into the next would show as a second edit in its text
+        real = mutate.find_witness
+        rejected = []
+
+        def reject_first(reference, candidate, *args):
+            if not rejected:
+                rejected.append(candidate)
+                return None
+            return real(reference, candidate, *args)
+
+        monkeypatch.setattr(mutate, "find_witness", reject_first)
+        checked = 0
+        for problem in problems.values():
+            for op in list_operators():
+                rejected.clear()
+                try:
+                    record = inject(problem.design, op, seed=1)
+                except (NoApplicableSite, NoDistinctMutant):
+                    continue
+                assert rejected, (problem.id, op.bc_id)
+                fresh = parse_design(problem.reference)
+                edits = {path: edit for path, _, edit in
+                         _collect_sites(op, fresh, problem.design)}
+                edits[record.site_path](fresh)
+                assert record.source.text == ast_to_source(fresh), (problem.id, op.bc_id)
+                checked += 1
+        assert checked >= 20
 
 
 class TestInjectErrors:

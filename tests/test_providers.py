@@ -3,6 +3,8 @@ import json
 import pytest
 import requests
 
+from support import valid_arbiter_stimulus
+from svloop.cli import main
 from svloop.errors import ProviderRejection, ProviderTimeout
 from svloop.gateway import GenConfig, ProviderBinding
 from svloop.gateway.config import ENV_ENDPOINT, ENV_KEY, ENV_MODEL
@@ -30,6 +32,13 @@ class FakeResponse:
         if self._payload is None:
             raise requests.JSONDecodeError("Expecting value", self.text, 0)
         return self._payload
+
+
+@pytest.fixture()
+def live_env(monkeypatch):
+    monkeypatch.setenv(ENV_ENDPOINT, "https://llm.example/v1/chat")
+    monkeypatch.setenv(ENV_MODEL, "m-1")
+    monkeypatch.setenv(ENV_KEY, "secret-key")
 
 
 def test_successful_completion_and_redacted_log(monkeypatch, tmp_path):
@@ -76,13 +85,10 @@ def test_non_json_body_is_rejection(monkeypatch):
         LiveHttpProvider(live_binding()).complete("p", CFG)
 
 
-def test_non_json_body_does_not_abort_evaluate(monkeypatch, problems, tmp_path):
+def test_non_json_body_does_not_abort_evaluate(monkeypatch, live_env, problems, tmp_path):
     monkeypatch.setattr(
         requests, "post", lambda *a, **k: FakeResponse(200, text="<html>busy</html>")
     )
-    monkeypatch.setenv(ENV_ENDPOINT, "https://llm.example/v1/chat")
-    monkeypatch.setenv(ENV_MODEL, "m-1")
-    monkeypatch.setenv(ENV_KEY, "secret-key")
     out = tmp_path / "run"
     summary = evaluate_matrix([problems["full_adder"]], RunConfig(provider="live"), out)
     assert (out / "summary.json").exists()
@@ -94,6 +100,52 @@ def test_non_json_body_does_not_abort_evaluate(monkeypatch, problems, tmp_path):
         assert rejections and all(
             r["reason"] == "provider" and "not JSON" in r["detail"] for r in rejections
         )
+
+
+def answering(monkeypatch, text):
+    posts = []
+
+    def fake_post(*a, **k):
+        posts.append(k["json"])
+        return FakeResponse(200, {"choices": [{"message": {"content": text}}]})
+
+    monkeypatch.setattr(requests, "post", fake_post)
+    return posts
+
+
+def assert_logged(log_dir, posts):
+    logs = sorted(log_dir.glob("exchange-*.json"))
+    assert posts and len(logs) == len(posts)
+    for path, body in zip(logs, posts):
+        record = json.loads(path.read_text())
+        assert record["request"]["messages"] == body["messages"]
+        assert "secret-key" not in json.dumps(record)
+
+
+def test_live_gen_tests_logs_exchanges(monkeypatch, live_env, corpus_dir, tmp_path):
+    posts = answering(monkeypatch, valid_arbiter_stimulus())
+    out = tmp_path / "tests"
+    assert main([
+        "gen-tests", "arbiter2", "--problems", str(corpus_dir), "--source", "BC01",
+        "--out", str(out), "--provider", "live", "--iters", "1",
+    ]) == 0
+    assert_logged(out / "provider_log", posts)
+
+
+def test_live_debug_logs_exchanges(monkeypatch, live_env, corpus_dir, tmp_path):
+    problem_dir = corpus_dir / "problems" / "arbiter2"
+    manifest = json.loads((problem_dir / "manifest.json").read_text())
+    witness = next(r["witness"] for r in manifest["records"] if r["bc_id"] == "BC06")
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "w.stim").write_text(witness)
+    posts = answering(monkeypatch, (problem_dir / "ref.sv").read_text())
+    out = tmp_path / "debugged"
+    assert main([
+        "debug", "arbiter2", "--problems", str(corpus_dir), "--target", "BC06",
+        "--tests", str(suite), "--out", str(out), "--provider", "live",
+    ]) == 0
+    assert_logged(out / "provider_log", posts)
 
 
 def test_timeout_retries_then_raises(monkeypatch):
