@@ -245,9 +245,10 @@ def cmd_debug(args) -> int:
                        script_dir=args.mock_script, seed=args.seed,
                        iteration_cap=args.iters, mismatch_limit=args.mismatch_k)
     provider = build_provider(_binding(args), Path(args.out) / "provider_log")
+    oracle_traces = {t.id: run_sim(problem.design, t, problem.signature) for t in tests}
     state = debug_loop(problem.spec(), elaborate_source(mutants[args.target]), tests,
-                       config.gen_config(), provider, iteration_cap=args.iters,
-                       mismatch_limit=args.mismatch_k)
+                       oracle_traces, config.gen_config(), provider,
+                       iteration_cap=args.iters, mismatch_limit=args.mismatch_k)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "final.sv").write_text(state.design.text, "utf-8")

@@ -20,8 +20,8 @@ from .frontend.elaborate import ElaboratedDesign
 from .gateway.config import GenConfig, NLSC, ProblemSpec
 from .gateway.extract import parse_patch, parse_unit_test
 from .gateway.prompts import build_debug_prompt, build_testgen_prompt
-from .sim.coverage import collect_coverage
-from .sim.engine import run
+from .sim.coverage import CoverageCollector, collect_coverage
+from .sim.engine import Trace, run
 from .sim.stimulus import UnitTest
 from .verdict import (
     DEFAULT_MISMATCH_LIMIT,
@@ -95,7 +95,8 @@ def generate_tests(
 
     Tests are valid when they are well-formed for the signature and
     simulatable on the oracle; passing the (unknown) candidate design is
-    not required.
+    not required. Each candidate is simulated once, folded into a copy of
+    the accepted suite's coverage; the copy replaces it only on acceptance.
     """
     oracle = spec.oracle
     signature = spec.signature
@@ -104,6 +105,7 @@ def generate_tests(
         raise ValueError("NLSC generation requires a source mutant")
 
     state = TestGenState()
+    covered = CoverageCollector(oracle, signature)
     one_shot = not oracle.is_sequential
     rounds = 1 if one_shot else iteration_cap
     feedback = None
@@ -130,18 +132,14 @@ def generate_tests(
         except GatewayError as exc:
             state.rejections.append(Rejection(iteration, "parse", str(exc)))
             continue
+        trial = covered.copy()
         try:
-            report = collect_coverage(oracle, state.tests + [test], signature)
+            report = collect_coverage(oracle, [test], signature, trial)
         except (SimulationError, SvLoopError) as exc:
             state.rejections.append(Rejection(iteration, "simulate", str(exc)))
             continue
-        if one_shot:
-            state.tests.append(test)
-            state.best_coverage = report.scalar
-            state.accepted_coverage.append(report.scalar)
-            feedback = (report, test)
-            break
-        if report.scalar > state.best_coverage:
+        if one_shot or report.scalar > state.best_coverage:
+            covered = trial
             state.tests.append(test)
             state.best_coverage = report.scalar
             state.accepted_coverage.append(report.scalar)
@@ -155,7 +153,7 @@ def generate_tests(
                 )
             )
         feedback = (report, test)
-        if state.best_coverage == 1:
+        if one_shot or state.best_coverage == 1:
             break
     return state
 
@@ -174,6 +172,7 @@ def debug(
     spec: ProblemSpec,
     buggy: ElaboratedDesign,
     tests,
+    oracle_traces: dict[str, Trace],
     cfg: GenConfig,
     provider,
     iteration_cap: int = DEFAULT_ITERATION_CAP,
@@ -181,8 +180,9 @@ def debug(
 ) -> DebugState:
     """Run the pass-fraction-gated repair loop.
 
-    Expected values always come from simulating the oracle on the same
-    tests. The loop makes at most ``iteration_cap`` provider calls and
+    Expected values come from ``oracle_traces``, the oracle's trace of
+    every test keyed by test id; the loop simulates only the target and
+    its patches. It makes at most ``iteration_cap`` provider calls and
     never returns a design with a lower pass fraction than its input.
     """
     tests = list(tests)
@@ -190,7 +190,6 @@ def debug(
         raise ValueError("debug requires at least one unit test")
     signature = spec.signature
     outputs = [p.name for p in signature.outputs]
-    oracle_traces = {t.id: run(spec.oracle, t, signature) for t in tests}
 
     verdicts, traces = _suite_verdicts(buggy, tests, oracle_traces, outputs, signature)
     best = pass_fraction(verdicts)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import shutil
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -61,14 +62,32 @@ class Problem:
         manifest_file = self.root / CORPUS_MANIFEST
         if not manifest_file.exists():
             return []
-        data = json.loads(manifest_file.read_text("utf-8"))
         out = []
-        for record in data.get("records", []):
-            text = (self.root / record["file"]).read_text("utf-8")
-            source = DesignSource(text, f"mutant {record['bc_id']}")
-            witness = parse_stimulus(record["witness"], self.signature, "witness")
-            out.append((record["bc_id"], source, witness))
+        # every statement in the loop consumes a value read from the file
+        with _required_keys(manifest_file):
+            for record in _read_json(manifest_file).get("records", []):
+                text = (self.root / record["file"]).read_text("utf-8")
+                source = DesignSource(text, f"mutant {record['bc_id']}")
+                witness = parse_stimulus(record["witness"], self.signature, "witness")
+                out.append((record["bc_id"], source, witness))
         return out
+
+
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text("utf-8"))
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise ManifestError(f"{path} is not valid JSON: {exc}") from exc
+
+
+@contextmanager
+def _required_keys(path: Path):
+    """Turn a missing key or a wrongly shaped value into a ManifestError
+    that names the file."""
+    try:
+        yield
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ManifestError(f"{path} is malformed: missing or invalid {exc}") from exc
 
 
 def default_corpus_root() -> Path:
@@ -85,10 +104,11 @@ def copy_corpus(dest) -> Path:
 
 
 def _load_exemplars(path: Path) -> tuple[Exemplar, ...]:
-    data = json.loads(path.read_text("utf-8"))
-    return tuple(
-        Exemplar(e["description"], e["signature_text"], e["unit_test_text"]) for e in data
-    )
+    data = _read_json(path)
+    with _required_keys(path):
+        return tuple(
+            Exemplar(e["description"], e["signature_text"], e["unit_test_text"]) for e in data
+        )
 
 
 def load_problem(problem_dir) -> Problem:
@@ -96,21 +116,22 @@ def load_problem(problem_dir) -> Problem:
     manifest_file = problem_dir / PROBLEM_MANIFEST
     if not manifest_file.exists():
         raise ManifestError(f"missing {PROBLEM_MANIFEST} in {problem_dir}")
-    raw = json.loads(manifest_file.read_text("utf-8"))
-    reset = None
-    if raw.get("reset"):
-        r = raw["reset"]
-        reset = ResetSpec(r["name"], bool(r.get("active_high", True)),
-                          bool(r.get("synchronous", False)))
-    manifest = ProblemManifest(
-        id=raw["id"],
-        kind=raw["kind"],
-        description_path=raw["description"],
-        reference_path=raw["reference"],
-        exemplars_path=raw.get("exemplars"),
-        clock=raw.get("clock"),
-        reset=reset,
-    )
+    raw = _read_json(manifest_file)
+    with _required_keys(manifest_file):
+        reset = None
+        if raw.get("reset"):
+            r = raw["reset"]
+            reset = ResetSpec(r["name"], bool(r.get("active_high", True)),
+                              bool(r.get("synchronous", False)))
+        manifest = ProblemManifest(
+            id=raw["id"],
+            kind=raw["kind"],
+            description_path=raw["description"],
+            reference_path=raw["reference"],
+            exemplars_path=raw.get("exemplars"),
+            clock=raw.get("clock"),
+            reset=reset,
+        )
     if manifest.kind not in ("combinational", "sequential"):
         raise ManifestError(f"{manifest.id}: kind must be combinational or sequential")
 

@@ -48,12 +48,16 @@ def _fraction_pair(f: Fraction) -> list[int]:
     return [f.numerator, f.denominator]
 
 
-def _write_json(path: Path, data) -> None:
-    # checkpoint files gate resume decisions, so land them atomically
+def _write_atomic(path: Path, data: bytes) -> None:
+    # files that resume keeps once they exist must never be seen torn
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", "utf-8")
+    tmp.write_bytes(data)
     tmp.replace(path)
+
+
+def _write_json(path: Path, data) -> None:
+    _write_atomic(path, (json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def _write_exchanges(dirpath: Path, prefix: str, exchanges) -> None:
@@ -162,8 +166,7 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
             traces[test.id] = trace
             vcd_file = out_dir / "oracle" / src_id.lower() / f"{test.id}.vcd"
             if not vcd_file.exists():
-                vcd_file.parent.mkdir(parents=True, exist_ok=True)
-                vcd_file.write_bytes(export_vcd(trace, signature))
+                _write_atomic(vcd_file, export_vcd(trace, signature))
         oracle_traces[src_id] = traces
 
     for src_id, _, _ in mutants:
@@ -226,6 +229,7 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
                 spec,
                 target_designs[tgt_id],
                 tests,
+                oracle_traces[tgt_id],
                 gen_cfg,
                 provider,
                 iteration_cap=config.iteration_cap,

@@ -17,15 +17,18 @@ from typing import Callable, Optional
 
 from .errors import NoApplicableSite, NoDistinctMutant, SimulationError, SvLoopError
 from .frontend.ast import (
+    AlwaysComb,
     AlwaysSeq,
     Assignment,
     Binary,
     Case,
+    ContAssign,
     DesignAst,
     DesignSource,
     Ident,
     If,
     Literal,
+    ParamDecl,
     Ternary,
     Unary,
     walk_stmts,
@@ -116,26 +119,25 @@ def _expr_sites(expr, path, visit):
 
 
 def _walk_design_exprs(ast: DesignAst, visit):
-    """visit(path, node, holder, slot) over every expression in the design."""
+    """visit(path, node) over every expression in the design."""
     for i, item in enumerate(ast.items):
         base = f"item[{i}]"
-        if type(item).__name__ == "ParamDecl":
-            _expr_sites(item.value, f"{base}.value", lambda p, e: visit(p, e))
-        elif type(item).__name__ == "ContAssign":
-            _expr_sites(item.expr, f"{base}.expr", lambda p, e: visit(p, e))
-        elif type(item).__name__ in ("AlwaysComb", "AlwaysSeq"):
+        if isinstance(item, ParamDecl):
+            _expr_sites(item.value, f"{base}.value", visit)
+        elif isinstance(item, ContAssign):
+            _expr_sites(item.expr, f"{base}.expr", visit)
+        elif isinstance(item, (AlwaysComb, AlwaysSeq)):
             for j, stmt in enumerate(_flat_stmts(item.body)):
                 spath = f"{base}.stmt[{j}]"
                 if isinstance(stmt, Assignment):
-                    _expr_sites(stmt.expr, f"{spath}.expr", lambda p, e: visit(p, e))
+                    _expr_sites(stmt.expr, f"{spath}.expr", visit)
                 elif isinstance(stmt, If):
-                    _expr_sites(stmt.cond, f"{spath}.cond", lambda p, e: visit(p, e))
+                    _expr_sites(stmt.cond, f"{spath}.cond", visit)
                 elif isinstance(stmt, Case):
-                    _expr_sites(stmt.subject, f"{spath}.subject", lambda p, e: visit(p, e))
+                    _expr_sites(stmt.subject, f"{spath}.subject", visit)
                     for k, citem in enumerate(stmt.items):
                         for m, lbl in enumerate(citem.labels):
-                            _expr_sites(lbl, f"{spath}.item[{k}].label[{m}]",
-                                        lambda p, e: visit(p, e))
+                            _expr_sites(lbl, f"{spath}.item[{k}].label[{m}]", visit)
 
 
 def _flat_stmts(body):
@@ -192,7 +194,7 @@ def _collect_sites(op: MutationOperator, ast: DesignAst, design: ElaboratedDesig
 
     elif bc == "BC03":
         for i, item in enumerate(ast.items):
-            if type(item).__name__ in ("AlwaysComb", "AlwaysSeq"):
+            if isinstance(item, (AlwaysComb, AlwaysSeq)):
                 for j, stmt in enumerate(_flat_stmts(item.body)):
                     if isinstance(stmt, If):
                         sites.append((f"item[{i}].stmt[{j}].cond", stmt.line,
@@ -269,7 +271,7 @@ def _collect_sites(op: MutationOperator, ast: DesignAst, design: ElaboratedDesig
 
     elif bc == "BC09":
         for i, item in enumerate(ast.items):
-            if type(item).__name__ in ("AlwaysComb", "AlwaysSeq"):
+            if isinstance(item, (AlwaysComb, AlwaysSeq)):
                 for j, stmt in enumerate(_flat_stmts(item.body)):
                     if isinstance(stmt, Assignment):
                         sites.append((f"item[{i}].stmt[{j}].blocking", stmt.line,

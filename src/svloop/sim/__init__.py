@@ -2,7 +2,7 @@
 
 from .coverage import CoverageCollector, CoverageReport, collect_coverage
 from .engine import Trace, run
-from .stimulus import UnitTest, matches_signature, parse_stimulus
+from .stimulus import UnitTest, parse_stimulus
 from .vcd import export_vcd, read_vcd
 
 __all__ = [
@@ -12,7 +12,6 @@ __all__ = [
     "UnitTest",
     "collect_coverage",
     "export_vcd",
-    "matches_signature",
     "parse_stimulus",
     "read_vcd",
     "run",

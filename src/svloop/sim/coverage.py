@@ -10,6 +10,7 @@ categories differently, so reports label this reduction explicitly.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -53,13 +54,12 @@ class CoverageCollector:
     """Accumulates coverage events across runs; union semantics, so the
     result is independent of test order."""
 
-    def __init__(self, design: ElaboratedDesign, signature: DesignSignature | None = None):
+    def __init__(self, design: ElaboratedDesign, signature: DesignSignature):
         self.design = design
-        clock = signature.clock if signature is not None else None
         self.stmts: set[int] = set()
         self.arms: set[tuple] = set()
-        self.ones = {name: 0 for name in design.signals if name != clock}
-        self.zeros = {name: 0 for name in design.signals if name != clock}
+        self.ones = {name: 0 for name in design.signals if name != signature.clock}
+        self.zeros = dict(self.ones)
         self.fsm_seen: dict[str, set[int]] = {reg: set() for reg in design.fsm_registers}
         self._masks = {
             name: (1 << design.signals[name].width) - 1 for name in design.signals
@@ -75,6 +75,17 @@ class CoverageCollector:
             for stmt in walk_stmts(proc.body):
                 lines[stmt.stmt_id] = stmt.line
         return lines
+
+    def copy(self) -> "CoverageCollector":
+        """A collector holding the same events; folding a run into either
+        leaves the other unchanged."""
+        twin = copy.copy(self)
+        twin.stmts = set(self.stmts)
+        twin.arms = set(self.arms)
+        twin.ones = dict(self.ones)
+        twin.zeros = dict(self.zeros)
+        twin.fsm_seen = {reg: set(seen) for reg, seen in self.fsm_seen.items()}
+        return twin
 
     def observe(self, values: dict[str, tuple[int, ...]]):
         """Fold one finished trace's signal columns into the toggle and
@@ -142,15 +153,18 @@ class CoverageCollector:
 def collect_coverage(
     design: ElaboratedDesign,
     tests,
-    signature: DesignSignature | None = None,
+    signature: DesignSignature,
+    collector: CoverageCollector | None = None,
 ) -> CoverageReport:
-    """Union coverage of all tests; deterministic regardless of order."""
+    """Union coverage of all tests; deterministic regardless of order.
+
+    The tests are folded into ``collector`` when one is given, so a caller
+    can keep the coverage of tests it has already run.
+    """
     from .engine import run
 
-    from ..frontend.signature import signature_of
-
-    sig = signature if signature is not None else signature_of(design)
-    collector = CoverageCollector(design, sig)
+    if collector is None:
+        collector = CoverageCollector(design, signature)
     for test in tests:
-        run(design, test, sig, collector)
+        run(design, test, signature, collector)
     return collector.report()

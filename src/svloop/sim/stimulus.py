@@ -43,10 +43,6 @@ class UnitTest:
         return "\n".join(lines) + "\n"
 
 
-def matches_signature(test: UnitTest, signature: DesignSignature) -> bool:
-    return test.columns == signature.stimulus_inputs
-
-
 def parse_stimulus(text: str, signature: DesignSignature, test_id: str = "t0") -> UnitTest:
     """Parse a stimulus block and validate it against the signature.
 

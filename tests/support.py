@@ -93,6 +93,17 @@ def naive_divergent_fraction(trace_a, trace_b, outputs):
     return divergent, n
 
 
+# --- oracle traces for the debug loop ------------------------------------------
+
+def oracle_traces(problem_or_spec, tests):
+    """The oracle's trace of every test, keyed by test id, as ``debug``
+    takes them; accepts a ``Problem`` or a ``ProblemSpec``."""
+    from svloop.sim.engine import run
+
+    spec = problem_or_spec.spec() if hasattr(problem_or_spec, "spec") else problem_or_spec
+    return {t.id: run(spec.oracle, t, spec.signature) for t in tests}
+
+
 # --- deterministic oracle-backed responder --------------------------------------
 
 class OracleBackedResponder:

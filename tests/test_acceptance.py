@@ -17,6 +17,7 @@ from support import (
     exhaustive_single_cycle_tests,
     malformed_patch_responses,
     malformed_stimulus_responses,
+    oracle_traces,
     record_mock_script,
     step_arbiter,
     valid_arbiter_stimulus,
@@ -251,14 +252,14 @@ def test_criterion_7_debug_loop_contract(problems):
     source, witness = mutants["BC06"]
 
     # (a) reference patch terminates in one iteration at pass fraction 1.0
-    state_a = debug(p.spec(), elaborate_source(source), [witness], CFG,
-                    ListProvider([p.reference.text]))
+    state_a = debug(p.spec(), elaborate_source(source), [witness],
+                    oracle_traces(p, [witness]), CFG, ListProvider([p.reference.text]))
     assert state_a.solved and state_a.iterations == 1 and state_a.best_pass == 1
 
     # (b) useless patches: exactly 5 iterations, original retained,
     #     bPass non-decreasing throughout
-    state_b = debug(p.spec(), elaborate_source(source), [witness], CFG,
-                    ListProvider([source.text] * 5))
+    state_b = debug(p.spec(), elaborate_source(source), [witness],
+                    oracle_traces(p, [witness]), CFG, ListProvider([source.text] * 5))
     assert state_b.iterations == 5
     assert state_b.design is source
     assert state_b.best_pass == state_b.initial_pass
@@ -273,8 +274,8 @@ def test_criterion_7_debug_loop_contract(problems):
 
     spec, tests = cmp_problem()
     state_c = debug(
-        spec, elaborate_source(DesignSource(CMP_BUGGY, "mutant BC02")), tests, CFG,
-        ListProvider([CMP_HALF, CMP_REF]),
+        spec, elaborate_source(DesignSource(CMP_BUGGY, "mutant BC02")), tests,
+        oracle_traces(spec, tests), CFG, ListProvider([CMP_HALF, CMP_REF]),
     )
     assert state_c.initial_pass == Fraction(2, 5)
     accepted = [h.pass_fraction for h in state_c.history if h.accepted]
@@ -332,10 +333,11 @@ def test_criterion_9_robustness_fuzz(problems):
 
     patch_garbage = malformed_patch_responses(rng, 500, source.text)
     target = elaborate_source(source)
+    expected = oracle_traces(spec, [witness])
     for start in range(0, 500, 5):
         batch = patch_garbage[start:start + 5]
         provider = ListProvider(batch)
-        state = debug(spec, target, [witness], CFG, provider, iteration_cap=5)
+        state = debug(spec, target, [witness], expected, CFG, provider, iteration_cap=5)
         assert state.iterations == 5
         assert state.design is source
         assert len(state.rejections) == 5

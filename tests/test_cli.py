@@ -91,6 +91,14 @@ class TestMutateCommand:
         (fresh_corpus / "problems" / "adder4" / "ref.sv").unlink()
         assert main(["mutate", "adder4", "--problems", str(fresh_corpus)]) == EXIT_DATA
 
+    def test_truncated_problem_json_is_data_error(self, fresh_corpus, capsys):
+        manifest = fresh_corpus / "problems" / "adder4" / "problem.json"
+        text = manifest.read_text()
+        manifest.write_text(text[: len(text) // 2])
+        assert main(["mutate", "all", "--problems", str(fresh_corpus)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(manifest) in err
+
 
 class TestLoopCommands:
     def test_gen_tests(self, cli_corpus, tmp_path, capsys):
@@ -201,6 +209,30 @@ class TestEvaluateAndReport:
         out = tmp_path / "reports" / "here"
         assert main(["report", str(run_dir), "--out", str(out)]) == 0
         assert (out / "report.json").exists()
+
+    def test_truncated_mutant_manifest_isolates_to_its_problem(self, corpus_dir, tmp_path,
+                                                                capsys):
+        corpus = tmp_path / "corpus"
+        for pid in ("adder4", "full_adder"):
+            shutil.copytree(corpus_dir / "problems" / pid, corpus / "problems" / pid)
+        shutil.copy(corpus_dir / "exemplars.json", corpus / "exemplars.json")
+        script = tmp_path / "script"
+        record_mock_script(load_corpus(corpus)[:1], script, tmp_path / "scratch")
+        manifest = corpus / "problems" / "full_adder" / "manifest.json"
+        text = manifest.read_text()
+        manifest.write_text(text[: len(text) // 2])
+        run_dir = tmp_path / "run"
+        code = main([
+            "evaluate", "--problems", str(corpus), "--out", str(run_dir),
+            "--mock-script", str(script), "--seed", "1",
+        ])
+        assert code == EXIT_DATA
+        summary = json.loads((run_dir / "summary.json").read_text())
+        broken = summary["problems"]["full_adder"]["error"]
+        assert broken.startswith("ManifestError") and str(manifest) in broken
+        assert "error" not in summary["problems"]["adder4"]
+        assert summary["problems"]["adder4"]["cells"] > 0
+        assert "full_adder: 0 cells" in capsys.readouterr().out
 
     def test_dying_worker_becomes_error_entry(self, corpus_dir, tmp_path, capsys,
                                               monkeypatch):

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from support import ListProvider, valid_arbiter_stimulus
+from support import ListProvider, oracle_traces, valid_arbiter_stimulus
+from svloop import loops
 from svloop.frontend import DesignSource, elaborate_source, extract_signature
 from svloop.gateway import GenConfig, ProblemSpec
 from svloop.loops import debug, generate_tests
@@ -62,8 +63,16 @@ class TestGenerateLoop:
         assert state.tests == []
         assert state.rejections and state.rejections[0].reason == "parse"
 
-    def test_rising_flat_rising(self, problems):
+    def test_rising_flat_rising(self, problems, monkeypatch):
         p = problems["arbiter2"]
+        built = []
+
+        def recording(*args):
+            report = collect_coverage(*args)
+            built.append((args[1], report))
+            return report
+
+        monkeypatch.setattr(loops, "collect_coverage", recording)
         provider = ListProvider([RISING_A, FLAT_B, RISING_C, RISING_D, RISING_D])
         state = generate_tests(p.spec(), p.reference, CFG, provider)
         assert len(state.tests) == 3
@@ -77,6 +86,13 @@ class TestGenerateLoop:
             report = collect_coverage(p.design, state.tests[: i + 1], p.signature)
             accepted.append(report.scalar)
         assert accepted == history
+        # every report the loop scored, uncovered items (the feedback text)
+        # included, equals a fresh collection over the suite it then held
+        assert len(built) == provider.calls_made
+        for tests, report in built:
+            candidate = tests[-1]
+            suite = [t for t in state.tests if t.id < candidate.id] + [candidate]
+            assert report == collect_coverage(p.design, suite, p.signature)
 
     def test_flat_test_not_added_to_suite(self, problems):
         p = problems["arbiter2"]
@@ -118,7 +134,8 @@ class TestDebugLoop:
     def test_reference_patch_terminates_first_iteration(self, problems):
         p, source, tests = self.failing_suite(problems)
         provider = ListProvider([p.reference.text])
-        state = debug(p.spec(), elaborate_source(source), tests, CFG, provider)
+        state = debug(p.spec(), elaborate_source(source), tests, oracle_traces(p, tests), CFG,
+                      provider)
         assert state.solved
         assert state.iterations == 1
         assert state.best_pass == 1
@@ -126,7 +143,8 @@ class TestDebugLoop:
     def test_useless_patches_run_the_full_budget(self, problems):
         p, source, tests = self.failing_suite(problems)
         provider = ListProvider([source.text] * 5)
-        state = debug(p.spec(), elaborate_source(source), tests, CFG, provider)
+        state = debug(p.spec(), elaborate_source(source), tests, oracle_traces(p, tests), CFG,
+                      provider)
         assert state.iterations == 5
         assert state.provider_calls == 5
         assert state.design is source
@@ -138,7 +156,8 @@ class TestDebugLoop:
         spec, tests = cmp_problem()
         buggy = DesignSource(CMP_BUGGY, "mutant BC02")
         provider = ListProvider([CMP_HALF, CMP_REF])
-        state = debug(spec, elaborate_source(buggy), tests, CFG, provider)
+        state = debug(spec, elaborate_source(buggy), tests, oracle_traces(spec, tests), CFG,
+                      provider)
         assert state.initial_pass == Fraction(2, 5)
         accepted = [h.pass_fraction for h in state.history if h.accepted]
         assert accepted == [Fraction(7, 10), Fraction(1)]
@@ -149,7 +168,8 @@ class TestDebugLoop:
         provider = ListProvider(
             ["nonsense", source.text, p.reference.text, "unused", "unused"]
         )
-        state = debug(p.spec(), elaborate_source(source), tests, CFG, provider)
+        state = debug(p.spec(), elaborate_source(source), tests, oracle_traces(p, tests), CFG,
+                      provider)
         assert state.solved and state.iterations == 3
         seen = state.initial_pass
         for h in state.history:
@@ -160,20 +180,22 @@ class TestDebugLoop:
     def test_budget_is_at_most_five_provider_calls(self, problems):
         p, source, tests = self.failing_suite(problems)
         provider = ListProvider(["junk"] * 12)
-        state = debug(p.spec(), elaborate_source(source), tests, CFG, provider)
+        state = debug(p.spec(), elaborate_source(source), tests, oracle_traces(p, tests), CFG,
+                      provider)
         assert state.provider_calls == 5
 
     def test_requires_tests(self, problems):
         p, source, _ = self.failing_suite(problems)
         with pytest.raises(ValueError):
-            debug(p.spec(), elaborate_source(source), [], CFG, ListProvider([]))
+            debug(p.spec(), elaborate_source(source), [], {}, CFG, ListProvider([]))
 
     def test_already_passing_suite_short_circuits(self, problems):
         p = problems["arbiter2"]
         mutants = {bc: src for bc, src, _ in p.mutants()}
         quiet = parse_stimulus("inputs: rst[1], r1[1], r2[1]\n1 0 0\n1 0 0\n", p.signature, "quiet")
         provider = ListProvider([])
-        state = debug(p.spec(), elaborate_source(mutants["BC06"]), [quiet], CFG, provider)
+        state = debug(p.spec(), elaborate_source(mutants["BC06"]), [quiet],
+                      oracle_traces(p, [quiet]), CFG, provider)
         assert state.solved and state.iterations == 0 and state.provider_calls == 0
 
 
@@ -215,6 +237,48 @@ class TestElaborationCount:
             source.text,
             p.reference.text,
         ]
-        state = debug(p.spec(), target, [witness], CFG, ListProvider(responses))
+        state = debug(p.spec(), target, [witness], oracle_traces(p, [witness]), CFG,
+                      ListProvider(responses))
         assert state.solved and state.iterations == 4
         assert elaborations == ["arbiter2", "arbiter2"]
+
+
+class TestOracleRuns:
+    """The loops simulate the oracle only where its trace is new: one run
+    per generation candidate, none in debug, which takes the traces."""
+
+    @pytest.fixture()
+    def runs(self, monkeypatch):
+        engine = importlib.import_module("svloop.sim.engine")
+        original = engine.run
+        designs = []
+
+        def counting(design, *args):
+            designs.append(design)
+            return original(design, *args)
+
+        # coverage imports engine.run at call time; loops holds its own name
+        monkeypatch.setattr(engine, "run", counting)
+        monkeypatch.setattr(loops, "run", counting)
+        return designs
+
+    def test_generation_runs_each_candidate_once(self, problems, runs):
+        p = problems["arbiter2"]
+        provider = ListProvider([RISING_A, FLAT_B, RISING_C, RISING_D, RISING_D])
+        state = generate_tests(p.spec(), p.reference, CFG, provider)
+        assert provider.calls_made == 5 and len(state.tests) == 3
+        assert len(runs) == 5 and all(d is p.design for d in runs)
+
+    def test_debug_runs_no_oracle(self, problems, runs):
+        p = problems["arbiter2"]
+        suite = [
+            parse_stimulus(text, p.signature, f"t{i}")
+            for i, text in enumerate([RISING_A, RISING_C, RISING_D])
+        ]
+        source = {bc: src for bc, src, _ in p.mutants()}["BC06"]
+        target = elaborate_source(source)
+        expected = oracle_traces(p, suite)
+        runs.clear()
+        state = debug(p.spec(), target, suite, expected, CFG, ListProvider([p.reference.text]))
+        assert state.provider_calls == 1
+        assert runs and all(d is not p.design for d in runs)

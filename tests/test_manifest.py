@@ -68,3 +68,24 @@ def test_clock_reset_overrides_flow_into_signature(fresh_corpus):
 def test_mutants_empty_before_mutation(fresh_corpus):
     problem = load_problem(fresh_corpus / "problems" / "arbiter2")
     assert problem.mutants() == []
+
+
+def test_missing_required_key_names_the_file(fresh_corpus):
+    problem_dir = fresh_corpus / "problems" / "counter3"
+    manifest = json.loads((problem_dir / "problem.json").read_text())
+    del manifest["reference"]
+    (problem_dir / "problem.json").write_text(json.dumps(manifest))
+    with pytest.raises(ManifestError, match="problem.json.*'reference'"):
+        load_problem(problem_dir)
+
+
+@pytest.mark.parametrize("witness, match", [(None, "'witness'"), (5, "splitlines")])
+def test_malformed_mutant_record_names_the_file(fresh_corpus, witness, match):
+    problem_dir = fresh_corpus / "problems" / "full_adder"
+    (problem_dir / "bc01.sv").write_text((problem_dir / "ref.sv").read_text())
+    record = {"bc_id": "BC01", "file": "bc01.sv"}
+    if witness is not None:
+        record["witness"] = witness
+    (problem_dir / "manifest.json").write_text(json.dumps({"records": [record]}))
+    with pytest.raises(ManifestError, match=f"manifest.json.*{match}"):
+        load_problem(problem_dir).mutants()

@@ -1,6 +1,9 @@
 import json
 import shutil
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from support import OracleBackedResponder
 from svloop.manifest import RunConfig, load_corpus
@@ -13,6 +16,14 @@ def run_one(problems, pid, out_dir, seed=0):
     responder = OracleBackedResponder(list(problems.values()), seed=seed)
     config = RunConfig(provider="mock", script_dir="(in-memory)", seed=1)
     return evaluate_problem(problems[pid], config, responder, out_dir)
+
+
+def assert_same_tree(a, b):
+    files_a = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    files_b = sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+    assert files_a == files_b
+    for rel in files_a:
+        assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
 
 class TestEvaluateProblem:
@@ -84,11 +95,7 @@ class TestEvaluateProblem:
         b = tmp_path / "b"
         run_one(problems, "counter3", a)
         run_one(problems, "counter3", b)
-        files_a = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
-        files_b = sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
-        assert files_a == files_b
-        for rel in files_a:
-            assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+        assert_same_tree(a, b)
 
     def test_resume_from_checkpoints(self, problems, tmp_path):
         full = tmp_path / "full"
@@ -103,11 +110,29 @@ class TestEvaluateProblem:
         shutil.rmtree(sorted(partial.glob("debug/*"))[0])
         assert removed
         run_one(problems, "counter3", partial)
-        files_full = sorted(p.relative_to(full) for p in full.rglob("*") if p.is_file())
-        files_partial = sorted(p.relative_to(partial) for p in partial.rglob("*") if p.is_file())
-        assert files_full == files_partial
-        for rel in files_full:
-            assert (full / rel).read_bytes() == (partial / rel).read_bytes(), rel
+        assert_same_tree(full, partial)
+
+    def test_torn_oracle_vcd_is_rewritten_on_resume(self, problems, tmp_path, monkeypatch):
+        clean = tmp_path / "clean"
+        run_one(problems, "full_adder", clean)
+        crashed = tmp_path / "crashed"
+        write_bytes = Path.write_bytes
+        torn = []
+
+        def tearing(path, data):
+            if not torn and path.is_relative_to(crashed / "oracle"):
+                torn.append(path)
+                write_bytes(path, data[: len(data) // 2])
+                raise OSError("simulated crash mid-write")
+            return write_bytes(path, data)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "write_bytes", tearing)
+            with pytest.raises(OSError, match="mid-write"):
+                run_one(problems, "full_adder", crashed)
+        assert torn
+        run_one(problems, "full_adder", crashed)
+        assert_same_tree(clean, crashed)
 
     def test_no_corpus_reports_error(self, problems, tmp_path, fresh_corpus):
         pristine = {p.id: p for p in load_corpus(fresh_corpus)}

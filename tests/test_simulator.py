@@ -8,6 +8,7 @@ from support import GOLDEN_MODELS, step_arbiter, valid_arbiter_stimulus
 from svloop.errors import MalformedStimulus, NoStimulusFound, StimulusMismatch
 from svloop.frontend import elaborate_source
 from svloop.sim import (
+    CoverageCollector,
     UnitTest,
     collect_coverage,
     export_vcd,
@@ -175,6 +176,18 @@ class TestCoverage:
         test = UnitTest("t", p.signature.stimulus_inputs, ((1, 0, 0),))
         report = collect_coverage(p.design, [test], p.signature)
         assert any("never" in item for item in report.uncovered)
+
+    def test_folding_into_a_copy_leaves_the_original(self, problems):
+        p = problems["arbiter2"]
+        reset_only = UnitTest("t1", p.signature.stimulus_inputs, ((1, 0, 0), (1, 0, 0)))
+        walk = parse_stimulus(valid_arbiter_stimulus(), p.signature, "t2")
+        original = CoverageCollector(p.design, p.signature)
+        before = collect_coverage(p.design, [reset_only], p.signature, original)
+        twin = original.copy()
+        after = collect_coverage(p.design, [walk], p.signature, twin)
+        assert after == collect_coverage(p.design, [reset_only, walk], p.signature)
+        assert after.scalar > before.scalar
+        assert original.report() == before
 
 
 class TestStimulusFormat:
