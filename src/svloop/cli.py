@@ -22,21 +22,9 @@ from .errors import (
     ScriptExhausted,
     SvLoopError,
 )
-from .frontend.ast import DesignSource
-from .frontend.elaborate import elaborate_source
-from .frontend.signature import extract_signature
-from .gateway.config import ProviderBinding
-from .gateway.providers import build_provider
-from .loops import debug as debug_loop
-from .loops import generate_tests
-from .manifest import RunConfig, copy_corpus, load_corpus, load_problem, write_mutation_corpus
-from .matrix import evaluate_matrix
-from .mutate import make_corpus
-from .report import write_report
-from .sim.coverage import collect_coverage
-from .sim.engine import run as run_sim
-from .sim.stimulus import parse_stimulus
-from .sim.vcd import export_vcd
+
+# Each command imports the modules it runs inside its own function, so
+# that it pays start-up time only for its own layers.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,19 +39,31 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _add_provider_flags(parser):
     parser.add_argument("--strategy", choices=["nls", "nlsc"], default="nlsc")
     parser.add_argument("--shots", type=int, choices=[0, 5], default=0)
     parser.add_argument("--provider", choices=["mock", "live"], default="mock")
     parser.add_argument("--mock-script", help="directory with scripted mock responses")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--iters", type=int, default=5,
+    parser.add_argument("--iters", type=_positive_int, default=5,
                         help="iteration cap for both generation and debugging")
     parser.add_argument("--mismatch-k", type=int, default=20,
                         help="mismatch rows shown to the debugger")
 
 
-def _binding(args) -> ProviderBinding:
+def _binding(args):
+    from .gateway.config import ProviderBinding
+
     if args.provider == "mock":
         if not args.mock_script:
             raise ProviderRejection("--provider mock requires --mock-script DIR")
@@ -72,6 +72,8 @@ def _binding(args) -> ProviderBinding:
 
 
 def _problem_by_name(problems_dir: str, name: str):
+    from .manifest import load_problem
+
     return load_problem(Path(problems_dir) / "problems" / name)
 
 
@@ -113,7 +115,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="full source x target matrix over a corpus")
     p.add_argument("--problems", required=True)
     p.add_argument("--out", required=True, help="run directory")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     _add_provider_flags(p)
 
     p = sub.add_parser("report", help="emit binned matrices and debug distributions")
@@ -125,7 +127,19 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_config(args, jobs: int = 1):
+    from .manifest import RunConfig
+
+    return RunConfig(strategy=args.strategy, shots=args.shots, provider=args.provider,
+                     script_dir=args.mock_script, seed=args.seed,
+                     iteration_cap=args.iters, mismatch_limit=args.mismatch_k, jobs=jobs)
+
+
 def cmd_parse(args) -> int:
+    from .frontend.ast import DesignSource
+    from .frontend.elaborate import elaborate_source
+    from .frontend.signature import extract_signature
+
     path = Path(args.file)
     try:
         text = path.read_text("utf-8")
@@ -162,6 +176,14 @@ def cmd_parse(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .frontend.ast import DesignSource
+    from .frontend.elaborate import elaborate_source
+    from .frontend.signature import extract_signature
+    from .sim.coverage import collect_coverage
+    from .sim.engine import run as run_sim
+    from .sim.stimulus import parse_stimulus
+    from .sim.vcd import export_vcd
+
     try:
         design = elaborate_source(DesignSource(Path(args.file).read_text("utf-8")))
         signature = extract_signature(design)
@@ -189,6 +211,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_mutate(args) -> int:
+    from .manifest import load_corpus, write_mutation_corpus
+    from .mutate import make_corpus
+
     root = Path(args.problems)
     if args.problem == "all":
         problems = load_corpus(root)
@@ -205,15 +230,16 @@ def cmd_mutate(args) -> int:
 
 
 def cmd_gen_tests(args) -> int:
+    from .gateway.providers import build_provider
+    from .loops import generate_tests
+
     problem = _problem_by_name(args.problems, args.problem)
     mutants = {bc: src for bc, src, _ in problem.mutants()}
     if args.source not in mutants:
         print(f"error: no mutant {args.source} for {problem.id} "
               f"(have: {', '.join(sorted(mutants)) or 'none'})", file=sys.stderr)
         return EXIT_DATA
-    config = RunConfig(strategy=args.strategy, shots=args.shots, provider=args.provider,
-                       script_dir=args.mock_script, seed=args.seed,
-                       iteration_cap=args.iters, mismatch_limit=args.mismatch_k)
+    config = _run_config(args)
     provider = build_provider(_binding(args), Path(args.out) / "provider_log")
     state = generate_tests(problem.spec(), mutants[args.source], config.gen_config(),
                            provider, iteration_cap=args.iters)
@@ -229,6 +255,12 @@ def cmd_gen_tests(args) -> int:
 
 
 def cmd_debug(args) -> int:
+    from .frontend.elaborate import elaborate_source
+    from .gateway.providers import build_provider
+    from .loops import debug as debug_loop
+    from .sim.engine import run as run_sim
+    from .sim.stimulus import parse_stimulus
+
     problem = _problem_by_name(args.problems, args.problem)
     mutants = {bc: src for bc, src, _ in problem.mutants()}
     if args.target not in mutants:
@@ -241,9 +273,7 @@ def cmd_debug(args) -> int:
     if not tests:
         print(f"error: no .stim files in {tests_dir}", file=sys.stderr)
         return EXIT_DATA
-    config = RunConfig(strategy=args.strategy, shots=args.shots, provider=args.provider,
-                       script_dir=args.mock_script, seed=args.seed,
-                       iteration_cap=args.iters, mismatch_limit=args.mismatch_k)
+    config = _run_config(args)
     provider = build_provider(_binding(args), Path(args.out) / "provider_log")
     oracle_traces = {t.id: run_sim(problem.design, t, problem.signature) for t in tests}
     state = debug_loop(problem.spec(), elaborate_source(mutants[args.target]), tests,
@@ -260,11 +290,11 @@ def cmd_debug(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from .manifest import load_corpus
+    from .matrix import evaluate_matrix
+
     problems = load_corpus(Path(args.problems))
-    config = RunConfig(strategy=args.strategy, shots=args.shots, provider=args.provider,
-                       script_dir=args.mock_script, seed=args.seed,
-                       iteration_cap=args.iters, mismatch_limit=args.mismatch_k,
-                       jobs=args.jobs)
+    config = _run_config(args, jobs=args.jobs)
     if args.provider == "mock":
         _binding(args)  # validate early
     summary = evaluate_matrix(problems, config, args.out)
@@ -281,12 +311,16 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .report import write_report
+
     out = write_report(args.run_dir, args.out)
     print(f"report written to {out}")
     return EXIT_OK
 
 
 def cmd_init_corpus(args) -> int:
+    from .data import copy_corpus
+
     dest = copy_corpus(args.dest)
     print(f"desk corpus copied to {dest}")
     return EXIT_OK

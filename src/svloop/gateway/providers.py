@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+import time
 from pathlib import Path
 from typing import Optional
 
@@ -18,6 +19,7 @@ from ..errors import ProviderRejection, ProviderTimeout, ScriptExhausted
 from .config import GenConfig, ProviderBinding
 
 INDEX_NAME = "index.json"
+RETRY_BACKOFF_S = 1.0   # wait before the first retry of an HTTP 429/5xx; doubles per retry
 
 
 def prompt_digest(prompt: str) -> str:
@@ -108,7 +110,8 @@ class RecordingProvider:
 
 
 class LiveHttpProvider:
-    """Chat-completion style HTTP client; credentials never reach logs."""
+    """Chat-completion style HTTP client; credentials never reach logs.
+    Timeouts, HTTP 429 and 5xx are retried up to ``binding.retries`` times."""
 
     def __init__(self, binding: ProviderBinding, log_dir=None):
         if binding.kind != "live":
@@ -131,7 +134,7 @@ class LiveHttpProvider:
         headers = {"Authorization": f"Bearer {self.binding.credential}"}
         last_error = None
         with self._semaphore:
-            for _ in range(self.binding.retries + 1):
+            for attempt in range(self.binding.retries + 1):
                 try:
                     response = requests.post(
                         self.binding.endpoint,
@@ -144,10 +147,16 @@ class LiveHttpProvider:
                     continue
                 except requests.RequestException as exc:
                     raise ProviderRejection(f"provider request failed: {exc}") from exc
-                if response.status_code != 200:
-                    raise ProviderRejection(
-                        f"provider returned HTTP {response.status_code}: {response.text[:200]}"
+                status = response.status_code
+                if status != 200:
+                    last_error = ProviderRejection(
+                        f"provider returned HTTP {status}: {response.text[:200]}"
                     )
+                    if status != 429 and not 500 <= status < 600:
+                        raise last_error
+                    if attempt < self.binding.retries:
+                        time.sleep(_retry_delay(response, attempt))
+                    continue
                 try:
                     payload = response.json()
                 except ValueError as exc:
@@ -158,6 +167,8 @@ class LiveHttpProvider:
                     raise ProviderRejection("malformed provider response body") from exc
                 self._log(body, payload)
                 return text
+        if isinstance(last_error, ProviderRejection):
+            raise last_error
         raise ProviderTimeout(
             f"provider timed out after {self.binding.retries + 1} attempts"
         ) from last_error
@@ -176,6 +187,15 @@ class LiveHttpProvider:
         (self.log_dir / f"exchange-{n:04d}.json").write_text(
             json.dumps(record, indent=2, sort_keys=True), "utf-8"
         )
+
+
+def _retry_delay(response, attempt: int) -> float:
+    """Seconds to wait before retrying a throttled or failed request: an
+    integer ``Retry-After`` header, else exponential backoff."""
+    retry_after = response.headers.get("Retry-After", "")
+    if retry_after.isdigit():
+        return int(retry_after)
+    return RETRY_BACKOFF_S * 2 ** attempt
 
 
 def build_provider(binding: ProviderBinding, log_dir=None):

@@ -9,10 +9,8 @@ recording operator, site, seed, and witness stimulus per mutant.
 from __future__ import annotations
 
 import json
-import shutil
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Optional
 
@@ -88,19 +86,6 @@ def _required_keys(path: Path):
         yield
     except (KeyError, TypeError, AttributeError) as exc:
         raise ManifestError(f"{path} is malformed: missing or invalid {exc}") from exc
-
-
-def default_corpus_root() -> Path:
-    """The desk corpus shipped inside the package."""
-    return Path(str(resources.files("svloop.data").joinpath("corpus")))
-
-
-def copy_corpus(dest) -> Path:
-    dest = Path(dest)
-    if dest.exists() and any(dest.iterdir()):
-        raise ManifestError(f"destination {dest} exists and is not empty")
-    shutil.copytree(default_corpus_root(), dest, dirs_exist_ok=True)
-    return dest
 
 
 def _load_exemplars(path: Path) -> tuple[Exemplar, ...]:

@@ -12,8 +12,6 @@ byte-identical.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -369,6 +367,9 @@ def evaluate_matrix(problems: list[Problem], config: RunConfig, out_root) -> dic
     ordered = sorted(problems, key=lambda p: p.id)
     log_dir = out_root / "provider_log" if config.provider == "live" else None
     if config.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             futures = {
                 p.id: pool.submit(

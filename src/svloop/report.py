@@ -13,8 +13,6 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
-
 from . import __version__
 from .errors import ReportError
 from .metrics import bin_values
@@ -111,6 +109,8 @@ def build_report(run_dir) -> dict:
 
 
 def validate_report(report: dict) -> None:
+    import jsonschema  # here, so that only report validation pays for loading it
+
     schema = json.loads(
         resources.files("svloop.schema").joinpath("report.schema.json").read_text("utf-8")
     )

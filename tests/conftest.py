@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import settings
 
-from svloop.manifest import RunConfig, copy_corpus, load_corpus, write_mutation_corpus
+from svloop.data import copy_corpus
+from svloop.manifest import RunConfig, load_corpus, write_mutation_corpus
 from svloop.mutate import make_corpus
 
 CORPUS_SEED = 1

@@ -23,10 +23,11 @@ from support import (
     valid_arbiter_stimulus,
 )
 from svloop.cli import main
+from svloop.data import copy_corpus
 from svloop.frontend import DesignSource, elaborate_source, extract_signature
 from svloop.gateway import GenConfig
 from svloop.loops import debug, generate_tests
-from svloop.manifest import copy_corpus, load_corpus, write_mutation_corpus
+from svloop.manifest import load_corpus, write_mutation_corpus
 from svloop.metrics import attack_rate, bin_values, divergence_rate, divergent_attack
 from svloop.mutate import make_corpus
 from svloop.report import build_report

@@ -1,13 +1,17 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import svloop
 from support import record_mock_script, valid_arbiter_stimulus
 from svloop.cli import EXIT_DATA, EXIT_PROVIDER, EXIT_USAGE, main
 from svloop import matrix
+from svloop.data import default_corpus_root
 from svloop.manifest import load_corpus
 
 
@@ -273,3 +277,69 @@ class TestUsage:
         assert main(["init-corpus", str(dest)]) == 0
         assert (dest / "problems" / "full_adder" / "ref.sv").exists()
         assert (dest / "exemplars.json").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_jobs_is_usage_error(self, corpus_dir, tmp_path, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--problems", str(corpus_dir), "--out", str(tmp_path / "run"),
+                  "--mock-script", str(tmp_path / "script"), "--jobs", value])
+        assert exc.value.code == EXIT_USAGE
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_iters_is_usage_error(self, cli_corpus, tmp_path, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-tests", "full_adder", "--problems", cli_corpus, "--source", "BC01",
+                  "--out", str(tmp_path / "x"), "--mock-script", str(tmp_path / "script"),
+                  "--iters", value])
+        assert exc.value.code == EXIT_USAGE
+        assert "--iters" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
+# Modules a command must not load: each command imports only what it runs.
+HEAVY = {"jsonschema", "concurrent.futures", "svloop.gateway", "svloop.loops",
+         "svloop.matrix", "svloop.report", "svloop.mutate", "svloop.manifest"}
+
+
+def modules_loaded_by(argv, cwd) -> set[str]:
+    """``sys.modules`` of a fresh interpreter after ``svloop.cli.main(argv)``."""
+    script = ("import json, sys\n"
+              "from svloop.cli import main\n"
+              f"code = main({argv!r})\n"
+              "print(json.dumps([code, sorted(sys.modules)]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(svloop.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return set(modules)
+
+
+class TestImportBudget:
+    def test_init_corpus_loads_no_toolkit_layer(self, tmp_path):
+        loaded = modules_loaded_by(["init-corpus", "desk"], tmp_path)
+        assert (tmp_path / "desk" / "problems").is_dir()
+        assert not loaded & (HEAVY | {"svloop.frontend", "svloop.sim"})
+
+    def test_simulate_loads_only_frontend_and_sim(self, tmp_path):
+        ref = default_corpus_root() / "problems" / "full_adder" / "ref.sv"
+        (tmp_path / "t.stim").write_text("inputs: a[1], b[1], c[1]\n0 0 0\n1 1 1\n")
+        loaded = modules_loaded_by(
+            ["simulate", str(ref), "--stim", "t.stim", "--vcd", "t.vcd", "--coverage"], tmp_path)
+        assert {"svloop.frontend", "svloop.sim"} <= loaded
+        assert not loaded & HEAVY
+
+    def test_report_loads_jsonschema(self, corpus_dir, tmp_path, capsys):
+        problem = next(p for p in load_corpus(corpus_dir) if p.id == "full_adder")
+        script = tmp_path / "script"
+        record_mock_script([problem], script, tmp_path / "scratch")
+        sub = tmp_path / "sub"
+        shutil.copytree(problem.root, sub / "problems" / problem.id)
+        shutil.copy(corpus_dir / "exemplars.json", sub / "exemplars.json")
+        assert main(["evaluate", "--problems", str(sub), "--out", str(tmp_path / "run"),
+                     "--mock-script", str(script)]) == 0
+        loaded = modules_loaded_by(["report", "run"], tmp_path)
+        assert "jsonschema" in loaded
+        assert (tmp_path / "run" / "report" / "report.json").exists()

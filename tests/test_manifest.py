@@ -2,13 +2,9 @@ import json
 
 import pytest
 
+from svloop.data import copy_corpus, default_corpus_root
 from svloop.errors import ManifestError
-from svloop.manifest import (
-    copy_corpus,
-    default_corpus_root,
-    load_corpus,
-    load_problem,
-)
+from svloop.manifest import load_corpus, load_problem
 
 
 def test_default_corpus_has_at_least_four_problems():

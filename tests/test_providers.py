@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 import requests
@@ -8,6 +9,7 @@ from svloop.cli import main
 from svloop.errors import ProviderRejection, ProviderTimeout
 from svloop.gateway import GenConfig, ProviderBinding
 from svloop.gateway.config import ENV_ENDPOINT, ENV_KEY, ENV_MODEL
+from svloop.gateway import providers
 from svloop.gateway.providers import LiveHttpProvider
 from svloop.manifest import RunConfig
 from svloop.matrix import evaluate_matrix
@@ -23,10 +25,11 @@ def live_binding(**kw):
 
 
 class FakeResponse:
-    def __init__(self, status_code=200, payload=None, text=""):
+    def __init__(self, status_code=200, payload=None, text="", headers=None):
         self.status_code = status_code
         self._payload = payload
         self.text = text
+        self.headers = headers or {}
 
     def json(self):
         if self._payload is None:
@@ -64,11 +67,58 @@ def test_successful_completion_and_redacted_log(monkeypatch, tmp_path):
 
 
 def test_http_error_is_rejection(monkeypatch):
+    monkeypatch.setattr(time, "sleep", lambda seconds: None)
     monkeypatch.setattr(
         requests, "post", lambda *a, **k: FakeResponse(429, text="rate limited")
     )
     with pytest.raises(ProviderRejection, match="429"):
         LiveHttpProvider(live_binding()).complete("p", CFG)
+
+
+def scripted_posts(monkeypatch, *responses):
+    """Patch requests.post to answer with ``responses`` in turn (the last
+    one repeats) and time.sleep to record its waits; (posts, sleeps)."""
+    posts, sleeps = [], []
+
+    def fake_post(*a, **k):
+        posts.append(k["json"])
+        return responses[min(len(posts), len(responses)) - 1]
+
+    monkeypatch.setattr(requests, "post", fake_post)
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    return posts, sleeps
+
+
+def test_server_error_is_retried_then_succeeds(monkeypatch):
+    ok = FakeResponse(200, {"choices": [{"message": {"content": "ok"}}]})
+    posts, sleeps = scripted_posts(monkeypatch, FakeResponse(503, text="busy"), ok)
+    assert LiveHttpProvider(live_binding(retries=2)).complete("p", CFG) == "ok"
+    assert len(posts) == 2
+    assert sleeps == [providers.RETRY_BACKOFF_S]
+
+
+def test_persistent_server_error_rejects_after_budget(monkeypatch):
+    posts, sleeps = scripted_posts(monkeypatch, FakeResponse(500, text="down"))
+    with pytest.raises(ProviderRejection, match="HTTP 500"):
+        LiveHttpProvider(live_binding(retries=3)).complete("p", CFG)
+    assert len(posts) == 4  # initial attempt plus three retries
+    backoff = providers.RETRY_BACKOFF_S
+    assert sleeps == [backoff, 2 * backoff, 4 * backoff]  # none after the last attempt
+
+
+def test_retry_after_header_sets_the_wait(monkeypatch):
+    ok = FakeResponse(200, {"choices": [{"message": {"content": "ok"}}]})
+    throttled = FakeResponse(429, text="slow down", headers={"Retry-After": "7"})
+    posts, sleeps = scripted_posts(monkeypatch, throttled, ok)
+    assert LiveHttpProvider(live_binding()).complete("p", CFG) == "ok"
+    assert sleeps == [7]
+
+
+def test_other_client_error_is_not_retried(monkeypatch):
+    posts, sleeps = scripted_posts(monkeypatch, FakeResponse(404, text="no such model"))
+    with pytest.raises(ProviderRejection, match="HTTP 404"):
+        LiveHttpProvider(live_binding(retries=3)).complete("p", CFG)
+    assert len(posts) == 1 and sleeps == []
 
 
 def test_malformed_body_is_rejection(monkeypatch):
