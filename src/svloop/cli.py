@@ -15,10 +15,8 @@ from . import __version__
 from .errors import (
     FrontendError,
     GatewayError,
-    ManifestError,
     ProviderRejection,
     ProviderTimeout,
-    ReportError,
     ScriptExhausted,
     SvLoopError,
 )
@@ -189,10 +187,7 @@ def cmd_simulate(args) -> int:
         signature = extract_signature(design)
         test = parse_stimulus(Path(args.stim).read_text("utf-8"), signature,
                               Path(args.stim).stem)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (FrontendError, GatewayError, ValueError) as exc:
+    except (OSError, FrontendError, GatewayError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     trace = run_sim(design, test, signature)
@@ -346,13 +341,7 @@ def main(argv=None) -> int:
     except (ProviderRejection, ProviderTimeout, ScriptExhausted) as exc:
         print(f"provider error: {exc}", file=sys.stderr)
         return EXIT_PROVIDER
-    except (ManifestError, ReportError, FrontendError, GatewayError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except SvLoopError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (SvLoopError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

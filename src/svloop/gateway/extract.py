@@ -9,7 +9,6 @@ from __future__ import annotations
 import re
 
 from ..errors import (
-    AmbiguousClock,
     ElaborationError,
     FrontendError,
     NoModuleFound,
@@ -51,8 +50,6 @@ def parse_patch(response: str, expected: DesignSignature) -> ElaboratedDesign:
         raise PatchRejected("elaborate", exc.diagnostic()) from exc
     try:
         signature = extract_signature(design)
-    except AmbiguousClock as exc:
-        raise PatchRejected("signature", exc.diagnostic()) from exc
     except FrontendError as exc:
         raise PatchRejected("signature", exc.diagnostic()) from exc
     if signature != expected:

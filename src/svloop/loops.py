@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import GatewayError, SimulationError, SvLoopError
+from .errors import GatewayError, SvLoopError
 from .frontend.ast import DesignSource
 from .frontend.elaborate import ElaboratedDesign
 from .gateway.config import GenConfig, NLSC, ProblemSpec
@@ -135,7 +135,7 @@ def generate_tests(
         trial = covered.copy()
         try:
             report = collect_coverage(oracle, [test], signature, trial)
-        except (SimulationError, SvLoopError) as exc:
+        except SvLoopError as exc:
             state.rejections.append(Rejection(iteration, "simulate", str(exc)))
             continue
         if one_shot or report.scalar > state.best_coverage:
@@ -223,7 +223,7 @@ def debug(
             new_verdicts, new_traces = _suite_verdicts(
                 patched, tests, oracle_traces, outputs, signature
             )
-        except (GatewayError, SimulationError, SvLoopError) as exc:
+        except SvLoopError as exc:
             state.rejections.append(Rejection(iteration, "patch", str(exc)))
             state.history.append(PatchAttempt(iteration, False, None, f"patch: {exc}"))
             continue

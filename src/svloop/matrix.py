@@ -173,43 +173,26 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
             result_file = cell_dir / "result.json"
             if result_file.exists():
                 cell = json.loads(result_file.read_text("utf-8"))
-                if "skipped" in cell:
-                    result.skipped[(src_id, tgt_id)] = cell["skipped"]
-                else:
-                    result.cells[(src_id, tgt_id)] = PairResult(
-                        src_id,
-                        tgt_id,
-                        cell["ar"],
-                        Fraction(*cell["dr"]),
-                        Fraction(*cell["da"]),
-                    )
-                continue
-            if tgt_id in target_errors:
-                reason = target_errors[tgt_id]
-                result.skipped[(src_id, tgt_id)] = reason
-                _write_json(result_file, {"source": src_id, "target": tgt_id, "skipped": reason})
-                continue
-            try:
-                cell = _evaluate_cell(
-                    suites[src_id],
-                    oracle_traces[src_id],
-                    target_designs[tgt_id],
-                    signature,
-                    outputs,
-                    src_id,
-                    tgt_id,
-                    cell_dir,
-                )
-            except SvLoopError as exc:
-                reason = f"{type(exc).__name__}: {exc}"
-                result.skipped[(src_id, tgt_id)] = reason
-                _write_json(result_file, {"source": src_id, "target": tgt_id, "skipped": reason})
-                continue
-            if isinstance(cell, str):
-                result.skipped[(src_id, tgt_id)] = cell
-                _write_json(result_file, {"source": src_id, "target": tgt_id, "skipped": cell})
             else:
-                result.cells[(src_id, tgt_id)] = cell
+                cell = {"source": src_id, "target": tgt_id}
+                if tgt_id in target_errors:
+                    cell["skipped"] = target_errors[tgt_id]
+                elif not suites[src_id]:
+                    cell["skipped"] = "no tests generated from this source"
+                else:
+                    try:
+                        cell.update(_evaluate_cell(suites[src_id], oracle_traces[src_id],
+                                                   target_designs[tgt_id], signature,
+                                                   outputs, cell_dir))
+                    except SvLoopError as exc:
+                        cell["skipped"] = f"{type(exc).__name__}: {exc}"
+                _write_json(result_file, cell)
+            if "skipped" in cell:
+                result.skipped[(src_id, tgt_id)] = cell["skipped"]
+            else:
+                result.cells[(src_id, tgt_id)] = PairResult(
+                    src_id, tgt_id, cell["ar"], Fraction(*cell["dr"]), Fraction(*cell["da"])
+                )
 
     for tgt_id, _, _ in mutants:
         debug_dir = out_dir / "debug" / tgt_id.lower()
@@ -244,9 +227,9 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
     return result
 
 
-def _evaluate_cell(tests, oracle_traces, target, signature, outputs, src_id, tgt_id, cell_dir):
-    if not tests:
-        return "no tests generated from this source"
+def _evaluate_cell(tests, oracle_traces, target, signature, outputs, cell_dir) -> dict:
+    """Run a non-empty suite on the target, writing its VCDs under
+    ``cell_dir``; the cell's AR/DR/DA and per-test verdicts."""
     verdict_rows = []
     first_failing = None
     dr = Fraction(0)
@@ -268,21 +251,13 @@ def _evaluate_cell(tests, oracle_traces, target, signature, outputs, src_id, tgt
             first_failing = test.id
             dr = divergence_rate(oracle_traces[test.id], trace, outputs)
     ar = 1 if first_failing is not None else 0
-    da = divergent_attack(ar, dr)
-    cell = PairResult(src_id, tgt_id, ar, dr, da)
-    _write_json(
-        cell_dir / "result.json",
-        {
-            "source": src_id,
-            "target": tgt_id,
-            "ar": ar,
-            "dr": _fraction_pair(dr),
-            "da": _fraction_pair(da),
-            "first_failing": first_failing,
-            "tests": verdict_rows,
-        },
-    )
-    return cell
+    return {
+        "ar": ar,
+        "dr": _fraction_pair(dr),
+        "da": _fraction_pair(divergent_attack(ar, dr)),
+        "first_failing": first_failing,
+        "tests": verdict_rows,
+    }
 
 
 def _write_matrix_files(result: EvalRun, out_dir: Path) -> None:

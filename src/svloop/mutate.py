@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import NoApplicableSite, NoDistinctMutant, SimulationError, SvLoopError
 from .frontend.ast import (
@@ -127,7 +127,7 @@ def _walk_design_exprs(ast: DesignAst, visit):
         elif isinstance(item, ContAssign):
             _expr_sites(item.expr, f"{base}.expr", visit)
         elif isinstance(item, (AlwaysComb, AlwaysSeq)):
-            for j, stmt in enumerate(_flat_stmts(item.body)):
+            for j, stmt in enumerate(walk_stmts(item.body)):
                 spath = f"{base}.stmt[{j}]"
                 if isinstance(stmt, Assignment):
                     _expr_sites(stmt.expr, f"{spath}.expr", visit)
@@ -138,24 +138,6 @@ def _walk_design_exprs(ast: DesignAst, visit):
                     for k, citem in enumerate(stmt.items):
                         for m, lbl in enumerate(citem.labels):
                             _expr_sites(lbl, f"{spath}.item[{k}].label[{m}]", visit)
-
-
-def _flat_stmts(body):
-    return list(walk_stmts(body))
-
-
-def _replace_expr(holder_ast: DesignAst, path: str, transform):
-    """Apply ``transform`` to the expression at ``path`` in ``holder_ast``."""
-    found = []
-
-    def visit(p, e):
-        if p == path:
-            found.append(e)
-
-    _walk_design_exprs(holder_ast, visit)
-    if not found:
-        raise KeyError(path)
-    transform(found[0])
 
 
 def _seq_reset_bodies(ast: DesignAst):
@@ -169,39 +151,49 @@ def _seq_reset_bodies(ast: DesignAst):
             yield i, item.body[0].then_body
 
 
+def _negated(cond):
+    return Unary("!", cond, line=cond.line, col=cond.col)
+
+
+def _retargeted(expr, name):
+    return Ident(name, line=expr.line, col=expr.col)
+
+
+def _masked(value, lit):
+    return value & ((1 << lit.size) - 1) if lit.size is not None else value
+
+
 # --- the ten operators ---------------------------------------------------------
 
 def _collect_sites(op: MutationOperator, ast: DesignAst, design: ElaboratedDesign):
-    """Enumerate applicable sites. Each site closure edits the AST it is
-    given, finding its node by path and index, so it applies to any fresh
-    parse of the same source."""
-    sites: list[tuple[str, int, Callable[[DesignAst], None]]] = []
+    """Enumerate applicable sites as ``(path, line, node, attribute, value)``:
+    the mutant is ``ast`` with ``setattr(node, attribute, value)``."""
+    sites = []
     bc = op.bc_id
 
     if bc == "BC01":
         def visit(path, expr):
             if isinstance(expr, Binary) and expr.op in ("&", "|"):
                 new_op = "|" if expr.op == "&" else "&"
-                sites.append((path, expr.line, _swap_binary_op(path, new_op)))
+                sites.append((path, expr.line, expr, "op", new_op))
         _walk_design_exprs(ast, visit)
 
     elif bc == "BC02":
         def visit(path, expr):
             if isinstance(expr, Binary) and expr.op in _COMPARISON_SWAP:
-                new_op = _COMPARISON_SWAP[expr.op]
-                sites.append((path, expr.line, _swap_binary_op(path, new_op)))
+                sites.append((path, expr.line, expr, "op", _COMPARISON_SWAP[expr.op]))
         _walk_design_exprs(ast, visit)
 
     elif bc == "BC03":
         for i, item in enumerate(ast.items):
             if isinstance(item, (AlwaysComb, AlwaysSeq)):
-                for j, stmt in enumerate(_flat_stmts(item.body)):
+                for j, stmt in enumerate(walk_stmts(item.body)):
                     if isinstance(stmt, If):
                         sites.append((f"item[{i}].stmt[{j}].cond", stmt.line,
-                                      _negate_if(i, j)))
+                                      stmt, "cond", _negated(stmt.cond)))
         def visit(path, expr):
             if isinstance(expr, Ternary):
-                sites.append((path + ".cond", expr.line, _negate_ternary(path)))
+                sites.append((path + ".cond", expr.line, expr, "cond", _negated(expr.cond)))
         _walk_design_exprs(ast, visit)
 
     elif bc == "BC04":
@@ -209,13 +201,16 @@ def _collect_sites(op: MutationOperator, ast: DesignAst, design: ElaboratedDesig
             if isinstance(expr, Literal):
                 span = expr.size if expr.size is not None else max(1, expr.value.bit_length())
                 for bit in range(span):
-                    sites.append((f"{path}^bit{bit}", expr.line, _flip_literal(path, bit)))
+                    sites.append((f"{path}^bit{bit}", expr.line, expr, "value",
+                                  _masked(expr.value ^ (1 << bit), expr)))
         _walk_design_exprs(ast, visit)
 
     elif bc == "BC05":
         def visit(path, expr):
             if isinstance(expr, Literal):
-                sites.append((path, expr.line, _bump_literal(path)))
+                at_limit = expr.size is not None and expr.value + 1 > (1 << expr.size) - 1
+                sites.append((path, expr.line, expr, "value",
+                              expr.value - 1 if at_limit else expr.value + 1))
         _walk_design_exprs(ast, visit)
 
     elif bc == "BC06":
@@ -223,36 +218,33 @@ def _collect_sites(op: MutationOperator, ast: DesignAst, design: ElaboratedDesig
         for i, item in enumerate(ast.items):
             if not isinstance(item, AlwaysSeq):
                 continue
-            for j, stmt in enumerate(_flat_stmts(item.body)):
+            for j, stmt in enumerate(walk_stmts(item.body)):
                 if (
                     isinstance(stmt, Assignment)
                     and stmt.target in constants
                     and isinstance(stmt.expr, Ident)
                     and stmt.expr.name in constants[stmt.target]
                 ):
-                    names = constants[stmt.target]
-                    current = stmt.expr.name
-                    for replacement in names:
-                        if replacement != current:
+                    for replacement in constants[stmt.target]:
+                        if replacement != stmt.expr.name:
                             sites.append((f"item[{i}].stmt[{j}].expr->{replacement}",
-                                          stmt.line,
-                                          _retarget_transition(i, j, replacement)))
+                                          stmt.line, stmt, "expr",
+                                          _retargeted(stmt.expr, replacement)))
 
     elif bc == "BC07":
         for i, item in enumerate(ast.items):
             if not isinstance(item, AlwaysSeq):
                 continue
-            for j, stmt in enumerate(_flat_stmts(item.body)):
+            for j, stmt in enumerate(walk_stmts(item.body)):
                 if isinstance(stmt, Case) and len(stmt.items) >= 2:
                     for k in range(len(stmt.items)):
-                        sites.append((f"item[{i}].stmt[{j}].item[{k}]",
-                                      stmt.items[k].line,
-                                      _delete_case_arm(i, j, k)))
+                        sites.append((f"item[{i}].stmt[{j}].item[{k}]", stmt.items[k].line,
+                                      stmt, "items", stmt.items[:k] + stmt.items[k + 1:]))
 
     elif bc == "BC08":
+        constants = _state_constant_names(ast, design)
         for i, reset_body in _seq_reset_bodies(ast):
-            constants = _state_constant_names(ast, design)
-            for j, stmt in enumerate(_flat_stmts(ast.items[i].body)):
+            for j, stmt in enumerate(walk_stmts(ast.items[i].body)):
                 if not isinstance(stmt, Assignment):
                     continue
                 if not _stmt_in(reset_body, stmt):
@@ -262,20 +254,20 @@ def _collect_sites(op: MutationOperator, ast: DesignAst, design: ElaboratedDesig
                     for replacement in constants[stmt.target]:
                         if replacement != stmt.expr.name:
                             sites.append((f"item[{i}].stmt[{j}].expr->{replacement}",
-                                          stmt.line,
-                                          _retarget_transition(i, j, replacement)))
+                                          stmt.line, stmt, "expr",
+                                          _retargeted(stmt.expr, replacement)))
                             break
                 elif isinstance(stmt.expr, Literal):
-                    sites.append((f"item[{i}].stmt[{j}].expr^1", stmt.line,
-                                  _xor_reset_literal(i, j)))
+                    sites.append((f"item[{i}].stmt[{j}].expr^1", stmt.line, stmt.expr,
+                                  "value", _masked(stmt.expr.value ^ 1, stmt.expr)))
 
     elif bc == "BC09":
         for i, item in enumerate(ast.items):
             if isinstance(item, (AlwaysComb, AlwaysSeq)):
-                for j, stmt in enumerate(_flat_stmts(item.body)):
+                for j, stmt in enumerate(walk_stmts(item.body)):
                     if isinstance(stmt, Assignment):
                         sites.append((f"item[{i}].stmt[{j}].blocking", stmt.line,
-                                      _swap_blocking(i, j)))
+                                      stmt, "blocking", not stmt.blocking))
 
     elif bc == "BC10":
         clock = signature_of(design).clock
@@ -284,8 +276,9 @@ def _collect_sites(op: MutationOperator, ast: DesignAst, design: ElaboratedDesig
                 if isinstance(item, AlwaysSeq):
                     for e, event in enumerate(item.events):
                         if event.signal == clock:
+                            flipped = "negedge" if event.edge == "posedge" else "posedge"
                             sites.append((f"item[{i}].event[{e}]", event.line,
-                                          _flip_edge(i, e)))
+                                          event, "edge", flipped))
 
     else:
         raise ValueError(bc)
@@ -319,89 +312,6 @@ def _constant_idents(expr, reg, param_names):
     elif isinstance(expr, Ternary):
         yield from _constant_idents(expr.then, reg, param_names)
         yield from _constant_idents(expr.other, reg, param_names)
-
-
-# transform factories: each returns a function editing the AST it is given
-
-def _swap_binary_op(path, new_op):
-    def edit(ast):
-        _replace_expr(ast, path, lambda e: setattr(e, "op", new_op))
-    return edit
-
-
-def _negate_if(item_idx, stmt_idx):
-    def edit(ast):
-        stmt = _flat_stmts(ast.items[item_idx].body)[stmt_idx]
-        stmt.cond = Unary("!", stmt.cond, line=stmt.cond.line, col=stmt.cond.col)
-    return edit
-
-
-def _negate_ternary(path):
-    def edit(ast):
-        def transform(expr):
-            expr.cond = Unary("!", expr.cond, line=expr.cond.line, col=expr.cond.col)
-        _replace_expr(ast, path, transform)
-    return edit
-
-
-def _flip_literal(path, bit):
-    def edit(ast):
-        def transform(lit):
-            lit.value ^= 1 << bit
-            if lit.size is not None:
-                lit.value &= (1 << lit.size) - 1
-        _replace_expr(ast, path, transform)
-    return edit
-
-
-def _bump_literal(path):
-    def edit(ast):
-        def transform(lit):
-            limit = (1 << lit.size) - 1 if lit.size is not None else None
-            if limit is not None and lit.value + 1 > limit:
-                lit.value -= 1
-            else:
-                lit.value += 1
-        _replace_expr(ast, path, transform)
-    return edit
-
-
-def _retarget_transition(item_idx, stmt_idx, replacement):
-    def edit(ast):
-        stmt = _flat_stmts(ast.items[item_idx].body)[stmt_idx]
-        stmt.expr = Ident(replacement, line=stmt.expr.line, col=stmt.expr.col)
-    return edit
-
-
-def _delete_case_arm(item_idx, stmt_idx, arm_idx):
-    def edit(ast):
-        stmt = _flat_stmts(ast.items[item_idx].body)[stmt_idx]
-        del stmt.items[arm_idx]
-    return edit
-
-
-def _xor_reset_literal(item_idx, stmt_idx):
-    def edit(ast):
-        stmt = _flat_stmts(ast.items[item_idx].body)[stmt_idx]
-        lit = stmt.expr
-        lit.value ^= 1
-        if lit.size is not None:
-            lit.value &= (1 << lit.size) - 1
-    return edit
-
-
-def _swap_blocking(item_idx, stmt_idx):
-    def edit(ast):
-        stmt = _flat_stmts(ast.items[item_idx].body)[stmt_idx]
-        stmt.blocking = not stmt.blocking
-    return edit
-
-
-def _flip_edge(item_idx, event_idx):
-    def edit(ast):
-        event = ast.items[item_idx].events[event_idx]
-        event.edge = "negedge" if event.edge == "posedge" else "posedge"
-    return edit
 
 
 # --- distinctness -------------------------------------------------------------
@@ -496,23 +406,24 @@ def inject(
     Sites are drawn uniformly (seeded) and retried until a mutant both
     elaborates with a preserved signature and diverges on a witness.
     """
-    clean_ast = parse_design(reference.source)
+    ast = parse_design(reference.source)
     signature = signature_of(reference)
-    sites = _collect_sites(op, clean_ast, reference)
+    sites = _collect_sites(op, ast, reference)
     if not sites:
         raise NoApplicableSite(f"{op.bc_id} ({op.kind}): no applicable site")
     rng = random.Random((seed << 8) ^ int(op.bc_id[2:]))
     order = list(range(len(sites)))
     rng.shuffle(order)
-    for attempt, rank in enumerate(order):
-        path, line, edit = sites[rank]
-        # the first candidate edits the parse its sites came from; each
-        # later one edits a fresh parse, so no edit leaks into the next
-        candidate_ast = parse_design(reference.source) if attempt else clean_ast
+    for rank in order:
+        path, line, node, attribute, value = sites[rank]
+        # print the reference with this one edit, then undo it for the next
+        original = getattr(node, attribute)
+        setattr(node, attribute, value)
         try:
-            edit(candidate_ast)
-            text = ast_to_source(candidate_ast)
-            candidate_src = DesignSource(text, f"mutant {op.bc_id}")
+            candidate_src = DesignSource(ast_to_source(ast), f"mutant {op.bc_id}")
+        finally:
+            setattr(node, attribute, original)
+        try:
             candidate = elaborate(parse_design(candidate_src), candidate_src)
             if extract_signature(candidate) != signature:
                 continue

@@ -1,8 +1,11 @@
 import difflib
+import hashlib
 
 import pytest
 
 from svloop import mutate
+from svloop.cli import main
+from svloop.data import copy_corpus
 from svloop.errors import ElaborationError, NoApplicableSite, NoDistinctMutant
 from svloop.frontend import ast_to_source, elaborate_source, extract_signature, parse_design
 from svloop.mutate import (
@@ -176,10 +179,65 @@ class TestCandidateIsolation:
                     continue
                 assert rejected, (problem.id, op.bc_id)
                 fresh = parse_design(problem.reference)
-                edits = {path: edit for path, _, edit in
-                         _collect_sites(op, fresh, problem.design)}
-                edits[record.site_path](fresh)
+                edits = {path: (node, attribute, value) for path, _, node, attribute, value
+                         in _collect_sites(op, fresh, problem.design)}
+                node, attribute, value = edits[record.site_path]
+                setattr(node, attribute, value)
                 assert record.source.text == ast_to_source(fresh), (problem.id, op.bc_id)
+                checked += 1
+        assert checked >= 20
+
+    def test_every_site_edits_only_its_candidate(self, problems):
+        # applying and undoing each site on one parse leaves that parse as
+        # it was, and prints what the same site prints on a parse of its own
+        checked = 0
+        for problem in problems.values():
+            reference = parse_design(problem.reference)
+            before = ast_to_source(reference)
+            for op in list_operators():
+                for path, _, node, attribute, value in _collect_sites(op, reference,
+                                                                      problem.design):
+                    original = getattr(node, attribute)
+                    setattr(node, attribute, value)
+                    text = ast_to_source(reference)
+                    setattr(node, attribute, original)
+                    assert ast_to_source(reference) == before, (problem.id, path)
+                    assert text != before, (problem.id, path)
+                    fresh = parse_design(problem.reference)
+                    edits = {p: (n, a, v) for p, _, n, a, v
+                             in _collect_sites(op, fresh, problem.design)}
+                    fresh_node, fresh_attribute, fresh_value = edits[path]
+                    setattr(fresh_node, fresh_attribute, fresh_value)
+                    assert ast_to_source(fresh) == text, (problem.id, op.bc_id, path)
+                    checked += 1
+        assert checked >= 100
+
+
+class TestParseCount:
+    """``inject`` parses the reference once and each candidate it tries once."""
+
+    def test_one_parse_per_candidate_plus_the_reference(self, problems, monkeypatch):
+        parsed = []
+        real = mutate.parse_design
+
+        def counting(source):
+            parsed.append(source.origin)
+            return real(source)
+
+        # every candidate is rejected, so inject tries every site
+        monkeypatch.setattr(mutate, "parse_design", counting)
+        monkeypatch.setattr(mutate, "find_witness", lambda *args: None)
+        checked = 0
+        for problem in problems.values():
+            for op in list_operators():
+                sites = _collect_sites(op, real(problem.reference), problem.design)
+                if len(sites) < 2:
+                    continue
+                parsed.clear()
+                with pytest.raises(NoDistinctMutant):
+                    inject(problem.design, op, seed=1)
+                assert len(parsed) == 1 + len(sites), (problem.id, op.bc_id)
+                assert parsed.count(problem.reference.origin) == 1, (problem.id, op.bc_id)
                 checked += 1
         assert checked >= 20
 
@@ -200,6 +258,33 @@ class TestInjectErrors:
         monkeypatch.setattr(mutate, "elaborate", broken)
         with pytest.raises(RuntimeError, match="bug in the toolkit"):
             inject(problems["counter3"].design, list_operators()[3], seed=1)
+
+
+class TestCorpusDigest:
+    """`svloop mutate all` on the desk corpus writes the same bytes as
+    before: SHA-256 over every file's relative path, length and bytes,
+    the digest the benchmark pins per mutate seed."""
+
+    PINNED = {
+        1: "a83509fc9ba7b763e88219680047a23d5ba9cb4a2c0d5ee12ea57f7ae462b9c3",
+        2: "9641d978348b830421035345c94fcf9a4528302e42f7d59f13f7f0c340a6e37f",
+    }
+
+    @staticmethod
+    def tree_digest(root):
+        h = hashlib.sha256()
+        for path in sorted(p for p in root.rglob("*") if p.is_file()):
+            data = path.read_bytes()
+            h.update(path.relative_to(root).as_posix().encode() + b"\0")
+            h.update(len(data).to_bytes(8, "big") + data)
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_mutate_all_tree_is_pinned(self, seed, tmp_path):
+        corpus = tmp_path / "corpus"
+        copy_corpus(corpus)
+        assert main(["mutate", "all", "--problems", str(corpus), "--seed", str(seed)]) == 0
+        assert self.tree_digest(corpus) == self.PINNED[seed]
 
 
 class TestCorpus:
