@@ -174,10 +174,12 @@ def cmd_parse(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from itertools import chain
+
     from .frontend.ast import DesignSource
     from .frontend.elaborate import elaborate_source
     from .frontend.signature import extract_signature
-    from .sim.coverage import collect_coverage
+    from .sim.coverage import CoverageCollector, collect_coverage
     from .sim.engine import run as run_sim
     from .sim.stimulus import parse_stimulus
     from .sim.vcd import export_vcd
@@ -190,17 +192,19 @@ def cmd_simulate(args) -> int:
     except (OSError, FrontendError, GatewayError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    trace = run_sim(design, test, signature)
-    names = [p.name for p in signature.inputs + signature.outputs]
-    print("cycle  " + "  ".join(names))
-    for n in range(trace.cycles):
-        row = "  ".join(str(trace.values[name][n]) for name in names)
-        print(f"{n:5d}  {row}")
+    # the instrumented run yields the plain trace, so coverage costs no second run
+    collector = CoverageCollector(design, signature) if args.coverage else None
+    trace = run_sim(design, test, signature, collector)
+    # the table column by column: the cycle labels, then each port's values
+    columns = [["cycle"] + [f"{n:5d}" for n in range(trace.cycles)]]
+    columns += [chain([p.name], map(str, trace.values[p.name]))
+                for p in signature.inputs + signature.outputs]
+    sys.stdout.write("\n".join(map("  ".join, zip(*columns))) + "\n")
     if args.vcd:
         Path(args.vcd).write_bytes(export_vcd(trace, signature))
         print(f"wrote {args.vcd}")
     if args.coverage:
-        report = collect_coverage(design, [test], signature)
+        report = collect_coverage(design, (), signature, collector)
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -396,6 +396,7 @@ def find_witness(reference, mutant, signature, seed,
 
 def inject(
     reference: ElaboratedDesign,
+    ast: DesignAst,
     op: MutationOperator,
     seed: int,
     budget: int = RANDOM_TESTS,
@@ -405,8 +406,9 @@ def inject(
 
     Sites are drawn uniformly (seeded) and retried until a mutant both
     elaborates with a preserved signature and diverges on a witness.
+    ``ast`` is a parse of ``reference.source``; each edit made to it is
+    undone, so one parse serves every operator.
     """
-    ast = parse_design(reference.source)
     signature = signature_of(reference)
     sites = _collect_sites(op, ast, reference)
     if not sites:
@@ -450,9 +452,10 @@ def make_corpus(
     equivalent-only operators are recorded as skipped with a reason."""
     records: list[MutantRecord] = []
     skipped: list[SkippedOperator] = []
+    ast = parse_design(reference.source)
     for op in OPERATORS:
         try:
-            records.append(inject(reference, op, seed, budget, cycles))
+            records.append(inject(reference, ast, op, seed, budget, cycles))
         except NoApplicableSite:
             skipped.append(SkippedOperator(op.bc_id, op.kind, "no applicable site"))
         except NoDistinctMutant:

@@ -8,7 +8,9 @@ fixed-width binary values. ``#`` starts a comment.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import repeat
 
 from ..errors import MalformedStimulus, NoStimulusFound
 from ..frontend.signature import DesignSignature, SignaturePort
@@ -23,6 +25,12 @@ class UnitTest:
     def __post_init__(self):
         if len(self.rows) < 1:
             raise ValueError("unit test must have at least one cycle")
+        if set(map(len, self.rows)) == {len(self.columns)} and all(
+            min(column) >= 0 and max(column) < (1 << port.width)
+            for column, port in zip(zip(*self.rows), self.columns)
+        ):
+            return
+        # some row is bad: find the first one
         for r, row in enumerate(self.rows):
             if len(row) != len(self.columns):
                 raise ValueError(f"row {r} has {len(row)} values for {len(self.columns)} columns")
@@ -51,7 +59,7 @@ def parse_stimulus(text: str, signature: DesignSignature, test_id: str = "t0") -
     or of the signature's column order and widths.
     """
     expected = signature.stimulus_inputs
-    lines = text.splitlines()
+    lines = text.splitlines(keepends=True)
     header_at = None
     for i, line in enumerate(lines):
         if line.strip().lower().startswith("inputs:"):
@@ -89,8 +97,15 @@ def parse_stimulus(text: str, signature: DesignSignature, test_id: str = "t0") -
             line=header_at + 1,
         )
 
-    rows: list[tuple[int, ...]] = []
-    for offset, raw in enumerate(lines[header_at + 1:], start=header_at + 2):
+    # the leading run of lines the loop below would accept as they stand is
+    # split and converted whole, one column at a time
+    body = header_at + 1
+    block = _clean_rows(expected).match(text, sum(map(len, lines[:body]))).group()
+    fields = block.split()
+    m = len(expected)
+    rows = list(zip(*(map(int, fields[j::m], repeat(2)) for j in range(m))))
+    body += len(rows)
+    for offset, raw in enumerate(lines[body:], start=body + 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             if rows:
@@ -127,3 +142,11 @@ def parse_stimulus(text: str, signature: DesignSignature, test_id: str = "t0") -
     if not rows:
         raise MalformedStimulus("stimulus block has no cycle rows", line=header_at + 1)
     return UnitTest(test_id, expected, tuple(rows))
+
+
+def _clean_rows(columns: tuple[SignaturePort, ...]) -> re.Pattern:
+    """Lines of binary fields of exactly each column's width, separated and
+    padded by spaces or tabs only, each ending in ``\\n``. Not ``\\s``: it
+    also matches characters that ``str.splitlines`` breaks lines at."""
+    fields = "[ \t]+".join(f"[01]{{{port.width}}}" for port in columns)
+    return re.compile(f"(?:[ \t]*{fields}[ \t]*\n)*")

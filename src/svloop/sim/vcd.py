@@ -7,6 +7,9 @@ changes follow each marker.
 
 from __future__ import annotations
 
+from itertools import chain, compress
+from operator import ne
+
 from ..errors import SvLoopError
 from ..frontend.signature import DesignSignature, SignaturePort
 from .engine import Trace
@@ -32,31 +35,35 @@ def export_vcd(trace: Trace, signature: DesignSignature) -> bytes:
 
     out = ["$version svloop $end", "$timescale 1ns $end",
            f"$scope module {signature.module_name} $end"]
-    ids = {}
-    for i, port in enumerate(ports):
-        ids[port.name] = _var_id(i)
-        out.append(f"$var wire {port.width} {ids[port.name]} {port.name} $end")
+    ids = [_var_id(i) for i in range(len(ports))]
+    for port, var in zip(ports, ids):
+        out.append(f"$var wire {port.width} {var} {port.name} $end")
     out.append("$upscope $end")
     out.append("$enddefinitions $end")
+    header = "\n".join(out)
+    if not trace.cycles:
+        return (header + "\n").encode("ascii")
 
-    def value_text(port: SignaturePort, value: int) -> str:
+    # a grid of texts, one row per cycle: its marker, then each port's change
+    # ("" if none), so joining each row keeps the changes in port order
+    markers = [f"\n#{n}" for n in range(trace.cycles)]
+    markers[0] += "\n$dumpvars"
+    grid = [markers]
+    for port, var in zip(ports, ids):
+        column = trace.values[port.name]
+        cells = [""] * trace.cycles
+        changed = chain((0,), compress(range(1, trace.cycles), map(ne, column[1:], column)))
         if port.width == 1:
-            return f"{value}{ids[port.name]}"
-        return f"b{value:b} {ids[port.name]}"
-
-    last: dict[str, int] = {}
-    for cycle in range(trace.cycles):
-        out.append(f"#{cycle}")
-        if cycle == 0:
-            out.append("$dumpvars")
-        for port in ports:
-            value = trace.values[port.name][cycle]
-            if cycle == 0 or last[port.name] != value:
-                out.append(value_text(port, value))
-                last[port.name] = value
-        if cycle == 0:
-            out.append("$end")
-    return ("\n".join(out) + "\n").encode("ascii")
+            texts = ("\n0" + var, "\n1" + var)
+            for n in changed:
+                cells[n] = texts[column[n]]
+        else:
+            for n in changed:
+                cells[n] = f"\nb{column[n]:b} {var}"
+        grid.append(cells)
+    rows = list(map("".join, zip(*grid)))
+    rows[0] += "\n$end"
+    return (header + "".join(rows) + "\n").encode("ascii")
 
 
 def read_vcd(data: bytes) -> tuple[Trace, DesignSignature]:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -13,6 +15,9 @@ from svloop.cli import EXIT_DATA, EXIT_PROVIDER, EXIT_USAGE, main
 from svloop import matrix
 from svloop.data import default_corpus_root
 from svloop.manifest import load_corpus
+from svloop.sim import engine
+from svloop.sim.coverage import collect_coverage
+from svloop.sim.stimulus import UnitTest, parse_stimulus
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +73,69 @@ class TestSimulateCommand:
         stim = tmp_path / "t.stim"
         stim.write_text("inputs: b[1], a[1], c[1]\n0 0 0\n")
         assert main(["simulate", str(ref), "--stim", str(stim)]) == EXIT_DATA
+
+    def test_coverage_simulates_once_and_reports_the_union(self, problems, tmp_path,
+                                                          monkeypatch, capsys):
+        p = problems["arbiter2"]
+        stim = tmp_path / "walk.stim"
+        stim.write_text(valid_arbiter_stimulus())
+        expected = collect_coverage(p.design, [parse_stimulus(stim.read_text(), p.signature)],
+                                    p.signature).as_dict()
+        calls = []
+        real = engine.run
+
+        def counting(*args):
+            calls.append(args[1].id)
+            return real(*args)
+
+        monkeypatch.setattr(engine, "run", counting)
+        assert main(["simulate", str(p.root / "ref.sv"), "--stim", str(stim), "--coverage"]) == 0
+        assert calls == ["walk"]
+        out = capsys.readouterr().out
+        assert json.loads(out[out.index("\n{") + 1:]) == expected
+
+
+def seeded_stimulus(signature, cycles, seed) -> str:
+    """A stimulus of random rows that holds the reset asserted for the first
+    two cycles and now and then after."""
+    rng = random.Random(seed)
+    reset = signature.reset
+    rows = []
+    for n in range(cycles):
+        row = []
+        for port in signature.stimulus_inputs:
+            if reset is not None and port.name == reset.name:
+                asserted = n < 2 or rng.random() < 0.05
+                row.append(int(asserted == reset.active_high))
+            else:
+                row.append(rng.getrandbits(port.width))
+        rows.append(tuple(row))
+    return UnitTest("seeded", signature.stimulus_inputs, tuple(rows)).to_text()
+
+
+class TestSimulateOutputPinned:
+    """`simulate --vcd --coverage` on each desk reference with a 200-cycle
+    seeded stimulus prints and writes the same bytes as before: SHA-256 over
+    stdout followed by the VCD file."""
+
+    PINNED = {
+        "adder4": "3a04dabc5bf5b42048d54b42503c6e83ed3b256d5b4f24721a8d15014bd404a9",
+        "arbiter2": "5736e4a6abb1b39904a8c50548a4ad859b2429a9fbf050a0c999dce1bb1bdb33",
+        "counter3": "2158dd3cc0f0f37b21849fd1339a6877612feef45f7789e4e714cb53bcf165ae",
+        "full_adder": "a69c4f9b35e06c4f21eb0d2950d283f4009ad33b2fde3c32ef37fc55514f685f",
+        "seq_detect": "2ec71271e9097f05ddd5f0c80aef78de1332dcf0fd715b148b505c65f7569a7d",
+    }
+
+    @pytest.mark.parametrize("pid", sorted(PINNED))
+    def test_stdout_and_vcd_bytes(self, problems, pid, tmp_path, monkeypatch, capsys):
+        problem = problems[pid]
+        monkeypatch.chdir(tmp_path)
+        Path("long.stim").write_text(seeded_stimulus(problem.signature, 200, pid))
+        assert main(["simulate", str(problem.root / "ref.sv"), "--stim", "long.stim",
+                     "--vcd", "long.vcd", "--coverage"]) == 0
+        printed = capsys.readouterr().out.encode()
+        digest = hashlib.sha256(printed + Path("long.vcd").read_bytes()).hexdigest()
+        assert digest == self.PINNED[pid]
 
 
 class TestMutateCommand:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from reference_sim import product_search_reference, run_reference
 from svloop import mutate
 from svloop.errors import NoApplicableSite, NoDistinctMutant
-from svloop.frontend import elaborate_source, signature_of
+from svloop.frontend import elaborate_source, parse_design, signature_of
 from svloop.mutate import RANDOM_TEST_CYCLES, RANDOM_TESTS, inject, list_operators
 from svloop.sim import CoverageCollector, UnitTest, run
 from svloop.sim.engine import product_search
@@ -64,9 +64,10 @@ class TestDeskDesigns:
         for problem in problems.values():
             if not problem.design.is_sequential:
                 continue
+            ast = parse_design(problem.reference)
             for op in list_operators():
                 try:
-                    inject(problem.design, op, seed=1)
+                    inject(problem.design, ast, op, seed=1)
                 except (NoApplicableSite, NoDistinctMutant):
                     pass
         verdicts = set()

@@ -72,7 +72,7 @@ class TestCatalog:
 class TestInject:
     def test_full_adder_logic_swap_has_witness(self, problems):
         p = problems["full_adder"]
-        record = inject(p.design, list_operators()[0], seed=7)
+        record = inject(p.design, parse_design(p.reference), list_operators()[0], seed=7)
         assert record.bc_id == "BC01"
         mutant = elaborate_source(record.source)
         outputs = [q.name for q in p.signature.outputs]
@@ -81,12 +81,13 @@ class TestInject:
         assert any(ref_trace.values[o] != mut_trace.values[o] for o in outputs)
 
     def test_full_adder_has_no_state_transition_site(self, problems):
+        p = problems["full_adder"]
         with pytest.raises(NoApplicableSite):
-            inject(problems["full_adder"].design, list_operators()[5], seed=1)
+            inject(p.design, parse_design(p.reference), list_operators()[5], seed=1)
 
     def test_arbiter_deleted_arm_diverges_only_after_sensitization(self, problems):
         p = problems["arbiter2"]
-        record = inject(p.design, list_operators()[6], seed=1)
+        record = inject(p.design, parse_design(p.reference), list_operators()[6], seed=1)
         mutant = elaborate_source(record.source)
         outputs = [q.name for q in p.signature.outputs]
         ref_trace = run(p.design, record.witness, p.signature)
@@ -124,9 +125,10 @@ class TestEquivalenceProof:
         for problem in problems.values():
             if not problem.design.is_sequential:
                 continue
+            ast = parse_design(problem.reference)
             for op in list_operators():
                 try:
-                    inject(problem.design, op, seed=1)
+                    inject(problem.design, ast, op, seed=1)
                 except (NoApplicableSite, NoDistinctMutant):
                     pass
         proven = 0
@@ -171,10 +173,11 @@ class TestCandidateIsolation:
         monkeypatch.setattr(mutate, "find_witness", reject_first)
         checked = 0
         for problem in problems.values():
+            ast = parse_design(problem.reference)
             for op in list_operators():
                 rejected.clear()
                 try:
-                    record = inject(problem.design, op, seed=1)
+                    record = inject(problem.design, ast, op, seed=1)
                 except (NoApplicableSite, NoDistinctMutant):
                     continue
                 assert rejected, (problem.id, op.bc_id)
@@ -214,9 +217,11 @@ class TestCandidateIsolation:
 
 
 class TestParseCount:
-    """``inject`` parses the reference once and each candidate it tries once."""
+    """``make_corpus`` parses the reference once for all ten operators, and
+    ``inject`` parses each candidate it tries once."""
 
-    def test_one_parse_per_candidate_plus_the_reference(self, problems, monkeypatch):
+    @pytest.fixture()
+    def parsed(self, monkeypatch):
         parsed = []
         real = mutate.parse_design
 
@@ -227,19 +232,33 @@ class TestParseCount:
         # every candidate is rejected, so inject tries every site
         monkeypatch.setattr(mutate, "parse_design", counting)
         monkeypatch.setattr(mutate, "find_witness", lambda *args: None)
+        return parsed
+
+    def test_one_parse_per_candidate(self, problems, parsed):
         checked = 0
         for problem in problems.values():
+            ast = parse_design(problem.reference)
             for op in list_operators():
-                sites = _collect_sites(op, real(problem.reference), problem.design)
+                sites = _collect_sites(op, ast, problem.design)
                 if len(sites) < 2:
                     continue
                 parsed.clear()
                 with pytest.raises(NoDistinctMutant):
-                    inject(problem.design, op, seed=1)
-                assert len(parsed) == 1 + len(sites), (problem.id, op.bc_id)
-                assert parsed.count(problem.reference.origin) == 1, (problem.id, op.bc_id)
+                    inject(problem.design, ast, op, seed=1)
+                assert len(parsed) == len(sites), (problem.id, op.bc_id)
+                assert problem.reference.origin not in parsed, (problem.id, op.bc_id)
                 checked += 1
         assert checked >= 20
+
+    def test_one_parse_per_candidate_plus_the_reference(self, problems, parsed):
+        for problem in problems.values():
+            ast = parse_design(problem.reference)
+            sites = sum(len(_collect_sites(op, ast, problem.design)) for op in list_operators())
+            parsed.clear()
+            records, skipped = make_corpus(problem.design, seed=1)
+            assert records == [] and len(skipped) == len(list_operators()), problem.id
+            assert len(parsed) == 1 + sites, problem.id
+            assert parsed.count(problem.reference.origin) == 1, problem.id
 
 
 class TestInjectErrors:
@@ -247,17 +266,19 @@ class TestInjectErrors:
         def failing(ast, source):
             raise ElaborationError("rejected for the test", 1, 0)
 
+        p = problems["counter3"]
         monkeypatch.setattr(mutate, "elaborate", failing)
         with pytest.raises(NoDistinctMutant):
-            inject(problems["counter3"].design, list_operators()[3], seed=1)
+            inject(p.design, parse_design(p.reference), list_operators()[3], seed=1)
 
     def test_non_toolkit_exception_propagates(self, problems, monkeypatch):
         def broken(ast, source):
             raise RuntimeError("bug in the toolkit")
 
+        p = problems["counter3"]
         monkeypatch.setattr(mutate, "elaborate", broken)
         with pytest.raises(RuntimeError, match="bug in the toolkit"):
-            inject(problems["counter3"].design, list_operators()[3], seed=1)
+            inject(p.design, parse_design(p.reference), list_operators()[3], seed=1)
 
 
 class TestCorpusDigest:
