@@ -190,7 +190,8 @@ def cmd_simulate(args) -> int:
         test = parse_stimulus(Path(args.stim).read_text("utf-8"), signature,
                               Path(args.stim).stem)
     except (OSError, FrontendError, GatewayError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = exc.diagnostic(args.file) if isinstance(exc, FrontendError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_DATA
     # the instrumented run yields the plain trace, so coverage costs no second run
     collector = CoverageCollector(design, signature) if args.coverage else None

@@ -10,7 +10,6 @@ from .signature import (
     ResetSpec,
     SignaturePort,
     extract_signature,
-    signature_of,
 )
 
 __all__ = [
@@ -27,5 +26,4 @@ __all__ = [
     "extract_signature",
     "mask",
     "parse_design",
-    "signature_of",
 ]

@@ -34,6 +34,24 @@ class DesignSource:
 
 # --- expressions -------------------------------------------------------------
 
+# binding strength of each operator, loosest first; the parser climbs
+# this table and the printer parenthesizes by it
+PRECEDENCE = {
+    "?:": 1,
+    "||": 2,
+    "&&": 3,
+    "|": 4,
+    "^": 5,
+    "&": 6,
+    "==": 7, "!=": 7,
+    "<": 8, "<=": 8, ">": 8, ">=": 8,
+    "<<": 9, ">>": 9,
+    "+": 10, "-": 10,
+}
+
+UNARY_PRECEDENCE = 11
+
+
 @dataclass
 class Expr:
     line: int = field(default=0, compare=False, kw_only=True)

@@ -65,7 +65,6 @@ class ElaboratedDesign:
     statement_ids: list[int]
     branch_arms: list[tuple]
     fsm_registers: dict[str, list[int]]           # state reg -> sorted constant values
-    _signature_cache: object = field(default=None, repr=False, compare=False)
     _lowered_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -255,19 +254,14 @@ def _detect_fsm_registers(seq_processes, params) -> dict[str, list[int]]:
 
 # --- main entry ---------------------------------------------------------------
 
-def elaborate(ast: DesignAst, source: DesignSource | None = None) -> ElaboratedDesign:
+def elaborate(ast: DesignAst, source: DesignSource) -> ElaboratedDesign:
     """Resolve a parsed design into an executable form.
 
     Elaboration consumes ``ast``: parameters are folded into its
     expressions and widths and statement ids are written onto its nodes,
-    which the returned design then shares. Pass a parse that nothing
-    else reads afterwards.
+    which the returned design then shares. Pass a parse of ``source``
+    that nothing else reads afterwards.
     """
-    if source is None:
-        from .printer import ast_to_source
-
-        source = DesignSource(ast_to_source(ast), "reference")
-
     params: dict[str, tuple[int, int]] = {}
     for item in ast.items:
         if isinstance(item, ParamDecl):

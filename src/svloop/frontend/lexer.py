@@ -1,8 +1,14 @@
-"""Tokenizer for the SystemVerilog subset."""
+"""Tokenizer for the SystemVerilog subset.
+
+One compiled pattern splits the text, as in the tokenizer recipe of the
+``re`` module docs. Identifiers and numbers are ASCII, as IEEE 1800
+simple identifiers are; comments may hold any character.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from ..errors import ParseError, UnsupportedConstruct
 
@@ -22,114 +28,66 @@ UNSUPPORTED_KEYWORDS = {
     "real", "time", "event", "specify", "primitive", "defparam",
 }
 
-TWO_CHAR_OPS = {"<=", ">=", "==", "!=", "<<", ">>", "&&", "||"}
-ONE_CHAR_OPS = set("~&|^+-<>!?:()[]{};,=@*#.")
+_TOKEN = re.compile(r"""
+    (?P<space>[ \t\r]+)
+  | (?P<newline>\n)
+  | (?P<comment>//[^\n]*|/\*(?s:.*?)\*/)
+  | (?P<word>[A-Za-z_][A-Za-z0-9_$]*)
+  | (?P<based>(?:[0-9][0-9_]*)?'[bBdDhH][A-Za-z0-9_]+)
+  | (?P<number>[0-9][0-9_]*(?![0-9_']))
+  | (?P<op><=|>=|==|!=|<<|>>|&&|\|\||[~&|^+\-<>!?:()\[\]{};,=@*\#.])
+  | (?P<bad>.)
+""", re.VERBOSE)
+
+# what follows the digits of a literal that ``based`` and ``number`` refused
+_BAD_LITERAL = re.compile(r"[0-9_]*'(?:(?P<signed>[sS])|(?P<base>[bBdDhH]))?")
 
 
-@dataclass
-class Token:
+class Token(NamedTuple):
     kind: str      # ident | keyword | number | based | op | eof
     text: str
     line: int
     col: int
 
 
+def _fail(text: str, pos: int, line: int, col: int):
+    if text.startswith("/*", pos):
+        raise ParseError("unterminated block comment", line, col)
+    literal = _BAD_LITERAL.match(text, pos)
+    if literal is None:
+        raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    if literal["signed"]:
+        raise UnsupportedConstruct("signed literal", line, col)
+    if literal["base"]:
+        raise ParseError("based literal missing digits", line, col)
+    raise ParseError("malformed based literal", line, col)
+
+
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-
-    def error(msg):
-        raise ParseError(msg, line, col)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    line, line_start = 1, 0
+    eof = len(text)
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
+            continue
+        start, end = m.span()
+        if kind == "newline":
             line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            if j < 0:
-                break
-            col += j - i
-            i = j
-            continue
-        if text.startswith("/*", i):
-            j = text.find("*/", i + 2)
-            if j < 0:
-                error("unterminated block comment")
-            skipped = text[i:j + 2]
-            nl = skipped.count("\n")
-            if nl:
-                line += nl
-                col = len(skipped) - skipped.rfind("\n")
-            else:
-                col += len(skipped)
-            i = j + 2
-            continue
-
-        start_line, start_col = line, col
-
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_$"):
-                j += 1
-            word = text[i:j]
-            kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-
-        if ch.isdigit() or ch == "'":
-            # number, optionally followed by 'b/'d/'h payload
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "_"):
-                j += 1
-            if j < n and text[j] == "'":
-                k = j + 1
-                if k < n and text[k] in "sS":
-                    raise UnsupportedConstruct("signed literal", start_line, start_col)
-                if k >= n or text[k] not in "bBdDhH":
-                    error("malformed based literal")
-                k += 1
-                digits_start = k
-                while k < n and (text[k].isalnum() or text[k] == "_"):
-                    k += 1
-                if k == digits_start:
-                    error("based literal missing digits")
-                tokens.append(Token("based", text[i:k], start_line, start_col))
-                col += k - i
-                i = k
-                continue
-            if j == i:  # bare quote: 'b101 style unsized based literal
-                error("malformed literal")
-            tokens.append(Token("number", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-
-        two = text[i:i + 2]
-        if two in TWO_CHAR_OPS:
-            tokens.append(Token("op", two, start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in ONE_CHAR_OPS:
-            tokens.append(Token("op", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-
-        error(f"unexpected character {ch!r}")
-
-    tokens.append(Token("eof", "", line, col))
+            line_start = end
+        elif kind == "comment":
+            newlines = text.count("\n", start, end)
+            if newlines:
+                line += newlines
+                line_start = text.rfind("\n", start, end) + 1
+            elif end == eof and text[start + 1] == "/":
+                eof = start  # a last line comment leaves end of input at its start
+        elif kind == "bad":
+            _fail(text, start, line, start - line_start + 1)
+        else:
+            word = m.group()
+            if kind == "word":
+                kind = "keyword" if word in KEYWORDS else "ident"
+            tokens.append(Token(kind, word, line, start - line_start + 1))
+    tokens.append(Token("eof", "", line, eof - line_start + 1))
     return tokens

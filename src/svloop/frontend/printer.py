@@ -19,25 +19,12 @@ from .ast import (
     If,
     Literal,
     NetDecl,
+    PRECEDENCE,
     ParamDecl,
     Ternary,
+    UNARY_PRECEDENCE,
     Unary,
 )
-
-_PRECEDENCE = {
-    "?:": 1,
-    "||": 2,
-    "&&": 3,
-    "|": 4,
-    "^": 5,
-    "&": 6,
-    "==": 7, "!=": 7,
-    "<": 8, "<=": 8, ">": 8, ">=": 8,
-    "<<": 9, ">>": 9,
-    "+": 10, "-": 10,
-}
-
-_UNARY_PRECEDENCE = 11
 
 
 def expr_to_source(expr, parent_prec=0) -> str:
@@ -46,16 +33,16 @@ def expr_to_source(expr, parent_prec=0) -> str:
     if isinstance(expr, Ident):
         return expr.name
     if isinstance(expr, Unary):
-        inner = expr_to_source(expr.operand, _UNARY_PRECEDENCE)
+        inner = expr_to_source(expr.operand, UNARY_PRECEDENCE)
         text = f"{expr.op}{inner}"
-        prec = _UNARY_PRECEDENCE
+        prec = UNARY_PRECEDENCE
     elif isinstance(expr, Binary):
-        prec = _PRECEDENCE[expr.op]
+        prec = PRECEDENCE[expr.op]
         left = expr_to_source(expr.left, prec)
         right = expr_to_source(expr.right, prec + 1)
         text = f"{left} {expr.op} {right}"
     elif isinstance(expr, Ternary):
-        prec = _PRECEDENCE["?:"]
+        prec = PRECEDENCE["?:"]
         cond = expr_to_source(expr.cond, prec + 1)
         then = expr_to_source(expr.then, prec)
         other = expr_to_source(expr.other, prec)

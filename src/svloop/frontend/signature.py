@@ -177,9 +177,3 @@ def extract_signature(
 
     return DesignSignature(design.name, inputs, outputs, clock, reset)
 
-
-def signature_of(design: ElaboratedDesign) -> DesignSignature:
-    """Cached plain extraction (no overrides)."""
-    if design._signature_cache is None:
-        design._signature_cache = extract_signature(design)
-    return design._signature_cache

@@ -36,7 +36,7 @@ from .frontend.ast import (
 from .frontend.elaborate import ElaboratedDesign, elaborate
 from .frontend.parser import parse_design
 from .frontend.printer import ast_to_source
-from .frontend.signature import extract_signature, signature_of
+from .frontend.signature import DesignSignature, extract_signature
 from .sim.engine import product_search, run
 from .sim.stimulus import UnitTest
 
@@ -165,7 +165,8 @@ def _masked(value, lit):
 
 # --- the ten operators ---------------------------------------------------------
 
-def _collect_sites(op: MutationOperator, ast: DesignAst, design: ElaboratedDesign):
+def _collect_sites(op: MutationOperator, ast: DesignAst, design: ElaboratedDesign,
+                   signature: DesignSignature):
     """Enumerate applicable sites as ``(path, line, node, attribute, value)``:
     the mutant is ``ast`` with ``setattr(node, attribute, value)``."""
     sites = []
@@ -270,7 +271,7 @@ def _collect_sites(op: MutationOperator, ast: DesignAst, design: ElaboratedDesig
                                       stmt, "blocking", not stmt.blocking))
 
     elif bc == "BC10":
-        clock = signature_of(design).clock
+        clock = signature.clock
         if clock is not None:
             for i, item in enumerate(ast.items):
                 if isinstance(item, AlwaysSeq):
@@ -316,9 +317,8 @@ def _constant_idents(expr, reg, param_names):
 
 # --- distinctness -------------------------------------------------------------
 
-def _total_input_bits(design: ElaboratedDesign) -> int:
-    sig = signature_of(design)
-    return sum(p.width for p in sig.stimulus_inputs)
+def _total_input_bits(signature: DesignSignature) -> int:
+    return sum(p.width for p in signature.stimulus_inputs)
 
 
 def _exhaustive_witness(reference, mutant, signature) -> Optional[UnitTest]:
@@ -381,7 +381,7 @@ def find_witness(reference, mutant, signature, seed,
     ``budget`` seeded random tests of ``cycles`` cycles each, which stay
     the only source of sequential witnesses.
     """
-    if not reference.is_sequential and _total_input_bits(reference) <= EXHAUSTIVE_INPUT_BITS:
+    if not reference.is_sequential and _total_input_bits(signature) <= EXHAUSTIVE_INPUT_BITS:
         return _exhaustive_witness(reference, mutant, signature)
     if reference.is_sequential:
         try:
@@ -409,8 +409,8 @@ def inject(
     ``ast`` is a parse of ``reference.source``; each edit made to it is
     undone, so one parse serves every operator.
     """
-    signature = signature_of(reference)
-    sites = _collect_sites(op, ast, reference)
+    signature = extract_signature(reference)
+    sites = _collect_sites(op, ast, reference, signature)
     if not sites:
         raise NoApplicableSite(f"{op.bc_id} ({op.kind}): no applicable site")
     rng = random.Random((seed << 8) ^ int(op.bc_id[2:]))

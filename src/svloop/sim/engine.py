@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from ..errors import StimulusMismatch
 from ..frontend.elaborate import ElaboratedDesign
-from ..frontend.signature import DesignSignature, signature_of
+from ..frontend.signature import DesignSignature
 from .lower import lower
 from .stimulus import UnitTest
 
@@ -117,23 +117,22 @@ class _Machine:
 def run(
     design: ElaboratedDesign,
     test: UnitTest,
-    signature: DesignSignature | None = None,
+    signature: DesignSignature,
     collector=None,
 ) -> Trace:
     """Simulate a unit test, returning the per-cycle sampled trace.
 
     Deterministic: identical inputs yield bit-identical traces.
     """
-    sig = signature if signature is not None else signature_of(design)
-    if test.columns != sig.stimulus_inputs:
+    if test.columns != signature.stimulus_inputs:
         raise StimulusMismatch(
             "unit test columns {} do not match signature inputs {}".format(
                 [f"{p.name}[{p.width}]" for p in test.columns],
-                [f"{p.name}[{p.width}]" for p in sig.stimulus_inputs],
+                [f"{p.name}[{p.width}]" for p in signature.stimulus_inputs],
             )
         )
 
-    machine = _Machine(design, sig, collector)
+    machine = _Machine(design, signature, collector)
     step, values = machine.step, machine.values
     samples = []
     machine.settle()

@@ -14,7 +14,6 @@ import itertools
 
 from svloop.errors import StimulusMismatch
 from svloop.frontend.ast import Assignment, Case, If
-from svloop.frontend.signature import signature_of
 from svloop.sim.engine import Trace
 
 SETTLE_CAP = 1000
@@ -227,11 +226,10 @@ def sample_coverage(collector, values: dict[str, int]):
         collector.fsm_seen[reg].add(values[reg])
 
 
-def run_reference(design, test, signature=None, collector=None) -> Trace:
-    sig = signature if signature is not None else signature_of(design)
-    if test.columns != sig.stimulus_inputs:
+def run_reference(design, test, signature, collector=None) -> Trace:
+    if test.columns != signature.stimulus_inputs:
         raise StimulusMismatch("unit test columns do not match signature inputs")
-    machine = ReferenceMachine(design, sig, collector)
+    machine = ReferenceMachine(design, signature, collector)
     samples: dict[str, list[int]] = {name: [] for name in design.signals}
     machine.settle()
     for row in test.rows:

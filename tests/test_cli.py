@@ -49,6 +49,13 @@ class TestParseCommand:
     def test_missing_file(self, capsys):
         assert main(["parse", "/nonexistent/x.sv"]) == EXIT_DATA
 
+    def test_non_ascii_digit_is_a_positioned_diagnostic(self, tmp_path, capsys):
+        bad = tmp_path / "bad.sv"
+        bad.write_text("module m (input a, output y);\n  assign y = a ^ \u00b2;\nendmodule\n",
+                       "utf-8")
+        assert main(["parse", str(bad)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"{bad}:2:18: unexpected character '\u00b2'\n"
+
 
 class TestSimulateCommand:
     def test_simulate_table_and_vcd(self, cli_corpus, tmp_path, capsys):
@@ -67,6 +74,18 @@ class TestSimulateCommand:
         stim.write_text("inputs: a[1], b[1], c[1]\n0 0 0\n1 1 1\n")
         assert main(["simulate", str(ref), "--stim", str(stim), "--coverage"]) == 0
         assert '"scalar"' in capsys.readouterr().out
+
+    def test_non_ascii_port_is_a_positioned_data_error(self, tmp_path, capsys):
+        design = tmp_path / "m.sv"
+        design.write_text("module m (input \u00e9, output y);\n  assign y = \u00e9;\nendmodule\n",
+                          "utf-8")
+        stim = tmp_path / "t.stim"
+        stim.write_text("inputs: \u00e9[1]\n0\n1\n", "utf-8")
+        vcd = tmp_path / "out.vcd"
+        argv = ["simulate", str(design), "--stim", str(stim), "--vcd", str(vcd)]
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {design}:1:17: unexpected character '\u00e9'\n"
+        assert not vcd.exists()
 
     def test_stimulus_mismatch_is_data_error(self, cli_corpus, tmp_path, capsys):
         ref = Path(cli_corpus) / "problems" / "full_adder" / "ref.sv"

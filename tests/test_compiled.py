@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from reference_sim import product_search_reference, run_reference
 from svloop import mutate
 from svloop.errors import NoApplicableSite, NoDistinctMutant
-from svloop.frontend import elaborate_source, parse_design, signature_of
+from svloop.frontend import elaborate_source, extract_signature, parse_design
 from svloop.mutate import RANDOM_TEST_CYCLES, RANDOM_TESTS, inject, list_operators
 from svloop.sim import CoverageCollector, UnitTest, run
 from svloop.sim.engine import product_search
@@ -138,7 +138,7 @@ endmodule
 
 def simulate(text, rows):
     design = elaborate_source(text)
-    signature = signature_of(design)
+    signature = extract_signature(design)
     test = UnitTest("t", signature.stimulus_inputs, tuple(rows))
     return assert_same(design, signature, [test])
 
@@ -182,7 +182,7 @@ class TestLoweringEdges:
     @settings(max_examples=20)
     def test_fuzzed_stimuli_match_interpreter(self, text, data):
         design = elaborate_source(text)
-        signature = signature_of(design)
+        signature = extract_signature(design)
         rows = data.draw(rows_for(signature))
         assert_same(design, signature, [UnitTest("t", signature.stimulus_inputs, tuple(rows))])
 

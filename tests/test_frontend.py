@@ -86,8 +86,9 @@ class TestParse:
             parse_design(DesignSource("   \n// just a comment\n"))
 
     def test_arbiter_has_one_clocked_process(self):
-        ast = parse_design(DesignSource(ARBITER))
-        design = elaborate(ast)
+        source = DesignSource(ARBITER)
+        ast = parse_design(source)
+        design = elaborate(ast, source)
         assert len(design.seq_processes) == 1
         assert len([p for p in ast.ports if p.direction == "input"]) == 4
 
@@ -198,8 +199,9 @@ class TestElaborate:
         ]
 
     def test_elaboration_consumes_its_ast(self):
-        ast = parse_design(DesignSource(ARBITER))
-        design = elaborate(ast)
+        source = DesignSource(ARBITER)
+        ast = parse_design(source)
+        design = elaborate(ast, source)
         # the design shares the given nodes, with parameters folded in place
         assert design.seq_processes[0] is ast.items[-1]
         reset_state = design.seq_processes[0].body[0].then_body[0]

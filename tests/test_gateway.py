@@ -254,6 +254,14 @@ class TestParsePatch:
             parse_patch("module m (input a;\nendmodule", problems["arbiter2"].signature)
         assert exc.value.reason == "parse"
 
+    def test_non_ascii_digit_is_a_parse_rejection(self, problems):
+        p = problems["full_adder"]
+        text = p.reference.text.replace("assign propagate = a ^ b;", "assign propagate = a ^ \u00b2;")
+        with pytest.raises(PatchRejected) as exc:
+            parse_patch(text, p.signature)
+        assert exc.value.reason == "parse"
+        assert exc.value.detail == "<input>:12:26: unexpected character '\u00b2'"
+
     def test_no_module(self, problems):
         with pytest.raises(NoModuleFound):
             parse_patch("the fix is to invert the condition", problems["arbiter2"].signature)

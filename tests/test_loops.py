@@ -177,6 +177,16 @@ class TestDebugLoop:
                 assert h.pass_fraction > seen
                 seen = h.pass_fraction
 
+    def test_non_ascii_patch_is_a_logged_rejection(self, problems):
+        p, source, tests = self.failing_suite(problems)
+        garbled = p.reference.text.replace("localparam IDLE = 2'd0;", "localparam IDLE = \u00b2;")
+        provider = ListProvider([garbled, p.reference.text])
+        state = debug(p.spec(), elaborate_source(source), tests, oracle_traces(p, tests), CFG,
+                      provider)
+        assert state.solved and state.iterations == 2
+        assert [r.reason for r in state.rejections] == ["patch"]
+        assert "patch rejected (parse)" in state.rejections[0].detail
+
     def test_budget_is_at_most_five_provider_calls(self, problems):
         p, source, tests = self.failing_suite(problems)
         provider = ListProvider(["junk"] * 12)

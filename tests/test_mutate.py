@@ -183,7 +183,7 @@ class TestCandidateIsolation:
                 assert rejected, (problem.id, op.bc_id)
                 fresh = parse_design(problem.reference)
                 edits = {path: (node, attribute, value) for path, _, node, attribute, value
-                         in _collect_sites(op, fresh, problem.design)}
+                         in _collect_sites(op, fresh, problem.design, problem.signature)}
                 node, attribute, value = edits[record.site_path]
                 setattr(node, attribute, value)
                 assert record.source.text == ast_to_source(fresh), (problem.id, op.bc_id)
@@ -198,8 +198,8 @@ class TestCandidateIsolation:
             reference = parse_design(problem.reference)
             before = ast_to_source(reference)
             for op in list_operators():
-                for path, _, node, attribute, value in _collect_sites(op, reference,
-                                                                      problem.design):
+                sites = _collect_sites(op, reference, problem.design, problem.signature)
+                for path, _, node, attribute, value in sites:
                     original = getattr(node, attribute)
                     setattr(node, attribute, value)
                     text = ast_to_source(reference)
@@ -208,7 +208,7 @@ class TestCandidateIsolation:
                     assert text != before, (problem.id, path)
                     fresh = parse_design(problem.reference)
                     edits = {p: (n, a, v) for p, _, n, a, v
-                             in _collect_sites(op, fresh, problem.design)}
+                             in _collect_sites(op, fresh, problem.design, problem.signature)}
                     fresh_node, fresh_attribute, fresh_value = edits[path]
                     setattr(fresh_node, fresh_attribute, fresh_value)
                     assert ast_to_source(fresh) == text, (problem.id, op.bc_id, path)
@@ -239,7 +239,7 @@ class TestParseCount:
         for problem in problems.values():
             ast = parse_design(problem.reference)
             for op in list_operators():
-                sites = _collect_sites(op, ast, problem.design)
+                sites = _collect_sites(op, ast, problem.design, problem.signature)
                 if len(sites) < 2:
                     continue
                 parsed.clear()
@@ -253,7 +253,8 @@ class TestParseCount:
     def test_one_parse_per_candidate_plus_the_reference(self, problems, parsed):
         for problem in problems.values():
             ast = parse_design(problem.reference)
-            sites = sum(len(_collect_sites(op, ast, problem.design)) for op in list_operators())
+            sites = sum(len(_collect_sites(op, ast, problem.design, problem.signature))
+                        for op in list_operators())
             parsed.clear()
             records, skipped = make_corpus(problem.design, seed=1)
             assert records == [] and len(skipped) == len(list_operators()), problem.id

@@ -3,13 +3,13 @@ the clock-edge discipline, each against hand-derived expectations."""
 
 import pytest
 
-from svloop.frontend import elaborate_source, signature_of
+from svloop.frontend import elaborate_source, extract_signature
 from svloop.sim import UnitTest, run
 
 
 def simulate(text, rows):
     design = elaborate_source(text)
-    signature = signature_of(design)
+    signature = extract_signature(design)
     test = UnitTest("t", signature.stimulus_inputs, tuple(rows))
     return run(design, test, signature)
 

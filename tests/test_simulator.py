@@ -43,7 +43,7 @@ class TestRun:
 
     def test_full_adder_all_zero(self, problems):
         p = problems["full_adder"]
-        trace = run(p.design, UnitTest("t", p.signature.stimulus_inputs, ((0, 0, 0),)))
+        trace = run(p.design, UnitTest("t", p.signature.stimulus_inputs, ((0, 0, 0),)), p.signature)
         assert trace.values["s"][0] == 0 and trace.values["cout"][0] == 0
 
     def test_golden_equivalence_exhaustive(self, problems):
@@ -265,7 +265,7 @@ class TestVcd:
 
     def test_constant_trace_has_single_value_block(self, problems):
         p = problems["full_adder"]
-        trace = run(p.design, UnitTest("t", p.signature.stimulus_inputs, ((0, 0, 0),)))
+        trace = run(p.design, UnitTest("t", p.signature.stimulus_inputs, ((0, 0, 0),)), p.signature)
         text = export_vcd(trace, p.signature).decode()
         assert text.count("#0") == 1
         assert "#1" not in text
