@@ -51,6 +51,7 @@ class Exchange:
 @dataclass
 class TestGenState:
     tests: list[UnitTest] = field(default_factory=list)
+    traces: dict[str, Trace] = field(default_factory=dict)  # oracle trace per accepted test id
     best_coverage: Fraction = Fraction(0)
     accepted_coverage: list[Fraction] = field(default_factory=list)
     iterations: int = 0
@@ -96,7 +97,8 @@ def generate_tests(
     Tests are valid when they are well-formed for the signature and
     simulatable on the oracle; passing the (unknown) candidate design is
     not required. Each candidate is simulated once, folded into a copy of
-    the accepted suite's coverage; the copy replaces it only on acceptance.
+    the accepted suite's coverage; the copy replaces it only on acceptance,
+    and ``state.traces`` keeps that run's oracle trace.
     """
     oracle = spec.oracle
     signature = spec.signature
@@ -134,13 +136,16 @@ def generate_tests(
             continue
         trial = covered.copy()
         try:
-            report = collect_coverage(oracle, [test], signature, trial)
+            # the instrumented run yields the plain trace the matrix stores
+            trace = run(oracle, test, signature, trial)
         except SvLoopError as exc:
             state.rejections.append(Rejection(iteration, "simulate", str(exc)))
             continue
+        report = collect_coverage(oracle, (), signature, trial)
         if one_shot or report.scalar > state.best_coverage:
             covered = trial
             state.tests.append(test)
+            state.traces[test.id] = trace
             state.best_coverage = report.scalar
             state.accepted_coverage.append(report.scalar)
         else:

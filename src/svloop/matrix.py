@@ -3,10 +3,15 @@
 For every problem: generate one suite per source mutant, apply it to
 every target mutant (verdicts against the oracle fill AR/DR/DA), then
 debug each target with the suite seeded from that same mutant. Cells are
-independent, isolate their failures as skipped-with-reason, and are
-checkpointed on disk so an interrupted run resumes without recomputation.
-All artifacts are timestamp-free; a rerun with the same inputs is
-byte-identical.
+independent and isolate their failures as skipped-with-reason.
+
+A source, a cell and a debug target are each a unit of the run directory
+that writes its files, then its JSON checkpoint (``genstate.json``,
+``result.json``, ``state.json``), the one file renamed into place. A
+resume trusts a unit exactly when its checkpoint exists and rewrites it
+otherwise: consistent across a process crash at any write, not across
+power loss. A fresh source writes its oracle VCDs from the traces that
+generation made. Artifacts carry no timestamp; a rerun is byte-identical.
 """
 
 from __future__ import annotations
@@ -19,12 +24,12 @@ from typing import Optional
 
 from .errors import SvLoopError
 from .frontend.elaborate import elaborate_source
-from .gateway.config import NLSC, ProviderBinding
+from .gateway.config import ProviderBinding
 from .gateway.providers import build_provider
 from .loops import DebugState, TestGenState, debug, generate_tests
 from .manifest import Problem, RunConfig, load_problem
 from .metrics import PairResult, divergence_rate, divergent_attack
-from .sim.engine import run
+from .sim.engine import Trace, run
 from .sim.stimulus import UnitTest, parse_stimulus
 from .sim.vcd import export_vcd
 from .verdict import compare
@@ -46,26 +51,19 @@ def _fraction_pair(f: Fraction) -> list[int]:
     return [f.numerator, f.denominator]
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    # files that resume keeps once they exist must never be seen torn
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _write_json(path: Path, data) -> None:
+    # the one atomic writer: a checkpoint that exists is never torn
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(data)
+    tmp.write_bytes((json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     tmp.replace(path)
 
 
-def _write_json(path: Path, data) -> None:
-    _write_atomic(path, (json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8"))
-
-
 def _write_exchanges(dirpath: Path, prefix: str, exchanges) -> None:
-    dirpath.mkdir(parents=True, exist_ok=True)
+    dirpath.mkdir(exist_ok=True)
     for ex in exchanges:
-        (dirpath / f"{prefix}-{ex.iteration:02d}.prompt.txt").write_text(ex.prompt, "utf-8")
-        if ex.response is not None:
-            (dirpath / f"{prefix}-{ex.iteration:02d}.response.txt").write_text(
-                ex.response, "utf-8"
-            )
+        for kind, text in (("prompt", ex.prompt), ("response", ex.response)):
+            if text is not None:
+                (dirpath / f"{prefix}-{ex.iteration:02d}.{kind}.txt").write_text(text, "utf-8")
 
 
 def _gen_state_summary(state: TestGenState) -> dict:
@@ -75,10 +73,7 @@ def _gen_state_summary(state: TestGenState) -> dict:
         "accepted_coverage": [_fraction_pair(c) for c in state.accepted_coverage],
         "iterations": state.iterations,
         "provider_calls": state.provider_calls,
-        "rejections": [
-            {"iteration": r.iteration, "reason": r.reason, "detail": r.detail}
-            for r in state.rejections
-        ],
+        "rejections": [vars(r) for r in state.rejections],
     }
 
 
@@ -90,18 +85,11 @@ def _debug_state_summary(state: DebugState) -> dict:
         "iterations": state.iterations,
         "provider_calls": state.provider_calls,
         "history": [
-            {
-                "iteration": h.iteration,
-                "accepted": h.accepted,
-                "pass_fraction": None if h.pass_fraction is None else _fraction_pair(h.pass_fraction),
-                "reason": h.reason,
-            }
+            {**vars(h), "pass_fraction": None if h.pass_fraction is None
+             else _fraction_pair(h.pass_fraction)}
             for h in state.history
         ],
-        "rejections": [
-            {"iteration": r.iteration, "reason": r.reason, "detail": r.detail}
-            for r in state.rejections
-        ],
+        "rejections": [vars(r) for r in state.rejections],
     }
 
 
@@ -127,53 +115,54 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
         except SvLoopError as exc:
             target_errors[bc_id] = f"target does not elaborate: {exc}"
 
+    # each directory is made once, parent first; a crashed attempt may have made it
+    out_dir.mkdir(parents=True, exist_ok=True)
     suites: dict[str, list[UnitTest]] = {}
-    oracle_traces: dict[str, dict] = {}
+    oracle_traces: dict[str, dict[str, Trace]] = {}
 
+    (out_dir / "sources").mkdir(exist_ok=True)
     for src_id, src_source, _ in mutants:
         src_dir = out_dir / "sources" / src_id.lower()
         state_file = src_dir / "genstate.json"
         if state_file.exists():
             summary = json.loads(state_file.read_text("utf-8"))
-            tests = []
-            for tid in summary["tests"]:
-                text = (src_dir / "tests" / f"{tid}.stim").read_text("utf-8")
-                tests.append(parse_stimulus(text, signature, tid))
+            tests = [parse_stimulus((src_dir / "tests" / f"{tid}.stim").read_text("utf-8"),
+                                    signature, tid) for tid in summary["tests"]]
+            traces = {test.id: run(oracle, test, signature) for test in tests}
         else:
-            state = generate_tests(
-                spec,
-                src_source if gen_cfg.strategy == NLSC else None,
-                gen_cfg,
-                provider,
-                iteration_cap=config.iteration_cap,
-                test_prefix=f"{src_id.lower()}-t",
-            )
-            tests = state.tests
+            # generate_tests shows the source mutant only under NLSC
+            state = generate_tests(spec, src_source, gen_cfg, provider,
+                                   iteration_cap=config.iteration_cap,
+                                   test_prefix=f"{src_id.lower()}-t")
+            tests, traces = state.tests, state.traces
             summary = _gen_state_summary(state)
-            (src_dir / "tests").mkdir(parents=True, exist_ok=True)
+            src_dir.mkdir(exist_ok=True)
+            (src_dir / "tests").mkdir(exist_ok=True)
             for test in tests:
                 (src_dir / "tests" / f"{test.id}.stim").write_text(test.to_text(), "utf-8")
+            if tests:
+                if not any(suites.values()):  # the first source with tests makes oracle/
+                    (out_dir / "oracle").mkdir(exist_ok=True)
+                vcd_dir = out_dir / "oracle" / src_id.lower()
+                vcd_dir.mkdir(exist_ok=True)
+                for test in tests:
+                    (vcd_dir / f"{test.id}.vcd").write_bytes(export_vcd(traces[test.id], signature))
             _write_exchanges(src_dir / "prompts", "gen", state.exchanges)
             _write_json(state_file, summary)
         suites[src_id] = tests
+        oracle_traces[src_id] = traces
         result.gen_summaries[src_id] = summary
 
-        traces = {}
-        for test in tests:
-            trace = run(oracle, test, signature)
-            traces[test.id] = trace
-            vcd_file = out_dir / "oracle" / src_id.lower() / f"{test.id}.vcd"
-            if not vcd_file.exists():
-                _write_atomic(vcd_file, export_vcd(trace, signature))
-        oracle_traces[src_id] = traces
-
+    (out_dir / "cells").mkdir(exist_ok=True)
     for src_id, _, _ in mutants:
+        (out_dir / "cells" / src_id.lower()).mkdir(exist_ok=True)
         for tgt_id, _, _ in mutants:
             cell_dir = out_dir / "cells" / src_id.lower() / tgt_id.lower()
             result_file = cell_dir / "result.json"
             if result_file.exists():
                 cell = json.loads(result_file.read_text("utf-8"))
             else:
+                cell_dir.mkdir(exist_ok=True)
                 cell = {"source": src_id, "target": tgt_id}
                 if tgt_id in target_errors:
                     cell["skipped"] = target_errors[tgt_id]
@@ -194,30 +183,24 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
                     src_id, tgt_id, cell["ar"], Fraction(*cell["dr"]), Fraction(*cell["da"])
                 )
 
+    (out_dir / "debug").mkdir(exist_ok=True)
     for tgt_id, _, _ in mutants:
         debug_dir = out_dir / "debug" / tgt_id.lower()
         state_file = debug_dir / "state.json"
         if state_file.exists():
             result.debug_outcomes[tgt_id] = json.loads(state_file.read_text("utf-8"))
             continue
+        debug_dir.mkdir(exist_ok=True)
         tests = suites.get(tgt_id, [])
         if tgt_id in target_errors:
             outcome = {"skipped": target_errors[tgt_id]}
         elif not tests:
             outcome = {"skipped": "no tests generated for this target"}
         else:
-            state = debug(
-                spec,
-                target_designs[tgt_id],
-                tests,
-                oracle_traces[tgt_id],
-                gen_cfg,
-                provider,
-                iteration_cap=config.iteration_cap,
-                mismatch_limit=config.mismatch_limit,
-            )
+            state = debug(spec, target_designs[tgt_id], tests, oracle_traces[tgt_id], gen_cfg,
+                          provider, iteration_cap=config.iteration_cap,
+                          mismatch_limit=config.mismatch_limit)
             outcome = _debug_state_summary(state)
-            debug_dir.mkdir(parents=True, exist_ok=True)
             (debug_dir / "final.sv").write_text(state.design.text, "utf-8")
             _write_exchanges(debug_dir / "prompts", "debug", state.exchanges)
         result.debug_outcomes[tgt_id] = outcome
@@ -234,19 +217,13 @@ def _evaluate_cell(tests, oracle_traces, target, signature, outputs, cell_dir) -
     first_failing = None
     dr = Fraction(0)
     traces_dir = cell_dir / "traces"
-    traces_dir.mkdir(parents=True, exist_ok=True)
+    traces_dir.mkdir(exist_ok=True)
     for test in tests:
         trace = run(target, test, signature)
         (traces_dir / f"{test.id}.vcd").write_bytes(export_vcd(trace, signature))
         verdict = compare(trace, oracle_traces[test.id], outputs)
-        verdict_rows.append(
-            {
-                "id": test.id,
-                "outcome": verdict.outcome,
-                "mismatch_cycles": verdict.mismatch_count,
-                "cycles": test.cycles,
-            }
-        )
+        verdict_rows.append({"id": test.id, "outcome": verdict.outcome,
+                             "mismatch_cycles": verdict.mismatch_count, "cycles": test.cycles})
         if not verdict.passed and first_failing is None:
             first_failing = test.id
             dr = divergence_rate(oracle_traces[test.id], trace, outputs)
@@ -273,13 +250,10 @@ def _write_matrix_files(result: EvalRun, out_dir: Path) -> None:
             elif key in result.skipped:
                 rows.append(f"{src},{tgt},,,")
     (out_dir / "matrix.csv").write_text("\n".join(rows) + "\n", "utf-8")
-    cells_json = {}
-    for (src, tgt), cell in sorted(result.cells.items()):
-        cells_json[f"{src}->{tgt}"] = {
-            "ar": cell.ar,
-            "dr": _fraction_pair(cell.dr),
-            "da": _fraction_pair(cell.da),
-        }
+    cells_json = {
+        f"{src}->{tgt}": {"ar": c.ar, "dr": _fraction_pair(c.dr), "da": _fraction_pair(c.da)}
+        for (src, tgt), c in sorted(result.cells.items())
+    }
     skipped_json = {f"{src}->{tgt}": reason for (src, tgt), reason in sorted(result.skipped.items())}
     _write_json(
         out_dir / "matrix.json",
@@ -336,6 +310,7 @@ def evaluate_matrix(problems: list[Problem], config: RunConfig, out_root) -> dic
     """
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
+    (out_root / "problems").mkdir(exist_ok=True)
     _write_json(out_root / "run_config.json", config.as_dict())
 
     summary: dict = {"config": config.as_dict(), "problems": {}}
@@ -377,10 +352,4 @@ def evaluate_matrix(problems: list[Problem], config: RunConfig, out_root) -> dic
 
 
 def _error_entry(exc: Exception) -> dict:
-    return {
-        "mutants": 0,
-        "cells": 0,
-        "skipped_cells": 0,
-        "debug_solved": 0,
-        "error": f"{type(exc).__name__}: {exc}",
-    }
+    return _run_summary_entry(EvalRun("", "", [], error=f"{type(exc).__name__}: {exc}"))

@@ -19,6 +19,13 @@ from .metrics import bin_values
 from .sim.coverage import SCALAR_NOTE
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text("utf-8"))
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise ReportError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def _load_matrix_files(run_dir: Path) -> list[dict]:
     problems_dir = run_dir / "problems"
     if not problems_dir.is_dir():
@@ -27,7 +34,7 @@ def _load_matrix_files(run_dir: Path) -> list[dict]:
     for sub in sorted(problems_dir.iterdir()):
         matrix_file = sub / "matrix.json"
         if matrix_file.exists():
-            matrices.append(json.loads(matrix_file.read_text("utf-8")))
+            matrices.append(_read_json(matrix_file))
     if not matrices:
         raise ReportError(f"no matrix artifacts under {problems_dir}")
     return matrices
@@ -52,7 +59,7 @@ def build_report(run_dir) -> dict:
     config_file = run_dir / "run_config.json"
     if not config_file.exists():
         raise ReportError(f"missing run_config.json in {run_dir}")
-    config = json.loads(config_file.read_text("utf-8"))
+    config = _read_json(config_file)
     matrices = _load_matrix_files(run_dir)
 
     report_matrices = {}
@@ -164,8 +171,8 @@ def write_report(run_dir, out_dir=None) -> Path:
     """Emit report.json and scoreboard.txt; returns the report directory."""
     run_dir = Path(run_dir)
     out = Path(out_dir) if out_dir else run_dir / "report"
-    out.mkdir(parents=True, exist_ok=True)
     report = build_report(run_dir)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", "utf-8"
     )

@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 import random
 import re
+from contextlib import contextmanager
+from pathlib import Path
 
 from svloop.sim.stimulus import UnitTest
 
@@ -153,8 +155,6 @@ class OracleBackedResponder:
 def record_mock_script(problems, script_dir, scratch, config=None, seed=0):
     """Drive an API evaluation with the oracle-backed responder, recording
     prompt digests so the CLI can replay the identical run offline."""
-    from pathlib import Path
-
     from svloop.gateway.providers import RecordingProvider
     from svloop.manifest import RunConfig
     from svloop.matrix import evaluate_problem
@@ -181,6 +181,56 @@ class ListProvider:
     @property
     def calls_made(self):
         return self._inner.calls_made
+
+
+# --- file-system calls of a run ----------------------------------------------------
+
+WRITING_CALLS = ("write_bytes", "write_text", "replace", "mkdir")
+
+
+class SimulatedCrash(BaseException):
+    """The process dying mid-call: not an ``Exception``, so no handler in
+    svloop turns it into an error entry."""
+
+
+@contextmanager
+def path_calls(crash_at=None):
+    """Record every ``Path.exists`` call and every call in
+    ``WRITING_CALLS`` as ``(method, path)``, pathlib's own recursion
+    included. With ``crash_at=k`` the k-th writing call (1-based) stores
+    the first half of its data if it is a write, and raises
+    ``SimulatedCrash`` instead of doing anything more."""
+    calls = []
+    writes = 0
+    originals = {name: getattr(Path, name) for name in WRITING_CALLS + ("exists",)}
+
+    def recorded(name, real):
+        def call(path, *args, **kwargs):
+            nonlocal writes
+            calls.append((name, path))
+            writes += name != "exists"
+            if name != "exists" and writes == crash_at:
+                if name.startswith("write_"):
+                    real(path, args[0][: len(args[0]) // 2], *args[1:], **kwargs)
+                raise SimulatedCrash(f"{name} {path}")
+            return real(path, *args, **kwargs)
+        return call
+
+    for name, real in originals.items():
+        setattr(Path, name, recorded(name, real))
+    try:
+        yield calls
+    finally:
+        for name, real in originals.items():
+            setattr(Path, name, real)
+
+
+def tree_listing(root):
+    """Every directory and file under ``root``, files with their bytes."""
+    return {
+        path.relative_to(root).as_posix(): None if path.is_dir() else path.read_bytes()
+        for path in Path(root).rglob("*")
+    }
 
 
 # --- malformed response generator ------------------------------------------------

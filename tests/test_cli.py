@@ -284,6 +284,17 @@ class TestEvaluateAndReport:
     def test_report_on_empty_dir_fails(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nothing")]) == EXIT_DATA
 
+    @pytest.mark.parametrize("broken", ["run_config.json", "problems/adder4/matrix.json"])
+    def test_report_on_invalid_json_names_the_file(self, tmp_path, capsys, broken):
+        run_dir = tmp_path / "run"
+        (run_dir / "problems" / "adder4").mkdir(parents=True)
+        (run_dir / "run_config.json").write_text("{}\n")
+        (run_dir / broken).write_text("{")
+        assert main(["report", str(run_dir)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run_dir / broken} is not valid JSON: ")
+        assert not (run_dir / "report").exists()
+
     def test_report_custom_out_dir(self, corpus_dir, tmp_path, capsys):
         problems = load_corpus(corpus_dir)
         script = tmp_path / "script"

@@ -128,6 +128,27 @@ class TestParse:
         with pytest.raises(UnsupportedConstruct, match=needle):
             parse_design(DesignSource(snippet))
 
+    @pytest.mark.parametrize(
+        "literal",
+        ["1" * 4301, "1" * 4301 + "'d1", "8'd" + "1" * 4301],
+        ids=["decimal", "based-size", "d-base-digits"],
+    )
+    def test_literal_past_the_int_string_limit_is_a_positioned_parse_error(self, literal):
+        text = f"module m (input [3:0] a, output [3:0] y);\n  assign y = a + {literal};\nendmodule\n"
+        with pytest.raises(ParseError) as exc:
+            parse_design(DesignSource(text))
+        assert (exc.value.line, exc.value.col) == (2, 18)
+        assert str(exc.value) == "decimal literal of 4301 digits exceeds Python's 4300-digit limit"
+
+    def test_long_literals_within_the_limit_still_parse(self):
+        for literal, value in [("1" * 4300, int("1" * 4300)), ("8'h" + "f" * 5000, (1 << 20000) - 1)]:
+            text = f"module m (input [3:0] a, output [3:0] y);\n  assign y = a + {literal};\nendmodule\n"
+            assign = parse_design(DesignSource(text)).items[-1]
+            assert assign.expr.right.value == value
+        with pytest.raises(ParseError, match="malformed d-base literal"):
+            parse_design(DesignSource(
+                "module m (input [3:0] a, output [3:0] y);\n  assign y = a + 8'd1a;\nendmodule\n"))
+
     def test_syntax_error_carries_position(self):
         try:
             parse_design(DesignSource("module m (input a output y);\nendmodule"))

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from support import ListProvider, oracle_traces, valid_arbiter_stimulus
+from support import ListProvider, OracleBackedResponder, oracle_traces, valid_arbiter_stimulus
 from svloop import loops
 from svloop.frontend import DesignSource, elaborate_source, extract_signature
 from svloop.gateway import GenConfig, ProblemSpec
 from svloop.loops import debug, generate_tests
-from svloop.sim import UnitTest, collect_coverage, parse_stimulus
+from svloop.sim import UnitTest, collect_coverage, parse_stimulus, run
 
 CFG = GenConfig(strategy="nlsc", shots=0)
 
@@ -66,12 +66,19 @@ class TestGenerateLoop:
     def test_rising_flat_rising(self, problems, monkeypatch):
         p = problems["arbiter2"]
         built = []
+        candidates = []
+        parse = loops.parse_unit_test
+
+        def parsing(*args):
+            candidates.append(parse(*args))
+            return candidates[-1]
 
         def recording(*args):
             report = collect_coverage(*args)
-            built.append((args[1], report))
+            built.append((candidates[-1], report))
             return report
 
+        monkeypatch.setattr(loops, "parse_unit_test", parsing)
         monkeypatch.setattr(loops, "collect_coverage", recording)
         provider = ListProvider([RISING_A, FLAT_B, RISING_C, RISING_D, RISING_D])
         state = generate_tests(p.spec(), p.reference, CFG, provider)
@@ -89,8 +96,7 @@ class TestGenerateLoop:
         # every report the loop scored, uncovered items (the feedback text)
         # included, equals a fresh collection over the suite it then held
         assert len(built) == provider.calls_made
-        for tests, report in built:
-            candidate = tests[-1]
+        for candidate, report in built:
             suite = [t for t in state.tests if t.id < candidate.id] + [candidate]
             assert report == collect_coverage(p.design, suite, p.signature)
 
@@ -186,6 +192,16 @@ class TestDebugLoop:
         assert state.solved and state.iterations == 2
         assert [r.reason for r in state.rejections] == ["patch"]
         assert "patch rejected (parse)" in state.rejections[0].detail
+
+    def test_literal_past_the_int_string_limit_is_a_logged_rejection(self, problems):
+        p, source, tests = self.failing_suite(problems)
+        huge = p.reference.text.replace("localparam IDLE = 2'd0;", f"localparam IDLE = {'0' * 4301};")
+        provider = ListProvider([huge, p.reference.text])
+        state = debug(p.spec(), elaborate_source(source), tests, oracle_traces(p, tests), CFG,
+                      provider)
+        assert state.solved and state.iterations == 2
+        assert [r.reason for r in state.rejections] == ["patch"]
+        assert "exceeds Python's 4300-digit limit" in state.rejections[0].detail
 
     def test_budget_is_at_most_five_provider_calls(self, problems):
         p, source, tests = self.failing_suite(problems)
@@ -292,3 +308,19 @@ class TestOracleRuns:
         state = debug(p.spec(), target, suite, expected, CFG, ListProvider([p.reference.text]))
         assert state.provider_calls == 1
         assert runs and all(d is not p.design for d in runs)
+
+
+class TestGenerationTraces:
+    @pytest.mark.parametrize("pid", ["full_adder", "seq_detect"])
+    def test_kept_trace_equals_a_plain_oracle_run(self, problems, pid):
+        # the instrumented candidate run stands in for the matrix's oracle run
+        p = problems[pid]
+        responder = OracleBackedResponder(list(problems.values()), seed=3)
+        accepted = 0
+        for bc_id, source, _ in p.mutants():
+            state = generate_tests(p.spec(), source, CFG, responder, test_prefix=f"{bc_id}-t")
+            assert list(state.traces) == [t.id for t in state.tests]
+            for test in state.tests:
+                assert state.traces[test.id] == run(p.design, test, p.signature)
+            accepted += len(state.tests)
+        assert accepted >= len(p.mutants())

@@ -1,3 +1,4 @@
+import importlib
 import json
 import shutil
 from fractions import Fraction
@@ -5,9 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from support import OracleBackedResponder
+from support import (
+    OracleBackedResponder,
+    SimulatedCrash,
+    path_calls,
+    record_mock_script,
+    tree_listing,
+)
+from svloop import loops, matrix
 from svloop.manifest import RunConfig, load_corpus
-from svloop.matrix import evaluate_problem
+from svloop.matrix import evaluate_matrix, evaluate_problem
 from svloop.metrics import divergent_attack
 from svloop.sim.vcd import read_vcd
 
@@ -175,3 +183,78 @@ class TestEvaluateProblem:
             "gen-01.prompt.txt"
         ).read_text()
         assert "Implementation under test" not in prompt
+
+
+class TestWriteBudget:
+    def test_fresh_run_writes_each_unit_once(self, problems, tmp_path, monkeypatch):
+        p = problems["full_adder"]
+        engine = importlib.import_module("svloop.sim.engine")
+        original = engine.run
+        oracle_runs = []
+
+        def counting(design, *args):
+            if design is p.design:
+                oracle_runs.append(args[0].id)
+            return original(design, *args)
+
+        for module in (engine, loops, matrix):
+            monkeypatch.setattr(module, "run", counting)
+        out = tmp_path / "fa"
+        with path_calls() as calls:
+            result = run_one(problems, "full_adder", out)
+        made = [out] + [d for d in out.rglob("*") if d.is_dir()]
+        methods = [name for name, _ in calls]
+        assert methods.count("mkdir") <= len(made)
+        assert methods.count("replace") == len(list(out.rglob("*.json")))
+        assert not [path for name, path in calls if name == "exists" and path.suffix == ".vcd"]
+        # generation's candidate runs are the only oracle simulations
+        scored = sum(
+            len(gen["tests"]) + sum(r["reason"] == "coverage" for r in gen["rejections"])
+            for gen in result.gen_summaries.values()
+        )
+        assert scored and len(oracle_runs) == scored
+
+
+def unit_of(run_dir, path):
+    """(kind, ids) of the resumable unit that writes ``path``; None for the
+    problem- and run-level paths."""
+    parts = path.relative_to(run_dir).parts[2:]  # below problems/<id>/
+    if len(parts) >= 2 and parts[0] in ("sources", "oracle"):
+        return "source", parts[1]
+    if len(parts) >= 3 and parts[0] == "cells":
+        return "cell", parts[1], parts[2]
+    if len(parts) >= 2 and parts[0] == "debug":
+        return "debug", parts[1]
+    return None
+
+
+class TestCrashConsistency:
+    STRIDE = 3
+
+    def test_resume_after_a_crash_at_a_write_matches_a_clean_run(self, problems, tmp_path):
+        # A crash at writing call k, then a resume with real I/O: every k
+        # inside the first unit of each kind and at the problem and run
+        # level, every STRIDE-th k elsewhere (a full sweep takes over twice as long).
+        adder4 = problems["adder4"]
+        script = record_mock_script([adder4], tmp_path / "script", tmp_path / "record")
+        config = RunConfig(provider="mock", script_dir=str(script), seed=1)
+        clean = tmp_path / "clean"
+        with path_calls() as calls:
+            evaluate_matrix([adder4], config, clean)
+        expected = tree_listing(clean)
+        writes = [path for name, path in calls if name != "exists"]
+        firsts = {}
+        crash_points = []
+        for k, path in enumerate(writes, 1):
+            unit = unit_of(clean, path)
+            if unit is None or firsts.setdefault(unit[0], unit) == unit or k % self.STRIDE == 0:
+                crash_points.append(k)
+        assert set(firsts) == {"source", "cell", "debug"}
+        assert len(crash_points) >= len(writes) / self.STRIDE
+        for k in crash_points:
+            run_dir = tmp_path / f"crash{k}"
+            with pytest.raises(SimulatedCrash), path_calls(crash_at=k):
+                evaluate_matrix([adder4], config, run_dir)
+            evaluate_matrix([adder4], config, run_dir)
+            assert tree_listing(run_dir) == expected, f"crash at writing call {k}: {writes[k - 1]}"
+            shutil.rmtree(run_dir)
