@@ -205,14 +205,6 @@ class DesignAst:
     def params(self) -> list[ParamDecl]:
         return [it for it in self.items if isinstance(it, ParamDecl)]
 
-    @property
-    def assigns(self) -> list[ContAssign]:
-        return [it for it in self.items if isinstance(it, ContAssign)]
-
-    @property
-    def processes(self) -> list:
-        return [it for it in self.items if isinstance(it, (AlwaysComb, AlwaysSeq))]
-
 
 def walk_exprs(expr: Expr):
     """Yield expr and all sub-expressions, preorder."""

@@ -72,6 +72,14 @@ class ElaboratedDesign:
         return bool(self.seq_processes)
 
 
+# The widest port, net, parameter or sized literal a design may declare,
+# and the largest constant shift. VerilogEval's widest vectors are about
+# 1,024 bits. 2**4096 has 1,234 decimal digits, so every mask and constant
+# that lowering writes in decimal stays below Python's 4,300-digit
+# int-to-str limit, and no width can make the simulator allocate gigabytes.
+MAX_WIDTH = 4096
+
+
 def mask(value: int, width: int) -> int:
     return value & ((1 << width) - 1)
 
@@ -146,9 +154,13 @@ def _check_literals(expr, line_hint=0):
         if isinstance(sub, Literal) and sub.size is not None:
             if sub.size < 1:
                 raise WidthMismatch("literal size must be positive", sub.line or line_hint, sub.col)
-            if sub.value >= (1 << sub.size):
+            if sub.size > MAX_WIDTH:
+                raise WidthMismatch(f"literal size exceeds the {MAX_WIDTH}-bit limit",
+                                    sub.line or line_hint, sub.col)
+            if sub.value.bit_length() > sub.size:
                 raise WidthMismatch(
-                    f"literal value {sub.value} does not fit in {sub.size} bits",
+                    f"literal value of {sub.value.bit_length()} bits does not fit in "
+                    f"{sub.size} bits",
                     sub.line or line_hint,
                     sub.col,
                 )
@@ -176,6 +188,9 @@ def _const_eval(expr, params: dict[str, tuple[int, int]], what: str) -> int:
     if isinstance(expr, Binary):
         left = _const_eval(expr.left, params, what)
         right = _const_eval(expr.right, params, what)
+        if expr.op in ("<<", ">>") and not 0 <= right <= MAX_WIDTH:
+            raise WidthMismatch(f"{what} shifts by an amount outside 0..{MAX_WIDTH}",
+                                expr.line, expr.col)
         ops = {
             "+": lambda: left + right,
             "-": lambda: left - right,
@@ -206,8 +221,12 @@ def _resolve_width(msb, lsb, params, owner: str, line: int) -> int:
         return 1
     msb_v = _const_eval(msb, params, f"range bound of {owner!r}")
     lsb_v = _const_eval(lsb, params, f"range bound of {owner!r}")
+    if max(abs(msb_v), abs(lsb_v)).bit_length() > MAX_WIDTH:
+        raise WidthMismatch(f"range bound of {owner!r} is wider than {MAX_WIDTH} bits", line, 0)
     if msb_v < lsb_v or lsb_v < 0:
         raise WidthMismatch(f"invalid range [{msb_v}:{lsb_v}] for {owner!r}", line, 0)
+    if msb_v - lsb_v >= MAX_WIDTH:
+        raise WidthMismatch(f"{owner!r} is wider than the {MAX_WIDTH}-bit limit", line, 0)
     return msb_v - lsb_v + 1
 
 
@@ -257,10 +276,10 @@ def _detect_fsm_registers(seq_processes, params) -> dict[str, list[int]]:
 def elaborate(ast: DesignAst, source: DesignSource) -> ElaboratedDesign:
     """Resolve a parsed design into an executable form.
 
-    Elaboration consumes ``ast``: parameters are folded into its
-    expressions and widths and statement ids are written onto its nodes,
-    which the returned design then shares. Pass a parse of ``source``
-    that nothing else reads afterwards.
+    The returned design shares the nodes of ``ast``. Elaboration writes
+    only ``eval_width`` and ``stmt_id`` onto them, fields that neither
+    equality nor the printer reads, so ``ast`` still prints and compares
+    as parsed; parameters stay identifiers, valued in ``params``.
     """
     params: dict[str, tuple[int, int]] = {}
     for item in ast.items:
@@ -271,6 +290,9 @@ def elaborate(ast: DesignAst, source: DesignSource) -> ElaboratedDesign:
                 width = item.value.size
             else:
                 width = max(1, value.bit_length()) if value >= 0 else 32
+            if width > MAX_WIDTH:
+                raise WidthMismatch(f"parameter {item.name!r} is wider than the "
+                                    f"{MAX_WIDTH}-bit limit", item.line, 0)
             params[item.name] = (mask(value, width) if value >= 0 else mask(value, 32), width)
 
     signals: dict[str, SignalInfo] = {}
@@ -293,38 +315,7 @@ def elaborate(ast: DesignAst, source: DesignSource) -> ElaboratedDesign:
     comb_processes = [it for it in ast.items if isinstance(it, AlwaysComb)]
     seq_processes = [it for it in ast.items if isinstance(it, AlwaysSeq)]
 
-    # substitute parameter identifiers so the evaluator only sees signals
-    def fold_params(expr):
-        if isinstance(expr, Ident) and expr.name in params:
-            value, width = params[expr.name]
-            base = "d"
-            return Literal(value, width, base, line=expr.line, col=expr.col)
-        if isinstance(expr, Unary):
-            expr.operand = fold_params(expr.operand)
-        elif isinstance(expr, Binary):
-            expr.left = fold_params(expr.left)
-            expr.right = fold_params(expr.right)
-        elif isinstance(expr, Ternary):
-            expr.cond = fold_params(expr.cond)
-            expr.then = fold_params(expr.then)
-            expr.other = fold_params(expr.other)
-        return expr
-
-    # FSM detection must see parameter identifiers, so run it pre-folding
     fsm_registers = _detect_fsm_registers(seq_processes, params)
-
-    for item in cont_assigns:
-        item.expr = fold_params(item.expr)
-    for proc in comb_processes + seq_processes:
-        for stmt in walk_stmts(proc.body):
-            if isinstance(stmt, Assignment):
-                stmt.expr = fold_params(stmt.expr)
-            elif isinstance(stmt, If):
-                stmt.cond = fold_params(stmt.cond)
-            elif isinstance(stmt, Case):
-                stmt.subject = fold_params(stmt.subject)
-                for citem in stmt.items:
-                    citem.labels = [fold_params(lbl) for lbl in citem.labels]
 
     # width checks, context annotation
     for item in cont_assigns:

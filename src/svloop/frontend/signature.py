@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import AmbiguousClock
-from .ast import Binary, Ident, If, Literal, Unary, idents_in
+from .ast import Assignment, Binary, Ident, If, Literal, Unary, idents_in, walk_stmts
 from .elaborate import ElaboratedDesign
 
 
@@ -71,7 +71,16 @@ class DesignSignature:
         return "\n".join(lines)
 
 
-def _reset_polarity_from_cond(cond, name: str) -> Optional[bool]:
+def _constant(expr, params) -> Optional[int]:
+    """The value of a literal or parameter, or None for anything else."""
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, Ident) and expr.name in params:
+        return params[expr.name][0]
+    return None
+
+
+def _reset_polarity_from_cond(cond, name: str, params) -> Optional[bool]:
     """Active level implied by an if condition naming the reset, or None."""
     if isinstance(cond, Ident) and cond.name == name:
         return True
@@ -81,9 +90,9 @@ def _reset_polarity_from_cond(cond, name: str) -> Optional[bool]:
     if isinstance(cond, Binary) and cond.op in ("==", "!="):
         sides = (cond.left, cond.right)
         ident = next((s for s in sides if isinstance(s, Ident) and s.name == name), None)
-        lit = next((s for s in sides if isinstance(s, Literal)), None)
-        if ident is not None and lit is not None:
-            truth = lit.value != 0
+        values = [v for v in (_constant(s, params) for s in sides) if v is not None]
+        if ident is not None and values:
+            truth = values[0] != 0
             return truth if cond.op == "==" else not truth
     return None
 
@@ -94,15 +103,13 @@ def _leading_if(body) -> Optional[If]:
     return None
 
 
-def _branch_assigns_constants(body) -> bool:
+def _branch_assigns_constants(body, params) -> bool:
     """True when the branch looks like a reset branch: it assigns at least
-    one register and every assigned value is a constant (parameters are
-    already folded to literals by elaboration). Distinguishes a reset guard
-    from an ordinary enable guard on clock-only processes."""
-    from .ast import Assignment, walk_stmts
-
+    one register and every assigned value is a literal or a parameter.
+    Distinguishes a reset guard from an ordinary enable guard on
+    clock-only processes."""
     assigns = [s for s in walk_stmts(body) if isinstance(s, Assignment)]
-    return bool(assigns) and all(isinstance(s.expr, Literal) for s in assigns)
+    return bool(assigns) and all(_constant(s.expr, params) is not None for s in assigns)
 
 
 def extract_signature(
@@ -133,13 +140,13 @@ def extract_signature(
         if len(event_signals) == 1:
             clock_candidates.append(event_signals[0])
             lead = _leading_if(proc.body)
-            if lead is not None and _branch_assigns_constants(lead.then_body):
+            if lead is not None and _branch_assigns_constants(lead.then_body, design.params):
                 for name in set(idents_in(lead.cond)):
                     if name == event_signals[0] or name not in design.signals:
                         continue
                     info = design.signals[name]
                     if info.direction == "input" and info.width == 1:
-                        polarity = _reset_polarity_from_cond(lead.cond, name)
+                        polarity = _reset_polarity_from_cond(lead.cond, name, design.params)
                         if polarity is not None:
                             sync_resets.append((name, polarity))
             continue

@@ -406,8 +406,11 @@ def inject(
 
     Sites are drawn uniformly (seeded) and retried until a mutant both
     elaborates with a preserved signature and diverges on a witness.
-    ``ast`` is a parse of ``reference.source``; each edit made to it is
-    undone, so one parse serves every operator.
+    ``ast`` is a parse of ``reference.source`` other than the one
+    ``reference`` was elaborated from, so one parse serves every operator.
+    Each candidate is ``ast`` with one edit applied, printed for its
+    record and elaborated in place; the edit is undone before the next
+    candidate, so a candidate design is valid only until then.
     """
     signature = extract_signature(reference)
     sites = _collect_sites(op, ast, reference, signature)
@@ -418,20 +421,19 @@ def inject(
     rng.shuffle(order)
     for rank in order:
         path, line, node, attribute, value = sites[rank]
-        # print the reference with this one edit, then undo it for the next
         original = getattr(node, attribute)
         setattr(node, attribute, value)
         try:
             candidate_src = DesignSource(ast_to_source(ast), f"mutant {op.bc_id}")
+            try:
+                candidate = elaborate(ast, candidate_src)
+                if extract_signature(candidate) != signature:
+                    continue
+            except SvLoopError:
+                continue
+            witness = find_witness(reference, candidate, signature, seed, budget, cycles)
         finally:
             setattr(node, attribute, original)
-        try:
-            candidate = elaborate(parse_design(candidate_src), candidate_src)
-            if extract_signature(candidate) != signature:
-                continue
-        except SvLoopError:
-            continue
-        witness = find_witness(reference, candidate, signature, seed, budget, cycles)
         if witness is None:
             continue
         return MutantRecord(

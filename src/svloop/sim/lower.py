@@ -10,11 +10,11 @@ defines ``bind`` which returns ``(sweep, processes)``:
   caller commits after the last process of an event fires.
 
 Signals live in the list ``v``, indexed by their position in
-``design.signals``. Every evaluation width, literal and signal mask is
-folded in as an integer constant. The instrumented variant's ``bind``
-takes the ``add`` methods of a collector's statement and arm sets and
-calls them where the statement runs or the arm is taken; the plain
-variant contains no coverage calls at all.
+``design.signals``. Every evaluation width, literal, parameter value and
+signal mask is folded in as an integer constant. The instrumented
+variant's ``bind`` takes the ``add`` methods of a collector's statement
+and arm sets and calls them where the statement runs or the arm is
+taken; the plain variant contains no coverage calls at all.
 
 The generated text holds only list indices, integer constants, local
 names made here and operator tokens from the fixed tables below; no
@@ -44,10 +44,6 @@ def _mask(width: int) -> int:
     return (1 << width) - 1
 
 
-def _literal(expr: Literal) -> int:
-    return expr.value & _mask(expr.eval_width)
-
-
 class _Writer:
     """Emits the generated module for one design."""
 
@@ -66,13 +62,23 @@ class _Writer:
 
     # --- expressions --------------------------------------------------------
 
+    def constant(self, expr):
+        """The value of a literal or parameter at its evaluation width, or
+        None for any other expression."""
+        if isinstance(expr, Literal):
+            return expr.value & _mask(expr.eval_width)
+        if isinstance(expr, Ident) and expr.name in self.design.params:
+            return self.design.params[expr.name][0] & _mask(expr.eval_width)
+        return None
+
     def value(self, expr, pre: list[str], depth: int = 0) -> str:
         """Python expression for ``expr``'s value; statements that must
         run first (spilled subexpressions) are appended to ``pre``."""
+        constant = self.constant(expr)
+        if constant is not None:
+            return str(constant)
         if isinstance(expr, Ident):
             return f"v[{self.index[expr.name]}]"
-        if isinstance(expr, Literal):
-            return str(_literal(expr))
         if depth > _SPILL_DEPTH:
             temp = self.fresh("t")
             pre.append(f"{temp} = {self.value(expr, pre)}")
@@ -90,8 +96,9 @@ class _Writer:
             if op in _WRAPPING:
                 return f"(({left} {_WRAPPING[op]} {right}) & {mask})"
             if op == "<<":
-                if isinstance(expr.right, Literal):
-                    if _literal(expr.right) >= expr.eval_width:
+                shift = self.constant(expr.right)
+                if shift is not None:
+                    if shift >= expr.eval_width:
                         return "0"
                     return f"(({left} << {right}) & {mask})"
                 amount = self.fresh("r")

@@ -55,6 +55,8 @@ class ReferenceMachine:
     def eval(self, expr):
         kind = type(expr).__name__
         if kind == "Ident":
+            if expr.name in self.design.params:
+                return self.design.params[expr.name][0] & ((1 << expr.eval_width) - 1)
             return self.values[expr.name]
         if kind == "Literal":
             return expr.value & ((1 << expr.eval_width) - 1)

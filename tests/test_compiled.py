@@ -9,6 +9,7 @@ from reference_sim import product_search_reference, run_reference
 from svloop import mutate
 from svloop.errors import NoApplicableSite, NoDistinctMutant
 from svloop.frontend import elaborate_source, extract_signature, parse_design
+from svloop.frontend.elaborate import MAX_WIDTH
 from svloop.mutate import RANDOM_TEST_CYCLES, RANDOM_TESTS, inject, list_operators
 from svloop.sim import CoverageCollector, UnitTest, run
 from svloop.sim.engine import product_search
@@ -52,12 +53,16 @@ class TestDeskDesigns:
             assert_same(design, sig, tests)
 
     def test_product_search_verdicts_match_interpreter(self, problems, monkeypatch):
-        # every sequential candidate inject reaches at seed 1
-        reached = []
+        # every sequential candidate inject reaches at seed 1, searched while
+        # its edit is applied: a candidate shares the reference parse
+        verdicts = []
         real = mutate.find_witness
+        cap = RANDOM_TESTS * RANDOM_TEST_CYCLES
 
         def recording(reference, candidate, signature, *args):
-            reached.append((reference, candidate, signature))
+            verdict = product_search(reference, candidate, signature, cap)
+            assert verdict is product_search_reference(reference, candidate, signature, cap)
+            verdicts.append(verdict)
             return real(reference, candidate, signature, *args)
 
         monkeypatch.setattr(mutate, "find_witness", recording)
@@ -70,13 +75,7 @@ class TestDeskDesigns:
                     inject(problem.design, ast, op, seed=1)
                 except (NoApplicableSite, NoDistinctMutant):
                     pass
-        verdicts = set()
-        cap = RANDOM_TESTS * RANDOM_TEST_CYCLES
-        for reference, candidate, signature in reached:
-            verdict = product_search(reference, candidate, signature, cap)
-            assert verdict is product_search_reference(reference, candidate, signature, cap)
-            verdicts.add(verdict)
-        assert {True, False} <= verdicts
+        assert {True, False} <= set(verdicts)
 
 
 SHIFT = """
@@ -136,6 +135,25 @@ endmodule
 """
 
 
+TOP = MAX_WIDTH - 1
+
+# every vector exactly as wide as the elaborator allows
+WIDE = f"""
+module wide (input clk, input [{TOP}:0] a, input [{TOP}:0] b, input [11:0] s,
+             output [{TOP}:0] y, output [{TOP}:0] z, output [{TOP}:0] m,
+             output [{TOP}:0] k, output c, output reg [{TOP}:0] q);
+  localparam P = {MAX_WIDTH}'h{"f" * (MAX_WIDTH // 4)};
+  localparam Q = 3;
+  assign y = (a + b) ^ P;
+  assign z = (a << s) | (b >> s);
+  assign m = -a;
+  assign k = (a << Q) | (b << P);
+  assign c = a < b;
+  always @(posedge clk) q <= q + a;
+endmodule
+"""
+
+
 def simulate(text, rows):
     design = elaborate_source(text)
     signature = extract_signature(design)
@@ -184,6 +202,16 @@ class TestLoweringEdges:
         design = elaborate_source(text)
         signature = extract_signature(design)
         rows = data.draw(rows_for(signature))
+        assert_same(design, signature, [UnitTest("t", signature.stimulus_inputs, tuple(rows))])
+
+    @given(data=st.data())
+    @settings(max_examples=10)
+    def test_design_at_the_width_cap_matches_interpreter(self, data):
+        design = elaborate_source(WIDE)
+        signature = extract_signature(design)
+        assert {info.width for name, info in design.signals.items()
+                if name not in ("clk", "s", "c")} == {MAX_WIDTH}
+        rows = data.draw(rows_for(signature, max_size=6))
         assert_same(design, signature, [UnitTest("t", signature.stimulus_inputs, tuple(rows))])
 
     def test_deep_nesting_compiles(self):

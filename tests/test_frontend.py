@@ -19,7 +19,7 @@ from svloop.frontend import (
     extract_signature,
     parse_design,
 )
-from svloop.frontend.ast import Literal
+from svloop.frontend.ast import Ident
 from svloop.manifest import RunConfig
 from svloop.matrix import evaluate_problem
 from svloop.mutate import make_corpus
@@ -219,14 +219,17 @@ class TestElaborate:
             ("posedge", "rst"),
         ]
 
-    def test_elaboration_consumes_its_ast(self):
+    def test_elaboration_leaves_the_parse_as_written(self):
         source = DesignSource(ARBITER)
         ast = parse_design(source)
+        printed = ast_to_source(ast)
         design = elaborate(ast, source)
-        # the design shares the given nodes, with parameters folded in place
+        # the design shares the given nodes and only annotates them
         assert design.seq_processes[0] is ast.items[-1]
+        assert ast_to_source(ast) == printed
+        assert ast == parse_design(source)
         reset_state = design.seq_processes[0].body[0].then_body[0]
-        assert isinstance(reset_state.expr, Literal) and reset_state.expr.value == 0
+        assert reset_state.expr == Ident("IDLE")
         assert reset_state.expr.eval_width == 2
 
 

@@ -6,8 +6,9 @@ import pytest
 from svloop import mutate
 from svloop.cli import main
 from svloop.data import copy_corpus
-from svloop.errors import ElaborationError, NoApplicableSite, NoDistinctMutant
+from svloop.errors import ElaborationError, NoApplicableSite, NoDistinctMutant, SvLoopError
 from svloop.frontend import ast_to_source, elaborate_source, extract_signature, parse_design
+from svloop.frontend.parser import _Parser
 from svloop.mutate import (
     RANDOM_TEST_CYCLES,
     RANDOM_TESTS,
@@ -20,6 +21,7 @@ from svloop.mutate import (
 )
 from svloop.sim import run
 from svloop.sim.engine import product_search
+from svloop.sim.lower import lowered_source
 
 # applicability audit of the desk corpus, derived by hand from the designs
 # and re-checked here against the real catalog
@@ -216,25 +218,75 @@ class TestCandidateIsolation:
         assert checked >= 100
 
 
+def design_facts(design):
+    """What simulation, coverage and the corpus read of an elaborated design."""
+    try:
+        signature = extract_signature(design)
+    except SvLoopError as error:
+        signature = type(error)
+    return (lowered_source(design, False), lowered_source(design, True), signature,
+            design.fsm_registers, design.statement_ids, design.branch_arms)
+
+
+class TestInPlaceCandidates:
+    def test_every_desk_site_elaborates_as_its_printed_text(self, problems, monkeypatch):
+        # every candidate that inject elaborates on the edited reference
+        # parse is the design that a parse of its printed text gives
+        real = mutate.elaborate
+        checked = []
+
+        def checking(ast, source):
+            assert ast is shared
+            try:
+                candidate = real(ast, source)
+            except SvLoopError as error:
+                with pytest.raises(type(error)):
+                    real(parse_design(source), source)
+                raise
+            reparsed = real(parse_design(source), source)
+            assert design_facts(candidate) == design_facts(reparsed), source.text
+            checked.append(source.text)
+            return candidate
+
+        monkeypatch.setattr(mutate, "elaborate", checking)
+        monkeypatch.setattr(mutate, "find_witness", lambda *args: None)
+        for problem in problems.values():
+            shared = parse_design(problem.reference)
+            before = ast_to_source(shared)
+            for op in list_operators():
+                try:
+                    inject(problem.design, shared, op, seed=1)
+                except (NoApplicableSite, NoDistinctMutant):
+                    pass
+                assert ast_to_source(shared) == before, (problem.id, op.bc_id)
+        assert len(checked) == 165
+
+
 class TestParseCount:
     """``make_corpus`` parses the reference once for all ten operators, and
-    ``inject`` parses each candidate it tries once."""
+    ``inject`` parses nothing: it elaborates each candidate from the edited
+    reference parse."""
 
     @pytest.fixture()
-    def parsed(self, monkeypatch):
-        parsed = []
-        real = mutate.parse_design
+    def counts(self, monkeypatch):
+        counts = {"parsed": 0, "elaborated": 0}
+        parse, elaborate = _Parser.parse_module, mutate.elaborate
 
-        def counting(source):
-            parsed.append(source.origin)
-            return real(source)
+        def counting_parse(parser):
+            counts["parsed"] += 1
+            return parse(parser)
+
+        def counting_elaborate(ast, source):
+            counts["elaborated"] += 1
+            return elaborate(ast, source)
 
         # every candidate is rejected, so inject tries every site
-        monkeypatch.setattr(mutate, "parse_design", counting)
+        monkeypatch.setattr(_Parser, "parse_module", counting_parse)
+        monkeypatch.setattr(mutate, "elaborate", counting_elaborate)
         monkeypatch.setattr(mutate, "find_witness", lambda *args: None)
-        return parsed
+        return counts
 
-    def test_one_parse_per_candidate(self, problems, parsed):
+    def test_inject_parses_nothing(self, problems, counts):
         checked = 0
         for problem in problems.values():
             ast = parse_design(problem.reference)
@@ -242,24 +294,19 @@ class TestParseCount:
                 sites = _collect_sites(op, ast, problem.design, problem.signature)
                 if len(sites) < 2:
                     continue
-                parsed.clear()
+                counts.update(parsed=0, elaborated=0)
                 with pytest.raises(NoDistinctMutant):
                     inject(problem.design, ast, op, seed=1)
-                assert len(parsed) == len(sites), (problem.id, op.bc_id)
-                assert problem.reference.origin not in parsed, (problem.id, op.bc_id)
+                assert counts == {"parsed": 0, "elaborated": len(sites)}, (problem.id, op.bc_id)
                 checked += 1
         assert checked >= 20
 
-    def test_one_parse_per_candidate_plus_the_reference(self, problems, parsed):
+    def test_make_corpus_parses_the_reference_once(self, problems, counts):
         for problem in problems.values():
-            ast = parse_design(problem.reference)
-            sites = sum(len(_collect_sites(op, ast, problem.design, problem.signature))
-                        for op in list_operators())
-            parsed.clear()
+            counts.update(parsed=0)
             records, skipped = make_corpus(problem.design, seed=1)
             assert records == [] and len(skipped) == len(list_operators()), problem.id
-            assert len(parsed) == 1 + sites, problem.id
-            assert parsed.count(problem.reference.origin) == 1, problem.id
+            assert counts["parsed"] == 1, problem.id
 
 
 class TestInjectErrors:
@@ -284,12 +331,22 @@ class TestInjectErrors:
 
 class TestCorpusDigest:
     """`svloop mutate all` on the desk corpus writes the same bytes as
-    before: SHA-256 over every file's relative path, length and bytes,
-    the digest the benchmark pins per mutate seed."""
+    before for mutate seeds 1-12: SHA-256 over every file's relative path,
+    length and bytes, the digest the benchmark pins for seeds 1 and 2."""
 
     PINNED = {
         1: "a83509fc9ba7b763e88219680047a23d5ba9cb4a2c0d5ee12ea57f7ae462b9c3",
         2: "9641d978348b830421035345c94fcf9a4528302e42f7d59f13f7f0c340a6e37f",
+        3: "64e0875f864548f93178c272381962b767846b2e106b4c159bbb9951b22757b9",
+        4: "aedadb50ef4c38e02ba91d75097c23a25c3cfa6543b7ebf7698ccbd0b622ba36",
+        5: "eb3a0ae198f0d83c1d8b1f645a3078136be8a406d64a07068783533e259fb854",
+        6: "d40897bd05d0ca1d0ef19eb7be7a3f33c382f4b88e4f27536e0d01b0d08aa871",
+        7: "a64bb224718adc67d378fd98f223e598ecc2980e3959aaa8690f807d5dbdbf02",
+        8: "d4d1f53dc2ea675e555c188a82d0b9e33ab71afdb72a68d27b19343c6c83370e",
+        9: "a0a1abaa8e2c07dd5d38b188f440e329a08510b8a47ef26b71dc99cbfcc5c453",
+        10: "01ffac579ef3d6f44441390b287f9fcf2cafa7c01cb682ea6905d552bb821280",
+        11: "dd4c46f879d7f949c52c1fd226e361ef91d9f05bc676689a2d9bb0f57c1e026a",
+        12: "2adea5a7b6bd73129402f60848e01ad5db0b258ddb263a16ee034aa9a03805b9",
     }
 
     @staticmethod
