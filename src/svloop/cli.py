@@ -174,8 +174,6 @@ def cmd_parse(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from itertools import chain
-
     from .frontend.ast import DesignSource
     from .frontend.elaborate import elaborate_source
     from .frontend.signature import extract_signature
@@ -196,11 +194,12 @@ def cmd_simulate(args) -> int:
     # the instrumented run yields the plain trace, so coverage costs no second run
     collector = CoverageCollector(design, signature) if args.coverage else None
     trace = run_sim(design, test, signature, collector)
-    # the table column by column: the cycle labels, then each port's values
-    columns = [["cycle"] + [f"{n:5d}" for n in range(trace.cycles)]]
-    columns += [chain([p.name], map(str, trace.values[p.name]))
-                for p in signature.inputs + signature.outputs]
-    sys.stdout.write("\n".join(map("  ".join, zip(*columns))) + "\n")
+    # the table: a header, then the cycle label and each port's value per row
+    ports = signature.inputs + signature.outputs
+    row = "%5d" + "  %d" * len(ports)
+    rows = zip(range(trace.cycles), *(trace.values[p.name] for p in ports))
+    sys.stdout.write("  ".join(["cycle"] + [p.name for p in ports]) + "\n"
+                     + "\n".join([row % r for r in rows]) + "\n")
     if args.vcd:
         Path(args.vcd).write_bytes(export_vcd(trace, signature))
         print(f"wrote {args.vcd}")

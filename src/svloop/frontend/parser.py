@@ -46,6 +46,13 @@ from .lexer import UNSUPPORTED_KEYWORDS, Token, tokenize
 _UNARY_OPS = {"~", "!", "-", "+"}
 _RADIX = {"b": 2, "d": 10, "h": 16}
 
+# The deepest expression a design may hold: every operator and every pair
+# of parentheses on the way from an expression's root to a leaf is one
+# level. Deeper input is a positioned ParseError. At this depth the
+# parser (four frames a parenthesis), elaboration, printing, lowering and
+# the simulators all stay well inside Python's default recursion limit.
+MAX_EXPR_DEPTH = 150
+
 
 def _to_int(digits: str, radix: int, tok: Token) -> int:
     # int() refuses a decimal string past Python's limit with a bare ValueError
@@ -59,6 +66,27 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.open = 0     # levels around the point being parsed
+        self.height = 0   # levels in the expression parsed last
+
+    def enter(self):
+        """Step one level further in before a recursive call. Past the
+        depth cap this is a ParseError, so no input can exhaust the Python
+        stack. The caller steps back out with ``self.open -= 1``."""
+        if self.open == MAX_EXPR_DEPTH:
+            self.too_deep()
+        self.open += 1
+
+    def grown(self, height: int, tok: Token) -> int:
+        """``height``, checked against the depth cap for the node at ``tok``."""
+        if height > MAX_EXPR_DEPTH:
+            self.too_deep(tok)
+        return height
+
+    def too_deep(self, tok: Token | None = None):
+        tok = tok or self.cur
+        raise ParseError(f"expression nests deeper than {MAX_EXPR_DEPTH} levels",
+                         tok.line, tok.col)
 
     # --- token helpers ---
 
@@ -380,10 +408,16 @@ class _Parser:
 
     def parse_ternary(self) -> Expr:
         cond = self.parse_binary(PRECEDENCE["?:"] + 1)
-        if self.accept("?"):
+        if self.check("?"):
+            tok = self.advance()
+            height = self.height
+            self.enter()
             then = self.parse_ternary()
+            height = max(height, self.height)
             self.expect(":")
             other = self.parse_ternary()
+            self.open -= 1
+            self.height = self.grown(max(height, self.height) + 1, tok)
             return Ternary(cond, then, other, line=cond.line, col=cond.col)
         return cond
 
@@ -391,17 +425,25 @@ class _Parser:
         """Precedence climbing: fold in every binary operator of at least
         ``min_prec``; all of them associate to the left."""
         left = self.parse_unary()
+        height = self.height
         while PRECEDENCE.get(self.cur.text, 0) >= min_prec:
-            op = self.advance().text
-            right = self.parse_binary(PRECEDENCE[op] + 1)
-            left = Binary(op, left, right, line=left.line, col=left.col)
+            tok = self.advance()
+            self.enter()
+            right = self.parse_binary(PRECEDENCE[tok.text] + 1)
+            self.open -= 1
+            height = self.grown(max(height, self.height) + 1, tok)
+            left = Binary(tok.text, left, right, line=left.line, col=left.col)
+        self.height = height
         return left
 
     def parse_unary(self) -> Expr:
         tok = self.cur
         if tok.kind == "op" and tok.text in _UNARY_OPS:
             self.advance()
+            self.enter()
             operand = self.parse_unary()
+            self.open -= 1
+            self.height = self.grown(self.height + 1, tok)
             if tok.text == "+":
                 return operand
             return Unary(tok.text, operand, line=tok.line, col=tok.col)
@@ -411,11 +453,15 @@ class _Parser:
         tok = self.cur
         if tok.text == "(":
             self.advance()
-            expr = self.parse_expr()
+            self.enter()
+            expr = self.parse_ternary()
+            self.open -= 1
             self.expect(")")
+            self.height = self.grown(self.height + 1, tok)
             return expr
         if tok.text == "{":
             self.unsupported("concatenation")
+        self.height = 0
         if tok.kind == "number":
             self.advance()
             value = _to_int(tok.text.replace("_", ""), 10, tok)

@@ -4,8 +4,9 @@ Each cycle: drive the stimulus row (asynchronous edge events fire
 immediately), settle combinational logic to a fixed point, raise the
 harness clock, commit nonblocking updates, settle again, then sample
 every signal. The harness clock is lowered at the start of the next
-cycle, which is when ``negedge``-clocked processes fire. ``run`` and
-``product_search`` both advance a design through this one cycle body.
+cycle, which is when ``negedge``-clocked processes fire. The cycle body
+is generated code (``lower.harness``): ``run`` and ``product_search``
+both advance a design through the same ``step``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from ..errors import StimulusMismatch
 from ..frontend.elaborate import ElaboratedDesign
 from ..frontend.signature import DesignSignature
-from .lower import lower
+from .lower import harness, lower
 from .stimulus import UnitTest
 
 
@@ -26,92 +27,26 @@ class Trace:
     cycles: int
 
 
-class _Machine:
-    """One design under the test harness; its state is the list ``values``,
-    indexed like ``design.signals``."""
-
-    def __init__(self, design: ElaboratedDesign, signature: DesignSignature, collector=None):
+def _bound(design: ElaboratedDesign, signature: DesignSignature, instrumented: bool):
+    """``(step, start, index, probes, hits, cleared)`` of one variant: the
+    harness cycle bound to the design's lowered code, the settled all-zero
+    state every run starts from, the signal index map, the probe keys, the
+    hit list the instrumented step stores into and its state after the
+    settling sweep. Built once, with the variant's lowering, and cached on
+    the design: a mutation candidate is valid only while its edit is
+    applied, and so are the edge lists its harness is made from."""
+    cache = design._lowered_cache
+    key = (instrumented, signature.clock, signature.stimulus_inputs)
+    if key not in cache:
+        bind, probes = lower(design, instrumented)
+        hits = [0] * len(probes)
+        sweep, processes = bind(hits) if instrumented else bind()
+        start = [0] * len(design.signals)
+        sweep(start)
         index = {name: i for i, name in enumerate(design.signals)}
-        self.index = index
-        self.values = [0] * len(index)
-        bind = lower(design, collector is not None)
-        if collector is None:
-            self.sweep, processes = bind()
-        else:
-            self.sweep, processes = bind(collector.stmts.add, collector.arms.add)
-        clock = signature.clock
-        self.clock = None if clock is None else index[clock]
-        self.columns = [index[p.name] for p in signature.stimulus_inputs]
-        seq = design.seq_processes
-        self.processes = processes
-        self._posedge_clock = [
-            f for p, f in zip(seq, processes)
-            if any(ev.signal == clock and ev.edge == "posedge" for ev in p.events)
-        ]
-        self._negedge_clock = [
-            f for p, f in zip(seq, processes)
-            if any(ev.signal == clock and ev.edge == "negedge" for ev in p.events)
-        ]
-        # signal index -> (processes a negedge triggers, ... a posedge triggers)
-        self._edge_triggers: dict[int, tuple[set[int], set[int]]] = {}
-        for i, proc in enumerate(seq):
-            for ev in proc.events:
-                edges = self._edge_triggers.setdefault(index[ev.signal], (set(), set()))
-                edges[ev.edge == "posedge"].add(i)
-
-    def state(self) -> tuple[int, ...]:
-        return tuple(self.values)
-
-    def load(self, state: tuple[int, ...]):
-        self.values[:] = state
-
-    def settle(self):
-        """Bring combinational logic to its fixed point: one sweep.
-
-        Elaboration rejects every combinational node that reads a signal
-        it writes and orders ``comb_order`` topologically over read-write
-        edges, so each node runs after everything it reads has its final
-        value and a second sweep could change nothing.
-        """
-        self.sweep(self.values)
-
-    def fire(self, processes):
-        values = self.values
-        nba: dict = {}
-        for proc in processes:
-            proc(values, nba)
-        for i, value in nba.items():
-            values[i] = value
-
-    def step(self, row):
-        """One harness cycle on one stimulus row, ready to be sampled."""
-        values = self.values
-        sweep = self.sweep
-        clock = self.clock
-        if clock is not None and values[clock] == 1:
-            values[clock] = 0
-            if self._negedge_clock:
-                self.fire(self._negedge_clock)
-                sweep(values)
-        triggers = self._edge_triggers
-        triggered = None
-        for i, value in zip(self.columns, row):
-            old = values[i]
-            if old == value:
-                continue
-            values[i] = value
-            if i in triggers:
-                if triggered is None:
-                    triggered = set()
-                triggered.update(triggers[i][old == 0 and value != 0])
-        if triggered:
-            self.fire([self.processes[i] for i in sorted(triggered)])
-        sweep(values)
-        if clock is not None:
-            values[clock] = 1
-            if self._posedge_clock:
-                self.fire(self._posedge_clock)
-            sweep(values)
+        step = harness(design, signature)(sweep, processes)
+        cache[key] = (step, tuple(start), index, probes, hits, tuple(hits))
+    return cache[key]
 
 
 def run(
@@ -132,15 +67,20 @@ def run(
             )
         )
 
-    machine = _Machine(design, signature, collector)
-    step, values = machine.step, machine.values
+    step, start, _, probes, hits, cleared = _bound(design, signature, collector is not None)
+    values = list(start)
+    hits[:] = cleared
     samples = []
-    machine.settle()
+    append = samples.append
     for row in test.rows:
-        step(row)
-        samples.append(tuple(values))
+        step(values, row)
+        append(tuple(values))
     trace = Trace(dict(zip(design.signals, zip(*samples))), test.cycles)
     if collector is not None:
+        # a probe's key is a statement id or a (statement id, arm) pair
+        hit = [key for key, h in zip(probes, hits) if h]
+        collector.stmts.update(key for key in hit if type(key) is int)
+        collector.arms.update(key for key in hit if type(key) is tuple)
         collector.observe(trace.values)
     return trace
 
@@ -161,12 +101,10 @@ def product_search(
     ``max_steps`` steps without either answer.
     """
     ranges = [range(1 << p.width) for p in signature.stimulus_inputs]
-    ref = _Machine(reference, signature)
-    mut = _Machine(mutant, signature)
-    outputs = [(ref.index[p.name], mut.index[p.name]) for p in signature.outputs]
-    ref.settle()
-    mut.settle()
-    start = (ref.state(), mut.state())
+    ref_step, ref_start, ref_index, *_ = _bound(reference, signature, False)
+    mut_step, mut_start, mut_index, *_ = _bound(mutant, signature, False)
+    outputs = [(ref_index[p.name], mut_index[p.name]) for p in signature.outputs]
+    start = (ref_start, mut_start)
     seen = {start}
     frontier = [start]
     steps = 0
@@ -177,13 +115,13 @@ def product_search(
                 if steps == max_steps:
                     return None
                 steps += 1
-                ref.load(ref_state)
-                ref.step(row)
-                mut.load(mut_state)
-                mut.step(row)
-                if any(ref.values[r] != mut.values[m] for r, m in outputs):
+                ref = list(ref_state)
+                ref_step(ref, row)
+                mut = list(mut_state)
+                mut_step(mut, row)
+                if any(ref[r] != mut[m] for r, m in outputs):
                     return False
-                pair = (ref.state(), mut.state())
+                pair = (tuple(ref), tuple(mut))
                 if pair not in seen:
                     seen.add(pair)
                     reached.append(pair)

@@ -1,8 +1,9 @@
 """Lowering of an elaborated design into straight-line Python.
 
 ``lower(design, instrumented)`` generates one Python module per design
-and compiles it once; the result is cached on the design. The module
-defines ``bind`` which returns ``(sweep, processes)``:
+and variant and compiles it; the simulator binds it once and caches the
+result on the design. The module defines ``bind`` which returns
+``(sweep, processes)``:
 
 - ``sweep(v)`` runs every combinational node once, in ``comb_order``;
 - ``processes[i](v, n)`` runs clocked process ``i``: blocking writes go
@@ -12,9 +13,17 @@ defines ``bind`` which returns ``(sweep, processes)``:
 Signals live in the list ``v``, indexed by their position in
 ``design.signals``. Every evaluation width, literal, parameter value and
 signal mask is folded in as an integer constant. The instrumented
-variant's ``bind`` takes the ``add`` methods of a collector's statement
-and arm sets and calls them where the statement runs or the arm is
-taken; the plain variant contains no coverage calls at all.
+variant's ``bind`` takes a list ``H`` of hits, one per coverage probe:
+probe ``k`` is the store ``H[k] = 1`` where its statement runs or its
+arm is taken, and ``lower`` returns each probe's coverage key beside
+``bind``. The plain variant holds no probes at all.
+
+``harness(design, signature)`` generates the harness cycle around that
+module: ``make(sweep, processes)`` returns ``step(v, row)``, which
+lowers the clock and fires the ``negedge`` processes, drives the row and
+fires the processes its edges trigger, raises the clock and fires the
+``posedge`` processes, settling after each. Designs of one harness shape
+share one compiled ``make``.
 
 The generated text holds only list indices, integer constants, local
 names made here and operator tokens from the fixed tables below; no
@@ -27,6 +36,7 @@ from ..frontend.ast import (
     Assignment, Binary, Case, Ident, If, Literal, Ternary, Unary, walk_stmts,
 )
 from ..frontend.elaborate import ElaboratedDesign
+from ..frontend.signature import DesignSignature
 
 # operators whose value is the Python operator applied to the operands
 _BITWISE = {"&": "&", "|": "|", "^": "^", ">>": ">>"}
@@ -55,6 +65,7 @@ class _Writer:
         self.lines: list[str] = []       # the function being written
         self.helpers: list[list[str]] = []
         self.temps = 0
+        self.probes: list = []           # probe k's coverage key: stmt id or (id, arm)
 
     def fresh(self, prefix: str) -> str:
         self.temps += 1
@@ -139,13 +150,10 @@ class _Writer:
     def emit(self, indent: int, text: str):
         self.lines.append("    " * indent + text)
 
-    def stmt_hit(self, indent: int, stmt_id: int):
+    def probe(self, indent: int, key):
         if self.instrumented:
-            self.emit(indent, f"S({stmt_id})")
-
-    def arm_hit(self, indent: int, stmt_id: int, arm):
-        if self.instrumented:
-            self.emit(indent, f"A(({stmt_id}, {arm!r}))")
+            self.emit(indent, f"H[{len(self.probes)}] = 1")
+            self.probes.append(key)
 
     def body(self, stmts, indent: int, depth: int):
         if not stmts:
@@ -168,7 +176,7 @@ class _Writer:
         return name
 
     def statement(self, stmt, indent: int, depth: int):
-        self.stmt_hit(indent, stmt.stmt_id)
+        self.probe(indent, stmt.stmt_id)
         pre: list[str] = []
         if isinstance(stmt, Assignment):
             value = self.value(stmt.expr, pre)
@@ -182,11 +190,11 @@ class _Writer:
             for line in pre:
                 self.emit(indent, line)
             self.emit(indent, f"if {cond}:")
-            self.arm_hit(indent + 1, stmt.stmt_id, "then")
+            self.probe(indent + 1, (stmt.stmt_id, "then"))
             self.body(stmt.then_body, indent + 1, depth + 1)
             if stmt.else_body is not None or self.instrumented:
                 self.emit(indent, "else:")
-                self.arm_hit(indent + 1, stmt.stmt_id, "else")
+                self.probe(indent + 1, (stmt.stmt_id, "else"))
                 self.body(stmt.else_body or [], indent + 1, depth + 1)
         elif isinstance(stmt, Case):
             subject = self.fresh("c")
@@ -199,11 +207,11 @@ class _Writer:
                 self.emit(indent, line)
             for i, (item, test) in enumerate(zip(stmt.items, tests)):
                 self.emit(indent, f"{'elif' if i else 'if'} {test}:")
-                self.arm_hit(indent + 1, stmt.stmt_id, i)
+                self.probe(indent + 1, (stmt.stmt_id, i))
                 self.body(item.body, indent + 1, depth + 1)
             if stmt.default_body is not None:
                 self.emit(indent, "else:" if stmt.items else "if True:")
-                self.arm_hit(indent + 1, stmt.stmt_id, "default")
+                self.probe(indent + 1, (stmt.stmt_id, "default"))
                 self.body(stmt.default_body, indent + 1, depth + 1)
         else:
             raise TypeError(type(stmt).__name__)
@@ -222,7 +230,7 @@ class _Writer:
                 pre: list[str] = []
                 value = self.value(item.expr, pre)
                 target = self.index[item.target]
-                self.stmt_hit(1, item.stmt_id)
+                self.probe(1, item.stmt_id)
                 for line in pre:
                     self.emit(1, line)
                 self.emit(1, f"v[{target}] = {value} & {self.masks[target]}")
@@ -244,7 +252,7 @@ class _Writer:
             self.lines = [f"def p{i}(v, n):"]
             self.body(proc.body, 1, 0)
             functions.append(self.lines)
-        params = "S, A" if self.instrumented else ""
+        params = "H" if self.instrumented else ""
         processes = "".join(f"p{i}, " for i in range(len(design.seq_processes)))
         out = [f"def bind({params}):"]
         for function in self.helpers + functions:
@@ -253,17 +261,101 @@ class _Writer:
         return "\n".join(out) + "\n"
 
 
+def _compile(text: str, name: str):
+    namespace: dict = {"__builtins__": {}}
+    exec(compile(text, f"<generated {name}>", "exec"), namespace)
+    return namespace[name]
+
+
 def lowered_source(design: ElaboratedDesign, instrumented: bool) -> str:
     """The generated module text for one design and variant."""
     return _Writer(design, instrumented).module()
 
 
 def lower(design: ElaboratedDesign, instrumented: bool = False):
-    """The compiled ``bind`` of ``design``, built once per variant."""
-    cache = design._lowered_cache
-    if instrumented not in cache:
-        code = compile(lowered_source(design, instrumented), "<lowered design>", "exec")
-        namespace: dict = {"__builtins__": {}}
-        exec(code, namespace)
-        cache[instrumented] = namespace["bind"]
-    return cache[instrumented]
+    """``(bind, probes)`` of ``design``: the compiled ``bind`` of one
+    variant and the coverage key of each of its probes."""
+    writer = _Writer(design, instrumented)
+    return _compile(writer.module(), "bind"), tuple(writer.probes)
+
+
+def harness_source(design: ElaboratedDesign, signature: DesignSignature) -> str:
+    """The generated harness module for ``design`` under ``signature``.
+
+    It depends only on the harness shape: the clock's index, the stimulus
+    columns' indices, which processes each clock edge fires and which
+    each edge of a stimulus column triggers. Settling is one ``sweep``:
+    elaboration rejects every combinational node that reads a signal it
+    writes and orders ``comb_order`` topologically, so a second sweep
+    could change nothing.
+    """
+    index = {name: i for i, name in enumerate(design.signals)}
+    clock = signature.clock
+    columns = [index[p.name] for p in signature.stimulus_inputs]
+    on_clock: tuple[list[int], list[int]] = ([], [])    # (negedge, posedge)
+    masks = {i: [0, 0] for i in columns}                  # column -> (negedge, posedge)
+    for k, proc in enumerate(design.seq_processes):
+        for ev in proc.events:  # elaboration allows one event per signal
+            posedge = ev.edge == "posedge"
+            if ev.signal == clock:
+                on_clock[posedge].append(k)
+            if index[ev.signal] in masks:
+                masks[index[ev.signal]][posedge] |= 1 << k
+    triggers = {i: m for i, m in masks.items() if any(m)}
+    triggered = [k for k in range(len(design.seq_processes))
+                 if any((neg | pos) >> k & 1 for neg, pos in triggers.values())]
+
+    lines = ["def make(sweep, P):"]
+    if design.seq_processes:
+        lines.append("    " + "".join(f"p{k}, " for k in range(len(design.seq_processes))) + "= P")
+    lines.append("    def step(v, row):")
+
+    def fire(indent: str, calls: list[str]):
+        """Run ``calls`` on one fresh nonblocking dict, then commit it."""
+        lines.append(f"{indent}n = {{}}")
+        lines.extend(indent + call for call in calls)
+        lines.extend((f"{indent}for i, x in n.items():", f"{indent}    v[i] = x"))
+
+    if clock is not None:
+        c = index[clock]
+        lines += [f"        if v[{c}] == 1:", f"            v[{c}] = 0"]
+        if on_clock[0]:
+            fire(" " * 12, [f"p{k}(v, n)" for k in on_clock[0]])
+            lines.append("            sweep(v)")
+    # a trigger column is unpacked into a local and compared with its old
+    # value; every other column is stored as it stands
+    if columns:
+        targets = [f"a{j}" if i in triggers else f"v[{i}]" for j, i in enumerate(columns)]
+        lines.append("        " + "".join(f"{t}, " for t in targets) + "= row")
+    if triggers:
+        lines.append("        t = 0")
+        for j, i in enumerate(columns):
+            if i in triggers:
+                negedge, posedge = triggers[i]
+                lines += [f"        o = v[{i}]", f"        if o != a{j}:",
+                          f"            v[{i}] = a{j}",
+                          f"            t |= {posedge} if o == 0 else {negedge}"]
+        lines.append("        if t:")
+        fire(" " * 12, [call for k in triggered
+                        for call in (f"if t & {1 << k}:", f"    p{k}(v, n)")])
+    lines.append("        sweep(v)")
+    if clock is not None:
+        lines.append(f"        v[{c}] = 1")
+        if on_clock[1]:
+            fire(" " * 8, [f"p{k}(v, n)" for k in on_clock[1]])
+        lines.append("        sweep(v)")
+    lines.append("    return step")
+    return "\n".join(lines) + "\n"
+
+
+# harness text -> compiled ``make``; designs of one harness shape share it
+_HARNESSES: dict = {}
+
+
+def harness(design: ElaboratedDesign, signature: DesignSignature):
+    """The compiled ``make`` of ``design``'s harness under ``signature``:
+    ``make(sweep, processes)`` returns ``step(v, row)``."""
+    text = harness_source(design, signature)
+    if text not in _HARNESSES:
+        _HARNESSES[text] = _compile(text, "make")
+    return _HARNESSES[text]

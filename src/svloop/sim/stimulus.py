@@ -40,6 +40,15 @@ class UnitTest:
                         f"row {r}: value {value} does not fit {port.name}[{port.width}]"
                     )
 
+    @classmethod
+    def _checked(cls, test_id: str, columns: tuple[SignaturePort, ...],
+                 rows: tuple[tuple[int, ...], ...]) -> "UnitTest":
+        """A unit test whose rows the caller has already checked against
+        ``columns``: built without the second check of ``__post_init__``."""
+        test = object.__new__(cls)
+        test.__dict__.update(id=test_id, columns=columns, rows=rows)
+        return test
+
     @property
     def cycles(self) -> int:
         return len(self.rows)
@@ -141,7 +150,8 @@ def parse_stimulus(text: str, signature: DesignSignature, test_id: str = "t0") -
         rows.append(tuple(row))
     if not rows:
         raise MalformedStimulus("stimulus block has no cycle rows", line=header_at + 1)
-    return UnitTest(test_id, expected, tuple(rows))
+    # every row holds one binary field of exactly its column's width
+    return UnitTest._checked(test_id, expected, tuple(rows))
 
 
 def _clean_rows(columns: tuple[SignaturePort, ...]) -> re.Pattern:

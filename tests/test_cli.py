@@ -133,9 +133,9 @@ def seeded_stimulus(signature, cycles, seed) -> str:
 
 
 class TestSimulateOutputPinned:
-    """`simulate --vcd --coverage` on each desk reference with a 200-cycle
-    seeded stimulus prints and writes the same bytes as before: SHA-256 over
-    stdout followed by the VCD file."""
+    """`simulate --vcd --coverage` on each desk reference and each seed-1
+    mutant with a 200-cycle seeded stimulus prints and writes the same bytes
+    as before: SHA-256 over stdout followed by the VCD file."""
 
     PINNED = {
         "adder4": "3a04dabc5bf5b42048d54b42503c6e83ed3b256d5b4f24721a8d15014bd404a9",
@@ -145,16 +145,64 @@ class TestSimulateOutputPinned:
         "seq_detect": "2ec71271e9097f05ddd5f0c80aef78de1332dcf0fd715b148b505c65f7569a7d",
     }
 
-    @pytest.mark.parametrize("pid", sorted(PINNED))
-    def test_stdout_and_vcd_bytes(self, problems, pid, tmp_path, monkeypatch, capsys):
-        problem = problems[pid]
+    # the seed-1 mutants: negedge-clocked (BC10), async-reset variants and
+    # every other operator the corpus applies
+    PINNED_MUTANTS = {
+        "adder4/bc02": "4479b3fad5db3c7f2f96e1f16ba314e2b54f123f1e5ccc58a252d11bcffc5f3c",
+        "adder4/bc03": "c3ac240df0c26ab18be5ae87999d4fbeed3509824bd77252a23b1bb1be747386",
+        "adder4/bc04": "98e984f5758663b0f80359715ab5b52bde79d60b3ed3eb5beb5025711b8755df",
+        "adder4/bc05": "a02b37b49c232380b8a27bd274061d7e53f3b28e2d9ed2ef8a4d80c2945105e4",
+        "arbiter2/bc01": "7c9d8dccfb0b97a1f6d2ce57d88c22dbf2b28506eb5092444315f8f30bc62ea6",
+        "arbiter2/bc02": "3cb79ab5d0bc81a0de67c3b28ec4a4aa968be6afe0042ee04478eeb6de023745",
+        "arbiter2/bc03": "8e4dc9960d47bd2774ee86c16f41d3c99818c4f388eb7d5cc8dba18fac9e6a38",
+        "arbiter2/bc04": "c6f2dc5630dab731418266de0abf6fd16ab84396c3c8a67db3c1cd4e5e939ff7",
+        "arbiter2/bc05": "fadb8f96b766b38009b062390d1d80348493d5eeca3c63914e3110fd90fc4afc",
+        "arbiter2/bc06": "e0d070bcd46697b7887d99f79f180b0b2cec0a88dc7332f0846403517cf94fc2",
+        "arbiter2/bc07": "365854545d8cb8928500f88ebd0899d6282a824e5471af99e68b652a216ea2d0",
+        "arbiter2/bc08": "aa1a6aa2562a6d7b839e53b3f239fc605618cdd914e1a0686391571a41915d2e",
+        "arbiter2/bc09": "06a36f77f4faa41183b8f9bb4327d2ae0e608a95916467874fa4a4e8ba2eea0d",
+        "arbiter2/bc10": "312d45138af1970b5c7593183aef6839fc392d5aec26114fcd5ba7ca766746c7",
+        "counter3/bc03": "af12162fa08660b086664d0cada576559b522a72d8de27e5c07d05e225ab5a38",
+        "counter3/bc04": "62548784bf68130fe410358bf7dda5fc73971fd93e844fd75ea07e5171bcffd5",
+        "counter3/bc05": "ed9ebc850cfdc78517c8f4dacf83cb272cf0ab3f3a899713ca33ece89eab4c59",
+        "counter3/bc08": "692c88f21e34dbeb3fcb358bd18719f62f4e038516f76f1ccec9d82fd2a91ff9",
+        "counter3/bc10": "d9e8baf5906884fbc8266447e90ab76492489978084f762ae28e63af88b43552",
+        "full_adder/bc01": "0b27b3709bf064cbea38ef8039a6438617c08b6e7fc29eb90a4e437ffac25d83",
+        "full_adder/bc02": "2b61785957864f74ae6f501db6402ab0b8a0fbc4d3d9c40a22c2a7a93b3aa1d6",
+        "full_adder/bc03": "1d2aae38a37bc957fd784f1e7b6f55c62aa45e07a0f70e24fdb0489c4c7dc526",
+        "full_adder/bc04": "76f2d320ef584514991a8b3e50e1e755d9695ed36eff78040bcbd68efcf87cfb",
+        "full_adder/bc05": "72c0f68479aea94f3f28d08bd0d993835d29e5aa24b1092c88bcb07525a593e8",
+        "full_adder/bc09": "9a871670287bd936cc3fdedfad5a8f1db8b827c43568cc119fd59442427a8f93",
+        "seq_detect/bc02": "d1997bd4fa547707bb7a896be0f2073115d054fd98c2bd906366c04994985583",
+        "seq_detect/bc03": "b75abe02953b8554320b823cba8851e63a9149196904d561884031a03dc65af4",
+        "seq_detect/bc04": "bac1eef8ba909ec611c3fb155cc4d141628d6bc421f921f5135b51698dd7f7b8",
+        "seq_detect/bc05": "d42094c2b7682a244446baba24b48b50faaae68cdb3da33422319cad36bbf2f1",
+        "seq_detect/bc06": "e6a76480970c94cb42b8823650177cff4ef161bd2cd8805c7db07b180d71edc9",
+        "seq_detect/bc07": "64ab753b0791984593f16736c42c0436a6bd52eb426951e30407fb48e05296b9",
+        "seq_detect/bc08": "3957007ae4f80604599abb76a5b9b06c7a55f2417f68f3dbc8e6d0ac3759fb1e",
+        "seq_detect/bc10": "8ab7f98c84c4ebb4050c9515aacab60898b2fc3eaa1d36a6eac3de9e46a5a83d",
+    }
+
+    @staticmethod
+    def digest(problem, design_file, seed, tmp_path, monkeypatch, capsys) -> str:
         monkeypatch.chdir(tmp_path)
-        Path("long.stim").write_text(seeded_stimulus(problem.signature, 200, pid))
-        assert main(["simulate", str(problem.root / "ref.sv"), "--stim", "long.stim",
+        Path("long.stim").write_text(seeded_stimulus(problem.signature, 200, seed))
+        assert main(["simulate", str(problem.root / design_file), "--stim", "long.stim",
                      "--vcd", "long.vcd", "--coverage"]) == 0
         printed = capsys.readouterr().out.encode()
-        digest = hashlib.sha256(printed + Path("long.vcd").read_bytes()).hexdigest()
+        return hashlib.sha256(printed + Path("long.vcd").read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("pid", sorted(PINNED))
+    def test_stdout_and_vcd_bytes(self, problems, pid, tmp_path, monkeypatch, capsys):
+        digest = self.digest(problems[pid], "ref.sv", pid, tmp_path, monkeypatch, capsys)
         assert digest == self.PINNED[pid]
+
+    @pytest.mark.parametrize("key", sorted(PINNED_MUTANTS))
+    def test_mutant_stdout_and_vcd_bytes(self, problems, key, tmp_path, monkeypatch, capsys):
+        pid, bc = key.split("/")
+        assert {b.lower() for b, _, _ in problems[pid].mutants()} >= {bc}
+        digest = self.digest(problems[pid], f"{bc}.sv", key, tmp_path, monkeypatch, capsys)
+        assert digest == self.PINNED_MUTANTS[key]
 
 
 class TestMutateCommand:

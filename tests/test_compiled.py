@@ -1,19 +1,22 @@
 """Differential tests: the compiled simulator against the tree-walking
 reference interpreter in ``reference_sim``."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_sim import product_search_reference, run_reference
 from svloop import mutate
-from svloop.errors import NoApplicableSite, NoDistinctMutant
-from svloop.frontend import elaborate_source, extract_signature, parse_design
+from svloop.errors import NoApplicableSite, NoDistinctMutant, ParseError
+from svloop.frontend import ast_to_source, elaborate_source, extract_signature, parse_design
 from svloop.frontend.elaborate import MAX_WIDTH
+from svloop.frontend.parser import MAX_EXPR_DEPTH
 from svloop.mutate import RANDOM_TEST_CYCLES, RANDOM_TESTS, inject, list_operators
 from svloop.sim import CoverageCollector, UnitTest, run
 from svloop.sim.engine import product_search
-from svloop.sim.lower import lowered_source
+from svloop.sim.lower import harness_source, lowered_source
 
 PROBLEM_IDS = ["adder4", "arbiter2", "counter3", "full_adder", "seq_detect"]
 
@@ -134,6 +137,67 @@ module comb_nba (input [1:0] a, output reg [1:0] y, output [1:0] z);
 endmodule
 """
 
+# harness shapes: a negedge-clocked process, two asynchronous trigger
+# inputs that a row can change together (processes 0 and 2 share ``ra``,
+# 1 and 2 share ``rb``: one union, fired in process order), an
+# asynchronous trigger that reads a net settled from a negedge register
+# in the same row, and edge-triggered processes with no harness clock
+NEGEDGE = """
+module neg_clk (input clk, input rst, input [2:0] d,
+                output reg [2:0] q, output reg [2:0] r, output [2:0] s);
+  always @(negedge clk) begin
+    if (rst) q <= 3'd0; else q <= q + d;
+  end
+  always @(posedge clk) r <= q ^ d;
+  assign s = q + r;
+endmodule
+"""
+
+TWO_ASYNC = """
+module two_async (input clk, input ra, input rb, input [1:0] d,
+                  output reg [1:0] p, output reg [1:0] q, output reg [1:0] r);
+  always @(posedge clk or posedge ra) begin
+    if (ra) p <= 2'd0; else p <= p + d;
+  end
+  always @(posedge clk or negedge rb) begin
+    if (!rb) q <= p; else q <= q ^ d;
+  end
+  always @(posedge clk or posedge ra or negedge rb) begin
+    if (ra || !rb) r <= r + p + q; else r <= d;
+  end
+endmodule
+"""
+
+NEG_ASYNC = """
+module neg_async (input clk, input ra, input [2:0] d, output reg [2:0] q,
+                  output [2:0] w, output reg [2:0] p, output reg [2:0] g);
+  always @(negedge clk) q <= q + d;
+  assign w = q;
+  always @(posedge clk or posedge ra) begin
+    if (ra) p <= p + w; else p <= p ^ d;
+  end
+  always @(*) begin
+    if (clk && q == 3'd7) g = w; else g = ~w;
+  end
+endmodule
+"""
+
+UNCLOCKED = """
+module unclocked (input a, input b, input [1:0] d, output reg [1:0] x, output reg [1:0] y);
+  always @(posedge a) x <= x + d;
+  always @(negedge a or posedge b) begin
+    if (b) y <= 2'd0; else y <= y ^ x;
+  end
+endmodule
+"""
+
+
+def harness_signature(design, text):
+    """The design's signature; UNCLOCKED runs with no harness clock, so
+    its processes fire on stimulus edges only."""
+    signature = extract_signature(design)
+    return replace(signature, clock=None) if text is UNCLOCKED else signature
+
 
 TOP = MAX_WIDTH - 1
 
@@ -195,12 +259,13 @@ class TestLoweringEdges:
         assert trace.values["y"] == (1, 0, 3)
         assert trace.values["z"] == (1, 0, 3)
 
-    @pytest.mark.parametrize("text", [SHIFT, MASKS, LOGIC, HOLD, EMPTY_THEN, COMB_NBA])
+    @pytest.mark.parametrize("text", [SHIFT, MASKS, LOGIC, HOLD, EMPTY_THEN, COMB_NBA,
+                                      NEGEDGE, TWO_ASYNC, NEG_ASYNC, UNCLOCKED])
     @given(data=st.data())
     @settings(max_examples=20)
     def test_fuzzed_stimuli_match_interpreter(self, text, data):
         design = elaborate_source(text)
-        signature = extract_signature(design)
+        signature = harness_signature(design, text)
         rows = data.draw(rows_for(signature))
         assert_same(design, signature, [UnitTest("t", signature.stimulus_inputs, tuple(rows))])
 
@@ -235,8 +300,11 @@ class TestLoweringEdges:
 
     def test_generated_source_holds_no_design_text(self):
         text = """
-        module zq_mod (input clk, input zq_in, output reg zq_out, output zq_wire);
-          always @(posedge clk) zq_out <= zq_in;
+        module zq_mod (input clk, input zq_rst, input zq_in, output reg zq_out,
+                       output zq_wire);
+          always @(posedge clk or posedge zq_rst) begin
+            if (zq_rst) zq_out <= 1'b0; else zq_out <= zq_in;
+          end
           assign zq_wire = ~zq_out;
         endmodule
         """
@@ -244,4 +312,72 @@ class TestLoweringEdges:
         for instrumented in (False, True):
             source = lowered_source(design, instrumented)
             assert "zq" not in source
-            assert ("S(" in source) is instrumented
+            # coverage probes are list stores into the hit list ``H``
+            assert ("H[" in source) is instrumented
+        source = harness_source(design, extract_signature(design))
+        assert "zq" not in source and "if t & 1:" in source
+
+
+CAP = MAX_EXPR_DEPTH
+
+
+def capped_shapes(levels: int) -> dict[str, str]:
+    """Expressions ``levels`` deep, where each operator and each pair of
+    parentheses on the way to a leaf is one level."""
+    half = levels // 2
+    return {
+        "left chain": " + ".join(["a"] * (levels + 1)),
+        "parentheses": "(" * levels + "a" + ")" * levels,
+        "unary": "~" * levels + "a",
+        "ternary": "b ? a : " * levels + "a",
+        "right chain": "(a - " * half + "b" + ")" * half,
+        "logic": "(a && " * half + "b" + ")" * half,
+    }
+
+
+def capped_design(levels: int) -> str:
+    shapes = capped_shapes(levels)
+    return f"""
+module capped (input [7:0] a, input [7:0] b, output [7:0] s, output [7:0] t,
+               output [7:0] u, output [7:0] w, output reg [7:0] y);
+  assign s = {shapes["left chain"]};
+  assign t = {shapes["parentheses"]};
+  assign u = {shapes["unary"]};
+  assign w = {shapes["right chain"]};
+  always @(*) begin
+    if ({shapes["logic"]}) y = {shapes["ternary"]};
+    else y = 8'd0;
+  end
+endmodule
+"""
+
+
+class TestDepthCap:
+    def test_every_pass_runs_at_the_cap(self):
+        # parse, print and re-parse, elaborate, lower both variants and run
+        # them against the reference interpreter, all under the default
+        # recursion limit
+        text = capped_design(CAP)
+        ast = parse_design(text)
+        assert parse_design(ast_to_source(ast)) == ast
+        design = elaborate_source(text)
+        signature = extract_signature(design)
+        rows = [(0, 0), (1, 2), (255, 7), (3, 0), (128, 128)]
+        trace, report = assert_same(design, signature,
+                                    [UnitTest("t", signature.stimulus_inputs, tuple(rows))])
+        assert trace.values["s"] == tuple(a * (CAP + 1) % 256 for a, _ in rows)
+        assert trace.values["t"] == tuple(a for a, _ in rows)
+        assert report.line == 1
+
+    @pytest.mark.parametrize("shape", sorted(capped_shapes(2)))
+    def test_one_level_past_the_cap_is_a_positioned_parse_error(self, shape):
+        levels = CAP + 1 if shape in ("left chain", "parentheses", "unary", "ternary") else CAP + 2
+        text = f"module m (input [7:0] a, input [7:0] b, output [7:0] y);\n" \
+               f"  assign y = {capped_shapes(levels)[shape]};\nendmodule\n"
+        with pytest.raises(ParseError, match=f"nests deeper than {CAP} levels") as info:
+            parse_design(text)
+        assert info.value.line == 2 and info.value.col > 0
+        # far past the cap: refused before the parser's recursion runs out
+        with pytest.raises(ParseError):
+            parse_design(text.replace(capped_shapes(levels)[shape],
+                                      capped_shapes(20 * CAP)[shape]))

@@ -203,6 +203,19 @@ class TestDebugLoop:
         assert [r.reason for r in state.rejections] == ["patch"]
         assert "exceeds Python's 4300-digit limit" in state.rejections[0].detail
 
+    @pytest.mark.parametrize("deep", ["(" * 200 + "2'd0" + ")" * 200,
+                                      " + ".join(["2'd0"] * 1000)])
+    def test_expression_past_the_depth_cap_is_a_logged_rejection(self, problems, deep):
+        p, source, tests = self.failing_suite(problems)
+        nested = p.reference.text.replace("localparam IDLE = 2'd0;", f"localparam IDLE = {deep};")
+        provider = ListProvider([nested, p.reference.text])
+        state = debug(p.spec(), elaborate_source(source), tests, oracle_traces(p, tests), CFG,
+                      provider)
+        assert state.solved and state.iterations == 2
+        assert [r.reason for r in state.rejections] == ["patch"]
+        assert "patch rejected (parse)" in state.rejections[0].detail
+        assert "nests deeper than 150 levels" in state.rejections[0].detail
+
     def test_budget_is_at_most_five_provider_calls(self, problems):
         p, source, tests = self.failing_suite(problems)
         provider = ListProvider(["junk"] * 12)

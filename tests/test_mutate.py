@@ -21,7 +21,7 @@ from svloop.mutate import (
 )
 from svloop.sim import run
 from svloop.sim.engine import product_search
-from svloop.sim.lower import lowered_source
+from svloop.sim.lower import harness_source, lowered_source
 
 # applicability audit of the desk corpus, derived by hand from the designs
 # and re-checked here against the real catalog
@@ -222,9 +222,10 @@ def design_facts(design):
     """What simulation, coverage and the corpus read of an elaborated design."""
     try:
         signature = extract_signature(design)
+        harness = harness_source(design, signature)
     except SvLoopError as error:
-        signature = type(error)
-    return (lowered_source(design, False), lowered_source(design, True), signature,
+        signature = harness = type(error)
+    return (lowered_source(design, False), lowered_source(design, True), signature, harness,
             design.fsm_registers, design.statement_ids, design.branch_arms)
 
 

@@ -181,6 +181,20 @@ class TestStimulusParserMatchesReference:
             got = str(exc)
         assert got == expected
 
+    @pytest.mark.parametrize("pid", DESK)
+    def test_parsed_tests_skip_no_check_that_direct_ones_keep(self, problems, pid):
+        # parse_stimulus builds its UnitTest without checking the rows twice;
+        # the result is the test a direct UnitTest makes of the same rows,
+        # and a direct UnitTest still refuses a value out of range
+        signature = problems[pid].signature
+        columns = signature.stimulus_inputs
+        rows = ((0,) * len(columns), tuple((1 << p.width) - 1 for p in columns))
+        parsed = parse_stimulus(UnitTest("t", columns, rows).to_text(), signature, "t")
+        direct = UnitTest("t", columns, rows)
+        assert parsed == direct and hash(parsed) == hash(direct)
+        with pytest.raises(ValueError, match="does not fit"):
+            UnitTest("t", columns, rows + ((1 << columns[0].width,) + rows[0][1:],))
+
 
 @st.composite
 def traces(draw, ports=st.integers(1, 12)):
