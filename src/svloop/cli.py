@@ -59,16 +59,6 @@ def _add_provider_flags(parser):
                         help="mismatch rows shown to the debugger")
 
 
-def _binding(args):
-    from .gateway.config import ProviderBinding
-
-    if args.provider == "mock":
-        if not args.mock_script:
-            raise ProviderRejection("--provider mock requires --mock-script DIR")
-        return ProviderBinding.mock(args.mock_script)
-    return ProviderBinding.live_from_env()
-
-
 def _problem_by_name(problems_dir: str, name: str):
     from .manifest import load_problem
 
@@ -128,6 +118,8 @@ def make_parser() -> argparse.ArgumentParser:
 def _run_config(args, jobs: int = 1):
     from .manifest import RunConfig
 
+    if args.provider == "mock" and not args.mock_script:
+        raise ProviderRejection("--provider mock requires --mock-script DIR")
     return RunConfig(strategy=args.strategy, shots=args.shots, provider=args.provider,
                      script_dir=args.mock_script, seed=args.seed,
                      iteration_cap=args.iters, mismatch_limit=args.mismatch_k, jobs=jobs)
@@ -239,7 +231,7 @@ def cmd_gen_tests(args) -> int:
               f"(have: {', '.join(sorted(mutants)) or 'none'})", file=sys.stderr)
         return EXIT_DATA
     config = _run_config(args)
-    provider = build_provider(_binding(args), Path(args.out) / "provider_log")
+    provider = build_provider(config.binding(), Path(args.out) / "provider_log")
     state = generate_tests(problem.spec(), mutants[args.source], config.gen_config(),
                            provider, iteration_cap=args.iters)
     out = Path(args.out)
@@ -273,7 +265,7 @@ def cmd_debug(args) -> int:
         print(f"error: no .stim files in {tests_dir}", file=sys.stderr)
         return EXIT_DATA
     config = _run_config(args)
-    provider = build_provider(_binding(args), Path(args.out) / "provider_log")
+    provider = build_provider(config.binding(), Path(args.out) / "provider_log")
     oracle_traces = {t.id: run_sim(problem.design, t, problem.signature) for t in tests}
     state = debug_loop(problem.spec(), elaborate_source(mutants[args.target]), tests,
                        oracle_traces, config.gen_config(), provider,
@@ -294,8 +286,6 @@ def cmd_evaluate(args) -> int:
 
     problems = load_corpus(Path(args.problems))
     config = _run_config(args, jobs=args.jobs)
-    if args.provider == "mock":
-        _binding(args)  # validate early
     summary = evaluate_matrix(problems, config, args.out)
     failures = 0
     for pid, entry in sorted(summary["problems"].items()):

@@ -69,7 +69,6 @@ class ProviderBinding:
     credential: Optional[str] = field(default=None, repr=False)
     timeout: float = 60.0
     retries: int = 2
-    concurrency: int = 4
 
     def __post_init__(self):
         if self.kind == "mock":

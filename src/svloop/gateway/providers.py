@@ -111,14 +111,14 @@ class RecordingProvider:
 
 class LiveHttpProvider:
     """Chat-completion style HTTP client; credentials never reach logs.
-    Timeouts, HTTP 429 and 5xx are retried up to ``binding.retries`` times."""
+    Timeouts, HTTP 429 and 5xx are retried up to ``binding.retries`` times,
+    and no wait before a retry is longer than ``binding.timeout``."""
 
     def __init__(self, binding: ProviderBinding, log_dir=None):
         if binding.kind != "live":
             raise ProviderRejection("LiveHttpProvider requires a live binding")
         self.binding = binding
         self.log_dir = Path(log_dir) if log_dir else None
-        self._semaphore = threading.Semaphore(binding.concurrency)
         self._counter = 0
         self._lock = threading.Lock()
 
@@ -133,40 +133,39 @@ class LiveHttpProvider:
         }
         headers = {"Authorization": f"Bearer {self.binding.credential}"}
         last_error = None
-        with self._semaphore:
-            for attempt in range(self.binding.retries + 1):
-                try:
-                    response = requests.post(
-                        self.binding.endpoint,
-                        json=body,
-                        headers=headers,
-                        timeout=self.binding.timeout,
-                    )
-                except requests.Timeout as exc:
-                    last_error = exc
-                    continue
-                except requests.RequestException as exc:
-                    raise ProviderRejection(f"provider request failed: {exc}") from exc
-                status = response.status_code
-                if status != 200:
-                    last_error = ProviderRejection(
-                        f"provider returned HTTP {status}: {response.text[:200]}"
-                    )
-                    if status != 429 and not 500 <= status < 600:
-                        raise last_error
-                    if attempt < self.binding.retries:
-                        time.sleep(_retry_delay(response, attempt))
-                    continue
-                try:
-                    payload = response.json()
-                except ValueError as exc:
-                    raise ProviderRejection("provider response body is not JSON") from exc
-                try:
-                    text = payload["choices"][0]["message"]["content"]
-                except (KeyError, IndexError, TypeError) as exc:
-                    raise ProviderRejection("malformed provider response body") from exc
-                self._log(body, payload)
-                return text
+        for attempt in range(self.binding.retries + 1):
+            try:
+                response = requests.post(
+                    self.binding.endpoint,
+                    json=body,
+                    headers=headers,
+                    timeout=self.binding.timeout,
+                )
+            except requests.Timeout as exc:
+                last_error = exc
+                continue
+            except requests.RequestException as exc:
+                raise ProviderRejection(f"provider request failed: {exc}") from exc
+            status = response.status_code
+            if status != 200:
+                last_error = ProviderRejection(
+                    f"provider returned HTTP {status}: {response.text[:200]}"
+                )
+                if status != 429 and not 500 <= status < 600:
+                    raise last_error
+                if attempt < self.binding.retries:
+                    time.sleep(min(_retry_delay(response, attempt), self.binding.timeout))
+                continue
+            try:
+                payload = response.json()
+            except ValueError as exc:
+                raise ProviderRejection("provider response body is not JSON") from exc
+            try:
+                text = payload["choices"][0]["message"]["content"]
+            except (KeyError, IndexError, TypeError) as exc:
+                raise ProviderRejection("malformed provider response body") from exc
+            self._log(body, payload)
+            return text
         if isinstance(last_error, ProviderRejection):
             raise last_error
         raise ProviderTimeout(

@@ -19,7 +19,7 @@ from .errors import ManifestError
 from .frontend.ast import DesignSource
 from .frontend.elaborate import ElaboratedDesign, elaborate_source
 from .frontend.signature import DesignSignature, ResetSpec, extract_signature
-from .gateway.config import Exemplar, GenConfig, ProblemSpec
+from .gateway.config import Exemplar, GenConfig, ProblemSpec, ProviderBinding
 from .mutate import MutantRecord, SkippedOperator
 from .sim.stimulus import UnitTest, parse_stimulus
 
@@ -197,18 +197,13 @@ class RunConfig:
     def gen_config(self) -> GenConfig:
         return GenConfig(strategy=self.strategy, shots=self.shots)
 
+    def binding(self) -> ProviderBinding:
+        if self.provider == "mock":
+            return ProviderBinding.mock(self.script_dir)
+        return ProviderBinding.live_from_env()
+
     def as_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "shots": self.shots,
-            "provider": self.provider,
-            "script_dir": self.script_dir,
-            "seed": self.seed,
-            "iteration_cap": self.iteration_cap,
-            "mismatch_limit": self.mismatch_limit,
-            "jobs": self.jobs,
-            "version": self.version,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

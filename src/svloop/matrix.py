@@ -24,7 +24,6 @@ from typing import Optional
 
 from .errors import SvLoopError
 from .frontend.elaborate import elaborate_source
-from .gateway.config import ProviderBinding
 from .gateway.providers import build_provider
 from .loops import DebugState, TestGenState, debug, generate_tests
 from .manifest import Problem, RunConfig, load_problem
@@ -272,17 +271,10 @@ def _write_matrix_files(result: EvalRun, out_dir: Path) -> None:
 def _evaluate_problem_task(problem_dir: str, config_dict: dict, out_dir: str) -> dict:
     config = RunConfig.from_dict(config_dict)
     problem = load_problem(problem_dir)
-    binding = _binding_from_config(config)
     log_dir = Path(out_dir) / "provider_log" if config.provider == "live" else None
-    provider = build_provider(binding, log_dir)
+    provider = build_provider(config.binding(), log_dir)
     result = evaluate_problem(problem, config, provider, Path(out_dir))
     return _run_summary_entry(result)
-
-
-def _binding_from_config(config: RunConfig) -> ProviderBinding:
-    if config.provider == "mock":
-        return ProviderBinding.mock(config.script_dir)
-    return ProviderBinding.live_from_env()
 
 
 def _run_summary_entry(result: EvalRun) -> dict:
@@ -336,8 +328,7 @@ def evaluate_matrix(problems: list[Problem], config: RunConfig, out_root) -> dic
                 except (SvLoopError, OSError, BrokenProcessPool) as exc:
                     summary["problems"][pid] = _error_entry(exc)
     else:
-        binding = _binding_from_config(config)
-        provider = build_provider(binding, log_dir)
+        provider = build_provider(config.binding(), log_dir)
         for problem in ordered:
             try:
                 result = evaluate_problem(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 
 from ..errors import MalformedStimulus, NoStimulusFound
@@ -69,11 +70,8 @@ def parse_stimulus(text: str, signature: DesignSignature, test_id: str = "t0") -
     """
     expected = signature.stimulus_inputs
     lines = text.splitlines(keepends=True)
-    header_at = None
-    for i, line in enumerate(lines):
-        if line.strip().lower().startswith("inputs:"):
-            header_at = i
-            break
+    header_at = next((i for i, line in enumerate(lines)
+                      if line.strip().lower().startswith("inputs:")), None)
     if header_at is None:
         raise NoStimulusFound("no 'inputs:' stimulus header found")
 
@@ -106,57 +104,59 @@ def parse_stimulus(text: str, signature: DesignSignature, test_id: str = "t0") -
             line=header_at + 1,
         )
 
-    # the leading run of lines the loop below would accept as they stand is
-    # split and converted whole, one column at a time
-    body = header_at + 1
-    block = _clean_rows(expected).match(text, sum(map(len, lines[:body]))).group()
-    fields = block.split()
+    # one match accepts every row; only the line it stops at is read alone
+    start = sum(map(len, lines[:header_at + 1]))
+    end = _rows(expected).match(text, start).end()
+    fields = _COMMENT.sub("", text[start:end]).split()
     m = len(expected)
-    rows = list(zip(*(map(int, fields[j::m], repeat(2)) for j in range(m))))
-    body += len(rows)
-    for offset, raw in enumerate(lines[body:], start=body + 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            if rows:
-                break  # blank line ends the block once rows have started
-            continue
-        fields = line.split()
-        if len(fields) != len(expected):
-            if rows and any(f.strip("01") for f in fields):
-                break  # trailing prose after the block
-            raise MalformedStimulus(
-                f"expected {len(expected)} values, found {len(fields)}", line=offset
-            )
-        row = []
-        for value_text, port in zip(fields, expected):
-            if value_text.strip("01"):
-                # pure prose that happens to split into m words ends the
-                # block; a row mixing binary and garbage is corruption
-                if rows and all(f.strip("01") for f in fields):
-                    fields = None
-                    break
-                raise MalformedStimulus(
-                    f"non-binary value {value_text!r} for {port.name}", line=offset
-                )
-            if len(value_text) != port.width:
-                raise MalformedStimulus(
-                    f"value {value_text!r} is {len(value_text)} bits; "
-                    f"{port.name} needs exactly {port.width}",
-                    line=offset,
-                )
-            row.append(int(value_text, 2))
-        if fields is None:
-            break
-        rows.append(tuple(row))
+    rows = tuple(zip(*(map(int, fields[j::m], repeat(2)) for j in range(m))))
+    if end < len(text):
+        stop = header_at + 1 + len(text[start:end].splitlines())
+        _refuse(lines[stop], expected, bool(rows), stop + 1)
     if not rows:
         raise MalformedStimulus("stimulus block has no cycle rows", line=header_at + 1)
     # every row holds one binary field of exactly its column's width
-    return UnitTest._checked(test_id, expected, tuple(rows))
+    return UnitTest._checked(test_id, expected, rows)
 
 
-def _clean_rows(columns: tuple[SignaturePort, ...]) -> re.Pattern:
-    """Lines of binary fields of exactly each column's width, separated and
-    padded by spaces or tabs only, each ending in ``\\n``. Not ``\\s``: it
-    also matches characters that ``str.splitlines`` breaks lines at."""
-    fields = "[ \t]+".join(f"[01]{{{port.width}}}" for port in columns)
-    return re.compile(f"(?:[ \t]*{fields}[ \t]*\n)*")
+# character class bodies: where ``str.splitlines`` ends a line ("\r\n" is
+# one break), and every other character ``str.split`` treats as whitespace
+_BREAKS = r"\n\x0b\x0c\r\x1c-\x1e\x85\u2028\u2029"
+_SPACES = r"\t \x1f\xa0\u1680\u2000-\u200a\u202f\u205f\u3000"
+_COMMENT = re.compile(f"#[^{_BREAKS}]*")
+
+
+@lru_cache(maxsize=64)
+def _rows(columns: tuple[SignaturePort, ...]) -> re.Pattern:
+    """Any blank or comment-only lines, then every row: a binary field of
+    exactly each column's width, spaces and an optional comment, and a line
+    break or the end of the text. A bare ``\\n`` or ``\\r\\n`` after the last
+    field is tried first and nothing is captured: ``re`` keeps backtracking
+    state for every row, and both keep it as small as for plain rows."""
+    fields = f"[{_SPACES}]+".join(f"[01]{{{port.width}}}" for port in columns)
+    rest = f"[{_SPACES}]*(?:#[^{_BREAKS}]*)?"
+    end = rf"(?:\r\n|[{_BREAKS}])"
+    row = rf"[{_SPACES}]*{fields}(?:\n|\r\n|{rest}(?:{end}|\Z))"
+    return re.compile(f"(?:{rest}{end})*(?:{row})*")
+
+
+def _refuse(raw: str, columns: tuple[SignaturePort, ...], after_rows: bool,
+            line: int) -> None:
+    """Raise the error of ``raw``, the line the row pattern stopped at,
+    unless it ends the block: a blank line, or prose after the rows (not
+    one word per column with some non-binary, or no binary word at all)."""
+    words = raw.split("#", 1)[0].split()
+    prose = sum(1 for word in words if word.strip("01"))
+    if not words or after_rows and prose and (len(words) != len(columns) or prose == len(words)):
+        return
+    if len(words) != len(columns):
+        raise MalformedStimulus(f"expected {len(columns)} values, found {len(words)}", line=line)
+    for value_text, port in zip(words, columns):
+        if value_text.strip("01"):
+            raise MalformedStimulus(f"non-binary value {value_text!r} for {port.name}", line=line)
+        if len(value_text) != port.width:
+            raise MalformedStimulus(
+                f"value {value_text!r} is {len(value_text)} bits; "
+                f"{port.name} needs exactly {port.width}",
+                line=line,
+            )

@@ -309,6 +309,23 @@ class TestLoopCommands:
         ])
         assert code == EXIT_PROVIDER
 
+    @pytest.mark.parametrize("command", ["gen-tests", "debug", "evaluate"])
+    def test_mock_without_script_names_the_flag_and_writes_nothing(
+            self, cli_corpus, tmp_path, capsys, command):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        (suite / "t.stim").write_text(valid_arbiter_stimulus())
+        args = {
+            "gen-tests": ["arbiter2", "--problems", cli_corpus, "--source", "BC01"],
+            "debug": ["arbiter2", "--problems", cli_corpus, "--target", "BC01",
+                      "--tests", str(suite)],
+            "evaluate": ["--problems", cli_corpus],
+        }[command]
+        out = tmp_path / "out"
+        assert main([command, *args, "--out", str(out)]) == EXIT_PROVIDER
+        assert "--mock-script" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvaluateAndReport:
     def test_evaluate_and_report(self, corpus_dir, tmp_path, capsys):

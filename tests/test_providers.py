@@ -19,7 +19,7 @@ CFG = GenConfig()
 
 def live_binding(**kw):
     defaults = dict(endpoint="https://llm.example/v1/chat", model="m-1",
-                    credential="secret-key", retries=1, timeout=5.0)
+                    credential="secret-key", retries=1, timeout=10.0)
     defaults.update(kw)
     return ProviderBinding("live", **defaults)
 
@@ -112,6 +112,14 @@ def test_retry_after_header_sets_the_wait(monkeypatch):
     posts, sleeps = scripted_posts(monkeypatch, throttled, ok)
     assert LiveHttpProvider(live_binding()).complete("p", CFG) == "ok"
     assert sleeps == [7]
+
+
+def test_retry_after_wait_is_capped_at_the_timeout(monkeypatch):
+    ok = FakeResponse(200, {"choices": [{"message": {"content": "ok"}}]})
+    throttled = FakeResponse(429, text="slow down", headers={"Retry-After": "86400"})
+    posts, sleeps = scripted_posts(monkeypatch, throttled, ok)
+    assert LiveHttpProvider(live_binding(timeout=30.0)).complete("p", CFG) == "ok"
+    assert len(posts) == 2 and sleeps == [30.0]
 
 
 def test_other_client_error_is_not_retried(monkeypatch):

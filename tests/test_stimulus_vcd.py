@@ -2,7 +2,11 @@
 writer against the line-at-a-time and cycle-at-a-time versions they
 replaced (``reference_stimulus.py``, ``reference_vcd.py``)."""
 
+import re
+import sys
 from operator import add
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -12,15 +16,15 @@ from reference_stimulus import check_rows_reference, parse_stimulus_reference
 from reference_vcd import export_vcd_reference
 from svloop.errors import SvLoopError
 from svloop.frontend.signature import DesignSignature, SignaturePort
-from svloop.sim import UnitTest, export_vcd, parse_stimulus, read_vcd
+from svloop.sim import UnitTest, export_vcd, parse_stimulus, read_vcd, stimulus
 from svloop.sim.engine import Trace
 
 DESK = ["adder4", "arbiter2", "counter3", "full_adder", "seq_detect"]
 
 # characters ``str.split`` treats as whitespace inside a line, and line
 # breaks other than "\n" that ``str.splitlines`` honours
-ODD_SPACES = ["\t", "\xa0", "\x0b", "\x1c", "\x0c"]
-ODD_ENDS = ["\r\n", "\r", "\x0b", "\x1c", "\x85", " "]
+ODD_SPACES = ["\t", "\xa0", "\x0b", "\x1c", "\x0c", "\x1f", "\u2000", "\u3000"]
+ODD_ENDS = ["\r\n", "\r", "\x0b", "\x1c", "\x85", "\u2028", "\x1d", "\x1e", "\u2029"]
 PROSE = ["Here is the test:", "```", "done", "that is all", "so so so", "1 0 x"]
 
 
@@ -147,10 +151,66 @@ class TestStimulusParserMatchesReference:
         assert result == outcome(parse_stimulus_reference, text, sig)
         assert result[2] == line
 
+    @pytest.mark.parametrize("text, line", [
+        ("inputs: a[4], b[4], cin[1]\nHere is the test:\n1010 0101 1\n", 2),
+        ("inputs: a[4], b[4], cin[1]\n\n# rows\nso so so\n1010 0101 1\n", 4),
+        ("inputs: a[4], b[4], cin[1]\r\n# rows\r\n1010 0101\r\n", 3),
+        ("inputs: a[4], b[4], cin[1]\n# only a comment\n\n", 1),
+    ])
+    def test_error_line_before_any_row(self, problems, text, line):
+        # before the first row, prose and blank-ended texts are errors
+        sig = problems["adder4"].signature
+        result = outcome(parse_stimulus, text, sig)
+        assert result == outcome(parse_stimulus_reference, text, sig)
+        assert result[2] == line
+
     @pytest.mark.parametrize("text", ["inputs:\n\n\n", "inputs:\n \n0\n", "inputs: clk\n0\n"])
     def test_signature_without_stimulus_inputs(self, text):
         sig = DesignSignature("m", (SignaturePort("clk", 1),), (), clock="clk")
         assert outcome(parse_stimulus, text, sig) == outcome(parse_stimulus_reference, text, sig)
+
+    def test_pattern_classes_are_pythons_line_breaks_and_whitespace(self):
+        # over every code point: a break is where ``str.splitlines`` ends a
+        # line, a separator is any other place ``str.split`` splits
+        chars = "".join(map(chr, range(sys.maxunicode + 1)))
+        breaks = {c for c in chars if ("a" + c + "b").splitlines() == ["a", "b"]}
+        spaces = {c for c in chars if ("a" + c + "b").split() == ["a", "b"]} - breaks
+        assert set(re.findall(f"[{stimulus._BREAKS}]", chars)) == breaks
+        assert set(re.findall(f"[{stimulus._SPACES}]", chars)) == spaces
+
+    @pytest.mark.parametrize("end, last", [("\n", "\n"), ("\r\n", "\r\n"), ("\n", "")])
+    def test_readme_example(self, problems, end, last):
+        readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+        example = readme.split("## Stimulus format", 1)[1].split("```")[1].strip("\n")
+        text = end.join(example.splitlines()) + last
+        sig = problems["arbiter2"].signature
+        test = parse_stimulus(text, sig, "t")
+        assert test == parse_stimulus_reference(text, sig, "t")
+        assert test.rows == ((1, 0, 0), (0, 1, 0))
+
+    @given(data=st.data())
+    @settings(max_examples=100)
+    def test_refused_line_is_read_at_most_once(self, problems, data):
+        sig = problems[data.draw(st.sampled_from(DESK))].signature
+        text = data.draw(stimulus_texts(sig, noisy=True, odd=data.draw(st.booleans())))
+        if data.draw(st.booleans()):
+            text = data.draw(corrupted(text))
+        with patch.object(stimulus, "_refuse", wraps=stimulus._refuse) as refuse:
+            result = outcome(parse_stimulus, text, sig)
+        assert refuse.call_count <= 1
+        assert result == outcome(parse_stimulus_reference, text, sig)
+
+    @pytest.mark.parametrize("tail, calls", [("", 0), ("\n", 1), ("so done\n", 1),
+                                             ("1010 0101 2\n", 1)])
+    def test_refused_line_is_the_line_after_the_rows(self, problems, tail, calls):
+        sig = problems["adder4"].signature
+        text = "inputs: a[4], b[4], cin[1]\n\n# rows\r\n1010 0101 1 # one\n0000 1111 0\n" + tail
+        with patch.object(stimulus, "_refuse", wraps=stimulus._refuse) as refuse:
+            result = outcome(parse_stimulus, text, sig)
+        assert result == outcome(parse_stimulus_reference, text, sig)
+        assert refuse.call_count == calls
+        if calls:
+            assert refuse.call_args.args[3] == 6  # the line number it would name
 
     @given(data=st.data())
     @settings(max_examples=100)
