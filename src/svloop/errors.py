@@ -143,3 +143,8 @@ class ManifestError(SvLoopError):
 
 class ReportError(SvLoopError):
     pass
+
+
+class CheckpointError(SvLoopError):
+    """A run-directory checkpoint that is not valid JSON or not the shape
+    its writer gives it."""

@@ -71,6 +71,10 @@ class ElaboratedDesign:
     def is_sequential(self) -> bool:
         return bool(self.seq_processes)
 
+    def __getstate__(self):
+        # the cache holds generated functions, which do not pickle; a copy rebuilds it
+        return {**self.__dict__, "_lowered_cache": {}}
+
 
 # The widest port, net, parameter or sized literal a design may declare,
 # and the largest constant shift. VerilogEval's widest vectors are about

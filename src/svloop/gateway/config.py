@@ -26,17 +26,12 @@ ENV_KEY = "SVLOOP_PROVIDER_KEY"
 class GenConfig:
     strategy: str = NLSC
     shots: int = 0
-    temperature: float = DEFAULT_TEMPERATURE
-    max_output_tokens: Optional[int] = None
-    max_input_tokens: int = DEFAULT_INPUT_WINDOW
 
     def __post_init__(self):
         if self.strategy not in (NLS, NLSC):
             raise ValueError(f"strategy must be '{NLS}' or '{NLSC}'")
         if self.shots not in (0, 5):
             raise ValueError("shots must be 0 or 5")
-        if self.max_output_tokens is None:
-            object.__setattr__(self, "max_output_tokens", OUTPUT_TOKENS[self.strategy])
 
 
 @dataclass(frozen=True)

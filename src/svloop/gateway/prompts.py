@@ -32,12 +32,11 @@ def _load_template(name: str) -> Template:
     return Template(text)
 
 
-def _check_window(prompt: str, window: int) -> str:
+def _check_window(prompt: str) -> str:
     tokens = estimate_tokens(prompt)
-    if tokens > window:
-        raise PromptOverflow(
-            f"prompt estimated at {tokens} tokens exceeds the {window}-token input window"
-        )
+    if tokens > DEFAULT_INPUT_WINDOW:
+        raise PromptOverflow(f"prompt estimated at {tokens} tokens exceeds the "
+                             f"{DEFAULT_INPUT_WINDOW}-token input window")
     return prompt
 
 
@@ -95,7 +94,7 @@ def build_testgen_prompt(
         feedback_section=feedback_section,
         stimulus_header=spec.signature.stimulus_header(),
     )
-    return _check_window(prompt, cfg.max_input_tokens)
+    return _check_window(prompt)
 
 
 def build_debug_prompt(
@@ -103,7 +102,6 @@ def build_debug_prompt(
     buggy: DesignSource,
     failing_test: UnitTest,
     summary: MismatchSummary,
-    window: int = DEFAULT_INPUT_WINDOW,
 ) -> str:
     """Render the debugging prompt around one failing test's evidence."""
     prompt = _load_template("debug.txt").substitute(
@@ -113,4 +111,4 @@ def build_debug_prompt(
         stimulus=failing_test.to_text().rstrip(),
         mismatch_table=summary.to_table(),
     )
-    return _check_window(prompt, window)
+    return _check_window(prompt)

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..errors import ProviderRejection, ProviderTimeout, ScriptExhausted
-from .config import GenConfig, ProviderBinding
+from .config import DEFAULT_TEMPERATURE, OUTPUT_TOKENS, GenConfig, ProviderBinding
 
 INDEX_NAME = "index.json"
 RETRY_BACKOFF_S = 1.0   # wait before the first retry of an HTTP 429/5xx; doubles per retry
@@ -128,8 +128,8 @@ class LiveHttpProvider:
         body = {
             "model": self.binding.model,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": cfg.temperature,
-            "max_tokens": cfg.max_output_tokens,
+            "temperature": DEFAULT_TEMPERATURE,
+            "max_tokens": OUTPUT_TOKENS[cfg.strategy],
         }
         headers = {"Authorization": f"Bearer {self.binding.credential}"}
         last_error = None
@@ -164,6 +164,8 @@ class LiveHttpProvider:
                 text = payload["choices"][0]["message"]["content"]
             except (KeyError, IndexError, TypeError) as exc:
                 raise ProviderRejection("malformed provider response body") from exc
+            if not isinstance(text, str):
+                raise ProviderRejection("provider response content is not text")
             self._log(body, payload)
             return text
         if isinstance(last_error, ProviderRejection):

@@ -84,6 +84,20 @@ class DebugState:
         return self.best_pass == 1
 
 
+def _complete(state, provider, prompt: str, cfg: GenConfig, iteration: int) -> Optional[str]:
+    """One provider call, counted and recorded in ``state.exchanges``; a
+    failed call is a ``provider`` rejection and returns None."""
+    try:
+        response = provider.complete(prompt, cfg)
+    except GatewayError as exc:
+        state.exchanges.append(Exchange(iteration, prompt, None))
+        state.rejections.append(Rejection(iteration, "provider", str(exc)))
+        return None
+    state.provider_calls += 1
+    state.exchanges.append(Exchange(iteration, prompt, response))
+    return response
+
+
 def generate_tests(
     spec: ProblemSpec,
     source_mutant: Optional[DesignSource],
@@ -119,14 +133,9 @@ def generate_tests(
         except GatewayError as exc:
             state.rejections.append(Rejection(iteration, "prompt", str(exc)))
             continue
-        try:
-            response = provider.complete(prompt, cfg)
-            state.provider_calls += 1
-        except GatewayError as exc:
-            state.exchanges.append(Exchange(iteration, prompt, None))
-            state.rejections.append(Rejection(iteration, "provider", str(exc)))
+        response = _complete(state, provider, prompt, cfg, iteration)
+        if response is None:
             continue
-        state.exchanges.append(Exchange(iteration, prompt, response))
         try:
             test = parse_unit_test(
                 response, signature, f"{test_prefix}{iteration:02d}"
@@ -214,15 +223,11 @@ def debug(
             limit=mismatch_limit,
         )
         prompt = build_debug_prompt(spec, state.design, tests[failing_at], summary)
-        try:
-            response = provider.complete(prompt, cfg)
-            state.provider_calls += 1
-        except GatewayError as exc:
-            state.exchanges.append(Exchange(iteration, prompt, None))
-            state.rejections.append(Rejection(iteration, "provider", str(exc)))
-            state.history.append(PatchAttempt(iteration, False, None, f"provider: {exc}"))
+        response = _complete(state, provider, prompt, cfg, iteration)
+        if response is None:
+            reason = f"provider: {state.rejections[-1].detail}"
+            state.history.append(PatchAttempt(iteration, False, None, reason))
             continue
-        state.exchanges.append(Exchange(iteration, prompt, response))
         try:
             patched = parse_patch(response, signature)
             new_verdicts, new_traces = _suite_verdicts(

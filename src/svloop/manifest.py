@@ -71,21 +71,21 @@ class Problem:
         return out
 
 
-def _read_json(path: Path):
+def _read_json(path: Path, error=ManifestError):
     try:
         return json.loads(path.read_text("utf-8"))
     except ValueError as exc:  # bad JSON or bad UTF-8
-        raise ManifestError(f"{path} is not valid JSON: {exc}") from exc
+        raise error(f"{path} is not valid JSON: {exc}") from exc
 
 
 @contextmanager
-def _required_keys(path: Path):
-    """Turn a missing key or a wrongly shaped value into a ManifestError
-    that names the file."""
+def _required_keys(path: Path, error=ManifestError):
+    """Turn a missing key or a wrongly shaped value into an ``error``
+    (a ManifestError unless given) that names the file."""
     try:
         yield
     except (KeyError, TypeError, AttributeError) as exc:
-        raise ManifestError(f"{path} is malformed: missing or invalid {exc}") from exc
+        raise error(f"{path} is malformed: missing or invalid {exc}") from exc
 
 
 def _load_exemplars(path: Path) -> tuple[Exemplar, ...]:
@@ -204,7 +204,3 @@ class RunConfig:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        return cls(**data)

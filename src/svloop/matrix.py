@@ -22,11 +22,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .errors import SvLoopError
+from .errors import CheckpointError, SvLoopError
 from .frontend.elaborate import elaborate_source
 from .gateway.providers import build_provider
 from .loops import DebugState, TestGenState, debug, generate_tests
-from .manifest import Problem, RunConfig, load_problem
+from .manifest import Problem, RunConfig, _read_json, _required_keys
 from .metrics import PairResult, divergence_rate, divergent_attack
 from .sim.engine import Trace, run
 from .sim.stimulus import UnitTest, parse_stimulus
@@ -55,6 +55,13 @@ def _write_json(path: Path, data) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_bytes((json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     tmp.replace(path)
+
+
+def _read_checkpoint(path: Path) -> dict:
+    data = _read_json(path, CheckpointError)
+    if not isinstance(data, dict):
+        raise CheckpointError(f"{path} is malformed: not a JSON object")
+    return data
 
 
 def _write_exchanges(dirpath: Path, prefix: str, exchanges) -> None:
@@ -124,9 +131,10 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
         src_dir = out_dir / "sources" / src_id.lower()
         state_file = src_dir / "genstate.json"
         if state_file.exists():
-            summary = json.loads(state_file.read_text("utf-8"))
-            tests = [parse_stimulus((src_dir / "tests" / f"{tid}.stim").read_text("utf-8"),
-                                    signature, tid) for tid in summary["tests"]]
+            summary = _read_checkpoint(state_file)
+            with _required_keys(state_file, CheckpointError):
+                tests = [parse_stimulus((src_dir / "tests" / f"{tid}.stim").read_text("utf-8"),
+                                        signature, tid) for tid in summary["tests"]]
             traces = {test.id: run(oracle, test, signature) for test in tests}
         else:
             # generate_tests shows the source mutant only under NLSC
@@ -159,7 +167,7 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
             cell_dir = out_dir / "cells" / src_id.lower() / tgt_id.lower()
             result_file = cell_dir / "result.json"
             if result_file.exists():
-                cell = json.loads(result_file.read_text("utf-8"))
+                cell = _read_checkpoint(result_file)
             else:
                 cell_dir.mkdir(exist_ok=True)
                 cell = {"source": src_id, "target": tgt_id}
@@ -177,7 +185,8 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
                 _write_json(result_file, cell)
             if "skipped" in cell:
                 result.skipped[(src_id, tgt_id)] = cell["skipped"]
-            else:
+                continue
+            with _required_keys(result_file, CheckpointError):
                 result.cells[(src_id, tgt_id)] = PairResult(
                     src_id, tgt_id, cell["ar"], Fraction(*cell["dr"]), Fraction(*cell["da"])
                 )
@@ -187,7 +196,7 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
         debug_dir = out_dir / "debug" / tgt_id.lower()
         state_file = debug_dir / "state.json"
         if state_file.exists():
-            result.debug_outcomes[tgt_id] = json.loads(state_file.read_text("utf-8"))
+            result.debug_outcomes[tgt_id] = _read_checkpoint(state_file)
             continue
         debug_dir.mkdir(exist_ok=True)
         tests = suites.get(tgt_id, [])
@@ -268,16 +277,12 @@ def _write_matrix_files(result: EvalRun, out_dir: Path) -> None:
     )
 
 
-def _evaluate_problem_task(problem_dir: str, config_dict: dict, out_dir: str) -> dict:
-    config = RunConfig.from_dict(config_dict)
-    problem = load_problem(problem_dir)
-    log_dir = Path(out_dir) / "provider_log" if config.provider == "live" else None
-    provider = build_provider(config.binding(), log_dir)
-    result = evaluate_problem(problem, config, provider, Path(out_dir))
-    return _run_summary_entry(result)
-
-
-def _run_summary_entry(result: EvalRun) -> dict:
+def _problem_entry(problem: Problem, config: RunConfig, provider, out_dir: Path) -> dict:
+    """Evaluate one problem; its summary entry, an error entry if it fails."""
+    try:
+        result = evaluate_problem(problem, config, provider, out_dir)
+    except (SvLoopError, OSError) as exc:
+        return _error_entry(exc)
     entry = {
         "mutants": len(result.mutants),
         "cells": len(result.cells),
@@ -291,14 +296,25 @@ def _run_summary_entry(result: EvalRun) -> dict:
     return entry
 
 
+def _error_entry(exc: Exception) -> dict:
+    return {"mutants": 0, "cells": 0, "skipped_cells": 0, "debug_solved": 0,
+            "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _evaluate_problem_task(problem: Problem, config: RunConfig, out_dir: Path) -> dict:
+    # a worker's provider (and so its provider_log/) serves this problem only
+    provider = build_provider(config.binding(), out_dir / "provider_log")
+    return _problem_entry(problem, config, provider, out_dir)
+
+
 def evaluate_matrix(problems: list[Problem], config: RunConfig, out_root) -> dict:
     """Evaluate every problem, write the run directory, return the summary.
 
-    With ``config.jobs > 1`` problems are evaluated in separate processes;
-    a shared sequential mock script is only meaningful single-process, so
-    parallel runs should use digest-keyed scripts. A worker process that
-    dies breaks the pool, and every problem it leaves unfinished gets an
-    error entry.
+    With ``config.jobs > 1`` problems are evaluated in separate processes,
+    each handed the already-loaded problem; a shared sequential mock script
+    is only meaningful single-process, so parallel runs should use
+    digest-keyed scripts. A worker process that dies breaks the pool, and
+    every problem it leaves unfinished gets an error entry.
     """
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
@@ -307,40 +323,25 @@ def evaluate_matrix(problems: list[Problem], config: RunConfig, out_root) -> dic
 
     summary: dict = {"config": config.as_dict(), "problems": {}}
     ordered = sorted(problems, key=lambda p: p.id)
-    log_dir = out_root / "provider_log" if config.provider == "live" else None
     if config.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             futures = {
-                p.id: pool.submit(
-                    _evaluate_problem_task,
-                    str(p.root),
-                    config.as_dict(),
-                    str(out_root / "problems" / p.id),
-                )
+                p.id: pool.submit(_evaluate_problem_task, p, config, out_root / "problems" / p.id)
                 for p in ordered
             }
             for pid, future in futures.items():
                 try:
                     summary["problems"][pid] = future.result()
-                except (SvLoopError, OSError, BrokenProcessPool) as exc:
+                except BrokenProcessPool as exc:
                     summary["problems"][pid] = _error_entry(exc)
     else:
-        provider = build_provider(config.binding(), log_dir)
+        provider = build_provider(config.binding(), out_root / "provider_log")
         for problem in ordered:
-            try:
-                result = evaluate_problem(
-                    problem, config, provider, out_root / "problems" / problem.id
-                )
-            except (SvLoopError, OSError) as exc:
-                summary["problems"][problem.id] = _error_entry(exc)
-                continue
-            summary["problems"][problem.id] = _run_summary_entry(result)
+            summary["problems"][problem.id] = _problem_entry(
+                problem, config, provider, out_root / "problems" / problem.id
+            )
     _write_json(out_root / "summary.json", summary)
     return summary
-
-
-def _error_entry(exc: Exception) -> dict:
-    return _run_summary_entry(EvalRun("", "", [], error=f"{type(exc).__name__}: {exc}"))

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NoApplicableSite, NoDistinctMutant, SimulationError, SvLoopError
+from .errors import NoApplicableSite, NoDistinctMutant, SvLoopError
 from .frontend.ast import (
     AlwaysComb,
     AlwaysSeq,
@@ -383,12 +383,8 @@ def find_witness(reference, mutant, signature, seed,
     """
     if not reference.is_sequential and _total_input_bits(signature) <= EXHAUSTIVE_INPUT_BITS:
         return _exhaustive_witness(reference, mutant, signature)
-    if reference.is_sequential:
-        try:
-            if product_search(reference, mutant, signature, budget * cycles):
-                return None
-        except SimulationError:
-            pass
+    if reference.is_sequential and product_search(reference, mutant, signature, budget * cycles):
+        return None
     return _random_witness(reference, mutant, signature, seed, budget, cycles)
 
 
@@ -399,8 +395,6 @@ def inject(
     ast: DesignAst,
     op: MutationOperator,
     seed: int,
-    budget: int = RANDOM_TESTS,
-    cycles: int = RANDOM_TEST_CYCLES,
 ) -> MutantRecord:
     """Apply one operator at a seeded site and prove the result distinct.
 
@@ -431,7 +425,7 @@ def inject(
                     continue
             except SvLoopError:
                 continue
-            witness = find_witness(reference, candidate, signature, seed, budget, cycles)
+            witness = find_witness(reference, candidate, signature, seed)
         finally:
             setattr(node, attribute, original)
         if witness is None:
@@ -445,10 +439,7 @@ def inject(
 
 
 def make_corpus(
-    reference: ElaboratedDesign,
-    seed: int,
-    budget: int = RANDOM_TESTS,
-    cycles: int = RANDOM_TEST_CYCLES,
+    reference: ElaboratedDesign, seed: int
 ) -> tuple[list[MutantRecord], list[SkippedOperator]]:
     """One record per applicable operator in BC order; inapplicable or
     equivalent-only operators are recorded as skipped with a reason."""
@@ -457,7 +448,7 @@ def make_corpus(
     ast = parse_design(reference.source)
     for op in OPERATORS:
         try:
-            records.append(inject(reference, ast, op, seed, budget, cycles))
+            records.append(inject(reference, ast, op, seed))
         except NoApplicableSite:
             skipped.append(SkippedOperator(op.bc_id, op.kind, "no applicable site"))
         except NoDistinctMutant:

@@ -14,6 +14,7 @@ from support import record_mock_script, valid_arbiter_stimulus
 from svloop.cli import EXIT_DATA, EXIT_PROVIDER, EXIT_USAGE, main
 from svloop import matrix
 from svloop.data import default_corpus_root
+from svloop.gateway.config import ENV_ENDPOINT, ENV_KEY, ENV_MODEL
 from svloop.manifest import load_corpus
 from svloop.sim import engine
 from svloop.sim.coverage import collect_coverage
@@ -23,6 +24,23 @@ from svloop.sim.stimulus import UnitTest, parse_stimulus
 @pytest.fixture(scope="module")
 def cli_corpus(corpus_dir):
     return str(corpus_dir)
+
+
+@pytest.fixture(scope="module")
+def finished_run(corpus_dir, tmp_path_factory):
+    """(corpus, mock script, run directory) of a clean two-problem evaluate."""
+    base = tmp_path_factory.mktemp("finished")
+    corpus = base / "corpus"
+    for pid in ("adder4", "full_adder"):
+        shutil.copytree(corpus_dir / "problems" / pid, corpus / "problems" / pid)
+    shutil.copy(corpus_dir / "exemplars.json", corpus / "exemplars.json")
+    script = record_mock_script(load_corpus(corpus), base / "script", base / "scratch")
+    run_dir = base / "run"
+    assert main([
+        "evaluate", "--problems", str(corpus), "--out", str(run_dir),
+        "--mock-script", str(script), "--seed", "1",
+    ]) == 0
+    return corpus, script, run_dir
 
 
 class TestParseCommand:
@@ -326,6 +344,18 @@ class TestLoopCommands:
         assert "--mock-script" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_live_without_env_fails_the_same_for_any_jobs(self, cli_corpus, tmp_path, capsys,
+                                                          monkeypatch, jobs):
+        for name in (ENV_ENDPOINT, ENV_MODEL, ENV_KEY):
+            monkeypatch.delenv(name, raising=False)
+        out = tmp_path / "out"
+        code = main(["evaluate", "--problems", cli_corpus, "--out", str(out),
+                     "--provider", "live", "--jobs", jobs])
+        assert code == EXIT_PROVIDER
+        assert ENV_KEY in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
 
 class TestEvaluateAndReport:
     def test_evaluate_and_report(self, corpus_dir, tmp_path, capsys):
@@ -401,6 +431,30 @@ class TestEvaluateAndReport:
         assert summary["problems"]["adder4"]["cells"] > 0
         assert "full_adder: 0 cells" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("checkpoint, text", [
+        ("cells/bc02/bc02/result.json", None),   # truncated
+        ("sources/bc02/genstate.json", '{"tests": 5}'),
+        ("debug/bc02/state.json", "[]"),
+    ])
+    def test_corrupt_checkpoint_isolates_to_its_problem(self, finished_run, tmp_path, capsys,
+                                                         checkpoint, text):
+        corpus, script, finished = finished_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(finished, run_dir)
+        broken = run_dir / "problems" / "adder4" / checkpoint
+        original = broken.read_text()
+        broken.write_text(original[: len(original) // 2] if text is None else text)
+        code = main([
+            "evaluate", "--problems", str(corpus), "--out", str(run_dir),
+            "--mock-script", str(script), "--seed", "1",
+        ])
+        assert code == EXIT_DATA
+        problems = json.loads((run_dir / "summary.json").read_text())["problems"]
+        assert problems["adder4"]["error"].startswith(f"CheckpointError: {broken} is ")
+        before = json.loads((finished / "summary.json").read_text())["problems"]
+        assert problems["full_adder"] == before["full_adder"]
+        assert "adder4: 0 cells" in capsys.readouterr().out
+
     def test_dying_worker_becomes_error_entry(self, corpus_dir, tmp_path, capsys,
                                               monkeypatch):
         monkeypatch.setattr(matrix, "_evaluate_problem_task", _task_dying_on_seq_detect)
@@ -417,9 +471,9 @@ class TestEvaluateAndReport:
         assert "seq_detect: 0 cells" in capsys.readouterr().out
 
 
-def _task_dying_on_seq_detect(problem_dir, config_dict, out_dir):
+def _task_dying_on_seq_detect(problem, config, out_dir):
     # module level, so a worker process can unpickle it
-    if Path(problem_dir).name == "seq_detect":
+    if problem.id == "seq_detect":
         os._exit(1)
     return {"mutants": 0, "cells": 0, "skipped_cells": 0, "debug_solved": 0}
 

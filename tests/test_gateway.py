@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import pytest
 
 from svloop.errors import (
@@ -10,6 +12,8 @@ from svloop.errors import (
     ScriptExhausted,
 )
 from svloop.gateway import (
+    DEFAULT_INPUT_WINDOW,
+    DEFAULT_TEMPERATURE,
     GenConfig,
     ProviderBinding,
     ScriptedMockProvider,
@@ -21,8 +25,14 @@ from svloop.gateway import (
     prompt_digest,
     save_mock_script,
 )
+from svloop.gateway.config import OUTPUT_TOKENS
+from svloop.gateway.prompts import TOKENS_PER_WORD
 from svloop.sim import UnitTest, collect_coverage, run
 from svloop.verdict import compare, summarize
+
+
+# one word more than the fixed input window holds
+OVERLONG_DESCRIPTION = "word " * (int(DEFAULT_INPUT_WINDOW / TOKENS_PER_WORD) + 1)
 
 
 @pytest.fixture()
@@ -37,13 +47,13 @@ def arb_spec(problems):
 
 class TestGenConfig:
     def test_defaults_follow_strategy(self):
-        assert GenConfig(strategy="nlsc").max_output_tokens == 2048
-        assert GenConfig(strategy="nls").max_output_tokens == 512
+        assert [f.name for f in fields(GenConfig)] == ["strategy", "shots"]
+        assert (GenConfig().strategy, GenConfig().shots) == ("nlsc", 0)
+        assert OUTPUT_TOKENS == {"nlsc": 2048, "nls": 512}
 
     def test_temperature_and_window_defaults(self):
-        cfg = GenConfig()
-        assert cfg.temperature == 0.8
-        assert cfg.max_input_tokens == 16384
+        assert DEFAULT_TEMPERATURE == 0.8
+        assert DEFAULT_INPUT_WINDOW == 16384
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -115,9 +125,9 @@ class TestTestgenPrompt:
         assert order == sorted(order)
 
     def test_overflow(self, fa_spec):
-        cfg = GenConfig(strategy="nlsc", max_input_tokens=50)
-        with pytest.raises(PromptOverflow):
-            build_testgen_prompt(cfg, fa_spec, fa_spec.oracle.source)
+        spec = replace(fa_spec, description=OVERLONG_DESCRIPTION)
+        with pytest.raises(PromptOverflow, match="16384-token"):
+            build_testgen_prompt(GenConfig(strategy="nlsc"), spec, fa_spec.oracle.source)
 
 
 class TestDebugPrompt:
@@ -153,8 +163,9 @@ class TestDebugPrompt:
 
     def test_overflow(self, problems):
         p, source, witness, summary = self.make_summary(problems)
-        with pytest.raises(PromptOverflow):
-            build_debug_prompt(p.spec(), source, witness, summary, window=40)
+        spec = replace(p.spec(), description=OVERLONG_DESCRIPTION)
+        with pytest.raises(PromptOverflow, match="16384-token"):
+            build_debug_prompt(spec, source, witness, summary)
 
     def test_ends_with_strategies_block(self, problems):
         p, source, witness, summary = self.make_summary(problems)

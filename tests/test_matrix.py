@@ -1,5 +1,6 @@
 import importlib
 import json
+import pickle
 import shutil
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +18,7 @@ from svloop import loops, matrix
 from svloop.manifest import RunConfig, load_corpus
 from svloop.matrix import evaluate_matrix, evaluate_problem
 from svloop.metrics import divergent_attack
+from svloop.sim.engine import run
 from svloop.sim.vcd import read_vcd
 
 
@@ -183,6 +185,15 @@ class TestEvaluateProblem:
             "gen-01.prompt.txt"
         ).read_text()
         assert "Implementation under test" not in prompt
+
+
+def test_simulated_problem_pickles_for_a_worker(problems):
+    # --jobs N hands each worker the parent's Problem, whatever it has simulated
+    p = problems["seq_detect"]
+    witness = p.mutants()[0][2]
+    trace = run(p.design, witness, p.signature)
+    copy = pickle.loads(pickle.dumps(p))
+    assert run(copy.design, witness, copy.signature) == trace
 
 
 class TestWriteBudget:

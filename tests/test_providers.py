@@ -59,11 +59,15 @@ def test_successful_completion_and_redacted_log(monkeypatch, tmp_path):
     assert seen["url"] == "https://llm.example/v1/chat"
     assert seen["body"]["model"] == "m-1"
     assert seen["body"]["temperature"] == 0.8
+    assert seen["body"]["max_tokens"] == 2048
     assert seen["headers"]["Authorization"] == "Bearer secret-key"
     logs = list((tmp_path / "log").glob("exchange-*.json"))
     assert len(logs) == 1
     record = json.loads(logs[0].read_text())
     assert "secret-key" not in json.dumps(record)
+    provider.complete("prompt text", GenConfig(strategy="nls"))
+    assert seen["body"]["temperature"] == 0.8
+    assert seen["body"]["max_tokens"] == 512
 
 
 def test_http_error_is_rejection(monkeypatch):
@@ -132,6 +136,13 @@ def test_other_client_error_is_not_retried(monkeypatch):
 def test_malformed_body_is_rejection(monkeypatch):
     monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(200, {"oops": 1}))
     with pytest.raises(ProviderRejection, match="malformed"):
+        LiveHttpProvider(live_binding()).complete("p", CFG)
+
+
+def test_non_text_content_is_rejection(monkeypatch):
+    body = {"choices": [{"message": {"content": None}}]}
+    monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(200, body))
+    with pytest.raises(ProviderRejection, match="not text"):
         LiveHttpProvider(live_binding()).complete("p", CFG)
 
 
