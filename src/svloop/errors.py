@@ -1,8 +1,12 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and the one JSON reader
+that turns a torn or wrongly shaped file into a typed error.
 
 Frontend errors carry source positions so the CLI can print
 ``file:line:col: message`` diagnostics.
 """
+
+import json
+from contextlib import contextmanager
 
 
 class SvLoopError(Exception):
@@ -148,3 +152,27 @@ class ReportError(SvLoopError):
 class CheckpointError(SvLoopError):
     """A run-directory checkpoint that is not valid JSON or not the shape
     its writer gives it."""
+
+
+class MockScriptError(SvLoopError):
+    """A mock-script ``index.json`` that is not valid JSON or not the shape
+    ``save_mock_script`` writes."""
+
+
+# --- reading JSON files -----------------------------------------------------
+
+def _read_json(path, error=ManifestError):
+    try:
+        return json.loads(path.read_text("utf-8"))
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise error(f"{path} is not valid JSON: {exc}") from exc
+
+
+@contextmanager
+def _required_keys(path, error=ManifestError):
+    """Turn a missing key or a wrongly shaped or valued entry into an
+    ``error`` (a ManifestError unless given) that names the file."""
+    try:
+        yield
+    except (LookupError, TypeError, AttributeError, ValueError, ZeroDivisionError) as exc:
+        raise error(f"{path} is malformed: missing or invalid {exc}") from exc

@@ -10,12 +10,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 import time
 from pathlib import Path
 from typing import Optional
 
-from ..errors import ProviderRejection, ProviderTimeout, ScriptExhausted
+from ..errors import (
+    MockScriptError,
+    ProviderRejection,
+    ProviderTimeout,
+    ScriptExhausted,
+    _read_json,
+    _required_keys,
+)
 from .config import DEFAULT_TEMPERATURE, OUTPUT_TOKENS, GenConfig, ProviderBinding
 
 INDEX_NAME = "index.json"
@@ -27,44 +33,38 @@ def prompt_digest(prompt: str) -> str:
 
 
 class ScriptedMockProvider:
-    """Replays recorded responses; safe for concurrent callers."""
+    """Replays recorded responses."""
 
     def __init__(self, responses=(), digest_map: Optional[dict[str, str]] = None):
         self._sequence = list(responses)
         self._digests = dict(digest_map or {})
         self._cursor = 0
-        self._lock = threading.Lock()
 
     @classmethod
     def from_dir(cls, path) -> "ScriptedMockProvider":
         path = Path(path)
         index_file = path / INDEX_NAME
-        digest_map = {}
-        sequence_names = []
-        if index_file.exists():
-            index = json.loads(index_file.read_text("utf-8"))
-            for digest, name in index.get("digests", {}).items():
-                digest_map[digest] = (path / name).read_text("utf-8")
-            sequence_names = index.get("sequence", [])
-        else:
-            sequence_names = sorted(
-                p.name for p in path.glob("response-*.txt")
-            )
-        sequence = [(path / name).read_text("utf-8") for name in sequence_names]
+        if not index_file.exists():
+            names = sorted(p.name for p in path.glob("response-*.txt"))
+            return cls([(path / name).read_text("utf-8") for name in names])
+        index = _read_json(index_file, MockScriptError)
+        with _required_keys(index_file, MockScriptError):
+            digest_map = {digest: (path / name).read_text("utf-8")
+                          for digest, name in index.get("digests", {}).items()}
+            sequence = [(path / name).read_text("utf-8") for name in index.get("sequence", [])]
         return cls(sequence, digest_map)
 
     def complete(self, prompt: str, cfg: GenConfig) -> str:
         digest = prompt_digest(prompt)
-        with self._lock:
-            if digest in self._digests:
-                return self._digests[digest]
-            if self._cursor >= len(self._sequence):
-                raise ScriptExhausted(
-                    f"mock script exhausted after {self._cursor} sequential responses"
-                )
-            response = self._sequence[self._cursor]
-            self._cursor += 1
-            return response
+        if digest in self._digests:
+            return self._digests[digest]
+        if self._cursor >= len(self._sequence):
+            raise ScriptExhausted(
+                f"mock script exhausted after {self._cursor} sequential responses"
+            )
+        response = self._sequence[self._cursor]
+        self._cursor += 1
+        return response
 
     @property
     def calls_made(self) -> int:
@@ -97,12 +97,10 @@ class RecordingProvider:
     def __init__(self, inner):
         self.inner = inner
         self.pairs: list[tuple[str, str, str]] = []  # (digest, prompt, response)
-        self._lock = threading.Lock()
 
     def complete(self, prompt: str, cfg: GenConfig) -> str:
         response = self.inner.complete(prompt, cfg)
-        with self._lock:
-            self.pairs.append((prompt_digest(prompt), prompt, response))
+        self.pairs.append((prompt_digest(prompt), prompt, response))
         return response
 
     def save_script(self, path):
@@ -120,7 +118,6 @@ class LiveHttpProvider:
         self.binding = binding
         self.log_dir = Path(log_dir) if log_dir else None
         self._counter = 0
-        self._lock = threading.Lock()
 
     def complete(self, prompt: str, cfg: GenConfig) -> str:
         import requests
@@ -178,14 +175,12 @@ class LiveHttpProvider:
         if self.log_dir is None:
             return
         self.log_dir.mkdir(parents=True, exist_ok=True)
-        with self._lock:
-            self._counter += 1
-            n = self._counter
+        self._counter += 1
         record = {
             "request": dict(request_body, authorization="<redacted>"),
             "response": response_body,
         }
-        (self.log_dir / f"exchange-{n:04d}.json").write_text(
+        (self.log_dir / f"exchange-{self._counter:04d}.json").write_text(
             json.dumps(record, indent=2, sort_keys=True), "utf-8"
         )
 

@@ -222,7 +222,12 @@ def debug(
             test_id=tests[failing_at].id,
             limit=mismatch_limit,
         )
-        prompt = build_debug_prompt(spec, state.design, tests[failing_at], summary)
+        try:
+            prompt = build_debug_prompt(spec, state.design, tests[failing_at], summary)
+        except GatewayError as exc:
+            state.rejections.append(Rejection(iteration, "prompt", str(exc)))
+            state.history.append(PatchAttempt(iteration, False, None, f"prompt: {exc}"))
+            continue
         response = _complete(state, provider, prompt, cfg, iteration)
         if response is None:
             reason = f"provider: {state.rejections[-1].detail}"

@@ -9,13 +9,12 @@ recording operator, site, seed, and witness stimulus per mutant.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .errors import ManifestError
+from .errors import ManifestError, _read_json, _required_keys
 from .frontend.ast import DesignSource
 from .frontend.elaborate import ElaboratedDesign, elaborate_source
 from .frontend.signature import DesignSignature, ResetSpec, extract_signature
@@ -69,23 +68,6 @@ class Problem:
                 witness = parse_stimulus(record["witness"], self.signature, "witness")
                 out.append((record["bc_id"], source, witness))
         return out
-
-
-def _read_json(path: Path, error=ManifestError):
-    try:
-        return json.loads(path.read_text("utf-8"))
-    except ValueError as exc:  # bad JSON or bad UTF-8
-        raise error(f"{path} is not valid JSON: {exc}") from exc
-
-
-@contextmanager
-def _required_keys(path: Path, error=ManifestError):
-    """Turn a missing key or a wrongly shaped value into an ``error``
-    (a ManifestError unless given) that names the file."""
-    try:
-        yield
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise error(f"{path} is malformed: missing or invalid {exc}") from exc
 
 
 def _load_exemplars(path: Path) -> tuple[Exemplar, ...]:

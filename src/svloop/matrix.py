@@ -10,7 +10,9 @@ that writes its files, then its JSON checkpoint (``genstate.json``,
 ``result.json``, ``state.json``), the one file renamed into place. A
 resume trusts a unit exactly when its checkpoint exists and rewrites it
 otherwise: consistent across a process crash at any write, not across
-power loss. A fresh source writes its oracle VCDs from the traces that
+power loss. It reads every checkpoint, but elaborates a target, or reads
+and simulates a checkpointed source's tests, only for a unit that must be
+rewritten. A fresh source writes its oracle VCDs from the traces that
 generation made. Artifacts carry no timestamp; a rerun is byte-identical.
 """
 
@@ -22,11 +24,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .errors import CheckpointError, SvLoopError
-from .frontend.elaborate import elaborate_source
+from .errors import CheckpointError, SvLoopError, _read_json, _required_keys
+from .frontend.elaborate import ElaboratedDesign, elaborate_source
 from .gateway.providers import build_provider
 from .loops import DebugState, TestGenState, debug, generate_tests
-from .manifest import Problem, RunConfig, _read_json, _required_keys
+from .manifest import Problem, RunConfig
 from .metrics import PairResult, divergence_rate, divergent_attack
 from .sim.engine import Trace, run
 from .sim.stimulus import UnitTest, parse_stimulus
@@ -112,43 +114,55 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
     outputs = [p.name for p in signature.outputs]
     gen_cfg = config.gen_config()
     oracle = problem.design
+    sources = {bc_id: source for bc_id, source, _ in mutants}
 
-    target_designs = {}
-    target_errors = {}
-    for bc_id, source, _ in mutants:
-        try:
-            target_designs[bc_id] = elaborate_source(source)
-        except SvLoopError as exc:
-            target_errors[bc_id] = f"target does not elaborate: {exc}"
+    # targets and suites are filled the first time a unit without a checkpoint needs them
+    targets: dict[str, ElaboratedDesign] = {}
+    target_errors: dict[str, str] = {}
+    test_ids: dict[str, list[str]] = {}                              # of every source
+    suites: dict[str, tuple[list[UnitTest], dict[str, Trace]]] = {}  # tests, oracle traces
+
+    def target_error(tgt_id: str) -> Optional[str]:
+        if tgt_id not in targets and tgt_id not in target_errors:
+            try:
+                targets[tgt_id] = elaborate_source(sources[tgt_id])
+            except SvLoopError as exc:
+                target_errors[tgt_id] = f"target does not elaborate: {exc}"
+        return target_errors.get(tgt_id)
+
+    def suite(src_id: str) -> tuple[list[UnitTest], dict[str, Trace]]:
+        if src_id not in suites:
+            tests_dir = out_dir / "sources" / src_id.lower() / "tests"
+            tests = [parse_stimulus((tests_dir / f"{tid}.stim").read_text("utf-8"), signature, tid)
+                     for tid in test_ids[src_id]]
+            suites[src_id] = tests, {test.id: run(oracle, test, signature) for test in tests}
+        return suites[src_id]
 
     # each directory is made once, parent first; a crashed attempt may have made it
     out_dir.mkdir(parents=True, exist_ok=True)
-    suites: dict[str, list[UnitTest]] = {}
-    oracle_traces: dict[str, dict[str, Trace]] = {}
-
     (out_dir / "sources").mkdir(exist_ok=True)
     for src_id, src_source, _ in mutants:
         src_dir = out_dir / "sources" / src_id.lower()
         state_file = src_dir / "genstate.json"
         if state_file.exists():
             summary = _read_checkpoint(state_file)
-            with _required_keys(state_file, CheckpointError):
-                tests = [parse_stimulus((src_dir / "tests" / f"{tid}.stim").read_text("utf-8"),
-                                        signature, tid) for tid in summary["tests"]]
-            traces = {test.id: run(oracle, test, signature) for test in tests}
+            listed = summary.get("tests")
+            if not (isinstance(listed, list) and all(isinstance(tid, str) for tid in listed)):
+                raise CheckpointError(f"{state_file} is malformed: 'tests' is not a list of ids")
         else:
             # generate_tests shows the source mutant only under NLSC
             state = generate_tests(spec, src_source, gen_cfg, provider,
                                    iteration_cap=config.iteration_cap,
                                    test_prefix=f"{src_id.lower()}-t")
             tests, traces = state.tests, state.traces
+            suites[src_id] = tests, traces
             summary = _gen_state_summary(state)
             src_dir.mkdir(exist_ok=True)
             (src_dir / "tests").mkdir(exist_ok=True)
             for test in tests:
                 (src_dir / "tests" / f"{test.id}.stim").write_text(test.to_text(), "utf-8")
             if tests:
-                if not any(suites.values()):  # the first source with tests makes oracle/
+                if not any(test_ids.values()):  # the first source with tests makes oracle/
                     (out_dir / "oracle").mkdir(exist_ok=True)
                 vcd_dir = out_dir / "oracle" / src_id.lower()
                 vcd_dir.mkdir(exist_ok=True)
@@ -156,8 +170,7 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
                     (vcd_dir / f"{test.id}.vcd").write_bytes(export_vcd(traces[test.id], signature))
             _write_exchanges(src_dir / "prompts", "gen", state.exchanges)
             _write_json(state_file, summary)
-        suites[src_id] = tests
-        oracle_traces[src_id] = traces
+        test_ids[src_id] = summary["tests"]
         result.gen_summaries[src_id] = summary
 
     (out_dir / "cells").mkdir(exist_ok=True)
@@ -171,14 +184,15 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
             else:
                 cell_dir.mkdir(exist_ok=True)
                 cell = {"source": src_id, "target": tgt_id}
-                if tgt_id in target_errors:
-                    cell["skipped"] = target_errors[tgt_id]
-                elif not suites[src_id]:
+                error = target_error(tgt_id)
+                if error is not None:
+                    cell["skipped"] = error
+                elif not test_ids[src_id]:
                     cell["skipped"] = "no tests generated from this source"
                 else:
+                    tests, traces = suite(src_id)
                     try:
-                        cell.update(_evaluate_cell(suites[src_id], oracle_traces[src_id],
-                                                   target_designs[tgt_id], signature,
+                        cell.update(_evaluate_cell(tests, traces, targets[tgt_id], signature,
                                                    outputs, cell_dir))
                     except SvLoopError as exc:
                         cell["skipped"] = f"{type(exc).__name__}: {exc}"
@@ -199,13 +213,14 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
             result.debug_outcomes[tgt_id] = _read_checkpoint(state_file)
             continue
         debug_dir.mkdir(exist_ok=True)
-        tests = suites.get(tgt_id, [])
-        if tgt_id in target_errors:
-            outcome = {"skipped": target_errors[tgt_id]}
-        elif not tests:
+        error = target_error(tgt_id)
+        if error is not None:
+            outcome = {"skipped": error}
+        elif not test_ids[tgt_id]:
             outcome = {"skipped": "no tests generated for this target"}
         else:
-            state = debug(spec, target_designs[tgt_id], tests, oracle_traces[tgt_id], gen_cfg,
+            tests, traces = suite(tgt_id)
+            state = debug(spec, targets[tgt_id], tests, traces, gen_cfg,
                           provider, iteration_cap=config.iteration_cap,
                           mismatch_limit=config.mismatch_limit)
             outcome = _debug_state_summary(state)

@@ -16,8 +16,6 @@ from fractions import Fraction
 from .sim.engine import Trace
 from .verdict import compare
 
-BIN_EDGES = [Fraction(k, 5) for k in range(1, 5)]  # 20/40/60/80 %
-
 
 @dataclass(frozen=True)
 class PairResult:
@@ -82,13 +80,13 @@ def divergent_attack(ar: int, dr: Fraction) -> Fraction:
 
 def bin_index(value) -> int:
     """1-based bin for a ratio: [0,.2) [.2,.4) [.4,.6) [.6,.8) [.8,1]."""
-    value = Fraction(value)
-    if not 0 <= value <= 1:
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    n, d = value.numerator, value.denominator  # d > 0
+    if not 0 <= n <= d:
         raise ValueError(f"ratio {value} outside [0, 1]")
-    for i, edge in enumerate(BIN_EDGES):
-        if value < edge:
-            return i + 1
-    return 5
+    # n/d < k/5 exactly when 5n // d < k: the bin of the first edge above n/d
+    return min(5 * n // d, 4) + 1
 
 
 def bin_values(values) -> BinnedDistribution:
@@ -97,7 +95,7 @@ def bin_values(values) -> BinnedDistribution:
     Order-independent; boundary values fall upward except 100%, which
     closes the top bin.
     """
-    values = [Fraction(v) for v in values]
+    values = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
     if not values:
         raise ValueError("cannot bin an empty value list")
     counts = [0, 0, 0, 0, 0]

@@ -4,6 +4,8 @@ with its measured evidence (run with -s or -rA to see them).
 Everything runs against the scripted mock provider; no network access.
 """
 
+import dataclasses
+import itertools
 import json
 import random
 import time
@@ -347,5 +349,32 @@ def test_criterion_9_robustness_fuzz(problems):
         rejections += len(state.rejections)
 
     assert consumed == 1000
+
+    # An accepted patch too long for the input window: every later iteration's
+    # debug prompt overflows, and each is a logged rejection that uses it up.
+    suite = [dataclasses.replace(wit, id=f"w-{bc.lower()}") for bc, (_, wit) in mutants.items()]
+    expected = oracle_traces(spec, suite)
+    designs = {bc: elaborate_source(src) for bc, (src, _) in mutants.items()}
+    passing = {bc: debug(spec, design, suite, expected, CFG, ListProvider([]),
+                         iteration_cap=0).initial_pass for bc, design in designs.items()}
+    overflows = 0
+    for tgt, patch in itertools.permutations(mutants, 2):
+        if not passing[tgt] < passing[patch] < 1:
+            continue
+        comment = "// " + " ".join(["padding"] * rng.randrange(13_000, 20_000)) + "\n"
+        long_patch = mutants[patch][0].text.replace("endmodule", comment + "endmodule")
+        provider = ListProvider([long_patch] * 5)
+        state = debug(spec, designs[tgt], suite, expected, CFG, provider, iteration_cap=5)
+        assert provider.calls_made == 1
+        assert state.iterations == 5
+        assert state.best_pass == passing[patch]
+        assert state.history[0].accepted
+        assert [h.reason.split(":")[0] for h in state.history[1:]] == ["prompt"] * 4
+        assert [r.reason for r in state.rejections] == ["prompt"] * 4
+        assert all("input window" in r.detail for r in state.rejections)
+        overflows += 1
+    assert overflows
+
     ok(9, f"{consumed} malformed responses absorbed; {rejections} logged "
-          f"rejections, zero crashes, buggy design always retained")
+          f"rejections, zero crashes, buggy design always retained; {overflows} "
+          f"accepted patches too long for the next prompt are prompt rejections")

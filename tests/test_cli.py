@@ -455,6 +455,69 @@ class TestEvaluateAndReport:
         assert problems["full_adder"] == before["full_adder"]
         assert "adder4: 0 cells" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("checkpoint, text", [
+        ("cells/bc02/bc02/result.json",
+         '{"source": "BC02", "target": "BC02", "ar": 1, "dr": [1, 0], "da": [1, 0]}'),
+        ("cells/bc02/bc02/result.json",
+         '{"source": "BC02", "target": "BC02", "ar": 0, "dr": [1, 2], "da": [1, 2]}'),
+        ("sources/bc02/genstate.json", '{"tests": [5]}'),
+    ])
+    def test_wrongly_valued_checkpoint_isolates_to_its_problem(
+            self, finished_run, tmp_path, capsys, checkpoint, text):
+        corpus, script, finished = finished_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(finished, run_dir)
+        broken = run_dir / "problems" / "adder4" / checkpoint
+        broken.write_text(text)
+        code = main([
+            "evaluate", "--problems", str(corpus), "--out", str(run_dir),
+            "--mock-script", str(script), "--seed", "1",
+        ])
+        assert code == EXIT_DATA
+        problems = json.loads((run_dir / "summary.json").read_text())["problems"]
+        assert problems["adder4"]["error"].startswith(f"CheckpointError: {broken} is malformed")
+        assert "error" not in problems["full_adder"]
+
+    @pytest.mark.parametrize("text", [
+        '{"cells": 5}',
+        '[]',
+        '{"problem": "adder4", "kind": "analog", "cells": {}}',
+        '{"problem": "adder4", "kind": "combinational",'
+        ' "cells": {"BC01->BC01": {"ar": 1, "dr": [3, 2], "da": [3, 2]}}}',
+        '{"problem": "adder4", "kind": "combinational",'
+        ' "cells": {"BC01->BC01": {"ar": 1, "dr": [1, 0], "da": [1, 0]}}}',
+        '{"problem": "adder4", "kind": "combinational", "cells": {},'
+        ' "debug": {"BC01": {"best_pass": "all"}}}',
+    ])
+    def test_report_on_wrongly_shaped_matrix_names_the_file(self, finished_run, tmp_path,
+                                                            capsys, text):
+        run_dir = tmp_path / "run"
+        shutil.copytree(finished_run[2], run_dir)
+        broken = run_dir / "problems" / "adder4" / "matrix.json"
+        broken.write_text(text)
+        assert main(["report", str(run_dir), "--out", str(tmp_path / "report")]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: {broken} is malformed")
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("text, problem", [
+        ('{"digests": 5', "is not valid JSON"),
+        ('{"digests": 5}', "is malformed"),
+        ('[]', "is malformed"),
+        ('{"sequence": [7]}', "is malformed"),
+    ])
+    def test_malformed_mock_index_names_the_file(self, finished_run, tmp_path, capsys,
+                                                 text, problem):
+        corpus = finished_run[0]
+        script = tmp_path / "script"
+        script.mkdir()
+        (script / "index.json").write_text(text)
+        code = main([
+            "evaluate", "--problems", str(corpus), "--out", str(tmp_path / "run"),
+            "--mock-script", str(script), "--seed", "1",
+        ])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: {script / 'index.json'} {problem}")
+
     def test_dying_worker_becomes_error_entry(self, corpus_dir, tmp_path, capsys,
                                               monkeypatch):
         monkeypatch.setattr(matrix, "_evaluate_problem_task", _task_dying_on_seq_detect)
@@ -548,7 +611,7 @@ class TestImportBudget:
         assert {"svloop.frontend", "svloop.sim"} <= loaded
         assert not loaded & HEAVY
 
-    def test_report_loads_jsonschema(self, corpus_dir, tmp_path, capsys):
+    def test_report_does_not_load_jsonschema(self, corpus_dir, tmp_path, capsys):
         problem = next(p for p in load_corpus(corpus_dir) if p.id == "full_adder")
         script = tmp_path / "script"
         record_mock_script([problem], script, tmp_path / "scratch")
@@ -558,5 +621,5 @@ class TestImportBudget:
         assert main(["evaluate", "--problems", str(sub), "--out", str(tmp_path / "run"),
                      "--mock-script", str(script)]) == 0
         loaded = modules_loaded_by(["report", "run"], tmp_path)
-        assert "jsonschema" in loaded
+        assert not loaded & (HEAVY - {"svloop.report"})
         assert (tmp_path / "run" / "report" / "report.json").exists()

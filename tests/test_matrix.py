@@ -122,6 +122,48 @@ class TestEvaluateProblem:
         run_one(problems, "counter3", partial)
         assert_same_tree(full, partial)
 
+    def test_resume_redoes_only_unfinished_units(self, problems, tmp_path, monkeypatch):
+        p = problems["counter3"]
+        engine = importlib.import_module("svloop.sim.engine")
+        elaborate = importlib.import_module("svloop.frontend.elaborate")
+        original_run, original_elaborate = engine.run, elaborate.elaborate_source
+        elaborated, oracle_runs, other_runs = [], [], []
+
+        def counting_run(design, *args):
+            (oracle_runs if design is p.design else other_runs).append(args[0].id)
+            return original_run(design, *args)
+
+        def counting_elaborate(source):
+            elaborated.append(source.text)
+            return original_elaborate(source)
+
+        for module in (engine, loops, matrix):
+            monkeypatch.setattr(module, "run", counting_run)
+        for module in (elaborate, matrix):
+            monkeypatch.setattr(module, "elaborate_source", counting_elaborate)
+
+        full = tmp_path / "full"
+        result = run_one(problems, "counter3", full)
+        sources = [src.text for _, src, _ in p.mutants()]
+        assert elaborated == sources  # a fresh run elaborates every target once
+
+        resumed = tmp_path / "resumed"
+        shutil.copytree(full, resumed)
+        elaborated.clear(), oracle_runs.clear(), other_runs.clear()
+        run_one(problems, "counter3", resumed)
+        assert elaborated == oracle_runs == other_runs == []
+        assert_same_tree(full, resumed)
+
+        # one unfinished cell needs its target and its source's suite, nothing else
+        src = next(bc for bc in result.mutants if result.gen_summaries[bc]["tests"])
+        tgt = result.mutants[-1]
+        shutil.rmtree(resumed / "cells" / src.lower() / tgt.lower())
+        run_one(problems, "counter3", resumed)
+        suite = result.gen_summaries[src]["tests"]
+        assert elaborated == [sources[-1]]
+        assert oracle_runs == other_runs == suite
+        assert_same_tree(full, resumed)
+
     def test_torn_oracle_vcd_is_rewritten_on_resume(self, problems, tmp_path, monkeypatch):
         clean = tmp_path / "clean"
         run_one(problems, "full_adder", clean)

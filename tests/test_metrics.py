@@ -135,6 +135,20 @@ class TestBinning:
         with pytest.raises(ValueError):
             bin_values([Fraction(3, 2)])
 
+    def test_integer_bins_match_fraction_edges(self):
+        def by_edges(value):
+            for i, edge in enumerate([Fraction(k, 5) for k in range(1, 5)]):
+                if value < edge:
+                    return i + 1
+            return 5
+
+        for d in range(1, 65):
+            for n in range(d + 1):
+                assert bin_index(Fraction(n, d)) == by_edges(Fraction(n, d)), (n, d)
+            for n in (-1, d + 1):
+                with pytest.raises(ValueError):
+                    bin_index(Fraction(n, d))
+
     @given(st.lists(st.fractions(min_value=0, max_value=1), min_size=1, max_size=50),
            st.randoms())
     def test_permutation_invariance(self, values, rng):
