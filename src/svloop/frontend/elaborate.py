@@ -236,25 +236,29 @@ def _resolve_width(msb, lsb, params, owner: str, line: int) -> int:
 
 # --- FSM state register detection ---------------------------------------------
 
-def _rhs_constant_names(expr, reg: str, params) -> set[str] | None:
-    """Parameter names a register RHS can resolve to, or None if not a
-    closed constant set. A self-reference contributes nothing (hold)."""
+def _rhs_constant_names(expr, reg: str, params) -> list[str] | None:
+    """Parameter names a register RHS can resolve to, in order of
+    appearance, or None if not a closed constant set. A self-reference
+    contributes nothing (hold)."""
     if isinstance(expr, Ident):
         if expr.name == reg:
-            return set()
+            return []
         if expr.name in params:
-            return {expr.name}
+            return [expr.name]
         return None
     if isinstance(expr, Ternary):
         then = _rhs_constant_names(expr.then, reg, params)
         other = _rhs_constant_names(expr.other, reg, params)
         if then is None or other is None:
             return None
-        return then | other
+        return then + other
     return None
 
 
-def _detect_fsm_registers(seq_processes, params) -> dict[str, list[int]]:
+def fsm_state_names(seq_processes, params) -> dict[str, list[str]]:
+    """State register -> the parameter names it is assigned from, in order of
+    first appearance. A state register is one whose every clocked assignment
+    is a closed constant set, with at least two names between them."""
     assigned: dict[str, list] = {}
     for proc in seq_processes:
         for stmt in walk_stmts(proc.body):
@@ -262,16 +266,15 @@ def _detect_fsm_registers(seq_processes, params) -> dict[str, list[int]]:
                 assigned.setdefault(stmt.target, []).append(stmt.expr)
     result = {}
     for reg, exprs in assigned.items():
-        names: set[str] = set()
-        closed = True
+        names: dict[str, None] = {}
         for expr in exprs:
             sub = _rhs_constant_names(expr, reg, params)
             if sub is None:
-                closed = False
+                names = {}
                 break
-            names |= sub
-        if closed and len(names) >= 2:
-            result[reg] = sorted({params[n][0] for n in names})
+            names.update(dict.fromkeys(sub))
+        if len(names) >= 2:
+            result[reg] = list(names)
     return result
 
 
@@ -319,7 +322,8 @@ def elaborate(ast: DesignAst, source: DesignSource) -> ElaboratedDesign:
     comb_processes = [it for it in ast.items if isinstance(it, AlwaysComb)]
     seq_processes = [it for it in ast.items if isinstance(it, AlwaysSeq)]
 
-    fsm_registers = _detect_fsm_registers(seq_processes, params)
+    fsm_registers = {reg: sorted({params[n][0] for n in names})
+                     for reg, names in fsm_state_names(seq_processes, params).items()}
 
     # width checks, context annotation
     for item in cont_assigns:

@@ -12,7 +12,7 @@ from importlib import resources
 from string import Template
 from typing import Optional
 
-from ..errors import PromptOverflow
+from ..errors import ManifestError, PromptOverflow
 from ..frontend.ast import DesignSource
 from ..sim.coverage import CoverageReport
 from ..sim.stimulus import UnitTest
@@ -52,8 +52,9 @@ def build_testgen_prompt(
     if cfg.strategy != NLSC and buggy is not None:
         raise ValueError("NLS generation must not receive source code")
     if cfg.shots > len(spec.exemplars):
-        raise ValueError(f"{cfg.shots}-shot prompt needs {cfg.shots} exemplars, "
-                         f"have {len(spec.exemplars)}")
+        # a data error of the problem, not of one prompt: it escapes the loops
+        raise ManifestError(f"problem {spec.oracle.name}: a {cfg.shots}-shot prompt needs "
+                            f"{cfg.shots} exemplars, it has {len(spec.exemplars)}")
 
     buggy_section = ""
     if buggy is not None:

@@ -110,7 +110,9 @@ class RecordingProvider:
 class LiveHttpProvider:
     """Chat-completion style HTTP client; credentials never reach logs.
     Timeouts, HTTP 429 and 5xx are retried up to ``binding.retries`` times,
-    and no wait before a retry is longer than ``binding.timeout``."""
+    and no wait before a retry is longer than ``binding.timeout``. With a
+    ``log_dir``, every POST attempt writes one ``exchange-NNNN.json``: the
+    request, and the JSON body it got back or what went wrong."""
 
     def __init__(self, binding: ProviderBinding, log_dir=None):
         if binding.kind != "live":
@@ -139,12 +141,15 @@ class LiveHttpProvider:
                     timeout=self.binding.timeout,
                 )
             except requests.Timeout as exc:
+                self._log(body, error=self._failure(exc))
                 last_error = exc
                 continue
             except requests.RequestException as exc:
+                self._log(body, error=self._failure(exc))
                 raise ProviderRejection(f"provider request failed: {exc}") from exc
             status = response.status_code
             if status != 200:
+                self._log(body, error={"status": status})
                 last_error = ProviderRejection(
                     f"provider returned HTTP {status}: {response.text[:200]}"
                 )
@@ -156,14 +161,14 @@ class LiveHttpProvider:
             try:
                 payload = response.json()
             except ValueError as exc:
+                self._log(body, error=self._failure(exc))
                 raise ProviderRejection("provider response body is not JSON") from exc
             try:
-                text = payload["choices"][0]["message"]["content"]
-            except (KeyError, IndexError, TypeError) as exc:
-                raise ProviderRejection("malformed provider response body") from exc
-            if not isinstance(text, str):
-                raise ProviderRejection("provider response content is not text")
-            self._log(body, payload)
+                text = _content(payload)
+            except ProviderRejection as exc:
+                self._log(body, response=payload, error=self._failure(exc))
+                raise
+            self._log(body, response=payload)
             return text
         if isinstance(last_error, ProviderRejection):
             raise last_error
@@ -171,18 +176,30 @@ class LiveHttpProvider:
             f"provider timed out after {self.binding.retries + 1} attempts"
         ) from last_error
 
-    def _log(self, request_body, response_body):
+    def _failure(self, exc: Exception) -> dict:
+        message = str(exc).replace(self.binding.credential, "<redacted>")
+        return {"type": type(exc).__name__, "message": message}
+
+    def _log(self, request_body, **outcome):
         if self.log_dir is None:
             return
         self.log_dir.mkdir(parents=True, exist_ok=True)
         self._counter += 1
-        record = {
-            "request": dict(request_body, authorization="<redacted>"),
-            "response": response_body,
-        }
+        record = {"request": dict(request_body, authorization="<redacted>"), **outcome}
         (self.log_dir / f"exchange-{self._counter:04d}.json").write_text(
             json.dumps(record, indent=2, sort_keys=True), "utf-8"
         )
+
+
+def _content(payload) -> str:
+    """The completion text of a chat-completion response body."""
+    try:
+        text = payload["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ProviderRejection("malformed provider response body") from exc
+    if not isinstance(text, str):
+        raise ProviderRejection("provider response content is not text")
+    return text
 
 
 def _retry_delay(response, attempt: int) -> float:

@@ -6,7 +6,9 @@ broken state transitions, dropped case arms, reset corruption,
 blocking/nonblocking swaps, and clock polarity flips. Every emitted
 mutant is proven semantically distinct from its reference by replayable
 witness stimulus; equivalent candidates are discarded and the next
-seeded site is tried.
+seeded site is tried. Each operator enumerates its sites in design
+order, and the seeded draw indexes that list, so the order is part of
+the corpus bytes.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .frontend.ast import (
     Unary,
     walk_stmts,
 )
-from .frontend.elaborate import ElaboratedDesign, elaborate
+from .frontend.elaborate import ElaboratedDesign, elaborate, fsm_state_names
 from .frontend.parser import parse_design
 from .frontend.printer import ast_to_source
 from .frontend.signature import DesignSignature, extract_signature
@@ -68,11 +70,6 @@ OPERATORS: tuple[MutationOperator, ...] = (
 )
 
 
-def list_operators() -> tuple[MutationOperator, ...]:
-    """The fixed BC01..BC10 catalog, stable across calls."""
-    return OPERATORS
-
-
 @dataclass(frozen=True)
 class MutantRecord:
     bc_id: str
@@ -103,52 +100,55 @@ class SkippedOperator:
 
 
 # --- site enumeration ---------------------------------------------------------
+#
+# Sites are listed in design order: items as written, the statements of a
+# process in preorder, an expression before its operands. ``inject`` draws
+# a seeded permutation of the list, so this order is part of the corpus.
+
+_PROCESSES = (AlwaysComb, AlwaysSeq)
 
 
-def _expr_sites(expr, path, visit):
-    visit(path, expr)
+def _expr_paths(expr, path):
+    """(path, node) for ``expr`` and every sub-expression, preorder."""
+    yield path, expr
     if isinstance(expr, Unary):
-        _expr_sites(expr.operand, path + ".operand", visit)
+        yield from _expr_paths(expr.operand, path + ".operand")
     elif isinstance(expr, Binary):
-        _expr_sites(expr.left, path + ".left", visit)
-        _expr_sites(expr.right, path + ".right", visit)
+        yield from _expr_paths(expr.left, path + ".left")
+        yield from _expr_paths(expr.right, path + ".right")
     elif isinstance(expr, Ternary):
-        _expr_sites(expr.cond, path + ".cond", visit)
-        _expr_sites(expr.then, path + ".then", visit)
-        _expr_sites(expr.other, path + ".other", visit)
+        yield from _expr_paths(expr.cond, path + ".cond")
+        yield from _expr_paths(expr.then, path + ".then")
+        yield from _expr_paths(expr.other, path + ".other")
 
 
-def _walk_design_exprs(ast: DesignAst, visit):
-    """visit(path, node) over every expression in the design."""
+def _stmts(ast: DesignAst, kinds):
+    """(path, statement) for every statement of the ``kinds`` processes."""
     for i, item in enumerate(ast.items):
-        base = f"item[{i}]"
-        if isinstance(item, ParamDecl):
-            _expr_sites(item.value, f"{base}.value", visit)
-        elif isinstance(item, ContAssign):
-            _expr_sites(item.expr, f"{base}.expr", visit)
-        elif isinstance(item, (AlwaysComb, AlwaysSeq)):
+        if isinstance(item, kinds):
             for j, stmt in enumerate(walk_stmts(item.body)):
-                spath = f"{base}.stmt[{j}]"
-                if isinstance(stmt, Assignment):
-                    _expr_sites(stmt.expr, f"{spath}.expr", visit)
-                elif isinstance(stmt, If):
-                    _expr_sites(stmt.cond, f"{spath}.cond", visit)
-                elif isinstance(stmt, Case):
-                    _expr_sites(stmt.subject, f"{spath}.subject", visit)
-                    for k, citem in enumerate(stmt.items):
-                        for m, lbl in enumerate(citem.labels):
-                            _expr_sites(lbl, f"{spath}.item[{k}].label[{m}]", visit)
+                yield f"item[{i}].stmt[{j}]", stmt
 
 
-def _seq_reset_bodies(ast: DesignAst):
-    """(process index, reset branch body) pairs: the then-branch of a leading
-    if in a clocked process (asynchronous style) or of a clock-only process
-    (synchronous style)."""
+def _design_exprs(ast: DesignAst):
+    """(path, node) for every expression in the design."""
     for i, item in enumerate(ast.items):
-        if not isinstance(item, AlwaysSeq):
-            continue
-        if item.body and isinstance(item.body[0], If):
-            yield i, item.body[0].then_body
+        if isinstance(item, ParamDecl):
+            yield from _expr_paths(item.value, f"item[{i}].value")
+        elif isinstance(item, ContAssign):
+            yield from _expr_paths(item.expr, f"item[{i}].expr")
+        elif isinstance(item, _PROCESSES):
+            for j, stmt in enumerate(walk_stmts(item.body)):
+                path = f"item[{i}].stmt[{j}]"
+                if isinstance(stmt, Assignment):
+                    yield from _expr_paths(stmt.expr, f"{path}.expr")
+                elif isinstance(stmt, If):
+                    yield from _expr_paths(stmt.cond, f"{path}.cond")
+                elif isinstance(stmt, Case):
+                    yield from _expr_paths(stmt.subject, f"{path}.subject")
+                    for k, arm in enumerate(stmt.items):
+                        for m, label in enumerate(arm.labels):
+                            yield from _expr_paths(label, f"{path}.item[{k}].label[{m}]")
 
 
 def _negated(cond):
@@ -163,156 +163,84 @@ def _masked(value, lit):
     return value & ((1 << lit.size) - 1) if lit.size is not None else value
 
 
+def _off_by_one(lit):
+    at_limit = lit.size is not None and lit.value + 1 > (1 << lit.size) - 1
+    return lit.value - 1 if at_limit else lit.value + 1
+
+
+def _reset_sites(path, stmt, states):
+    """BC08 at one statement of a reset branch: retarget a state assignment
+    to the first other state, or flip bit 0 of an assigned literal."""
+    if not isinstance(stmt, Assignment):
+        return []
+    expr = stmt.expr
+    if isinstance(expr, Ident) and expr.name in states.get(stmt.target, ()):
+        name = next(n for n in states[stmt.target] if n != expr.name)
+        return [(f"{path}.expr->{name}", stmt.line, stmt, "expr", _retargeted(expr, name))]
+    if isinstance(expr, Literal):
+        return [(f"{path}.expr^1", stmt.line, expr, "value", _masked(expr.value ^ 1, expr))]
+    return []
+
+
 # --- the ten operators ---------------------------------------------------------
 
 def _collect_sites(op: MutationOperator, ast: DesignAst, design: ElaboratedDesign,
                    signature: DesignSignature):
-    """Enumerate applicable sites as ``(path, line, node, attribute, value)``:
-    the mutant is ``ast`` with ``setattr(node, attribute, value)``."""
-    sites = []
+    """Enumerate applicable sites, in design order, as ``(path, line, node,
+    attribute, value)``: the mutant is ``ast`` with ``setattr(node, attribute,
+    value)``."""
     bc = op.bc_id
-
     if bc == "BC01":
-        def visit(path, expr):
-            if isinstance(expr, Binary) and expr.op in ("&", "|"):
-                new_op = "|" if expr.op == "&" else "&"
-                sites.append((path, expr.line, expr, "op", new_op))
-        _walk_design_exprs(ast, visit)
-
-    elif bc == "BC02":
-        def visit(path, expr):
-            if isinstance(expr, Binary) and expr.op in _COMPARISON_SWAP:
-                sites.append((path, expr.line, expr, "op", _COMPARISON_SWAP[expr.op]))
-        _walk_design_exprs(ast, visit)
-
-    elif bc == "BC03":
-        for i, item in enumerate(ast.items):
-            if isinstance(item, (AlwaysComb, AlwaysSeq)):
-                for j, stmt in enumerate(walk_stmts(item.body)):
-                    if isinstance(stmt, If):
-                        sites.append((f"item[{i}].stmt[{j}].cond", stmt.line,
-                                      stmt, "cond", _negated(stmt.cond)))
-        def visit(path, expr):
-            if isinstance(expr, Ternary):
-                sites.append((path + ".cond", expr.line, expr, "cond", _negated(expr.cond)))
-        _walk_design_exprs(ast, visit)
-
-    elif bc == "BC04":
-        def visit(path, expr):
-            if isinstance(expr, Literal):
-                span = expr.size if expr.size is not None else max(1, expr.value.bit_length())
-                for bit in range(span):
-                    sites.append((f"{path}^bit{bit}", expr.line, expr, "value",
-                                  _masked(expr.value ^ (1 << bit), expr)))
-        _walk_design_exprs(ast, visit)
-
-    elif bc == "BC05":
-        def visit(path, expr):
-            if isinstance(expr, Literal):
-                at_limit = expr.size is not None and expr.value + 1 > (1 << expr.size) - 1
-                sites.append((path, expr.line, expr, "value",
-                              expr.value - 1 if at_limit else expr.value + 1))
-        _walk_design_exprs(ast, visit)
-
-    elif bc == "BC06":
-        constants = _state_constant_names(ast, design)
-        for i, item in enumerate(ast.items):
-            if not isinstance(item, AlwaysSeq):
-                continue
-            for j, stmt in enumerate(walk_stmts(item.body)):
-                if (
-                    isinstance(stmt, Assignment)
-                    and stmt.target in constants
-                    and isinstance(stmt.expr, Ident)
-                    and stmt.expr.name in constants[stmt.target]
-                ):
-                    for replacement in constants[stmt.target]:
-                        if replacement != stmt.expr.name:
-                            sites.append((f"item[{i}].stmt[{j}].expr->{replacement}",
-                                          stmt.line, stmt, "expr",
-                                          _retargeted(stmt.expr, replacement)))
-
-    elif bc == "BC07":
-        for i, item in enumerate(ast.items):
-            if not isinstance(item, AlwaysSeq):
-                continue
-            for j, stmt in enumerate(walk_stmts(item.body)):
-                if isinstance(stmt, Case) and len(stmt.items) >= 2:
-                    for k in range(len(stmt.items)):
-                        sites.append((f"item[{i}].stmt[{j}].item[{k}]", stmt.items[k].line,
-                                      stmt, "items", stmt.items[:k] + stmt.items[k + 1:]))
-
-    elif bc == "BC08":
-        constants = _state_constant_names(ast, design)
-        for i, reset_body in _seq_reset_bodies(ast):
-            for j, stmt in enumerate(walk_stmts(ast.items[i].body)):
-                if not isinstance(stmt, Assignment):
-                    continue
-                if not _stmt_in(reset_body, stmt):
-                    continue
-                if isinstance(stmt.expr, Ident) and stmt.target in constants \
-                        and stmt.expr.name in constants[stmt.target]:
-                    for replacement in constants[stmt.target]:
-                        if replacement != stmt.expr.name:
-                            sites.append((f"item[{i}].stmt[{j}].expr->{replacement}",
-                                          stmt.line, stmt, "expr",
-                                          _retargeted(stmt.expr, replacement)))
-                            break
-                elif isinstance(stmt.expr, Literal):
-                    sites.append((f"item[{i}].stmt[{j}].expr^1", stmt.line, stmt.expr,
-                                  "value", _masked(stmt.expr.value ^ 1, stmt.expr)))
-
-    elif bc == "BC09":
-        for i, item in enumerate(ast.items):
-            if isinstance(item, (AlwaysComb, AlwaysSeq)):
-                for j, stmt in enumerate(walk_stmts(item.body)):
-                    if isinstance(stmt, Assignment):
-                        sites.append((f"item[{i}].stmt[{j}].blocking", stmt.line,
-                                      stmt, "blocking", not stmt.blocking))
-
-    elif bc == "BC10":
-        clock = signature.clock
-        if clock is not None:
-            for i, item in enumerate(ast.items):
-                if isinstance(item, AlwaysSeq):
-                    for e, event in enumerate(item.events):
-                        if event.signal == clock:
-                            flipped = "negedge" if event.edge == "posedge" else "posedge"
-                            sites.append((f"item[{i}].event[{e}]", event.line,
-                                          event, "edge", flipped))
-
-    else:
-        raise ValueError(bc)
-    return sites
-
-
-def _stmt_in(body, stmt) -> bool:
-    return any(s is stmt for s in walk_stmts(body))
-
-
-def _state_constant_names(ast: DesignAst, design: ElaboratedDesign) -> dict[str, list[str]]:
-    """State register -> stable list of parameter names it is assigned from."""
-    param_names = {p.name for p in ast.params}
-    collected: dict[str, list[str]] = {}
-    for item in ast.items:
-        if not isinstance(item, AlwaysSeq):
-            continue
-        for stmt in walk_stmts(item.body):
-            if isinstance(stmt, Assignment) and stmt.target in design.fsm_registers:
-                names = collected.setdefault(stmt.target, [])
-                for node in _constant_idents(stmt.expr, stmt.target, param_names):
-                    if node not in names:
-                        names.append(node)
-    return collected
-
-
-def _constant_idents(expr, reg, param_names):
-    if isinstance(expr, Ident):
-        if expr.name in param_names:
-            yield expr.name
-    elif isinstance(expr, Ternary):
-        yield from _constant_idents(expr.then, reg, param_names)
-        yield from _constant_idents(expr.other, reg, param_names)
+        return [(path, e.line, e, "op", "|" if e.op == "&" else "&")
+                for path, e in _design_exprs(ast)
+                if isinstance(e, Binary) and e.op in ("&", "|")]
+    if bc == "BC02":
+        return [(path, e.line, e, "op", _COMPARISON_SWAP[e.op])
+                for path, e in _design_exprs(ast)
+                if isinstance(e, Binary) and e.op in _COMPARISON_SWAP]
+    if bc == "BC03":
+        # the if conditions of every process first, then every ternary
+        return ([(f"{path}.cond", s.line, s, "cond", _negated(s.cond))
+                 for path, s in _stmts(ast, _PROCESSES) if isinstance(s, If)]
+                + [(f"{path}.cond", e.line, e, "cond", _negated(e.cond))
+                   for path, e in _design_exprs(ast) if isinstance(e, Ternary)])
+    if bc == "BC04":
+        return [(f"{path}^bit{bit}", e.line, e, "value", _masked(e.value ^ (1 << bit), e))
+                for path, e in _design_exprs(ast) if isinstance(e, Literal)
+                for bit in range(e.size if e.size is not None else max(1, e.value.bit_length()))]
+    if bc == "BC05":
+        return [(path, e.line, e, "value", _off_by_one(e))
+                for path, e in _design_exprs(ast) if isinstance(e, Literal)]
+    if bc == "BC06":
+        states = fsm_state_names(design.seq_processes, design.params)
+        return [(f"{path}.expr->{name}", s.line, s, "expr", _retargeted(s.expr, name))
+                for path, s in _stmts(ast, AlwaysSeq)
+                if isinstance(s, Assignment) and isinstance(s.expr, Ident)
+                and s.expr.name in states.get(s.target, ())
+                for name in states[s.target] if name != s.expr.name]
+    if bc == "BC07":
+        return [(f"{path}.item[{k}]", arm.line, s, "items", s.items[:k] + s.items[k + 1:])
+                for path, s in _stmts(ast, AlwaysSeq)
+                if isinstance(s, Case) and len(s.items) >= 2
+                for k, arm in enumerate(s.items)]
+    if bc == "BC08":
+        # the reset branch is the then-branch of a clocked process's leading
+        # if; that if is stmt[0], so the branch's statements count from 1
+        states = fsm_state_names(design.seq_processes, design.params)
+        return [site
+                for i, item in enumerate(ast.items)
+                if isinstance(item, AlwaysSeq) and item.body and isinstance(item.body[0], If)
+                for j, s in enumerate(walk_stmts(item.body[0].then_body), 1)
+                for site in _reset_sites(f"item[{i}].stmt[{j}]", s, states)]
+    if bc == "BC09":
+        return [(f"{path}.blocking", s.line, s, "blocking", not s.blocking)
+                for path, s in _stmts(ast, _PROCESSES) if isinstance(s, Assignment)]
+    if bc == "BC10":
+        return [(f"item[{i}].event[{e}]", event.line, event, "edge",
+                 "negedge" if event.edge == "posedge" else "posedge")
+                for i, item in enumerate(ast.items) if isinstance(item, AlwaysSeq)
+                for e, event in enumerate(item.events) if event.signal == signature.clock]
+    raise ValueError(bc)
 
 
 # --- distinctness -------------------------------------------------------------

@@ -15,7 +15,7 @@ from svloop.cli import EXIT_DATA, EXIT_PROVIDER, EXIT_USAGE, main
 from svloop import matrix
 from svloop.data import default_corpus_root
 from svloop.gateway.config import ENV_ENDPOINT, ENV_KEY, ENV_MODEL
-from svloop.manifest import load_corpus
+from svloop.manifest import RunConfig, load_corpus
 from svloop.sim import engine
 from svloop.sim.coverage import collect_coverage
 from svloop.sim.stimulus import UnitTest, parse_stimulus
@@ -430,6 +430,38 @@ class TestEvaluateAndReport:
         assert "error" not in summary["problems"]["adder4"]
         assert summary["problems"]["adder4"]["cells"] > 0
         assert "full_adder: 0 cells" in capsys.readouterr().out
+
+    def test_shots_beyond_the_exemplars_are_a_data_error_of_their_problem(
+            self, corpus_dir, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        for pid in ("adder4", "full_adder"):
+            shutil.copytree(corpus_dir / "problems" / pid, corpus / "problems" / pid)
+        shutil.copy(corpus_dir / "exemplars.json", corpus / "exemplars.json")
+        problem_json = corpus / "problems" / "full_adder" / "problem.json"
+        raw = json.loads(problem_json.read_text())
+        del raw["exemplars"]
+        problem_json.write_text(json.dumps(raw))
+        script = tmp_path / "script"
+        config = RunConfig(provider="mock", script_dir=str(script), seed=1, shots=5)
+        record_mock_script(load_corpus(corpus)[:1], script, tmp_path / "scratch", config)
+        run_dir = tmp_path / "run"
+        code = main([
+            "evaluate", "--problems", str(corpus), "--out", str(run_dir),
+            "--mock-script", str(script), "--seed", "1", "--shots", "5",
+        ])
+        assert code == EXIT_DATA
+        summary = json.loads((run_dir / "summary.json").read_text())["problems"]
+        assert summary["full_adder"]["error"] == (
+            "ManifestError: problem full_adder: a 5-shot prompt needs 5 exemplars, it has 0")
+        assert "error" not in summary["adder4"] and summary["adder4"]["cells"] > 0
+        capsys.readouterr()
+        code = main([
+            "gen-tests", "full_adder", "--problems", str(corpus), "--source", "BC01",
+            "--out", str(tmp_path / "tests"), "--mock-script", str(script), "--shots", "5",
+        ])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith(
+            "error: problem full_adder: a 5-shot prompt needs 5 exemplars")
 
     @pytest.mark.parametrize("checkpoint, text", [
         ("cells/bc02/bc02/result.json", None),   # truncated

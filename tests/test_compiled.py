@@ -13,7 +13,7 @@ from svloop.errors import NoApplicableSite, NoDistinctMutant, ParseError
 from svloop.frontend import ast_to_source, elaborate_source, extract_signature, parse_design
 from svloop.frontend.elaborate import MAX_WIDTH
 from svloop.frontend.parser import MAX_EXPR_DEPTH
-from svloop.mutate import RANDOM_TEST_CYCLES, RANDOM_TESTS, inject, list_operators
+from svloop.mutate import OPERATORS, RANDOM_TEST_CYCLES, RANDOM_TESTS, inject
 from svloop.sim import CoverageCollector, UnitTest, run
 from svloop.sim.engine import product_search
 from svloop.sim.lower import harness_source, lowered_source
@@ -73,7 +73,7 @@ class TestDeskDesigns:
             if not problem.design.is_sequential:
                 continue
             ast = parse_design(problem.reference)
-            for op in list_operators():
+            for op in OPERATORS:
                 try:
                     inject(problem.design, ast, op, seed=1)
                 except (NoApplicableSite, NoDistinctMutant):

@@ -1,5 +1,6 @@
 import difflib
 import hashlib
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -10,13 +11,13 @@ from svloop.errors import ElaborationError, NoApplicableSite, NoDistinctMutant, 
 from svloop.frontend import ast_to_source, elaborate_source, extract_signature, parse_design
 from svloop.frontend.parser import _Parser
 from svloop.mutate import (
+    OPERATORS,
     RANDOM_TEST_CYCLES,
     RANDOM_TESTS,
     _collect_sites,
     _random_witness,
     find_witness,
     inject,
-    list_operators,
     make_corpus,
 )
 from svloop.sim import run
@@ -60,21 +61,23 @@ COUNT5_MUT = COUNT5.replace("NEXT", "(value == 5'd30) ? 5'd0 : value + 5'd1")
 
 class TestCatalog:
     def test_exactly_ten_operators_in_bc_order(self):
-        ops = list_operators()
-        assert len(ops) == 10
-        assert [op.bc_id for op in ops] == [f"BC{i:02d}" for i in range(1, 11)]
+        assert len(OPERATORS) == 10
+        assert [op.bc_id for op in OPERATORS] == [f"BC{i:02d}" for i in range(1, 11)]
 
     def test_bc06_is_wrong_state_transition(self):
-        assert list_operators()[5].kind == "wrong-state-transition"
+        assert OPERATORS[5].kind == "wrong-state-transition"
 
     def test_catalog_is_stable(self):
-        assert list_operators() == list_operators()
+        # a tuple of frozen records: nothing can reorder or edit the catalog
+        assert isinstance(OPERATORS, tuple)
+        with pytest.raises(FrozenInstanceError):
+            OPERATORS[0].kind = "renamed"
 
 
 class TestInject:
     def test_full_adder_logic_swap_has_witness(self, problems):
         p = problems["full_adder"]
-        record = inject(p.design, parse_design(p.reference), list_operators()[0], seed=7)
+        record = inject(p.design, parse_design(p.reference), OPERATORS[0], seed=7)
         assert record.bc_id == "BC01"
         mutant = elaborate_source(record.source)
         outputs = [q.name for q in p.signature.outputs]
@@ -85,11 +88,11 @@ class TestInject:
     def test_full_adder_has_no_state_transition_site(self, problems):
         p = problems["full_adder"]
         with pytest.raises(NoApplicableSite):
-            inject(p.design, parse_design(p.reference), list_operators()[5], seed=1)
+            inject(p.design, parse_design(p.reference), OPERATORS[5], seed=1)
 
     def test_arbiter_deleted_arm_diverges_only_after_sensitization(self, problems):
         p = problems["arbiter2"]
-        record = inject(p.design, parse_design(p.reference), list_operators()[6], seed=1)
+        record = inject(p.design, parse_design(p.reference), OPERATORS[6], seed=1)
         mutant = elaborate_source(record.source)
         outputs = [q.name for q in p.signature.outputs]
         ref_trace = run(p.design, record.witness, p.signature)
@@ -128,7 +131,7 @@ class TestEquivalenceProof:
             if not problem.design.is_sequential:
                 continue
             ast = parse_design(problem.reference)
-            for op in list_operators():
+            for op in OPERATORS:
                 try:
                     inject(problem.design, ast, op, seed=1)
                 except (NoApplicableSite, NoDistinctMutant):
@@ -176,7 +179,7 @@ class TestCandidateIsolation:
         checked = 0
         for problem in problems.values():
             ast = parse_design(problem.reference)
-            for op in list_operators():
+            for op in OPERATORS:
                 rejected.clear()
                 try:
                     record = inject(problem.design, ast, op, seed=1)
@@ -199,7 +202,7 @@ class TestCandidateIsolation:
         for problem in problems.values():
             reference = parse_design(problem.reference)
             before = ast_to_source(reference)
-            for op in list_operators():
+            for op in OPERATORS:
                 sites = _collect_sites(op, reference, problem.design, problem.signature)
                 for path, _, node, attribute, value in sites:
                     original = getattr(node, attribute)
@@ -254,7 +257,7 @@ class TestInPlaceCandidates:
         for problem in problems.values():
             shared = parse_design(problem.reference)
             before = ast_to_source(shared)
-            for op in list_operators():
+            for op in OPERATORS:
                 try:
                     inject(problem.design, shared, op, seed=1)
                 except (NoApplicableSite, NoDistinctMutant):
@@ -291,7 +294,7 @@ class TestParseCount:
         checked = 0
         for problem in problems.values():
             ast = parse_design(problem.reference)
-            for op in list_operators():
+            for op in OPERATORS:
                 sites = _collect_sites(op, ast, problem.design, problem.signature)
                 if len(sites) < 2:
                     continue
@@ -306,7 +309,7 @@ class TestParseCount:
         for problem in problems.values():
             counts.update(parsed=0)
             records, skipped = make_corpus(problem.design, seed=1)
-            assert records == [] and len(skipped) == len(list_operators()), problem.id
+            assert records == [] and len(skipped) == len(OPERATORS), problem.id
             assert counts["parsed"] == 1, problem.id
 
 
@@ -318,7 +321,7 @@ class TestInjectErrors:
         p = problems["counter3"]
         monkeypatch.setattr(mutate, "elaborate", failing)
         with pytest.raises(NoDistinctMutant):
-            inject(p.design, parse_design(p.reference), list_operators()[3], seed=1)
+            inject(p.design, parse_design(p.reference), OPERATORS[3], seed=1)
 
     def test_non_toolkit_exception_propagates(self, problems, monkeypatch):
         def broken(ast, source):
@@ -327,7 +330,7 @@ class TestInjectErrors:
         p = problems["counter3"]
         monkeypatch.setattr(mutate, "elaborate", broken)
         with pytest.raises(RuntimeError, match="bug in the toolkit"):
-            inject(p.design, parse_design(p.reference), list_operators()[3], seed=1)
+            inject(p.design, parse_design(p.reference), OPERATORS[3], seed=1)
 
 
 class TestCorpusDigest:

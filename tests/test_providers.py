@@ -243,6 +243,53 @@ def test_timeout_then_success(monkeypatch):
     assert LiveHttpProvider(live_binding()).complete("p", CFG) == "ok"
 
 
+NOT_TEXT = {"choices": [{"message": {"content": None}}]}
+
+
+@pytest.mark.parametrize("answer, error, attempts, outcome", [
+    (requests.Timeout("too slow"), ProviderTimeout, 3,
+     {"error": {"type": "Timeout", "message": "too slow"}}),
+    (requests.ConnectionError("refused for secret-key"), ProviderRejection, 1,
+     {"error": {"type": "ConnectionError", "message": "refused for <redacted>"}}),
+    (FakeResponse(429, text="slow down"), ProviderRejection, 3, {"error": {"status": 429}}),
+    (FakeResponse(503, text="busy"), ProviderRejection, 3, {"error": {"status": 503}}),
+    (FakeResponse(200, text="<html>busy</html>"), ProviderRejection, 1,
+     {"error": {"type": "JSONDecodeError",
+                "message": "Expecting value: line 1 column 1 (char 0)"}}),
+    (FakeResponse(200, {"oops": 1}), ProviderRejection, 1,
+     {"response": {"oops": 1},
+      "error": {"type": "ProviderRejection", "message": "malformed provider response body"}}),
+    (FakeResponse(200, NOT_TEXT), ProviderRejection, 1,
+     {"response": NOT_TEXT,
+      "error": {"type": "ProviderRejection",
+                "message": "provider response content is not text"}}),
+], ids=["timeout", "connection", "429", "5xx", "not-json", "malformed", "not-text"])
+def test_every_failed_attempt_leaves_a_redacted_record(monkeypatch, tmp_path, answer, error,
+                                                       attempts, outcome):
+    posts = []
+
+    def fake_post(*a, **k):
+        posts.append(k["json"])
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
+
+    monkeypatch.setattr(requests, "post", fake_post)
+    monkeypatch.setattr(time, "sleep", lambda seconds: None)
+    provider = LiveHttpProvider(live_binding(retries=2), log_dir=tmp_path / "log")
+    with pytest.raises(error):
+        provider.complete("prompt text", CFG)
+    logs = sorted((tmp_path / "log").glob("exchange-*.json"))
+    assert len(posts) == attempts
+    assert [p.name for p in logs] == [f"exchange-{n:04d}.json" for n in range(1, attempts + 1)]
+    for path in logs:
+        text = path.read_text()
+        assert "secret-key" not in text
+        record = json.loads(text)
+        assert record.pop("request") == dict(posts[0], authorization="<redacted>")
+        assert record == outcome
+
+
 def test_mock_binding_cannot_build_live_provider():
     with pytest.raises(ProviderRejection):
         LiveHttpProvider(ProviderBinding.mock("/tmp/x"))
