@@ -55,7 +55,7 @@ def _add_provider_flags(parser):
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--iters", type=_positive_int, default=5,
                         help="iteration cap for both generation and debugging")
-    parser.add_argument("--mismatch-k", type=int, default=20,
+    parser.add_argument("--mismatch-k", type=_positive_int, default=20,
                         help="mismatch rows shown to the debugger")
 
 
@@ -118,8 +118,6 @@ def make_parser() -> argparse.ArgumentParser:
 def _run_config(args, jobs: int = 1):
     from .manifest import RunConfig
 
-    if args.provider == "mock" and not args.mock_script:
-        raise ProviderRejection("--provider mock requires --mock-script DIR")
     return RunConfig(strategy=args.strategy, shots=args.shots, provider=args.provider,
                      script_dir=args.mock_script, seed=args.seed,
                      iteration_cap=args.iters, mismatch_limit=args.mismatch_k, jobs=jobs)
@@ -231,7 +229,7 @@ def cmd_gen_tests(args) -> int:
               f"(have: {', '.join(sorted(mutants)) or 'none'})", file=sys.stderr)
         return EXIT_DATA
     config = _run_config(args)
-    provider = build_provider(config.binding(), Path(args.out) / "provider_log")
+    provider = build_provider(config, Path(args.out) / "provider_log")
     state = generate_tests(problem.spec(), mutants[args.source], config.gen_config(),
                            provider, iteration_cap=args.iters)
     out = Path(args.out)
@@ -265,7 +263,7 @@ def cmd_debug(args) -> int:
         print(f"error: no .stim files in {tests_dir}", file=sys.stderr)
         return EXIT_DATA
     config = _run_config(args)
-    provider = build_provider(config.binding(), Path(args.out) / "provider_log")
+    provider = build_provider(config, Path(args.out) / "provider_log")
     oracle_traces = {t.id: run_sim(problem.design, t, problem.signature) for t in tests}
     state = debug_loop(problem.spec(), elaborate_source(mutants[args.target]), tests,
                        oracle_traces, config.gen_config(), provider,

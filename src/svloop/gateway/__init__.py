@@ -8,7 +8,6 @@ from .config import (
     Exemplar,
     GenConfig,
     ProblemSpec,
-    ProviderBinding,
 )
 from .extract import parse_patch, parse_unit_test
 from .prompts import build_debug_prompt, build_testgen_prompt, estimate_tokens
@@ -30,7 +29,6 @@ __all__ = [
     "NLS",
     "NLSC",
     "ProblemSpec",
-    "ProviderBinding",
     "RecordingProvider",
     "ScriptedMockProvider",
     "build_debug_prompt",

@@ -4,12 +4,15 @@ HTTP chat-completion client.
 A mock script is a directory of numbered response files plus an
 ``index.json`` mapping prompt digests to files; digest hits replay
 without consuming the sequence, anything else is served next-in-order.
+Without an ``index.json``, the ``response-*.txt`` files are served in
+name order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from pathlib import Path
 from typing import Optional
@@ -22,9 +25,14 @@ from ..errors import (
     _read_json,
     _required_keys,
 )
-from .config import DEFAULT_TEMPERATURE, OUTPUT_TOKENS, GenConfig, ProviderBinding
+from .config import DEFAULT_TEMPERATURE, OUTPUT_TOKENS, GenConfig
 
 INDEX_NAME = "index.json"
+ENV_ENDPOINT = "SVLOOP_PROVIDER_ENDPOINT"
+ENV_MODEL = "SVLOOP_PROVIDER_MODEL"
+ENV_KEY = "SVLOOP_PROVIDER_KEY"
+TIMEOUT_S = 60.0        # per POST attempt, and the longest wait before a retry
+RETRIES = 2             # retries after a timeout, HTTP 429 or 5xx
 RETRY_BACKOFF_S = 1.0   # wait before the first retry of an HTTP 429/5xx; doubles per retry
 
 
@@ -43,6 +51,8 @@ class ScriptedMockProvider:
     @classmethod
     def from_dir(cls, path) -> "ScriptedMockProvider":
         path = Path(path)
+        if not path.is_dir():
+            raise MockScriptError(f"mock script directory not found: {path}")
         index_file = path / INDEX_NAME
         if not index_file.exists():
             names = sorted(p.name for p in path.glob("response-*.txt"))
@@ -109,44 +119,57 @@ class RecordingProvider:
 
 class LiveHttpProvider:
     """Chat-completion style HTTP client; credentials never reach logs.
-    Timeouts, HTTP 429 and 5xx are retried up to ``binding.retries`` times,
-    and no wait before a retry is longer than ``binding.timeout``. With a
-    ``log_dir``, every POST attempt writes one ``exchange-NNNN.json``: the
-    request, and the JSON body it got back or what went wrong."""
+    Timeouts, HTTP 429 and 5xx are retried up to ``RETRIES`` times, and no
+    wait before a retry is longer than ``TIMEOUT_S``. With a ``log_dir``,
+    every POST attempt writes one ``exchange-NNNN.json``: the request, and
+    the JSON body it got back or what went wrong."""
 
-    def __init__(self, binding: ProviderBinding, log_dir=None):
-        if binding.kind != "live":
-            raise ProviderRejection("LiveHttpProvider requires a live binding")
-        self.binding = binding
+    def __init__(self, endpoint: str, model: str, credential: str, log_dir=None):
+        self.endpoint = endpoint
+        self.model = model
+        self.credential = credential
         self.log_dir = Path(log_dir) if log_dir else None
         self._counter = 0
+
+    @classmethod
+    def from_env(cls, log_dir=None, env=os.environ) -> "LiveHttpProvider":
+        """The provider named by ``SVLOOP_PROVIDER_ENDPOINT/MODEL/KEY``."""
+        endpoint, model, credential = (env.get(name)
+                                       for name in (ENV_ENDPOINT, ENV_MODEL, ENV_KEY))
+        if not (endpoint and model and credential):
+            raise ProviderRejection(
+                "live provider requires endpoint, model, and credential "
+                f"(set {ENV_ENDPOINT}, {ENV_MODEL}, {ENV_KEY})"
+            )
+        return cls(endpoint, model, credential, log_dir)
 
     def complete(self, prompt: str, cfg: GenConfig) -> str:
         import requests
 
         body = {
-            "model": self.binding.model,
+            "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": DEFAULT_TEMPERATURE,
             "max_tokens": OUTPUT_TOKENS[cfg.strategy],
         }
-        headers = {"Authorization": f"Bearer {self.binding.credential}"}
+        headers = {"Authorization": f"Bearer {self.credential}"}
         last_error = None
-        for attempt in range(self.binding.retries + 1):
+        for attempt in range(RETRIES + 1):
             try:
                 response = requests.post(
-                    self.binding.endpoint,
+                    self.endpoint,
                     json=body,
                     headers=headers,
-                    timeout=self.binding.timeout,
+                    timeout=TIMEOUT_S,
                 )
             except requests.Timeout as exc:
                 self._log(body, error=self._failure(exc))
                 last_error = exc
                 continue
             except requests.RequestException as exc:
-                self._log(body, error=self._failure(exc))
-                raise ProviderRejection(f"provider request failed: {exc}") from exc
+                failure = self._failure(exc)
+                self._log(body, error=failure)
+                raise ProviderRejection(f"provider request failed: {failure['message']}") from exc
             status = response.status_code
             if status != 200:
                 self._log(body, error={"status": status})
@@ -155,8 +178,8 @@ class LiveHttpProvider:
                 )
                 if status != 429 and not 500 <= status < 600:
                     raise last_error
-                if attempt < self.binding.retries:
-                    time.sleep(min(_retry_delay(response, attempt), self.binding.timeout))
+                if attempt < RETRIES:
+                    time.sleep(min(_retry_delay(response, attempt), TIMEOUT_S))
                 continue
             try:
                 payload = response.json()
@@ -173,11 +196,11 @@ class LiveHttpProvider:
         if isinstance(last_error, ProviderRejection):
             raise last_error
         raise ProviderTimeout(
-            f"provider timed out after {self.binding.retries + 1} attempts"
+            f"provider timed out after {RETRIES + 1} attempts"
         ) from last_error
 
     def _failure(self, exc: Exception) -> dict:
-        message = str(exc).replace(self.binding.credential, "<redacted>")
+        message = str(exc).replace(self.credential, "<redacted>")
         return {"type": type(exc).__name__, "message": message}
 
     def _log(self, request_body, **outcome):
@@ -211,7 +234,8 @@ def _retry_delay(response, attempt: int) -> float:
     return RETRY_BACKOFF_S * 2 ** attempt
 
 
-def build_provider(binding: ProviderBinding, log_dir=None):
-    if binding.kind == "mock":
-        return ScriptedMockProvider.from_dir(binding.script_dir)
-    return LiveHttpProvider(binding, log_dir)
+def build_provider(config, log_dir=None):
+    """The provider a ``RunConfig`` names; a live one logs under ``log_dir``."""
+    if config.provider == "mock":
+        return ScriptedMockProvider.from_dir(config.script_dir)
+    return LiveHttpProvider.from_env(log_dir)

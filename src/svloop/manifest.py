@@ -14,11 +14,11 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .errors import ManifestError, _read_json, _required_keys
+from .errors import ManifestError, ProviderRejection, _read_json, _required_keys
 from .frontend.ast import DesignSource
 from .frontend.elaborate import ElaboratedDesign, elaborate_source
 from .frontend.signature import DesignSignature, ResetSpec, extract_signature
-from .gateway.config import Exemplar, GenConfig, ProblemSpec, ProviderBinding
+from .gateway.config import Exemplar, GenConfig, ProblemSpec
 from .mutate import MutantRecord, SkippedOperator
 from .sim.stimulus import UnitTest, parse_stimulus
 
@@ -176,13 +176,14 @@ class RunConfig:
     jobs: int = 1
     version: str = field(default=__version__)
 
+    def __post_init__(self):
+        if self.provider not in ("mock", "live"):
+            raise ProviderRejection(f"unknown provider kind {self.provider!r}")
+        if self.provider == "mock" and not self.script_dir:
+            raise ProviderRejection("--provider mock requires --mock-script DIR")
+
     def gen_config(self) -> GenConfig:
         return GenConfig(strategy=self.strategy, shots=self.shots)
-
-    def binding(self) -> ProviderBinding:
-        if self.provider == "mock":
-            return ProviderBinding.mock(self.script_dir)
-        return ProviderBinding.live_from_env()
 
     def as_dict(self) -> dict:
         return asdict(self)

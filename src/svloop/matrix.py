@@ -318,7 +318,7 @@ def _error_entry(exc: Exception) -> dict:
 
 def _evaluate_problem_task(problem: Problem, config: RunConfig, out_dir: Path) -> dict:
     # a worker's provider (and so its provider_log/) serves this problem only
-    provider = build_provider(config.binding(), out_dir / "provider_log")
+    provider = build_provider(config, out_dir / "provider_log")
     return _problem_entry(problem, config, provider, out_dir)
 
 
@@ -353,7 +353,7 @@ def evaluate_matrix(problems: list[Problem], config: RunConfig, out_root) -> dic
                 except BrokenProcessPool as exc:
                     summary["problems"][pid] = _error_entry(exc)
     else:
-        provider = build_provider(config.binding(), out_root / "provider_log")
+        provider = build_provider(config, out_root / "provider_log")
         for problem in ordered:
             summary["problems"][problem.id] = _problem_entry(
                 problem, config, provider, out_root / "problems" / problem.id

@@ -5,17 +5,19 @@ import random
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import svloop
 from support import record_mock_script, valid_arbiter_stimulus
-from svloop.cli import EXIT_DATA, EXIT_PROVIDER, EXIT_USAGE, main
+from svloop.cli import EXIT_DATA, EXIT_PROVIDER, EXIT_USAGE, _run_config, main, make_parser
 from svloop import matrix
 from svloop.data import default_corpus_root
-from svloop.gateway.config import ENV_ENDPOINT, ENV_KEY, ENV_MODEL
+from svloop.gateway.providers import ENV_ENDPOINT, ENV_KEY, ENV_MODEL
 from svloop.manifest import RunConfig, load_corpus
+from svloop.report import build_report, validate_report
 from svloop.sim import engine
 from svloop.sim.coverage import collect_coverage
 from svloop.sim.stimulus import UnitTest, parse_stimulus
@@ -344,6 +346,26 @@ class TestLoopCommands:
         assert "--mock-script" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["gen-tests", "debug", "evaluate"])
+    def test_missing_mock_script_dir_is_a_data_error_naming_it(
+            self, cli_corpus, tmp_path, capsys, command):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        (suite / "t.stim").write_text(valid_arbiter_stimulus())
+        args = {
+            "gen-tests": ["arbiter2", "--problems", cli_corpus, "--source", "BC01"],
+            "debug": ["arbiter2", "--problems", cli_corpus, "--target", "BC01",
+                      "--tests", str(suite)],
+            "evaluate": ["--problems", cli_corpus],
+        }[command]
+        script = tmp_path / "no_such_dir"
+        out = tmp_path / "out"
+        code = main([command, *args, "--out", str(out), "--mock-script", str(script)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(script) in err and "Traceback" not in err
+        assert not (out / "summary.json").exists()
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_live_without_env_fails_the_same_for_any_jobs(self, cli_corpus, tmp_path, capsys,
                                                           monkeypatch, jobs):
@@ -598,6 +620,37 @@ class TestUsage:
         assert exc.value.code == EXIT_USAGE
         assert "--jobs" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_mismatch_k_is_usage_error(self, corpus_dir, tmp_path, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--problems", str(corpus_dir), "--out", str(tmp_path / "run"),
+                  "--mock-script", str(tmp_path / "script"), "--mismatch-k", value])
+        assert exc.value.code == EXIT_USAGE
+        assert "--mismatch-k" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_smallest_accepted_integer_options_give_a_valid_report(self, finished_run, capsys):
+        # the run_config.json field each integer option sets
+        recorded = {"--shots": "shots", "--seed": "seed", "--iters": "iteration_cap",
+                    "--mismatch-k": "mismatch_limit", "--jobs": "jobs"}
+        assert set(recorded.values()) == {f.name for f in fields(RunConfig) if f.type == "int"}
+        report = build_report(finished_run[2])
+        parser = make_parser()
+        for flag, name in recorded.items():
+            for value in (-2 ** 63, -1, 0, 1):  # ascending: the first accepted is the smallest
+                argv = ["evaluate", "--problems", "p", "--out", "o", "--mock-script", "s",
+                        flag, str(value)]
+                try:
+                    args = parser.parse_args(argv)
+                except SystemExit:
+                    continue
+                config = _run_config(args, jobs=args.jobs)
+                assert getattr(config, name) == value
+                validate_report({**report, "config": config.as_dict()})
+                break
+            else:
+                pytest.fail(f"{flag} accepts none of the candidate values")
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_non_positive_iters_is_usage_error(self, cli_corpus, tmp_path, value, capsys):

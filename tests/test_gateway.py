@@ -15,7 +15,7 @@ from svloop.gateway import (
     DEFAULT_INPUT_WINDOW,
     DEFAULT_TEMPERATURE,
     GenConfig,
-    ProviderBinding,
+    LiveHttpProvider,
     ScriptedMockProvider,
     build_debug_prompt,
     build_provider,
@@ -27,6 +27,8 @@ from svloop.gateway import (
 )
 from svloop.gateway.config import OUTPUT_TOKENS
 from svloop.gateway.prompts import TOKENS_PER_WORD
+from svloop.gateway.providers import ENV_ENDPOINT, ENV_MODEL
+from svloop.manifest import RunConfig
 from svloop.sim import UnitTest, collect_coverage, run
 from svloop.verdict import compare, summarize
 
@@ -207,19 +209,24 @@ class TestMockProvider:
         assert provider.complete("x", cfg) == "a"
         assert provider.complete("y", cfg) == "b"
 
-    def test_live_binding_requires_credentials(self):
+    def test_live_provider_requires_credentials(self):
+        env = {ENV_ENDPOINT: "http://x", ENV_MODEL: "m"}
         with pytest.raises(ProviderRejection):
-            ProviderBinding("live", endpoint="http://x", model="m", credential=None)
+            LiveHttpProvider.from_env(env=env)
         with pytest.raises(ProviderRejection):
-            ProviderBinding.live_from_env(env={})
+            LiveHttpProvider.from_env(env={})
 
-    def test_mock_binding_requires_script(self):
+    def test_mock_run_requires_script(self):
         with pytest.raises(ProviderRejection):
-            ProviderBinding("mock")
+            RunConfig(provider="mock")
+
+    def test_unknown_provider_is_rejected(self):
+        with pytest.raises(ProviderRejection, match="unknown provider"):
+            RunConfig(provider="mock-ish", script_dir="s")
 
     def test_one_shot_complete_surface(self, tmp_path):
         save_mock_script(tmp_path / "s", ["scripted answer"])
-        provider = build_provider(ProviderBinding.mock(str(tmp_path / "s")))
+        provider = build_provider(RunConfig(provider="mock", script_dir=str(tmp_path / "s")))
         assert provider.complete("any prompt", GenConfig()) == "scripted answer"
 
 

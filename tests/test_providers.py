@@ -7,8 +7,8 @@ import requests
 from support import valid_arbiter_stimulus
 from svloop.cli import main
 from svloop.errors import ProviderRejection, ProviderTimeout
-from svloop.gateway import GenConfig, ProviderBinding
-from svloop.gateway.config import ENV_ENDPOINT, ENV_KEY, ENV_MODEL
+from svloop.gateway import GenConfig
+from svloop.gateway.providers import ENV_ENDPOINT, ENV_KEY, ENV_MODEL
 from svloop.gateway import providers
 from svloop.gateway.providers import LiveHttpProvider
 from svloop.manifest import RunConfig
@@ -17,11 +17,11 @@ from svloop.matrix import evaluate_matrix
 CFG = GenConfig()
 
 
-def live_binding(**kw):
-    defaults = dict(endpoint="https://llm.example/v1/chat", model="m-1",
-                    credential="secret-key", retries=1, timeout=10.0)
-    defaults.update(kw)
-    return ProviderBinding("live", **defaults)
+def live_provider(monkeypatch, retries=1, timeout=10.0, log_dir=None):
+    """A provider for the test endpoint, with ``RETRIES`` and ``TIMEOUT_S`` set."""
+    monkeypatch.setattr(providers, "RETRIES", retries)
+    monkeypatch.setattr(providers, "TIMEOUT_S", timeout)
+    return LiveHttpProvider("https://llm.example/v1/chat", "m-1", "secret-key", log_dir)
 
 
 class FakeResponse:
@@ -54,7 +54,7 @@ def test_successful_completion_and_redacted_log(monkeypatch, tmp_path):
         return FakeResponse(200, {"choices": [{"message": {"content": "hi there"}}]})
 
     monkeypatch.setattr(requests, "post", fake_post)
-    provider = LiveHttpProvider(live_binding(), log_dir=tmp_path / "log")
+    provider = live_provider(monkeypatch, log_dir=tmp_path / "log")
     assert provider.complete("prompt text", CFG) == "hi there"
     assert seen["url"] == "https://llm.example/v1/chat"
     assert seen["body"]["model"] == "m-1"
@@ -76,7 +76,7 @@ def test_http_error_is_rejection(monkeypatch):
         requests, "post", lambda *a, **k: FakeResponse(429, text="rate limited")
     )
     with pytest.raises(ProviderRejection, match="429"):
-        LiveHttpProvider(live_binding()).complete("p", CFG)
+        live_provider(monkeypatch).complete("p", CFG)
 
 
 def scripted_posts(monkeypatch, *responses):
@@ -96,7 +96,7 @@ def scripted_posts(monkeypatch, *responses):
 def test_server_error_is_retried_then_succeeds(monkeypatch):
     ok = FakeResponse(200, {"choices": [{"message": {"content": "ok"}}]})
     posts, sleeps = scripted_posts(monkeypatch, FakeResponse(503, text="busy"), ok)
-    assert LiveHttpProvider(live_binding(retries=2)).complete("p", CFG) == "ok"
+    assert live_provider(monkeypatch, retries=2).complete("p", CFG) == "ok"
     assert len(posts) == 2
     assert sleeps == [providers.RETRY_BACKOFF_S]
 
@@ -104,7 +104,7 @@ def test_server_error_is_retried_then_succeeds(monkeypatch):
 def test_persistent_server_error_rejects_after_budget(monkeypatch):
     posts, sleeps = scripted_posts(monkeypatch, FakeResponse(500, text="down"))
     with pytest.raises(ProviderRejection, match="HTTP 500"):
-        LiveHttpProvider(live_binding(retries=3)).complete("p", CFG)
+        live_provider(monkeypatch, retries=3).complete("p", CFG)
     assert len(posts) == 4  # initial attempt plus three retries
     backoff = providers.RETRY_BACKOFF_S
     assert sleeps == [backoff, 2 * backoff, 4 * backoff]  # none after the last attempt
@@ -114,7 +114,7 @@ def test_retry_after_header_sets_the_wait(monkeypatch):
     ok = FakeResponse(200, {"choices": [{"message": {"content": "ok"}}]})
     throttled = FakeResponse(429, text="slow down", headers={"Retry-After": "7"})
     posts, sleeps = scripted_posts(monkeypatch, throttled, ok)
-    assert LiveHttpProvider(live_binding()).complete("p", CFG) == "ok"
+    assert live_provider(monkeypatch).complete("p", CFG) == "ok"
     assert sleeps == [7]
 
 
@@ -122,28 +122,28 @@ def test_retry_after_wait_is_capped_at_the_timeout(monkeypatch):
     ok = FakeResponse(200, {"choices": [{"message": {"content": "ok"}}]})
     throttled = FakeResponse(429, text="slow down", headers={"Retry-After": "86400"})
     posts, sleeps = scripted_posts(monkeypatch, throttled, ok)
-    assert LiveHttpProvider(live_binding(timeout=30.0)).complete("p", CFG) == "ok"
+    assert live_provider(monkeypatch, timeout=30.0).complete("p", CFG) == "ok"
     assert len(posts) == 2 and sleeps == [30.0]
 
 
 def test_other_client_error_is_not_retried(monkeypatch):
     posts, sleeps = scripted_posts(monkeypatch, FakeResponse(404, text="no such model"))
     with pytest.raises(ProviderRejection, match="HTTP 404"):
-        LiveHttpProvider(live_binding(retries=3)).complete("p", CFG)
+        live_provider(monkeypatch, retries=3).complete("p", CFG)
     assert len(posts) == 1 and sleeps == []
 
 
 def test_malformed_body_is_rejection(monkeypatch):
     monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(200, {"oops": 1}))
     with pytest.raises(ProviderRejection, match="malformed"):
-        LiveHttpProvider(live_binding()).complete("p", CFG)
+        live_provider(monkeypatch).complete("p", CFG)
 
 
 def test_non_text_content_is_rejection(monkeypatch):
     body = {"choices": [{"message": {"content": None}}]}
     monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(200, body))
     with pytest.raises(ProviderRejection, match="not text"):
-        LiveHttpProvider(live_binding()).complete("p", CFG)
+        live_provider(monkeypatch).complete("p", CFG)
 
 
 def test_non_json_body_is_rejection(monkeypatch):
@@ -151,24 +151,7 @@ def test_non_json_body_is_rejection(monkeypatch):
         requests, "post", lambda *a, **k: FakeResponse(200, text="<html>busy</html>")
     )
     with pytest.raises(ProviderRejection, match="not JSON"):
-        LiveHttpProvider(live_binding()).complete("p", CFG)
-
-
-def test_non_json_body_does_not_abort_evaluate(monkeypatch, live_env, problems, tmp_path):
-    monkeypatch.setattr(
-        requests, "post", lambda *a, **k: FakeResponse(200, text="<html>busy</html>")
-    )
-    out = tmp_path / "run"
-    summary = evaluate_matrix([problems["full_adder"]], RunConfig(provider="live"), out)
-    assert (out / "summary.json").exists()
-    assert "error" not in summary["problems"]["full_adder"]
-    genstates = sorted(out.glob("problems/full_adder/sources/*/genstate.json"))
-    assert genstates
-    for path in genstates:
-        rejections = json.loads(path.read_text())["rejections"]
-        assert rejections and all(
-            r["reason"] == "provider" and "not JSON" in r["detail"] for r in rejections
-        )
+        live_provider(monkeypatch).complete("p", CFG)
 
 
 def answering(monkeypatch, text):
@@ -226,7 +209,7 @@ def test_timeout_retries_then_raises(monkeypatch):
 
     monkeypatch.setattr(requests, "post", fake_post)
     with pytest.raises(ProviderTimeout):
-        LiveHttpProvider(live_binding(retries=2)).complete("p", CFG)
+        live_provider(monkeypatch, retries=2).complete("p", CFG)
     assert len(calls) == 3  # initial attempt plus two retries
 
 
@@ -240,7 +223,7 @@ def test_timeout_then_success(monkeypatch):
         return FakeResponse(200, {"choices": [{"message": {"content": "ok"}}]})
 
     monkeypatch.setattr(requests, "post", fake_post)
-    assert LiveHttpProvider(live_binding()).complete("p", CFG) == "ok"
+    assert live_provider(monkeypatch).complete("p", CFG) == "ok"
 
 
 NOT_TEXT = {"choices": [{"message": {"content": None}}]}
@@ -276,7 +259,7 @@ def test_every_failed_attempt_leaves_a_redacted_record(monkeypatch, tmp_path, an
 
     monkeypatch.setattr(requests, "post", fake_post)
     monkeypatch.setattr(time, "sleep", lambda seconds: None)
-    provider = LiveHttpProvider(live_binding(retries=2), log_dir=tmp_path / "log")
+    provider = live_provider(monkeypatch, retries=2, log_dir=tmp_path / "log")
     with pytest.raises(error):
         provider.complete("prompt text", CFG)
     logs = sorted((tmp_path / "log").glob("exchange-*.json"))
@@ -290,6 +273,58 @@ def test_every_failed_attempt_leaves_a_redacted_record(monkeypatch, tmp_path, an
         assert record == outcome
 
 
-def test_mock_binding_cannot_build_live_provider():
-    with pytest.raises(ProviderRejection):
-        LiveHttpProvider(ProviderBinding.mock("/tmp/x"))
+# every input combination of full_adder, the answer to generation prompts
+# when only the debug prompts fail
+FULL_ADDER_SUITE = "inputs: a[1], b[1], c[1]\n" + "\n".join(
+    " ".join(f"{n:03b}") for n in range(8)) + "\n"
+
+
+@pytest.mark.parametrize("stage, states", [
+    ("gen", "sources/*/genstate.json"),
+    ("debug", "debug/*/state.json"),
+], ids=["gen", "debug"])
+@pytest.mark.parametrize("answer, attempts, detail", [
+    (FakeResponse(200, text="<html>busy</html>"), 1, "provider response body is not JSON"),
+    (requests.ConnectionError("refused for secret-key"), 1,
+     "provider request failed: refused for <redacted>"),
+    (requests.Timeout("too slow"), 3, "provider timed out after 3 attempts"),
+    (FakeResponse(429, text="slow down"), 3, "provider returned HTTP 429: slow down"),
+    (FakeResponse(503, text="busy"), 3, "provider returned HTTP 503: busy"),
+    (FakeResponse(200, {"oops": 1}), 1, "malformed provider response body"),
+    (FakeResponse(200, NOT_TEXT), 1, "provider response content is not text"),
+], ids=["not-json", "connection", "timeout", "429", "5xx", "malformed", "not-text"])
+def test_provider_faults_are_rejections_of_their_units(monkeypatch, live_env, problems,
+                                                       tmp_path, answer, attempts, detail,
+                                                       stage, states):
+    posts, failed = [], []
+    suite = FakeResponse(200, {"choices": [{"message": {"content": FULL_ADDER_SUITE}}]})
+
+    def fake_post(*a, **k):
+        posts.append(k["json"])
+        prompt = k["json"]["messages"][0]["content"]
+        if stage == "debug" and "corrected SystemVerilog" not in prompt:
+            return suite
+        failed.append(k["json"])
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
+
+    monkeypatch.setattr(requests, "post", fake_post)
+    monkeypatch.setattr(time, "sleep", lambda seconds: None)
+    out = tmp_path / "run"
+    summary = evaluate_matrix([problems["full_adder"]], RunConfig(provider="live"), out)
+    assert (out / "summary.json").exists()
+    assert "error" not in summary["problems"]["full_adder"]
+    paths = sorted(out.glob(f"problems/full_adder/{states}"))
+    assert paths
+    rejections = []
+    for path in paths:
+        unit = json.loads(path.read_text())["rejections"]
+        assert unit and {(r["reason"], r["detail"]) for r in unit} == {("provider", detail)}
+        rejections += unit
+    # every call that met the fault was rejected after all of its attempts
+    assert len(failed) == attempts * len(rejections)
+    logs = sorted((out / "provider_log").iterdir())
+    assert [p.name for p in logs] == [f"exchange-{n:04d}.json" for n in range(1, len(posts) + 1)]
+    for path in out.rglob("*"):
+        assert path.is_dir() or b"secret-key" not in path.read_bytes(), path
