@@ -21,8 +21,9 @@ from .errors import (
     SvLoopError,
 )
 
-# Each command imports the modules it runs inside its own function, so
-# that it pays start-up time only for its own layers.
+# Each command imports the modules it runs inside its own function, and
+# main builds the sub-parser of the command it runs alone, so that a
+# command pays start-up time only for its own layers and arguments.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,53 +66,17 @@ def _problem_by_name(problems_dir: str, name: str):
     return load_problem(Path(problems_dir) / "problems" / name)
 
 
-def make_parser() -> argparse.ArgumentParser:
+def make_parser(command=None) -> argparse.ArgumentParser:
+    """The parser for every command, or for ``command`` alone."""
     parser = _ArgumentParser(prog="svloop", description=__doc__)
     parser.add_argument("--version", action="version", version=f"svloop {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", help="parse and elaborate a design, print its signature")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("simulate", help="run a stimulus file against a design")
-    p.add_argument("file")
-    p.add_argument("--stim", required=True, help="stimulus file")
-    p.add_argument("--vcd", help="write the trace as VCD to this path")
-    p.add_argument("--coverage", action="store_true", help="print a coverage report")
-
-    p = sub.add_parser("mutate", help="build the buggy corpus for a problem")
-    p.add_argument("problem", help="problem name, or 'all'")
-    p.add_argument("--problems", required=True, help="corpus root directory")
-    p.add_argument("--seed", type=int, default=1)
-
-    p = sub.add_parser("gen-tests", help="run the coverage-gated generation loop")
-    p.add_argument("problem")
-    p.add_argument("--problems", required=True)
-    p.add_argument("--source", required=True, help="source mutant id, e.g. BC03")
-    p.add_argument("--out", required=True, help="output directory for tests and state")
-    _add_provider_flags(p)
-
-    p = sub.add_parser("debug", help="run the pass-fraction-gated repair loop")
-    p.add_argument("problem")
-    p.add_argument("--problems", required=True)
-    p.add_argument("--target", required=True, help="target mutant id, e.g. BC03")
-    p.add_argument("--tests", required=True, help="directory of .stim unit tests")
-    p.add_argument("--out", required=True)
-    _add_provider_flags(p)
-
-    p = sub.add_parser("evaluate", help="full source x target matrix over a corpus")
-    p.add_argument("--problems", required=True)
-    p.add_argument("--out", required=True, help="run directory")
-    p.add_argument("--jobs", type=_positive_int, default=1)
-    _add_provider_flags(p)
-
-    p = sub.add_parser("report", help="emit binned matrices and debug distributions")
-    p.add_argument("run_dir")
-    p.add_argument("--out", help="report directory (default: <run_dir>/report)")
-
-    p = sub.add_parser("init-corpus", help="copy the built-in desk corpus to a directory")
-    p.add_argument("dest")
+    # with one command registered, the usage line still lists them all, as
+    # argparse would; its errors name the commands only when none was given
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (_, help_text, add_arguments) in _COMMANDS.items():
+        if command is None or name == command:
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -121,6 +86,11 @@ def _run_config(args, jobs: int = 1):
     return RunConfig(strategy=args.strategy, shots=args.shots, provider=args.provider,
                      script_dir=args.mock_script, seed=args.seed,
                      iteration_cap=args.iters, mismatch_limit=args.mismatch_k, jobs=jobs)
+
+
+def _parse_arguments(p):
+    p.add_argument("file")
+    p.add_argument("--json", action="store_true")
 
 
 def cmd_parse(args) -> int:
@@ -163,6 +133,13 @@ def cmd_parse(args) -> int:
     return EXIT_OK
 
 
+def _simulate_arguments(p):
+    p.add_argument("file")
+    p.add_argument("--stim", required=True, help="stimulus file")
+    p.add_argument("--vcd", help="write the trace as VCD to this path")
+    p.add_argument("--coverage", action="store_true", help="print a coverage report")
+
+
 def cmd_simulate(args) -> int:
     from .frontend.ast import DesignSource
     from .frontend.elaborate import elaborate_source
@@ -199,6 +176,12 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _mutate_arguments(p):
+    p.add_argument("problem", help="problem name, or 'all'")
+    p.add_argument("--problems", required=True, help="corpus root directory")
+    p.add_argument("--seed", type=int, default=1)
+
+
 def cmd_mutate(args) -> int:
     from .manifest import load_corpus, write_mutation_corpus
     from .mutate import make_corpus
@@ -216,6 +199,14 @@ def cmd_mutate(args) -> int:
         for s in skipped:
             print(f"  skipped {s.bc_id} ({s.kind}): {s.reason}")
     return EXIT_OK
+
+
+def _gen_tests_arguments(p):
+    p.add_argument("problem")
+    p.add_argument("--problems", required=True)
+    p.add_argument("--source", required=True, help="source mutant id, e.g. BC03")
+    p.add_argument("--out", required=True, help="output directory for tests and state")
+    _add_provider_flags(p)
 
 
 def cmd_gen_tests(args) -> int:
@@ -241,6 +232,15 @@ def cmd_gen_tests(args) -> int:
     for r in state.rejections:
         print(f"  rejected iteration {r.iteration} [{r.reason}]: {r.detail}")
     return EXIT_OK
+
+
+def _debug_arguments(p):
+    p.add_argument("problem")
+    p.add_argument("--problems", required=True)
+    p.add_argument("--target", required=True, help="target mutant id, e.g. BC03")
+    p.add_argument("--tests", required=True, help="directory of .stim unit tests")
+    p.add_argument("--out", required=True)
+    _add_provider_flags(p)
 
 
 def cmd_debug(args) -> int:
@@ -278,6 +278,13 @@ def cmd_debug(args) -> int:
     return EXIT_OK
 
 
+def _evaluate_arguments(p):
+    p.add_argument("--problems", required=True)
+    p.add_argument("--out", required=True, help="run directory")
+    p.add_argument("--jobs", type=_positive_int, default=1)
+    _add_provider_flags(p)
+
+
 def cmd_evaluate(args) -> int:
     from .manifest import load_corpus
     from .matrix import evaluate_matrix
@@ -297,12 +304,21 @@ def cmd_evaluate(args) -> int:
     return EXIT_DATA if failures else EXIT_OK
 
 
+def _report_arguments(p):
+    p.add_argument("run_dir")
+    p.add_argument("--out", help="report directory (default: <run_dir>/report)")
+
+
 def cmd_report(args) -> int:
     from .report import write_report
 
     out = write_report(args.run_dir, args.out)
     print(f"report written to {out}")
     return EXIT_OK
+
+
+def _init_corpus_arguments(p):
+    p.add_argument("dest")
 
 
 def cmd_init_corpus(args) -> int:
@@ -313,23 +329,31 @@ def cmd_init_corpus(args) -> int:
     return EXIT_OK
 
 
+# name -> (handler, help, the function that adds its arguments)
 _COMMANDS = {
-    "parse": cmd_parse,
-    "simulate": cmd_simulate,
-    "mutate": cmd_mutate,
-    "gen-tests": cmd_gen_tests,
-    "debug": cmd_debug,
-    "evaluate": cmd_evaluate,
-    "report": cmd_report,
-    "init-corpus": cmd_init_corpus,
+    "parse": (cmd_parse, "parse and elaborate a design, print its signature",
+              _parse_arguments),
+    "simulate": (cmd_simulate, "run a stimulus file against a design", _simulate_arguments),
+    "mutate": (cmd_mutate, "build the buggy corpus for a problem", _mutate_arguments),
+    "gen-tests": (cmd_gen_tests, "run the coverage-gated generation loop",
+                  _gen_tests_arguments),
+    "debug": (cmd_debug, "run the pass-fraction-gated repair loop", _debug_arguments),
+    "evaluate": (cmd_evaluate, "full source x target matrix over a corpus",
+                 _evaluate_arguments),
+    "report": (cmd_report, "emit binned matrices and debug distributions",
+               _report_arguments),
+    "init-corpus": (cmd_init_corpus, "copy the built-in desk corpus to a directory",
+                    _init_corpus_arguments),
 }
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command parses with its own sub-parser only; anything else sees them all
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = make_parser(command).parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (ProviderRejection, ProviderTimeout, ScriptExhausted) as exc:
         print(f"provider error: {exc}", file=sys.stderr)
         return EXIT_PROVIDER

@@ -8,6 +8,7 @@ debugging-strategies block.
 
 from __future__ import annotations
 
+from functools import cache
 from importlib import resources
 from string import Template
 from typing import Optional
@@ -27,6 +28,7 @@ def estimate_tokens(text: str) -> int:
     return int(len(text.split()) * TOKENS_PER_WORD)
 
 
+@cache  # read once per process: a template is package data, not edited mid-run
 def _load_template(name: str) -> Template:
     text = resources.files("svloop.gateway.templates").joinpath(name).read_text("utf-8")
     return Template(text)

@@ -332,6 +332,9 @@ def evaluate_matrix(problems: list[Problem], config: RunConfig, out_root) -> dic
     every problem it leaves unfinished gets an error entry.
     """
     out_root = Path(out_root)
+    # a provider that cannot be built fails the run before it makes a directory;
+    # with --jobs N each worker builds its own, and this one is only the check
+    provider = build_provider(config, out_root / "provider_log")
     out_root.mkdir(parents=True, exist_ok=True)
     (out_root / "problems").mkdir(exist_ok=True)
     _write_json(out_root / "run_config.json", config.as_dict())
@@ -353,7 +356,6 @@ def evaluate_matrix(problems: list[Problem], config: RunConfig, out_root) -> dic
                 except BrokenProcessPool as exc:
                     summary["problems"][pid] = _error_entry(exc)
     else:
-        provider = build_provider(config, out_root / "provider_log")
         for problem in ordered:
             summary["problems"][problem.id] = _problem_entry(
                 problem, config, provider, out_root / "problems" / problem.id

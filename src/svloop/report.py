@@ -78,6 +78,8 @@ def build_report(run_dir) -> dict:
     if not config_file.exists():
         raise ReportError(f"missing run_config.json in {run_dir}")
     config = _read_json(config_file, ReportError)
+    if not isinstance(config, dict):
+        raise ReportError(f"{config_file} is malformed: not a JSON object")
     matrices = _load_matrix_files(run_dir)
 
     report_matrices = {}

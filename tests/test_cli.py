@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -12,7 +13,9 @@ import pytest
 
 import svloop
 from support import record_mock_script, valid_arbiter_stimulus
-from svloop.cli import EXIT_DATA, EXIT_PROVIDER, EXIT_USAGE, _run_config, main, make_parser
+from svloop.cli import (
+    EXIT_DATA, EXIT_PROVIDER, EXIT_USAGE, _COMMANDS, _run_config, main, make_parser,
+)
 from svloop import matrix
 from svloop.data import default_corpus_root
 from svloop.gateway.providers import ENV_ENDPOINT, ENV_KEY, ENV_MODEL
@@ -346,9 +349,10 @@ class TestLoopCommands:
         assert "--mock-script" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["gen-tests", "debug", "evaluate"])
+    @pytest.mark.parametrize("command", ["gen-tests", "debug", "evaluate", "evaluate --jobs 2"])
     def test_missing_mock_script_dir_is_a_data_error_naming_it(
             self, cli_corpus, tmp_path, capsys, command):
+        command, *jobs = command.split()
         suite = tmp_path / "suite"
         suite.mkdir()
         (suite / "t.stim").write_text(valid_arbiter_stimulus())
@@ -360,11 +364,11 @@ class TestLoopCommands:
         }[command]
         script = tmp_path / "no_such_dir"
         out = tmp_path / "out"
-        code = main([command, *args, "--out", str(out), "--mock-script", str(script)])
+        code = main([command, *args, *jobs, "--out", str(out), "--mock-script", str(script)])
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(script) in err and "Traceback" not in err
-        assert not (out / "summary.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_live_without_env_fails_the_same_for_any_jobs(self, cli_corpus, tmp_path, capsys,
@@ -376,7 +380,7 @@ class TestLoopCommands:
                      "--provider", "live", "--jobs", jobs])
         assert code == EXIT_PROVIDER
         assert ENV_KEY in capsys.readouterr().err
-        assert not (out / "summary.json").exists()
+        assert not out.exists()
 
 
 class TestEvaluateAndReport:
@@ -575,6 +579,7 @@ class TestEvaluateAndReport:
     def test_dying_worker_becomes_error_entry(self, corpus_dir, tmp_path, capsys,
                                               monkeypatch):
         monkeypatch.setattr(matrix, "_evaluate_problem_task", _task_dying_on_seq_detect)
+        (tmp_path / "script").mkdir()  # the parent checks that the provider can be built
         run_dir = tmp_path / "run"
         code = main([
             "evaluate", "--problems", str(corpus_dir), "--out", str(run_dir),
@@ -586,6 +591,48 @@ class TestEvaluateAndReport:
         assert set(summary["problems"]) == ids
         assert summary["problems"]["seq_detect"]["error"].startswith("BrokenProcessPool")
         assert "seq_detect: 0 cells" in capsys.readouterr().out
+
+
+# every kind of JSON file svloop reads: (the directory of finished_run it lies
+# in, its path there, the command that reads it)
+JSON_KINDS = {
+    "problem.json": ("corpus", "problems/adder4/problem.json", "evaluate"),
+    "manifest.json": ("corpus", "problems/adder4/manifest.json", "evaluate"),
+    "run_config.json": ("run", "run_config.json", "report"),
+    "matrix.json": ("run", "problems/adder4/matrix.json", "report"),
+    "genstate.json": ("run", "problems/adder4/sources/bc02/genstate.json", "evaluate"),
+    "result.json": ("run", "problems/adder4/cells/bc02/bc03/result.json", "evaluate"),
+    "state.json": ("run", "problems/adder4/debug/bc02/state.json", "evaluate"),
+    "index.json": ("script", "index.json", "evaluate"),
+}
+
+
+def _json_damage(text: str, damage: str) -> str:
+    """``text`` cut short (a fraction of its length, or all but its closing
+    brace) or replaced by JSON of the wrong shape."""
+    cuts = {"cut-1": 1, "cut-half": len(text) // 2, "cut-brace": len(text.rstrip()) - 1}
+    return text[:cuts[damage]] if damage in cuts else damage
+
+
+@pytest.mark.parametrize("damage", ["cut-1", "cut-half", "cut-brace", "[]", "5"])
+@pytest.mark.parametrize("kind", list(JSON_KINDS))
+def test_every_damaged_json_file_is_a_data_error_naming_it(finished_run, tmp_path, capsys,
+                                                            kind, damage):
+    where, relative, command = JSON_KINDS[kind]
+    roots = dict(zip(("corpus", "script", "run"), finished_run))
+    for name in {where, "run"}:  # evaluate resumes the finished run and writes into it
+        roots[name] = shutil.copytree(roots[name], tmp_path / name)
+    broken = roots[where] / relative
+    broken.write_text(_json_damage(broken.read_text("utf-8"), damage), "utf-8")
+    argv = {
+        "evaluate": ["evaluate", "--problems", str(roots["corpus"]), "--out", str(roots["run"]),
+                     "--mock-script", str(roots["script"]), "--seed", "1"],
+        "report": ["report", str(roots["run"]), "--out", str(tmp_path / "report")],
+    }[command]
+    assert main(argv) == EXIT_DATA
+    out, err = capsys.readouterr()
+    assert str(broken) in out + err
+    assert "Traceback" not in err
 
 
 def _task_dying_on_seq_detect(problem, config, out_dir):
@@ -661,6 +708,81 @@ class TestUsage:
         assert exc.value.code == EXIT_USAGE
         assert "--iters" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+
+# the smallest argv each command accepts
+VALID_ARGV = {
+    "parse": ["f.sv"],
+    "simulate": ["f.sv", "--stim", "s.stim"],
+    "mutate": ["all", "--problems", "p"],
+    "gen-tests": ["adder4", "--problems", "p", "--source", "BC01", "--out", "o"],
+    "debug": ["adder4", "--problems", "p", "--target", "BC01", "--tests", "t", "--out", "o"],
+    "evaluate": ["--problems", "p", "--out", "o"],
+    "report": ["run"],
+    "init-corpus": ["dest"],
+}
+PROVIDER_COMMANDS = ("gen-tests", "debug", "evaluate")
+
+
+def _argv_cases() -> list[list[str]]:
+    cases = [[], ["--help"], ["-h"], ["--version"], ["nope"], ["simulat"], ["--bogus"],
+             ["-"], ["--"], ["--", "simulate", "f.sv", "--stim", "s.stim"],
+             ["--version", "simulate"]]
+    for command, valid in VALID_ARGV.items():
+        cases += [[command], [command, "--help"], [command, "--bogus"], [command, *valid],
+                  [command, *valid, "extra"], [command, *valid, "--bogus"],
+                  [command, "--version"], [command, *valid, "--version"]]
+        if command in PROVIDER_COMMANDS:
+            cases += [[command, *valid, "--iters", "0"], [command, *valid, "--iters", "x"],
+                      [command, *valid, "--shots", "3"],
+                      [command, *valid, "--strategy", "nls", "--shots", "5", "--seed", "-4",
+                       "--mismatch-k", "3", "--mock-script", "s"]]
+    return cases + [["evaluate", *VALID_ARGV["evaluate"], "--jobs", "0"]]
+
+
+def _parse_outcome(parser, argv, capsys):
+    """(exit code, stdout, stderr, parsed namespace) of one ``parse_args``."""
+    code, namespace = None, None
+    try:
+        namespace = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err, namespace
+
+
+class TestParserPerCommand:
+    @pytest.mark.parametrize("argv", _argv_cases(), ids=" ".join)
+    def test_own_parser_parses_as_the_full_one(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        command = argv[0] if argv and argv[0] in _COMMANDS else None  # as main picks it
+        full = _parse_outcome(make_parser(), argv, capsys)
+        assert _parse_outcome(make_parser(command), argv, capsys) == full
+
+    @pytest.mark.parametrize("argv, registered", [
+        (["simulate", "REF", "--stim", "STIM"], 1), (["parse", "REF"], 1), (["--help"], 8),
+        (["nope"], 8), (["--", "simulate"], 8),
+    ])
+    def test_main_registers_only_the_command_it_runs(self, cli_corpus, tmp_path, monkeypatch,
+                                                     capsys, argv, registered):
+        ref = Path(cli_corpus) / "problems" / "full_adder" / "ref.sv"
+        stim = tmp_path / "t.stim"
+        stim.write_text("inputs: a[1], b[1], c[1]\n0 0 0\n1 1 1\n")
+        argv = [{"REF": str(ref), "STIM": str(stim)}.get(arg, arg) for arg in argv]
+        names = []
+        real = argparse._SubParsersAction.add_parser
+
+        def add_parser(self, name, **kwargs):
+            names.append(name)
+            return real(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", add_parser)
+        try:
+            assert main(argv) == 0
+        except SystemExit:
+            pass
+        assert len(names) == registered
+        assert registered == len(_COMMANDS) or names == argv[:1]
 
 
 # Modules a command must not load: each command imports only what it runs.

@@ -1,4 +1,5 @@
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,7 @@ from svloop.gateway import (
     save_mock_script,
 )
 from svloop.gateway.config import OUTPUT_TOKENS
+from svloop.gateway import prompts
 from svloop.gateway.prompts import TOKENS_PER_WORD
 from svloop.gateway.providers import ENV_ENDPOINT, ENV_MODEL
 from svloop.manifest import RunConfig
@@ -168,6 +170,24 @@ class TestDebugPrompt:
         spec = replace(p.spec(), description=OVERLONG_DESCRIPTION)
         with pytest.raises(PromptOverflow, match="16384-token"):
             build_debug_prompt(spec, source, witness, summary)
+
+    def test_each_template_is_read_once_per_process(self, problems, monkeypatch):
+        p, source, witness, summary = self.make_summary(problems)
+        spec = p.spec()
+        prompts._load_template.cache_clear()
+        reads = []
+        real = Path.read_text
+
+        def read_text(path, *args, **kwargs):
+            if path.parent.name == "templates":
+                reads.append(path.name)
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", read_text)
+        built = [(build_testgen_prompt(GenConfig(strategy="nlsc"), spec, source),
+                  build_debug_prompt(spec, source, witness, summary)) for _ in range(2)]
+        assert reads == ["testgen.txt", "debug.txt"]
+        assert built[0] == built[1]
 
     def test_ends_with_strategies_block(self, problems):
         p, source, witness, summary = self.make_summary(problems)
