@@ -62,7 +62,7 @@ class ElaboratedDesign:
     comb_processes: list[AlwaysComb]
     seq_processes: list[AlwaysSeq]
     comb_order: list[tuple[str, int]]             # ("assign" | "comb", index)
-    statement_ids: list[int]
+    statement_lines: list[int]                    # statement id -> source line
     branch_arms: list[tuple]
     fsm_registers: dict[str, list[int]]           # state reg -> sorted constant values
     _lowered_cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -449,27 +449,25 @@ def elaborate(ast: DesignAst, source: DesignSource) -> ElaboratedDesign:
         raise CombinationalLoop(f"combinational loop through {', '.join(names)}", line, 0)
     comb_order = [nodes[idx] for idx in order]
 
-    # statement and branch-arm inventories for coverage
-    statement_ids: list[int] = []
+    # statement and branch-arm inventories for coverage; a statement's id is
+    # its index in statement_lines
+    statement_lines: list[int] = []
     branch_arms: list[tuple] = []
-    counter = 0
     for item in cont_assigns:
-        item.stmt_id = counter
-        statement_ids.append(counter)
-        counter += 1
+        item.stmt_id = len(statement_lines)
+        statement_lines.append(item.line)
     for proc in comb_processes + seq_processes:
         for stmt in walk_stmts(proc.body):
-            stmt.stmt_id = counter
-            statement_ids.append(counter)
+            stmt.stmt_id = sid = len(statement_lines)
+            statement_lines.append(stmt.line)
             if isinstance(stmt, If):
-                branch_arms.append((counter, "then"))
-                branch_arms.append((counter, "else"))
+                branch_arms.append((sid, "then"))
+                branch_arms.append((sid, "else"))
             elif isinstance(stmt, Case):
                 for i in range(len(stmt.items)):
-                    branch_arms.append((counter, i))
+                    branch_arms.append((sid, i))
                 if stmt.default_body is not None:
-                    branch_arms.append((counter, "default"))
-            counter += 1
+                    branch_arms.append((sid, "default"))
 
     return ElaboratedDesign(
         name=ast.name,
@@ -482,7 +480,7 @@ def elaborate(ast: DesignAst, source: DesignSource) -> ElaboratedDesign:
         comb_processes=comb_processes,
         seq_processes=seq_processes,
         comb_order=comb_order,
-        statement_ids=statement_ids,
+        statement_lines=statement_lines,
         branch_arms=branch_arms,
         fsm_registers=fsm_registers,
     )

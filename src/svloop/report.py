@@ -2,9 +2,10 @@
 debug success-rate distributions split combinational vs sequential.
 
 Reports embed the run configuration and tool version; identical inputs
-yield byte-identical report files. The JSON is checked against the
-shipped schema before it is written, by a checker compiled from that
-schema once per process.
+yield byte-identical report files. Each input is checked where it is
+read: the matrix files as they are loaded, and the configuration, the
+one part copied into the report as it is, against the shipped schema's
+``config`` entry.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from functools import cache
 from importlib import resources
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple
 
 from . import __version__
 from .errors import ReportError, _read_json, _required_keys
@@ -40,6 +41,12 @@ def _ratio(value) -> Fraction:
     return fraction
 
 
+def _of_type(kind: type, value, what: str):
+    if not isinstance(value, kind):
+        raise TypeError(f"{what} {value!r} (not a JSON {'object' if kind is dict else 'string'})")
+    return value
+
+
 def _load_matrix(matrix_file: Path) -> _Matrix:
     matrix = _read_json(matrix_file, ReportError)
     with _required_keys(matrix_file, ReportError):
@@ -50,8 +57,9 @@ def _load_matrix(matrix_file: Path) -> _Matrix:
                  for key, cell in matrix["cells"].items()}
         debug_rates = [(target, _ratio(outcome["best_pass"]))
                        for target, outcome in sorted(matrix.get("debug", {}).items())
-                       if "skipped" not in outcome]
-        return _Matrix(matrix["problem"], matrix["kind"], cells, debug_rates)
+                       if "skipped" not in _of_type(dict, outcome, f"debug outcome {target!r}")]
+        return _Matrix(_of_type(str, matrix["problem"], "problem"), matrix["kind"], cells,
+                       debug_rates)
 
 
 def _load_matrix_files(run_dir: Path) -> list[_Matrix]:
@@ -68,18 +76,12 @@ def _load_matrix_files(run_dir: Path) -> list[_Matrix]:
     return matrices
 
 
-def _distribution_dict(values: list[Fraction]) -> dict:
-    return bin_values(values).as_dict()
-
-
 def build_report(run_dir) -> dict:
     run_dir = Path(run_dir)
     config_file = run_dir / "run_config.json"
     if not config_file.exists():
         raise ReportError(f"missing run_config.json in {run_dir}")
     config = _read_json(config_file, ReportError)
-    if not isinstance(config, dict):
-        raise ReportError(f"{config_file} is malformed: not a JSON object")
     matrices = _load_matrix_files(run_dir)
 
     report_matrices = {}
@@ -90,12 +92,9 @@ def build_report(run_dir) -> dict:
             for key, cell in matrix.cells.items():
                 cells.setdefault(key, []).append(cell[metric])
         report_matrices[metric] = {
-            key: {
-                "values": [float(v) for v in values],
-                "distribution": _distribution_dict(values),
-            }
-            for key, values in sorted(cells.items())
-        }
+            key: {"values": [float(v) for v in values],
+                  "distribution": bin_values(values).as_dict()}
+            for key, values in sorted(cells.items())}
         by_target: dict[str, list[Fraction]] = {}
         for key, values in cells.items():
             target = key.partition("->")[2]
@@ -114,7 +113,7 @@ def build_report(run_dir) -> dict:
                 {"problem": problem, "target": target, "rate": float(rate)}
                 for problem, target, rate in entries
             ],
-            "distribution": _distribution_dict([e[2] for e in entries]) if entries else None,
+            "distribution": bin_values([e[2] for e in entries]).as_dict() if entries else None,
         }
 
     report = {
@@ -125,177 +124,75 @@ def build_report(run_dir) -> dict:
         "per_target_medians": per_target,
         "debug": debug_report,
     }
-    validate_report(report)
+    validate_report(report, config_file)
     return report
 
 
-def validate_report(report: dict) -> None:
-    error = _report_checker()(report)
-    if error is not None:
-        path, message = error
-        where = "".join(f"[{key!r}]" for key in reversed(path))
-        raise ReportError(f"report does not match schema at report{where}: {message}")
-
-
-# --- the schema checker -----------------------------------------------------------
-#
-# report.schema.json is the one definition of the report's contract. It is
-# compiled once per process into closures that each return None for a valid
-# value, or (path, message) with the path innermost key first. Only the
-# draft-07 keywords the file uses are supported, with draft-07 semantics; any
-# other keyword fails the build, so no part of the schema goes unchecked.
-
-Check = Callable[[object], Optional[tuple[list, str]]]
-
 SCHEMA_FILE = "report.schema.json"
-DRAFT_07 = "http://json-schema.org/draft-07/schema#"
-_KEYWORDS = {"$schema", "title", "$ref", "type", "enum", "required", "properties",
-             "additionalProperties", "items", "minItems", "maxItems", "minimum", "maximum",
-             "oneOf"}
 _TYPES = {
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
     "string": lambda v: isinstance(v, str),
     "null": lambda v: v is None,
-    # a bool is not a number; an integral float is an integer
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    # draft-07: a bool is not an integer; an integral float is
     "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
                           or isinstance(v, float) and v.is_integer()),
 }
+_RULES = {
+    "type": lambda v, names: any(_TYPES[name](v) for name in _names(names)),
+    # a bool equals only itself, so True is not 1
+    "enum": lambda v, members: any(v is m if isinstance(v, bool) or isinstance(m, bool)
+                                   else v == m for m in members),
+    # a minimum bounds numbers only, and a bool is not a number
+    "minimum": lambda v, low: (not isinstance(v, (int, float)) or isinstance(v, bool)
+                               or v >= low),
+}
+
+
+def _names(names) -> list:
+    return [names] if isinstance(names, str) else names
 
 
 @cache
-def _report_checker() -> Check:
+def _config_entry() -> dict:
     schema = json.loads(resources.files("svloop.schema").joinpath(SCHEMA_FILE).read_text("utf-8"))
-    if schema.get("$schema") != DRAFT_07:
-        raise ReportError(f"{SCHEMA_FILE}: only {DRAFT_07} is supported")
-    definitions = schema.pop("definitions", {})
-    refs: dict[str, Check] = {}
-    for name, sub in definitions.items():
-        refs[name] = _compile(sub, definitions, refs)
-    return _compile(schema, definitions, refs)
+    return schema["properties"]["config"]
 
 
-def _compile(schema, definitions: dict, refs: dict[str, Check]) -> Check:
-    if schema is True:
-        return lambda value: None
-    if schema is False:
-        return lambda value: ([], f"{value!r} is not allowed here")
-    unknown = set(schema) - _KEYWORDS
-    if unknown:
-        raise ReportError(f"{SCHEMA_FILE}: unsupported keyword(s) {sorted(unknown)}")
-    if "$ref" in schema:
-        ref = schema["$ref"]
-        name = ref.removeprefix("#/definitions/")
-        if len(schema) > 1 or name == ref or name not in definitions:
-            raise ReportError(f"{SCHEMA_FILE}: unsupported $ref {ref!r} or keywords beside it")
-        return lambda value: refs[name](value)
-
-    checks: list[Check] = []
-    if "type" in schema:
-        names = schema["type"] if isinstance(schema["type"], list) else [schema["type"]]
-        if not set(names) <= set(_TYPES):
-            raise ReportError(f"{SCHEMA_FILE}: unsupported type in {names}")
-        tests = [_TYPES[name] for name in names]
-        test = tests[0] if len(tests) == 1 else lambda v: any(t(v) for t in tests)
-
-        def check_type(value):
-            if not test(value):
-                return [], f"{value!r} is not of type {', '.join(map(repr, names))}"
-        checks.append(check_type)
-    if "enum" in schema:
-        members = schema["enum"]
-        if any(isinstance(m, (list, dict)) for m in members):
-            raise ReportError(f"{SCHEMA_FILE}: enum members must be scalars")
-
-        def check_enum(value):
-            # a bool equals only itself, so True is not 1
-            if not any(value is m if isinstance(value, bool) or isinstance(m, bool)
-                       else value == m for m in members):
-                return [], f"{value!r} is not one of {members!r}"
-        checks.append(check_enum)
-    if "required" in schema:
-        required = schema["required"]
-
-        def check_required(value):
-            if isinstance(value, dict):
-                for key in required:
-                    if key not in value:
-                        return [], f"{key!r} is a required property"
-        checks.append(check_required)
-    if "properties" in schema or "additionalProperties" in schema:
-        properties = {key: _compile(sub, definitions, refs)
-                      for key, sub in schema.get("properties", {}).items()}
-        other = _compile(schema.get("additionalProperties", True), definitions, refs)
-
-        def check_properties(value):
-            if isinstance(value, dict):
-                for key, item in value.items():
-                    error = properties.get(key, other)(item)
-                    if error is not None:
-                        error[0].append(key)
-                        return error
-        checks.append(check_properties)
-    if "items" in schema:
-        if not isinstance(schema["items"], (dict, bool)):
-            raise ReportError(f"{SCHEMA_FILE}: only a single schema is supported for items")
-        item_check = _compile(schema["items"], definitions, refs)
-
-        def check_items(value):
-            if isinstance(value, list):
-                for index, item in enumerate(value):
-                    error = item_check(item)
-                    if error is not None:
-                        error[0].append(index)
-                        return error
-        checks.append(check_items)
-    if "minItems" in schema or "maxItems" in schema:
-        low, high = schema.get("minItems", 0), schema.get("maxItems", float("inf"))
-
-        def check_length(value):
-            if isinstance(value, list) and not low <= len(value) <= high:
-                return [], f"array of {len(value)} items is not {low} to {high} long"
-        checks.append(check_length)
-    if "minimum" in schema or "maximum" in schema:
-        low, high = schema.get("minimum", -float("inf")), schema.get("maximum", float("inf"))
-        is_number = _TYPES["number"]
-
-        def check_range(value):
-            if is_number(value) and (value < low or value > high):
-                return [], f"{value!r} is outside [{low}, {high}]"
-        checks.append(check_range)
-    if "oneOf" in schema:
-        options = [_compile(sub, definitions, refs) for sub in schema["oneOf"]]
-
-        def check_one_of(value):
-            valid = sum(option(value) is None for option in options)
-            if valid != 1:
-                return [], f"{value!r} is valid under {valid} of the oneOf schemas, not exactly 1"
-        checks.append(check_one_of)
-
-    if len(checks) == 1:
-        return checks[0]
-
-    def check(value):
-        for one in checks:
-            error = one(value)
-            if error is not None:
-                return error
-    return check
+def validate_report(report: dict, source="report['config']") -> None:
+    """Check ``report["config"]``, read from ``source``, against the
+    schema's ``config`` entry; an entry with a rule this does not apply
+    is refused, so that no rule goes unchecked."""
+    config, entry = report["config"], _config_entry()
+    fields = entry["properties"]
+    unchecked = [name for name, rules in fields.items() if rules.keys() - _RULES.keys()
+                 or set(_names(rules.get("type", []))) - _TYPES.keys()]
+    if (entry.keys() != {"type", "required", "properties", "additionalProperties"}
+            or entry["type"] != "object" or entry["additionalProperties"] is not False
+            or unchecked):
+        raise ReportError(f"{SCHEMA_FILE}: the config entry holds a rule that is not checked")
+    if not isinstance(config, dict):
+        raise ReportError(f"{source} is malformed: not a JSON object")
+    missing = [f"missing field {name!r}" for name in entry["required"] if name not in config]
+    unknown = [f"unknown field {name!r}" for name in config if name not in fields]
+    if missing or unknown:
+        raise ReportError(f"{source} is malformed: {(missing + unknown)[0]}")
+    for name, value in config.items():
+        for keyword, rule in fields[name].items():
+            if not _RULES[keyword](value, rule):
+                raise ReportError(f"{source} is malformed: field {name!r} is {value!r}, "
+                                  f"which fails \"{keyword}\": {json.dumps(rule)}")
 
 
 def _scoreboard(report: dict) -> str:
-    lines = []
     config = report["config"]
-    lines.append("svloop evaluation scoreboard")
-    lines.append(
+    lines = [
+        "svloop evaluation scoreboard",
         f"config: {config['strategy'].upper()}@{config['shots']} "
         f"provider={config['provider']} seed={config['seed']} "
-        f"version={report['tool']['version']}"
-    )
-    lines.append(f"problems: {', '.join(report['problems'])}")
-    lines.append("")
-    for metric in ("ar", "dr", "da"):
+        f"version={report['tool']['version']}",
+        f"problems: {', '.join(report['problems'])}",
+        "",
+    ]
+    for metric in METRICS:
         cells = report["matrices"][metric]
         if not cells:
             lines.append(f"{metric.upper()}: no evaluated cells")
@@ -303,24 +200,19 @@ def _scoreboard(report: dict) -> str:
         all_values = [v for cell in cells.values() for v in cell["values"]]
         mean = sum(all_values) / len(all_values)
         top_bin = sum(1 for cell in cells.values() if cell["distribution"]["median_bin"] == 5)
-        lines.append(
-            f"{metric.upper()}: {len(cells)} cells, mean {mean:.3f}, "
-            f"{top_bin} cells with median in bin 5 (80-100%)"
-        )
+        lines.append(f"{metric.upper()}: {len(cells)} cells, mean {mean:.3f}, "
+                     f"{top_bin} cells with median in bin 5 (80-100%)")
     lines.append("")
-    for kind in ("combinational", "sequential"):
+    for kind in KINDS:
         entries = report["debug"][kind]["values"]
         if not entries:
             lines.append(f"debug ({kind}): no targets")
             continue
         solved = sum(1 for e in entries if e["rate"] == 1)
         mean = sum(e["rate"] for e in entries) / len(entries)
-        lines.append(
-            f"debug ({kind}): {solved}/{len(entries)} targets fully repaired, "
-            f"mean final pass fraction {mean:.3f}"
-        )
-    lines.append("")
-    lines.append(report["tool"]["scalar_coverage_note"])
+        lines.append(f"debug ({kind}): {solved}/{len(entries)} targets fully repaired, "
+                     f"mean final pass fraction {mean:.3f}")
+    lines += ["", report["tool"]["scalar_coverage_note"]]
     return "\n".join(lines) + "\n"
 
 

@@ -17,7 +17,6 @@ from functools import reduce
 from operator import and_, or_
 from typing import Optional
 
-from ..frontend.ast import walk_stmts
 from ..frontend.elaborate import ElaboratedDesign
 from ..frontend.signature import DesignSignature
 
@@ -64,17 +63,6 @@ class CoverageCollector:
         self._masks = {
             name: (1 << design.signals[name].width) - 1 for name in design.signals
         }
-        self._stmt_lines = self._index_statement_lines(design)
-
-    @staticmethod
-    def _index_statement_lines(design) -> dict[int, int]:
-        lines = {}
-        for item in design.cont_assigns:
-            lines[item.stmt_id] = item.line
-        for proc in design.comb_processes + design.seq_processes:
-            for stmt in walk_stmts(proc.body):
-                lines[stmt.stmt_id] = stmt.line
-        return lines
 
     def copy(self) -> "CoverageCollector":
         """A collector holding the same events; folding a run into either
@@ -102,21 +90,21 @@ class CoverageCollector:
         design = self.design
         uncovered: list[str] = []
 
-        total_stmts = len(design.statement_ids)
+        lines = design.statement_lines
         line = None
-        if total_stmts:
-            line = Fraction(len(self.stmts & set(design.statement_ids)), total_stmts)
-            for sid in sorted(set(design.statement_ids) - self.stmts):
-                uncovered.append(f"statement at line {self._stmt_lines.get(sid, 0)} never executed")
+        if lines:
+            ids = set(range(len(lines)))
+            line = Fraction(len(self.stmts & ids), len(lines))
+            for sid in sorted(ids - self.stmts):
+                uncovered.append(f"statement at line {lines[sid]} never executed")
 
         branch = None
         if design.branch_arms:
             taken = self.arms & set(design.branch_arms)
             branch = Fraction(len(taken), len(design.branch_arms))
             for sid, arm in sorted(set(design.branch_arms) - taken, key=str):
-                where = self._stmt_lines.get(sid, 0)
                 label = arm if isinstance(arm, str) else f"case arm {arm + 1}"
-                uncovered.append(f"branch '{label}' at line {where} never taken")
+                uncovered.append(f"branch '{label}' at line {lines[sid]} never taken")
 
         toggle = None
         total_bits = sum(design.signals[name].width for name in self.ones)

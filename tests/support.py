@@ -9,10 +9,14 @@ recurrence directly.
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 import re
 from contextlib import contextmanager
+from importlib import resources
 from pathlib import Path
+
+import jsonschema
 
 from svloop.sim.stimulus import UnitTest
 
@@ -104,6 +108,13 @@ def oracle_traces(problem_or_spec, tests):
 
     spec = problem_or_spec.spec() if hasattr(problem_or_spec, "spec") else problem_or_spec
     return {t.id: run(spec.oracle, t, spec.signature) for t in tests}
+
+
+# --- the reference check of whole reports ---------------------------------------
+
+# jsonschema's draft-07 validator of the shipped report schema
+REPORT_SCHEMA = jsonschema.Draft7Validator(json.loads(
+    resources.files("svloop.schema").joinpath("report.schema.json").read_text("utf-8")))
 
 
 # --- deterministic oracle-backed responder --------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import svloop
-from support import record_mock_script, valid_arbiter_stimulus
+from support import REPORT_SCHEMA, record_mock_script, valid_arbiter_stimulus
 from svloop.cli import (
     EXIT_DATA, EXIT_PROVIDER, EXIT_USAGE, _COMMANDS, _run_config, main, make_parser,
 )
@@ -20,7 +20,7 @@ from svloop import matrix
 from svloop.data import default_corpus_root
 from svloop.gateway.providers import ENV_ENDPOINT, ENV_KEY, ENV_MODEL
 from svloop.manifest import RunConfig, load_corpus
-from svloop.report import build_report, validate_report
+from svloop.report import build_report
 from svloop.sim import engine
 from svloop.sim.coverage import collect_coverage
 from svloop.sim.stimulus import UnitTest, parse_stimulus
@@ -546,6 +546,12 @@ class TestEvaluateAndReport:
         ' "cells": {"BC01->BC01": {"ar": 1, "dr": [1, 0], "da": [1, 0]}}}',
         '{"problem": "adder4", "kind": "combinational", "cells": {},'
         ' "debug": {"BC01": {"best_pass": "all"}}}',
+        # a debug outcome that is not an object is refused, not dropped
+        '{"problem": "adder4", "kind": "combinational", "cells": {},'
+        ' "debug": {"BC01": "was skipped"}}',
+        '{"problem": "adder4", "kind": "combinational", "cells": {},'
+        ' "debug": {"BC01": ["skipped"]}}',
+        '{"problem": 5, "kind": "combinational", "cells": {}}',
     ])
     def test_report_on_wrongly_shaped_matrix_names_the_file(self, finished_run, tmp_path,
                                                             capsys, text):
@@ -556,6 +562,29 @@ class TestEvaluateAndReport:
         assert main(["report", str(run_dir), "--out", str(tmp_path / "report")]) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"error: {broken} is malformed")
         assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("change, field", [
+        ({"strategy": 5}, "field 'strategy' is 5"),
+        ({"jobs": 0}, "field 'jobs' is 0"),
+        ({"extra": 1}, "unknown field 'extra'"),
+        ({"seed": None}, "field 'seed' is None"),
+    ])
+    def test_report_on_wrongly_valued_config_names_the_file_and_field(
+            self, finished_run, tmp_path, capsys, change, field):
+        run_dir = shutil.copytree(finished_run[2], tmp_path / "run")
+        broken = run_dir / "run_config.json"
+        broken.write_text(json.dumps({**json.loads(broken.read_text()), **change}))
+        assert main(["report", str(run_dir), "--out", str(tmp_path / "report")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {broken} is malformed: {field}")
+        assert not (tmp_path / "report").exists()
+
+    def test_report_takes_an_integral_float_as_an_integer(self, finished_run, tmp_path, capsys):
+        run_dir = shutil.copytree(finished_run[2], tmp_path / "run")
+        config_file = run_dir / "run_config.json"
+        config_file.write_text(json.dumps({**json.loads(config_file.read_text()), "seed": 1.0}))
+        assert main(["report", str(run_dir)]) == 0
+        assert "seed=1.0 " in (run_dir / "report" / "scoreboard.txt").read_text()
 
     @pytest.mark.parametrize("text, problem", [
         ('{"digests": 5', "is not valid JSON"),
@@ -694,7 +723,7 @@ class TestUsage:
                     continue
                 config = _run_config(args, jobs=args.jobs)
                 assert getattr(config, name) == value
-                validate_report({**report, "config": config.as_dict()})
+                REPORT_SCHEMA.validate({**report, "config": config.as_dict()})
                 break
             else:
                 pytest.fail(f"{flag} accepts none of the candidate values")

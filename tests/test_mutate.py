@@ -222,14 +222,16 @@ class TestCandidateIsolation:
 
 
 def design_facts(design):
-    """What simulation, coverage and the corpus read of an elaborated design."""
+    """What simulation, coverage and the corpus read of an elaborated design.
+    Statement lines follow the text that was parsed, and an edited reference
+    parse keeps the reference's, so only the number of statements counts."""
     try:
         signature = extract_signature(design)
         harness = harness_source(design, signature)
     except SvLoopError as error:
         signature = harness = type(error)
     return (lowered_source(design, False), lowered_source(design, True), signature, harness,
-            design.fsm_registers, design.statement_ids, design.branch_arms)
+            design.fsm_registers, len(design.statement_lines), design.branch_arms)
 
 
 class TestInPlaceCandidates:

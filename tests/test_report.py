@@ -1,13 +1,14 @@
 import copy
 import json
-from importlib import resources
+import shutil
+from functools import cache
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import record_mock_script
+from support import REPORT_SCHEMA, record_mock_script
 from svloop import report as report_module
 from svloop.errors import ReportError
 from svloop.manifest import RunConfig, load_corpus
@@ -59,11 +60,10 @@ def test_reports_from_identical_inputs_are_byte_identical(run_pair):
 
 def test_report_validates_against_shipped_schema(run_pair):
     report = build_report(run_pair[0])
-    validate_report(report)  # no exception
+    REPORT_SCHEMA.validate(report)  # no exception
     broken = json.loads(json.dumps(report))
     broken["matrices"]["dr"]["BC01->BC01"] = {"values": [2.0], "distribution": None}
-    with pytest.raises(ReportError):
-        validate_report(broken)
+    assert not REPORT_SCHEMA.is_valid(broken)
 
 
 def test_missing_artifacts(tmp_path):
@@ -98,43 +98,76 @@ def test_jobs_parallel_run_matches_serial(run_pair, corpus_dir, tmp_path):
     assert serial_report["debug"] == parallel_report["debug"]
 
 
-# --- the compiled schema checker against jsonschema, the reference ----------------
+# --- the config check and the matrix checks against jsonschema, the reference -------
+#
+# At run time only the config, which the report copies from run_config.json,
+# is checked against the schema; every other part of the report is built from
+# data checked as it was read. jsonschema checks that the two together keep
+# every report inside the whole schema.
 
-SCHEMA = json.loads(
-    resources.files("svloop.schema").joinpath("report.schema.json").read_text("utf-8"))
-REFERENCE = jsonschema.Draft7Validator(SCHEMA)
-
-
-def accepts(document) -> bool:
-    compiled = report_module._report_checker()(document) is None
-    assert compiled == REFERENCE.is_valid(document), document
-    return compiled
-
-
-def trimmed(report, n):
-    """``report`` with each of its maps and debug value lists cut to their
-    first ``n`` entries, so that a mutated copy validates quickly."""
-    report = copy.deepcopy(report)
-    for group in ("matrices", "per_target_medians"):
-        for metric, entries in report[group].items():
-            report[group][metric] = dict(list(entries.items())[:n])
-    for split in report["debug"].values():
-        split["values"] = split["values"][:n]
-    return report
-
-
-@pytest.fixture(scope="module")
-def small_report(run_pair):
-    return trimmed(build_report(run_pair[0]), 3)
-
+SCHEMA = REPORT_SCHEMA.schema
+CONFIG_REFERENCE = jsonschema.Draft7Validator(SCHEMA["properties"]["config"])
+CONFIG = RunConfig(provider="mock", script_dir="script", seed=1).as_dict()
+SOURCE = "run/run_config.json"
 
 REPLACEMENTS = ["x", "", "nls", 0, 1, 5, -1, 6, 2, 0.0, 1.0, 5.0, 0.5, -0.5, 1.5, 1e300,
                 True, False, None, [], [0, 0, 0, 0, 0], [1, 2, 3, 4, 5, 6], {}, {"x": 1}]
 
 
-def test_compiled_checker_accepts_the_desk_report(run_pair):
-    assert accepts(build_report(run_pair[0]))
-    assert not any(accepts(value) for value in REPLACEMENTS)
+def config_accepted(config, field=None) -> bool:
+    """Whether ``validate_report`` accepts ``config``, asserting that
+    jsonschema agrees and that a refusal names the file and ``field``."""
+    try:
+        validate_report({"config": config}, SOURCE)
+        accepted = True
+    except ReportError as error:
+        assert str(error).startswith(f"{SOURCE} is malformed: ")
+        assert field is None or f" field {field!r}" in str(error), error
+        accepted = False
+    assert accepted == CONFIG_REFERENCE.is_valid(config), config
+    return accepted
+
+
+def test_config_check_agrees_on_every_single_field_change():
+    assert config_accepted(CONFIG)
+    accepted = []
+    for name in SCHEMA["properties"]["config"]["properties"]:
+        for replacement in REPLACEMENTS:
+            if config_accepted({**CONFIG, name: replacement}, name):
+                accepted.append(f"{name}={replacement!r}")
+        config_accepted({key: value for key, value in CONFIG.items() if key != name}, name)
+    assert not config_accepted({**CONFIG, "x": 1}, "x")
+    # the enum's 0.0 equals 0, an integral float is an integer, a bool is neither
+    assert {"shots=0.0", "seed=1e+300"} <= set(accepted)
+    assert not {"shots=False", "seed=True"} & set(accepted)
+
+
+@given(changes=st.dictionaries(
+    st.sampled_from(sorted(SCHEMA["properties"]["config"]["properties"]) + ["x"]),
+    st.one_of(st.just("delete"), st.sampled_from(REPLACEMENTS)), min_size=2, max_size=5))
+def test_config_check_agrees_on_several_field_changes(changes):
+    config = dict(CONFIG)
+    for name, value in changes.items():
+        if value == "delete":
+            config.pop(name, None)
+        else:
+            config[name] = value
+    config_accepted(config)
+
+
+@pytest.mark.parametrize("change", [
+    {"additionalProperties": True},
+    {"minProperties": 1},
+    {"properties": {**SCHEMA["properties"]["config"]["properties"],
+                    "strategy": {"type": "string", "pattern": "^n"}}},
+    {"properties": {**SCHEMA["properties"]["config"]["properties"],
+                    "seed": {"type": "number"}}},
+])
+def test_config_check_refuses_a_rule_it_does_not_apply(monkeypatch, change):
+    entry = {**SCHEMA["properties"]["config"], **change}
+    monkeypatch.setattr(report_module, "_config_entry", lambda: entry)
+    with pytest.raises(ReportError, match="report.schema.json"):
+        validate_report({"config": CONFIG}, SOURCE)
 
 
 def is_number(value) -> bool:
@@ -189,37 +222,69 @@ def mutate(document, data):
         value.pop()
 
 
-def test_compiled_checker_agrees_on_every_single_replacement(small_report):
-    tiny = trimmed(small_report, 1)
-    for parent, key in list(nodes(tiny)):
-        value = parent[key]
-        for replacement in REPLACEMENTS:
-            parent[key] = replacement
-            accepts(tiny)
-        parent[key] = value
+def two_problem_run(run_pair, dest, trim):
+    """The first run's config and matrices, cut to one combinational and
+    one sequential problem so that jsonschema checks each report quickly;
+    with ``trim``, each matrix keeps only the first entry of each map."""
+    shutil.copy(run_pair[0] / "run_config.json", dest)
+    for problem in ("adder4", "counter3"):
+        matrix = json.loads((run_pair[0] / "problems" / problem / "matrix.json").read_text())
+        if trim:
+            for group in ("cells", "debug", "gen"):
+                matrix[group] = dict(list(matrix[group].items())[:1])
+        (dest / "problems" / problem).mkdir(parents=True)
+        (dest / "problems" / problem / "matrix.json").write_text(json.dumps(matrix))
+    return dest
 
 
-@settings(max_examples=400, deadline=None)
-@given(data=st.data())
-def test_compiled_checker_agrees_with_jsonschema(small_report, data):
-    document = copy.deepcopy(small_report)
-    for _ in range(data.draw(st.integers(1, 3))):
-        mutate(document, data)
-    if accepts(document):
-        validate_report(document)
+def report_or_error_naming(run, matrix_file, matrix):
+    """Write ``matrix``; then ``build_report`` must give a report inside the
+    whole schema or a ReportError naming ``matrix_file``."""
+    matrix_file.write_text(json.dumps(matrix), "utf-8")
+    try:
+        report = build_report(run)
+    except ReportError as error:
+        assert str(error).startswith(f"{matrix_file} is malformed"), error
     else:
-        with pytest.raises(ReportError, match="report does not match schema at report"):
-            validate_report(document)
+        assert inside_schema(json.dumps(report, sort_keys=True)), report
 
 
-@pytest.mark.parametrize("schema", [
-    {"type": "string", "pattern": "^x"},
-    {"type": "decimal"},
-    {"$ref": "#/definitions/distribution", "type": "object"},
-    {"$ref": "#/definitions/nowhere"},
-    {"items": [{"type": "string"}]},
-    {"enum": [[1], "x"]},
-])
-def test_checker_build_fails_on_unsupported_schema(schema):
-    with pytest.raises(ReportError, match="report.schema.json"):
-        report_module._compile(schema, SCHEMA["definitions"], {})
+@cache
+def inside_schema(report_text: str) -> bool:
+    # most changes leave the report as it was, so each text is checked once
+    return REPORT_SCHEMA.is_valid(json.loads(report_text))
+
+
+def test_every_single_matrix_replacement_gives_a_valid_report_or_names_the_file(
+        run_pair, tmp_path):
+    run = two_problem_run(run_pair, tmp_path, trim=True)
+    for matrix_file in sorted(run.glob("problems/*/matrix.json")):
+        matrix = json.loads(matrix_file.read_text("utf-8"))
+        for parent, key in list(nodes(matrix)):
+            value = parent[key]
+            for replacement in REPLACEMENTS:
+                parent[key] = replacement
+                report_or_error_naming(run, matrix_file, matrix)
+            if isinstance(parent, dict):
+                del parent[key]
+                report_or_error_naming(run, matrix_file, matrix)
+            parent[key] = value
+        report_or_error_naming(run, matrix_file, matrix)
+
+
+@pytest.fixture(scope="module")
+def run_copy(run_pair, tmp_path_factory):
+    return two_problem_run(run_pair, tmp_path_factory.mktemp("mutated"), trim=False)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_one_changed_matrix_node_gives_a_valid_report_or_names_the_file(run_copy, data):
+    matrix_file = data.draw(st.sampled_from(sorted(run_copy.glob("problems/*/matrix.json"))))
+    text = matrix_file.read_text("utf-8")
+    matrix = json.loads(text)
+    mutate(matrix, data)
+    try:
+        report_or_error_naming(run_copy, matrix_file, matrix)
+    finally:
+        matrix_file.write_text(text, "utf-8")
