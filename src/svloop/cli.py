@@ -15,6 +15,8 @@ from . import __version__
 from .errors import (
     FrontendError,
     GatewayError,
+    MalformedStimulus,
+    NoStimulusFound,
     ProviderRejection,
     ProviderTimeout,
     ScriptExhausted,
@@ -58,6 +60,18 @@ def _add_provider_flags(parser):
                         help="iteration cap for both generation and debugging")
     parser.add_argument("--mismatch-k", type=_positive_int, default=20,
                         help="mismatch rows shown to the debugger")
+
+
+def _read_stimulus(path: Path, signature):
+    """The unit test in a stimulus file, named by its stem; a malformed
+    file is an error that names the file and, where known, the line."""
+    from .sim.stimulus import parse_stimulus
+
+    try:
+        return parse_stimulus(path.read_text("utf-8"), signature, path.stem)
+    except (MalformedStimulus, NoStimulusFound) as exc:
+        line = getattr(exc, "line", None)
+        raise type(exc)(f"{path}{'' if line is None else f':{line}'}: {exc}") from None
 
 
 def _problem_by_name(problems_dir: str, name: str):
@@ -146,14 +160,12 @@ def cmd_simulate(args) -> int:
     from .frontend.signature import extract_signature
     from .sim.coverage import CoverageCollector, collect_coverage
     from .sim.engine import run as run_sim
-    from .sim.stimulus import parse_stimulus
     from .sim.vcd import export_vcd
 
     try:
         design = elaborate_source(DesignSource(Path(args.file).read_text("utf-8")))
         signature = extract_signature(design)
-        test = parse_stimulus(Path(args.stim).read_text("utf-8"), signature,
-                              Path(args.stim).stem)
+        test = _read_stimulus(Path(args.stim), signature)
     except (OSError, FrontendError, GatewayError, ValueError) as exc:
         message = exc.diagnostic(args.file) if isinstance(exc, FrontendError) else exc
         print(f"error: {message}", file=sys.stderr)
@@ -221,8 +233,7 @@ def cmd_gen_tests(args) -> int:
         return EXIT_DATA
     config = _run_config(args)
     provider = build_provider(config, Path(args.out) / "provider_log")
-    state = generate_tests(problem.spec(), mutants[args.source], config.gen_config(),
-                           provider, iteration_cap=args.iters)
+    state = generate_tests(problem.spec(), mutants[args.source], config, provider)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for test in state.tests:
@@ -248,7 +259,6 @@ def cmd_debug(args) -> int:
     from .gateway.providers import build_provider
     from .loops import debug as debug_loop
     from .sim.engine import run as run_sim
-    from .sim.stimulus import parse_stimulus
 
     problem = _problem_by_name(args.problems, args.problem)
     mutants = {bc: src for bc, src, _ in problem.mutants()}
@@ -256,9 +266,7 @@ def cmd_debug(args) -> int:
         print(f"error: no mutant {args.target} for {problem.id}", file=sys.stderr)
         return EXIT_DATA
     tests_dir = Path(args.tests)
-    tests = []
-    for stim in sorted(tests_dir.glob("*.stim")):
-        tests.append(parse_stimulus(stim.read_text("utf-8"), problem.signature, stim.stem))
+    tests = [_read_stimulus(stim, problem.signature) for stim in sorted(tests_dir.glob("*.stim"))]
     if not tests:
         print(f"error: no .stim files in {tests_dir}", file=sys.stderr)
         return EXIT_DATA
@@ -266,8 +274,7 @@ def cmd_debug(args) -> int:
     provider = build_provider(config, Path(args.out) / "provider_log")
     oracle_traces = {t.id: run_sim(problem.design, t, problem.signature) for t in tests}
     state = debug_loop(problem.spec(), elaborate_source(mutants[args.target]), tests,
-                       oracle_traces, config.gen_config(), provider,
-                       iteration_cap=args.iters, mismatch_limit=args.mismatch_k)
+                       oracle_traces, config, provider)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "final.sv").write_text(state.design.text, "utf-8")

@@ -6,7 +6,6 @@ from .config import (
     NLS,
     NLSC,
     Exemplar,
-    GenConfig,
     ProblemSpec,
 )
 from .extract import parse_patch, parse_unit_test
@@ -24,7 +23,6 @@ __all__ = [
     "DEFAULT_INPUT_WINDOW",
     "DEFAULT_TEMPERATURE",
     "Exemplar",
-    "GenConfig",
     "LiveHttpProvider",
     "NLS",
     "NLSC",

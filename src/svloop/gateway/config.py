@@ -1,4 +1,4 @@
-"""Generator configuration and problem bundles."""
+"""Generation constants and problem bundles."""
 
 from __future__ import annotations
 
@@ -13,18 +13,6 @@ NLSC = "nlsc"
 DEFAULT_TEMPERATURE = 0.8
 DEFAULT_INPUT_WINDOW = 16384
 OUTPUT_TOKENS = {NLSC: 2048, NLS: 512}
-
-
-@dataclass(frozen=True)
-class GenConfig:
-    strategy: str = NLSC
-    shots: int = 0
-
-    def __post_init__(self):
-        if self.strategy not in (NLS, NLSC):
-            raise ValueError(f"strategy must be '{NLS}' or '{NLSC}'")
-        if self.shots not in (0, 5):
-            raise ValueError("shots must be 0 or 5")
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,17 @@ from __future__ import annotations
 from functools import cache
 from importlib import resources
 from string import Template
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..errors import ManifestError, PromptOverflow
 from ..frontend.ast import DesignSource
 from ..sim.coverage import CoverageReport
 from ..sim.stimulus import UnitTest
 from ..verdict import MismatchSummary
-from .config import DEFAULT_INPUT_WINDOW, GenConfig, NLSC, ProblemSpec
+from .config import DEFAULT_INPUT_WINDOW, NLSC, ProblemSpec
+
+if TYPE_CHECKING:
+    from ..manifest import RunConfig
 
 TOKENS_PER_WORD = 1.3
 
@@ -43,7 +46,7 @@ def _check_window(prompt: str) -> str:
 
 
 def build_testgen_prompt(
-    cfg: GenConfig,
+    cfg: RunConfig,
     spec: ProblemSpec,
     buggy: Optional[DesignSource] = None,
     feedback: Optional[tuple[CoverageReport, UnitTest]] = None,

@@ -15,7 +15,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..errors import (
     MockScriptError,
@@ -25,7 +25,10 @@ from ..errors import (
     _read_json,
     _required_keys,
 )
-from .config import DEFAULT_TEMPERATURE, OUTPUT_TOKENS, GenConfig
+from .config import DEFAULT_TEMPERATURE, OUTPUT_TOKENS
+
+if TYPE_CHECKING:
+    from ..manifest import RunConfig
 
 INDEX_NAME = "index.json"
 ENV_ENDPOINT = "SVLOOP_PROVIDER_ENDPOINT"
@@ -64,7 +67,7 @@ class ScriptedMockProvider:
             sequence = [(path / name).read_text("utf-8") for name in index.get("sequence", [])]
         return cls(sequence, digest_map)
 
-    def complete(self, prompt: str, cfg: GenConfig) -> str:
+    def complete(self, prompt: str, cfg: RunConfig) -> str:
         digest = prompt_digest(prompt)
         if digest in self._digests:
             return self._digests[digest]
@@ -108,7 +111,7 @@ class RecordingProvider:
         self.inner = inner
         self.pairs: list[tuple[str, str, str]] = []  # (digest, prompt, response)
 
-    def complete(self, prompt: str, cfg: GenConfig) -> str:
+    def complete(self, prompt: str, cfg: RunConfig) -> str:
         response = self.inner.complete(prompt, cfg)
         self.pairs.append((prompt_digest(prompt), prompt, response))
         return response
@@ -143,7 +146,7 @@ class LiveHttpProvider:
             )
         return cls(endpoint, model, credential, log_dir)
 
-    def complete(self, prompt: str, cfg: GenConfig) -> str:
+    def complete(self, prompt: str, cfg: RunConfig) -> str:
         import requests
 
         body = {
@@ -237,5 +240,7 @@ def _retry_delay(response, attempt: int) -> float:
 def build_provider(config, log_dir=None):
     """The provider a ``RunConfig`` names; a live one logs under ``log_dir``."""
     if config.provider == "mock":
+        if not config.script_dir:
+            raise ProviderRejection("--provider mock requires --mock-script DIR")
         return ScriptedMockProvider.from_dir(config.script_dir)
     return LiveHttpProvider.from_env(log_dir)

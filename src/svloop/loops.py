@@ -3,9 +3,9 @@
 Test generation: combinational designs get a single round; sequential
 designs iterate with coverage feedback and accept a new test only when
 the scalar coverage strictly increases. Debugging: a patch is accepted
-only when it strictly increases the fraction of passing unit tests, for
-at most five iterations. Malformed provider output is a logged,
-budget-consuming rejection, never a crash.
+only when it strictly increases the fraction of passing unit tests. Both
+loops read their settings from the run's ``RunConfig``. Malformed
+provider output is a logged, budget-consuming rejection, never a crash.
 """
 
 from __future__ import annotations
@@ -17,21 +17,14 @@ from typing import Optional
 from .errors import GatewayError, SvLoopError
 from .frontend.ast import DesignSource
 from .frontend.elaborate import ElaboratedDesign
-from .gateway.config import GenConfig, NLSC, ProblemSpec
+from .gateway.config import NLSC, ProblemSpec
 from .gateway.extract import parse_patch, parse_unit_test
 from .gateway.prompts import build_debug_prompt, build_testgen_prompt
+from .manifest import RunConfig
 from .sim.coverage import CoverageCollector, collect_coverage
 from .sim.engine import Trace, run
 from .sim.stimulus import UnitTest
-from .verdict import (
-    DEFAULT_MISMATCH_LIMIT,
-    MismatchSummary,
-    compare,
-    pass_fraction,
-    summarize,
-)
-
-DEFAULT_ITERATION_CAP = 5
+from .verdict import MismatchSummary, compare, pass_fraction, summarize
 
 
 @dataclass(frozen=True)
@@ -84,7 +77,7 @@ class DebugState:
         return self.best_pass == 1
 
 
-def _complete(state, provider, prompt: str, cfg: GenConfig, iteration: int) -> Optional[str]:
+def _complete(state, provider, prompt: str, cfg: RunConfig, iteration: int) -> Optional[str]:
     """One provider call, counted and recorded in ``state.exchanges``; a
     failed call is a ``provider`` rejection and returns None."""
     try:
@@ -101,12 +94,12 @@ def _complete(state, provider, prompt: str, cfg: GenConfig, iteration: int) -> O
 def generate_tests(
     spec: ProblemSpec,
     source_mutant: Optional[DesignSource],
-    cfg: GenConfig,
+    cfg: RunConfig,
     provider,
-    iteration_cap: int = DEFAULT_ITERATION_CAP,
     test_prefix: str = "t",
 ) -> TestGenState:
-    """Run the coverage-gated generation loop against the oracle.
+    """Run the coverage-gated generation loop against the oracle, for at
+    most ``cfg.iteration_cap`` iterations.
 
     Tests are valid when they are well-formed for the signature and
     simulatable on the oracle; passing the (unknown) candidate design is
@@ -123,7 +116,7 @@ def generate_tests(
     state = TestGenState()
     covered = CoverageCollector(oracle, signature)
     one_shot = not oracle.is_sequential
-    rounds = 1 if one_shot else iteration_cap
+    rounds = 1 if one_shot else cfg.iteration_cap
     feedback = None
 
     for iteration in range(1, rounds + 1):
@@ -187,16 +180,15 @@ def debug(
     buggy: ElaboratedDesign,
     tests,
     oracle_traces: dict[str, Trace],
-    cfg: GenConfig,
+    cfg: RunConfig,
     provider,
-    iteration_cap: int = DEFAULT_ITERATION_CAP,
-    mismatch_limit: int = DEFAULT_MISMATCH_LIMIT,
 ) -> DebugState:
     """Run the pass-fraction-gated repair loop.
 
     Expected values come from ``oracle_traces``, the oracle's trace of
     every test keyed by test id; the loop simulates only the target and
-    its patches. It makes at most ``iteration_cap`` provider calls and
+    its patches. It makes at most ``cfg.iteration_cap`` provider calls,
+    shows at most ``cfg.mismatch_limit`` mismatch rows per prompt, and
     never returns a design with a lower pass fraction than its input.
     """
     tests = list(tests)
@@ -209,7 +201,7 @@ def debug(
     best = pass_fraction(verdicts)
     state = DebugState(design=buggy.source, best_pass=best, initial_pass=best)
 
-    for iteration in range(1, iteration_cap + 1):
+    for iteration in range(1, cfg.iteration_cap + 1):
         if state.best_pass == 1:
             break
         state.iterations = iteration
@@ -219,8 +211,8 @@ def debug(
             oracle_traces[tests[failing_at].id],
             verdicts[failing_at],
             outputs,
-            test_id=tests[failing_at].id,
-            limit=mismatch_limit,
+            cfg.mismatch_limit,
+            tests[failing_at].id,
         )
         try:
             prompt = build_debug_prompt(spec, state.design, tests[failing_at], summary)

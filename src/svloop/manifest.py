@@ -14,11 +14,11 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .errors import ManifestError, ProviderRejection, _read_json, _required_keys
+from .errors import ManifestError, _read_json, _required_keys
 from .frontend.ast import DesignSource
 from .frontend.elaborate import ElaboratedDesign, elaborate_source
 from .frontend.signature import DesignSignature, ResetSpec, extract_signature
-from .gateway.config import Exemplar, GenConfig, ProblemSpec
+from .gateway.config import Exemplar, ProblemSpec
 from .mutate import MutantRecord, SkippedOperator
 from .sim.stimulus import UnitTest, parse_stimulus
 
@@ -26,20 +26,9 @@ CORPUS_MANIFEST = "manifest.json"
 PROBLEM_MANIFEST = "problem.json"
 
 
-@dataclass(frozen=True)
-class ProblemManifest:
-    id: str
-    kind: str                        # combinational | sequential
-    description_path: str
-    reference_path: str
-    exemplars_path: Optional[str]
-    clock: Optional[str] = None
-    reset: Optional[ResetSpec] = None
-
-
 @dataclass
 class Problem:
-    manifest: ProblemManifest
+    id: str
     root: Path
     description: str
     reference: DesignSource
@@ -48,8 +37,8 @@ class Problem:
     exemplars: tuple[Exemplar, ...]
 
     @property
-    def id(self) -> str:
-        return self.manifest.id
+    def kind(self) -> str:
+        return "sequential" if self.design.is_sequential else "combinational"
 
     def spec(self) -> ProblemSpec:
         return ProblemSpec(self.description, self.signature, self.design, self.exemplars)
@@ -85,45 +74,38 @@ def load_problem(problem_dir) -> Problem:
         raise ManifestError(f"missing {PROBLEM_MANIFEST} in {problem_dir}")
     raw = _read_json(manifest_file)
     with _required_keys(manifest_file):
+        problem_id, kind = raw["id"], raw["kind"]
+        description_file = problem_dir / raw["description"]
+        reference_file = problem_dir / raw["reference"]
+        exemplars_path = raw.get("exemplars")
         reset = None
         if raw.get("reset"):
             r = raw["reset"]
             reset = ResetSpec(r["name"], bool(r.get("active_high", True)),
                               bool(r.get("synchronous", False)))
-        manifest = ProblemManifest(
-            id=raw["id"],
-            kind=raw["kind"],
-            description_path=raw["description"],
-            reference_path=raw["reference"],
-            exemplars_path=raw.get("exemplars"),
-            clock=raw.get("clock"),
-            reset=reset,
-        )
-    if manifest.kind not in ("combinational", "sequential"):
-        raise ManifestError(f"{manifest.id}: kind must be combinational or sequential")
+    if kind not in ("combinational", "sequential"):
+        raise ManifestError(f"{problem_id}: kind must be combinational or sequential")
 
-    description_file = problem_dir / manifest.description_path
-    reference_file = problem_dir / manifest.reference_path
     for f in (description_file, reference_file):
         if not f.exists():
-            raise ManifestError(f"{manifest.id}: referenced file {f} does not exist")
+            raise ManifestError(f"{problem_id}: referenced file {f} does not exist")
     description = description_file.read_text("utf-8")
     reference = DesignSource(reference_file.read_text("utf-8"), "reference")
     design = elaborate_source(reference)
-    if design.is_sequential != (manifest.kind == "sequential"):
+    if design.is_sequential != (kind == "sequential"):
         raise ManifestError(
-            f"{manifest.id}: kind {manifest.kind!r} is inconsistent with the design "
+            f"{problem_id}: kind {kind!r} is inconsistent with the design "
             f"({len(design.seq_processes)} clocked processes)"
         )
-    signature = extract_signature(design, manifest.clock, manifest.reset)
+    signature = extract_signature(design, raw.get("clock"), reset)
 
     exemplars: tuple[Exemplar, ...] = ()
-    if manifest.exemplars_path:
-        exemplar_file = (problem_dir / manifest.exemplars_path).resolve()
+    if exemplars_path:
+        exemplar_file = (problem_dir / exemplars_path).resolve()
         if not exemplar_file.exists():
-            raise ManifestError(f"{manifest.id}: exemplar library {exemplar_file} missing")
+            raise ManifestError(f"{problem_id}: exemplar library {exemplar_file} missing")
         exemplars = _load_exemplars(exemplar_file)
-    return Problem(manifest, problem_dir, description, reference, design, signature, exemplars)
+    return Problem(problem_id, problem_dir, description, reference, design, signature, exemplars)
 
 
 def load_corpus(corpus_root) -> list[Problem]:
@@ -166,6 +148,8 @@ def write_mutation_corpus(
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The settings of a run, from the command line to the loops."""
+
     strategy: str = "nlsc"
     shots: int = 0
     provider: str = "mock"
@@ -177,13 +161,11 @@ class RunConfig:
     version: str = field(default=__version__)
 
     def __post_init__(self):
-        if self.provider not in ("mock", "live"):
-            raise ProviderRejection(f"unknown provider kind {self.provider!r}")
-        if self.provider == "mock" and not self.script_dir:
-            raise ProviderRejection("--provider mock requires --mock-script DIR")
+        # the rules report applies to run_config.json; `svloop mutate` builds
+        # no RunConfig, so it does not load report
+        from .report import validate_report
 
-    def gen_config(self) -> GenConfig:
-        return GenConfig(strategy=self.strategy, shots=self.shots)
+        validate_report({"config": self.as_dict()}, "run configuration", ValueError)
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # every field is a str, an int or None

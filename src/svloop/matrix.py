@@ -29,7 +29,7 @@ from .frontend.elaborate import ElaboratedDesign, elaborate_source
 from .gateway.providers import build_provider
 from .loops import DebugState, TestGenState, debug, generate_tests
 from .manifest import Problem, RunConfig
-from .metrics import PairResult, divergence_rate, divergent_attack
+from .metrics import PairResult, divergence_rate, divergent_attack, stored_ratio
 from .sim.engine import Trace, run
 from .sim.stimulus import UnitTest, parse_stimulus
 from .sim.vcd import export_vcd
@@ -104,7 +104,7 @@ def _debug_state_summary(state: DebugState) -> dict:
 def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Path) -> EvalRun:
     """Evaluate one problem; artifacts land under ``out_dir``."""
     mutants = problem.mutants()
-    result = EvalRun(problem.id, problem.manifest.kind, [m[0] for m in mutants])
+    result = EvalRun(problem.id, problem.kind, [m[0] for m in mutants])
     if not mutants:
         result.error = "no mutant corpus on disk (run `svloop mutate` first)"
         return result
@@ -112,7 +112,6 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
     spec = problem.spec()
     signature = problem.signature
     outputs = [p.name for p in signature.outputs]
-    gen_cfg = config.gen_config()
     oracle = problem.design
     sources = {bc_id: source for bc_id, source, _ in mutants}
 
@@ -151,8 +150,7 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
                 raise CheckpointError(f"{state_file} is malformed: 'tests' is not a list of ids")
         else:
             # generate_tests shows the source mutant only under NLSC
-            state = generate_tests(spec, src_source, gen_cfg, provider,
-                                   iteration_cap=config.iteration_cap,
+            state = generate_tests(spec, src_source, config, provider,
                                    test_prefix=f"{src_id.lower()}-t")
             tests, traces = state.tests, state.traces
             suites[src_id] = tests, traces
@@ -201,9 +199,8 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
                 result.skipped[(src_id, tgt_id)] = cell["skipped"]
                 continue
             with _required_keys(result_file, CheckpointError):
-                result.cells[(src_id, tgt_id)] = PairResult(
-                    src_id, tgt_id, cell["ar"], Fraction(*cell["dr"]), Fraction(*cell["da"])
-                )
+                ar, dr, da = (stored_ratio(cell[name], name) for name in ("ar", "dr", "da"))
+                result.cells[(src_id, tgt_id)] = PairResult(src_id, tgt_id, int(ar), dr, da)
 
     (out_dir / "debug").mkdir(exist_ok=True)
     for tgt_id, _, _ in mutants:
@@ -220,9 +217,7 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
             outcome = {"skipped": "no tests generated for this target"}
         else:
             tests, traces = suite(tgt_id)
-            state = debug(spec, targets[tgt_id], tests, traces, gen_cfg,
-                          provider, iteration_cap=config.iteration_cap,
-                          mismatch_limit=config.mismatch_limit)
+            state = debug(spec, targets[tgt_id], tests, traces, config, provider)
             outcome = _debug_state_summary(state)
             (debug_dir / "final.sv").write_text(state.design.text, "utf-8")
             _write_exchanges(debug_dir / "prompts", "debug", state.exchanges)

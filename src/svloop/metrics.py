@@ -78,6 +78,20 @@ def divergent_attack(ar: int, dr: Fraction) -> Fraction:
     return dr
 
 
+def stored_ratio(value, name: str) -> Fraction:
+    """Decode the ratio ``name`` as the run directory stores it: an int or
+    an ``[numerator, denominator]`` pair of ints, in [0, 1], where a bool
+    is not an int; ``ar`` is the int 0 or 1."""
+    parts = value if isinstance(value, list) and len(value) == 2 and name != "ar" else [value]
+    if not all(type(part) is int for part in parts):
+        raise ValueError(f"{name} {value!r} (not an integer"
+                         f"{'' if name == 'ar' else ' or a pair of integers'})")
+    ratio = Fraction(*parts)
+    if not 0 <= ratio <= 1:
+        raise ValueError(f"{name} {value!r} (outside [0, 1])")
+    return ratio
+
+
 def bin_index(value) -> int:
     """1-based bin for a ratio: [0,.2) [.2,.4) [.4,.6) [.6,.8) [.8,1]."""
     if not isinstance(value, Fraction):

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from . import __version__
 from .errors import ReportError, _read_json, _required_keys
-from .metrics import bin_values
+from .metrics import bin_values, stored_ratio
 from .sim.coverage import SCALAR_NOTE
 
 METRICS = ("ar", "dr", "da")
@@ -31,14 +31,6 @@ class _Matrix(NamedTuple):
     kind: str
     cells: dict[str, dict[str, Fraction]]    # "SRC->TGT" -> metric -> value
     debug_rates: list[tuple[str, Fraction]]  # (target, best pass fraction), by target
-
-
-def _ratio(value) -> Fraction:
-    """A stored ratio: an integer or a [numerator, denominator] pair."""
-    fraction = Fraction(value) if isinstance(value, int) else Fraction(*value)
-    if not 0 <= fraction <= 1:
-        raise ValueError(f"ratio {fraction} (outside [0, 1])")
-    return fraction
 
 
 def _of_type(kind: type, value, what: str):
@@ -53,9 +45,9 @@ def _load_matrix(matrix_file: Path) -> _Matrix:
         if matrix["kind"] not in KINDS:
             raise ReportError(f"{matrix_file} is malformed: kind {matrix['kind']!r} "
                               f"is not one of {KINDS}")
-        cells = {key: {metric: _ratio(cell[metric]) for metric in METRICS}
+        cells = {key: {metric: stored_ratio(cell[metric], metric) for metric in METRICS}
                  for key, cell in matrix["cells"].items()}
-        debug_rates = [(target, _ratio(outcome["best_pass"]))
+        debug_rates = [(target, stored_ratio(outcome["best_pass"], "best_pass"))
                        for target, outcome in sorted(matrix.get("debug", {}).items())
                        if "skipped" not in _of_type(dict, outcome, f"debug outcome {target!r}")]
         return _Matrix(_of_type(str, matrix["problem"], "problem"), matrix["kind"], cells,
@@ -157,10 +149,11 @@ def _config_entry() -> dict:
     return schema["properties"]["config"]
 
 
-def validate_report(report: dict, source="report['config']") -> None:
+def validate_report(report: dict, source="report['config']", error=ReportError) -> None:
     """Check ``report["config"]``, read from ``source``, against the
-    schema's ``config`` entry; an entry with a rule this does not apply
-    is refused, so that no rule goes unchecked."""
+    schema's ``config`` entry, raising ``error`` naming ``source`` and the
+    field; an entry with a rule this does not apply is a ReportError, so
+    that no rule goes unchecked."""
     config, entry = report["config"], _config_entry()
     fields = entry["properties"]
     unchecked = [name for name, rules in fields.items() if rules.keys() - _RULES.keys()
@@ -170,16 +163,16 @@ def validate_report(report: dict, source="report['config']") -> None:
             or unchecked):
         raise ReportError(f"{SCHEMA_FILE}: the config entry holds a rule that is not checked")
     if not isinstance(config, dict):
-        raise ReportError(f"{source} is malformed: not a JSON object")
+        raise error(f"{source} is malformed: not a JSON object")
     missing = [f"missing field {name!r}" for name in entry["required"] if name not in config]
     unknown = [f"unknown field {name!r}" for name in config if name not in fields]
     if missing or unknown:
-        raise ReportError(f"{source} is malformed: {(missing + unknown)[0]}")
+        raise error(f"{source} is malformed: {(missing + unknown)[0]}")
     for name, value in config.items():
         for keyword, rule in fields[name].items():
             if not _RULES[keyword](value, rule):
-                raise ReportError(f"{source} is malformed: field {name!r} is {value!r}, "
-                                  f"which fails \"{keyword}\": {json.dumps(rule)}")
+                raise error(f"{source} is malformed: field {name!r} is {value!r}, "
+                            f"which fails \"{keyword}\": {json.dumps(rule)}")
 
 
 def _scoreboard(report: dict) -> str:

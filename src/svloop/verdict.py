@@ -13,8 +13,6 @@ from fractions import Fraction
 from .errors import CalledOnPass, TraceShapeMismatch
 from .sim.engine import Trace
 
-DEFAULT_MISMATCH_LIMIT = 20
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -40,7 +38,6 @@ class MismatchSummary:
     entries: tuple[MismatchEntry, ...]
     total: int
     test_id: str
-    limit: int = DEFAULT_MISMATCH_LIMIT
 
     def to_table(self) -> str:
         lines = ["output | cycle | expected | actual"]
@@ -84,8 +81,8 @@ def summarize(
     expected: Trace,
     verdict: Verdict,
     outputs,
+    limit: int,
     test_id: str = "",
-    limit: int = DEFAULT_MISMATCH_LIMIT,
 ) -> MismatchSummary:
     """Enumerate (output, cycle, expected, actual) evidence for a failure,
     sorted by (cycle, output) and truncated to the earliest ``limit`` rows."""
@@ -105,7 +102,7 @@ def summarize(
                     entries.append(
                         MismatchEntry(name, n, expected.values[name][n], actual.values[name][n])
                     )
-    return MismatchSummary(tuple(entries), total, test_id, limit)
+    return MismatchSummary(tuple(entries), total, test_id)
 
 
 def pass_fraction(verdicts) -> Fraction:

@@ -27,9 +27,8 @@ from support import (
 from svloop.cli import main
 from svloop.data import copy_corpus
 from svloop.frontend import DesignSource, elaborate_source, extract_signature
-from svloop.gateway import GenConfig
 from svloop.loops import debug, generate_tests
-from svloop.manifest import load_corpus, write_mutation_corpus
+from svloop.manifest import RunConfig, load_corpus, write_mutation_corpus
 from svloop.metrics import attack_rate, bin_values, divergence_rate, divergent_attack
 from svloop.mutate import make_corpus
 from svloop.report import build_report
@@ -37,7 +36,7 @@ from svloop.sim import UnitTest, run
 from svloop.sim.vcd import read_vcd
 from svloop.verdict import Verdict
 
-CFG = GenConfig(strategy="nlsc", shots=0)
+CFG = RunConfig(strategy="nlsc", shots=0, iteration_cap=5)
 
 
 def ok(criterion, detail):
@@ -327,7 +326,7 @@ def test_criterion_9_robustness_fuzz(problems):
     for start in range(0, 500, 5):
         batch = stimulus_garbage[start:start + 5]
         provider = ListProvider(batch)
-        state = generate_tests(spec, source, CFG, provider, iteration_cap=5)
+        state = generate_tests(spec, source, CFG, provider)
         assert state.tests == []
         assert len(state.rejections) == 5
         assert all(r.reason and r.detail for r in state.rejections)
@@ -340,7 +339,7 @@ def test_criterion_9_robustness_fuzz(problems):
     for start in range(0, 500, 5):
         batch = patch_garbage[start:start + 5]
         provider = ListProvider(batch)
-        state = debug(spec, target, [witness], expected, CFG, provider, iteration_cap=5)
+        state = debug(spec, target, [witness], expected, CFG, provider)
         assert state.iterations == 5
         assert state.design is source
         assert len(state.rejections) == 5
@@ -355,8 +354,9 @@ def test_criterion_9_robustness_fuzz(problems):
     suite = [dataclasses.replace(wit, id=f"w-{bc.lower()}") for bc, (_, wit) in mutants.items()]
     expected = oracle_traces(spec, suite)
     designs = {bc: elaborate_source(src) for bc, (src, _) in mutants.items()}
-    passing = {bc: debug(spec, design, suite, expected, CFG, ListProvider([]),
-                         iteration_cap=0).initial_pass for bc, design in designs.items()}
+    one_call = dataclasses.replace(CFG, iteration_cap=1)  # set before the first call
+    passing = {bc: debug(spec, design, suite, expected, one_call, ListProvider([])).initial_pass
+               for bc, design in designs.items()}
     overflows = 0
     for tgt, patch in itertools.permutations(mutants, 2):
         if not passing[tgt] < passing[patch] < 1:
@@ -364,7 +364,7 @@ def test_criterion_9_robustness_fuzz(problems):
         comment = "// " + " ".join(["padding"] * rng.randrange(13_000, 20_000)) + "\n"
         long_patch = mutants[patch][0].text.replace("endmodule", comment + "endmodule")
         provider = ListProvider([long_patch] * 5)
-        state = debug(spec, designs[tgt], suite, expected, CFG, provider, iteration_cap=5)
+        state = debug(spec, designs[tgt], suite, expected, CFG, provider)
         assert provider.calls_made == 1
         assert state.iterations == 5
         assert state.best_pass == passing[patch]

@@ -116,6 +116,30 @@ class TestSimulateCommand:
         stim.write_text("inputs: b[1], a[1], c[1]\n0 0 0\n")
         assert main(["simulate", str(ref), "--stim", str(stim)]) == EXIT_DATA
 
+    @pytest.mark.parametrize("text, where, message", [
+        ("inputs: rst[1], r1[1], r2[1]\n1 0 0\n0 1\n", ":3", "expected 3 values, found 2\n"),
+        ("inputs: rst[1], r2[1], r1[1]\n1 0 0\n", ":1", "columns rst[1], r2[1], r1[1] do not"),
+        ("1 0 0\n", "", "no 'inputs:' stimulus header found\n"),
+    ])
+    @pytest.mark.parametrize("command", ["simulate", "debug"])
+    def test_malformed_stimulus_file_names_the_file_and_line(self, cli_corpus, tmp_path, capsys,
+                                                            command, text, where, message):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        stim = suite / "bad.stim"
+        stim.write_text(text)
+        (tmp_path / "script").mkdir()
+        argv = {
+            "simulate": ["simulate", str(Path(cli_corpus) / "problems" / "arbiter2" / "ref.sv"),
+                         "--stim", str(stim)],
+            "debug": ["debug", "arbiter2", "--problems", cli_corpus, "--target", "BC01",
+                      "--tests", str(suite), "--out", str(tmp_path / "out"),
+                      "--mock-script", str(tmp_path / "script")],
+        }[command]
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: {stim}{where}: {message}")
+        assert not (tmp_path / "out").exists()
+
     def test_coverage_simulates_once_and_reports_the_union(self, problems, tmp_path,
                                                           monkeypatch, capsys):
         p = problems["arbiter2"]
@@ -332,9 +356,10 @@ class TestLoopCommands:
         ])
         assert code == EXIT_PROVIDER
 
-    @pytest.mark.parametrize("command", ["gen-tests", "debug", "evaluate"])
+    @pytest.mark.parametrize("command", ["gen-tests", "debug", "evaluate", "evaluate --jobs 2"])
     def test_mock_without_script_names_the_flag_and_writes_nothing(
             self, cli_corpus, tmp_path, capsys, command):
+        command, *jobs = command.split()
         suite = tmp_path / "suite"
         suite.mkdir()
         (suite / "t.stim").write_text(valid_arbiter_stimulus())
@@ -345,8 +370,9 @@ class TestLoopCommands:
             "evaluate": ["--problems", cli_corpus],
         }[command]
         out = tmp_path / "out"
-        assert main([command, *args, "--out", str(out)]) == EXIT_PROVIDER
-        assert "--mock-script" in capsys.readouterr().err
+        assert main([command, *args, *jobs, "--out", str(out)]) == EXIT_PROVIDER
+        err = capsys.readouterr().err
+        assert err == "provider error: --provider mock requires --mock-script DIR\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["gen-tests", "debug", "evaluate", "evaluate --jobs 2"])
@@ -519,6 +545,13 @@ class TestEvaluateAndReport:
         ("cells/bc02/bc02/result.json",
          '{"source": "BC02", "target": "BC02", "ar": 0, "dr": [1, 2], "da": [1, 2]}'),
         ("sources/bc02/genstate.json", '{"tests": [5]}'),
+        # a ratio is an int or a pair of ints, never a string or a bool; ar is 0 or 1
+        ("cells/bc02/bc02/result.json",
+         '{"source": "BC02", "target": "BC02", "ar": 1, "dr": "1", "da": "1"}'),
+        ("cells/bc02/bc02/result.json",
+         '{"source": "BC02", "target": "BC02", "ar": 1, "dr": [true, true], "da": [1, 1]}'),
+        ("cells/bc02/bc02/result.json",
+         '{"source": "BC02", "target": "BC02", "ar": true, "dr": [1, 2], "da": [1, 2]}'),
     ])
     def test_wrongly_valued_checkpoint_isolates_to_its_problem(
             self, finished_run, tmp_path, capsys, checkpoint, text):
@@ -552,6 +585,17 @@ class TestEvaluateAndReport:
         '{"problem": "adder4", "kind": "combinational", "cells": {},'
         ' "debug": {"BC01": ["skipped"]}}',
         '{"problem": 5, "kind": "combinational", "cells": {}}',
+        # a ratio is an int or a pair of ints, never a string or a bool; ar is 0 or 1
+        '{"problem": "adder4", "kind": "combinational",'
+        ' "cells": {"BC01->BC01": {"ar": 1, "dr": "1", "da": "1"}}}',
+        '{"problem": "adder4", "kind": "combinational",'
+        ' "cells": {"BC01->BC01": {"ar": 1, "dr": [true, true], "da": [1, 1]}}}',
+        '{"problem": "adder4", "kind": "combinational",'
+        ' "cells": {"BC01->BC01": {"ar": true, "dr": [1, 2], "da": [1, 2]}}}',
+        '{"problem": "adder4", "kind": "combinational",'
+        ' "cells": {"BC01->BC01": {"ar": [1, 1], "dr": [1, 2], "da": [1, 2]}}}',
+        '{"problem": "adder4", "kind": "combinational", "cells": {},'
+        ' "debug": {"BC01": {"best_pass": [true, true]}}}',
     ])
     def test_report_on_wrongly_shaped_matrix_names_the_file(self, finished_run, tmp_path,
                                                             capsys, text):
@@ -846,6 +890,14 @@ class TestImportBudget:
             ["simulate", str(ref), "--stim", "t.stim", "--vcd", "t.vcd", "--coverage"], tmp_path)
         assert {"svloop.frontend", "svloop.sim"} <= loaded
         assert not loaded & HEAVY
+
+    def test_mutate_does_not_load_report(self, fresh_corpus):
+        # mutate loads manifest, whose RunConfig loads report only when one is built
+        loaded = modules_loaded_by(["mutate", "full_adder", "--problems", str(fresh_corpus)],
+                                   fresh_corpus)
+        assert "svloop.manifest" in loaded
+        assert not loaded & {"jsonschema", "concurrent.futures", "svloop.loops",
+                             "svloop.matrix", "svloop.report"}
 
     def test_report_does_not_load_jsonschema(self, corpus_dir, tmp_path, capsys):
         problem = next(p for p in load_corpus(corpus_dir) if p.id == "full_adder")

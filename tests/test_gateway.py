@@ -1,4 +1,4 @@
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +15,6 @@ from svloop.errors import (
 from svloop.gateway import (
     DEFAULT_INPUT_WINDOW,
     DEFAULT_TEMPERATURE,
-    GenConfig,
     LiveHttpProvider,
     ScriptedMockProvider,
     build_debug_prompt,
@@ -49,10 +48,9 @@ def arb_spec(problems):
     return problems["arbiter2"].spec()
 
 
-class TestGenConfig:
+class TestGenerationConfig:
     def test_defaults_follow_strategy(self):
-        assert [f.name for f in fields(GenConfig)] == ["strategy", "shots"]
-        assert (GenConfig().strategy, GenConfig().shots) == ("nlsc", 0)
+        assert (RunConfig().strategy, RunConfig().shots) == ("nlsc", 0)
         assert OUTPUT_TOKENS == {"nlsc": 2048, "nls": 512}
 
     def test_temperature_and_window_defaults(self):
@@ -60,15 +58,15 @@ class TestGenConfig:
         assert DEFAULT_INPUT_WINDOW == 16384
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            GenConfig(strategy="chain")
-        with pytest.raises(ValueError):
-            GenConfig(shots=3)
+        with pytest.raises(ValueError, match="field 'strategy'"):
+            RunConfig(strategy="chain")
+        with pytest.raises(ValueError, match="field 'shots'"):
+            RunConfig(shots=3)
 
 
 class TestTestgenPrompt:
     def test_nls_zero_shot_has_no_source_section(self, fa_spec):
-        cfg = GenConfig(strategy="nls")
+        cfg = RunConfig(strategy="nls")
         prompt = build_testgen_prompt(cfg, fa_spec)
         assert fa_spec.description.strip()[:40] in prompt
         assert "inputs (in port order): a[1], b[1], c[1]" in prompt
@@ -78,18 +76,18 @@ class TestTestgenPrompt:
     def test_nlsc_embeds_buggy_source_verbatim(self, arb_spec, problems):
         mutants = problems["arbiter2"].mutants()
         bc_id, source, _ = mutants[0]
-        prompt = build_testgen_prompt(GenConfig(strategy="nlsc"), arb_spec, source)
+        prompt = build_testgen_prompt(RunConfig(strategy="nlsc"), arb_spec, source)
         assert source.text.rstrip() in prompt
 
     def test_strategy_preconditions(self, fa_spec, problems):
         with pytest.raises(ValueError):
-            build_testgen_prompt(GenConfig(strategy="nlsc"), fa_spec, None)
+            build_testgen_prompt(RunConfig(strategy="nlsc"), fa_spec, None)
         source = problems["full_adder"].reference
         with pytest.raises(ValueError):
-            build_testgen_prompt(GenConfig(strategy="nls"), fa_spec, source)
+            build_testgen_prompt(RunConfig(strategy="nls"), fa_spec, source)
 
     def test_five_shot_includes_exemplars(self, fa_spec):
-        prompt = build_testgen_prompt(GenConfig(strategy="nls", shots=5), fa_spec)
+        prompt = build_testgen_prompt(RunConfig(strategy="nls", shots=5), fa_spec)
         assert "Example 5" in prompt
         assert fa_spec.exemplars[0].unit_test_text.strip() in prompt
 
@@ -98,7 +96,7 @@ class TestTestgenPrompt:
         prior = UnitTest("t01", p.signature.stimulus_inputs, ((1, 0, 0),))
         report = collect_coverage(p.design, [prior], p.signature)
         prompt = build_testgen_prompt(
-            GenConfig(strategy="nlsc"),
+            RunConfig(strategy="nlsc"),
             arb_spec,
             p.reference,
             feedback=(report, prior),
@@ -108,7 +106,7 @@ class TestTestgenPrompt:
         assert "never" in prompt  # uncovered items listed
 
     def test_deterministic(self, arb_spec, problems):
-        args = (GenConfig(strategy="nlsc", shots=5), arb_spec, problems["arbiter2"].reference)
+        args = (RunConfig(strategy="nlsc", shots=5), arb_spec, problems["arbiter2"].reference)
         assert build_testgen_prompt(*args) == build_testgen_prompt(*args)
 
     def test_section_order(self, arb_spec, problems):
@@ -116,7 +114,7 @@ class TestTestgenPrompt:
         prior = UnitTest("t01", p.signature.stimulus_inputs, ((1, 0, 0),))
         report = collect_coverage(p.design, [prior], p.signature)
         prompt = build_testgen_prompt(
-            GenConfig(strategy="nlsc", shots=5), arb_spec, p.reference, (report, prior)
+            RunConfig(strategy="nlsc", shots=5), arb_spec, p.reference, (report, prior)
         )
         order = [
             prompt.index("## Task description"),
@@ -131,7 +129,7 @@ class TestTestgenPrompt:
     def test_overflow(self, fa_spec):
         spec = replace(fa_spec, description=OVERLONG_DESCRIPTION)
         with pytest.raises(PromptOverflow, match="16384-token"):
-            build_testgen_prompt(GenConfig(strategy="nlsc"), spec, fa_spec.oracle.source)
+            build_testgen_prompt(RunConfig(strategy="nlsc"), spec, fa_spec.oracle.source)
 
 
 class TestDebugPrompt:
@@ -146,7 +144,8 @@ class TestDebugPrompt:
         actual = run(mutant, witness, p.signature)
         expected = run(p.design, witness, p.signature)
         verdict = compare(actual, expected, outputs)
-        summary = summarize(actual, expected, verdict, outputs, test_id=witness.id)
+        summary = summarize(actual, expected, verdict, outputs, RunConfig().mismatch_limit,
+                            test_id=witness.id)
         return p, source, witness, summary
 
     def test_lists_mismatch_rows(self, problems):
@@ -184,7 +183,7 @@ class TestDebugPrompt:
             return real(path, *args, **kwargs)
 
         monkeypatch.setattr(Path, "read_text", read_text)
-        built = [(build_testgen_prompt(GenConfig(strategy="nlsc"), spec, source),
+        built = [(build_testgen_prompt(RunConfig(strategy="nlsc"), spec, source),
                   build_debug_prompt(spec, source, witness, summary)) for _ in range(2)]
         assert reads == ["testgen.txt", "debug.txt"]
         assert built[0] == built[1]
@@ -207,7 +206,7 @@ class TestDebugPrompt:
 class TestMockProvider:
     def test_sequence_exhaustion(self):
         provider = ScriptedMockProvider(["only response"])
-        cfg = GenConfig()
+        cfg = RunConfig()
         assert provider.complete("p1", cfg) == "only response"
         with pytest.raises(ScriptExhausted):
             provider.complete("p2", cfg)
@@ -215,7 +214,7 @@ class TestMockProvider:
     def test_digest_replay_is_stable_and_unconsuming(self):
         digest = prompt_digest("the prompt")
         provider = ScriptedMockProvider(["fallback"], {digest: "keyed"})
-        cfg = GenConfig()
+        cfg = RunConfig()
         assert provider.complete("the prompt", cfg) == "keyed"
         assert provider.complete("the prompt", cfg) == "keyed"
         assert provider.complete("other", cfg) == "fallback"
@@ -224,7 +223,7 @@ class TestMockProvider:
         digest = prompt_digest("hello")
         save_mock_script(tmp_path / "s", ["a", "b"], {digest: "keyed"})
         provider = ScriptedMockProvider.from_dir(tmp_path / "s")
-        cfg = GenConfig()
+        cfg = RunConfig()
         assert provider.complete("hello", cfg) == "keyed"
         assert provider.complete("x", cfg) == "a"
         assert provider.complete("y", cfg) == "b"
@@ -237,17 +236,17 @@ class TestMockProvider:
             LiveHttpProvider.from_env(env={})
 
     def test_mock_run_requires_script(self):
-        with pytest.raises(ProviderRejection):
-            RunConfig(provider="mock")
+        with pytest.raises(ProviderRejection, match="--mock-script"):
+            build_provider(RunConfig(provider="mock"))
 
     def test_unknown_provider_is_rejected(self):
-        with pytest.raises(ProviderRejection, match="unknown provider"):
+        with pytest.raises(ValueError, match="field 'provider' is 'mock-ish'"):
             RunConfig(provider="mock-ish", script_dir="s")
 
     def test_one_shot_complete_surface(self, tmp_path):
         save_mock_script(tmp_path / "s", ["scripted answer"])
         provider = build_provider(RunConfig(provider="mock", script_dir=str(tmp_path / "s")))
-        assert provider.complete("any prompt", GenConfig()) == "scripted answer"
+        assert provider.complete("any prompt", RunConfig()) == "scripted answer"
 
 
 class TestParseUnitTest:

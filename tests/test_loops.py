@@ -1,4 +1,5 @@
 import importlib
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,11 +7,12 @@ import pytest
 from support import ListProvider, OracleBackedResponder, oracle_traces, valid_arbiter_stimulus
 from svloop import loops
 from svloop.frontend import DesignSource, elaborate_source, extract_signature
-from svloop.gateway import GenConfig, ProblemSpec
+from svloop.gateway import ProblemSpec
 from svloop.loops import debug, generate_tests
+from svloop.manifest import RunConfig
 from svloop.sim import UnitTest, collect_coverage, parse_stimulus, run
 
-CFG = GenConfig(strategy="nlsc", shots=0)
+CFG = RunConfig(strategy="nlsc", shots=0)
 
 RISING_A = "inputs: rst[1], r1[1], r2[1]\n1 0 0\n1 0 0\n"
 FLAT_B = RISING_A
@@ -110,7 +112,7 @@ class TestGenerateLoop:
     def test_sequential_iteration_cap(self, problems):
         p = problems["arbiter2"]
         provider = ListProvider([RISING_A] * 9)
-        state = generate_tests(p.spec(), p.reference, CFG, provider, iteration_cap=5)
+        state = generate_tests(p.spec(), p.reference, replace(CFG, iteration_cap=5), provider)
         assert state.iterations == 5
         assert provider.calls_made == 5
         assert len(state.tests) == 1
@@ -118,13 +120,13 @@ class TestGenerateLoop:
     def test_provider_errors_absorbed(self, problems):
         p = problems["arbiter2"]
         provider = ListProvider([RISING_A])  # exhausts after one call
-        state = generate_tests(p.spec(), p.reference, CFG, provider, iteration_cap=3)
+        state = generate_tests(p.spec(), p.reference, replace(CFG, iteration_cap=3), provider)
         assert len(state.tests) == 1
         assert sum(1 for r in state.rejections if r.reason == "provider") == 2
 
     def test_nls_ignores_source(self, problems):
         p = problems["full_adder"]
-        cfg = GenConfig(strategy="nls")
+        cfg = RunConfig(strategy="nls")
         provider = ListProvider(["inputs: a[1], b[1], c[1]\n1 0 1\n"])
         state = generate_tests(p.spec(), None, cfg, provider)
         assert len(state.tests) == 1
@@ -261,7 +263,7 @@ class TestElaborationCount:
     def test_generate_tests_elaborates_nothing(self, problems, elaborations):
         p = problems["arbiter2"]
         provider = ListProvider([RISING_A, RISING_C, "garbage", RISING_D])
-        state = generate_tests(p.spec(), p.reference, CFG, provider, iteration_cap=4)
+        state = generate_tests(p.spec(), p.reference, replace(CFG, iteration_cap=4), provider)
         assert state.tests and provider.calls_made == 4
         assert elaborations == []
 

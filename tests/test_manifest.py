@@ -10,8 +10,10 @@ from svloop.manifest import load_corpus, load_problem
 def test_default_corpus_has_at_least_four_problems():
     problems = load_corpus(default_corpus_root())
     assert len(problems) >= 4
-    kinds = {p.manifest.kind for p in problems}
+    kinds = {p.kind for p in problems}
     assert kinds == {"combinational", "sequential"}
+    for p in problems:  # the kind derived from the design is the one problem.json names
+        assert p.kind == json.loads((p.root / "problem.json").read_text())["kind"]
 
 
 def test_copy_refuses_nonempty_destination(tmp_path):

@@ -14,6 +14,7 @@ from svloop.metrics import (
     bin_values,
     divergence_rate,
     divergent_attack,
+    stored_ratio,
 )
 from svloop.sim import Trace, run
 from svloop.verdict import Verdict
@@ -98,6 +99,33 @@ class TestDivergentAttack:
             PairResult("BC01", "BC02", 0, Fraction(1, 2), Fraction(1, 2))
         with pytest.raises(ValueError):
             PairResult("BC01", "BC02", 1, Fraction(1, 2), Fraction(1, 4))
+
+
+class TestStoredRatio:
+    @pytest.mark.parametrize("value, ratio", [
+        (0, 0), (1, 1), ([0, 1], 0), ([1, 2], Fraction(1, 2)), ([3, 3], 1),
+        ([-1, -2], Fraction(1, 2)),
+    ])
+    def test_ints_and_int_pairs_in_range(self, value, ratio):
+        assert stored_ratio(value, "dr") == ratio
+
+    @pytest.mark.parametrize("value", [
+        "1", "[1, 2]", True, False, [True, True], [1, True], 1.0, 0.5, [1.0, 2], [1, 2, 3], [1],
+        [], None, {}, 2, -1, [3, 2], [-1, 2], [1, -2],
+    ])
+    def test_anything_else_is_refused(self, value):
+        with pytest.raises(ValueError, match="^dr "):
+            stored_ratio(value, "dr")
+
+    def test_ar_is_the_int_0_or_1(self):
+        assert [stored_ratio(value, "ar") for value in (0, 1)] == [0, 1]
+        for value in ([1, 1], [0, 1], True, 1.0, 2, "1"):
+            with pytest.raises(ValueError, match="^ar "):
+                stored_ratio(value, "ar")
+
+    def test_a_zero_denominator_is_refused(self):
+        with pytest.raises(ZeroDivisionError):
+            stored_ratio([1, 0], "dr")
 
 
 class TestBinning:

@@ -7,14 +7,13 @@ import requests
 from support import valid_arbiter_stimulus
 from svloop.cli import main
 from svloop.errors import ProviderRejection, ProviderTimeout
-from svloop.gateway import GenConfig
 from svloop.gateway.providers import ENV_ENDPOINT, ENV_KEY, ENV_MODEL
 from svloop.gateway import providers
 from svloop.gateway.providers import LiveHttpProvider
 from svloop.manifest import RunConfig
 from svloop.matrix import evaluate_matrix
 
-CFG = GenConfig()
+CFG = RunConfig()
 
 
 def live_provider(monkeypatch, retries=1, timeout=10.0, log_dir=None):
@@ -65,7 +64,7 @@ def test_successful_completion_and_redacted_log(monkeypatch, tmp_path):
     assert len(logs) == 1
     record = json.loads(logs[0].read_text())
     assert "secret-key" not in json.dumps(record)
-    provider.complete("prompt text", GenConfig(strategy="nls"))
+    provider.complete("prompt text", RunConfig(strategy="nls"))
     assert seen["body"]["temperature"] == 0.8
     assert seen["body"]["max_tokens"] == 512
 

@@ -1,6 +1,7 @@
 import copy
 import json
 import shutil
+from dataclasses import fields
 from functools import cache
 
 import jsonschema
@@ -45,7 +46,7 @@ def test_report_structure(run_pair):
 
 def test_debug_split_follows_manifest_kind(run_pair, corpus_dir):
     report = build_report(run_pair[0])
-    kinds = {p.id: p.manifest.kind for p in load_corpus(corpus_dir)}
+    kinds = {p.id: p.kind for p in load_corpus(corpus_dir)}
     for kind in ("combinational", "sequential"):
         for entry in report["debug"][kind]["values"]:
             assert kinds[entry["problem"]] == kind
@@ -153,6 +154,43 @@ def test_config_check_agrees_on_several_field_changes(changes):
         else:
             config[name] = value
     config_accepted(config)
+
+
+# RunConfig checks itself against the same entry when it is built, so a
+# configuration that report would refuse never starts a run.
+
+RUN_ARGS = {"provider": "mock", "script_dir": "script", "seed": 1}
+CONFIG_FIELDS = SCHEMA["properties"]["config"]["properties"]
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+def test_run_config_refuses_exactly_what_the_schema_refuses(name):
+    assert RunConfig(**RUN_ARGS).as_dict().keys() == CONFIG_FIELDS.keys()
+    for replacement in REPLACEMENTS:
+        valid = CONFIG_REFERENCE.is_valid({**CONFIG, name: replacement})
+        try:
+            RunConfig(**{**RUN_ARGS, name: replacement})
+        except ValueError as error:
+            assert not valid, (name, replacement)
+            assert str(error).startswith(
+                f"run configuration is malformed: field {name!r} is {replacement!r}, "), error
+        else:
+            assert valid, (name, replacement)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("iteration_cap", 0), ("mismatch_limit", 0), ("jobs", 0), ("seed", "x"),
+    ("strategy", "nlsx"), ("shots", 3),
+])
+def test_run_config_that_report_would_refuse_is_refused_when_built(name, value):
+    with pytest.raises(ValueError, match=f"^run configuration is malformed: field {name!r} is "):
+        RunConfig(**{**RUN_ARGS, name: value})
+
+
+def test_run_config_takes_integers_as_draft_07_does():
+    assert RunConfig(seed=1.0).seed == 1.0
+    with pytest.raises(ValueError, match="field 'seed' is True"):
+        RunConfig(seed=True)
 
 
 @pytest.mark.parametrize("change", [

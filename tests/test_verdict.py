@@ -81,7 +81,7 @@ class TestSummarize:
         a = trace_of(y=[0, 1], z=[0, 0])
         b = trace_of(y=[0, 0], z=[0, 0])
         v = compare(a, b, ["y", "z"])
-        s = summarize(a, b, v, ["y", "z"], test_id="t1")
+        s = summarize(a, b, v, ["y", "z"], 20, test_id="t1")
         assert s.total == 1 and len(s.entries) == 1
         e = s.entries[0]
         assert (e.output, e.cycle, e.expected, e.actual) == ("y", 1, 0, 1)
@@ -99,7 +99,7 @@ class TestSummarize:
         a = trace_of(g2=[1, 0], g1=[0, 1])
         b = trace_of(g2=[0, 0], g1=[0, 0])
         v = compare(a, b, ["g1", "g2"])
-        s = summarize(a, b, v, ["g1", "g2"])
+        s = summarize(a, b, v, ["g1", "g2"], 20)
         assert [(e.output, e.cycle) for e in s.entries] == [("g2", 0), ("g1", 1)]
         for e in s.entries:
             assert a.values[e.output][e.cycle] == e.actual
@@ -109,7 +109,7 @@ class TestSummarize:
         t = trace_of(y=[0])
         v = compare(t, t, ["y"])
         with pytest.raises(CalledOnPass):
-            summarize(t, t, v, ["y"])
+            summarize(t, t, v, ["y"], 20)
 
 
 class TestPassFraction:

@@ -15,14 +15,13 @@ from svloop import matrix
 from svloop.errors import SvLoopError, WidthMismatch
 from svloop.frontend import elaborate_source
 from svloop.frontend.elaborate import MAX_WIDTH
-from svloop.gateway import GenConfig
 from svloop.gateway.extract import parse_patch
 from svloop.loops import debug
 from svloop.manifest import RunConfig
 from svloop.matrix import evaluate_matrix
 from svloop.sim import run
 
-CFG = GenConfig(strategy="nlsc", shots=0)
+CFG = RunConfig(strategy="nlsc", shots=0)
 F5000 = "f" * 5000
 
 # (items added to a design that reads input r1, the error they raise on
