@@ -233,7 +233,7 @@ def cmd_gen_tests(args) -> int:
         return EXIT_DATA
     config = _run_config(args)
     provider = build_provider(config, Path(args.out) / "provider_log")
-    state = generate_tests(problem.spec(), mutants[args.source], config, provider)
+    state = generate_tests(problem, mutants[args.source], config, provider)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for test in state.tests:
@@ -273,7 +273,7 @@ def cmd_debug(args) -> int:
     config = _run_config(args)
     provider = build_provider(config, Path(args.out) / "provider_log")
     oracle_traces = {t.id: run_sim(problem.design, t, problem.signature) for t in tests}
-    state = debug_loop(problem.spec(), elaborate_source(mutants[args.target]), tests,
+    state = debug_loop(problem, elaborate_source(mutants[args.target]), tests,
                        oracle_traces, config, provider)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

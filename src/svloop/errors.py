@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the toolkit, and the one JSON reader
-that turns a torn or wrongly shaped file into a typed error.
+"""Exception hierarchy shared across the toolkit, the one JSON reader
+that turns a torn or wrongly shaped file into a typed error, and the one
+JSON writer of corpus and run-directory files.
 
 Frontend errors carry source positions so the CLI can print
 ``file:line:col: message`` diagnostics.
@@ -159,13 +160,20 @@ class MockScriptError(SvLoopError):
     ``save_mock_script`` writes."""
 
 
-# --- reading JSON files -----------------------------------------------------
+# --- reading and writing JSON files -----------------------------------------
 
 def _read_json(path, error=ManifestError):
     try:
         return json.loads(path.read_text("utf-8"))
     except ValueError as exc:  # bad JSON or bad UTF-8
         raise error(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _write_json(path, data) -> None:
+    # atomic: a file that exists is never torn
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    tmp.write_bytes((json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    tmp.replace(path)
 
 
 @contextmanager

@@ -1,13 +1,6 @@
 """LLM gateway: prompt construction, providers, and response parsing."""
 
-from .config import (
-    DEFAULT_INPUT_WINDOW,
-    DEFAULT_TEMPERATURE,
-    NLS,
-    NLSC,
-    Exemplar,
-    ProblemSpec,
-)
+from .config import DEFAULT_INPUT_WINDOW, DEFAULT_TEMPERATURE, NLS, NLSC, Exemplar
 from .extract import parse_patch, parse_unit_test
 from .prompts import build_debug_prompt, build_testgen_prompt, estimate_tokens
 from .providers import (
@@ -26,7 +19,6 @@ __all__ = [
     "LiveHttpProvider",
     "NLS",
     "NLSC",
-    "ProblemSpec",
     "RecordingProvider",
     "ScriptedMockProvider",
     "build_debug_prompt",

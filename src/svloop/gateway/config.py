@@ -1,11 +1,8 @@
-"""Generation constants and problem bundles."""
+"""Generation constants and few-shot exemplars."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from ..frontend.elaborate import ElaboratedDesign
-from ..frontend.signature import DesignSignature
 
 NLS = "nls"
 NLSC = "nlsc"
@@ -20,17 +17,3 @@ class Exemplar:
     description: str
     signature_text: str
     unit_test_text: str
-
-
-@dataclass(frozen=True)
-class ProblemSpec:
-    """Everything the generator may see about one problem."""
-
-    description: str
-    signature: DesignSignature
-    oracle: ElaboratedDesign
-    exemplars: tuple[Exemplar, ...] = ()
-
-    def __post_init__(self):
-        if not self.description.strip():
-            raise ValueError("problem description is empty")

@@ -18,10 +18,10 @@ from ..frontend.ast import DesignSource
 from ..sim.coverage import CoverageReport
 from ..sim.stimulus import UnitTest
 from ..verdict import MismatchSummary
-from .config import DEFAULT_INPUT_WINDOW, NLSC, ProblemSpec
+from .config import DEFAULT_INPUT_WINDOW, NLSC
 
 if TYPE_CHECKING:
-    from ..manifest import RunConfig
+    from ..manifest import Problem, RunConfig
 
 TOKENS_PER_WORD = 1.3
 
@@ -47,7 +47,7 @@ def _check_window(prompt: str) -> str:
 
 def build_testgen_prompt(
     cfg: RunConfig,
-    spec: ProblemSpec,
+    problem: Problem,
     buggy: Optional[DesignSource] = None,
     feedback: Optional[tuple[CoverageReport, UnitTest]] = None,
 ) -> str:
@@ -56,10 +56,10 @@ def build_testgen_prompt(
         raise ValueError("NLSC generation requires the buggy source")
     if cfg.strategy != NLSC and buggy is not None:
         raise ValueError("NLS generation must not receive source code")
-    if cfg.shots > len(spec.exemplars):
+    if cfg.shots > len(problem.exemplars):
         # a data error of the problem, not of one prompt: it escapes the loops
-        raise ManifestError(f"problem {spec.oracle.name}: a {cfg.shots}-shot prompt needs "
-                            f"{cfg.shots} exemplars, it has {len(spec.exemplars)}")
+        raise ManifestError(f"problem {problem.design.name}: a {cfg.shots}-shot prompt needs "
+                            f"{cfg.shots} exemplars, it has {len(problem.exemplars)}")
 
     buggy_section = ""
     if buggy is not None:
@@ -72,7 +72,7 @@ def build_testgen_prompt(
     exemplar_section = ""
     if cfg.shots:
         parts = ["\n## Worked examples"]
-        for i, ex in enumerate(spec.exemplars[: cfg.shots], start=1):
+        for i, ex in enumerate(problem.exemplars[: cfg.shots], start=1):
             parts.append(
                 f"\n### Example {i}\nDescription: {ex.description}\n"
                 f"Signature:\n{ex.signature_text.rstrip()}\n"
@@ -93,25 +93,25 @@ def build_testgen_prompt(
         )
 
     prompt = _load_template("testgen.txt").substitute(
-        description=spec.description.strip(),
-        signature=spec.signature.to_text(),
+        description=problem.description.strip(),
+        signature=problem.signature.to_text(),
         buggy_section=buggy_section,
         exemplar_section=exemplar_section,
         feedback_section=feedback_section,
-        stimulus_header=spec.signature.stimulus_header(),
+        stimulus_header=problem.signature.stimulus_header(),
     )
     return _check_window(prompt)
 
 
 def build_debug_prompt(
-    spec: ProblemSpec,
+    problem: Problem,
     buggy: DesignSource,
     failing_test: UnitTest,
     summary: MismatchSummary,
 ) -> str:
     """Render the debugging prompt around one failing test's evidence."""
     prompt = _load_template("debug.txt").substitute(
-        description=spec.description.strip(),
+        description=problem.description.strip(),
         buggy_source=buggy.text.rstrip("\n"),
         test_id=failing_test.id,
         stimulus=failing_test.to_text().rstrip(),

@@ -17,14 +17,14 @@ from typing import Optional
 from .errors import GatewayError, SvLoopError
 from .frontend.ast import DesignSource
 from .frontend.elaborate import ElaboratedDesign
-from .gateway.config import NLSC, ProblemSpec
+from .gateway.config import NLSC
 from .gateway.extract import parse_patch, parse_unit_test
 from .gateway.prompts import build_debug_prompt, build_testgen_prompt
-from .manifest import RunConfig
+from .manifest import Problem, RunConfig
 from .sim.coverage import CoverageCollector, collect_coverage
 from .sim.engine import Trace, run
 from .sim.stimulus import UnitTest
-from .verdict import MismatchSummary, compare, pass_fraction, summarize
+from .verdict import compare, pass_fraction, summarize
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def _complete(state, provider, prompt: str, cfg: RunConfig, iteration: int) -> O
 
 
 def generate_tests(
-    spec: ProblemSpec,
+    problem: Problem,
     source_mutant: Optional[DesignSource],
     cfg: RunConfig,
     provider,
@@ -107,11 +107,9 @@ def generate_tests(
     the accepted suite's coverage; the copy replaces it only on acceptance,
     and ``state.traces`` keeps that run's oracle trace.
     """
-    oracle = spec.oracle
-    signature = spec.signature
+    oracle = problem.design
+    signature = problem.signature
     buggy = source_mutant if cfg.strategy == NLSC else None
-    if cfg.strategy == NLSC and source_mutant is None:
-        raise ValueError("NLSC generation requires a source mutant")
 
     state = TestGenState()
     covered = CoverageCollector(oracle, signature)
@@ -122,7 +120,7 @@ def generate_tests(
     for iteration in range(1, rounds + 1):
         state.iterations = iteration
         try:
-            prompt = build_testgen_prompt(cfg, spec, buggy, feedback)
+            prompt = build_testgen_prompt(cfg, problem, buggy, feedback)
         except GatewayError as exc:
             state.rejections.append(Rejection(iteration, "prompt", str(exc)))
             continue
@@ -176,7 +174,7 @@ def _suite_verdicts(design: ElaboratedDesign, tests, oracle_traces, outputs, sig
 
 
 def debug(
-    spec: ProblemSpec,
+    problem: Problem,
     buggy: ElaboratedDesign,
     tests,
     oracle_traces: dict[str, Trace],
@@ -194,7 +192,7 @@ def debug(
     tests = list(tests)
     if not tests:
         raise ValueError("debug requires at least one unit test")
-    signature = spec.signature
+    signature = problem.signature
     outputs = [p.name for p in signature.outputs]
 
     verdicts, traces = _suite_verdicts(buggy, tests, oracle_traces, outputs, signature)
@@ -206,16 +204,10 @@ def debug(
             break
         state.iterations = iteration
         failing_at = next(i for i, v in enumerate(verdicts) if not v.passed)
-        summary: MismatchSummary = summarize(
-            traces[failing_at],
-            oracle_traces[tests[failing_at].id],
-            verdicts[failing_at],
-            outputs,
-            cfg.mismatch_limit,
-            tests[failing_at].id,
-        )
+        summary = summarize(traces[failing_at], oracle_traces[tests[failing_at].id],
+                            verdicts[failing_at], outputs, cfg.mismatch_limit)
         try:
-            prompt = build_debug_prompt(spec, state.design, tests[failing_at], summary)
+            prompt = build_debug_prompt(problem, state.design, tests[failing_at], summary)
         except GatewayError as exc:
             state.rejections.append(Rejection(iteration, "prompt", str(exc)))
             state.history.append(PatchAttempt(iteration, False, None, f"prompt: {exc}"))

@@ -8,17 +8,16 @@ recording operator, site, seed, and witness stimulus per mutant.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .errors import ManifestError, _read_json, _required_keys
+from .errors import ManifestError, _read_json, _required_keys, _write_json
 from .frontend.ast import DesignSource
 from .frontend.elaborate import ElaboratedDesign, elaborate_source
 from .frontend.signature import DesignSignature, ResetSpec, extract_signature
-from .gateway.config import Exemplar, ProblemSpec
+from .gateway.config import Exemplar
 from .mutate import MutantRecord, SkippedOperator
 from .sim.stimulus import UnitTest, parse_stimulus
 
@@ -31,17 +30,17 @@ class Problem:
     id: str
     root: Path
     description: str
-    reference: DesignSource
     design: ElaboratedDesign
     signature: DesignSignature
     exemplars: tuple[Exemplar, ...]
 
     @property
+    def reference(self) -> DesignSource:
+        return self.design.source
+
+    @property
     def kind(self) -> str:
         return "sequential" if self.design.is_sequential else "combinational"
-
-    def spec(self) -> ProblemSpec:
-        return ProblemSpec(self.description, self.signature, self.design, self.exemplars)
 
     def mutants(self) -> list[tuple[str, DesignSource, UnitTest]]:
         """(bc id, source, witness) for every mutant recorded on disk."""
@@ -90,8 +89,9 @@ def load_problem(problem_dir) -> Problem:
         if not f.exists():
             raise ManifestError(f"{problem_id}: referenced file {f} does not exist")
     description = description_file.read_text("utf-8")
-    reference = DesignSource(reference_file.read_text("utf-8"), "reference")
-    design = elaborate_source(reference)
+    if not description.strip():
+        raise ManifestError(f"{problem_id}: description {description_file} is empty")
+    design = elaborate_source(DesignSource(reference_file.read_text("utf-8"), "reference"))
     if design.is_sequential != (kind == "sequential"):
         raise ManifestError(
             f"{problem_id}: kind {kind!r} is inconsistent with the design "
@@ -105,7 +105,7 @@ def load_problem(problem_dir) -> Problem:
         if not exemplar_file.exists():
             raise ManifestError(f"{problem_id}: exemplar library {exemplar_file} missing")
         exemplars = _load_exemplars(exemplar_file)
-    return Problem(problem_id, problem_dir, description, reference, design, signature, exemplars)
+    return Problem(problem_id, problem_dir, description, design, signature, exemplars)
 
 
 def load_corpus(corpus_root) -> list[Problem]:
@@ -142,7 +142,7 @@ def write_mutation_corpus(
         "skipped": [asdict(s) for s in skipped],
     }
     out = problem.root / CORPUS_MANIFEST
-    out.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
+    _write_json(out, manifest)
     return out
 
 
@@ -166,6 +166,11 @@ class RunConfig:
         from .report import validate_report
 
         validate_report({"config": self.as_dict()}, "run configuration", ValueError)
+        # every number the schema allows is an integer, and it takes an
+        # integral float as one (draft-07): keep the int it stands for
+        for name, value in vars(self).items():
+            if isinstance(value, float):
+                object.__setattr__(self, name, int(value))
 
     def as_dict(self) -> dict:
         return dict(vars(self))  # every field is a str, an int or None

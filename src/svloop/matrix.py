@@ -18,13 +18,12 @@ generation made. Artifacts carry no timestamp; a rerun is byte-identical.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .errors import CheckpointError, SvLoopError, _read_json, _required_keys
+from .errors import CheckpointError, SvLoopError, _read_json, _required_keys, _write_json
 from .frontend.elaborate import ElaboratedDesign, elaborate_source
 from .gateway.providers import build_provider
 from .loops import DebugState, TestGenState, debug, generate_tests
@@ -50,13 +49,6 @@ class EvalRun:
 
 def _fraction_pair(f: Fraction) -> list[int]:
     return [f.numerator, f.denominator]
-
-
-def _write_json(path: Path, data) -> None:
-    # the one atomic writer: a checkpoint that exists is never torn
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes((json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8"))
-    tmp.replace(path)
 
 
 def _read_checkpoint(path: Path) -> dict:
@@ -109,7 +101,6 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
         result.error = "no mutant corpus on disk (run `svloop mutate` first)"
         return result
 
-    spec = problem.spec()
     signature = problem.signature
     outputs = [p.name for p in signature.outputs]
     oracle = problem.design
@@ -150,7 +141,7 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
                 raise CheckpointError(f"{state_file} is malformed: 'tests' is not a list of ids")
         else:
             # generate_tests shows the source mutant only under NLSC
-            state = generate_tests(spec, src_source, config, provider,
+            state = generate_tests(problem, src_source, config, provider,
                                    test_prefix=f"{src_id.lower()}-t")
             tests, traces = state.tests, state.traces
             suites[src_id] = tests, traces
@@ -217,7 +208,7 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
             outcome = {"skipped": "no tests generated for this target"}
         else:
             tests, traces = suite(tgt_id)
-            state = debug(spec, targets[tgt_id], tests, traces, config, provider)
+            state = debug(problem, targets[tgt_id], tests, traces, config, provider)
             outcome = _debug_state_summary(state)
             (debug_dir / "final.sv").write_text(state.design.text, "utf-8")
             _write_exchanges(debug_dir / "prompts", "debug", state.exchanges)

@@ -37,7 +37,6 @@ class MismatchEntry:
 class MismatchSummary:
     entries: tuple[MismatchEntry, ...]
     total: int
-    test_id: str
 
     def to_table(self) -> str:
         lines = ["output | cycle | expected | actual"]
@@ -82,7 +81,6 @@ def summarize(
     verdict: Verdict,
     outputs,
     limit: int,
-    test_id: str = "",
 ) -> MismatchSummary:
     """Enumerate (output, cycle, expected, actual) evidence for a failure,
     sorted by (cycle, output) and truncated to the earliest ``limit`` rows."""
@@ -102,7 +100,7 @@ def summarize(
                     entries.append(
                         MismatchEntry(name, n, expected.values[name][n], actual.values[name][n])
                     )
-    return MismatchSummary(tuple(entries), total, test_id)
+    return MismatchSummary(tuple(entries), total)
 
 
 def pass_fraction(verdicts) -> Fraction:

@@ -101,13 +101,12 @@ def naive_divergent_fraction(trace_a, trace_b, outputs):
 
 # --- oracle traces for the debug loop ------------------------------------------
 
-def oracle_traces(problem_or_spec, tests):
-    """The oracle's trace of every test, keyed by test id, as ``debug``
-    takes them; accepts a ``Problem`` or a ``ProblemSpec``."""
+def oracle_traces(problem, tests):
+    """The oracle's trace of every test of ``problem``, keyed by test id,
+    as ``debug`` takes them."""
     from svloop.sim.engine import run
 
-    spec = problem_or_spec.spec() if hasattr(problem_or_spec, "spec") else problem_or_spec
-    return {t.id: run(spec.oracle, t, spec.signature) for t in tests}
+    return {t.id: run(problem.design, t, problem.signature) for t in tests}
 
 
 # --- the reference check of whole reports ---------------------------------------

@@ -227,7 +227,7 @@ def test_criterion_6_testgen_loop_contract(problems):
     rising_d = valid_arbiter_stimulus() + "0 1 1\n0 1 0\n0 0 1\n"
     p = problems["arbiter2"]
     provider = ListProvider([rising_a, flat_b, rising_c, rising_d, rising_d])
-    state = generate_tests(p.spec(), p.reference, CFG, provider)
+    state = generate_tests(p, p.reference, CFG, provider)
     history = state.accepted_coverage
     assert len(state.tests) == 3
     assert all(b > a for a, b in zip(history, history[1:])), history
@@ -238,7 +238,7 @@ def test_criterion_6_testgen_loop_contract(problems):
         "inputs: a[1], b[1], c[1]\n0 0 0\n1 1 1\n",
         "inputs: a[1], b[1], c[1]\n0 1 0\n",
     ])
-    fa_state = generate_tests(fa.spec(), fa.reference, CFG, one_shot)
+    fa_state = generate_tests(fa, fa.reference, CFG, one_shot)
     assert one_shot.calls_made == 1
     assert fa_state.provider_calls == 1
     ok(6, f"bCov strictly increases at accepted steps "
@@ -254,13 +254,13 @@ def test_criterion_7_debug_loop_contract(problems):
     source, witness = mutants["BC06"]
 
     # (a) reference patch terminates in one iteration at pass fraction 1.0
-    state_a = debug(p.spec(), elaborate_source(source), [witness],
+    state_a = debug(p, elaborate_source(source), [witness],
                     oracle_traces(p, [witness]), CFG, ListProvider([p.reference.text]))
     assert state_a.solved and state_a.iterations == 1 and state_a.best_pass == 1
 
     # (b) useless patches: exactly 5 iterations, original retained,
     #     bPass non-decreasing throughout
-    state_b = debug(p.spec(), elaborate_source(source), [witness],
+    state_b = debug(p, elaborate_source(source), [witness],
                     oracle_traces(p, [witness]), CFG, ListProvider([source.text] * 5))
     assert state_b.iterations == 5
     assert state_b.design is source
@@ -274,10 +274,10 @@ def test_criterion_7_debug_loop_contract(problems):
     # (c) partial then full fix: bPass history 0.4 -> 0.7 -> 1.0
     from test_loops import CMP_BUGGY, CMP_HALF, CMP_REF, cmp_problem
 
-    spec, tests = cmp_problem()
+    cmp, tests = cmp_problem()
     state_c = debug(
-        spec, elaborate_source(DesignSource(CMP_BUGGY, "mutant BC02")), tests,
-        oracle_traces(spec, tests), CFG, ListProvider([CMP_HALF, CMP_REF]),
+        cmp, elaborate_source(DesignSource(CMP_BUGGY, "mutant BC02")), tests,
+        oracle_traces(cmp, tests), CFG, ListProvider([CMP_HALF, CMP_REF]),
     )
     assert state_c.initial_pass == Fraction(2, 5)
     accepted = [h.pass_fraction for h in state_c.history if h.accepted]
@@ -318,7 +318,6 @@ def test_criterion_9_robustness_fuzz(problems):
     p = problems["arbiter2"]
     mutants = {bc: (src, wit) for bc, src, wit in p.mutants()}
     source, witness = mutants["BC03"]
-    spec = p.spec()
 
     consumed = 0
     rejections = 0
@@ -326,7 +325,7 @@ def test_criterion_9_robustness_fuzz(problems):
     for start in range(0, 500, 5):
         batch = stimulus_garbage[start:start + 5]
         provider = ListProvider(batch)
-        state = generate_tests(spec, source, CFG, provider)
+        state = generate_tests(p, source, CFG, provider)
         assert state.tests == []
         assert len(state.rejections) == 5
         assert all(r.reason and r.detail for r in state.rejections)
@@ -335,11 +334,11 @@ def test_criterion_9_robustness_fuzz(problems):
 
     patch_garbage = malformed_patch_responses(rng, 500, source.text)
     target = elaborate_source(source)
-    expected = oracle_traces(spec, [witness])
+    expected = oracle_traces(p, [witness])
     for start in range(0, 500, 5):
         batch = patch_garbage[start:start + 5]
         provider = ListProvider(batch)
-        state = debug(spec, target, [witness], expected, CFG, provider)
+        state = debug(p, target, [witness], expected, CFG, provider)
         assert state.iterations == 5
         assert state.design is source
         assert len(state.rejections) == 5
@@ -352,10 +351,10 @@ def test_criterion_9_robustness_fuzz(problems):
     # An accepted patch too long for the input window: every later iteration's
     # debug prompt overflows, and each is a logged rejection that uses it up.
     suite = [dataclasses.replace(wit, id=f"w-{bc.lower()}") for bc, (_, wit) in mutants.items()]
-    expected = oracle_traces(spec, suite)
+    expected = oracle_traces(p, suite)
     designs = {bc: elaborate_source(src) for bc, (src, _) in mutants.items()}
     one_call = dataclasses.replace(CFG, iteration_cap=1)  # set before the first call
-    passing = {bc: debug(spec, design, suite, expected, one_call, ListProvider([])).initial_pass
+    passing = {bc: debug(p, design, suite, expected, one_call, ListProvider([])).initial_pass
                for bc, design in designs.items()}
     overflows = 0
     for tgt, patch in itertools.permutations(mutants, 2):
@@ -364,7 +363,7 @@ def test_criterion_9_robustness_fuzz(problems):
         comment = "// " + " ".join(["padding"] * rng.randrange(13_000, 20_000)) + "\n"
         long_patch = mutants[patch][0].text.replace("endmodule", comment + "endmodule")
         provider = ListProvider([long_patch] * 5)
-        state = debug(spec, designs[tgt], suite, expected, CFG, provider)
+        state = debug(p, designs[tgt], suite, expected, CFG, provider)
         assert provider.calls_made == 1
         assert state.iterations == 5
         assert state.best_pass == passing[patch]

@@ -483,6 +483,27 @@ class TestEvaluateAndReport:
         assert summary["problems"]["adder4"]["cells"] > 0
         assert "full_adder: 0 cells" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text", ["", " \n\t\n"])
+    def test_empty_description_is_a_data_error_before_any_output(self, corpus_dir, tmp_path,
+                                                                 capsys, text):
+        corpus = shutil.copytree(corpus_dir, tmp_path / "corpus")
+        description = corpus / "problems" / "adder4" / "description.txt"
+        description.write_text(text)
+        expected = f"error: adder4: description {description} is empty\n"
+        for jobs in ("1", "2"):
+            run_dir = tmp_path / f"run-{jobs}"
+            code = main(["evaluate", "--problems", str(corpus), "--out", str(run_dir),
+                         "--jobs", jobs])
+            assert code == EXIT_DATA
+            assert capsys.readouterr().err == expected
+            assert not run_dir.exists()
+        for argv in (["gen-tests", "adder4", "--source", "BC01"],
+                     ["debug", "adder4", "--target", "BC01", "--tests", str(tmp_path)]):
+            out = tmp_path / argv[0]
+            assert main([*argv, "--problems", str(corpus), "--out", str(out)]) == EXIT_DATA
+            assert capsys.readouterr().err == expected
+            assert not out.exists()
+
     def test_shots_beyond_the_exemplars_are_a_data_error_of_their_problem(
             self, corpus_dir, tmp_path, capsys):
         corpus = tmp_path / "corpus"

@@ -39,13 +39,13 @@ OVERLONG_DESCRIPTION = "word " * (int(DEFAULT_INPUT_WINDOW / TOKENS_PER_WORD) + 
 
 
 @pytest.fixture()
-def fa_spec(problems):
-    return problems["full_adder"].spec()
+def fa_problem(problems):
+    return problems["full_adder"]
 
 
 @pytest.fixture()
-def arb_spec(problems):
-    return problems["arbiter2"].spec()
+def arb_problem(problems):
+    return problems["arbiter2"]
 
 
 class TestGenerationConfig:
@@ -65,39 +65,39 @@ class TestGenerationConfig:
 
 
 class TestTestgenPrompt:
-    def test_nls_zero_shot_has_no_source_section(self, fa_spec):
+    def test_nls_zero_shot_has_no_source_section(self, fa_problem):
         cfg = RunConfig(strategy="nls")
-        prompt = build_testgen_prompt(cfg, fa_spec)
-        assert fa_spec.description.strip()[:40] in prompt
+        prompt = build_testgen_prompt(cfg, fa_problem)
+        assert fa_problem.description.strip()[:40] in prompt
         assert "inputs (in port order): a[1], b[1], c[1]" in prompt
         assert "Implementation under test" not in prompt
         assert "endmodule" not in prompt
 
-    def test_nlsc_embeds_buggy_source_verbatim(self, arb_spec, problems):
+    def test_nlsc_embeds_buggy_source_verbatim(self, arb_problem, problems):
         mutants = problems["arbiter2"].mutants()
         bc_id, source, _ = mutants[0]
-        prompt = build_testgen_prompt(RunConfig(strategy="nlsc"), arb_spec, source)
+        prompt = build_testgen_prompt(RunConfig(strategy="nlsc"), arb_problem, source)
         assert source.text.rstrip() in prompt
 
-    def test_strategy_preconditions(self, fa_spec, problems):
+    def test_strategy_preconditions(self, fa_problem, problems):
         with pytest.raises(ValueError):
-            build_testgen_prompt(RunConfig(strategy="nlsc"), fa_spec, None)
+            build_testgen_prompt(RunConfig(strategy="nlsc"), fa_problem, None)
         source = problems["full_adder"].reference
         with pytest.raises(ValueError):
-            build_testgen_prompt(RunConfig(strategy="nls"), fa_spec, source)
+            build_testgen_prompt(RunConfig(strategy="nls"), fa_problem, source)
 
-    def test_five_shot_includes_exemplars(self, fa_spec):
-        prompt = build_testgen_prompt(RunConfig(strategy="nls", shots=5), fa_spec)
+    def test_five_shot_includes_exemplars(self, fa_problem):
+        prompt = build_testgen_prompt(RunConfig(strategy="nls", shots=5), fa_problem)
         assert "Example 5" in prompt
-        assert fa_spec.exemplars[0].unit_test_text.strip() in prompt
+        assert fa_problem.exemplars[0].unit_test_text.strip() in prompt
 
-    def test_feedback_section_carries_prior_test_and_uncovered(self, arb_spec, problems):
+    def test_feedback_section_carries_prior_test_and_uncovered(self, arb_problem, problems):
         p = problems["arbiter2"]
         prior = UnitTest("t01", p.signature.stimulus_inputs, ((1, 0, 0),))
         report = collect_coverage(p.design, [prior], p.signature)
         prompt = build_testgen_prompt(
             RunConfig(strategy="nlsc"),
-            arb_spec,
+            arb_problem,
             p.reference,
             feedback=(report, prior),
         )
@@ -105,16 +105,16 @@ class TestTestgenPrompt:
         assert prior.to_text().strip() in prompt
         assert "never" in prompt  # uncovered items listed
 
-    def test_deterministic(self, arb_spec, problems):
-        args = (RunConfig(strategy="nlsc", shots=5), arb_spec, problems["arbiter2"].reference)
+    def test_deterministic(self, arb_problem, problems):
+        args = (RunConfig(strategy="nlsc", shots=5), arb_problem, problems["arbiter2"].reference)
         assert build_testgen_prompt(*args) == build_testgen_prompt(*args)
 
-    def test_section_order(self, arb_spec, problems):
+    def test_section_order(self, arb_problem, problems):
         p = problems["arbiter2"]
         prior = UnitTest("t01", p.signature.stimulus_inputs, ((1, 0, 0),))
         report = collect_coverage(p.design, [prior], p.signature)
         prompt = build_testgen_prompt(
-            RunConfig(strategy="nlsc", shots=5), arb_spec, p.reference, (report, prior)
+            RunConfig(strategy="nlsc", shots=5), arb_problem, p.reference, (report, prior)
         )
         order = [
             prompt.index("## Task description"),
@@ -126,10 +126,10 @@ class TestTestgenPrompt:
         ]
         assert order == sorted(order)
 
-    def test_overflow(self, fa_spec):
-        spec = replace(fa_spec, description=OVERLONG_DESCRIPTION)
+    def test_overflow(self, fa_problem):
+        overlong = replace(fa_problem, description=OVERLONG_DESCRIPTION)
         with pytest.raises(PromptOverflow, match="16384-token"):
-            build_testgen_prompt(RunConfig(strategy="nlsc"), spec, fa_spec.oracle.source)
+            build_testgen_prompt(RunConfig(strategy="nlsc"), overlong, fa_problem.design.source)
 
 
 class TestDebugPrompt:
@@ -144,13 +144,12 @@ class TestDebugPrompt:
         actual = run(mutant, witness, p.signature)
         expected = run(p.design, witness, p.signature)
         verdict = compare(actual, expected, outputs)
-        summary = summarize(actual, expected, verdict, outputs, RunConfig().mismatch_limit,
-                            test_id=witness.id)
+        summary = summarize(actual, expected, verdict, outputs, RunConfig().mismatch_limit)
         return p, source, witness, summary
 
     def test_lists_mismatch_rows(self, problems):
         p, source, witness, summary = self.make_summary(problems)
-        prompt = build_debug_prompt(p.spec(), source, witness, summary)
+        prompt = build_debug_prompt(p, source, witness, summary)
         entry = summary.entries[0]
         assert f"{entry.output} | {entry.cycle} | {entry.expected} | {entry.actual}" in prompt
         assert entry.output in ("g1", "g2")
@@ -161,18 +160,17 @@ class TestDebugPrompt:
             from dataclasses import replace
 
             summary = replace(summary, entries=summary.entries[:1], total=10)
-        prompt = build_debug_prompt(p.spec(), source, witness, summary)
+        prompt = build_debug_prompt(p, source, witness, summary)
         assert "of" in summary.to_table() or f"({summary.total} mismatches" in prompt
 
     def test_overflow(self, problems):
         p, source, witness, summary = self.make_summary(problems)
-        spec = replace(p.spec(), description=OVERLONG_DESCRIPTION)
+        overlong = replace(p, description=OVERLONG_DESCRIPTION)
         with pytest.raises(PromptOverflow, match="16384-token"):
-            build_debug_prompt(spec, source, witness, summary)
+            build_debug_prompt(overlong, source, witness, summary)
 
     def test_each_template_is_read_once_per_process(self, problems, monkeypatch):
         p, source, witness, summary = self.make_summary(problems)
-        spec = p.spec()
         prompts._load_template.cache_clear()
         reads = []
         real = Path.read_text
@@ -183,14 +181,14 @@ class TestDebugPrompt:
             return real(path, *args, **kwargs)
 
         monkeypatch.setattr(Path, "read_text", read_text)
-        built = [(build_testgen_prompt(RunConfig(strategy="nlsc"), spec, source),
-                  build_debug_prompt(spec, source, witness, summary)) for _ in range(2)]
+        built = [(build_testgen_prompt(RunConfig(strategy="nlsc"), p, source),
+                  build_debug_prompt(p, source, witness, summary)) for _ in range(2)]
         assert reads == ["testgen.txt", "debug.txt"]
         assert built[0] == built[1]
 
     def test_ends_with_strategies_block(self, problems):
         p, source, witness, summary = self.make_summary(problems)
-        prompt = build_debug_prompt(p.spec(), source, witness, summary)
+        prompt = build_debug_prompt(p, source, witness, summary)
         for name in (
             "Clock Domain Analysis",
             "Reset Logic Verification",

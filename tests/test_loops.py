@@ -1,15 +1,16 @@
 import importlib
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from support import ListProvider, OracleBackedResponder, oracle_traces, valid_arbiter_stimulus
 from svloop import loops
 from svloop.frontend import DesignSource, elaborate_source, extract_signature
-from svloop.gateway import ProblemSpec
+from svloop.gateway import build_testgen_prompt
 from svloop.loops import debug, generate_tests
-from svloop.manifest import RunConfig
+from svloop.manifest import Problem, RunConfig
 from svloop.sim import UnitTest, collect_coverage, parse_stimulus, run
 
 CFG = RunConfig(strategy="nlsc", shots=0)
@@ -28,16 +29,19 @@ CMP_X_VALUES = [4, 5, 4, 5, 4, 5, 0, 1, 2, 7]
 def cmp_problem():
     design = elaborate_source(CMP_REF)
     signature = extract_signature(design)
-    spec = ProblemSpec(
+    problem = Problem(
+        "cmp3",
+        Path("cmp3"),
         "Output y is 1 when the 3-bit input x is at least 4.",
-        signature,
         design,
+        signature,
+        (),
     )
     tests = [
         UnitTest(f"t{i}", signature.stimulus_inputs, ((x,),))
         for i, x in enumerate(CMP_X_VALUES)
     ]
-    return spec, tests
+    return problem, tests
 
 
 def test_cmp_fixture_fractions_are_as_derived():
@@ -54,14 +58,14 @@ class TestGenerateLoop:
             "inputs: a[1], b[1], c[1]\n0 0 0\n1 1 1\n",
             "inputs: a[1], b[1], c[1]\n0 0 1\n",
         ])
-        state = generate_tests(p.spec(), p.reference, CFG, provider)
+        state = generate_tests(p, p.reference, CFG, provider)
         assert provider.calls_made == 1
         assert len(state.tests) == 1
         assert state.iterations == 1
 
     def test_combinational_accepts_if_parseable(self, problems):
         p = problems["full_adder"]
-        state = generate_tests(p.spec(), p.reference, CFG, ListProvider(["garbage"]))
+        state = generate_tests(p, p.reference, CFG, ListProvider(["garbage"]))
         assert state.tests == []
         assert state.rejections and state.rejections[0].reason == "parse"
 
@@ -83,7 +87,7 @@ class TestGenerateLoop:
         monkeypatch.setattr(loops, "parse_unit_test", parsing)
         monkeypatch.setattr(loops, "collect_coverage", recording)
         provider = ListProvider([RISING_A, FLAT_B, RISING_C, RISING_D, RISING_D])
-        state = generate_tests(p.spec(), p.reference, CFG, provider)
+        state = generate_tests(p, p.reference, CFG, provider)
         assert len(state.tests) == 3
         history = state.accepted_coverage
         assert all(b > a for a, b in zip(history, history[1:]))
@@ -105,22 +109,31 @@ class TestGenerateLoop:
     def test_flat_test_not_added_to_suite(self, problems):
         p = problems["arbiter2"]
         provider = ListProvider([RISING_A, FLAT_B, RISING_C, RISING_D, RISING_D])
-        state = generate_tests(p.spec(), p.reference, CFG, provider)
+        state = generate_tests(p, p.reference, CFG, provider)
         texts = [t.to_text() for t in state.tests]
         assert texts.count(RISING_A) == 1
 
     def test_sequential_iteration_cap(self, problems):
         p = problems["arbiter2"]
         provider = ListProvider([RISING_A] * 9)
-        state = generate_tests(p.spec(), p.reference, replace(CFG, iteration_cap=5), provider)
+        state = generate_tests(p, p.reference, replace(CFG, iteration_cap=5), provider)
         assert state.iterations == 5
         assert provider.calls_made == 5
         assert len(state.tests) == 1
 
+    def test_integral_float_settings_run_as_their_ints(self, problems):
+        p = problems["arbiter2"]
+        states = [generate_tests(p, p.reference, replace(CFG, iteration_cap=cap),
+                                 ListProvider([RISING_A, RISING_C, RISING_D]))
+                  for cap in (2.0, 2)]
+        assert states[0] == states[1] and states[0].iterations == 2
+        assert (build_testgen_prompt(RunConfig(strategy="nls", shots=5.0), p)
+                == build_testgen_prompt(RunConfig(strategy="nls", shots=5), p))
+
     def test_provider_errors_absorbed(self, problems):
         p = problems["arbiter2"]
         provider = ListProvider([RISING_A])  # exhausts after one call
-        state = generate_tests(p.spec(), p.reference, replace(CFG, iteration_cap=3), provider)
+        state = generate_tests(p, p.reference, replace(CFG, iteration_cap=3), provider)
         assert len(state.tests) == 1
         assert sum(1 for r in state.rejections if r.reason == "provider") == 2
 
@@ -128,7 +141,7 @@ class TestGenerateLoop:
         p = problems["full_adder"]
         cfg = RunConfig(strategy="nls")
         provider = ListProvider(["inputs: a[1], b[1], c[1]\n1 0 1\n"])
-        state = generate_tests(p.spec(), None, cfg, provider)
+        state = generate_tests(p, None, cfg, provider)
         assert len(state.tests) == 1
 
 
@@ -142,7 +155,7 @@ class TestDebugLoop:
     def test_reference_patch_terminates_first_iteration(self, problems):
         p, source, tests = self.failing_suite(problems)
         provider = ListProvider([p.reference.text])
-        state = debug(p.spec(), elaborate_source(source), tests, oracle_traces(p, tests), CFG,
+        state = debug(p, elaborate_source(source), tests, oracle_traces(p, tests), CFG,
                       provider)
         assert state.solved
         assert state.iterations == 1
@@ -151,7 +164,7 @@ class TestDebugLoop:
     def test_useless_patches_run_the_full_budget(self, problems):
         p, source, tests = self.failing_suite(problems)
         provider = ListProvider([source.text] * 5)
-        state = debug(p.spec(), elaborate_source(source), tests, oracle_traces(p, tests), CFG,
+        state = debug(p, elaborate_source(source), tests, oracle_traces(p, tests), CFG,
                       provider)
         assert state.iterations == 5
         assert state.provider_calls == 5
@@ -161,10 +174,10 @@ class TestDebugLoop:
         assert all(f is not None and f <= state.initial_pass for f in fractions)
 
     def test_partial_then_full_fix(self):
-        spec, tests = cmp_problem()
+        problem, tests = cmp_problem()
         buggy = DesignSource(CMP_BUGGY, "mutant BC02")
         provider = ListProvider([CMP_HALF, CMP_REF])
-        state = debug(spec, elaborate_source(buggy), tests, oracle_traces(spec, tests), CFG,
+        state = debug(problem, elaborate_source(buggy), tests, oracle_traces(problem, tests), CFG,
                       provider)
         assert state.initial_pass == Fraction(2, 5)
         accepted = [h.pass_fraction for h in state.history if h.accepted]
@@ -176,7 +189,7 @@ class TestDebugLoop:
         provider = ListProvider(
             ["nonsense", source.text, p.reference.text, "unused", "unused"]
         )
-        state = debug(p.spec(), elaborate_source(source), tests, oracle_traces(p, tests), CFG,
+        state = debug(p, elaborate_source(source), tests, oracle_traces(p, tests), CFG,
                       provider)
         assert state.solved and state.iterations == 3
         seen = state.initial_pass
@@ -189,7 +202,7 @@ class TestDebugLoop:
         p, source, tests = self.failing_suite(problems)
         garbled = p.reference.text.replace("localparam IDLE = 2'd0;", "localparam IDLE = \u00b2;")
         provider = ListProvider([garbled, p.reference.text])
-        state = debug(p.spec(), elaborate_source(source), tests, oracle_traces(p, tests), CFG,
+        state = debug(p, elaborate_source(source), tests, oracle_traces(p, tests), CFG,
                       provider)
         assert state.solved and state.iterations == 2
         assert [r.reason for r in state.rejections] == ["patch"]
@@ -199,7 +212,7 @@ class TestDebugLoop:
         p, source, tests = self.failing_suite(problems)
         huge = p.reference.text.replace("localparam IDLE = 2'd0;", f"localparam IDLE = {'0' * 4301};")
         provider = ListProvider([huge, p.reference.text])
-        state = debug(p.spec(), elaborate_source(source), tests, oracle_traces(p, tests), CFG,
+        state = debug(p, elaborate_source(source), tests, oracle_traces(p, tests), CFG,
                       provider)
         assert state.solved and state.iterations == 2
         assert [r.reason for r in state.rejections] == ["patch"]
@@ -211,7 +224,7 @@ class TestDebugLoop:
         p, source, tests = self.failing_suite(problems)
         nested = p.reference.text.replace("localparam IDLE = 2'd0;", f"localparam IDLE = {deep};")
         provider = ListProvider([nested, p.reference.text])
-        state = debug(p.spec(), elaborate_source(source), tests, oracle_traces(p, tests), CFG,
+        state = debug(p, elaborate_source(source), tests, oracle_traces(p, tests), CFG,
                       provider)
         assert state.solved and state.iterations == 2
         assert [r.reason for r in state.rejections] == ["patch"]
@@ -221,27 +234,27 @@ class TestDebugLoop:
     def test_budget_is_at_most_five_provider_calls(self, problems):
         p, source, tests = self.failing_suite(problems)
         provider = ListProvider(["junk"] * 12)
-        state = debug(p.spec(), elaborate_source(source), tests, oracle_traces(p, tests), CFG,
+        state = debug(p, elaborate_source(source), tests, oracle_traces(p, tests), CFG,
                       provider)
         assert state.provider_calls == 5
 
     def test_requires_tests(self, problems):
         p, source, _ = self.failing_suite(problems)
         with pytest.raises(ValueError):
-            debug(p.spec(), elaborate_source(source), [], {}, CFG, ListProvider([]))
+            debug(p, elaborate_source(source), [], {}, CFG, ListProvider([]))
 
     def test_already_passing_suite_short_circuits(self, problems):
         p = problems["arbiter2"]
         mutants = {bc: src for bc, src, _ in p.mutants()}
         quiet = parse_stimulus("inputs: rst[1], r1[1], r2[1]\n1 0 0\n1 0 0\n", p.signature, "quiet")
         provider = ListProvider([])
-        state = debug(p.spec(), elaborate_source(mutants["BC06"]), [quiet],
+        state = debug(p, elaborate_source(mutants["BC06"]), [quiet],
                       oracle_traces(p, [quiet]), CFG, provider)
         assert state.solved and state.iterations == 0 and state.provider_calls == 0
 
 
 class TestElaborationCount:
-    """Both loops reuse the designs they are given: the oracle in the spec,
+    """Both loops reuse the designs they are given: the problem's oracle,
     the debug target, and the design ``parse_patch`` elaborated."""
 
     @pytest.fixture()
@@ -263,7 +276,7 @@ class TestElaborationCount:
     def test_generate_tests_elaborates_nothing(self, problems, elaborations):
         p = problems["arbiter2"]
         provider = ListProvider([RISING_A, RISING_C, "garbage", RISING_D])
-        state = generate_tests(p.spec(), p.reference, replace(CFG, iteration_cap=4), provider)
+        state = generate_tests(p, p.reference, replace(CFG, iteration_cap=4), provider)
         assert state.tests and provider.calls_made == 4
         assert elaborations == []
 
@@ -278,7 +291,7 @@ class TestElaborationCount:
             source.text,
             p.reference.text,
         ]
-        state = debug(p.spec(), target, [witness], oracle_traces(p, [witness]), CFG,
+        state = debug(p, target, [witness], oracle_traces(p, [witness]), CFG,
                       ListProvider(responses))
         assert state.solved and state.iterations == 4
         assert elaborations == ["arbiter2", "arbiter2"]
@@ -306,7 +319,7 @@ class TestOracleRuns:
     def test_generation_runs_each_candidate_once(self, problems, runs):
         p = problems["arbiter2"]
         provider = ListProvider([RISING_A, FLAT_B, RISING_C, RISING_D, RISING_D])
-        state = generate_tests(p.spec(), p.reference, CFG, provider)
+        state = generate_tests(p, p.reference, CFG, provider)
         assert provider.calls_made == 5 and len(state.tests) == 3
         assert len(runs) == 5 and all(d is p.design for d in runs)
 
@@ -320,7 +333,7 @@ class TestOracleRuns:
         target = elaborate_source(source)
         expected = oracle_traces(p, suite)
         runs.clear()
-        state = debug(p.spec(), target, suite, expected, CFG, ListProvider([p.reference.text]))
+        state = debug(p, target, suite, expected, CFG, ListProvider([p.reference.text]))
         assert state.provider_calls == 1
         assert runs and all(d is not p.design for d in runs)
 
@@ -333,7 +346,7 @@ class TestGenerationTraces:
         responder = OracleBackedResponder(list(problems.values()), seed=3)
         accepted = 0
         for bc_id, source, _ in p.mutants():
-            state = generate_tests(p.spec(), source, CFG, responder, test_prefix=f"{bc_id}-t")
+            state = generate_tests(p, source, CFG, responder, test_prefix=f"{bc_id}-t")
             assert list(state.traces) == [t.id for t in state.tests]
             for test in state.tests:
                 assert state.traces[test.id] == run(p.design, test, p.signature)

@@ -40,6 +40,21 @@ def test_missing_description_is_rejected(fresh_corpus):
         load_problem(problem_dir)
 
 
+@pytest.mark.parametrize("text", ["", " \n\t\n"])
+def test_empty_description_is_rejected_naming_the_file(fresh_corpus, text):
+    problem_dir = fresh_corpus / "problems" / "adder4"
+    description = problem_dir / "description.txt"
+    description.write_text(text)
+    with pytest.raises(ManifestError) as info:
+        load_problem(problem_dir)
+    assert str(info.value) == f"adder4: description {description} is empty"
+
+
+def test_reference_is_the_design_source(problems):
+    for problem in problems.values():
+        assert problem.reference is problem.design.source
+
+
 def test_bad_kind_value(fresh_corpus):
     problem_dir = fresh_corpus / "problems" / "counter3"
     manifest = json.loads((problem_dir / "problem.json").read_text())

@@ -193,6 +193,16 @@ def test_run_config_takes_integers_as_draft_07_does():
         RunConfig(seed=True)
 
 
+def test_run_config_keeps_an_integral_float_as_an_int():
+    floats = {"shots": 5.0, "seed": 3.0, "iteration_cap": 2.0, "mismatch_limit": 4.0,
+              "jobs": 2.0}
+    config = RunConfig(**{**RUN_ARGS, "strategy": "nls", **floats})
+    assert config == RunConfig(**{**RUN_ARGS, "strategy": "nls",
+                                  **{name: int(value) for name, value in floats.items()}})
+    assert all(type(config.as_dict()[name]) is int for name in floats)
+    assert RunConfig(iteration_cap=2.0) == RunConfig(iteration_cap=2)
+
+
 @pytest.mark.parametrize("change", [
     {"additionalProperties": True},
     {"minProperties": 1},

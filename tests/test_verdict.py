@@ -81,7 +81,7 @@ class TestSummarize:
         a = trace_of(y=[0, 1], z=[0, 0])
         b = trace_of(y=[0, 0], z=[0, 0])
         v = compare(a, b, ["y", "z"])
-        s = summarize(a, b, v, ["y", "z"], 20, test_id="t1")
+        s = summarize(a, b, v, ["y", "z"], 20)
         assert s.total == 1 and len(s.entries) == 1
         e = s.entries[0]
         assert (e.output, e.cycle, e.expected, e.actual) == ("y", 1, 0, 1)

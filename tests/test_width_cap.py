@@ -95,7 +95,7 @@ class TestDebug:
         declarations, message = ESCAPES[name]
         provider = ListProvider([with_declarations(p.reference.text, declarations),
                                  p.reference.text])
-        state = debug(p.spec(), elaborate_source(source), [witness],
+        state = debug(p, elaborate_source(source), [witness],
                       oracle_traces(p, [witness]), CFG, provider)
         assert state.solved and state.iterations == 2
         assert [r.reason for r in state.rejections] == ["patch"]
