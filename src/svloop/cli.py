@@ -21,6 +21,7 @@ from .errors import (
     ProviderTimeout,
     ScriptExhausted,
     SvLoopError,
+    _read_text,
 )
 
 # Each command imports the modules it runs inside its own function, and
@@ -67,8 +68,9 @@ def _read_stimulus(path: Path, signature):
     file is an error that names the file and, where known, the line."""
     from .sim.stimulus import parse_stimulus
 
+    text = _read_text(path, MalformedStimulus)
     try:
-        return parse_stimulus(path.read_text("utf-8"), signature, path.stem)
+        return parse_stimulus(text, signature, path.stem)
     except (MalformedStimulus, NoStimulusFound) as exc:
         line = getattr(exc, "line", None)
         raise type(exc)(f"{path}{'' if line is None else f':{line}'}: {exc}") from None
@@ -113,11 +115,7 @@ def cmd_parse(args) -> int:
     from .frontend.signature import extract_signature
 
     path = Path(args.file)
-    try:
-        text = path.read_text("utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    text = _read_text(path)
     try:
         design = elaborate_source(DesignSource(text))
         signature = extract_signature(design)
@@ -163,7 +161,7 @@ def cmd_simulate(args) -> int:
     from .sim.vcd import export_vcd
 
     try:
-        design = elaborate_source(DesignSource(Path(args.file).read_text("utf-8")))
+        design = elaborate_source(DesignSource(_read_text(Path(args.file))))
         signature = extract_signature(design)
         test = _read_stimulus(Path(args.stim), signature)
     except (OSError, FrontendError, GatewayError, ValueError) as exc:

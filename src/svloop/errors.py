@@ -1,6 +1,6 @@
-"""Exception hierarchy shared across the toolkit, the one JSON reader
-that turns a torn or wrongly shaped file into a typed error, and the one
-JSON writer of corpus and run-directory files.
+"""Exception hierarchy shared across the toolkit, the readers that turn
+a text file that is not UTF-8 or a torn or wrongly shaped JSON file into
+a typed error, and the one JSON writer of corpus and run-directory files.
 
 Frontend errors carry source positions so the CLI can print
 ``file:line:col: message`` diagnostics.
@@ -160,7 +160,16 @@ class MockScriptError(SvLoopError):
     ``save_mock_script`` writes."""
 
 
-# --- reading and writing JSON files -----------------------------------------
+# --- reading input files and writing JSON files -----------------------------
+
+def _read_text(path, error=ManifestError):
+    """The text of an input file; bytes that are not UTF-8 are an ``error``
+    (a ManifestError unless given) that names the file."""
+    try:
+        return path.read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+
 
 def _read_json(path, error=ManifestError):
     try:

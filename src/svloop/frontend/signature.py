@@ -22,6 +22,9 @@ class SignaturePort:
     name: str
     width: int
 
+    def __str__(self) -> str:
+        return f"{self.name}[{self.width}]"
+
 
 @dataclass(frozen=True)
 class ResetSpec:
@@ -49,17 +52,12 @@ class DesignSignature:
         return tuple(p for p in self.inputs if p.name != self.clock)
 
     def stimulus_header(self) -> str:
-        return "inputs: " + ", ".join(f"{p.name}[{p.width}]" for p in self.stimulus_inputs)
+        return "inputs: " + ", ".join(map(str, self.stimulus_inputs))
 
     def to_text(self) -> str:
         lines = [f"module {self.module_name}"]
-        lines.append(
-            "inputs (in port order): "
-            + (", ".join(f"{p.name}[{p.width}]" for p in self.inputs) or "(none)")
-        )
-        lines.append(
-            "outputs: " + (", ".join(f"{p.name}[{p.width}]" for p in self.outputs) or "(none)")
-        )
+        lines.append("inputs (in port order): " + (", ".join(map(str, self.inputs)) or "(none)"))
+        lines.append("outputs: " + (", ".join(map(str, self.outputs)) or "(none)"))
         if self.clock:
             lines.append(f"clock: {self.clock} (driven by the harness; never part of the stimulus)")
         else:

@@ -23,6 +23,7 @@ from ..errors import (
     ProviderTimeout,
     ScriptExhausted,
     _read_json,
+    _read_text,
     _required_keys,
 )
 from .config import DEFAULT_TEMPERATURE, OUTPUT_TOKENS
@@ -59,12 +60,13 @@ class ScriptedMockProvider:
         index_file = path / INDEX_NAME
         if not index_file.exists():
             names = sorted(p.name for p in path.glob("response-*.txt"))
-            return cls([(path / name).read_text("utf-8") for name in names])
+            return cls([_read_text(path / name, MockScriptError) for name in names])
         index = _read_json(index_file, MockScriptError)
         with _required_keys(index_file, MockScriptError):
-            digest_map = {digest: (path / name).read_text("utf-8")
+            digest_map = {digest: _read_text(path / name, MockScriptError)
                           for digest, name in index.get("digests", {}).items()}
-            sequence = [(path / name).read_text("utf-8") for name in index.get("sequence", [])]
+            sequence = [_read_text(path / name, MockScriptError)
+                        for name in index.get("sequence", [])]
         return cls(sequence, digest_map)
 
     def complete(self, prompt: str, cfg: RunConfig) -> str:

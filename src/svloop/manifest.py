@@ -10,16 +10,18 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
-from .errors import ManifestError, _read_json, _required_keys, _write_json
+from .errors import ManifestError, _read_json, _read_text, _required_keys, _write_json
 from .frontend.ast import DesignSource
 from .frontend.elaborate import ElaboratedDesign, elaborate_source
 from .frontend.signature import DesignSignature, ResetSpec, extract_signature
 from .gateway.config import Exemplar
-from .mutate import MutantRecord, SkippedOperator
 from .sim.stimulus import UnitTest, parse_stimulus
+
+if TYPE_CHECKING:
+    from .mutate import MutantRecord, SkippedOperator
 
 CORPUS_MANIFEST = "manifest.json"
 PROBLEM_MANIFEST = "problem.json"
@@ -51,7 +53,7 @@ class Problem:
         # every statement in the loop consumes a value read from the file
         with _required_keys(manifest_file):
             for record in _read_json(manifest_file).get("records", []):
-                text = (self.root / record["file"]).read_text("utf-8")
+                text = _read_text(self.root / record["file"])
                 source = DesignSource(text, f"mutant {record['bc_id']}")
                 witness = parse_stimulus(record["witness"], self.signature, "witness")
                 out.append((record["bc_id"], source, witness))
@@ -88,10 +90,10 @@ def load_problem(problem_dir) -> Problem:
     for f in (description_file, reference_file):
         if not f.exists():
             raise ManifestError(f"{problem_id}: referenced file {f} does not exist")
-    description = description_file.read_text("utf-8")
+    description = _read_text(description_file)
     if not description.strip():
         raise ManifestError(f"{problem_id}: description {description_file} is empty")
-    design = elaborate_source(DesignSource(reference_file.read_text("utf-8"), "reference"))
+    design = elaborate_source(DesignSource(_read_text(reference_file), "reference"))
     if design.is_sequential != (kind == "sequential"):
         raise ManifestError(
             f"{problem_id}: kind {kind!r} is inconsistent with the design "

@@ -23,7 +23,14 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .errors import CheckpointError, SvLoopError, _read_json, _required_keys, _write_json
+from .errors import (
+    CheckpointError,
+    SvLoopError,
+    _read_json,
+    _read_text,
+    _required_keys,
+    _write_json,
+)
 from .frontend.elaborate import ElaboratedDesign, elaborate_source
 from .gateway.providers import build_provider
 from .loops import DebugState, TestGenState, debug, generate_tests
@@ -123,7 +130,8 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
     def suite(src_id: str) -> tuple[list[UnitTest], dict[str, Trace]]:
         if src_id not in suites:
             tests_dir = out_dir / "sources" / src_id.lower() / "tests"
-            tests = [parse_stimulus((tests_dir / f"{tid}.stim").read_text("utf-8"), signature, tid)
+            tests = [parse_stimulus(_read_text(tests_dir / f"{tid}.stim", CheckpointError),
+                                    signature, tid)
                      for tid in test_ids[src_id]]
             suites[src_id] = tests, {test.id: run(oracle, test, signature) for test in tests}
         return suites[src_id]

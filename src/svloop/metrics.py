@@ -12,9 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .sim.engine import Trace
 from .verdict import compare
+
+if TYPE_CHECKING:
+    from .sim.engine import Trace
 
 
 @dataclass(frozen=True)

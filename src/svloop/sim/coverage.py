@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import and_, or_
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from ..frontend.elaborate import ElaboratedDesign
-from ..frontend.signature import DesignSignature
+if TYPE_CHECKING:
+    from ..frontend.elaborate import ElaboratedDesign
+    from ..frontend.signature import DesignSignature
 
 SCALAR_NOTE = "scalar = mean of defined category ratios (line, branch, toggle, fsm_state)"
 

@@ -62,8 +62,8 @@ def run(
     if test.columns != signature.stimulus_inputs:
         raise StimulusMismatch(
             "unit test columns {} do not match signature inputs {}".format(
-                [f"{p.name}[{p.width}]" for p in test.columns],
-                [f"{p.name}[{p.width}]" for p in signature.stimulus_inputs],
+                [str(p) for p in test.columns],
+                [str(p) for p in signature.stimulus_inputs],
             )
         )
 

@@ -37,9 +37,7 @@ class UnitTest:
                 raise ValueError(f"row {r} has {len(row)} values for {len(self.columns)} columns")
             for value, port in zip(row, self.columns):
                 if value < 0 or value >= (1 << port.width):
-                    raise ValueError(
-                        f"row {r}: value {value} does not fit {port.name}[{port.width}]"
-                    )
+                    raise ValueError(f"row {r}: value {value} does not fit {port}")
 
     @classmethod
     def _checked(cls, test_id: str, columns: tuple[SignaturePort, ...],
@@ -55,7 +53,7 @@ class UnitTest:
         return len(self.rows)
 
     def to_text(self) -> str:
-        lines = ["inputs: " + ", ".join(f"{p.name}[{p.width}]" for p in self.columns)]
+        lines = ["inputs: " + ", ".join(map(str, self.columns))]
         for row in self.rows:
             lines.append(" ".join(f"{v:0{p.width}b}" for v, p in zip(row, self.columns)))
         return "\n".join(lines) + "\n"
@@ -98,8 +96,8 @@ def parse_stimulus(text: str, signature: DesignSignature, test_id: str = "t0") -
     if tuple(columns) != expected:
         raise MalformedStimulus(
             "columns {} do not match signature inputs {}".format(
-                ", ".join(f"{p.name}[{p.width}]" for p in columns) or "(none)",
-                ", ".join(f"{p.name}[{p.width}]" for p in expected) or "(none)",
+                ", ".join(map(str, columns)) or "(none)",
+                ", ".join(map(str, expected)) or "(none)",
             ),
             line=header_at + 1,
         )

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import CalledOnPass, TraceShapeMismatch
-from .sim.engine import Trace
+
+if TYPE_CHECKING:
+    from .sim.engine import Trace
 
 
 @dataclass(frozen=True)

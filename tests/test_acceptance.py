@@ -26,13 +26,16 @@ from support import (
 )
 from svloop.cli import main
 from svloop.data import copy_corpus
-from svloop.frontend import DesignSource, elaborate_source, extract_signature
+from svloop.frontend.ast import DesignSource
+from svloop.frontend.elaborate import elaborate_source
+from svloop.frontend.signature import extract_signature
 from svloop.loops import debug, generate_tests
 from svloop.manifest import RunConfig, load_corpus, write_mutation_corpus
 from svloop.metrics import attack_rate, bin_values, divergence_rate, divergent_attack
 from svloop.mutate import make_corpus
 from svloop.report import build_report
-from svloop.sim import UnitTest, run
+from svloop.sim.engine import run
+from svloop.sim.stimulus import UnitTest
 from svloop.sim.vcd import read_vcd
 from svloop.verdict import Verdict
 
@@ -202,7 +205,7 @@ def test_criterion_4_metric_cross_validation(recorded_run):
 # --- criterion 5 -----------------------------------------------------------------
 
 def test_criterion_5_formula_spot_checks():
-    from svloop.sim import Trace
+    from svloop.sim.engine import Trace
 
     identical = Trace({"y": (0, 1, 1, 0)}, 4)
     assert divergence_rate(identical, identical, ["y"]) == 0

@@ -1,11 +1,13 @@
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import random
 import shutil
 import subprocess
 import sys
+import types
 from dataclasses import fields
 from pathlib import Path
 
@@ -729,6 +731,65 @@ def test_every_damaged_json_file_is_a_data_error_naming_it(finished_run, tmp_pat
     assert "Traceback" not in err
 
 
+# every kind of text file svloop reads: (the directory of finished_run it
+# lies in, a glob for it there, the commands that read it)
+TEXT_KINDS = {
+    "ref.sv": ("corpus", "problems/adder4/ref.sv", ["parse", "simulate", "mutate", "evaluate"]),
+    "description.txt": ("corpus", "problems/adder4/description.txt", ["mutate", "evaluate"]),
+    "mutant": ("corpus", "problems/adder4/bc03.sv", ["evaluate"]),
+    "response": ("script", "response-001.txt", ["evaluate", "evaluate-unindexed"]),
+    "stim": ("run", "problems/adder4/sources/bc02/tests/*.stim",
+             ["simulate", "debug", "evaluate-resumed"]),
+}
+# files evaluate reads while it runs a problem: an error entry for that problem alone
+ENTRY_ERRORS = {("mutant", "evaluate"): "ManifestError",
+                ("stim", "evaluate-resumed"): "CheckpointError"}
+
+
+@pytest.mark.parametrize("kind, command", [
+    (kind, command) for kind, (_, _, commands) in TEXT_KINDS.items() for command in commands
+])
+def test_every_non_utf8_text_file_is_a_data_error_naming_it(finished_run, tmp_path, capsys,
+                                                             kind, command):
+    where, pattern, _ = TEXT_KINDS[kind]
+    roots = dict(zip(("corpus", "script", "run"), finished_run))
+    for name in {where, "run"}:  # evaluate resumes the finished run and writes into it
+        roots[name] = shutil.copytree(roots[name], tmp_path / name)
+    corpus, script, run_dir = roots["corpus"], roots["script"], roots["run"]
+    tests_dir = run_dir / "problems" / "adder4" / "sources" / "bc02" / "tests"
+    broken = sorted(roots[where].glob(pattern))[0]
+    data = broken.read_bytes()
+    broken.write_bytes(data[:len(data) // 2] + b"\xff" + data[len(data) // 2:])
+    if command == "evaluate-unindexed":
+        (script / "index.json").unlink()
+    if command == "evaluate-resumed":  # a cell left to redo reads its source's tests again
+        (run_dir / "problems" / "adder4" / "cells" / "bc02" / "bc03" / "result.json").unlink()
+    ref = corpus / "problems" / "adder4" / "ref.sv"
+    evaluate = ["evaluate", "--problems", str(corpus), "--out", str(run_dir),
+                "--mock-script", str(script), "--seed", "1"]
+    argv = {
+        "parse": ["parse", str(ref)],
+        "simulate": ["simulate", str(ref), "--stim", str(sorted(tests_dir.glob("*.stim"))[0])],
+        "mutate": ["mutate", "all", "--problems", str(corpus)],
+        "debug": ["debug", "adder4", "--problems", str(corpus), "--target", "BC03",
+                  "--tests", str(tests_dir), "--out", str(tmp_path / "debug"),
+                  "--mock-script", str(script)],
+        "evaluate": evaluate, "evaluate-unindexed": evaluate, "evaluate-resumed": evaluate,
+    }[command]
+    assert main(argv) == EXIT_DATA
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    message = f"{broken}: not UTF-8 text (byte {len(data) // 2}: invalid start byte)"
+    if (kind, command) in ENTRY_ERRORS:
+        problems = json.loads((run_dir / "summary.json").read_text())["problems"]
+        before = json.loads((finished_run[2] / "summary.json").read_text())["problems"]
+        assert problems["adder4"]["error"] == f"{ENTRY_ERRORS[kind, command]}: {message}"
+        assert message in out
+        assert problems["full_adder"] == before["full_adder"]
+    else:
+        assert err == f"error: {message}\n"
+
+
 def _task_dying_on_seq_detect(problem, config, out_dir):
     # module level, so a worker process can unpickle it
     if problem.id == "seq_detect":
@@ -888,7 +949,10 @@ def modules_loaded_by(argv, cwd) -> set[str]:
     """``sys.modules`` of a fresh interpreter after ``svloop.cli.main(argv)``."""
     script = ("import json, sys\n"
               "from svloop.cli import main\n"
-              f"code = main({argv!r})\n"
+              "try:\n"
+              f"    code = main({argv!r})\n"
+              "except SystemExit as exc:\n"   # --version exits through argparse
+              "    code = exc.code\n"
               "print(json.dumps([code, sorted(sys.modules)]))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(svloop.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
@@ -898,7 +962,65 @@ def modules_loaded_by(argv, cwd) -> set[str]:
     return set(modules)
 
 
+# Every svloop module each command loads in a fresh interpreter, so that a
+# new eager import fails here. The package __init__ files load nothing.
+_CORE = {"svloop", "svloop.cli", "svloop.errors"}
+_FRONTEND = {"svloop.frontend", "svloop.frontend.ast", "svloop.frontend.elaborate",
+             "svloop.frontend.lexer", "svloop.frontend.parser", "svloop.frontend.signature"}
+_SIM = {"svloop.sim", "svloop.sim.engine", "svloop.sim.lower", "svloop.sim.stimulus"}
+_MANIFEST = _CORE | _FRONTEND | _SIM | {"svloop.gateway", "svloop.gateway.config",
+                                        "svloop.manifest"}
+_REPORT = {"svloop.metrics", "svloop.report", "svloop.schema", "svloop.sim",
+           "svloop.sim.coverage", "svloop.verdict"}
+_LOOPS = _MANIFEST | _REPORT | {"svloop.gateway.extract", "svloop.gateway.prompts",
+                                "svloop.gateway.providers", "svloop.gateway.templates",
+                                "svloop.loops"}
+LOADED_BY = {
+    "--version": _CORE,
+    "init-corpus": _CORE | {"svloop.data"},
+    "parse": _CORE | _FRONTEND,
+    "simulate": _CORE | _FRONTEND | _SIM | {"svloop.sim.coverage", "svloop.sim.vcd"},
+    "mutate": _MANIFEST | {"svloop.frontend.printer", "svloop.mutate"},
+    "gen-tests": _LOOPS,
+    "debug": _LOOPS,
+    "evaluate": _LOOPS | {"svloop.matrix", "svloop.sim.vcd"},
+    "report": _CORE | _REPORT,
+}
+
+
 class TestImportBudget:
+    @pytest.mark.parametrize("command", list(LOADED_BY))
+    def test_each_command_loads_exactly_its_own_modules(self, finished_run, tmp_path, command):
+        corpus = shutil.copytree(finished_run[0], tmp_path / "corpus")
+        script, run_dir = finished_run[1], shutil.copytree(finished_run[2], tmp_path / "run")
+        tests = run_dir / "problems" / "adder4" / "sources" / "bc02" / "tests"
+        ref = str(corpus / "problems" / "adder4" / "ref.sv")
+        provider = ["--problems", str(corpus), "--mock-script", str(script)]
+        argv = {
+            "--version": ["--version"],
+            "init-corpus": ["init-corpus", "desk"],
+            "parse": ["parse", ref],
+            "simulate": ["simulate", ref, "--stim", str(sorted(tests.glob("*.stim"))[0]),
+                         "--vcd", "t.vcd", "--coverage"],
+            "mutate": ["mutate", "all", "--problems", str(corpus)],
+            "gen-tests": ["gen-tests", "adder4", "--source", "BC02", "--out", "gen", *provider],
+            "debug": ["debug", "adder4", "--target", "BC03", "--tests", str(tests),
+                      "--out", "debug", *provider],
+            "evaluate": ["evaluate", "--out", "run2", *provider],
+            "report": ["report", str(run_dir)],
+        }[command]
+        loaded = {m for m in modules_loaded_by(argv, tmp_path) if m.split(".")[0] == "svloop"}
+        assert loaded == LOADED_BY[command]
+
+    def test_packages_export_nothing(self):
+        import svloop.frontend.elaborate as elaborate_module
+
+        assert isinstance(elaborate_module, types.ModuleType)
+        for package in ("svloop.frontend", "svloop.gateway", "svloop.sim"):
+            names = vars(importlib.import_module(package))
+            assert not [name for name, value in names.items()
+                        if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+
     def test_init_corpus_loads_no_toolkit_layer(self, tmp_path):
         loaded = modules_loaded_by(["init-corpus", "desk"], tmp_path)
         assert (tmp_path / "desk" / "problems").is_dir()

@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 from reference_sim import product_search_reference, run_reference
 from svloop import mutate
 from svloop.errors import NoApplicableSite, NoDistinctMutant, ParseError
-from svloop.frontend import ast_to_source, elaborate_source, extract_signature, parse_design
-from svloop.frontend.elaborate import MAX_WIDTH
-from svloop.frontend.parser import MAX_EXPR_DEPTH
+from svloop.frontend.elaborate import MAX_WIDTH, elaborate_source
+from svloop.frontend.parser import MAX_EXPR_DEPTH, parse_design
+from svloop.frontend.printer import ast_to_source
+from svloop.frontend.signature import extract_signature
 from svloop.mutate import OPERATORS, RANDOM_TEST_CYCLES, RANDOM_TESTS, inject
-from svloop.sim import CoverageCollector, UnitTest, run
-from svloop.sim.engine import product_search
+from svloop.sim.coverage import CoverageCollector
+from svloop.sim.engine import product_search, run
 from svloop.sim.lower import harness_source, lowered_source
+from svloop.sim.stimulus import UnitTest
 
 PROBLEM_IDS = ["adder4", "arbiter2", "counter3", "full_adder", "seq_detect"]
 

@@ -11,15 +11,11 @@ from svloop.errors import (
     UnsupportedConstruct,
     WidthMismatch,
 )
-from svloop.frontend import (
-    DesignSource,
-    ast_to_source,
-    elaborate,
-    elaborate_source,
-    extract_signature,
-    parse_design,
-)
-from svloop.frontend.ast import Ident
+from svloop.frontend.ast import DesignSource, Ident
+from svloop.frontend.elaborate import elaborate, elaborate_source
+from svloop.frontend.parser import parse_design
+from svloop.frontend.printer import ast_to_source
+from svloop.frontend.signature import extract_signature
 from svloop.manifest import RunConfig
 from svloop.matrix import evaluate_problem
 from svloop.mutate import make_corpus

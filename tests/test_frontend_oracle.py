@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 import reference_frontend
 from svloop.errors import ParseError, SvLoopError, UnsupportedConstruct
-from svloop.frontend import ast_to_source, parse_design
 from svloop.frontend.ast import PRECEDENCE, Literal
 from svloop.frontend.lexer import tokenize
+from svloop.frontend.parser import parse_design
+from svloop.frontend.printer import ast_to_source
 from svloop.mutate import make_corpus
 
 # characters and fragments a corruption inserts: every lexer path, its

@@ -12,25 +12,23 @@ from svloop.errors import (
     ProviderRejection,
     ScriptExhausted,
 )
-from svloop.gateway import (
-    DEFAULT_INPUT_WINDOW,
-    DEFAULT_TEMPERATURE,
+from svloop.gateway import prompts
+from svloop.gateway.config import DEFAULT_INPUT_WINDOW, DEFAULT_TEMPERATURE, OUTPUT_TOKENS
+from svloop.gateway.extract import parse_patch, parse_unit_test
+from svloop.gateway.prompts import TOKENS_PER_WORD, build_debug_prompt, build_testgen_prompt
+from svloop.gateway.providers import (
+    ENV_ENDPOINT,
+    ENV_MODEL,
     LiveHttpProvider,
     ScriptedMockProvider,
-    build_debug_prompt,
     build_provider,
-    build_testgen_prompt,
-    parse_patch,
-    parse_unit_test,
     prompt_digest,
     save_mock_script,
 )
-from svloop.gateway.config import OUTPUT_TOKENS
-from svloop.gateway import prompts
-from svloop.gateway.prompts import TOKENS_PER_WORD
-from svloop.gateway.providers import ENV_ENDPOINT, ENV_MODEL
 from svloop.manifest import RunConfig
-from svloop.sim import UnitTest, collect_coverage, run
+from svloop.sim.coverage import collect_coverage
+from svloop.sim.engine import run
+from svloop.sim.stimulus import UnitTest
 from svloop.verdict import compare, summarize
 
 
@@ -137,7 +135,7 @@ class TestDebugPrompt:
         p = problems["arbiter2"]
         mutants = {bc: (src, wit) for bc, src, wit in p.mutants()}
         source, witness = mutants["BC06"]
-        from svloop.frontend import elaborate_source
+        from svloop.frontend.elaborate import elaborate_source
 
         mutant = elaborate_source(source)
         outputs = [q.name for q in p.signature.outputs]

@@ -7,11 +7,15 @@ import pytest
 
 from support import ListProvider, OracleBackedResponder, oracle_traces, valid_arbiter_stimulus
 from svloop import loops
-from svloop.frontend import DesignSource, elaborate_source, extract_signature
-from svloop.gateway import build_testgen_prompt
+from svloop.frontend.ast import DesignSource
+from svloop.frontend.elaborate import elaborate_source
+from svloop.frontend.signature import extract_signature
+from svloop.gateway.prompts import build_testgen_prompt
 from svloop.loops import debug, generate_tests
 from svloop.manifest import Problem, RunConfig
-from svloop.sim import UnitTest, collect_coverage, parse_stimulus, run
+from svloop.sim.coverage import collect_coverage
+from svloop.sim.engine import run
+from svloop.sim.stimulus import UnitTest, parse_stimulus
 
 CFG = RunConfig(strategy="nlsc", shots=0)
 

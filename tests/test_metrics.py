@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from support import naive_divergent_fraction
 from svloop.errors import TraceShapeMismatch
-from svloop.frontend import elaborate_source
+from svloop.frontend.elaborate import elaborate_source
 from svloop.metrics import (
     PairResult,
     attack_rate,
@@ -16,7 +16,7 @@ from svloop.metrics import (
     divergent_attack,
     stored_ratio,
 )
-from svloop.sim import Trace, run
+from svloop.sim.engine import Trace, run
 from svloop.verdict import Verdict
 
 

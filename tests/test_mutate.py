@@ -8,8 +8,10 @@ from svloop import mutate
 from svloop.cli import main
 from svloop.data import copy_corpus
 from svloop.errors import ElaborationError, NoApplicableSite, NoDistinctMutant, SvLoopError
-from svloop.frontend import ast_to_source, elaborate_source, extract_signature, parse_design
-from svloop.frontend.parser import _Parser
+from svloop.frontend.elaborate import elaborate_source
+from svloop.frontend.parser import _Parser, parse_design
+from svloop.frontend.printer import ast_to_source
+from svloop.frontend.signature import extract_signature
 from svloop.mutate import (
     OPERATORS,
     RANDOM_TEST_CYCLES,
@@ -20,8 +22,7 @@ from svloop.mutate import (
     inject,
     make_corpus,
 )
-from svloop.sim import run
-from svloop.sim.engine import product_search
+from svloop.sim.engine import product_search, run
 from svloop.sim.lower import harness_source, lowered_source
 
 # applicability audit of the desk corpus, derived by hand from the designs

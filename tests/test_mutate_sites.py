@@ -11,8 +11,9 @@ seeded permutation over that list.
 import pytest
 
 import reference_mutate
-from svloop.frontend import elaborate_source, extract_signature, parse_design
-from svloop.frontend.elaborate import fsm_state_names
+from svloop.frontend.elaborate import elaborate_source, fsm_state_names
+from svloop.frontend.parser import parse_design
+from svloop.frontend.signature import extract_signature
 from svloop.mutate import OPERATORS, _collect_sites, make_corpus
 
 MUTATE_SEEDS = range(1, 13)

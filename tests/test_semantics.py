@@ -3,8 +3,10 @@ the clock-edge discipline, each against hand-derived expectations."""
 
 import pytest
 
-from svloop.frontend import elaborate_source, extract_signature
-from svloop.sim import UnitTest, run
+from svloop.frontend.elaborate import elaborate_source
+from svloop.frontend.signature import extract_signature
+from svloop.sim.engine import run
+from svloop.sim.stimulus import UnitTest
 
 
 def simulate(text, rows):
@@ -182,7 +184,7 @@ class TestSequentialGolden:
         assert trace.values["count"] == (0, 1, 2, 3, 4, 5, 6, 7, 0, 0, 1)
 
     def test_adder4_exhaustive_coverage_is_total(self, problems):
-        from svloop.sim import collect_coverage
+        from svloop.sim.coverage import collect_coverage
 
         p = problems["adder4"]
         columns = p.signature.stimulus_inputs
@@ -203,7 +205,8 @@ class TestParserFuzz:
         import random
 
         from svloop.errors import FrontendError
-        from svloop.frontend import DesignSource, parse_design
+        from svloop.frontend.ast import DesignSource
+        from svloop.frontend.parser import parse_design
 
         rng = random.Random(seed)
         vocabulary = [
@@ -224,7 +227,8 @@ class TestParserFuzz:
         import random
 
         from svloop.errors import FrontendError
-        from svloop.frontend import DesignSource, parse_design
+        from svloop.frontend.ast import DesignSource
+        from svloop.frontend.parser import parse_design
 
         rng = random.Random(7)
         for _ in range(200):

@@ -6,16 +6,11 @@ from hypothesis import strategies as st
 
 from support import GOLDEN_MODELS, step_arbiter, valid_arbiter_stimulus
 from svloop.errors import MalformedStimulus, NoStimulusFound, StimulusMismatch
-from svloop.frontend import elaborate_source
-from svloop.sim import (
-    CoverageCollector,
-    UnitTest,
-    collect_coverage,
-    export_vcd,
-    parse_stimulus,
-    read_vcd,
-    run,
-)
+from svloop.frontend.elaborate import elaborate_source
+from svloop.sim.coverage import CoverageCollector, collect_coverage
+from svloop.sim.engine import run
+from svloop.sim.stimulus import UnitTest, parse_stimulus
+from svloop.sim.vcd import export_vcd, read_vcd
 
 
 def exhaustive_test(signature, cycles_per_pattern=1):

@@ -16,8 +16,10 @@ from reference_stimulus import check_rows_reference, parse_stimulus_reference
 from reference_vcd import export_vcd_reference
 from svloop.errors import SvLoopError
 from svloop.frontend.signature import DesignSignature, SignaturePort
-from svloop.sim import UnitTest, export_vcd, parse_stimulus, read_vcd, stimulus
+from svloop.sim import stimulus
 from svloop.sim.engine import Trace
+from svloop.sim.stimulus import UnitTest, parse_stimulus
+from svloop.sim.vcd import export_vcd, read_vcd
 
 DESK = ["adder4", "arbiter2", "counter3", "full_adder", "seq_detect"]
 

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from support import step_arbiter
 from svloop.errors import CalledOnPass, TraceShapeMismatch
-from svloop.frontend import elaborate_source
-from svloop.sim import Trace, UnitTest, run
+from svloop.frontend.elaborate import elaborate_source
+from svloop.sim.engine import Trace, run
+from svloop.sim.stimulus import UnitTest
 from svloop.verdict import Verdict, compare, pass_fraction, summarize
 
 

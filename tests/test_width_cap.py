@@ -13,13 +13,12 @@ from hypothesis import strategies as st
 from support import ListProvider, OracleBackedResponder, oracle_traces
 from svloop import matrix
 from svloop.errors import SvLoopError, WidthMismatch
-from svloop.frontend import elaborate_source
-from svloop.frontend.elaborate import MAX_WIDTH
+from svloop.frontend.elaborate import MAX_WIDTH, elaborate_source
 from svloop.gateway.extract import parse_patch
 from svloop.loops import debug
 from svloop.manifest import RunConfig
 from svloop.matrix import evaluate_matrix
-from svloop.sim import run
+from svloop.sim.engine import run
 
 CFG = RunConfig(strategy="nlsc", shots=0)
 F5000 = "f" * 5000
