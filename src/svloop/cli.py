@@ -202,7 +202,7 @@ def cmd_mutate(args) -> int:
     else:
         problems = [_problem_by_name(args.problems, args.problem)]
     for problem in problems:
-        records, skipped = make_corpus(problem.design, args.seed)
+        records, skipped = make_corpus(problem, args.seed)
         write_mutation_corpus(problem, records, skipped, args.seed)
         print(f"{problem.id}: {len(records)} mutants "
               f"({', '.join(r.bc_id for r in records) or 'none'})")
@@ -215,7 +215,9 @@ def _gen_tests_arguments(p):
     p.add_argument("problem")
     p.add_argument("--problems", required=True)
     p.add_argument("--source", required=True, help="source mutant id, e.g. BC03")
-    p.add_argument("--out", required=True, help="output directory for tests and state")
+    p.add_argument("--out", required=True,
+                   help="directory for the accepted tests, one <test>.stim each, "
+                   "and a live provider's provider_log/")
     _add_provider_flags(p)
 
 

@@ -4,7 +4,8 @@ Roles are inferred structurally: the clock is the width-1 input left over
 in edge lists once reset signals (those tested by the leading ``if`` of a
 clocked body) are removed; a synchronous reset is a width-1 input tested
 by the leading ``if`` of a clock-only process. Both can be overridden per
-problem in the dataset manifest.
+problem in the dataset manifest; an overriding clock must still drive a
+clocked process.
 """
 
 from __future__ import annotations
@@ -119,7 +120,8 @@ def extract_signature(
 
     Deterministic: repeated calls on the same design yield identical
     signatures. Raises AmbiguousClock when edge events of different
-    processes disagree on the clock and no override is given.
+    processes disagree on the clock and no override is given, or when the
+    override drives none of the clocked processes.
     """
     inputs = tuple(
         SignaturePort(name, design.signals[name].width) for name in design.input_ports
@@ -162,13 +164,18 @@ def extract_signature(
         for ev in resets:
             async_resets.append((ev.signal, ev.edge == "posedge"))
 
+    distinct = sorted(set(clock_candidates))
     if clock is None:
-        distinct = sorted(set(clock_candidates))
         if len(distinct) > 1:
             raise AmbiguousClock(
                 f"multiple clock candidates across processes: {', '.join(distinct)}", 0, 0
             )
         clock = distinct[0] if distinct else None
+    elif clock not in distinct:
+        raise AmbiguousClock(
+            f"clock {clock!r} drives no clocked process "
+            f"(clock candidates: {', '.join(distinct) or 'none'})", 0, 0
+        )
 
     reset = reset_override
     if reset is None:

@@ -35,7 +35,8 @@ def parse_unit_test(response: str, signature: DesignSignature, test_id: str = "t
 
 def parse_patch(response: str, expected: DesignSignature) -> ElaboratedDesign:
     """Extract the first complete module, require it to parse, elaborate
-    and preserve the expected signature, and return its elaboration."""
+    and preserve the expected signature, inferred with its clock, and
+    return its elaboration."""
     match = _MODULE_RE.search(response)
     if match is None:
         raise NoModuleFound("response contains no module ... endmodule block")
@@ -49,7 +50,7 @@ def parse_patch(response: str, expected: DesignSignature) -> ElaboratedDesign:
     except ElaborationError as exc:
         raise PatchRejected("elaborate", exc.diagnostic()) from exc
     try:
-        signature = extract_signature(design)
+        signature = extract_signature(design, expected.clock)
     except FrontendError as exc:
         raise PatchRejected("signature", exc.diagnostic()) from exc
     if signature != expected:

@@ -106,20 +106,20 @@ def save_mock_script(path, sequence=(), digest_responses: Optional[dict[str, str
 
 
 class RecordingProvider:
-    """Wraps another provider and records prompt/response pairs so a run
-    can later be replayed offline through the scripted mock."""
+    """Wraps another provider and records each prompt's digest and response
+    so a run can later be replayed offline through the scripted mock."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.pairs: list[tuple[str, str, str]] = []  # (digest, prompt, response)
+        self.responses: dict[str, str] = {}  # prompt digest -> latest response
 
     def complete(self, prompt: str, cfg: RunConfig) -> str:
         response = self.inner.complete(prompt, cfg)
-        self.pairs.append((prompt_digest(prompt), prompt, response))
+        self.responses[prompt_digest(prompt)] = response
         return response
 
     def save_script(self, path):
-        save_mock_script(path, digest_responses={d: r for d, _, r in self.pairs})
+        save_mock_script(path, digest_responses=self.responses)
 
 
 class LiveHttpProvider:

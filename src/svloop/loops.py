@@ -163,13 +163,12 @@ def generate_tests(
     return state
 
 
-def _suite_verdicts(design: ElaboratedDesign, tests, oracle_traces, outputs, signature):
-    verdicts = []
-    traces = []
-    for test in tests:
-        trace = run(design, test, signature)
-        traces.append(trace)
-        verdicts.append(compare(trace, oracle_traces[test.id], outputs))
+def run_suite(design: ElaboratedDesign, tests, oracle_traces, outputs, signature):
+    """Run every test on ``design``; its verdicts against ``oracle_traces``
+    (keyed by test id) and its traces, both in test order."""
+    traces = [run(design, test, signature) for test in tests]
+    verdicts = [compare(trace, oracle_traces[test.id], outputs)
+                for test, trace in zip(tests, traces)]
     return verdicts, traces
 
 
@@ -195,7 +194,7 @@ def debug(
     signature = problem.signature
     outputs = [p.name for p in signature.outputs]
 
-    verdicts, traces = _suite_verdicts(buggy, tests, oracle_traces, outputs, signature)
+    verdicts, traces = run_suite(buggy, tests, oracle_traces, outputs, signature)
     best = pass_fraction(verdicts)
     state = DebugState(design=buggy.source, best_pass=best, initial_pass=best)
 
@@ -218,8 +217,8 @@ def debug(
             state.history.append(PatchAttempt(iteration, False, None, reason))
             continue
         try:
-            patched = parse_patch(response, signature)
-            new_verdicts, new_traces = _suite_verdicts(
+            patched = parse_patch(response, problem.interface)
+            new_verdicts, new_traces = run_suite(
                 patched, tests, oracle_traces, outputs, signature
             )
         except SvLoopError as exc:

@@ -9,6 +9,7 @@ recording operator, site, seed, and witness stimulus per mutant.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
@@ -43,6 +44,13 @@ class Problem:
     @property
     def kind(self) -> str:
         return "sequential" if self.design.is_sequential else "combinational"
+
+    @cached_property
+    def interface(self) -> DesignSignature:
+        """The reference's signature inferred with the problem's clock: a
+        mutant or patch keeps the interface when its own signature, inferred
+        with this clock, equals it."""
+        return extract_signature(self.design, self.signature.clock)
 
     def mutants(self) -> list[tuple[str, DesignSource, UnitTest]]:
         """(bc id, source, witness) for every mutant recorded on disk."""

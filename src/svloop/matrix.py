@@ -33,13 +33,12 @@ from .errors import (
 )
 from .frontend.elaborate import ElaboratedDesign, elaborate_source
 from .gateway.providers import build_provider
-from .loops import DebugState, TestGenState, debug, generate_tests
+from .loops import DebugState, TestGenState, debug, generate_tests, run_suite
 from .manifest import Problem, RunConfig
 from .metrics import PairResult, divergence_rate, divergent_attack, stored_ratio
 from .sim.engine import Trace, run
 from .sim.stimulus import UnitTest, parse_stimulus
 from .sim.vcd import export_vcd
-from .verdict import compare
 
 
 @dataclass
@@ -230,27 +229,22 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
 def _evaluate_cell(tests, oracle_traces, target, signature, outputs, cell_dir) -> dict:
     """Run a non-empty suite on the target, writing its VCDs under
     ``cell_dir``; the cell's AR/DR/DA and per-test verdicts."""
-    verdict_rows = []
-    first_failing = None
-    dr = Fraction(0)
     traces_dir = cell_dir / "traces"
     traces_dir.mkdir(exist_ok=True)
-    for test in tests:
-        trace = run(target, test, signature)
+    verdicts, traces = run_suite(target, tests, oracle_traces, outputs, signature)
+    for test, trace in zip(tests, traces):
         (traces_dir / f"{test.id}.vcd").write_bytes(export_vcd(trace, signature))
-        verdict = compare(trace, oracle_traces[test.id], outputs)
-        verdict_rows.append({"id": test.id, "outcome": verdict.outcome,
-                             "mismatch_cycles": verdict.mismatch_count, "cycles": test.cycles})
-        if not verdict.passed and first_failing is None:
-            first_failing = test.id
-            dr = divergence_rate(oracle_traces[test.id], trace, outputs)
-    ar = 1 if first_failing is not None else 0
+    first = next((i for i, v in enumerate(verdicts) if not v.passed), None)
+    ar = int(first is not None)
+    dr = divergence_rate(verdicts[first]) if ar else Fraction(0)
     return {
         "ar": ar,
         "dr": _fraction_pair(dr),
         "da": _fraction_pair(divergent_attack(ar, dr)),
-        "first_failing": first_failing,
-        "tests": verdict_rows,
+        "first_failing": tests[first].id if ar else None,
+        "tests": [{"id": test.id, "outcome": v.outcome,
+                   "mismatch_cycles": v.mismatch_count, "cycles": v.cycles}
+                  for test, v in zip(tests, verdicts)],
     }
 
 

@@ -1,8 +1,8 @@
 """Attack rate, divergence rate, divergent attack, and 5-bin histograms.
 
 AR is the fraction of targets whose suite produced a failing trace.
-DR counts, over one unit test of length n, the fraction of cycles on
-which the failing and passing traces disagree on any output.
+DR is read off the verdict of the suite's first failing test: the
+fraction of its cycles on which any output disagrees with the oracle.
 DA gates DR by attack success: the set-intersection notation in the
 source material has no formal definition, so the gating reading lives
 entirely behind ``divergent_attack``.
@@ -14,10 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .verdict import compare
-
 if TYPE_CHECKING:
-    from .sim.engine import Trace
+    from .verdict import Verdict
 
 
 @dataclass(frozen=True)
@@ -60,10 +58,9 @@ def attack_rate(verdicts) -> Fraction:
     return Fraction(failed, len(verdicts))
 
 
-def divergence_rate(t_pass: Trace, t_fail: Trace, outputs) -> Fraction:
-    """Fraction of cycles on which any output differs between the traces:
-    the mismatch count of their verdict."""
-    return Fraction(compare(t_fail, t_pass, outputs).mismatch_count, t_pass.cycles)
+def divergence_rate(verdict: Verdict) -> Fraction:
+    """Fraction of the verdict's cycles on which any output differs."""
+    return Fraction(verdict.mismatch_count, verdict.cycles)
 
 
 def divergent_attack(ar: int, dr: Fraction) -> Fraction:

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from itertools import product
+from typing import TYPE_CHECKING, Optional
 
 from .errors import NoApplicableSite, NoDistinctMutant, SvLoopError
 from .frontend.ast import (
@@ -42,6 +43,9 @@ from .frontend.signature import DesignSignature, extract_signature
 from .sim.engine import product_search, run
 from .sim.stimulus import UnitTest
 
+if TYPE_CHECKING:
+    from .manifest import Problem
+
 EXHAUSTIVE_INPUT_BITS = 12
 RANDOM_TESTS = 1000
 RANDOM_TEST_CYCLES = 20
@@ -53,20 +57,19 @@ _COMPARISON_SWAP = {"==": "!=", "!=": "==", "<": "<=", "<=": "<", ">": ">=", ">=
 class MutationOperator:
     bc_id: str
     kind: str
-    description: str
 
 
 OPERATORS: tuple[MutationOperator, ...] = (
-    MutationOperator("BC01", "logic-operator-swap", "swap a bitwise & with | (or vice versa)"),
-    MutationOperator("BC02", "comparison-swap", "swap a comparison (==/!=, </<=, >/>=)"),
-    MutationOperator("BC03", "condition-negation", "negate an if or ternary condition"),
-    MutationOperator("BC04", "constant-bit-flip", "flip one bit of an integer literal"),
-    MutationOperator("BC05", "off-by-one-constant", "shift an integer literal by one"),
-    MutationOperator("BC06", "wrong-state-transition", "retarget a state-register transition"),
-    MutationOperator("BC07", "deleted-case-arm", "remove a case arm from a clocked process"),
-    MutationOperator("BC08", "reset-value-corruption", "corrupt an assignment in a reset branch"),
-    MutationOperator("BC09", "blocking-swap", "swap blocking and nonblocking assignment"),
-    MutationOperator("BC10", "clock-edge-flip", "flip the clock edge polarity"),
+    MutationOperator("BC01", "logic-operator-swap"),
+    MutationOperator("BC02", "comparison-swap"),
+    MutationOperator("BC03", "condition-negation"),
+    MutationOperator("BC04", "constant-bit-flip"),
+    MutationOperator("BC05", "off-by-one-constant"),
+    MutationOperator("BC06", "wrong-state-transition"),
+    MutationOperator("BC07", "deleted-case-arm"),
+    MutationOperator("BC08", "reset-value-corruption"),
+    MutationOperator("BC09", "blocking-swap"),
+    MutationOperator("BC10", "clock-edge-flip"),
 )
 
 
@@ -245,40 +248,22 @@ def _collect_sites(op: MutationOperator, ast: DesignAst, design: ElaboratedDesig
 
 # --- distinctness -------------------------------------------------------------
 
-def _total_input_bits(signature: DesignSignature) -> int:
-    return sum(p.width for p in signature.stimulus_inputs)
-
-
-def _exhaustive_witness(reference, mutant, signature) -> Optional[UnitTest]:
+def _exhaustive_tests(signature: DesignSignature):
+    """Every stimulus input pattern as a one-cycle test, in counting order
+    with the first column in the lowest bits."""
     columns = signature.stimulus_inputs
-    widths = [p.width for p in columns]
-    total = sum(widths)
-    for pattern in range(1 << total):
-        row = []
-        shift = pattern
-        for w in widths:
-            row.append(shift & ((1 << w) - 1))
-            shift >>= w
-        test = UnitTest("witness", columns, (tuple(row),))
-        ref_tr = run(reference, test, signature)
-        mut_tr = run(mutant, test, signature)
-        if any(
-            ref_tr.values[o][0] != mut_tr.values[o][0]
-            for o in (p.name for p in signature.outputs)
-        ):
-            return test
-    return None
+    for row in product(*(range(1 << p.width) for p in reversed(columns))):
+        yield UnitTest("witness", columns, (row[::-1],))
 
 
-def _random_witness(reference, mutant, signature, seed,
-                    budget=RANDOM_TESTS, cycles=RANDOM_TEST_CYCLES) -> Optional[UnitTest]:
+def _random_tests(signature: DesignSignature, seed: int):
+    """``RANDOM_TESTS`` seeded random tests of ``RANDOM_TEST_CYCLES`` cycles."""
     rng = random.Random(seed)
     columns = signature.stimulus_inputs
-    outputs = [p.name for p in signature.outputs]
     reset = signature.reset
-    for k in range(budget):
+    for k in range(RANDOM_TESTS):
         rows = []
-        for n in range(cycles):
+        for n in range(RANDOM_TEST_CYCLES):
             row = []
             for port in columns:
                 if reset is not None and port.name == reset.name:
@@ -290,7 +275,30 @@ def _random_witness(reference, mutant, signature, seed,
                 else:
                     row.append(rng.getrandbits(port.width))
             rows.append(tuple(row))
-        test = UnitTest(f"witness-{k}", columns, tuple(rows))
+        yield UnitTest(f"witness-{k}", columns, tuple(rows))
+
+
+def find_witness(reference, mutant, signature, seed) -> Optional[UnitTest]:
+    """Stimulus on which the two designs provably diverge, or None.
+
+    Combinational designs with at most 12 stimulus bits are diffed
+    exhaustively. A sequential pair that the product-machine search
+    proves equivalent within ``RANDOM_TESTS * RANDOM_TEST_CYCLES`` steps
+    (the random search's own cost) returns None at once. Everything else
+    gets the seeded random tests, which stay the only source of
+    sequential witnesses. The first test whose outputs differ is the
+    witness.
+    """
+    if (not reference.is_sequential
+            and sum(p.width for p in signature.stimulus_inputs) <= EXHAUSTIVE_INPUT_BITS):
+        tests = _exhaustive_tests(signature)
+    elif reference.is_sequential and product_search(reference, mutant, signature,
+                                                    RANDOM_TESTS * RANDOM_TEST_CYCLES):
+        return None
+    else:
+        tests = _random_tests(signature, seed)
+    outputs = [p.name for p in signature.outputs]
+    for test in tests:
         ref_tr = run(reference, test, signature)
         mut_tr = run(mutant, test, signature)
         if any(ref_tr.values[o] != mut_tr.values[o] for o in outputs):
@@ -298,43 +306,20 @@ def _random_witness(reference, mutant, signature, seed,
     return None
 
 
-def find_witness(reference, mutant, signature, seed,
-                 budget=RANDOM_TESTS, cycles=RANDOM_TEST_CYCLES) -> Optional[UnitTest]:
-    """Stimulus on which the two designs provably diverge, or None.
-
-    Combinational designs with at most 12 stimulus bits are diffed
-    exhaustively. A sequential pair that the product-machine search
-    proves equivalent within ``budget * cycles`` steps (the random
-    search's own cost) returns None at once. Everything else gets
-    ``budget`` seeded random tests of ``cycles`` cycles each, which stay
-    the only source of sequential witnesses.
-    """
-    if not reference.is_sequential and _total_input_bits(signature) <= EXHAUSTIVE_INPUT_BITS:
-        return _exhaustive_witness(reference, mutant, signature)
-    if reference.is_sequential and product_search(reference, mutant, signature, budget * cycles):
-        return None
-    return _random_witness(reference, mutant, signature, seed, budget, cycles)
-
-
 # --- injection ------------------------------------------------------------------
 
-def inject(
-    reference: ElaboratedDesign,
-    ast: DesignAst,
-    op: MutationOperator,
-    seed: int,
-) -> MutantRecord:
+def inject(problem: Problem, ast: DesignAst, op: MutationOperator, seed: int) -> MutantRecord:
     """Apply one operator at a seeded site and prove the result distinct.
 
     Sites are drawn uniformly (seeded) and retried until a mutant both
-    elaborates with a preserved signature and diverges on a witness.
-    ``ast`` is a parse of ``reference.source`` other than the one
-    ``reference`` was elaborated from, so one parse serves every operator.
-    Each candidate is ``ast`` with one edit applied, printed for its
-    record and elaborated in place; the edit is undone before the next
+    elaborates with the problem's interface and diverges on a witness.
+    ``ast`` is a parse of the problem's reference other than the one its
+    design was elaborated from, so one parse serves every operator. Each
+    candidate is ``ast`` with one edit applied, printed for its record
+    and elaborated in place; the edit is undone before the next
     candidate, so a candidate design is valid only until then.
     """
-    signature = extract_signature(reference)
+    reference, signature, interface = problem.design, problem.signature, problem.interface
     sites = _collect_sites(op, ast, reference, signature)
     if not sites:
         raise NoApplicableSite(f"{op.bc_id} ({op.kind}): no applicable site")
@@ -349,7 +334,7 @@ def inject(
             candidate_src = DesignSource(ast_to_source(ast), f"mutant {op.bc_id}")
             try:
                 candidate = elaborate(ast, candidate_src)
-                if extract_signature(candidate) != signature:
+                if extract_signature(candidate, interface.clock) != interface:
                     continue
             except SvLoopError:
                 continue
@@ -366,17 +351,15 @@ def inject(
     )
 
 
-def make_corpus(
-    reference: ElaboratedDesign, seed: int
-) -> tuple[list[MutantRecord], list[SkippedOperator]]:
+def make_corpus(problem: Problem, seed: int) -> tuple[list[MutantRecord], list[SkippedOperator]]:
     """One record per applicable operator in BC order; inapplicable or
     equivalent-only operators are recorded as skipped with a reason."""
     records: list[MutantRecord] = []
     skipped: list[SkippedOperator] = []
-    ast = parse_design(reference.source)
+    ast = parse_design(problem.reference)
     for op in OPERATORS:
         try:
-            records.append(inject(reference, ast, op, seed))
+            records.append(inject(problem, ast, op, seed))
         except NoApplicableSite:
             skipped.append(SkippedOperator(op.bc_id, op.kind, "no applicable site"))
         except NoDistinctMutant:

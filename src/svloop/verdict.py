@@ -19,13 +19,16 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class Verdict:
-    outcome: str                  # "pass" | "fail"
-    mask: tuple[bool, ...]        # per-cycle: any output differs
-    mismatch_count: int
+    mismatch_count: int           # cycles on which any output differs
+    cycles: int
 
     @property
     def passed(self) -> bool:
-        return self.outcome == "pass"
+        return self.mismatch_count == 0
+
+    @property
+    def outcome(self) -> str:
+        return "pass" if self.passed else "fail"
 
 
 @dataclass(frozen=True)
@@ -71,11 +74,9 @@ def compare(actual: Trace, expected: Trace, outputs) -> Verdict:
     """
     outputs = list(outputs)
     _check_shapes(actual, expected, outputs)
-    mask = []
-    for n in range(actual.cycles):
-        mask.append(any(actual.values[o][n] != expected.values[o][n] for o in outputs))
-    count = sum(mask)
-    return Verdict("fail" if count else "pass", tuple(mask), count)
+    rows = zip(zip(*(actual.values[o] for o in outputs)),
+               zip(*(expected.values[o] for o in outputs)))
+    return Verdict(sum(a != e for a, e in rows), actual.cycles)
 
 
 def summarize(
@@ -94,8 +95,6 @@ def summarize(
     entries = []
     total = 0
     for n in range(actual.cycles):
-        if not verdict.mask[n]:
-            continue
         for name in outputs:
             if actual.values[name][n] != expected.values[name][n]:
                 total += 1

@@ -18,7 +18,7 @@ def corpus_dir(tmp_path_factory):
     dest = tmp_path_factory.mktemp("corpus") / "desk"
     copy_corpus(dest)
     for problem in load_corpus(dest):
-        records, skipped = make_corpus(problem.design, CORPUS_SEED)
+        records, skipped = make_corpus(problem, CORPUS_SEED)
         write_mutation_corpus(problem, records, skipped, CORPUS_SEED)
     return dest
 

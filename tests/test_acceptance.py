@@ -37,7 +37,7 @@ from svloop.report import build_report
 from svloop.sim.engine import run
 from svloop.sim.stimulus import UnitTest
 from svloop.sim.vcd import read_vcd
-from svloop.verdict import Verdict
+from svloop.verdict import Verdict, compare
 
 CFG = RunConfig(strategy="nlsc", shots=0, iteration_cap=5)
 
@@ -111,7 +111,7 @@ def test_criterion_3_mutation_soundness(tmp_path):
     corpus = copy_corpus(tmp_path / "desk")
     total = 0
     for problem in load_corpus(corpus):
-        records, skipped = make_corpus(problem.design, seed=1)
+        records, skipped = make_corpus(problem, seed=1)
         write_mutation_corpus(problem, records, skipped, 1)
         ref_signature = extract_signature(problem.design)
         outputs = [q.name for q in problem.signature.outputs]
@@ -208,10 +208,10 @@ def test_criterion_5_formula_spot_checks():
     from svloop.sim.engine import Trace
 
     identical = Trace({"y": (0, 1, 1, 0)}, 4)
-    assert divergence_rate(identical, identical, ["y"]) == 0
+    assert divergence_rate(compare(identical, identical, ["y"])) == 0
     one_of_four = Trace({"y": (0, 1, 0, 0)}, 4)
-    assert divergence_rate(identical, one_of_four, ["y"]) == Fraction(1, 4)
-    verdicts = [Verdict("fail", (True,), 1)] * 8 + [Verdict("pass", (False,), 0)] * 2
+    assert divergence_rate(compare(identical, one_of_four, ["y"])) == Fraction(1, 4)
+    verdicts = [Verdict(1, 1)] * 8 + [Verdict(0, 1)] * 2
     assert attack_rate(verdicts) == Fraction(8, 10)
     dist = bin_values([Fraction(1, 2)])
     assert dist.counts == (0, 0, 1, 0, 0) and dist.median_bin == 3

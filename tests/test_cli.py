@@ -971,10 +971,10 @@ _SIM = {"svloop.sim", "svloop.sim.engine", "svloop.sim.lower", "svloop.sim.stimu
 _MANIFEST = _CORE | _FRONTEND | _SIM | {"svloop.gateway", "svloop.gateway.config",
                                         "svloop.manifest"}
 _REPORT = {"svloop.metrics", "svloop.report", "svloop.schema", "svloop.sim",
-           "svloop.sim.coverage", "svloop.verdict"}
+           "svloop.sim.coverage"}
 _LOOPS = _MANIFEST | _REPORT | {"svloop.gateway.extract", "svloop.gateway.prompts",
                                 "svloop.gateway.providers", "svloop.gateway.templates",
-                                "svloop.loops"}
+                                "svloop.loops", "svloop.verdict"}
 LOADED_BY = {
     "--version": _CORE,
     "init-corpus": _CORE | {"svloop.data"},

@@ -77,7 +77,7 @@ class TestDeskDesigns:
             ast = parse_design(problem.reference)
             for op in OPERATORS:
                 try:
-                    inject(problem.design, ast, op, seed=1)
+                    inject(problem, ast, op, seed=1)
                 except (NoApplicableSite, NoDistinctMutant):
                     pass
         assert {True, False} <= set(verdicts)

@@ -241,7 +241,7 @@ class TestNoAstCopies:
 
         monkeypatch.setattr(copy, "deepcopy", counting)
         for problem in problems.values():
-            make_corpus(problem.design, seed=1)
+            make_corpus(problem, seed=1)
         responder = OracleBackedResponder(list(problems.values()), seed=0)
         config = RunConfig(provider="mock", script_dir="(in-memory)", seed=1)
         evaluate_problem(problems["arbiter2"], config, responder, tmp_path / "arb")

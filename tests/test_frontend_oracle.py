@@ -71,7 +71,7 @@ def texts(problems):
     for problem in problems.values():
         out.append(problem.reference.text)
         out.extend(source.text for _, source, _ in problem.mutants())
-        records, _ = make_corpus(problem.design, seed=2)
+        records, _ = make_corpus(problem, seed=2)
         out.extend(record.source.text for record in records)
     return out
 

@@ -2,6 +2,7 @@ import importlib
 import json
 import pickle
 import shutil
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,11 +15,13 @@ from support import (
     record_mock_script,
     tree_listing,
 )
-from svloop import loops, matrix
+from svloop import loops, matrix, verdict
+from svloop.frontend.elaborate import elaborate_source
 from svloop.manifest import RunConfig, load_corpus
 from svloop.matrix import evaluate_matrix, evaluate_problem
 from svloop.metrics import divergent_attack
 from svloop.sim.engine import run
+from svloop.sim.stimulus import UnitTest
 from svloop.sim.vcd import read_vcd
 
 
@@ -198,7 +201,7 @@ class TestEvaluateProblem:
         problem_dir = fresh_corpus / "problems" / "full_adder"
         problem = load_corpus(fresh_corpus)[3]
         assert problem.id == "full_adder"
-        records, skipped = make_corpus(problem.design, seed=1)
+        records, skipped = make_corpus(problem, seed=1)
         write_mutation_corpus(problem, records, skipped, 1)
         # corrupt one mutant file after corpus creation
         (problem_dir / "bc02.sv").write_text("module broken (((\n")
@@ -227,6 +230,28 @@ class TestEvaluateProblem:
             "gen-01.prompt.txt"
         ).read_text()
         assert "Implementation under test" not in prompt
+
+
+def test_a_cell_compares_each_test_once(problems, tmp_path, monkeypatch):
+    # DR is read off the first failing test's verdict, not compared again
+    p = problems["arbiter2"]
+    outputs = [q.name for q in p.signature.outputs]
+    mutants = p.mutants()
+    tests = [UnitTest(f"w{k}", w.columns, w.rows) for k, (_, _, w) in enumerate(mutants)]
+    oracle_traces = {t.id: run(p.design, t, p.signature) for t in tests}
+    real, calls = verdict.compare, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("svloop") and getattr(module, "compare", None) is real:
+            monkeypatch.setattr(module, "compare", counting)
+    target = elaborate_source(mutants[0][1])
+    cell = matrix._evaluate_cell(tests, oracle_traces, target, p.signature, outputs, tmp_path)
+    assert cell["ar"] == 1 and Fraction(*cell["dr"]) > 0
+    assert len(calls) == len(tests)
 
 
 def test_simulated_problem_pickles_for_a_worker(problems):

@@ -17,14 +17,14 @@ from svloop.metrics import (
     stored_ratio,
 )
 from svloop.sim.engine import Trace, run
-from svloop.verdict import Verdict
+from svloop.verdict import Verdict, compare
 
 
 def verdicts(fails, total):
     out = []
     for i in range(total):
         failed = i < fails
-        out.append(Verdict("fail" if failed else "pass", (failed,), int(failed)))
+        out.append(Verdict(int(failed), 1))
     return out
 
 
@@ -44,7 +44,7 @@ class TestAttackRate:
 
     @given(st.lists(st.booleans(), min_size=1, max_size=40), st.randoms())
     def test_permutation_invariance(self, flags, rng):
-        vs = [Verdict("fail" if f else "pass", (f,), int(f)) for f in flags]
+        vs = [Verdict(int(f), 1) for f in flags]
         shuffled = list(vs)
         rng.shuffle(shuffled)
         assert attack_rate(vs) == attack_rate(shuffled)
@@ -56,16 +56,16 @@ class TestDivergenceRate:
 
     def test_identical(self):
         t = self.trace([0, 1, 1, 0])
-        assert divergence_rate(t, t, ["y"]) == 0
+        assert divergence_rate(compare(t, t, ["y"])) == 0
 
     def test_one_divergent_of_four(self):
         a = self.trace([0, 1, 1, 0])
         b = self.trace([0, 1, 0, 0])
-        assert divergence_rate(a, b, ["y"]) == Fraction(1, 4)
+        assert divergence_rate(compare(a, b, ["y"])) == Fraction(1, 4)
 
     def test_shape_mismatch(self):
         with pytest.raises(TraceShapeMismatch):
-            divergence_rate(self.trace([0]), self.trace([0, 1]), ["y"])
+            divergence_rate(compare(self.trace([0]), self.trace([0, 1]), ["y"]))
 
     def test_matches_naive_diff_on_arbiter_witness(self, problems):
         p = problems["arbiter2"]
@@ -74,7 +74,7 @@ class TestDivergenceRate:
             t_pass = run(p.design, witness, p.signature)
             t_fail = run(mutant, witness, p.signature)
             outputs = [q.name for q in p.signature.outputs]
-            dr = divergence_rate(t_pass, t_fail, outputs)
+            dr = divergence_rate(compare(t_fail, t_pass, outputs))
             num, den = naive_divergent_fraction(t_pass, t_fail, outputs)
             assert dr == Fraction(num, den), bc_id
             assert dr > 0

@@ -17,7 +17,6 @@ from svloop.mutate import (
     RANDOM_TEST_CYCLES,
     RANDOM_TESTS,
     _collect_sites,
-    _random_witness,
     find_witness,
     inject,
     make_corpus,
@@ -78,7 +77,7 @@ class TestCatalog:
 class TestInject:
     def test_full_adder_logic_swap_has_witness(self, problems):
         p = problems["full_adder"]
-        record = inject(p.design, parse_design(p.reference), OPERATORS[0], seed=7)
+        record = inject(p, parse_design(p.reference), OPERATORS[0], seed=7)
         assert record.bc_id == "BC01"
         mutant = elaborate_source(record.source)
         outputs = [q.name for q in p.signature.outputs]
@@ -89,11 +88,11 @@ class TestInject:
     def test_full_adder_has_no_state_transition_site(self, problems):
         p = problems["full_adder"]
         with pytest.raises(NoApplicableSite):
-            inject(p.design, parse_design(p.reference), OPERATORS[5], seed=1)
+            inject(p, parse_design(p.reference), OPERATORS[5], seed=1)
 
     def test_arbiter_deleted_arm_diverges_only_after_sensitization(self, problems):
         p = problems["arbiter2"]
-        record = inject(p.design, parse_design(p.reference), OPERATORS[6], seed=1)
+        record = inject(p, parse_design(p.reference), OPERATORS[6], seed=1)
         mutant = elaborate_source(record.source)
         outputs = [q.name for q in p.signature.outputs]
         ref_trace = run(p.design, record.witness, p.signature)
@@ -134,18 +133,20 @@ class TestEquivalenceProof:
             ast = parse_design(problem.reference)
             for op in OPERATORS:
                 try:
-                    inject(problem.design, ast, op, seed=1)
+                    inject(problem, ast, op, seed=1)
                 except (NoApplicableSite, NoDistinctMutant):
                     pass
+        # with the search made undecided, find_witness runs the random tests
+        monkeypatch.setattr(mutate, "product_search", lambda *args: None)
         proven = 0
         for reference, candidate, signature in reached:
             if product_search(reference, candidate, signature,
                               RANDOM_TESTS * RANDOM_TEST_CYCLES) is True:
                 proven += 1
-                assert _random_witness(reference, candidate, signature, 1) is None
+                assert real(reference, candidate, signature, 1) is None
         assert proven and len(reached) > proven
 
-    def test_late_divergence_found_by_search_but_not_by_random_tests(self):
+    def test_late_divergence_found_by_search_but_not_by_random_tests(self, monkeypatch):
         reference = elaborate_source(COUNT5_REF)
         mutant = elaborate_source(COUNT5_MUT)
         signature = extract_signature(reference)
@@ -155,7 +156,9 @@ class TestEquivalenceProof:
         assert product_search(reference, mutant, signature, 40) is None
         # a found mismatch is not a witness: 20-cycle random tests decide
         assert find_witness(reference, mutant, signature, seed=1) is None
-        witness = find_witness(reference, mutant, signature, seed=1, budget=200, cycles=40)
+        monkeypatch.setattr(mutate, "RANDOM_TESTS", 200)
+        monkeypatch.setattr(mutate, "RANDOM_TEST_CYCLES", 40)
+        witness = find_witness(reference, mutant, signature, seed=1)
         assert witness is not None
         ref_trace = run(reference, witness, signature)
         mut_trace = run(mutant, witness, signature)
@@ -183,7 +186,7 @@ class TestCandidateIsolation:
             for op in OPERATORS:
                 rejected.clear()
                 try:
-                    record = inject(problem.design, ast, op, seed=1)
+                    record = inject(problem, ast, op, seed=1)
                 except (NoApplicableSite, NoDistinctMutant):
                     continue
                 assert rejected, (problem.id, op.bc_id)
@@ -262,7 +265,7 @@ class TestInPlaceCandidates:
             before = ast_to_source(shared)
             for op in OPERATORS:
                 try:
-                    inject(problem.design, shared, op, seed=1)
+                    inject(problem, shared, op, seed=1)
                 except (NoApplicableSite, NoDistinctMutant):
                     pass
                 assert ast_to_source(shared) == before, (problem.id, op.bc_id)
@@ -303,7 +306,7 @@ class TestParseCount:
                     continue
                 counts.update(parsed=0, elaborated=0)
                 with pytest.raises(NoDistinctMutant):
-                    inject(problem.design, ast, op, seed=1)
+                    inject(problem, ast, op, seed=1)
                 assert counts == {"parsed": 0, "elaborated": len(sites)}, (problem.id, op.bc_id)
                 checked += 1
         assert checked >= 20
@@ -311,7 +314,7 @@ class TestParseCount:
     def test_make_corpus_parses_the_reference_once(self, problems, counts):
         for problem in problems.values():
             counts.update(parsed=0)
-            records, skipped = make_corpus(problem.design, seed=1)
+            records, skipped = make_corpus(problem, seed=1)
             assert records == [] and len(skipped) == len(OPERATORS), problem.id
             assert counts["parsed"] == 1, problem.id
 
@@ -324,7 +327,7 @@ class TestInjectErrors:
         p = problems["counter3"]
         monkeypatch.setattr(mutate, "elaborate", failing)
         with pytest.raises(NoDistinctMutant):
-            inject(p.design, parse_design(p.reference), OPERATORS[3], seed=1)
+            inject(p, parse_design(p.reference), OPERATORS[3], seed=1)
 
     def test_non_toolkit_exception_propagates(self, problems, monkeypatch):
         def broken(ast, source):
@@ -333,7 +336,7 @@ class TestInjectErrors:
         p = problems["counter3"]
         monkeypatch.setattr(mutate, "elaborate", broken)
         with pytest.raises(RuntimeError, match="bug in the toolkit"):
-            inject(p.design, parse_design(p.reference), OPERATORS[3], seed=1)
+            inject(p, parse_design(p.reference), OPERATORS[3], seed=1)
 
 
 class TestCorpusDigest:
@@ -376,7 +379,7 @@ class TestCorpusDigest:
 class TestCorpus:
     def test_expected_applicability(self, problems):
         for pid, expected in EXPECTED_RECORDS.items():
-            records, skipped = make_corpus(problems[pid].design, seed=1)
+            records, skipped = make_corpus(problems[pid], seed=1)
             assert [r.bc_id for r in records] == expected, pid
             skipped_ids = {s.bc_id for s in records} | {s.bc_id for s in skipped}
             assert len(records) + len(skipped) == 10
@@ -384,18 +387,18 @@ class TestCorpus:
                 assert s.reason
 
     def test_full_adder_at_least_six_with_sequential_only_skipped(self, problems):
-        records, skipped = make_corpus(problems["full_adder"].design, seed=1)
+        records, skipped = make_corpus(problems["full_adder"], seed=1)
         assert len(records) >= 6
         assert {s.bc_id for s in skipped} == SEQUENTIAL_ONLY
 
     def test_arbiter_all_ten(self, problems):
-        records, skipped = make_corpus(problems["arbiter2"].design, seed=1)
+        records, skipped = make_corpus(problems["arbiter2"], seed=1)
         assert len(records) == 10 and not skipped
 
     def test_seed_stability(self, problems):
         p = problems["seq_detect"]
-        a_records, a_skips = make_corpus(p.design, seed=5)
-        b_records, b_skips = make_corpus(p.design, seed=5)
+        a_records, a_skips = make_corpus(p, seed=5)
+        b_records, b_skips = make_corpus(p, seed=5)
         assert [(r.bc_id, r.source.text, r.site_path, r.witness.rows) for r in a_records] == [
             (r.bc_id, r.source.text, r.site_path, r.witness.rows) for r in b_records
         ]
@@ -405,7 +408,7 @@ class TestCorpus:
         p = problems["arbiter2"]
         texts = set()
         for seed in (1, 2, 3, 4):
-            records, _ = make_corpus(p.design, seed=seed)
+            records, _ = make_corpus(p, seed=seed)
             by_id = {r.bc_id: r.source.text for r in records}
             texts.add(by_id["BC04"])
         assert len(texts) > 1

@@ -118,7 +118,7 @@ def designs(problems):
     seen = set()
     for problem in problems.values():
         for seed in MUTATE_SEEDS:
-            records, _ = make_corpus(problem.design, seed)
+            records, _ = make_corpus(problem, seed)
             for record in records:
                 if record.source.text not in seen:
                     seen.add(record.source.text)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from support import step_arbiter
+from support import naive_divergent_fraction, step_arbiter
 from svloop.errors import CalledOnPass, TraceShapeMismatch
 from svloop.frontend.elaborate import elaborate_source
 from svloop.sim.engine import Trace, run
@@ -21,13 +21,13 @@ class TestCompare:
     def test_identical_traces_pass(self):
         t = trace_of(y=[0, 1, 0], z=[1, 1, 1])
         v = compare(t, t, ["y", "z"])
-        assert v.passed and v.mismatch_count == 0 and not any(v.mask)
+        assert v.passed and v.outcome == "pass" and v.mismatch_count == 0 and v.cycles == 3
 
     def test_total_divergence(self):
         a = trace_of(y=[0, 0, 0])
         b = trace_of(y=[1, 1, 1])
         v = compare(a, b, ["y"])
-        assert v.outcome == "fail" and all(v.mask) and v.mismatch_count == 3
+        assert v.outcome == "fail" and v.mismatch_count == v.cycles == 3
 
     def test_internal_signals_never_fail_a_run(self):
         a = trace_of(y=[0, 0], internal=[1, 0])
@@ -54,7 +54,7 @@ class TestCompare:
         # the reference transcript is the hand-stepped FSM; divergence can
         # only start once the mutilated transition should have fired
         states, _, _ = step_arbiter(rows)
-        first = verdict.mask.index(True)
+        first = summarize(mut, ref, verdict, outputs, 20).entries[0].cycle
         assert first > 0
         assert states[: first] == ref.values["State"][: first]
 
@@ -66,15 +66,32 @@ class TestCompare:
         n = min(len(a), len(b_mask))
         ta = trace_of(y=a[:n])
         tb = trace_of(y=[x ^ m for x, m in zip(a[:n], b_mask[:n])])
-        assert compare(ta, tb, ["y"]).mask == compare(tb, ta, ["y"]).mask
+        ab, ba = compare(ta, tb, ["y"]), compare(tb, ta, ["y"])
+        assert ab == ba
+        if not ab.passed:
+            cycles = [e.cycle for e in summarize(ta, tb, ab, ["y"], n).entries]
+            assert cycles == [e.cycle for e in summarize(tb, ta, ba, ["y"], n).entries]
 
     def test_any_mask_bit_flips_outcome(self):
         a = trace_of(y=[0, 0, 0, 0])
         for i in range(4):
             values = [0, 0, 0, 0]
             values[i] = 1
-            v = compare(a, trace_of(y=values), ["y"])
-            assert v.outcome == "fail" and v.mask[i]
+            b = trace_of(y=values)
+            v = compare(a, b, ["y"])
+            assert v.outcome == "fail" and v.mismatch_count == 1
+            assert [e.cycle for e in summarize(a, b, v, ["y"], 20).entries] == [i]
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                              st.integers(0, 1), st.integers(0, 1)),
+                    min_size=1, max_size=16))
+    def test_mismatch_count_is_the_naive_divergent_cycle_count(self, rows):
+        ta = trace_of(y=[r[0] for r in rows], z=[r[2] for r in rows])
+        tb = trace_of(y=[r[1] for r in rows], z=[r[3] for r in rows])
+        for outputs in (["y"], ["z"], ["y", "z"]):
+            v = compare(ta, tb, outputs)
+            assert v.mismatch_count == naive_divergent_fraction(ta, tb, outputs)[0]
+            assert v.cycles == len(rows)
 
 
 class TestSummarize:
@@ -115,7 +132,7 @@ class TestSummarize:
 
 class TestPassFraction:
     def make(self, outcomes):
-        return [Verdict("pass" if p else "fail", (not p,), 0 if p else 1) for p in outcomes]
+        return [Verdict(0 if p else 1, 1) for p in outcomes]
 
     def test_half(self):
         assert pass_fraction(self.make([True, True, False, False])) == Fraction(1, 2)
