@@ -155,6 +155,11 @@ class CheckpointError(SvLoopError):
     its writer gives it."""
 
 
+class RunDirectoryError(SvLoopError):
+    """A run directory that another configuration made, or that another
+    process is writing."""
+
+
 class MockScriptError(SvLoopError):
     """A mock-script ``index.json`` that is not valid JSON or not the shape
     ``save_mock_script`` writes."""

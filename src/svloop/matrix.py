@@ -5,33 +5,38 @@ every target mutant (verdicts against the oracle fill AR/DR/DA), then
 debug each target with the suite seeded from that same mutant. Cells are
 independent and isolate their failures as skipped-with-reason.
 
-A source, a cell and a debug target are each a unit of the run directory
-that writes its files, then its JSON checkpoint (``genstate.json``,
-``result.json``, ``state.json``), the one file renamed into place. A
-resume trusts a unit exactly when its checkpoint exists and rewrites it
+A source, a cell and a debug target are each a unit of the run directory,
+which ``_unit`` reads or makes: its files, then its JSON checkpoint
+(``genstate.json``, ``result.json``, ``state.json``), renamed into place.
+A resume trusts a unit exactly when its checkpoint exists and rewrites it
 otherwise: consistent across a process crash at any write, not across
-power loss. It reads every checkpoint, but elaborates a target, or reads
-and simulates a checkpointed source's tests, only for a unit that must be
-rewritten. A fresh source writes its oracle VCDs from the traces that
-generation made. Artifacts carry no timestamp; a rerun is byte-identical.
+power loss. A record read and one just made pass the same decoder. Only a
+unit that must be rewritten elaborates a target, or reads and simulates a
+checkpointed source's tests. A fresh source writes its oracle VCDs from
+generation's traces. Artifacts carry no timestamp; a rerun is byte-identical.
 """
 
 from __future__ import annotations
 
+import fcntl
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
 from .errors import (
     CheckpointError,
+    RunDirectoryError,
     SvLoopError,
     _read_json,
     _read_text,
     _required_keys,
     _write_json,
 )
-from .frontend.elaborate import ElaboratedDesign, elaborate_source
+from .frontend.elaborate import elaborate_source
 from .gateway.providers import build_provider
 from .loops import DebugState, TestGenState, debug, generate_tests, run_suite
 from .manifest import Problem, RunConfig
@@ -55,13 +60,6 @@ class EvalRun:
 
 def _fraction_pair(f: Fraction) -> list[int]:
     return [f.numerator, f.denominator]
-
-
-def _read_checkpoint(path: Path) -> dict:
-    data = _read_json(path, CheckpointError)
-    if not isinstance(data, dict):
-        raise CheckpointError(f"{path} is malformed: not a JSON object")
-    return data
 
 
 def _write_exchanges(dirpath: Path, prefix: str, exchanges) -> None:
@@ -99,6 +97,44 @@ def _debug_state_summary(state: DebugState) -> dict:
     }
 
 
+def _unit(checkpoint: Path, make, decode):
+    """``decode`` of the unit's checkpoint record: the one on disk, or the one
+    ``make(unit_dir)`` returns after writing the unit's files, saved last.
+    A wrongly shaped record is a CheckpointError naming the checkpoint."""
+    if checkpoint.exists():
+        record = _read_json(checkpoint, CheckpointError)
+    else:
+        checkpoint.parent.mkdir(exist_ok=True)
+        record = make(checkpoint.parent)
+        _write_json(checkpoint, record)
+    if not isinstance(record, dict):
+        raise CheckpointError(f"{checkpoint} is malformed: not a JSON object")
+    with _required_keys(checkpoint, CheckpointError):
+        return decode(record)
+
+
+def _gen_record(record: dict) -> dict:
+    """genstate.json: the record, whose ``tests`` lists the source's test ids."""
+    if not (type(record["tests"]) is list and all(type(t) is str for t in record["tests"])):
+        raise ValueError("'tests' (not a list of ids)")
+    return record
+
+
+def _cell_outcome(record: dict, src_id: str, tgt_id: str):
+    """result.json: the cell's PairResult, or the reason it was skipped."""
+    if "skipped" in record:
+        return record["skipped"]
+    ar, dr, da = (stored_ratio(record[name], name) for name in ("ar", "dr", "da"))
+    return PairResult(src_id, tgt_id, int(ar), dr, da)
+
+
+def _debug_record(record: dict) -> dict:
+    """state.json: the record of a skipped target or of one with a best pass."""
+    if "skipped" not in record:
+        stored_ratio(record["best_pass"], "best_pass")
+    return record
+
+
 def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Path) -> EvalRun:
     """Evaluate one problem; artifacts land under ``out_dir``."""
     mutants = problem.mutants()
@@ -109,118 +145,92 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
 
     signature = problem.signature
     outputs = [p.name for p in signature.outputs]
-    oracle = problem.design
     sources = {bc_id: source for bc_id, source, _ in mutants}
-
-    # targets and suites are filled the first time a unit without a checkpoint needs them
-    targets: dict[str, ElaboratedDesign] = {}
-    target_errors: dict[str, str] = {}
-    test_ids: dict[str, list[str]] = {}                              # of every source
     suites: dict[str, tuple[list[UnitTest], dict[str, Trace]]] = {}  # tests, oracle traces
 
-    def target_error(tgt_id: str) -> Optional[str]:
-        if tgt_id not in targets and tgt_id not in target_errors:
-            try:
-                targets[tgt_id] = elaborate_source(sources[tgt_id])
-            except SvLoopError as exc:
-                target_errors[tgt_id] = f"target does not elaborate: {exc}"
-        return target_errors.get(tgt_id)
+    # targets and suites are made the first time a unit without a checkpoint needs them
+    @cache
+    def target(tgt_id: str):
+        """The target's design, or the reason it does not elaborate."""
+        try:
+            return elaborate_source(sources[tgt_id])
+        except SvLoopError as exc:
+            return f"target does not elaborate: {exc}"
 
     def suite(src_id: str) -> tuple[list[UnitTest], dict[str, Trace]]:
         if src_id not in suites:
             tests_dir = out_dir / "sources" / src_id.lower() / "tests"
             tests = [parse_stimulus(_read_text(tests_dir / f"{tid}.stim", CheckpointError),
                                     signature, tid)
-                     for tid in test_ids[src_id]]
-            suites[src_id] = tests, {test.id: run(oracle, test, signature) for test in tests}
+                     for tid in result.gen_summaries[src_id]["tests"]]
+            suites[src_id] = tests, {t.id: run(problem.design, t, signature) for t in tests}
         return suites[src_id]
 
-    # each directory is made once, parent first; a crashed attempt may have made it
+    # each directory is made once, parent first; a crashed attempt may have made it.
+    # A unit's make runs, if at all, inside the iteration that defines it.
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "sources").mkdir(exist_ok=True)
     for src_id, src_source, _ in mutants:
-        src_dir = out_dir / "sources" / src_id.lower()
-        state_file = src_dir / "genstate.json"
-        if state_file.exists():
-            summary = _read_checkpoint(state_file)
-            listed = summary.get("tests")
-            if not (isinstance(listed, list) and all(isinstance(tid, str) for tid in listed)):
-                raise CheckpointError(f"{state_file} is malformed: 'tests' is not a list of ids")
-        else:
+        def generated(src_dir: Path) -> dict:
             # generate_tests shows the source mutant only under NLSC
             state = generate_tests(problem, src_source, config, provider,
                                    test_prefix=f"{src_id.lower()}-t")
-            tests, traces = state.tests, state.traces
-            suites[src_id] = tests, traces
-            summary = _gen_state_summary(state)
-            src_dir.mkdir(exist_ok=True)
+            tests, traces = suites[src_id] = state.tests, state.traces
             (src_dir / "tests").mkdir(exist_ok=True)
             for test in tests:
                 (src_dir / "tests" / f"{test.id}.stim").write_text(test.to_text(), "utf-8")
             if tests:
-                if not any(test_ids.values()):  # the first source with tests makes oracle/
+                # the first source with tests makes oracle/
+                if not any(gen["tests"] for gen in result.gen_summaries.values()):
                     (out_dir / "oracle").mkdir(exist_ok=True)
                 vcd_dir = out_dir / "oracle" / src_id.lower()
                 vcd_dir.mkdir(exist_ok=True)
-                for test in tests:
-                    (vcd_dir / f"{test.id}.vcd").write_bytes(export_vcd(traces[test.id], signature))
+                for tid, trace in traces.items():
+                    (vcd_dir / f"{tid}.vcd").write_bytes(export_vcd(trace, signature))
             _write_exchanges(src_dir / "prompts", "gen", state.exchanges)
-            _write_json(state_file, summary)
-        test_ids[src_id] = summary["tests"]
-        result.gen_summaries[src_id] = summary
+            return _gen_state_summary(state)
+        result.gen_summaries[src_id] = _unit(
+            out_dir / "sources" / src_id.lower() / "genstate.json", generated, _gen_record)
 
     (out_dir / "cells").mkdir(exist_ok=True)
     for src_id, _, _ in mutants:
         (out_dir / "cells" / src_id.lower()).mkdir(exist_ok=True)
         for tgt_id, _, _ in mutants:
-            cell_dir = out_dir / "cells" / src_id.lower() / tgt_id.lower()
-            result_file = cell_dir / "result.json"
-            if result_file.exists():
-                cell = _read_checkpoint(result_file)
-            else:
-                cell_dir.mkdir(exist_ok=True)
+            def evaluated(cell_dir: Path) -> dict:
                 cell = {"source": src_id, "target": tgt_id}
-                error = target_error(tgt_id)
-                if error is not None:
-                    cell["skipped"] = error
-                elif not test_ids[src_id]:
+                design = target(tgt_id)
+                if isinstance(design, str):
+                    cell["skipped"] = design
+                elif not result.gen_summaries[src_id]["tests"]:
                     cell["skipped"] = "no tests generated from this source"
                 else:
-                    tests, traces = suite(src_id)
+                    tests, traces = suite(src_id)  # unreadable tests fail the whole problem
                     try:
-                        cell.update(_evaluate_cell(tests, traces, targets[tgt_id], signature,
-                                                   outputs, cell_dir))
+                        cell.update(_evaluate_cell(tests, traces, design, signature, outputs,
+                                                   cell_dir))
                     except SvLoopError as exc:
                         cell["skipped"] = f"{type(exc).__name__}: {exc}"
-                _write_json(result_file, cell)
-            if "skipped" in cell:
-                result.skipped[(src_id, tgt_id)] = cell["skipped"]
-                continue
-            with _required_keys(result_file, CheckpointError):
-                ar, dr, da = (stored_ratio(cell[name], name) for name in ("ar", "dr", "da"))
-                result.cells[(src_id, tgt_id)] = PairResult(src_id, tgt_id, int(ar), dr, da)
+                return cell
+            outcome = _unit(out_dir / "cells" / src_id.lower() / tgt_id.lower() / "result.json",
+                            evaluated, lambda record: _cell_outcome(record, src_id, tgt_id))
+            outcomes = result.cells if isinstance(outcome, PairResult) else result.skipped
+            outcomes[(src_id, tgt_id)] = outcome
 
     (out_dir / "debug").mkdir(exist_ok=True)
     for tgt_id, _, _ in mutants:
-        debug_dir = out_dir / "debug" / tgt_id.lower()
-        state_file = debug_dir / "state.json"
-        if state_file.exists():
-            result.debug_outcomes[tgt_id] = _read_checkpoint(state_file)
-            continue
-        debug_dir.mkdir(exist_ok=True)
-        error = target_error(tgt_id)
-        if error is not None:
-            outcome = {"skipped": error}
-        elif not test_ids[tgt_id]:
-            outcome = {"skipped": "no tests generated for this target"}
-        else:
+        def debugged(debug_dir: Path) -> dict:
+            design = target(tgt_id)
+            if isinstance(design, str):
+                return {"skipped": design}
+            if not result.gen_summaries[tgt_id]["tests"]:
+                return {"skipped": "no tests generated for this target"}
             tests, traces = suite(tgt_id)
-            state = debug(problem, targets[tgt_id], tests, traces, config, provider)
-            outcome = _debug_state_summary(state)
+            state = debug(problem, design, tests, traces, config, provider)
             (debug_dir / "final.sv").write_text(state.design.text, "utf-8")
             _write_exchanges(debug_dir / "prompts", "debug", state.exchanges)
-        result.debug_outcomes[tgt_id] = outcome
-        _write_json(state_file, outcome)
+            return _debug_state_summary(state)
+        result.debug_outcomes[tgt_id] = _unit(out_dir / "debug" / tgt_id.lower() / "state.json",
+                                              debugged, _debug_record)
 
     _write_matrix_files(result, out_dir)
     return result
@@ -310,8 +320,44 @@ def _evaluate_problem_task(problem: Problem, config: RunConfig, out_dir: Path) -
     return _problem_entry(problem, config, provider, out_dir)
 
 
+@contextmanager
+def _sole_writer(run_dir: Path):
+    """Hold an exclusive lock on ``run_dir`` itself, which adds no file; a
+    directory that another process holds is a RunDirectoryError."""
+    fd = os.open(run_dir, os.O_RDONLY)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise RunDirectoryError(f"{run_dir} is being written by another evaluate") from None
+        yield
+    finally:
+        os.close(fd)  # and with it the lock
+
+
+def _claim(config_file: Path, config: dict) -> None:
+    """Write ``config`` into a new run directory, or check that it is the
+    one already there: a run directory holds one configuration."""
+    if not config_file.exists():
+        _write_json(config_file, config)
+        return
+    stored = _read_json(config_file, CheckpointError)
+    if not isinstance(stored, dict):
+        raise CheckpointError(f"{config_file} is malformed: not a JSON object")
+    for name in [*config, *sorted(stored.keys() - config.keys())]:
+        there, here = (repr(d[name]) if name in d else "absent" for d in (stored, config))
+        if there != here:
+            raise RunDirectoryError(f"{config_file} records another configuration: "
+                                    f"{name} is {there} there, {here} for this run")
+
+
 def evaluate_matrix(problems: list[Problem], config: RunConfig, out_root) -> dict:
     """Evaluate every problem, write the run directory, return the summary.
+
+    A run directory holds one configuration and one writer: a run whose
+    configuration differs in any field from the directory's
+    ``run_config.json``, or whose directory another process is writing, is
+    refused before it writes anything.
 
     With ``config.jobs > 1`` problems are evaluated in separate processes,
     each handed the already-loaded problem; a shared sequential mock script
@@ -324,29 +370,30 @@ def evaluate_matrix(problems: list[Problem], config: RunConfig, out_root) -> dic
     # with --jobs N each worker builds its own, and this one is only the check
     provider = build_provider(config, out_root / "provider_log")
     out_root.mkdir(parents=True, exist_ok=True)
-    (out_root / "problems").mkdir(exist_ok=True)
-    _write_json(out_root / "run_config.json", config.as_dict())
+    with _sole_writer(out_root):  # held by this process, also under --jobs N
+        _claim(out_root / "run_config.json", config.as_dict())
+        (out_root / "problems").mkdir(exist_ok=True)
+        summary: dict = {"config": config.as_dict(), "problems": {}}
+        ordered = sorted(problems, key=lambda p: p.id)
+        if config.jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
 
-    summary: dict = {"config": config.as_dict(), "problems": {}}
-    ordered = sorted(problems, key=lambda p: p.id)
-    if config.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            futures = {
-                p.id: pool.submit(_evaluate_problem_task, p, config, out_root / "problems" / p.id)
-                for p in ordered
-            }
-            for pid, future in futures.items():
-                try:
-                    summary["problems"][pid] = future.result()
-                except BrokenProcessPool as exc:
-                    summary["problems"][pid] = _error_entry(exc)
-    else:
-        for problem in ordered:
-            summary["problems"][problem.id] = _problem_entry(
-                problem, config, provider, out_root / "problems" / problem.id
-            )
-    _write_json(out_root / "summary.json", summary)
+            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+                futures = {
+                    p.id: pool.submit(_evaluate_problem_task, p, config,
+                                      out_root / "problems" / p.id)
+                    for p in ordered
+                }
+                for pid, future in futures.items():
+                    try:
+                        summary["problems"][pid] = future.result()
+                    except BrokenProcessPool as exc:
+                        summary["problems"][pid] = _error_entry(exc)
+        else:
+            for problem in ordered:
+                summary["problems"][problem.id] = _problem_entry(
+                    problem, config, provider, out_root / "problems" / problem.id
+                )
+        _write_json(out_root / "summary.json", summary)
     return summary

@@ -235,6 +235,17 @@ def path_calls(crash_at=None):
             setattr(Path, name, real)
 
 
+def tree_digest(root):
+    """SHA-256 over every file under ``root``: relative path, length and
+    bytes, the digest the benchmark pins its outputs with."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in Path(root).rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        h.update(path.relative_to(root).as_posix().encode() + b"\0")
+        h.update(len(data).to_bytes(8, "big") + data)
+    return h.hexdigest()
+
+
 def tree_listing(root):
     """Every directory and file under ``root``, files with their bytes."""
     return {

@@ -1,4 +1,5 @@
 import argparse
+import fcntl
 import hashlib
 import importlib
 import json
@@ -14,7 +15,9 @@ from pathlib import Path
 import pytest
 
 import svloop
-from support import REPORT_SCHEMA, record_mock_script, valid_arbiter_stimulus
+from support import (
+    REPORT_SCHEMA, record_mock_script, tree_digest, tree_listing, valid_arbiter_stimulus,
+)
 from svloop.cli import (
     EXIT_DATA, EXIT_PROVIDER, EXIT_USAGE, _COMMANDS, _run_config, main, make_parser,
 )
@@ -252,6 +255,31 @@ class TestSimulateOutputPinned:
         assert {b.lower() for b, _, _ in problems[pid].mutants()} >= {bc}
         digest = self.digest(problems[pid], f"{bc}.sv", key, tmp_path, monkeypatch, capsys)
         assert digest == self.PINNED_MUTANTS[key]
+
+
+class TestRunDirectoryPinned:
+    """A scripted `evaluate` of the seed-1 desk corpus, replaying the
+    responder of seed 1, then `report`, writes the same bytes as before:
+    ``tree_digest`` of the run directory, which the benchmark pins for the
+    same run of its evaluate-desk workload."""
+
+    CORPUS = "a83509fc9ba7b763e88219680047a23d5ba9cb4a2c0d5ee12ea57f7ae462b9c3"
+    EVALUATED = "b4cb9bc3ccbf1adc136723b6150d83a02d6c4b3e100e7a0fded99d93b022a3b2"
+    REPORTED = "294c46aa7ba5f577cb3dec292ebe9667803c8211a34d9c85530e5369ae5c62f0"
+
+    def test_evaluate_resume_and_report_trees(self, corpus_dir, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # run_config.json records the script directory as given
+        shutil.copytree(corpus_dir, "corpus")
+        assert tree_digest("corpus") == self.CORPUS
+        record_mock_script(load_corpus(Path("corpus")), "script1", "record1", seed=1)
+        evaluate = ["evaluate", "--out", "run", "--problems", "corpus",
+                    "--mock-script", "script1", "--strategy", "nlsc", "--shots", "0"]
+        assert main(evaluate) == 0
+        assert tree_digest("run") == self.EVALUATED
+        assert main(evaluate) == 0  # a resume of a finished run changes nothing
+        assert tree_digest("run") == self.EVALUATED
+        assert main(["report", "run"]) == 0
+        assert tree_digest("run") == self.REPORTED
 
 
 class TestMutateCommand:
@@ -575,6 +603,9 @@ class TestEvaluateAndReport:
          '{"source": "BC02", "target": "BC02", "ar": 1, "dr": [true, true], "da": [1, 1]}'),
         ("cells/bc02/bc02/result.json",
          '{"source": "BC02", "target": "BC02", "ar": true, "dr": [1, 2], "da": [1, 2]}'),
+        # a debug target that was not skipped has a best pass ratio
+        ("debug/bc02/state.json", '{}'),
+        ("debug/bc02/state.json", '{"best_pass": "x"}'),
     ])
     def test_wrongly_valued_checkpoint_isolates_to_its_problem(
             self, finished_run, tmp_path, capsys, checkpoint, text):
@@ -589,8 +620,54 @@ class TestEvaluateAndReport:
         ])
         assert code == EXIT_DATA
         problems = json.loads((run_dir / "summary.json").read_text())["problems"]
-        assert problems["adder4"]["error"].startswith(f"CheckpointError: {broken} is malformed")
+        entry = problems["adder4"]
+        assert entry["error"].startswith(f"CheckpointError: {broken} is malformed")
+        assert entry == {"mutants": 0, "cells": 0, "skipped_cells": 0, "debug_solved": 0,
+                         "error": entry["error"]}
         assert "error" not in problems["full_adder"]
+
+    def test_resume_with_another_configuration_is_refused_and_writes_nothing(
+            self, finished_run, tmp_path, capsys):
+        corpus, script, finished = finished_run
+        run_dir = shutil.copytree(finished, tmp_path / "run")
+        script2 = shutil.copytree(script, tmp_path / "script2")
+        config_file = run_dir / "run_config.json"
+        before = tree_listing(run_dir)
+        evaluate = ["evaluate", "--problems", str(corpus), "--out", str(run_dir), "--mock-script"]
+        # (arguments, the first field that differs, its value there, its value here)
+        for argv, field, there, here in [
+            ([str(script2), "--iters", "2", "--seed", "9", "--mismatch-k", "3"],
+             "script_dir", repr(str(script)), repr(str(script2))),
+            ([str(script), "--seed", "1", "--strategy", "nls", "--shots", "5"],
+             "strategy", "'nlsc'", "'nls'"),
+            ([str(script), "--seed", "1", "--jobs", "2"], "jobs", "1", "2"),
+        ]:
+            assert main(evaluate + argv) == EXIT_DATA
+            assert capsys.readouterr().err == (
+                f"error: {config_file} records another configuration: "
+                f"{field} is {there} there, {here} for this run\n")
+            assert tree_listing(run_dir) == before
+        assert main(evaluate + [str(script), "--seed", "1"]) == 0
+        assert tree_listing(run_dir) == before
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_second_writer_is_refused_and_writes_nothing(self, finished_run, tmp_path, capsys,
+                                                           jobs):
+        corpus, script, _ = finished_run
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        evaluate = ["evaluate", "--problems", str(corpus), "--out", str(run_dir),
+                    "--mock-script", str(script), "--seed", "1", "--jobs", jobs]
+        holder = os.open(run_dir, os.O_RDONLY)  # another evaluate writing run_dir
+        try:
+            fcntl.flock(holder, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            assert main(evaluate) == EXIT_DATA
+            assert capsys.readouterr().err == (
+                f"error: {run_dir} is being written by another evaluate\n")
+            assert tree_listing(run_dir) == {}
+        finally:
+            os.close(holder)
+        assert main(evaluate) == 0
 
     @pytest.mark.parametrize("text", [
         '{"cells": 5}',
@@ -695,6 +772,7 @@ JSON_KINDS = {
     "problem.json": ("corpus", "problems/adder4/problem.json", "evaluate"),
     "manifest.json": ("corpus", "problems/adder4/manifest.json", "evaluate"),
     "run_config.json": ("run", "run_config.json", "report"),
+    "run_config.json, resumed": ("run", "run_config.json", "evaluate"),
     "matrix.json": ("run", "problems/adder4/matrix.json", "report"),
     "genstate.json": ("run", "problems/adder4/sources/bc02/genstate.json", "evaluate"),
     "result.json": ("run", "problems/adder4/cells/bc02/bc03/result.json", "evaluate"),

@@ -1,9 +1,9 @@
 import difflib
-import hashlib
 from dataclasses import FrozenInstanceError
 
 import pytest
 
+from support import tree_digest
 from svloop import mutate
 from svloop.cli import main
 from svloop.data import copy_corpus
@@ -359,21 +359,12 @@ class TestCorpusDigest:
         12: "2adea5a7b6bd73129402f60848e01ad5db0b258ddb263a16ee034aa9a03805b9",
     }
 
-    @staticmethod
-    def tree_digest(root):
-        h = hashlib.sha256()
-        for path in sorted(p for p in root.rglob("*") if p.is_file()):
-            data = path.read_bytes()
-            h.update(path.relative_to(root).as_posix().encode() + b"\0")
-            h.update(len(data).to_bytes(8, "big") + data)
-        return h.hexdigest()
-
     @pytest.mark.parametrize("seed", sorted(PINNED))
     def test_mutate_all_tree_is_pinned(self, seed, tmp_path):
         corpus = tmp_path / "corpus"
         copy_corpus(corpus)
         assert main(["mutate", "all", "--problems", str(corpus), "--seed", str(seed)]) == 0
-        assert self.tree_digest(corpus) == self.PINNED[seed]
+        assert tree_digest(corpus) == self.PINNED[seed]
 
 
 class TestCorpus:
