@@ -252,15 +252,3 @@ def idents_in(expr: Expr):
         if isinstance(sub, Ident):
             yield sub.name
 
-
-def reads_of(body: list[Stmt]):
-    """All identifiers read anywhere in a statement body."""
-    for stmt in walk_stmts(body):
-        for expr in stmt_exprs(stmt):
-            yield from idents_in(expr)
-
-
-def writes_of(body: list[Stmt]):
-    for stmt in walk_stmts(body):
-        if isinstance(stmt, Assignment):
-            yield stmt.target

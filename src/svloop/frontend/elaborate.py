@@ -8,7 +8,9 @@ silent truncation on assignment.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..errors import (
     CombinationalLoop,
@@ -33,11 +35,9 @@ from .ast import (
     Ternary,
     Unary,
     idents_in,
-    reads_of,
     stmt_exprs,
     walk_exprs,
     walk_stmts,
-    writes_of,
 )
 from .parser import parse_design
 
@@ -74,6 +74,15 @@ class ElaboratedDesign:
     def __getstate__(self):
         # the cache holds generated functions, which do not pickle; a copy rebuilds it
         return {**self.__dict__, "_lowered_cache": {}}
+
+
+class _Node(NamedTuple):
+    """One driving item in elaboration's node table."""
+    key: tuple[str, int]        # ("assign" | "comb" | "seq", index)
+    driver: str                 # the item as the single-driver rule names it
+    line: int
+    writes: set[str]
+    reads: set[str] | None      # None for a clocked process, whose reads order nothing
 
 
 # The widest port, net, parameter or sized literal a design may declare,
@@ -325,41 +334,55 @@ def elaborate(ast: DesignAst, source: DesignSource) -> ElaboratedDesign:
     fsm_registers = {reg: sorted({params[n][0] for n in names})
                      for reg, names in fsm_state_names(seq_processes, params).items()}
 
-    # width checks, context annotation
-    for item in cont_assigns:
+    # one walk per item: check and annotate each statement, number it for
+    # coverage, and enter the item in the node table
+    nodes: list[_Node] = []
+    statement_lines: list[int] = []
+    branch_arms: list[tuple] = []
+    for i, item in enumerate(cont_assigns):
         if item.target not in signals:
             raise ElaborationError(f"assignment to non-signal {item.target!r}", item.line, 0)
         if signals[item.target].kind == "reg":
-            raise ElaborationError(
-                f"continuous assignment to reg {item.target!r}", item.line, 0
-            )
+            raise ElaborationError(f"continuous assignment to reg {item.target!r}", item.line, 0)
         _check_literals(item.expr, item.line)
         _annotate_assignment_expr(item.expr, widths[item.target], widths)
-    for proc in comb_processes + seq_processes:
-        for stmt in walk_stmts(proc.body):
-            for expr in stmt_exprs(stmt):
-                _check_literals(expr, stmt.line)
-            if isinstance(stmt, Assignment):
-                if stmt.target not in signals:
-                    raise ElaborationError(
-                        f"assignment to non-signal {stmt.target!r}", stmt.line, 0
-                    )
-                if signals[stmt.target].kind == "wire":
-                    raise ElaborationError(
-                        f"procedural assignment to wire {stmt.target!r}", stmt.line, 0
-                    )
-                _annotate_assignment_expr(stmt.expr, widths[stmt.target], widths)
-            elif isinstance(stmt, If):
-                _annotate(stmt.cond, _self_width(stmt.cond, widths), widths)
-            elif isinstance(stmt, Case):
-                opw = _self_width(stmt.subject, widths)
-                for citem in stmt.items:
-                    for lbl in citem.labels:
-                        opw = max(opw, _self_width(lbl, widths))
-                _annotate(stmt.subject, opw, widths)
-                for citem in stmt.items:
-                    for lbl in citem.labels:
-                        _annotate(lbl, opw, widths)
+        item.stmt_id = len(statement_lines)
+        statement_lines.append(item.line)
+        nodes.append(_Node(("assign", i), f"assign #{i + 1}", item.line, {item.target},
+                           set(idents_in(item.expr))))
+    for kind, label, procs in (("comb", "combinational process", comb_processes),
+                               ("seq", "clocked process", seq_processes)):
+        for i, proc in enumerate(procs):
+            writes: set[str] = set()
+            reads = set() if kind == "comb" else None
+            for stmt in walk_stmts(proc.body):
+                for expr in stmt_exprs(stmt):
+                    _check_literals(expr, stmt.line)
+                    if reads is not None:
+                        reads.update(idents_in(expr))
+                stmt.stmt_id = sid = len(statement_lines)
+                statement_lines.append(stmt.line)
+                if isinstance(stmt, Assignment):
+                    if stmt.target not in signals:
+                        raise ElaborationError(f"assignment to non-signal {stmt.target!r}",
+                                               stmt.line, 0)
+                    if signals[stmt.target].kind == "wire":
+                        raise ElaborationError(f"procedural assignment to wire {stmt.target!r}",
+                                               stmt.line, 0)
+                    _annotate_assignment_expr(stmt.expr, widths[stmt.target], widths)
+                    writes.add(stmt.target)
+                elif isinstance(stmt, If):
+                    _annotate(stmt.cond, _self_width(stmt.cond, widths), widths)
+                    branch_arms += [(sid, "then"), (sid, "else")]
+                elif isinstance(stmt, Case):
+                    exprs = list(stmt_exprs(stmt))
+                    opw = max(_self_width(expr, widths) for expr in exprs)
+                    for expr in exprs:
+                        _annotate(expr, opw, widths)
+                    branch_arms += [(sid, arm) for arm in range(len(stmt.items))]
+                    if stmt.default_body is not None:
+                        branch_arms.append((sid, "default"))
+            nodes.append(_Node((kind, i), f"{label} #{i + 1}", proc.line, writes, reads))
 
     # sequential process sanity
     for proc in seq_processes:
@@ -379,95 +402,47 @@ def elaborate(ast: DesignAst, source: DesignSource) -> ElaboratedDesign:
                 )
 
     # single-driver rule
-    drivers: dict[str, str] = {}
+    drivers: dict[str, int] = {}        # signal -> index of its node
+    for idx, node in enumerate(nodes):
+        for name in sorted(node.writes):
+            if signals[name].direction == "input":
+                raise MultipleDrivers(f"input port {name!r} driven by {node.driver}",
+                                      node.line, 0)
+            if name in drivers:
+                raise MultipleDrivers(f"signal {name!r} driven by both "
+                                      f"{nodes[drivers[name]].driver} and {node.driver}",
+                                      node.line, 0)
+            drivers[name] = idx
 
-    def claim(name: str, who: str, line: int):
-        if signals[name].direction == "input":
-            raise MultipleDrivers(f"input port {name!r} driven by {who}", line, 0)
-        if name in drivers:
-            raise MultipleDrivers(
-                f"signal {name!r} driven by both {drivers[name]} and {who}", line, 0
+    # combinational nodes, which come first in the table, in the
+    # lowest-index-first topological order of their dependencies
+    comb = [node for node in nodes if node.reads is not None]
+    succs: list[list[int]] = [[] for _ in comb]
+    indegree = [0] * len(comb)
+    for idx, node in enumerate(comb):
+        if looped := node.writes & node.reads:
+            raise CombinationalLoop(
+                f"combinational construct depends on its own output {min(looped)!r}",
+                node.line, 0,
             )
-        drivers[name] = who
-
-    for i, item in enumerate(cont_assigns):
-        claim(item.target, f"assign #{i + 1}", item.line)
-    for i, proc in enumerate(comb_processes):
-        for name in sorted(set(writes_of(proc.body))):
-            claim(name, f"combinational process #{i + 1}", proc.line)
-    for i, proc in enumerate(seq_processes):
-        for name in sorted(set(writes_of(proc.body))):
-            claim(name, f"clocked process #{i + 1}", proc.line)
-
-    # combinational dependency graph and evaluation order
-    nodes: list[tuple[str, int]] = []
-    node_writes: dict[int, set[str]] = {}
-    node_reads: dict[int, set[str]] = {}
-    for i, item in enumerate(cont_assigns):
-        idx = len(nodes)
-        nodes.append(("assign", i))
-        node_writes[idx] = {item.target}
-        node_reads[idx] = set(idents_in(item.expr))
-    for i, proc in enumerate(comb_processes):
-        idx = len(nodes)
-        nodes.append(("comb", i))
-        node_writes[idx] = set(writes_of(proc.body))
-        node_reads[idx] = set(reads_of(proc.body))
-
-    producers: dict[str, int] = {}
-    for idx in range(len(nodes)):
-        for name in node_writes[idx]:
-            producers[name] = idx
-    edges: dict[int, set[int]] = {idx: set() for idx in range(len(nodes))}
-    indegree = [0] * len(nodes)
-    for idx in range(len(nodes)):
-        for name in node_reads[idx]:
-            src = producers.get(name)
-            if src is not None:
-                if src == idx:
-                    raise CombinationalLoop(
-                        f"combinational construct depends on its own output {name!r}",
-                        _node_line(nodes[idx], cont_assigns, comb_processes), 0,
-                    )
-                if idx not in edges[src]:
-                    edges[src].add(idx)
-                    indegree[idx] += 1
-    ready = sorted(idx for idx in range(len(nodes)) if indegree[idx] == 0)
+        for src in {drivers[name] for name in node.reads if name in drivers}:
+            if src < len(comb):         # a clocked process's output is no dependency
+                succs[src].append(idx)
+                indegree[idx] += 1
+    ready = [idx for idx, n in enumerate(indegree) if n == 0]    # sorted, so a heap
     order: list[int] = []
     while ready:
-        idx = ready.pop(0)
+        idx = heapq.heappop(ready)
         order.append(idx)
-        for succ in sorted(edges[idx]):
+        for succ in succs[idx]:
             indegree[succ] -= 1
             if indegree[succ] == 0:
-                ready.append(succ)
-        ready.sort()
-    if len(order) != len(nodes):
-        stuck = [idx for idx in range(len(nodes)) if idx not in order]
-        line = _node_line(nodes[stuck[0]], cont_assigns, comb_processes)
-        names = sorted(n for idx in stuck for n in node_writes[idx])
-        raise CombinationalLoop(f"combinational loop through {', '.join(names)}", line, 0)
-    comb_order = [nodes[idx] for idx in order]
-
-    # statement and branch-arm inventories for coverage; a statement's id is
-    # its index in statement_lines
-    statement_lines: list[int] = []
-    branch_arms: list[tuple] = []
-    for item in cont_assigns:
-        item.stmt_id = len(statement_lines)
-        statement_lines.append(item.line)
-    for proc in comb_processes + seq_processes:
-        for stmt in walk_stmts(proc.body):
-            stmt.stmt_id = sid = len(statement_lines)
-            statement_lines.append(stmt.line)
-            if isinstance(stmt, If):
-                branch_arms.append((sid, "then"))
-                branch_arms.append((sid, "else"))
-            elif isinstance(stmt, Case):
-                for i in range(len(stmt.items)):
-                    branch_arms.append((sid, i))
-                if stmt.default_body is not None:
-                    branch_arms.append((sid, "default"))
+                heapq.heappush(ready, succ)
+    if len(order) != len(comb):
+        stuck = [comb[idx] for idx, n in enumerate(indegree) if n]
+        names = sorted(name for node in stuck for name in node.writes)
+        raise CombinationalLoop(f"combinational loop through {', '.join(names)}",
+                                stuck[0].line, 0)
 
     return ElaboratedDesign(
         name=ast.name,
@@ -479,16 +454,11 @@ def elaborate(ast: DesignAst, source: DesignSource) -> ElaboratedDesign:
         cont_assigns=cont_assigns,
         comb_processes=comb_processes,
         seq_processes=seq_processes,
-        comb_order=comb_order,
+        comb_order=[comb[idx].key for idx in order],
         statement_lines=statement_lines,
         branch_arms=branch_arms,
         fsm_registers=fsm_registers,
     )
-
-
-def _node_line(node, cont_assigns, comb_processes):
-    kind, i = node
-    return cont_assigns[i].line if kind == "assign" else comb_processes[i].line
 
 
 def elaborate_source(source: DesignSource | str) -> ElaboratedDesign:

@@ -53,10 +53,20 @@ _RADIX = {"b": 2, "d": 10, "h": 16}
 # the simulators all stay well inside Python's default recursion limit.
 MAX_EXPR_DEPTH = 150
 
+# The deepest statement nesting a design may hold: a process body's
+# statement is level 1, a statement in an if, else or case arm is one level
+# below the if or case, and one in a begin-end block nested in another
+# block one level below that block. Deeper input is a positioned
+# ParseError. At this depth around an expression at MAX_EXPR_DEPTH, every
+# pass still stays inside Python's default recursion limit.
+MAX_STMT_DEPTH = 128
+
 
 def _to_int(digits: str, radix: int, tok: Token) -> int:
-    # int() refuses a decimal string past Python's limit with a bare ValueError
-    if radix == 10 and 0 < (limit := sys.get_int_max_str_digits()) < len(digits):
+    # int() refuses a decimal string past Python's limit with a bare ValueError;
+    # Python before 3.10.7 has no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if radix == 10 and 0 < limit < len(digits):
         raise ParseError(f"decimal literal of {len(digits)} digits exceeds Python's "
                          f"{limit}-digit limit", tok.line, tok.col)
     return int(digits, radix)
@@ -67,6 +77,7 @@ class _Parser:
         self.tokens = tokenize(text)
         self.pos = 0
         self.open = 0     # levels around the point being parsed
+        self.stmts_open = 0  # statement levels around the point being parsed
         self.height = 0   # levels in the expression parsed last
 
     def enter(self):
@@ -330,26 +341,34 @@ class _Parser:
     # --- statements ---
 
     def parse_stmt_as_body(self) -> list[Stmt]:
-        stmt = self.parse_stmt()
-        if isinstance(stmt, list):
-            return stmt
-        return [stmt]
+        """A process body or an if, else or case arm: one statement, or a
+        begin-end block whose statements sit at the level that statement
+        would. The printer writes every arm as a block, so printing adds no
+        level."""
+        tok = self.cur
+        if not self.accept("begin"):
+            return [self.parse_stmt()]
+        body = []
+        while not self.check("end"):
+            if self.cur.kind == "eof":
+                raise ParseError("missing 'end'", tok.line, tok.col)
+            inner = self.parse_stmt()
+            if isinstance(inner, list):
+                body.extend(inner)
+            else:
+                body.append(inner)
+        self.expect("end")
+        return body
 
     def parse_stmt(self):
         tok = self.cur
-        if self.accept("begin"):
-            body = []
-            while not self.check("end"):
-                if self.cur.kind == "eof":
-                    raise ParseError("missing 'end'", tok.line, tok.col)
-                inner = self.parse_stmt()
-                if isinstance(inner, list):
-                    body.extend(inner)
-                else:
-                    body.append(inner)
-            self.expect("end")
-            return body
-        if self.accept("if"):
+        if self.stmts_open == MAX_STMT_DEPTH:
+            raise ParseError(f"statements nest deeper than {MAX_STMT_DEPTH} levels",
+                             tok.line, tok.col)
+        self.stmts_open += 1
+        if self.check("begin"):
+            stmt = self.parse_stmt_as_body()    # a block nested in a block
+        elif self.accept("if"):
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
@@ -357,8 +376,8 @@ class _Parser:
             else_body = None
             if self.accept("else"):
                 else_body = self.parse_stmt_as_body()
-            return If(cond, then_body, else_body, line=tok.line)
-        if self.accept("case"):
+            stmt = If(cond, then_body, else_body, line=tok.line)
+        elif self.accept("case"):
             self.expect("(")
             subject = self.parse_expr()
             self.expect(")")
@@ -383,7 +402,13 @@ class _Parser:
             self.expect("endcase")
             if not items and default_body is None:
                 raise ParseError("empty case statement", tok.line, tok.col)
-            return Case(subject, items, default_body, line=tok.line)
+            stmt = Case(subject, items, default_body, line=tok.line)
+        else:
+            stmt = self.parse_assignment(tok)
+        self.stmts_open -= 1
+        return stmt
+
+    def parse_assignment(self, tok: Token) -> Assignment:
         if tok.text == "#":
             self.unsupported("delay control")
         if tok.kind == "ident":

@@ -120,9 +120,17 @@ def _gen_record(record: dict) -> dict:
     return record
 
 
+def _skipped(record: dict) -> bool:
+    """Whether a result.json or state.json record is of a skipped unit,
+    whose reason is a string."""
+    if "skipped" in record and type(record["skipped"]) is not str:
+        raise ValueError("'skipped' (not a string)")
+    return "skipped" in record
+
+
 def _cell_outcome(record: dict, src_id: str, tgt_id: str):
     """result.json: the cell's PairResult, or the reason it was skipped."""
-    if "skipped" in record:
+    if _skipped(record):
         return record["skipped"]
     ar, dr, da = (stored_ratio(record[name], name) for name in ("ar", "dr", "da"))
     return PairResult(src_id, tgt_id, int(ar), dr, da)
@@ -130,7 +138,7 @@ def _cell_outcome(record: dict, src_id: str, tgt_id: str):
 
 def _debug_record(record: dict) -> dict:
     """state.json: the record of a skipped target or of one with a best pass."""
-    if "skipped" not in record:
+    if not _skipped(record):
         stored_ratio(record["best_pass"], "best_pass")
     return record
 

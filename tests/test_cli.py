@@ -84,6 +84,15 @@ class TestParseCommand:
         assert main(["parse", str(bad)]) == EXIT_DATA
         assert capsys.readouterr().err == f"{bad}:2:18: unexpected character '\u00b2'\n"
 
+    def test_statements_past_the_nesting_cap_are_a_positioned_diagnostic(self, tmp_path, capsys):
+        deep = tmp_path / "deep.sv"
+        deep.write_text("module m (input a, output reg y);\n"
+                        f"  always @(*) {'if (a) ' * 600}y = a;\nendmodule\n")
+        assert main(["parse", str(deep)]) == EXIT_DATA
+        col = len("  always @(*) ") + len("if (a) ") * 128 + 1
+        assert capsys.readouterr().err == (
+            f"{deep}:2:{col}: statements nest deeper than 128 levels\n")
+
 
 class TestSimulateCommand:
     def test_simulate_table_and_vcd(self, cli_corpus, tmp_path, capsys):
@@ -606,6 +615,10 @@ class TestEvaluateAndReport:
         # a debug target that was not skipped has a best pass ratio
         ("debug/bc02/state.json", '{}'),
         ("debug/bc02/state.json", '{"best_pass": "x"}'),
+        # a skip reason is a string
+        ("cells/bc02/bc03/result.json", '{"source": "BC02", "target": "BC03", "skipped": 5}'),
+        ("cells/bc02/bc03/result.json", '{"source": "BC02", "target": "BC03", "skipped": null}'),
+        ("debug/bc02/state.json", '{"skipped": ["no tests"]}'),
     ])
     def test_wrongly_valued_checkpoint_isolates_to_its_problem(
             self, finished_run, tmp_path, capsys, checkpoint, text):

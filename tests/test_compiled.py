@@ -11,7 +11,7 @@ from reference_sim import product_search_reference, run_reference
 from svloop import mutate
 from svloop.errors import NoApplicableSite, NoDistinctMutant, ParseError
 from svloop.frontend.elaborate import MAX_WIDTH, elaborate_source
-from svloop.frontend.parser import MAX_EXPR_DEPTH, parse_design
+from svloop.frontend.parser import MAX_EXPR_DEPTH, MAX_STMT_DEPTH, parse_design
 from svloop.frontend.printer import ast_to_source
 from svloop.frontend.signature import extract_signature
 from svloop.mutate import OPERATORS, RANDOM_TEST_CYCLES, RANDOM_TESTS, inject
@@ -383,3 +383,55 @@ class TestDepthCap:
         with pytest.raises(ParseError):
             parse_design(text.replace(capped_shapes(levels)[shape],
                                       capped_shapes(20 * CAP)[shape]))
+
+
+def nested_statements(levels: int, inner: str) -> dict[str, str]:
+    """``inner`` at statement level ``levels`` of a process, under
+    ``levels - 1`` ifs, else arms, nested begin-end blocks or case arms."""
+    n = levels - 1
+    return {
+        "if": "if (a) " * n + inner,
+        "else": "if (b == 8'd7) y = 8'd1; else " * n + inner,
+        "begin": "begin " * n + inner + " end" * n,
+        "case": "case (b) 8'd3, 8'd5: " * n + inner + " endcase" * n,
+    }
+
+
+def stmt_capped_design(shape: str, expr_shape: str, levels: int) -> str:
+    inner = f"y = {capped_shapes(CAP)[expr_shape]};"
+    return f"""module stmt_capped (input [7:0] a, input [7:0] b, output reg [7:0] y);
+  always @(*) begin
+    y = 8'd0;
+    {nested_statements(levels, inner)[shape]}
+  end
+endmodule
+"""
+
+
+class TestStatementDepthCap:
+    @pytest.mark.parametrize("expr_shape", ["parentheses", "unary", "ternary", "right chain"])
+    @pytest.mark.parametrize("shape", ["if", "else", "begin", "case"])
+    def test_every_pass_runs_at_both_caps(self, shape, expr_shape):
+        text = stmt_capped_design(shape, expr_shape, MAX_STMT_DEPTH)
+        # printing adds no level; AST equality itself would recurse past the
+        # limit here, so the round trip is checked on the printed text
+        printed = ast_to_source(parse_design(text))
+        assert ast_to_source(parse_design(printed)) == printed
+        design = elaborate_source(text)
+        signature = extract_signature(design)
+        rows = [(0, 0), (1, 5), (255, 7), (3, 3), (128, 128)]
+        trace, _ = assert_same(design, signature,
+                               [UnitTest("t", signature.stimulus_inputs, tuple(rows))])
+        assert len(set(trace.values["y"])) > 1
+
+    @pytest.mark.parametrize("shape", ["if", "else", "begin", "case"])
+    def test_one_level_past_the_cap_is_a_positioned_parse_error(self, shape):
+        text = stmt_capped_design(shape, "parentheses", MAX_STMT_DEPTH + 1)
+        with pytest.raises(ParseError, match=f"statements nest deeper than {MAX_STMT_DEPTH} "
+                                             "levels") as info:
+            parse_design(text)
+        assert info.value.line == 4
+        assert text.splitlines()[3][info.value.col - 1:].startswith("y = ")
+        # far past the cap: refused before the parser's recursion runs out
+        with pytest.raises(ParseError, match="statements nest deeper"):
+            parse_design(stmt_capped_design(shape, "parentheses", 20 * MAX_STMT_DEPTH))

@@ -1,4 +1,5 @@
 import copy
+import sys
 
 import pytest
 
@@ -144,6 +145,14 @@ class TestParse:
         with pytest.raises(ParseError, match="malformed d-base literal"):
             parse_design(DesignSource(
                 "module m (input [3:0] a, output [3:0] y);\n  assign y = a + 8'd1a;\nendmodule\n"))
+
+    def test_decimal_literals_parse_where_python_has_no_digit_limit(self, monkeypatch):
+        # Python before 3.10.7, which requires-python admits, has no
+        # sys.get_int_max_str_digits
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        text = "module m (input [7:0] a, output [7:0] y);\n  assign y = a + 8'd12 + 3;\nendmodule\n"
+        assign = parse_design(DesignSource(text)).items[-1]
+        assert (assign.expr.left.right.value, assign.expr.right.value) == (12, 3)
 
     def test_syntax_error_carries_position(self):
         try:

@@ -235,6 +235,18 @@ class TestDebugLoop:
         assert "patch rejected (parse)" in state.rejections[0].detail
         assert "nests deeper than 150 levels" in state.rejections[0].detail
 
+    def test_statements_past_the_nesting_cap_are_a_logged_rejection(self, problems):
+        p, source, tests = self.failing_suite(problems)
+        nested = p.reference.text.replace("g1 <= State == GRANT1;",
+                                          "if (r1) " * 600 + "g1 <= State == GRANT1;")
+        provider = ListProvider([nested, p.reference.text])
+        state = debug(p, elaborate_source(source), tests, oracle_traces(p, tests), CFG,
+                      provider)
+        assert state.solved and state.iterations == 2
+        assert [r.reason for r in state.rejections] == ["patch"]
+        assert "patch rejected (parse)" in state.rejections[0].detail
+        assert "statements nest deeper than 128 levels" in state.rejections[0].detail
+
     def test_budget_is_at_most_five_provider_calls(self, problems):
         p, source, tests = self.failing_suite(problems)
         provider = ListProvider(["junk"] * 12)

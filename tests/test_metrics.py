@@ -92,6 +92,11 @@ class TestDivergentAttack:
         with pytest.raises(ValueError):
             divergent_attack(1, Fraction(0))
 
+    @pytest.mark.parametrize("dr", [Fraction(3, 2), Fraction(-1, 2)])
+    def test_divergence_outside_the_unit_interval_is_refused(self, dr):
+        with pytest.raises(ValueError, match=r"dr must lie in \[0, 1\]"):
+            divergent_attack(1, dr)
+
     def test_pair_result_invariants(self):
         cell = PairResult("BC01", "BC02", 1, Fraction(3, 4), Fraction(3, 4))
         assert cell.da <= cell.dr and cell.da <= cell.ar

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from support import GOLDEN_MODELS, step_arbiter, valid_arbiter_stimulus
 from svloop.errors import MalformedStimulus, NoStimulusFound, StimulusMismatch
 from svloop.frontend.elaborate import elaborate_source
+from svloop.frontend.signature import extract_signature
 from svloop.sim.coverage import CoverageCollector, collect_coverage
 from svloop.sim.engine import run
 from svloop.sim.stimulus import UnitTest, parse_stimulus
@@ -172,6 +173,30 @@ class TestCoverage:
         report = collect_coverage(p.design, [test], p.signature)
         assert any("never" in item for item in report.uncovered)
 
+    def test_each_bit_names_the_value_it_was_never_observed_at(self, problems):
+        # a is held at 0b0001, so its bit 0 was never 0 and its other bits never 1
+        p = problems["adder4"]
+        test = UnitTest("t", p.signature.stimulus_inputs, ((1, 0, 0), (1, 0, 0)))
+        report = collect_coverage(p.design, [test], p.signature)
+        assert [item for item in report.uncovered if item.startswith("signal 'a'")] == [
+            "signal 'a' bit 0 never observed at 0",
+            "signal 'a' bit 1 never observed at 1",
+            "signal 'a' bit 2 never observed at 1",
+            "signal 'a' bit 3 never observed at 1",
+        ]
+
+    @pytest.mark.parametrize("extra_input, listed", [("", 40), (", input b", 41)])
+    def test_uncovered_items_past_forty_are_counted(self, extra_input, listed):
+        # every bit of a and y, and b if present, is never observed at 1
+        design = elaborate_source(f"module m (input [19:0] a{extra_input}, output [19:0] y);\n"
+                                  "  assign y = a;\nendmodule\n")
+        signature = extract_signature(design)
+        test = UnitTest("t", signature.stimulus_inputs,
+                        (tuple(0 for _ in signature.stimulus_inputs),))
+        uncovered = collect_coverage(design, [test], signature).uncovered
+        assert sum(item.startswith("signal ") for item in uncovered) == 40
+        assert uncovered[40:] == (("... and 1 more uncovered items",) if listed > 40 else ())
+
     def test_folding_into_a_copy_leaves_the_original(self, problems):
         p = problems["arbiter2"]
         reset_only = UnitTest("t1", p.signature.stimulus_inputs, ((1, 0, 0), (1, 0, 0)))
@@ -214,6 +239,17 @@ class TestStimulusFormat:
             parse_stimulus("inputs: a[4], b[4], cin[1]\n1010 0101 1\n0a10 0000 0\n",
                            problems["adder4"].signature)
         assert str(exc.value) == "non-binary value '0a10' for a"
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("column, message", [
+        ("a[4", "malformed column 'a[4'"),
+        ("a[4[5]", "malformed column width in 'a[4[5]'"),
+    ])
+    def test_malformed_column_names_the_header_line(self, problems, column, message):
+        text = f"# a test\n# of the adder\ninputs: {column}, b[4], cin[1]\n1010 0101 1\n"
+        with pytest.raises(MalformedStimulus) as exc:
+            parse_stimulus(text, problems["adder4"].signature)
+        assert str(exc.value) == message
         assert exc.value.line == 3
 
     def test_multibit_values(self, problems):
