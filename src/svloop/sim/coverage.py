@@ -79,9 +79,10 @@ class CoverageCollector:
     def observe(self, values: dict[str, tuple[int, ...]]):
         """Fold one finished trace's signal columns into the toggle and
         FSM state sets: a bit was seen at 1 if any sample has it set,
-        at 0 unless every sample has it set."""
+        at 0 unless every sample has it set. Each column is folded over
+        its distinct values."""
         for name in self.ones:
-            column = values[name]
+            column = set(values[name])
             self.ones[name] |= reduce(or_, column)
             self.zeros[name] |= ~reduce(and_, column) & self._masks[name]
         for reg in self.fsm_seen:

@@ -68,13 +68,21 @@ def run(
         )
 
     step, start, _, probes, hits, cleared = _bound(design, signature, collector is not None)
-    values = list(start)
     hits[:] = cleared
+    # the cycle is a function of (state, row): each distinct pair is stepped
+    # once per call, and its first step hits every probe it ever would
+    after = {}
+    state = start
     samples = []
     append = samples.append
     for row in test.rows:
-        step(values, row)
-        append(tuple(values))
+        key = state, row
+        state = after.get(key)
+        if state is None:
+            values = list(key[0])
+            step(values, row)
+            state = after[key] = tuple(values)
+        append(state)
     trace = Trace(dict(zip(design.signals, zip(*samples))), test.cycles)
     if collector is not None:
         # a probe's key is a statement id or a (statement id, arm) pair

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import repeat
+from functools import lru_cache, partial
+from itertools import repeat, takewhile
+from operator import is_not
 
 from ..errors import MalformedStimulus, NoStimulusFound
 from ..frontend.signature import DesignSignature, SignaturePort
@@ -67,7 +68,7 @@ def parse_stimulus(text: str, signature: DesignSignature, test_id: str = "t0") -
     or of the signature's column order and widths.
     """
     expected = signature.stimulus_inputs
-    lines = text.splitlines(keepends=True)
+    lines = text.splitlines()
     header_at = next((i for i, line in enumerate(lines)
                       if line.strip().lower().startswith("inputs:")), None)
     if header_at is None:
@@ -102,14 +103,16 @@ def parse_stimulus(text: str, signature: DesignSignature, test_id: str = "t0") -
             line=header_at + 1,
         )
 
-    # one match accepts every row; only the line it stops at is read alone
-    start = sum(map(len, lines[:header_at + 1]))
-    end = _rows(expected).match(text, start).end()
-    fields = _COMMENT.sub("", text[start:end]).split()
-    m = len(expected)
-    rows = tuple(zip(*(map(int, fields[j::m], repeat(2)) for j in range(m))))
-    if end < len(text):
-        stop = header_at + 1 + len(text[start:end].splitlines())
+    # the block starts after any blank or comment lines and ends at the
+    # first line that is not a row; each distinct line is decoded once
+    start = next((i for i in range(header_at + 1, len(lines)) if not _BLANK.fullmatch(lines[i])),
+                 len(lines))
+    block = lines[start:]
+    row = _row(expected).fullmatch
+    decoded = {line: _decode(row(line)) for line in set(block)}
+    rows = tuple(takewhile(partial(is_not, None), map(decoded.__getitem__, block)))
+    stop = start + len(rows)
+    if stop < len(lines):
         _refuse(lines[stop], expected, bool(rows), stop + 1)
     if not rows:
         raise MalformedStimulus("stimulus block has no cycle rows", line=header_at + 1)
@@ -121,21 +124,24 @@ def parse_stimulus(text: str, signature: DesignSignature, test_id: str = "t0") -
 # one break), and every other character ``str.split`` treats as whitespace
 _BREAKS = r"\n\x0b\x0c\r\x1c-\x1e\x85\u2028\u2029"
 _SPACES = r"\t \x1f\xa0\u1680\u2000-\u200a\u202f\u205f\u3000"
-_COMMENT = re.compile(f"#[^{_BREAKS}]*")
+# the end of a line after its last field: spaces and an optional comment
+# (a line of ``str.splitlines`` holds none of ``_BREAKS``, so ``.`` runs to
+# its end); on its own, a blank or comment-only line
+_TAIL = f"[{_SPACES}]*(?:#.*)?"
+_BLANK = re.compile(_TAIL)
 
 
 @lru_cache(maxsize=64)
-def _rows(columns: tuple[SignaturePort, ...]) -> re.Pattern:
-    """Any blank or comment-only lines, then every row: a binary field of
-    exactly each column's width, spaces and an optional comment, and a line
-    break or the end of the text. A bare ``\\n`` or ``\\r\\n`` after the last
-    field is tried first and nothing is captured: ``re`` keeps backtracking
-    state for every row, and both keep it as small as for plain rows."""
-    fields = f"[{_SPACES}]+".join(f"[01]{{{port.width}}}" for port in columns)
-    rest = f"[{_SPACES}]*(?:#[^{_BREAKS}]*)?"
-    end = rf"(?:\r\n|[{_BREAKS}])"
-    row = rf"[{_SPACES}]*{fields}(?:\n|\r\n|{rest}(?:{end}|\Z))"
-    return re.compile(f"(?:{rest}{end})*(?:{row})*")
+def _row(columns: tuple[SignaturePort, ...]) -> re.Pattern:
+    """One row: a binary field of exactly each column's width, captured,
+    with spaces between and around the fields, then an optional comment."""
+    fields = f"[{_SPACES}]+".join(f"([01]{{{port.width}}})" for port in columns)
+    return re.compile(f"[{_SPACES}]*{fields}{_TAIL}")
+
+
+def _decode(match: re.Match | None) -> tuple[int, ...] | None:
+    """The row a ``_row`` match holds, or None if the line is not a row."""
+    return match and tuple(map(int, match.groups(), repeat(2)))
 
 
 def _refuse(raw: str, columns: tuple[SignaturePort, ...], after_rows: bool,

@@ -1,4 +1,4 @@
-"""Value Change Dump export and a matching reader.
+"""Value Change Dump export.
 
 Output is deliberately timestamp-free in the header so reruns are
 byte-identical; one ``#n`` marker is emitted per cycle and only value
@@ -11,7 +11,7 @@ from itertools import chain, compress
 from operator import ne
 
 from ..errors import SvLoopError
-from ..frontend.signature import DesignSignature, SignaturePort
+from ..frontend.signature import DesignSignature
 from .engine import Trace
 
 _ID_CHARS = (
@@ -64,60 +64,3 @@ def export_vcd(trace: Trace, signature: DesignSignature) -> bytes:
     rows = list(map("".join, zip(*grid)))
     rows[0] += "\n$end"
     return (header + "".join(rows) + "\n").encode("ascii")
-
-
-def read_vcd(data: bytes) -> tuple[Trace, DesignSignature]:
-    """Parse VCD produced by export_vcd back into a trace.
-
-    The reconstructed signature has no clock/reset roles; it only carries
-    names and widths, with every signal listed as an input-order port.
-    """
-    lines = data.decode("ascii").splitlines()
-    widths: dict[str, int] = {}
-    by_id: dict[str, str] = {}
-    order: list[str] = []
-    module = "unknown"
-    i = 0
-    while i < len(lines):
-        line = lines[i].strip()
-        i += 1
-        if line.startswith("$scope"):
-            parts = line.split()
-            if len(parts) >= 3:
-                module = parts[2]
-        elif line.startswith("$var"):
-            _, _, width_text, var_id, name = line.split()[:5]
-            widths[name] = int(width_text)
-            by_id[var_id] = name
-            order.append(name)
-        elif line.startswith("$enddefinitions"):
-            break
-
-    values: dict[str, list[int]] = {name: [] for name in order}
-    current: dict[str, int] = {name: 0 for name in order}
-    cycle = -1
-
-    def close_cycle():
-        if cycle >= 0:
-            for name in order:
-                values[name].append(current[name])
-
-    while i < len(lines):
-        line = lines[i].strip()
-        i += 1
-        if not line or line in ("$dumpvars", "$end"):
-            continue
-        if line.startswith("#"):
-            close_cycle()
-            cycle = int(line[1:])
-            continue
-        if line.startswith("b"):
-            value_text, var_id = line[1:].split()
-            current[by_id[var_id]] = int(value_text, 2)
-        else:
-            current[by_id[line[1:]]] = int(line[0], 2)
-    close_cycle()
-
-    trace = Trace({name: tuple(vals) for name, vals in values.items()}, cycle + 1)
-    ports = tuple(SignaturePort(name, widths[name]) for name in order)
-    return trace, DesignSignature(module, ports, ())

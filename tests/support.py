@@ -18,6 +18,8 @@ from pathlib import Path
 
 import jsonschema
 
+from svloop.frontend.signature import DesignSignature, SignaturePort
+from svloop.sim.engine import Trace
 from svloop.sim.stimulus import UnitTest
 
 # --- golden models for the combinational desk designs -------------------------
@@ -97,6 +99,65 @@ def naive_divergent_fraction(trace_a, trace_b, outputs):
                 divergent += 1
                 break
     return divergent, n
+
+
+# --- VCD reader ------------------------------------------------------------------
+
+def read_vcd(data: bytes) -> tuple[Trace, DesignSignature]:
+    """Parse VCD produced by ``export_vcd`` back into a trace.
+
+    The reconstructed signature has no clock/reset roles; it only carries
+    names and widths, with every signal listed as an input-order port.
+    """
+    lines = data.decode("ascii").splitlines()
+    widths: dict[str, int] = {}
+    by_id: dict[str, str] = {}
+    order: list[str] = []
+    module = "unknown"
+    i = 0
+    while i < len(lines):
+        line = lines[i].strip()
+        i += 1
+        if line.startswith("$scope"):
+            parts = line.split()
+            if len(parts) >= 3:
+                module = parts[2]
+        elif line.startswith("$var"):
+            _, _, width_text, var_id, name = line.split()[:5]
+            widths[name] = int(width_text)
+            by_id[var_id] = name
+            order.append(name)
+        elif line.startswith("$enddefinitions"):
+            break
+
+    values: dict[str, list[int]] = {name: [] for name in order}
+    current: dict[str, int] = {name: 0 for name in order}
+    cycle = -1
+
+    def close_cycle():
+        if cycle >= 0:
+            for name in order:
+                values[name].append(current[name])
+
+    while i < len(lines):
+        line = lines[i].strip()
+        i += 1
+        if not line or line in ("$dumpvars", "$end"):
+            continue
+        if line.startswith("#"):
+            close_cycle()
+            cycle = int(line[1:])
+            continue
+        if line.startswith("b"):
+            value_text, var_id = line[1:].split()
+            current[by_id[var_id]] = int(value_text, 2)
+        else:
+            current[by_id[line[1:]]] = int(line[0], 2)
+    close_cycle()
+
+    trace = Trace({name: tuple(vals) for name, vals in values.items()}, cycle + 1)
+    ports = tuple(SignaturePort(name, widths[name]) for name in order)
+    return trace, DesignSignature(module, ports, ())
 
 
 # --- oracle traces for the debug loop ------------------------------------------

@@ -20,6 +20,7 @@ from support import (
     malformed_patch_responses,
     malformed_stimulus_responses,
     oracle_traces,
+    read_vcd,
     record_mock_script,
     step_arbiter,
     valid_arbiter_stimulus,
@@ -36,7 +37,6 @@ from svloop.mutate import make_corpus
 from svloop.report import build_report
 from svloop.sim.engine import run
 from svloop.sim.stimulus import UnitTest
-from svloop.sim.vcd import read_vcd
 from svloop.verdict import Verdict, compare
 
 CFG = RunConfig(strategy="nlsc", shots=0, iteration_cap=5)

@@ -1,13 +1,14 @@
 """Differential tests: the compiled simulator against the tree-walking
 reference interpreter in ``reference_sim``."""
 
+import random
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_sim import product_search_reference, run_reference
+from reference_sim import ReferenceMachine, product_search_reference, run_reference
 from svloop import mutate
 from svloop.errors import NoApplicableSite, NoDistinctMutant, ParseError
 from svloop.frontend.elaborate import MAX_WIDTH, elaborate_source
@@ -15,8 +16,9 @@ from svloop.frontend.parser import MAX_EXPR_DEPTH, MAX_STMT_DEPTH, parse_design
 from svloop.frontend.printer import ast_to_source
 from svloop.frontend.signature import extract_signature
 from svloop.mutate import OPERATORS, RANDOM_TEST_CYCLES, RANDOM_TESTS, inject
+from svloop.sim import engine
 from svloop.sim.coverage import CoverageCollector
-from svloop.sim.engine import product_search, run
+from svloop.sim.engine import Trace, _bound, product_search, run
 from svloop.sim.lower import harness_source, lowered_source
 from svloop.sim.stimulus import UnitTest
 
@@ -318,6 +320,124 @@ class TestLoweringEdges:
             assert ("H[" in source) is instrumented
         source = harness_source(design, extract_signature(design))
         assert "zq" not in source and "if t & 1:" in source
+
+
+def run_every_cycle(design, test, signature, collector=None):
+    """``run`` without its memo: every cycle is stepped and every sample
+    folded on its own."""
+    step, start, _, probes, hits, cleared = _bound(design, signature, collector is not None)
+    values = list(start)
+    hits[:] = cleared
+    samples = []
+    for row in test.rows:
+        step(values, row)
+        samples.append(tuple(values))
+    trace = Trace(dict(zip(design.signals, zip(*samples))), test.cycles)
+    if collector is not None:
+        collector.stmts.update(key for key, h in zip(probes, hits) if h and type(key) is int)
+        collector.arms.update(key for key, h in zip(probes, hits) if h and type(key) is tuple)
+        for name in collector.ones:
+            for value in trace.values[name]:
+                collector.ones[name] |= value
+                collector.zeros[name] |= ~value & collector._masks[name]
+        for reg in collector.fsm_seen:
+            collector.fsm_seen[reg].update(trace.values[reg])
+    return trace
+
+
+def fields(collector):
+    return (collector.stmts, collector.arms, collector.ones, collector.zeros,
+            collector.fsm_seen)
+
+
+def transitions(design, signature, test) -> int:
+    """The number of distinct (state, row) pairs ``test`` steps through,
+    states read off the reference interpreter."""
+    machine = ReferenceMachine(design, signature)
+    machine.settle()
+    pairs = set()
+    for row in test.rows:
+        pairs.add((machine.state(), row))
+        machine.step(row)
+    return len(pairs)
+
+
+def repeated_test(signature, seed, cycles=1000, distinct=6, resets=(0, 1, 400, 401, 700)):
+    """``cycles`` rows drawn from ``distinct`` random rows, with the reset
+    (if any) asserted at the cycles in ``resets`` only."""
+    rng = random.Random(seed)
+    pool = [tuple(rng.getrandbits(p.width) for p in signature.stimulus_inputs)
+            for _ in range(distinct)]
+    reset = signature.reset
+    names = [p.name for p in signature.stimulus_inputs]
+    rows = []
+    for n in range(cycles):
+        row = list(rng.choice(pool))
+        if reset is not None:
+            row[names.index(reset.name)] = int((n in resets) == reset.active_high)
+        rows.append(tuple(row))
+    return UnitTest("t", signature.stimulus_inputs, tuple(rows))
+
+
+@pytest.fixture()
+def steps(monkeypatch):
+    """A one-item list counting the cycles ``run`` steps."""
+    count = [0]
+
+    def bound(*args):
+        step, *rest = _bound(*args)
+
+        def counted(values, row):
+            count[0] += 1
+            step(values, row)
+
+        return (counted, *rest)
+
+    monkeypatch.setattr(engine, "_bound", bound)
+    return count
+
+
+def assert_memoized(design, signature, test, steps):
+    """``run`` steps each distinct transition of ``test`` once, plain and
+    instrumented, and its trace and every collector field equal those of
+    stepping every cycle and of the reference interpreter."""
+    distinct = transitions(design, signature, test)
+    assert distinct < test.cycles
+    every = CoverageCollector(design, signature)
+    expected = run_every_cycle(design, test, signature, every)
+    reference = CoverageCollector(design, signature)
+    assert run_reference(design, test, signature, reference) == expected
+    assert fields(reference) == fields(every)
+    for collector in (None, CoverageCollector(design, signature)):
+        steps[0] = 0
+        assert run(design, test, signature, collector) == expected
+        assert steps[0] == distinct
+    assert fields(collector) == fields(every)
+
+
+class TestMemo:
+    @pytest.mark.parametrize("pid", PROBLEM_IDS)
+    def test_desk_designs_step_each_transition_once(self, problems, pid, steps):
+        problem = problems[pid]
+        designs = [problem.design] + [elaborate_source(src) for _, src, _ in problem.mutants()]
+        for seed, design in enumerate(designs):
+            assert_memoized(design, problem.signature,
+                            repeated_test(problem.signature, seed), steps)
+
+    def test_arbiter_reset_asserted_mid_run(self, problems, steps):
+        sig = problems["arbiter2"].signature
+        test = repeated_test(sig, 7, resets=(0, 1, 333, 500, 501, 502, 998))
+        rst = [p.name for p in sig.stimulus_inputs].index(sig.reset.name)
+        assert test.rows[500][rst] == 1 and test.rows[499][rst] == 0
+        assert_memoized(problems["arbiter2"].design, sig, test, steps)
+
+    @pytest.mark.parametrize("text", [HOLD, NEGEDGE, TWO_ASYNC, UNCLOCKED])
+    def test_held_and_edge_triggered_state(self, text, steps):
+        # HOLD keeps a combinational value no row drives: it is part of the
+        # state a transition is keyed by
+        design = elaborate_source(text)
+        signature = harness_signature(design, text)
+        assert_memoized(design, signature, repeated_test(signature, 3, distinct=5), steps)
 
 
 CAP = MAX_EXPR_DEPTH

@@ -12,6 +12,7 @@ from support import (
     OracleBackedResponder,
     SimulatedCrash,
     path_calls,
+    read_vcd,
     record_mock_script,
     tree_listing,
 )
@@ -22,7 +23,6 @@ from svloop.matrix import evaluate_matrix, evaluate_problem
 from svloop.metrics import divergent_attack
 from svloop.sim.engine import run
 from svloop.sim.stimulus import UnitTest
-from svloop.sim.vcd import read_vcd
 
 
 def run_one(problems, pid, out_dir, seed=0):

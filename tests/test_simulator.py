@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import GOLDEN_MODELS, step_arbiter, valid_arbiter_stimulus
+from support import GOLDEN_MODELS, read_vcd, step_arbiter, valid_arbiter_stimulus
 from svloop.errors import MalformedStimulus, NoStimulusFound, StimulusMismatch
 from svloop.frontend.elaborate import elaborate_source
 from svloop.frontend.signature import extract_signature
 from svloop.sim.coverage import CoverageCollector, collect_coverage
 from svloop.sim.engine import run
 from svloop.sim.stimulus import UnitTest, parse_stimulus
-from svloop.sim.vcd import export_vcd, read_vcd
+from svloop.sim.vcd import export_vcd
 
 
 def exhaustive_test(signature, cycles_per_pattern=1):

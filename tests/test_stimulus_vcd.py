@@ -2,8 +2,10 @@
 writer against the line-at-a-time and cycle-at-a-time versions they
 replaced (``reference_stimulus.py``, ``reference_vcd.py``)."""
 
+import random
 import re
 import sys
+import tracemalloc
 from operator import add
 from pathlib import Path
 from unittest.mock import patch
@@ -14,12 +16,13 @@ from hypothesis import strategies as st
 
 from reference_stimulus import check_rows_reference, parse_stimulus_reference
 from reference_vcd import export_vcd_reference
+from support import read_vcd
 from svloop.errors import SvLoopError
 from svloop.frontend.signature import DesignSignature, SignaturePort
 from svloop.sim import stimulus
 from svloop.sim.engine import Trace
 from svloop.sim.stimulus import UnitTest, parse_stimulus
-from svloop.sim.vcd import export_vcd, read_vcd
+from svloop.sim.vcd import export_vcd
 
 DESK = ["adder4", "arbiter2", "counter3", "full_adder", "seq_detect"]
 
@@ -88,6 +91,20 @@ def stimulus_texts(draw, signature, noisy=False, odd=False):
 
 
 @st.composite
+def long_texts(draw, signature, noisy=False, odd=False):
+    """A stimulus text of a thousand rows drawn from the few lines of a
+    short one: its header and anything before, then its rows and the lines
+    among them repeated in a seeded order, then its last line."""
+    lines = draw(stimulus_texts(signature, noisy, odd)).splitlines(keepends=True)
+    at = next((i + 1 for i, line in enumerate(lines) if "inputs:" in line), len(lines))
+    middle = lines[at:-1] or lines[at:]
+    if middle:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        lines[at:at + len(middle)] = rng.choices(middle, k=1000)
+    return "".join(lines)
+
+
+@st.composite
 def corrupted(draw, text):
     """``text`` with a few characters deleted, inserted or replaced."""
     for _ in range(draw(st.integers(1, 4))):
@@ -130,6 +147,49 @@ class TestStimulusParserMatchesReference:
         sig = problems[data.draw(st.sampled_from(DESK))].signature
         text = data.draw(corrupted(data.draw(stimulus_texts(sig, noisy=data.draw(st.booleans())))))
         assert outcome(parse_stimulus, text, sig) == outcome(parse_stimulus_reference, text, sig)
+
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_long_texts_of_repeated_lines(self, problems, data):
+        sig = problems[data.draw(st.sampled_from(DESK))].signature
+        text = data.draw(long_texts(sig, noisy=data.draw(st.booleans()),
+                                    odd=data.draw(st.booleans())))
+        if data.draw(st.booleans()):
+            text = data.draw(corrupted(text))
+        assert outcome(parse_stimulus, text, sig) == outcome(parse_stimulus_reference, text, sig)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("0a10 0000 0", "non-binary value '0a10' for a"),
+        ("1010 010 1", "value '010' is 3 bits; b needs exactly 4"),
+        ("1010 0101", "expected 3 values, found 2"),
+        ("1010 0101 1 1", "expected 3 values, found 4"),
+    ])
+    def test_error_line_after_a_thousand_repeated_rows(self, problems, bad, message):
+        sig = problems["adder4"].signature
+        text = "inputs: a[4], b[4], cin[1]\n" + "1010 0101 1\n0000 1111 0 # two\n" * 500 \
+            + bad + "\n1010 0101 1\n"
+        result = outcome(parse_stimulus, text, sig)
+        assert result == outcome(parse_stimulus_reference, text, sig)
+        assert result[1:] == (message, 1002)
+
+    def test_a_long_stimulus_is_parsed_in_little_memory(self, problems):
+        # 50,000 rows of 3 columns peak at about 4 MB; one pattern matched
+        # over the whole block keeps about 450 B of backtracking state per
+        # row in ``re`` until it ends, and peaks at about 28 MB
+        sig = problems["adder4"].signature
+        rng = random.Random(5)
+        text = "inputs: a[4], b[4], cin[1]\n" + "".join(
+            f"{rng.getrandbits(4):04b} {rng.getrandbits(4):04b} {rng.getrandbits(1)}\n"
+            for _ in range(50_000))
+        parse_stimulus(text, sig)  # the row pattern is compiled outside the measurement
+        tracemalloc.start()
+        try:
+            test = parse_stimulus(text, sig)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert test.cycles == 50_000
+        assert peak < 12 * 2**20
 
     @pytest.mark.parametrize("char", sorted(set(ODD_SPACES + ODD_ENDS)))
     def test_one_odd_character_at_every_place_of_a_row(self, problems, char):
