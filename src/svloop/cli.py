@@ -21,7 +21,9 @@ from .errors import (
     ProviderTimeout,
     ScriptExhausted,
     SvLoopError,
+    _mkdir,
     _read_text,
+    _write_bytes,
 )
 
 # Each command imports the modules it runs inside its own function, and
@@ -178,7 +180,7 @@ def cmd_simulate(args) -> int:
     sys.stdout.write("  ".join(["cycle"] + [p.name for p in ports]) + "\n"
                      + "\n".join([row % r for r in rows]) + "\n")
     if args.vcd:
-        Path(args.vcd).write_bytes(export_vcd(trace, signature))
+        _write_bytes(args.vcd, export_vcd(trace, signature))
         print(f"wrote {args.vcd}")
     if args.coverage:
         report = collect_coverage(design, (), signature, collector)
@@ -235,9 +237,9 @@ def cmd_gen_tests(args) -> int:
     provider = build_provider(config, Path(args.out) / "provider_log")
     state = generate_tests(problem, mutants[args.source], config, provider)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _mkdir(out, parents=True)
     for test in state.tests:
-        (out / f"{test.id}.stim").write_text(test.to_text(), "utf-8")
+        _write_bytes(out / f"{test.id}.stim", test.to_text().encode())
     print(f"{problem.id}/{args.source}: accepted {len(state.tests)} tests in "
           f"{state.iterations} iterations (bCov {float(state.best_coverage):.4f})")
     for r in state.rejections:
@@ -276,8 +278,8 @@ def cmd_debug(args) -> int:
     state = debug_loop(problem, elaborate_source(mutants[args.target]), tests,
                        oracle_traces, config, provider)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "final.sv").write_text(state.design.text, "utf-8")
+    _mkdir(out, parents=True)
+    _write_bytes(out / "final.sv", state.design.text.encode())
     print(f"{problem.id}/{args.target}: pass fraction "
           f"{float(state.initial_pass):.3f} -> {float(state.best_pass):.3f} "
           f"in {state.iterations} iterations "

@@ -1,12 +1,13 @@
 """Exception hierarchy shared across the toolkit, the readers that turn
 a text file that is not UTF-8 or a torn or wrongly shaped JSON file into
-a typed error, and the one JSON writer of corpus and run-directory files.
+a typed error, and the one writer of every file svloop makes.
 
 Frontend errors carry source positions so the CLI can print
 ``file:line:col: message`` diagnostics.
 """
 
 import json
+import os
 from contextlib import contextmanager
 
 
@@ -165,7 +166,7 @@ class MockScriptError(SvLoopError):
     ``save_mock_script`` writes."""
 
 
-# --- reading input files and writing JSON files -----------------------------
+# --- reading input files, writing files and directories --------------------
 
 def _read_text(path, error=ManifestError):
     """The text of an input file; bytes that are not UTF-8 are an ``error``
@@ -183,11 +184,38 @@ def _read_json(path, error=ManifestError):
         raise error(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _write_bytes(path, data: bytes) -> None:
+    """Create or truncate ``path`` and write ``data`` to it: a descriptor,
+    no file object and no buffer. Every file svloop writes comes here, but
+    the packaged corpus that ``init-corpus`` copies."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        written = os.write(fd, data)
+        while written < len(data):
+            written += os.write(fd, data[written:])
+    finally:
+        os.close(fd)
+
+
 def _write_json(path, data) -> None:
     # atomic: a file that exists is never torn
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes((json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8"))
-    tmp.replace(path)
+    tmp = f"{path}.tmp"
+    _write_bytes(tmp, (json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    os.replace(tmp, path)
+
+
+def _mkdir(path, parents=False) -> None:
+    """Make the directory ``path``, and its missing parents with ``parents``.
+    A directory already there is fine; any other file there is an error, as
+    under ``Path.mkdir(exist_ok=True)``."""
+    if parents:
+        os.makedirs(path, exist_ok=True)
+        return
+    try:
+        os.mkdir(path)
+    except FileExistsError:
+        if not os.path.isdir(path):
+            raise
 
 
 @contextmanager

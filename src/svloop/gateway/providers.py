@@ -22,9 +22,11 @@ from ..errors import (
     ProviderRejection,
     ProviderTimeout,
     ScriptExhausted,
+    _mkdir,
     _read_json,
     _read_text,
     _required_keys,
+    _write_bytes,
 )
 from .config import DEFAULT_TEMPERATURE, OUTPUT_TOKENS
 
@@ -89,20 +91,20 @@ class ScriptedMockProvider:
 def save_mock_script(path, sequence=(), digest_responses: Optional[dict[str, str]] = None):
     """Write a script directory consumable by ScriptedMockProvider."""
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
+    _mkdir(path, parents=True)
     index = {"digests": {}, "sequence": []}
     counter = 0
     for text in sequence:
         counter += 1
         name = f"response-{counter:03d}.txt"
-        (path / name).write_text(text, "utf-8")
+        _write_bytes(path / name, text.encode())
         index["sequence"].append(name)
     for digest, text in sorted((digest_responses or {}).items()):
         counter += 1
         name = f"response-{counter:03d}.txt"
-        (path / name).write_text(text, "utf-8")
+        _write_bytes(path / name, text.encode())
         index["digests"][digest] = name
-    (path / INDEX_NAME).write_text(json.dumps(index, indent=2, sort_keys=True), "utf-8")
+    _write_bytes(path / INDEX_NAME, json.dumps(index, indent=2, sort_keys=True).encode())
 
 
 class RecordingProvider:
@@ -211,12 +213,11 @@ class LiveHttpProvider:
     def _log(self, request_body, **outcome):
         if self.log_dir is None:
             return
-        self.log_dir.mkdir(parents=True, exist_ok=True)
+        _mkdir(self.log_dir, parents=True)
         self._counter += 1
         record = {"request": dict(request_body, authorization="<redacted>"), **outcome}
-        (self.log_dir / f"exchange-{self._counter:04d}.json").write_text(
-            json.dumps(record, indent=2, sort_keys=True), "utf-8"
-        )
+        _write_bytes(self.log_dir / f"exchange-{self._counter:04d}.json",
+                     json.dumps(record, indent=2, sort_keys=True).encode())
 
 
 def _content(payload) -> str:

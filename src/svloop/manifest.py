@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from . import __version__
-from .errors import ManifestError, _read_json, _read_text, _required_keys, _write_json
+from .errors import ManifestError, _read_json, _read_text, _required_keys, _write_bytes, _write_json
 from .frontend.ast import DesignSource
 from .frontend.elaborate import ElaboratedDesign, elaborate_source
 from .frontend.signature import DesignSignature, ResetSpec, extract_signature
@@ -142,7 +142,7 @@ def write_mutation_corpus(
     """Write bcXX.sv files plus the corpus manifest; deterministic bytes."""
     for record in records:
         name = f"{record.bc_id.lower()}.sv"
-        (problem.root / name).write_text(record.source.text, "utf-8")
+        _write_bytes(problem.root / name, record.source.text.encode())
     manifest = {
         "problem": problem.id,
         "seed": seed,

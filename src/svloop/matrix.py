@@ -31,9 +31,11 @@ from .errors import (
     CheckpointError,
     RunDirectoryError,
     SvLoopError,
+    _mkdir,
     _read_json,
     _read_text,
     _required_keys,
+    _write_bytes,
     _write_json,
 )
 from .frontend.elaborate import elaborate_source
@@ -62,12 +64,12 @@ def _fraction_pair(f: Fraction) -> list[int]:
     return [f.numerator, f.denominator]
 
 
-def _write_exchanges(dirpath: Path, prefix: str, exchanges) -> None:
-    dirpath.mkdir(exist_ok=True)
+def _write_exchanges(dirpath: str, prefix: str, exchanges) -> None:
+    _mkdir(dirpath)
     for ex in exchanges:
         for kind, text in (("prompt", ex.prompt), ("response", ex.response)):
             if text is not None:
-                (dirpath / f"{prefix}-{ex.iteration:02d}.{kind}.txt").write_text(text, "utf-8")
+                _write_bytes(f"{dirpath}/{prefix}-{ex.iteration:02d}.{kind}.txt", text.encode())
 
 
 def _gen_state_summary(state: TestGenState) -> dict:
@@ -97,15 +99,16 @@ def _debug_state_summary(state: DebugState) -> dict:
     }
 
 
-def _unit(checkpoint: Path, make, decode):
+def _unit(checkpoint: str, make, decode):
     """``decode`` of the unit's checkpoint record: the one on disk, or the one
     ``make(unit_dir)`` returns after writing the unit's files, saved last.
     A wrongly shaped record is a CheckpointError naming the checkpoint."""
-    if checkpoint.exists():
-        record = _read_json(checkpoint, CheckpointError)
+    if os.path.exists(checkpoint):
+        record = _read_json(Path(checkpoint), CheckpointError)
     else:
-        checkpoint.parent.mkdir(exist_ok=True)
-        record = make(checkpoint.parent)
+        unit_dir = os.path.dirname(checkpoint)
+        _mkdir(unit_dir)
+        record = make(unit_dir)
         _write_json(checkpoint, record)
     if not isinstance(record, dict):
         raise CheckpointError(f"{checkpoint} is malformed: not a JSON object")
@@ -145,6 +148,7 @@ def _debug_record(record: dict) -> dict:
 
 def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Path) -> EvalRun:
     """Evaluate one problem; artifacts land under ``out_dir``."""
+    out = os.fspath(Path(out_dir))
     mutants = problem.mutants()
     result = EvalRun(problem.id, problem.kind, [m[0] for m in mutants])
     if not mutants:
@@ -167,8 +171,8 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
 
     def suite(src_id: str) -> tuple[list[UnitTest], dict[str, Trace]]:
         if src_id not in suites:
-            tests_dir = out_dir / "sources" / src_id.lower() / "tests"
-            tests = [parse_stimulus(_read_text(tests_dir / f"{tid}.stim", CheckpointError),
+            tests_dir = f"{out}/sources/{src_id.lower()}/tests"
+            tests = [parse_stimulus(_read_text(Path(f"{tests_dir}/{tid}.stim"), CheckpointError),
                                     signature, tid)
                      for tid in result.gen_summaries[src_id]["tests"]]
             suites[src_id] = tests, {t.id: run(problem.design, t, signature) for t in tests}
@@ -176,35 +180,35 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
 
     # each directory is made once, parent first; a crashed attempt may have made it.
     # A unit's make runs, if at all, inside the iteration that defines it.
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "sources").mkdir(exist_ok=True)
+    _mkdir(out, parents=True)
+    _mkdir(f"{out}/sources")
     for src_id, src_source, _ in mutants:
-        def generated(src_dir: Path) -> dict:
+        def generated(src_dir: str) -> dict:
             # generate_tests shows the source mutant only under NLSC
             state = generate_tests(problem, src_source, config, provider,
                                    test_prefix=f"{src_id.lower()}-t")
             tests, traces = suites[src_id] = state.tests, state.traces
-            (src_dir / "tests").mkdir(exist_ok=True)
+            _mkdir(f"{src_dir}/tests")
             for test in tests:
-                (src_dir / "tests" / f"{test.id}.stim").write_text(test.to_text(), "utf-8")
+                _write_bytes(f"{src_dir}/tests/{test.id}.stim", test.to_text().encode())
             if tests:
                 # the first source with tests makes oracle/
                 if not any(gen["tests"] for gen in result.gen_summaries.values()):
-                    (out_dir / "oracle").mkdir(exist_ok=True)
-                vcd_dir = out_dir / "oracle" / src_id.lower()
-                vcd_dir.mkdir(exist_ok=True)
+                    _mkdir(f"{out}/oracle")
+                vcd_dir = f"{out}/oracle/{src_id.lower()}"
+                _mkdir(vcd_dir)
                 for tid, trace in traces.items():
-                    (vcd_dir / f"{tid}.vcd").write_bytes(export_vcd(trace, signature))
-            _write_exchanges(src_dir / "prompts", "gen", state.exchanges)
+                    _write_bytes(f"{vcd_dir}/{tid}.vcd", export_vcd(trace, signature))
+            _write_exchanges(f"{src_dir}/prompts", "gen", state.exchanges)
             return _gen_state_summary(state)
         result.gen_summaries[src_id] = _unit(
-            out_dir / "sources" / src_id.lower() / "genstate.json", generated, _gen_record)
+            f"{out}/sources/{src_id.lower()}/genstate.json", generated, _gen_record)
 
-    (out_dir / "cells").mkdir(exist_ok=True)
+    _mkdir(f"{out}/cells")
     for src_id, _, _ in mutants:
-        (out_dir / "cells" / src_id.lower()).mkdir(exist_ok=True)
+        _mkdir(f"{out}/cells/{src_id.lower()}")
         for tgt_id, _, _ in mutants:
-            def evaluated(cell_dir: Path) -> dict:
+            def evaluated(cell_dir: str) -> dict:
                 cell = {"source": src_id, "target": tgt_id}
                 design = target(tgt_id)
                 if isinstance(design, str):
@@ -219,14 +223,14 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
                     except SvLoopError as exc:
                         cell["skipped"] = f"{type(exc).__name__}: {exc}"
                 return cell
-            outcome = _unit(out_dir / "cells" / src_id.lower() / tgt_id.lower() / "result.json",
+            outcome = _unit(f"{out}/cells/{src_id.lower()}/{tgt_id.lower()}/result.json",
                             evaluated, lambda record: _cell_outcome(record, src_id, tgt_id))
             outcomes = result.cells if isinstance(outcome, PairResult) else result.skipped
             outcomes[(src_id, tgt_id)] = outcome
 
-    (out_dir / "debug").mkdir(exist_ok=True)
+    _mkdir(f"{out}/debug")
     for tgt_id, _, _ in mutants:
-        def debugged(debug_dir: Path) -> dict:
+        def debugged(debug_dir: str) -> dict:
             design = target(tgt_id)
             if isinstance(design, str):
                 return {"skipped": design}
@@ -234,24 +238,24 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
                 return {"skipped": "no tests generated for this target"}
             tests, traces = suite(tgt_id)
             state = debug(problem, design, tests, traces, config, provider)
-            (debug_dir / "final.sv").write_text(state.design.text, "utf-8")
-            _write_exchanges(debug_dir / "prompts", "debug", state.exchanges)
+            _write_bytes(f"{debug_dir}/final.sv", state.design.text.encode())
+            _write_exchanges(f"{debug_dir}/prompts", "debug", state.exchanges)
             return _debug_state_summary(state)
-        result.debug_outcomes[tgt_id] = _unit(out_dir / "debug" / tgt_id.lower() / "state.json",
+        result.debug_outcomes[tgt_id] = _unit(f"{out}/debug/{tgt_id.lower()}/state.json",
                                               debugged, _debug_record)
 
-    _write_matrix_files(result, out_dir)
+    _write_matrix_files(result, out)
     return result
 
 
 def _evaluate_cell(tests, oracle_traces, target, signature, outputs, cell_dir) -> dict:
     """Run a non-empty suite on the target, writing its VCDs under
     ``cell_dir``; the cell's AR/DR/DA and per-test verdicts."""
-    traces_dir = cell_dir / "traces"
-    traces_dir.mkdir(exist_ok=True)
+    traces_dir = f"{cell_dir}/traces"
+    _mkdir(traces_dir)
     verdicts, traces = run_suite(target, tests, oracle_traces, outputs, signature)
     for test, trace in zip(tests, traces):
-        (traces_dir / f"{test.id}.vcd").write_bytes(export_vcd(trace, signature))
+        _write_bytes(f"{traces_dir}/{test.id}.vcd", export_vcd(trace, signature))
     first = next((i for i, v in enumerate(verdicts) if not v.passed), None)
     ar = int(first is not None)
     dr = divergence_rate(verdicts[first]) if ar else Fraction(0)
@@ -266,7 +270,7 @@ def _evaluate_cell(tests, oracle_traces, target, signature, outputs, cell_dir) -
     }
 
 
-def _write_matrix_files(result: EvalRun, out_dir: Path) -> None:
+def _write_matrix_files(result: EvalRun, out: str) -> None:
     rows = ["source,target,ar,dr,da"]
     for src in result.mutants:
         for tgt in result.mutants:
@@ -278,14 +282,14 @@ def _write_matrix_files(result: EvalRun, out_dir: Path) -> None:
                 )
             elif key in result.skipped:
                 rows.append(f"{src},{tgt},,,")
-    (out_dir / "matrix.csv").write_text("\n".join(rows) + "\n", "utf-8")
+    _write_bytes(f"{out}/matrix.csv", ("\n".join(rows) + "\n").encode())
     cells_json = {
         f"{src}->{tgt}": {"ar": c.ar, "dr": _fraction_pair(c.dr), "da": _fraction_pair(c.da)}
         for (src, tgt), c in sorted(result.cells.items())
     }
     skipped_json = {f"{src}->{tgt}": reason for (src, tgt), reason in sorted(result.skipped.items())}
     _write_json(
-        out_dir / "matrix.json",
+        f"{out}/matrix.json",
         {
             "problem": result.problem_id,
             "kind": result.kind,
@@ -346,7 +350,7 @@ def _sole_writer(run_dir: Path):
 def _claim(config_file: Path, config: dict) -> None:
     """Write ``config`` into a new run directory, or check that it is the
     one already there: a run directory holds one configuration."""
-    if not config_file.exists():
+    if not os.path.exists(config_file):
         _write_json(config_file, config)
         return
     stored = _read_json(config_file, CheckpointError)
@@ -377,10 +381,10 @@ def evaluate_matrix(problems: list[Problem], config: RunConfig, out_root) -> dic
     # a provider that cannot be built fails the run before it makes a directory;
     # with --jobs N each worker builds its own, and this one is only the check
     provider = build_provider(config, out_root / "provider_log")
-    out_root.mkdir(parents=True, exist_ok=True)
+    _mkdir(out_root, parents=True)
     with _sole_writer(out_root):  # held by this process, also under --jobs N
         _claim(out_root / "run_config.json", config.as_dict())
-        (out_root / "problems").mkdir(exist_ok=True)
+        _mkdir(out_root / "problems")
         summary: dict = {"config": config.as_dict(), "problems": {}}
         ordered = sorted(problems, key=lambda p: p.id)
         if config.jobs > 1:

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
-from .errors import ReportError, _read_json, _required_keys, _write_json
+from .errors import ReportError, _mkdir, _read_json, _required_keys, _write_bytes, _write_json
 from .metrics import bin_values, stored_ratio
 from .sim.coverage import SCALAR_NOTE
 
@@ -214,7 +214,7 @@ def write_report(run_dir, out_dir=None) -> Path:
     run_dir = Path(run_dir)
     out = Path(out_dir) if out_dir else run_dir / "report"
     report = build_report(run_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _mkdir(out, parents=True)
     _write_json(out / "report.json", report)
-    (out / "scoreboard.txt").write_text(_scoreboard(report), "utf-8")
+    _write_bytes(out / "scoreboard.txt", _scoreboard(report).encode())
     return out

@@ -10,14 +10,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import re
-from contextlib import contextmanager
+import sys
+from contextlib import ExitStack, contextmanager
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 
+from svloop import errors
 from svloop.frontend.signature import DesignSignature, SignaturePort
 from svloop.sim.engine import Trace
 from svloop.sim.stimulus import UnitTest
@@ -256,7 +259,16 @@ class ListProvider:
 
 # --- file-system calls of a run ----------------------------------------------------
 
-WRITING_CALLS = ("write_bytes", "write_text", "replace", "mkdir")
+# The seam every file-system change of svloop goes through: the writer, the
+# directory maker, the rename of a JSON file into place and the existence
+# check of a checkpoint, each as (owner, attribute).
+SEAM = {
+    "write_bytes": (errors, "_write_bytes"),
+    "mkdir": (errors, "_mkdir"),
+    "replace": (os, "replace"),
+    "exists": (os.path, "exists"),
+}
+WRITING_CALLS = ("write_bytes", "replace", "mkdir")
 
 
 class SimulatedCrash(BaseException):
@@ -265,35 +277,47 @@ class SimulatedCrash(BaseException):
 
 
 @contextmanager
+def rebound(owner, name, new):
+    """Bind ``new`` wherever svloop reads ``owner.name``: on ``owner`` and on
+    every loaded svloop module that imported the function by name."""
+    original = getattr(owner, name)
+    modules = [owner] + [m for n, m in list(sys.modules.items()) if n.startswith("svloop")]
+    sites = dict.fromkeys((m, attr) for m in modules
+                          for attr, value in list(vars(m).items()) if value is original)
+    for module, attr in sites:
+        setattr(module, attr, new)
+    try:
+        yield
+    finally:
+        for module, attr in sites:
+            setattr(module, attr, original)
+
+
+@contextmanager
 def path_calls(crash_at=None):
-    """Record every ``Path.exists`` call and every call in
-    ``WRITING_CALLS`` as ``(method, path)``, pathlib's own recursion
-    included. With ``crash_at=k`` the k-th writing call (1-based) stores
-    the first half of its data if it is a write, and raises
-    ``SimulatedCrash`` instead of doing anything more."""
+    """Record every call of the ``SEAM`` as ``(name, Path(path))``. With
+    ``crash_at=k`` the k-th call in ``WRITING_CALLS`` (1-based) stores the
+    first half of its data if it is a write, and raises ``SimulatedCrash``
+    instead of doing anything more."""
     calls = []
     writes = 0
-    originals = {name: getattr(Path, name) for name in WRITING_CALLS + ("exists",)}
 
     def recorded(name, real):
         def call(path, *args, **kwargs):
             nonlocal writes
-            calls.append((name, path))
+            calls.append((name, Path(path)))
             writes += name != "exists"
             if name != "exists" and writes == crash_at:
-                if name.startswith("write_"):
-                    real(path, args[0][: len(args[0]) // 2], *args[1:], **kwargs)
+                if name == "write_bytes":
+                    real(path, args[0][: len(args[0]) // 2])
                 raise SimulatedCrash(f"{name} {path}")
             return real(path, *args, **kwargs)
         return call
 
-    for name, real in originals.items():
-        setattr(Path, name, recorded(name, real))
-    try:
+    with ExitStack() as stack:
+        for name, (owner, attr) in SEAM.items():
+            stack.enter_context(rebound(owner, attr, recorded(name, getattr(owner, attr))))
         yield calls
-    finally:
-        for name, real in originals.items():
-            setattr(Path, name, real)
 
 
 def tree_digest(root):

@@ -13,10 +13,11 @@ from support import (
     SimulatedCrash,
     path_calls,
     read_vcd,
+    rebound,
     record_mock_script,
     tree_listing,
 )
-from svloop import loops, matrix, verdict
+from svloop import errors, loops, matrix, verdict
 from svloop.frontend.elaborate import elaborate_source
 from svloop.manifest import RunConfig, load_corpus
 from svloop.matrix import evaluate_matrix, evaluate_problem
@@ -167,22 +168,21 @@ class TestEvaluateProblem:
         assert oracle_runs == other_runs == suite
         assert_same_tree(full, resumed)
 
-    def test_torn_oracle_vcd_is_rewritten_on_resume(self, problems, tmp_path, monkeypatch):
+    def test_torn_oracle_vcd_is_rewritten_on_resume(self, problems, tmp_path):
         clean = tmp_path / "clean"
         run_one(problems, "full_adder", clean)
         crashed = tmp_path / "crashed"
-        write_bytes = Path.write_bytes
+        write_bytes = errors._write_bytes
         torn = []
 
         def tearing(path, data):
-            if not torn and path.is_relative_to(crashed / "oracle"):
+            if not torn and Path(path).is_relative_to(crashed / "oracle"):
                 torn.append(path)
                 write_bytes(path, data[: len(data) // 2])
                 raise OSError("simulated crash mid-write")
             return write_bytes(path, data)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(Path, "write_bytes", tearing)
+        with rebound(errors, "_write_bytes", tearing):
             with pytest.raises(OSError, match="mid-write"):
                 run_one(problems, "full_adder", crashed)
         assert torn
