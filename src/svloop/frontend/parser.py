@@ -1,4 +1,5 @@
-"""Recursive-descent parser for the SystemVerilog subset.
+"""Parser for the SystemVerilog subset: statements by recursive descent,
+expressions by shunting-yard over an operator and an operand stack.
 
 Supported grammar, per module: ANSI or classic port declarations with
 ``[msb:lsb]`` vectors, wire/reg/logic declarations, parameter/localparam,
@@ -36,6 +37,7 @@ from .ast import (
     PortDecl,
     Stmt,
     Ternary,
+    UNARY_PRECEDENCE,
     Unary,
     idents_in,
     stmt_exprs,
@@ -45,20 +47,21 @@ from .lexer import UNSUPPORTED_KEYWORDS, Token, tokenize
 
 _UNARY_OPS = {"~", "!", "-", "+"}
 _RADIX = {"b": 2, "d": 10, "h": 16}
+_TERNARY = PRECEDENCE["?:"]
 
 # The deepest expression a design may hold: every operator and every pair
 # of parentheses on the way from an expression's root to a leaf is one
-# level. Deeper input is a positioned ParseError. At this depth the
-# parser (four frames a parenthesis), elaboration, printing, lowering and
-# the simulators all stay well inside Python's default recursion limit.
+# level. Deeper input is a positioned ParseError. At both caps the passes
+# peak at these Python frames above their caller: lowering 426, printing
+# 280, parsing 265, elaboration 153, so all of them run under Python's
+# default recursion limit from a caller up to about 570 frames deep.
 MAX_EXPR_DEPTH = 150
 
 # The deepest statement nesting a design may hold: a process body's
 # statement is level 1, a statement in an if, else or case arm is one level
 # below the if or case, and one in a begin-end block nested in another
 # block one level below that block. Deeper input is a positioned
-# ParseError. At this depth around an expression at MAX_EXPR_DEPTH, every
-# pass still stays inside Python's default recursion limit.
+# ParseError. Parsing recurses on statements, not on expressions.
 MAX_STMT_DEPTH = 128
 
 
@@ -76,26 +79,9 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
-        self.open = 0     # levels around the point being parsed
         self.stmts_open = 0  # statement levels around the point being parsed
-        self.height = 0   # levels in the expression parsed last
 
-    def enter(self):
-        """Step one level further in before a recursive call. Past the
-        depth cap this is a ParseError, so no input can exhaust the Python
-        stack. The caller steps back out with ``self.open -= 1``."""
-        if self.open == MAX_EXPR_DEPTH:
-            self.too_deep()
-        self.open += 1
-
-    def grown(self, height: int, tok: Token) -> int:
-        """``height``, checked against the depth cap for the node at ``tok``."""
-        if height > MAX_EXPR_DEPTH:
-            self.too_deep(tok)
-        return height
-
-    def too_deep(self, tok: Token | None = None):
-        tok = tok or self.cur
+    def too_deep(self, tok: Token):
         raise ParseError(f"expression nests deeper than {MAX_EXPR_DEPTH} levels",
                          tok.line, tok.col)
 
@@ -429,64 +415,77 @@ class _Parser:
     # --- expressions ---
 
     def parse_expr(self) -> Expr:
-        return self.parse_ternary()
-
-    def parse_ternary(self) -> Expr:
-        cond = self.parse_binary(PRECEDENCE["?:"] + 1)
-        if self.check("?"):
-            tok = self.advance()
-            height = self.height
-            self.enter()
-            then = self.parse_ternary()
-            height = max(height, self.height)
-            self.expect(":")
-            other = self.parse_ternary()
-            self.open -= 1
-            self.height = self.grown(max(height, self.height) + 1, tok)
-            return Ternary(cond, then, other, line=cond.line, col=cond.col)
-        return cond
-
-    def parse_binary(self, min_prec: int) -> Expr:
-        """Precedence climbing: fold in every binary operator of at least
-        ``min_prec``; all of them associate to the left."""
-        left = self.parse_unary()
-        height = self.height
-        while PRECEDENCE.get(self.cur.text, 0) >= min_prec:
-            tok = self.advance()
-            self.enter()
-            right = self.parse_binary(PRECEDENCE[tok.text] + 1)
-            self.open -= 1
-            height = self.grown(max(height, self.height) + 1, tok)
-            left = Binary(tok.text, left, right, line=left.line, col=left.col)
-        self.height = height
-        return left
-
-    def parse_unary(self) -> Expr:
-        tok = self.cur
-        if tok.kind == "op" and tok.text in _UNARY_OPS:
+        """Shunting-yard (Dijkstra, 1961): no expression level costs a Python
+        frame. ``pending`` holds the levels open around the current token,
+        innermost last, as ``(binding, token)``: a binary operator's
+        precedence, UNARY_PRECEDENCE, that of ``?:`` for a ``?`` past its
+        ``:``, or 0 for ``(`` and a ``?`` before its ``:``. ``done`` holds
+        each finished operand and its height in levels."""
+        pending: list[tuple[int, Token]] = []
+        done: list[tuple[Expr, int]] = []
+        operand = True      # the current token starts an operand
+        while True:
+            tok = self.cur
+            if not operand:
+                # a binary operator folds the operators that bind at least as
+                # tightly, ``?`` every operator; any other token folds down to
+                # the innermost ``(`` or ``?``
+                binding = PRECEDENCE.get(tok.text, 0)
+                floor = binding or (_TERNARY + 1 if self.check("?") else _TERNARY)
+                while pending and pending[-1][0] >= floor:
+                    self.fold(pending, done)
+                if floor == _TERNARY:
+                    if not pending:
+                        return done[0][0]
+                    opened = pending[-1][1]
+                    if opened.text == "(":
+                        self.expect(")")
+                        self.fold(pending, done)
+                    else:
+                        self.expect(":")
+                        pending[-1] = (_TERNARY, opened)
+                        operand = True
+                    continue
+            elif tok.text == "(":
+                binding = 0
+            elif tok.kind == "op" and tok.text in _UNARY_OPS:
+                binding = UNARY_PRECEDENCE
+            else:
+                done.append((self.parse_leaf(tok), 0))
+                operand = False
+                continue
             self.advance()
-            self.enter()
-            operand = self.parse_unary()
-            self.open -= 1
-            self.height = self.grown(self.height + 1, tok)
-            if tok.text == "+":
-                return operand
-            return Unary(tok.text, operand, line=tok.line, col=tok.col)
-        return self.parse_primary()
+            if len(pending) == MAX_EXPR_DEPTH:
+                self.too_deep(self.cur)
+            pending.append((binding, tok))
+            operand = True
 
-    def parse_primary(self) -> Expr:
-        tok = self.cur
-        if tok.text == "(":
-            self.advance()
-            self.enter()
-            expr = self.parse_ternary()
-            self.open -= 1
-            self.expect(")")
-            self.height = self.grown(self.height + 1, tok)
-            return expr
+    def fold(self, pending: list, done: list):
+        """Close the innermost pending level: one level over its highest
+        operand, checked against the cap at the level's own token. ``(`` and
+        a unary ``+`` add the level but no node."""
+        binding, tok = pending.pop()
+        node, height = done.pop()
+        if binding == _TERNARY:
+            then, then_height = done.pop()
+            cond, cond_height = done.pop()
+            height = max(cond_height, then_height, height)
+            node = Ternary(cond, then, node, line=cond.line, col=cond.col)
+        elif binding == UNARY_PRECEDENCE:
+            if tok.text != "+":
+                node = Unary(tok.text, node, line=tok.line, col=tok.col)
+        elif binding:
+            left, left_height = done.pop()
+            height = max(left_height, height)
+            node = Binary(tok.text, left, node, line=left.line, col=left.col)
+        if height >= MAX_EXPR_DEPTH:
+            self.too_deep(tok)
+        done.append((node, height + 1))
+
+    def parse_leaf(self, tok: Token) -> Expr:
+        """A number, based literal or identifier at the current token ``tok``."""
         if tok.text == "{":
             self.unsupported("concatenation")
-        self.height = 0
         if tok.kind == "number":
             self.advance()
             value = _to_int(tok.text.replace("_", ""), 10, tok)

@@ -2,6 +2,7 @@
 reference interpreter in ``reference_sim``."""
 
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -19,7 +20,7 @@ from svloop.mutate import OPERATORS, RANDOM_TEST_CYCLES, RANDOM_TESTS, inject
 from svloop.sim import engine
 from svloop.sim.coverage import CoverageCollector
 from svloop.sim.engine import Trace, _bound, product_search, run
-from svloop.sim.lower import harness_source, lowered_source
+from svloop.sim.lower import harness_source, lower, lowered_source
 from svloop.sim.stimulus import UnitTest
 
 PROBLEM_IDS = ["adder4", "arbiter2", "counter3", "full_adder", "seq_detect"]
@@ -43,22 +44,28 @@ def assert_same(design, signature, tests):
     return trace, compiled.report()
 
 
-class TestDeskDesigns:
-    @pytest.mark.parametrize("pid", PROBLEM_IDS)
-    @given(data=st.data())
-    @settings(max_examples=15)
-    def test_reference_and_every_mutant_match_interpreter(self, problems, pid, data):
-        problem = problems[pid]
-        sig = problem.signature
-        designs = [problem.design] + [elaborate_source(src) for _, src, _ in problem.mutants()]
-        assert len(designs) > 1
-        tests = [
-            UnitTest(f"t{i}", sig.stimulus_inputs, tuple(data.draw(rows_for(sig))))
-            for i in range(2)
-        ]
-        for design in designs:
-            assert_same(design, sig, tests)
+# Parametrised @given tests are module-level functions: in a class, pytest
+# gives each parameter its own instance, and unless hypothesis's pytest plugin
+# is loaded (it exempts parametrised tests) that fails the test's
+# HealthCheck.differing_executors.
 
+@pytest.mark.parametrize("pid", PROBLEM_IDS)
+@given(data=st.data())
+@settings(max_examples=15)
+def test_desk_reference_and_every_mutant_match_interpreter(problems, pid, data):
+    problem = problems[pid]
+    sig = problem.signature
+    designs = [problem.design] + [elaborate_source(src) for _, src, _ in problem.mutants()]
+    assert len(designs) > 1
+    tests = [
+        UnitTest(f"t{i}", sig.stimulus_inputs, tuple(data.draw(rows_for(sig))))
+        for i in range(2)
+    ]
+    for design in designs:
+        assert_same(design, sig, tests)
+
+
+class TestDeskDesigns:
     def test_product_search_verdicts_match_interpreter(self, problems, monkeypatch):
         # every sequential candidate inject reaches at seed 1, searched while
         # its edit is applied: a candidate shares the reference parse
@@ -117,6 +124,17 @@ module hold (input [1:0] s, input [2:0] a, output reg [2:0] y);
     case (s)
       2'd0: y = a;
       2'd1: y = 3'd5;
+    endcase
+  end
+endmodule
+"""
+
+DEFAULT_ONLY = """
+module default_only (input [1:0] a, output reg [1:0] y);
+  always @(*) begin
+    y = 2'd0;
+    case (a)
+      default: y = ~a;
     endcase
   end
 endmodule
@@ -229,6 +247,17 @@ def simulate(text, rows):
     return assert_same(design, signature, [test])
 
 
+@pytest.mark.parametrize("text", [SHIFT, MASKS, LOGIC, HOLD, DEFAULT_ONLY, EMPTY_THEN,
+                                  COMB_NBA, NEGEDGE, TWO_ASYNC, NEG_ASYNC, UNCLOCKED])
+@given(data=st.data())
+@settings(max_examples=20)
+def test_lowering_edges_match_interpreter_on_fuzzed_stimuli(text, data):
+    design = elaborate_source(text)
+    signature = harness_signature(design, text)
+    rows = data.draw(rows_for(signature))
+    assert_same(design, signature, [UnitTest("t", signature.stimulus_inputs, tuple(rows))])
+
+
 class TestLoweringEdges:
     def test_shift_left_by_width_or_more_is_zero(self):
         rows = [(0b1011, 1), (0b1011, 3), (0b1011, 4), (0b1011, 9), (0b1011, 1 << 69)]
@@ -253,6 +282,11 @@ class TestLoweringEdges:
         assert trace.values["y"] == (3, 3, 5, 5)
         assert report.branch == 1
 
+    def test_case_with_only_a_default_arm_runs_it(self):
+        trace, report = simulate(DEFAULT_ONLY, [(0,), (2,), (3,)])
+        assert trace.values["y"] == (3, 1, 0)
+        assert report.line == 1 and report.branch == 1
+
     def test_empty_if_body(self):
         trace, report = simulate(EMPTY_THEN, [(1, 1), (0, 1), (0, 0)])
         assert trace.values["y"] == (0, 1, 0)
@@ -262,16 +296,6 @@ class TestLoweringEdges:
         trace, _ = simulate(COMB_NBA, [(0,), (3,), (2,)])
         assert trace.values["y"] == (1, 0, 3)
         assert trace.values["z"] == (1, 0, 3)
-
-    @pytest.mark.parametrize("text", [SHIFT, MASKS, LOGIC, HOLD, EMPTY_THEN, COMB_NBA,
-                                      NEGEDGE, TWO_ASYNC, NEG_ASYNC, UNCLOCKED])
-    @given(data=st.data())
-    @settings(max_examples=20)
-    def test_fuzzed_stimuli_match_interpreter(self, text, data):
-        design = elaborate_source(text)
-        signature = harness_signature(design, text)
-        rows = data.draw(rows_for(signature))
-        assert_same(design, signature, [UnitTest("t", signature.stimulus_inputs, tuple(rows))])
 
     @given(data=st.data())
     @settings(max_examples=10)
@@ -491,18 +515,21 @@ class TestDepthCap:
         assert trace.values["t"] == tuple(a for a, _ in rows)
         assert report.line == 1
 
-    @pytest.mark.parametrize("shape", sorted(capped_shapes(2)))
-    def test_one_level_past_the_cap_is_a_positioned_parse_error(self, shape):
+    # a level is refused where it opens, at the token after its operator or
+    # parenthesis, or where it closes past the cap, at its operator (the
+    # left chain's 151st ``+``); far past the cap the error is the same
+    @pytest.mark.parametrize("shape,col", [
+        ("left chain", 616), ("logic", 465), ("parentheses", 165), ("right chain", 390),
+        ("ternary", 1218), ("unary", 165),
+    ])
+    def test_one_level_past_the_cap_is_a_positioned_parse_error(self, shape, col):
         levels = CAP + 1 if shape in ("left chain", "parentheses", "unary", "ternary") else CAP + 2
         text = f"module m (input [7:0] a, input [7:0] b, output [7:0] y);\n" \
                f"  assign y = {capped_shapes(levels)[shape]};\nendmodule\n"
-        with pytest.raises(ParseError, match=f"nests deeper than {CAP} levels") as info:
-            parse_design(text)
-        assert info.value.line == 2 and info.value.col > 0
-        # far past the cap: refused before the parser's recursion runs out
-        with pytest.raises(ParseError):
-            parse_design(text.replace(capped_shapes(levels)[shape],
-                                      capped_shapes(20 * CAP)[shape]))
+        for expr in (capped_shapes(levels)[shape], capped_shapes(20 * CAP)[shape]):
+            with pytest.raises(ParseError, match=f"nests deeper than {CAP} levels") as info:
+                parse_design(text.replace(capped_shapes(levels)[shape], expr))
+            assert (info.value.line, info.value.col) == (2, col)
 
 
 def nested_statements(levels: int, inner: str) -> dict[str, str]:
@@ -544,14 +571,61 @@ class TestStatementDepthCap:
                                [UnitTest("t", signature.stimulus_inputs, tuple(rows))])
         assert len(set(trace.values["y"])) > 1
 
-    @pytest.mark.parametrize("shape", ["if", "else", "begin", "case"])
-    def test_one_level_past_the_cap_is_a_positioned_parse_error(self, shape):
+    @pytest.mark.parametrize("shape,col", [("if", 901), ("else", 3830), ("begin", 773),
+                                           ("case", 2693)])
+    def test_one_level_past_the_cap_is_a_positioned_parse_error(self, shape, col):
         text = stmt_capped_design(shape, "parentheses", MAX_STMT_DEPTH + 1)
         with pytest.raises(ParseError, match=f"statements nest deeper than {MAX_STMT_DEPTH} "
                                              "levels") as info:
             parse_design(text)
-        assert info.value.line == 4
-        assert text.splitlines()[3][info.value.col - 1:].startswith("y = ")
-        # far past the cap: refused before the parser's recursion runs out
-        with pytest.raises(ParseError, match="statements nest deeper"):
+        assert (info.value.line, info.value.col) == (4, col)
+        assert text.splitlines()[3][col - 1:].startswith("y = ")
+        # far past the cap: refused at the same statement, before the
+        # parser's recursion runs out
+        with pytest.raises(ParseError, match="statements nest deeper") as info:
             parse_design(stmt_capped_design(shape, "parentheses", 20 * MAX_STMT_DEPTH))
+        assert (info.value.line, info.value.col) == (4, col)
+
+
+def stack_depth() -> int:
+    """The number of Python frames on the stack, the caller's included."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def from_depth(depth: int, fn):
+    """``fn()``, called from a caller ``depth`` frames deep."""
+    if stack_depth() < depth:
+        return from_depth(depth, fn)
+    return fn()
+
+
+def every_pass(text):
+    """Parse, print and reparse, elaborate, signature, both lowered variants
+    and an instrumented run of ``text``: its trace and coverage."""
+    printed = ast_to_source(parse_design(text))
+    assert ast_to_source(parse_design(printed)) == printed
+    design = elaborate_source(text)
+    signature = extract_signature(design)
+    for instrumented in (False, True):
+        lower(design, instrumented)
+    rows = [(0, 0), (1, 5), (255, 7), (3, 3), (128, 128)]
+    collector = CoverageCollector(design, signature)
+    trace = run(design, UnitTest("t", signature.stimulus_inputs, tuple(rows)), signature,
+                collector)
+    return trace, collector.report()
+
+
+class TestStackBudget:
+    # every pass fits under the default recursion limit with 300 frames
+    # already on the stack, for designs at both nesting caps
+    @pytest.mark.parametrize("text", [pytest.param(capped_design(CAP), id="expressions")] + [
+        pytest.param(stmt_capped_design(shape, expr_shape, MAX_STMT_DEPTH),
+                     id=f"{shape}-{expr_shape}")
+        for shape in ["if", "else", "begin", "case"] for expr_shape in sorted(capped_shapes(2))
+    ])
+    def test_every_pass_runs_from_a_deep_caller(self, text):
+        assert sys.getrecursionlimit() == 1000
+        assert from_depth(300, lambda: every_pass(text)) == every_pass(text)

@@ -154,6 +154,13 @@ class TestParse:
         assign = parse_design(DesignSource(text)).items[-1]
         assert (assign.expr.left.right.value, assign.expr.right.value) == (12, 3)
 
+    def test_case_without_arms_is_refused_at_its_keyword(self):
+        text = "module m (input a, output reg y);\n  always @(*) begin\n    y = a;\n" \
+               "    case (a) endcase\n  end\nendmodule\n"
+        with pytest.raises(ParseError, match="empty case statement") as exc:
+            parse_design(DesignSource(text))
+        assert (exc.value.line, exc.value.col) == (4, 5)
+
     def test_syntax_error_carries_position(self):
         try:
             parse_design(DesignSource("module m (input a output y);\nendmodule"))

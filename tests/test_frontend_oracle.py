@@ -1,4 +1,4 @@
-"""Differential tests: the master-pattern lexer and the precedence-climbing
+"""Differential tests: the master-pattern lexer and the two-stack expression
 parser against the per-character lexer and tier-by-tier parser they
 replaced (``reference_frontend.py``).
 
@@ -110,18 +110,19 @@ def with_comment(draw, text):
 @st.composite
 def expressions(draw, depth=0):
     """Operands joined by every binary operator, under unary operators,
-    parentheses and conditionals."""
+    parentheses and conditionals, nested up to five deep so that many
+    operators and conditionals are open at once."""
     parts = []
     for i in range(draw(st.integers(1, 5))):
         if i:
             parts.append(draw(st.sampled_from([op for op in PRECEDENCE if op != "?:"])))
         prefix = "".join(draw(st.lists(st.sampled_from("~!-+"), max_size=2)))
-        if depth < 2 and draw(st.integers(0, 4)) == 0:
+        if depth < 5 and draw(st.integers(0, 4)) == 0:
             parts.append(f"{prefix}({draw(expressions(depth + 1))})")
         else:
             parts.append(prefix + draw(st.sampled_from(["a", "b", "1", "4'b1010", "'hf"])))
     text = " ".join(parts)
-    if depth < 2 and draw(st.integers(0, 3)) == 0:
+    if depth < 5 and draw(st.integers(0, 3)) == 0:
         text += f" ? {draw(expressions(depth + 1))} : {draw(expressions(depth + 1))}"
     return text
 
@@ -149,7 +150,7 @@ class TestFrontendMatchesReference:
         text = "module m (input [3:0] a, input [3:0] b, output [3:0] y);\n" \
                f"  assign y = {expr};\nendmodule\n"
         assert_same(text)
-        # the printer parenthesizes by the table the parser climbs
+        # the printer parenthesizes by the precedence table the parser folds by
         ast = parse_design(text)
         assert parse_design(ast_to_source(ast)) == ast
 

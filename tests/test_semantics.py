@@ -100,6 +100,17 @@ class TestExpressionWidths:
         trace = simulate(text, [(1, 5, 6), (0, 1, 3)])
         assert trace.values["y"] == (3, 6)
 
+    def test_unsized_zero_parameter_is_one_bit_wide(self):
+        # Z is 1 bit wide, so ~Z is taken at the comparison's 4 bits: 4'b1111
+        text = """
+        module zero_param (input [3:0] a, output y);
+          parameter Z = 0;
+          assign y = a == ~Z;
+        endmodule
+        """
+        trace = simulate(text, [(15,), (1,), (0,)])
+        assert trace.values["y"] == (1, 0, 0)
+
     def test_logical_operators_are_boolean(self):
         text = """
         module boolish (input [1:0] a, input [1:0] b, output y);
