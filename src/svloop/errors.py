@@ -64,11 +64,7 @@ class AmbiguousClock(ElaborationError):
 
 # --- simulator --------------------------------------------------------------
 
-class SimulationError(SvLoopError):
-    pass
-
-
-class StimulusMismatch(SimulationError):
+class StimulusMismatch(SvLoopError):
     """Unit-test columns do not match the design signature."""
 
 
@@ -84,15 +80,11 @@ class CalledOnPass(SvLoopError):
 
 # --- mutation ---------------------------------------------------------------
 
-class MutationError(SvLoopError):
+class NoApplicableSite(SvLoopError):
     pass
 
 
-class NoApplicableSite(MutationError):
-    pass
-
-
-class NoDistinctMutant(MutationError):
+class NoDistinctMutant(SvLoopError):
     """Every applicable site produced a semantic equivalent of the reference."""
 
 

@@ -3,14 +3,15 @@
 Format (also the format generators are instructed to emit):
 the first line is ``inputs: name[width], ...`` in signature order with the
 clock excluded, followed by one line per cycle of space-separated
-fixed-width binary values. ``#`` starts a comment.
+fixed-width binary values. ``#`` starts a comment. The text is read as
+its ``str.splitlines`` lines, and a line's words are its ``str.split``
+words before the first ``#``.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import repeat, takewhile
 from operator import is_not
 
@@ -103,53 +104,41 @@ def parse_stimulus(text: str, signature: DesignSignature, test_id: str = "t0") -
             line=header_at + 1,
         )
 
-    # the block starts after any blank or comment lines and ends at the
-    # first line that is not a row; each distinct line is decoded once
-    start = next((i for i in range(header_at + 1, len(lines)) if not _BLANK.fullmatch(lines[i])),
-                 len(lines))
+    # the block starts at the first line with words after the header and
+    # ends at the first line that is not a row; each distinct line is decoded once
+    widths = [port.width for port in expected]
+    start = next((i for i in range(header_at + 1, len(lines)) if _words(lines[i])), len(lines))
     block = lines[start:]
-    row = _row(expected).fullmatch
-    decoded = {line: _decode(row(line)) for line in set(block)}
+    decoded = {line: _row(_words(line), widths) for line in set(block)}
     rows = tuple(takewhile(partial(is_not, None), map(decoded.__getitem__, block)))
     stop = start + len(rows)
     if stop < len(lines):
-        _refuse(lines[stop], expected, bool(rows), stop + 1)
+        _refuse(_words(lines[stop]), expected, bool(rows), stop + 1)
     if not rows:
         raise MalformedStimulus("stimulus block has no cycle rows", line=header_at + 1)
     # every row holds one binary field of exactly its column's width
     return UnitTest._checked(test_id, expected, rows)
 
 
-# character class bodies: where ``str.splitlines`` ends a line ("\r\n" is
-# one break), and every other character ``str.split`` treats as whitespace
-_BREAKS = r"\n\x0b\x0c\r\x1c-\x1e\x85\u2028\u2029"
-_SPACES = r"\t \x1f\xa0\u1680\u2000-\u200a\u202f\u205f\u3000"
-# the end of a line after its last field: spaces and an optional comment
-# (a line of ``str.splitlines`` holds none of ``_BREAKS``, so ``.`` runs to
-# its end); on its own, a blank or comment-only line
-_TAIL = f"[{_SPACES}]*(?:#.*)?"
-_BLANK = re.compile(_TAIL)
+def _words(line: str) -> list[str]:
+    """A stimulus line's words: its ``str.split`` words before any ``#``."""
+    return line.split("#", 1)[0].split()
 
 
-@lru_cache(maxsize=64)
-def _row(columns: tuple[SignaturePort, ...]) -> re.Pattern:
-    """One row: a binary field of exactly each column's width, captured,
-    with spaces between and around the fields, then an optional comment."""
-    fields = f"[{_SPACES}]+".join(f"([01]{{{port.width}}})" for port in columns)
-    return re.compile(f"[{_SPACES}]*{fields}{_TAIL}")
+def _row(words: list[str], widths: list[int]) -> tuple[int, ...] | None:
+    """The values of a line's ``words`` if they are a row, one binary word
+    of exactly each width in ``widths``; None if they are not."""
+    if list(map(len, words)) == widths and not "".join(words).strip("01"):
+        return tuple(map(int, words, repeat(2)))
+    return None
 
 
-def _decode(match: re.Match | None) -> tuple[int, ...] | None:
-    """The row a ``_row`` match holds, or None if the line is not a row."""
-    return match and tuple(map(int, match.groups(), repeat(2)))
-
-
-def _refuse(raw: str, columns: tuple[SignaturePort, ...], after_rows: bool,
+def _refuse(words: list[str], columns: tuple[SignaturePort, ...], after_rows: bool,
             line: int) -> None:
-    """Raise the error of ``raw``, the line the row pattern stopped at,
-    unless it ends the block: a blank line, or prose after the rows (not
-    one word per column with some non-binary, or no binary word at all)."""
-    words = raw.split("#", 1)[0].split()
+    """Raise the error of the line the rows stop at, given its ``words``,
+    unless it ends the block: a line without words, or prose after the rows
+    (not one word per column with some non-binary, or no binary word at
+    all)."""
     prose = sum(1 for word in words if word.strip("01"))
     if not words or after_rows and prose and (len(words) != len(columns) or prose == len(words)):
         return

@@ -1,11 +1,12 @@
-"""Reference stimulus parser for differential tests of the column-wise one.
+"""Reference stimulus parser for differential tests of ``parse_stimulus``.
 
 This is the line-at-a-time parser and the row-at-a-time ``UnitTest``
-validation the toolkit used before stimulus blocks were parsed per column:
-every line goes through ``split("#")``, ``strip`` and ``split``, and every
-value is checked and converted on its own. ``parse_stimulus_reference``
-mirrors ``svloop.sim.stimulus.parse_stimulus`` and ``check_rows_reference``
-mirrors the checks of ``UnitTest.__post_init__``.
+validation the toolkit used before each distinct stimulus line was decoded
+once and the rows were checked together: every line goes through
+``split("#")``, ``strip`` and ``split``, and every value is checked and
+converted on its own. ``parse_stimulus_reference`` mirrors
+``svloop.sim.stimulus.parse_stimulus`` and ``check_rows_reference`` mirrors
+the checks of ``UnitTest.__post_init__``.
 """
 
 from __future__ import annotations
