@@ -1,11 +1,16 @@
 """Design signature extraction: ordered ports plus clock/reset roles.
 
-Roles are inferred structurally: the clock is the width-1 input left over
-in edge lists once reset signals (those tested by the leading ``if`` of a
-clocked body) are removed; a synchronous reset is a width-1 input tested
-by the leading ``if`` of a clock-only process. Both can be overridden per
-problem in the dataset manifest; an overriding clock must still drive a
-clocked process.
+Roles are inferred structurally, in one pass over the clocked processes,
+each with the names its leading ``if`` condition reads. The clock is the
+event of a one-event process, or the one event of a multi-event process
+whose signal that condition does not read; the events it does read are
+asynchronous resets, active on their edge. A synchronous reset is a
+width-1 input read by a one-event process's leading ``if`` whose
+then-branch assigns only constants, active at the level the condition
+tests. Among all reset candidates an asynchronous one wins, then the
+earlier input port, then the first found. ``clock_override`` (the
+manifest's clock) must still drive a clocked process; a manifest reset
+replaces the inferred one in ``load_problem``.
 """
 
 from __future__ import annotations
@@ -96,12 +101,6 @@ def _reset_polarity_from_cond(cond, name: str, params) -> Optional[bool]:
     return None
 
 
-def _leading_if(body) -> Optional[If]:
-    if body and isinstance(body[0], If):
-        return body[0]
-    return None
-
-
 def _branch_assigns_constants(body, params) -> bool:
     """True when the branch looks like a reset branch: it assigns at least
     one register and every assigned value is a literal or a parameter.
@@ -112,9 +111,7 @@ def _branch_assigns_constants(body, params) -> bool:
 
 
 def extract_signature(
-    design: ElaboratedDesign,
-    clock_override: Optional[str] = None,
-    reset_override: Optional[ResetSpec] = None,
+    design: ElaboratedDesign, clock_override: Optional[str] = None
 ) -> DesignSignature:
     """Extract the ordered port interface and clock/reset roles.
 
@@ -130,40 +127,35 @@ def extract_signature(
         SignaturePort(name, design.signals[name].width) for name in design.output_ports
     )
 
-    clock = clock_override
-    async_resets: list[tuple[str, bool]] = []
-    sync_resets: list[tuple[str, bool]] = []
-
+    port_rank = {name: i for i, name in enumerate(design.input_ports)}
     clock_candidates: list[str] = []
+    # (synchronous, port rank, name, active_high) of every reset candidate
+    resets: list[tuple[bool, int, str, bool]] = []
     for proc in design.seq_processes:
-        event_signals = [ev.signal for ev in proc.events]
-        if len(event_signals) == 1:
-            clock_candidates.append(event_signals[0])
-            lead = _leading_if(proc.body)
+        lead = proc.body[0] if proc.body and isinstance(proc.body[0], If) else None
+        cond_names = set(idents_in(lead.cond)) if lead is not None else set()
+        if len(proc.events) == 1:
+            clock_candidates.append(proc.events[0].signal)
             if lead is not None and _branch_assigns_constants(lead.then_body, design.params):
-                for name in set(idents_in(lead.cond)):
-                    if name == event_signals[0] or name not in design.signals:
-                        continue
-                    info = design.signals[name]
-                    if info.direction == "input" and info.width == 1:
+                for name in cond_names - {proc.events[0].signal}:
+                    info = design.signals.get(name)
+                    if info is not None and info.direction == "input" and info.width == 1:
                         polarity = _reset_polarity_from_cond(lead.cond, name, design.params)
                         if polarity is not None:
-                            sync_resets.append((name, polarity))
+                            resets.append((True, port_rank[name], name, polarity))
             continue
-        lead = _leading_if(proc.body)
-        cond_names = set(idents_in(lead.cond)) if lead is not None else set()
-        resets = [ev for ev in proc.events if ev.signal in cond_names]
-        others = [ev for ev in proc.events if ev.signal not in cond_names]
+        others = [ev.signal for ev in proc.events if ev.signal not in cond_names]
         if len(others) != 1:
             raise AmbiguousClock(
                 f"cannot identify a unique clock among edge events "
                 f"{[ev.signal for ev in proc.events]}",
                 proc.line, 0,
             )
-        clock_candidates.append(others[0].signal)
-        for ev in resets:
-            async_resets.append((ev.signal, ev.edge == "posedge"))
+        clock_candidates.append(others[0])
+        resets += [(False, port_rank[ev.signal], ev.signal, ev.edge == "posedge")
+                   for ev in proc.events if ev.signal in cond_names]
 
+    clock = clock_override
     distinct = sorted(set(clock_candidates))
     if clock is None:
         if len(distinct) > 1:
@@ -177,15 +169,8 @@ def extract_signature(
             f"(clock candidates: {', '.join(distinct) or 'none'})", 0, 0
         )
 
-    reset = reset_override
-    if reset is None:
-        port_rank = {name: i for i, name in enumerate(design.input_ports)}
-        if async_resets:
-            name, high = min(async_resets, key=lambda r: port_rank.get(r[0], 1 << 30))
-            reset = ResetSpec(name, high, synchronous=False)
-        elif sync_resets:
-            name, high = min(sync_resets, key=lambda r: port_rank.get(r[0], 1 << 30))
-            reset = ResetSpec(name, high, synchronous=True)
-
+    reset = None
+    if resets:
+        synchronous, _, name, active_high = min(resets, key=lambda r: r[:2])
+        reset = ResetSpec(name, active_high, synchronous)
     return DesignSignature(design.name, inputs, outputs, clock, reset)
-

@@ -8,7 +8,7 @@ recording operator, site, seed, and witness stimulus per mutant.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
@@ -107,7 +107,9 @@ def load_problem(problem_dir) -> Problem:
             f"{problem_id}: kind {kind!r} is inconsistent with the design "
             f"({len(design.seq_processes)} clocked processes)"
         )
-    signature = extract_signature(design, raw.get("clock"), reset)
+    signature = extract_signature(design, raw.get("clock"))
+    if reset is not None:
+        signature = replace(signature, reset=reset)
 
     exemplars: tuple[Exemplar, ...] = ()
     if exemplars_path:

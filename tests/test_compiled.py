@@ -515,6 +515,18 @@ class TestDepthCap:
         assert trace.values["t"] == tuple(a for a, _ in rows)
         assert report.line == 1
 
+    @pytest.mark.parametrize("op", ["==", "<"])
+    def test_a_comparison_chain_at_the_cap_runs(self, op):
+        # each comparison's left operand is one level deeper, or the chain
+        # lowers to more nested parentheses than Python compiles
+        chain = f" {op} ".join(["a"] * (CAP + 1))
+        text = (f"module m (input [7:0] a, input [7:0] b, output [7:0] y, output reg [7:0] z);\n"
+                f"  assign y = {chain};\n  always @(*) if ({chain}) z = a; else z = b;\nendmodule\n")
+        design = elaborate_source(text)
+        signature = extract_signature(design)
+        rows = [(0, 0), (1, 2), (255, 7), (3, 0)]
+        assert_same(design, signature, [UnitTest("t", signature.stimulus_inputs, tuple(rows))])
+
     # a level is refused where it opens, at the token after its operator or
     # parenthesis, or where it closes past the cap, at its operator (the
     # left chain's 151st ``+``); far past the cap the error is the same

@@ -178,6 +178,14 @@ class TestRoundTrip:
             printed = ast_to_source(ast)
             assert parse_design(DesignSource(printed)) == ast
 
+    @pytest.mark.parametrize("expr", ["a || b ? c : d", "a ? b : c ? d : e",
+                                      "(a ? b : c) ? d : e", "a - (b - c)",
+                                      "(a || b) && c", "~(a & b)"])
+    def test_parentheses_only_where_precedence_needs_them(self, expr):
+        # mutant texts are printed, so the printer's parentheses are corpus bytes
+        text = f"module m (input a, b, c, d, e, output y);\n  assign y = {expr};\nendmodule\n"
+        assert f"  assign y = {expr};\n" in ast_to_source(parse_design(text))
+
     def test_mutants_round_trip(self, problems):
         for problem in problems.values():
             for bc_id, source, _ in problem.mutants():

@@ -69,9 +69,12 @@ class TestGenerateLoop:
 
     def test_combinational_accepts_if_parseable(self, problems):
         p = problems["full_adder"]
-        state = generate_tests(p, p.reference, CFG, ListProvider(["garbage"]))
+        # a rejected first response leaves no second round
+        provider = ListProvider(["garbage", "inputs: a[1], b[1], c[1]\n0 0 0\n"])
+        state = generate_tests(p, p.reference, CFG, provider)
         assert state.tests == []
         assert state.rejections and state.rejections[0].reason == "parse"
+        assert provider.calls_made == 1 and state.iterations == 1
 
     def test_rising_flat_rising(self, problems, monkeypatch):
         p = problems["arbiter2"]

@@ -28,8 +28,10 @@ DESK = ["adder4", "arbiter2", "counter3", "full_adder", "seq_detect"]
 
 # characters ``str.split`` treats as whitespace inside a line, and line
 # breaks other than "\n" that ``str.splitlines`` honours
-ODD_SPACES = ["\t", "\xa0", "\x0b", "\x1c", "\x0c", "\x1f", "\u2000", "\u3000"]
-ODD_ENDS = ["\r\n", "\r", "\x0b", "\x1c", "\x85", "\u2028", "\x1d", "\x1e", "\u2029"]
+ODD_SPACES = ["\t", "\xa0", "\x1f", "\u2000", "\u3000"]
+ODD_ENDS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\x1d", "\x1e", "\u2029"]
+# whitespace inside a line must not break it
+assert all(len(("a" + c + "b").splitlines()) == 1 for c in ODD_SPACES)
 # "\r\n" and every code point where ``str.splitlines`` breaks a line (10)
 # or ``str.split`` splits words (19 more)
 SEPARATORS = ["\r\n"] + [
