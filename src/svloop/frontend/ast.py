@@ -1,8 +1,9 @@
 """AST node types for the supported SystemVerilog subset.
 
-Nodes compare structurally: source positions and elaboration annotations
-are excluded from equality so a pretty-print/re-parse round trip yields
-an equal tree.
+Nodes compare structurally: source positions and the statement ids that
+elaboration writes are excluded from equality, so a pretty-print/re-parse
+round trip yields an equal tree. Expression nodes carry nothing but what
+the parser read; lowering works out their evaluation widths.
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ UNARY_PRECEDENCE = 11
 class Expr:
     line: int = field(default=0, compare=False, kw_only=True)
     col: int = field(default=0, compare=False, kw_only=True)
-    # context-determined evaluation width, filled in during elaboration
-    eval_width: Optional[int] = field(default=None, compare=False, kw_only=True)
 
 
 @dataclass

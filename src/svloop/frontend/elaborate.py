@@ -1,9 +1,12 @@
-"""Elaboration: resolve parameters and widths, classify processes, fix
-evaluation order, and precompute the tables the simulator consumes.
+"""Elaboration: resolve parameters and declared widths, classify
+processes, fix evaluation order, and precompute the tables the simulator
+consumes.
 
 Semantics are two-valued (0/1, no X/Z); registers initialize to 0.
 All arithmetic is unsigned with Verilog-style context widening and
-silent truncation on assignment.
+silent truncation on assignment: ``self_width`` gives an expression's
+self-determined width, and lowering widens it by context where it masks
+the value.
 """
 
 from __future__ import annotations
@@ -97,9 +100,11 @@ def mask(value: int, width: int) -> int:
     return value & ((1 << width) - 1)
 
 
-# --- width computation -------------------------------------------------------
+# --- widths and constants -----------------------------------------------------
 
-def _self_width(expr, widths: dict[str, int]) -> int:
+def self_width(expr, widths: dict[str, int]) -> int:
+    """The self-determined width of ``expr``, given each signal's and
+    parameter's width; lowering widens it by context."""
     if isinstance(expr, Literal):
         return expr.self_width
     if isinstance(expr, Ident):
@@ -107,59 +112,25 @@ def _self_width(expr, widths: dict[str, int]) -> int:
     if isinstance(expr, Unary):
         if expr.op == "!":
             return 1
-        return _self_width(expr.operand, widths)
+        return self_width(expr.operand, widths)
     if isinstance(expr, Binary):
         if expr.op in ("==", "!=", "<", "<=", ">", ">=", "&&", "||"):
             return 1
         if expr.op in ("<<", ">>"):
-            return _self_width(expr.left, widths)
-        return max(_self_width(expr.left, widths), _self_width(expr.right, widths))
+            return self_width(expr.left, widths)
+        return max(self_width(expr.left, widths), self_width(expr.right, widths))
     if isinstance(expr, Ternary):
-        return max(_self_width(expr.then, widths), _self_width(expr.other, widths))
+        return max(self_width(expr.then, widths), self_width(expr.other, widths))
     raise TypeError(type(expr).__name__)
 
 
-def _annotate(expr, ctx: int, widths: dict[str, int]):
-    """Record the context-determined evaluation width on every node."""
-    if isinstance(expr, (Literal, Ident)):
-        expr.eval_width = ctx
-    elif isinstance(expr, Unary):
-        if expr.op == "!":
-            expr.eval_width = 1
-            _annotate(expr.operand, _self_width(expr.operand, widths), widths)
-        else:
-            expr.eval_width = ctx
-            _annotate(expr.operand, ctx, widths)
-    elif isinstance(expr, Binary):
-        if expr.op in ("==", "!=", "<", "<=", ">", ">="):
-            expr.eval_width = 1
-            opw = max(_self_width(expr.left, widths), _self_width(expr.right, widths))
-            _annotate(expr.left, opw, widths)
-            _annotate(expr.right, opw, widths)
-        elif expr.op in ("&&", "||"):
-            expr.eval_width = 1
-            _annotate(expr.left, _self_width(expr.left, widths), widths)
-            _annotate(expr.right, _self_width(expr.right, widths), widths)
-        elif expr.op in ("<<", ">>"):
-            expr.eval_width = ctx
-            _annotate(expr.left, ctx, widths)
-            _annotate(expr.right, _self_width(expr.right, widths), widths)
-        else:
-            expr.eval_width = ctx
-            _annotate(expr.left, ctx, widths)
-            _annotate(expr.right, ctx, widths)
-    elif isinstance(expr, Ternary):
-        expr.eval_width = ctx
-        _annotate(expr.cond, _self_width(expr.cond, widths), widths)
-        _annotate(expr.then, ctx, widths)
-        _annotate(expr.other, ctx, widths)
-    else:
-        raise TypeError(type(expr).__name__)
-
-
-def _annotate_assignment_expr(expr, target_width: int, widths: dict[str, int]):
-    ctx = max(target_width, _self_width(expr, widths))
-    _annotate(expr, ctx, widths)
+def constant_value(expr, params: dict[str, tuple[int, int]]) -> int | None:
+    """The value of a literal or parameter, or None for anything else."""
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, Ident) and expr.name in params:
+        return params[expr.name][0]
+    return None
 
 
 def _check_literals(expr, line_hint=0):
@@ -293,9 +264,9 @@ def elaborate(ast: DesignAst, source: DesignSource) -> ElaboratedDesign:
     """Resolve a parsed design into an executable form.
 
     The returned design shares the nodes of ``ast``. Elaboration writes
-    only ``eval_width`` and ``stmt_id`` onto them, fields that neither
-    equality nor the printer reads, so ``ast`` still prints and compares
-    as parsed; parameters stay identifiers, valued in ``params``.
+    only ``stmt_id`` onto its statements, a field that neither equality
+    nor the printer reads, so ``ast`` still prints and compares as
+    parsed; parameters stay identifiers, valued in ``params``.
     """
     params: dict[str, tuple[int, int]] = {}
     for item in ast.items:
@@ -324,9 +295,6 @@ def elaborate(ast: DesignAst, source: DesignSource) -> ElaboratedDesign:
             width = _resolve_width(item.msb, item.lsb, params, item.name, item.line)
             signals[item.name] = SignalInfo(item.name, width, item.kind, "internal")
 
-    widths = {name: info.width for name, info in signals.items()}
-    widths.update({name: w for name, (_, w) in params.items()})
-
     cont_assigns = [it for it in ast.items if isinstance(it, ContAssign)]
     comb_processes = [it for it in ast.items if isinstance(it, AlwaysComb)]
     seq_processes = [it for it in ast.items if isinstance(it, AlwaysSeq)]
@@ -334,8 +302,8 @@ def elaborate(ast: DesignAst, source: DesignSource) -> ElaboratedDesign:
     fsm_registers = {reg: sorted({params[n][0] for n in names})
                      for reg, names in fsm_state_names(seq_processes, params).items()}
 
-    # one walk per item: check and annotate each statement, number it for
-    # coverage, and enter the item in the node table
+    # one walk per item: check each statement, number it for coverage, and
+    # enter the item in the node table
     nodes: list[_Node] = []
     statement_lines: list[int] = []
     branch_arms: list[tuple] = []
@@ -345,7 +313,6 @@ def elaborate(ast: DesignAst, source: DesignSource) -> ElaboratedDesign:
         if signals[item.target].kind == "reg":
             raise ElaborationError(f"continuous assignment to reg {item.target!r}", item.line, 0)
         _check_literals(item.expr, item.line)
-        _annotate_assignment_expr(item.expr, widths[item.target], widths)
         item.stmt_id = len(statement_lines)
         statement_lines.append(item.line)
         nodes.append(_Node(("assign", i), f"assign #{i + 1}", item.line, {item.target},
@@ -369,16 +336,10 @@ def elaborate(ast: DesignAst, source: DesignSource) -> ElaboratedDesign:
                     if signals[stmt.target].kind == "wire":
                         raise ElaborationError(f"procedural assignment to wire {stmt.target!r}",
                                                stmt.line, 0)
-                    _annotate_assignment_expr(stmt.expr, widths[stmt.target], widths)
                     writes.add(stmt.target)
                 elif isinstance(stmt, If):
-                    _annotate(stmt.cond, _self_width(stmt.cond, widths), widths)
                     branch_arms += [(sid, "then"), (sid, "else")]
                 elif isinstance(stmt, Case):
-                    exprs = list(stmt_exprs(stmt))
-                    opw = max(_self_width(expr, widths) for expr in exprs)
-                    for expr in exprs:
-                        _annotate(expr, opw, widths)
                     branch_arms += [(sid, arm) for arm in range(len(stmt.items))]
                     if stmt.default_body is not None:
                         branch_arms.append((sid, "default"))

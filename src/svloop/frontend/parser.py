@@ -52,7 +52,7 @@ _TERNARY = PRECEDENCE["?:"]
 # The deepest expression a design may hold: every operator and every pair
 # of parentheses on the way from an expression's root to a leaf is one
 # level. Deeper input is a positioned ParseError. At both caps the passes
-# peak at these Python frames above their caller: lowering 426, printing
+# peak at these Python frames above their caller: lowering 428, printing
 # 280, parsing 265, elaboration 153, so all of them run under Python's
 # default recursion limit from a caller up to about 570 frames deep.
 MAX_EXPR_DEPTH = 150

@@ -9,8 +9,9 @@ width-1 input read by a one-event process's leading ``if`` whose
 then-branch assigns only constants, active at the level the condition
 tests. Among all reset candidates an asynchronous one wins, then the
 earlier input port, then the first found. ``clock_override`` (the
-manifest's clock) must still drive a clocked process; a manifest reset
-replaces the inferred one in ``load_problem``.
+manifest's clock) must still drive a clocked process; a manifest reset,
+which must be a 1-bit input other than the clock, replaces the inferred
+one in ``load_problem``.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import AmbiguousClock
-from .ast import Assignment, Binary, Ident, If, Literal, Unary, idents_in, walk_stmts
-from .elaborate import ElaboratedDesign
+from .ast import Assignment, Binary, Ident, If, Unary, idents_in, walk_stmts
+from .elaborate import ElaboratedDesign, constant_value
 
 
 @dataclass(frozen=True)
@@ -75,15 +76,6 @@ class DesignSignature:
         return "\n".join(lines)
 
 
-def _constant(expr, params) -> Optional[int]:
-    """The value of a literal or parameter, or None for anything else."""
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, Ident) and expr.name in params:
-        return params[expr.name][0]
-    return None
-
-
 def _reset_polarity_from_cond(cond, name: str, params) -> Optional[bool]:
     """Active level implied by an if condition naming the reset, or None."""
     if isinstance(cond, Ident) and cond.name == name:
@@ -94,7 +86,7 @@ def _reset_polarity_from_cond(cond, name: str, params) -> Optional[bool]:
     if isinstance(cond, Binary) and cond.op in ("==", "!="):
         sides = (cond.left, cond.right)
         ident = next((s for s in sides if isinstance(s, Ident) and s.name == name), None)
-        values = [v for v in (_constant(s, params) for s in sides) if v is not None]
+        values = [v for v in (constant_value(s, params) for s in sides) if v is not None]
         if ident is not None and values:
             truth = values[0] != 0
             return truth if cond.op == "==" else not truth
@@ -107,7 +99,7 @@ def _branch_assigns_constants(body, params) -> bool:
     Distinguishes a reset guard from an ordinary enable guard on
     clock-only processes."""
     assigns = [s for s in walk_stmts(body) if isinstance(s, Assignment)]
-    return bool(assigns) and all(_constant(s.expr, params) is not None for s in assigns)
+    return bool(assigns) and all(constant_value(s.expr, params) is not None for s in assigns)
 
 
 def extract_signature(

@@ -17,7 +17,7 @@ from . import __version__
 from .errors import ManifestError, _read_json, _read_text, _required_keys, _write_bytes, _write_json
 from .frontend.ast import DesignSource
 from .frontend.elaborate import ElaboratedDesign, elaborate_source
-from .frontend.signature import DesignSignature, ResetSpec, extract_signature
+from .frontend.signature import DesignSignature, ResetSpec, SignaturePort, extract_signature
 from .gateway.config import Exemplar
 from .sim.stimulus import UnitTest, parse_stimulus
 
@@ -109,6 +109,10 @@ def load_problem(problem_dir) -> Problem:
         )
     signature = extract_signature(design, raw.get("clock"))
     if reset is not None:
+        # the reset is driven from the stimulus like any other input
+        if SignaturePort(reset.name, 1) not in signature.stimulus_inputs:
+            raise ManifestError(f"{problem_id}: {manifest_file} names reset {reset.name!r}, "
+                                f"which is not a 1-bit input other than the clock")
         signature = replace(signature, reset=reset)
 
     exemplars: tuple[Exemplar, ...] = ()

@@ -12,7 +12,18 @@ result on the design. The module defines ``bind`` which returns
 
 Signals live in the list ``v``, indexed by their position in
 ``design.signals``. Every evaluation width, literal, parameter value and
-signal mask is folded in as an integer constant. The instrumented
+signal mask is folded in as an integer constant.
+
+Evaluation widths are worked out here, as each expression is written,
+by Verilog's rule (IEEE 1800-2017 section 11.6): an expression is
+evaluated at the width its context gives it, never below its
+self-determined width (``elaborate.self_width``). An assignment gives
+the wider of its target's width and its expression's own. The operands
+of arithmetic and bitwise operators, a ternary's two arms and a shift's
+left side inherit their parent's width. A condition, a logical operand
+and a shift amount are evaluated at their own width, a comparison's two
+operands at the wider of theirs, and a case's subject and labels at the
+widest of them all. The instrumented
 variant's ``bind`` takes a list ``H`` of hits, one per coverage probe:
 probe ``k`` is the store ``H[k] = 1`` where its statement runs or its
 arm is taken, and ``lower`` returns each probe's coverage key beside
@@ -33,9 +44,9 @@ name or other text of the design reaches it.
 from __future__ import annotations
 
 from ..frontend.ast import (
-    Assignment, Binary, Case, Ident, If, Literal, Ternary, Unary, walk_stmts,
+    Assignment, Binary, Case, Ident, If, Ternary, Unary, stmt_exprs, walk_stmts,
 )
-from ..frontend.elaborate import ElaboratedDesign
+from ..frontend.elaborate import ElaboratedDesign, constant_value, self_width
 from ..frontend.signature import DesignSignature
 
 # operators whose value is the Python operator applied to the operands
@@ -62,6 +73,8 @@ class _Writer:
         self.instrumented = instrumented
         self.index = {name: i for i, name in enumerate(design.signals)}
         self.masks = [_mask(info.width) for info in design.signals.values()]
+        self.widths = {name: info.width for name, info in design.signals.items()}
+        self.widths.update({name: width for name, (_, width) in design.params.items()})
         self.lines: list[str] = []       # the function being written
         self.helpers: list[list[str]] = []
         self.temps = 0
@@ -73,69 +86,66 @@ class _Writer:
 
     # --- expressions --------------------------------------------------------
 
-    def constant(self, expr):
-        """The value of a literal or parameter at its evaluation width, or
-        None for any other expression."""
-        if isinstance(expr, Literal):
-            return expr.value & _mask(expr.eval_width)
-        if isinstance(expr, Ident) and expr.name in self.design.params:
-            return self.design.params[expr.name][0] & _mask(expr.eval_width)
-        return None
-
-    def value(self, expr, pre: list[str], depth: int = 0) -> str:
-        """Python expression for ``expr``'s value; statements that must
-        run first (spilled subexpressions) are appended to ``pre``."""
-        constant = self.constant(expr)
+    def value(self, expr, width: int, pre: list[str], depth: int = 0) -> str:
+        """Python expression for ``expr``'s value at ``width``, the width
+        its context gives it; statements that must run first (spilled
+        subexpressions) are appended to ``pre``."""
+        constant = constant_value(expr, self.design.params)
         if constant is not None:
-            return str(constant)
+            return str(constant & _mask(width))
         if isinstance(expr, Ident):
             return f"v[{self.index[expr.name]}]"
         if depth > _SPILL_DEPTH:
             temp = self.fresh("t")
-            pre.append(f"{temp} = {self.value(expr, pre)}")
+            pre.append(f"{temp} = {self.value(expr, width, pre)}")
             return temp
         depth += 1
         if isinstance(expr, Binary):
             op = expr.op
             if op in _LOGIC or op in _COMPARE:
                 return f"(1 if {self.cond(expr, pre, depth)} else 0)"
-            left = self.value(expr.left, pre, depth)
-            right = self.value(expr.right, pre, depth)
-            mask = _mask(expr.eval_width)
+            # a shift amount is evaluated at its own width
+            right_width = self_width(expr.right, self.widths) if op in ("<<", ">>") else width
+            left = self.value(expr.left, width, pre, depth)
+            right = self.value(expr.right, right_width, pre, depth)
+            mask = _mask(width)
             if op in _BITWISE:
                 return f"({left} {_BITWISE[op]} {right})"
             if op in _WRAPPING:
                 return f"(({left} {_WRAPPING[op]} {right}) & {mask})"
             if op == "<<":
-                shift = self.constant(expr.right)
+                shift = constant_value(expr.right, self.design.params)
                 if shift is not None:
-                    if shift >= expr.eval_width:
+                    if shift & _mask(right_width) >= width:
                         return "0"
                     return f"(({left} << {right}) & {mask})"
                 amount = self.fresh("r")
                 return (f"((({left} << {amount}) & {mask}) "
-                        f"if ({amount} := {right}) < {expr.eval_width} else 0)")
+                        f"if ({amount} := {right}) < {width} else 0)")
             raise ValueError(f"unknown operator {op}")
         if isinstance(expr, Unary):
             if expr.op == "!":
                 return f"(0 if {self.cond(expr.operand, pre, depth)} else 1)"
-            operand = self.value(expr.operand, pre, depth)
+            operand = self.value(expr.operand, width, pre, depth)
             sign = "~" if expr.op == "~" else "-"
-            return f"({sign}{operand} & {_mask(expr.eval_width)})"
+            return f"({sign}{operand} & {_mask(width)})"
         if isinstance(expr, Ternary):
             cond = self.cond(expr.cond, pre, depth)
-            then = self.value(expr.then, pre, depth)
-            other = self.value(expr.other, pre, depth)
+            then = self.value(expr.then, width, pre, depth)
+            other = self.value(expr.other, width, pre, depth)
             return f"({then} if {cond} else {other})"
         raise TypeError(type(expr).__name__)
 
     def cond(self, expr, pre: list[str], depth: int = 0) -> str:
-        """Python expression whose truth is that of ``expr`` being nonzero."""
+        """Python expression whose truth is that of ``expr``, evaluated at
+        its self-determined width, being nonzero."""
         if depth > _SPILL_DEPTH:
-            return self.value(expr, pre, depth)
+            return self.value(expr, self_width(expr, self.widths), pre, depth)
         if isinstance(expr, Binary) and expr.op in _COMPARE:
-            left = self.value(expr.left, pre, depth + 1)
-            right = self.value(expr.right, pre, depth + 1)
+            # both operands at the wider of their own widths
+            width = max(self_width(expr.left, self.widths), self_width(expr.right, self.widths))
+            left = self.value(expr.left, width, pre, depth + 1)
+            right = self.value(expr.right, width, pre, depth + 1)
             return f"({left} {_COMPARE[expr.op]} {right})"
         if isinstance(expr, Binary) and expr.op in _LOGIC:
             left = self.cond(expr.left, pre, depth + 1)
@@ -143,7 +153,12 @@ class _Writer:
             return f"({left} {_LOGIC[expr.op]} {right})"
         if isinstance(expr, Unary) and expr.op == "!":
             return f"(not {self.cond(expr.operand, pre, depth + 1)})"
-        return self.value(expr, pre, depth)
+        return self.value(expr, self_width(expr, self.widths), pre, depth)
+
+    def assigned(self, target: str, expr, pre: list[str]) -> str:
+        """Python expression for ``expr`` assigned to ``target``: its value at
+        the wider of the target's width and its own."""
+        return self.value(expr, max(self.widths[target], self_width(expr, self.widths)), pre)
 
     # --- statements ---------------------------------------------------------
 
@@ -179,7 +194,7 @@ class _Writer:
         self.probe(indent, stmt.stmt_id)
         pre: list[str] = []
         if isinstance(stmt, Assignment):
-            value = self.value(stmt.expr, pre)
+            value = self.assigned(stmt.target, stmt.expr, pre)
             target = self.index[stmt.target]
             store = f"v[{target}]" if stmt.blocking else f"n[{target}]"
             for line in pre:
@@ -197,10 +212,12 @@ class _Writer:
                 self.probe(indent + 1, (stmt.stmt_id, "else"))
                 self.body(stmt.else_body or [], indent + 1, depth + 1)
         elif isinstance(stmt, Case):
+            # the subject and every label at the widest of their widths
+            width = max(self_width(expr, self.widths) for expr in stmt_exprs(stmt))
             subject = self.fresh("c")
-            pre.append(f"{subject} = {self.value(stmt.subject, pre)}")
+            pre.append(f"{subject} = {self.value(stmt.subject, width, pre)}")
             tests = [
-                " or ".join(f"{subject} == {self.value(lbl, pre)}" for lbl in item.labels)
+                " or ".join(f"{subject} == {self.value(lbl, width, pre)}" for lbl in item.labels)
                 for item in stmt.items
             ]
             for line in pre:
@@ -228,7 +245,7 @@ class _Writer:
             if kind == "assign":
                 item = design.cont_assigns[i]
                 pre: list[str] = []
-                value = self.value(item.expr, pre)
+                value = self.assigned(item.target, item.expr, pre)
                 target = self.index[item.target]
                 self.probe(1, item.stmt_id)
                 for line in pre:

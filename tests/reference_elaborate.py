@@ -4,10 +4,13 @@ This is ``elaborate`` as it was before each item's statements were walked
 once into one node table: the width checks, the single-driver rule, the
 dependency graph, the evaluation order and the coverage inventory each
 walked the items again, through ``reads_of`` and ``writes_of``. Its code
-is unchanged apart from its imports and one edit: the self-read check
+is unchanged apart from its imports and two edits. The self-read check
 visits a node's reads in sorted order, where it took whatever order the
 set of names gave, so the signal it names no longer depends on
-``PYTHONHASHSEED``. ``elaborate`` mirrors ``svloop.frontend.elaborate.elaborate``.
+``PYTHONHASHSEED``. The context-width annotation moved out of it into
+``annotate_widths``, because lowering now works out each width itself
+and elaboration writes none onto the tree. ``elaborate`` mirrors
+``svloop.frontend.elaborate.elaborate``.
 """
 
 from __future__ import annotations
@@ -17,14 +20,18 @@ from svloop.frontend.ast import (
     AlwaysComb,
     AlwaysSeq,
     Assignment,
+    Binary,
     Case,
     ContAssign,
     DesignAst,
     DesignSource,
+    Ident,
     If,
     Literal,
     NetDecl,
     ParamDecl,
+    Ternary,
+    Unary,
     idents_in,
     stmt_exprs,
     walk_stmts,
@@ -33,15 +40,105 @@ from svloop.frontend.elaborate import (
     MAX_WIDTH,
     ElaboratedDesign,
     SignalInfo,
-    _annotate,
-    _annotate_assignment_expr,
     _check_literals,
     _const_eval,
     _resolve_width,
-    _self_width,
     fsm_state_names,
     mask,
 )
+
+
+# --- the context-width rule, as elaboration applied it before lowering ---------
+# ``_self_width``, ``_annotate`` and ``_annotate_assignment_expr`` are copied
+# unchanged from the elaboration that wrote each expression's width onto the
+# tree as ``eval_width``; ``reference_sim`` reads those widths, so every
+# differential test checks the widths lowering works out against this rule.
+
+def _self_width(expr, widths: dict[str, int]) -> int:
+    if isinstance(expr, Literal):
+        return expr.self_width
+    if isinstance(expr, Ident):
+        return widths[expr.name]
+    if isinstance(expr, Unary):
+        if expr.op == "!":
+            return 1
+        return _self_width(expr.operand, widths)
+    if isinstance(expr, Binary):
+        if expr.op in ("==", "!=", "<", "<=", ">", ">=", "&&", "||"):
+            return 1
+        if expr.op in ("<<", ">>"):
+            return _self_width(expr.left, widths)
+        return max(_self_width(expr.left, widths), _self_width(expr.right, widths))
+    if isinstance(expr, Ternary):
+        return max(_self_width(expr.then, widths), _self_width(expr.other, widths))
+    raise TypeError(type(expr).__name__)
+
+
+def _annotate(expr, ctx: int, widths: dict[str, int]):
+    """Record the context-determined evaluation width on every node."""
+    if isinstance(expr, (Literal, Ident)):
+        expr.eval_width = ctx
+    elif isinstance(expr, Unary):
+        if expr.op == "!":
+            expr.eval_width = 1
+            _annotate(expr.operand, _self_width(expr.operand, widths), widths)
+        else:
+            expr.eval_width = ctx
+            _annotate(expr.operand, ctx, widths)
+    elif isinstance(expr, Binary):
+        if expr.op in ("==", "!=", "<", "<=", ">", ">="):
+            expr.eval_width = 1
+            opw = max(_self_width(expr.left, widths), _self_width(expr.right, widths))
+            _annotate(expr.left, opw, widths)
+            _annotate(expr.right, opw, widths)
+        elif expr.op in ("&&", "||"):
+            expr.eval_width = 1
+            _annotate(expr.left, _self_width(expr.left, widths), widths)
+            _annotate(expr.right, _self_width(expr.right, widths), widths)
+        elif expr.op in ("<<", ">>"):
+            expr.eval_width = ctx
+            _annotate(expr.left, ctx, widths)
+            _annotate(expr.right, _self_width(expr.right, widths), widths)
+        else:
+            expr.eval_width = ctx
+            _annotate(expr.left, ctx, widths)
+            _annotate(expr.right, ctx, widths)
+    elif isinstance(expr, Ternary):
+        expr.eval_width = ctx
+        _annotate(expr.cond, _self_width(expr.cond, widths), widths)
+        _annotate(expr.then, ctx, widths)
+        _annotate(expr.other, ctx, widths)
+    else:
+        raise TypeError(type(expr).__name__)
+
+
+def _annotate_assignment_expr(expr, target_width: int, widths: dict[str, int]):
+    ctx = max(target_width, _self_width(expr, widths))
+    _annotate(expr, ctx, widths)
+
+
+def annotate_widths(design: ElaboratedDesign):
+    """Write every expression's context-determined evaluation width onto
+    ``design``'s tree as ``eval_width``."""
+    widths = {name: info.width for name, info in design.signals.items()}
+    widths.update({name: w for name, (_, w) in design.params.items()})
+    for item in design.cont_assigns:
+        _annotate_assignment_expr(item.expr, widths[item.target], widths)
+    for proc in design.comb_processes + design.seq_processes:
+        for stmt in walk_stmts(proc.body):
+            if isinstance(stmt, Assignment):
+                _annotate_assignment_expr(stmt.expr, widths[stmt.target], widths)
+            elif isinstance(stmt, If):
+                _annotate(stmt.cond, _self_width(stmt.cond, widths), widths)
+            elif isinstance(stmt, Case):
+                opw = _self_width(stmt.subject, widths)
+                for citem in stmt.items:
+                    for lbl in citem.labels:
+                        opw = max(opw, _self_width(lbl, widths))
+                _annotate(stmt.subject, opw, widths)
+                for citem in stmt.items:
+                    for lbl in citem.labels:
+                        _annotate(lbl, opw, widths)
 
 
 def reads_of(body: list[Stmt]):
@@ -61,9 +158,9 @@ def elaborate(ast: DesignAst, source: DesignSource) -> ElaboratedDesign:
     """Resolve a parsed design into an executable form.
 
     The returned design shares the nodes of ``ast``. Elaboration writes
-    only ``eval_width`` and ``stmt_id`` onto them, fields that neither
-    equality nor the printer reads, so ``ast`` still prints and compares
-    as parsed; parameters stay identifiers, valued in ``params``.
+    only ``stmt_id`` onto its statements, a field that neither equality
+    nor the printer reads, so ``ast`` still prints and compares as
+    parsed; parameters stay identifiers, valued in ``params``.
     """
     params: dict[str, tuple[int, int]] = {}
     for item in ast.items:
@@ -92,9 +189,6 @@ def elaborate(ast: DesignAst, source: DesignSource) -> ElaboratedDesign:
             width = _resolve_width(item.msb, item.lsb, params, item.name, item.line)
             signals[item.name] = SignalInfo(item.name, width, item.kind, "internal")
 
-    widths = {name: info.width for name, info in signals.items()}
-    widths.update({name: w for name, (_, w) in params.items()})
-
     cont_assigns = [it for it in ast.items if isinstance(it, ContAssign)]
     comb_processes = [it for it in ast.items if isinstance(it, AlwaysComb)]
     seq_processes = [it for it in ast.items if isinstance(it, AlwaysSeq)]
@@ -102,7 +196,7 @@ def elaborate(ast: DesignAst, source: DesignSource) -> ElaboratedDesign:
     fsm_registers = {reg: sorted({params[n][0] for n in names})
                      for reg, names in fsm_state_names(seq_processes, params).items()}
 
-    # width checks, context annotation
+    # width checks
     for item in cont_assigns:
         if item.target not in signals:
             raise ElaborationError(f"assignment to non-signal {item.target!r}", item.line, 0)
@@ -111,7 +205,6 @@ def elaborate(ast: DesignAst, source: DesignSource) -> ElaboratedDesign:
                 f"continuous assignment to reg {item.target!r}", item.line, 0
             )
         _check_literals(item.expr, item.line)
-        _annotate_assignment_expr(item.expr, widths[item.target], widths)
     for proc in comb_processes + seq_processes:
         for stmt in walk_stmts(proc.body):
             for expr in stmt_exprs(stmt):
@@ -125,18 +218,6 @@ def elaborate(ast: DesignAst, source: DesignSource) -> ElaboratedDesign:
                     raise ElaborationError(
                         f"procedural assignment to wire {stmt.target!r}", stmt.line, 0
                     )
-                _annotate_assignment_expr(stmt.expr, widths[stmt.target], widths)
-            elif isinstance(stmt, If):
-                _annotate(stmt.cond, _self_width(stmt.cond, widths), widths)
-            elif isinstance(stmt, Case):
-                opw = _self_width(stmt.subject, widths)
-                for citem in stmt.items:
-                    for lbl in citem.labels:
-                        opw = max(opw, _self_width(lbl, widths))
-                _annotate(stmt.subject, opw, widths)
-                for citem in stmt.items:
-                    for lbl in citem.labels:
-                        _annotate(lbl, opw, widths)
 
     # sequential process sanity
     for proc in seq_processes:

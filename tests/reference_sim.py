@@ -4,7 +4,9 @@ This is the tree-walking interpreter the simulator used before designs
 were lowered to generated Python: it dispatches on node type every time
 it evaluates an expression, keeps signal values in a dict, settles by
 sweeping until nothing changes and samples toggle and FSM coverage on
-every cycle. ``run_reference`` and ``product_search_reference`` mirror
+every cycle. It reads each expression's evaluation width from the
+``eval_width`` that ``reference_elaborate.annotate_widths`` writes onto
+the tree. ``run_reference`` and ``product_search_reference`` mirror
 ``svloop.sim.engine.run`` and ``product_search`` on top of it.
 """
 
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 
+from reference_elaborate import annotate_widths
 from svloop.errors import StimulusMismatch
 from svloop.frontend.ast import Assignment, Case, If
 from svloop.sim.engine import Trace
@@ -24,6 +27,7 @@ class ReferenceMachine:
     its state is the dict ``values``."""
 
     def __init__(self, design: ElaboratedDesign, signature: DesignSignature, collector=None):
+        annotate_widths(design)
         self.design = design
         self.signals = design.signals
         self.values = {name: 0 for name in design.signals}

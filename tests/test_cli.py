@@ -316,6 +316,23 @@ class TestMutateCommand:
         (fresh_corpus / "problems" / "adder4" / "ref.sv").unlink()
         assert main(["mutate", "adder4", "--problems", str(fresh_corpus)]) == EXIT_DATA
 
+    @pytest.mark.parametrize("name", ["nosuch", "clk"])
+    def test_reset_that_is_no_stimulus_input_is_a_data_error(self, fresh_corpus, tmp_path,
+                                                             capsys, name):
+        manifest = fresh_corpus / "problems" / "seq_detect" / "problem.json"
+        raw = json.loads(manifest.read_text())
+        raw["reset"]["name"] = name
+        manifest.write_text(json.dumps(raw))
+        expected = (f"error: seq_detect: {manifest} names reset {name!r}, "
+                    "which is not a 1-bit input other than the clock\n")
+        assert main(["mutate", "seq_detect", "--problems", str(fresh_corpus)]) == EXIT_DATA
+        assert capsys.readouterr().err == expected
+        run_dir = tmp_path / "run"
+        assert main(["evaluate", "--problems", str(fresh_corpus), "--out", str(run_dir)]) \
+            == EXIT_DATA
+        assert capsys.readouterr().err == expected
+        assert not run_dir.exists()
+
     def test_truncated_problem_json_is_data_error(self, fresh_corpus, capsys):
         manifest = fresh_corpus / "problems" / "adder4" / "problem.json"
         text = manifest.read_text()

@@ -1,9 +1,11 @@
 """Differential tests: the compiled simulator against the tree-walking
 reference interpreter in ``reference_sim``."""
 
+import hashlib
 import random
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from svloop.frontend.elaborate import MAX_WIDTH, elaborate_source
 from svloop.frontend.parser import MAX_EXPR_DEPTH, MAX_STMT_DEPTH, parse_design
 from svloop.frontend.printer import ast_to_source
 from svloop.frontend.signature import extract_signature
+from svloop.manifest import load_corpus
 from svloop.mutate import OPERATORS, RANDOM_TEST_CYCLES, RANDOM_TESTS, inject
 from svloop.sim import engine
 from svloop.sim.coverage import CoverageCollector
@@ -214,6 +217,24 @@ endmodule
 """
 
 
+# operands evaluated at a width other than their own: a shift amount that
+# wraps at its own width inside a wider target, and a sum compared with,
+# or cased on, a wider constant
+WIDTHS = """
+module widths (input [7:0] a, input [1:0] b, input [3:0] c, input [3:0] d,
+               output [7:0] y, output z, output reg w);
+  assign y = a << (b + 2'd3);
+  assign z = (c + d) == 5'd16;
+  always @(*) begin
+    case (c + d)
+      5'd16, 5'd17: w = 1'b1;
+      default: w = 1'b0;
+    endcase
+  end
+endmodule
+"""
+
+
 def harness_signature(design, text):
     """The design's signature; UNCLOCKED runs with no harness clock, so
     its processes fire on stimulus edges only."""
@@ -248,7 +269,8 @@ def simulate(text, rows):
 
 
 @pytest.mark.parametrize("text", [SHIFT, MASKS, LOGIC, HOLD, DEFAULT_ONLY, EMPTY_THEN,
-                                  COMB_NBA, NEGEDGE, TWO_ASYNC, NEG_ASYNC, UNCLOCKED])
+                                  COMB_NBA, NEGEDGE, TWO_ASYNC, NEG_ASYNC, UNCLOCKED,
+                                  WIDTHS])
 @given(data=st.data())
 @settings(max_examples=20)
 def test_lowering_edges_match_interpreter_on_fuzzed_stimuli(text, data):
@@ -641,3 +663,39 @@ class TestStackBudget:
     def test_every_pass_runs_from_a_deep_caller(self, text):
         assert sys.getrecursionlimit() == 1000
         assert from_depth(300, lambda: every_pass(text)) == every_pass(text)
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+# sha256 of both lowered variants of every pinned design, as written when
+# elaboration annotated each expression with its evaluation width
+LOWERED_DIGEST = "ccde02958e1156c207fd23545be19dcfbff1dde010ad928f35bd24897e84156a"
+
+
+def pinned_designs(problems) -> list[str]:
+    """The desk references, the candidate every site of every operator
+    gives on each, and the fixture designs."""
+    texts = []
+    for problem in problems:
+        texts.append(problem.reference.text)
+        ast = parse_design(problem.reference)
+        for op in OPERATORS:
+            for _, _, node, attribute, value in mutate._collect_sites(
+                    op, ast, problem.design, problem.signature):
+                original = getattr(node, attribute)
+                setattr(node, attribute, value)
+                texts.append(ast_to_source(ast))
+                setattr(node, attribute, original)
+    return texts + [path.read_text() for path in sorted(FIXTURES.rglob("*.sv"))]
+
+
+class TestLoweredTextPinned:
+    def test_both_variants_of_every_pinned_design(self, fresh_corpus):
+        texts = pinned_designs(load_corpus(fresh_corpus))
+        digest = hashlib.sha256()
+        for text in texts:
+            design = elaborate_source(text)
+            for instrumented in (False, True):
+                digest.update(lowered_source(design, instrumented).encode())
+        assert len(texts) == 172
+        assert digest.hexdigest() == LOWERED_DIGEST

@@ -2,9 +2,9 @@
 elaboration that walked each item up to five times (``reference_elaborate.py``).
 
 Separate parses of one text are elaborated by each. Both must give equal
-``ElaboratedDesign`` fields and write the same ``eval_width`` and
-``stmt_id`` onto every node, or raise the same error type, message, line
-and column: elaboration errors reach ``svloop parse`` and the debug loop's
+``ElaboratedDesign`` fields and leave every node with the same attributes,
+the ``stmt_id`` each writes included, or raise the same error type,
+message, line and column: elaboration errors reach ``svloop parse`` and the debug loop's
 patch rejections, which ``state.json`` records.
 """
 
@@ -29,11 +29,11 @@ from svloop.mutate import OPERATORS, NoApplicableSite, NoDistinctMutant, inject
 
 
 def dump(node):
-    """A node as nested tuples, with every field, ``eval_width`` and
+    """A node as nested tuples, with every attribute, positions and
     ``stmt_id`` included (equality leaves them out)."""
     if dataclasses.is_dataclass(node):
         return (type(node).__name__,) + tuple(
-            dump(getattr(node, f.name)) for f in dataclasses.fields(node))
+            (name, dump(value)) for name, value in vars(node).items())
     if isinstance(node, list):
         return [dump(item) for item in node]
     return node

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import sys
 
 import pytest
@@ -12,7 +13,7 @@ from svloop.errors import (
     UnsupportedConstruct,
     WidthMismatch,
 )
-from svloop.frontend.ast import DesignSource, Ident
+from svloop.frontend.ast import DesignSource, Expr, Ident
 from svloop.frontend.elaborate import elaborate, elaborate_source
 from svloop.frontend.parser import parse_design
 from svloop.frontend.printer import ast_to_source
@@ -20,6 +21,7 @@ from svloop.frontend.signature import extract_signature
 from svloop.manifest import RunConfig
 from svloop.matrix import evaluate_problem
 from svloop.mutate import make_corpus
+from svloop.sim.lower import lowered_source
 
 FULL_ADDER = """
 module full_adder (
@@ -244,13 +246,29 @@ class TestElaborate:
         ast = parse_design(source)
         printed = ast_to_source(ast)
         design = elaborate(ast, source)
-        # the design shares the given nodes and only annotates them
+        # the design shares the given nodes and writes nothing onto an
+        # expression: every one holds what a fresh parse holds
         assert design.seq_processes[0] is ast.items[-1]
         assert ast_to_source(ast) == printed
         assert ast == parse_design(source)
+        elaborated, fresh = expr_nodes(ast), expr_nodes(parse_design(source))
+        assert len(elaborated) == len(fresh) == 14
+        assert [vars(e) for e in elaborated] == [vars(e) for e in fresh]
+        # lowering folds the reset value IDLE in as a 2-bit constant
         reset_state = design.seq_processes[0].body[0].then_body[0]
         assert reset_state.expr == Ident("IDLE")
-        assert reset_state.expr.eval_width == 2
+        state = list(design.signals).index("State")
+        assert f"n[{state}] = 0 & 3\n" in lowered_source(design, False)
+
+
+def expr_nodes(node) -> list[Expr]:
+    """Every expression node under ``node``, in field order."""
+    if isinstance(node, list):
+        return [e for item in node for e in expr_nodes(item)]
+    if not dataclasses.is_dataclass(node):
+        return []
+    below = [e for f in dataclasses.fields(node) for e in expr_nodes(getattr(node, f.name))]
+    return [node] + below if isinstance(node, Expr) else below
 
 
 class TestNoAstCopies:

@@ -91,6 +91,31 @@ class TestExpressionWidths:
         trace = simulate(text, [(5,)])
         assert trace.values["y"] == (0,)
 
+    def test_shift_amount_is_self_determined(self):
+        # b + 2'd3 wraps at its own 2 bits, not at the 8 bits of the target
+        text = """
+        module shift_amount (input [7:0] a, input [1:0] b, output [7:0] y);
+          assign y = a << (b + 2'd3);
+        endmodule
+        """
+        trace = simulate(text, [(1, 1), (1, 0), (1, 3)])
+        assert trace.values["y"] == (1, 8, 4)
+
+    def test_case_subject_and_labels_share_the_widest_width(self):
+        # a + b is taken at the 5 bits of the label: 8 + 8 matches 16, 0 + 0 does not
+        text = """
+        module case_width (input [3:0] a, input [3:0] b, output reg y);
+          always @(*) begin
+            case (a + b)
+              5'd16: y = 1'b1;
+              default: y = 1'b0;
+            endcase
+          end
+        endmodule
+        """
+        trace = simulate(text, [(8, 8), (0, 0), (15, 1)])
+        assert trace.values["y"] == (1, 0, 1)
+
     def test_ternary_arms_share_context(self):
         text = """
         module pick (input s, input [2:0] a, input [2:0] b, output [2:0] y);
