@@ -272,11 +272,15 @@ def cmd_debug(args) -> int:
     if not tests:
         print(f"error: no .stim files in {tests_dir}", file=sys.stderr)
         return EXIT_DATA
+    target = elaborate_source(mutants[args.target])
+    if not problem.keeps_interface(target):
+        print(f"error: mutant {args.target} does not keep the interface of {problem.id}",
+              file=sys.stderr)
+        return EXIT_DATA
     config = _run_config(args)
     provider = build_provider(config, Path(args.out) / "provider_log")
     oracle_traces = {t.id: run_sim(problem.design, t, problem.signature) for t in tests}
-    state = debug_loop(problem, elaborate_source(mutants[args.target]), tests,
-                       oracle_traces, config, provider)
+    state = debug_loop(problem, target, tests, oracle_traces, config, provider)
     out = Path(args.out)
     _mkdir(out, parents=True)
     _write_bytes(out / "final.sv", state.design.text.encode())

@@ -1,9 +1,10 @@
 """AST node types for the supported SystemVerilog subset.
 
-Nodes compare structurally: source positions and the statement ids that
-elaboration writes are excluded from equality, so a pretty-print/re-parse
-round trip yields an equal tree. Expression nodes carry nothing but what
-the parser read; lowering works out their evaluation widths.
+Nodes compare structurally: source positions are excluded from
+equality, so a pretty-print/re-parse round trip yields an equal tree.
+Nodes carry nothing but what the parser read, and nothing after parsing
+writes onto them: lowering works out each expression's evaluation width
+and numbers the statements for coverage.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ class Literal(Expr):
 
     @property
     def self_width(self) -> int:
-        return self.size if self.size is not None else 32
+        # an unsized number is at least 32 bits wide (IEEE 1800-2017 5.7.1)
+        return self.size if self.size is not None else max(32, self.value.bit_length())
 
 
 @dataclass
@@ -101,8 +103,6 @@ class Ternary(Expr):
 class Stmt:
     line: int = field(default=0, compare=False, kw_only=True)
     col: int = field(default=0, compare=False, kw_only=True)
-    # statement id for line coverage, assigned during elaboration
-    stmt_id: Optional[int] = field(default=None, compare=False, kw_only=True)
 
 
 @dataclass
@@ -167,7 +167,6 @@ class ContAssign:
     target: str
     expr: Expr
     line: int = field(default=0, compare=False, kw_only=True)
-    stmt_id: Optional[int] = field(default=None, compare=False, kw_only=True)
 
 
 @dataclass

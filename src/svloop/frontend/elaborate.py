@@ -1,6 +1,7 @@
 """Elaboration: resolve parameters and declared widths, classify
 processes, fix evaluation order, and precompute the tables the simulator
-consumes.
+consumes. Elaboration reads the parse and writes nothing onto it:
+lowering numbers the statements for coverage.
 
 Semantics are two-valued (0/1, no X/Z); registers initialize to 0.
 All arithmetic is unsigned with Verilog-style context widening and
@@ -26,12 +27,10 @@ from .ast import (
     AlwaysSeq,
     Assignment,
     Binary,
-    Case,
     ContAssign,
     DesignAst,
     DesignSource,
     Ident,
-    If,
     Literal,
     NetDecl,
     ParamDecl,
@@ -65,8 +64,6 @@ class ElaboratedDesign:
     comb_processes: list[AlwaysComb]
     seq_processes: list[AlwaysSeq]
     comb_order: list[tuple[str, int]]             # ("assign" | "comb", index)
-    statement_lines: list[int]                    # statement id -> source line
-    branch_arms: list[tuple]
     fsm_registers: dict[str, list[int]]           # state reg -> sorted constant values
     _lowered_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -135,6 +132,9 @@ def constant_value(expr, params: dict[str, tuple[int, int]]) -> int | None:
 
 def _check_literals(expr, line_hint=0):
     for sub in walk_exprs(expr):
+        if isinstance(sub, Literal) and sub.size is None and sub.self_width > MAX_WIDTH:
+            raise WidthMismatch(f"unsized literal of {sub.self_width} bits exceeds the "
+                                f"{MAX_WIDTH}-bit limit", sub.line or line_hint, sub.col)
         if isinstance(sub, Literal) and sub.size is not None:
             if sub.size < 1:
                 raise WidthMismatch("literal size must be positive", sub.line or line_hint, sub.col)
@@ -211,6 +211,8 @@ def _resolve_width(msb, lsb, params, owner: str, line: int) -> int:
         raise WidthMismatch(f"invalid range [{msb_v}:{lsb_v}] for {owner!r}", line, 0)
     if msb_v - lsb_v >= MAX_WIDTH:
         raise WidthMismatch(f"{owner!r} is wider than the {MAX_WIDTH}-bit limit", line, 0)
+    _check_literals(msb, line)
+    _check_literals(lsb, line)
     return msb_v - lsb_v + 1
 
 
@@ -263,16 +265,14 @@ def fsm_state_names(seq_processes, params) -> dict[str, list[str]]:
 def elaborate(ast: DesignAst, source: DesignSource) -> ElaboratedDesign:
     """Resolve a parsed design into an executable form.
 
-    The returned design shares the nodes of ``ast``. Elaboration writes
-    only ``stmt_id`` onto its statements, a field that neither equality
-    nor the printer reads, so ``ast`` still prints and compares as
-    parsed; parameters stay identifiers, valued in ``params``.
+    The returned design shares the nodes of ``ast`` and writes nothing
+    onto them, so ``ast`` stays as parsed; parameters stay identifiers,
+    valued in ``params``.
     """
     params: dict[str, tuple[int, int]] = {}
     for item in ast.items:
         if isinstance(item, ParamDecl):
             value = _const_eval(item.value, params, f"parameter {item.name!r}")
-            _check_literals(item.value, item.line)
             if isinstance(item.value, Literal) and item.value.size is not None:
                 width = item.value.size
             else:
@@ -280,6 +280,7 @@ def elaborate(ast: DesignAst, source: DesignSource) -> ElaboratedDesign:
             if width > MAX_WIDTH:
                 raise WidthMismatch(f"parameter {item.name!r} is wider than the "
                                     f"{MAX_WIDTH}-bit limit", item.line, 0)
+            _check_literals(item.value, item.line)
             params[item.name] = (mask(value, width) if value >= 0 else mask(value, 32), width)
 
     signals: dict[str, SignalInfo] = {}
@@ -302,19 +303,15 @@ def elaborate(ast: DesignAst, source: DesignSource) -> ElaboratedDesign:
     fsm_registers = {reg: sorted({params[n][0] for n in names})
                      for reg, names in fsm_state_names(seq_processes, params).items()}
 
-    # one walk per item: check each statement, number it for coverage, and
-    # enter the item in the node table
+    # one walk per item: check each statement and enter the item in the
+    # node table
     nodes: list[_Node] = []
-    statement_lines: list[int] = []
-    branch_arms: list[tuple] = []
     for i, item in enumerate(cont_assigns):
         if item.target not in signals:
             raise ElaborationError(f"assignment to non-signal {item.target!r}", item.line, 0)
         if signals[item.target].kind == "reg":
             raise ElaborationError(f"continuous assignment to reg {item.target!r}", item.line, 0)
         _check_literals(item.expr, item.line)
-        item.stmt_id = len(statement_lines)
-        statement_lines.append(item.line)
         nodes.append(_Node(("assign", i), f"assign #{i + 1}", item.line, {item.target},
                            set(idents_in(item.expr))))
     for kind, label, procs in (("comb", "combinational process", comb_processes),
@@ -327,8 +324,6 @@ def elaborate(ast: DesignAst, source: DesignSource) -> ElaboratedDesign:
                     _check_literals(expr, stmt.line)
                     if reads is not None:
                         reads.update(idents_in(expr))
-                stmt.stmt_id = sid = len(statement_lines)
-                statement_lines.append(stmt.line)
                 if isinstance(stmt, Assignment):
                     if stmt.target not in signals:
                         raise ElaborationError(f"assignment to non-signal {stmt.target!r}",
@@ -337,12 +332,6 @@ def elaborate(ast: DesignAst, source: DesignSource) -> ElaboratedDesign:
                         raise ElaborationError(f"procedural assignment to wire {stmt.target!r}",
                                                stmt.line, 0)
                     writes.add(stmt.target)
-                elif isinstance(stmt, If):
-                    branch_arms += [(sid, "then"), (sid, "else")]
-                elif isinstance(stmt, Case):
-                    branch_arms += [(sid, arm) for arm in range(len(stmt.items))]
-                    if stmt.default_body is not None:
-                        branch_arms.append((sid, "default"))
             nodes.append(_Node((kind, i), f"{label} #{i + 1}", proc.line, writes, reads))
 
     # sequential process sanity
@@ -416,8 +405,6 @@ def elaborate(ast: DesignAst, source: DesignSource) -> ElaboratedDesign:
         comb_processes=comb_processes,
         seq_processes=seq_processes,
         comb_order=[comb[idx].key for idx in order],
-        statement_lines=statement_lines,
-        branch_arms=branch_arms,
         fsm_registers=fsm_registers,
     )
 

@@ -8,7 +8,7 @@ recording operator, site, seed, and witness stimulus per mutant.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
@@ -51,6 +51,12 @@ class Problem:
         mutant or patch keeps the interface when its own signature, inferred
         with this clock, equals it."""
         return extract_signature(self.design, self.signature.clock)
+
+    def keeps_interface(self, design: ElaboratedDesign) -> bool:
+        """Whether ``design`` may stand in for the reference: a mutant,
+        patch or evaluation target must keep the interface, or the
+        problem's stimuli and traces do not fit it."""
+        return extract_signature(design, self.signature.clock) == self.interface
 
     def mutants(self) -> list[tuple[str, DesignSource, UnitTest]]:
         """(bc id, source, witness) for every mutant recorded on disk."""
@@ -174,7 +180,6 @@ class RunConfig:
     iteration_cap: int = 5
     mismatch_limit: int = 20
     jobs: int = 1
-    version: str = field(default=__version__)
 
     def __post_init__(self):
         # the rules report applies to run_config.json; `svloop mutate` builds
@@ -189,4 +194,5 @@ class RunConfig:
                 object.__setattr__(self, name, int(value))
 
     def as_dict(self) -> dict:
-        return dict(vars(self))  # every field is a str, an int or None
+        # every field is a str, an int or None; the tool version comes last
+        return {**vars(self), "version": __version__}

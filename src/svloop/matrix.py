@@ -163,11 +163,14 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
     # targets and suites are made the first time a unit without a checkpoint needs them
     @cache
     def target(tgt_id: str):
-        """The target's design, or the reason it does not elaborate."""
+        """The target's design, or the reason it cannot be evaluated."""
         try:
-            return elaborate_source(sources[tgt_id])
+            design = elaborate_source(sources[tgt_id])
+            if problem.keeps_interface(design):
+                return design
         except SvLoopError as exc:
             return f"target does not elaborate: {exc}"
+        return "target does not keep the problem's interface"
 
     def suite(src_id: str) -> tuple[list[UnitTest], dict[str, Trace]]:
         if src_id not in suites:

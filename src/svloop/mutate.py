@@ -39,7 +39,7 @@ from .frontend.ast import (
 from .frontend.elaborate import ElaboratedDesign, elaborate, fsm_state_names
 from .frontend.parser import parse_design
 from .frontend.printer import ast_to_source
-from .frontend.signature import DesignSignature, extract_signature
+from .frontend.signature import DesignSignature
 from .sim.engine import product_search, run
 from .sim.stimulus import UnitTest
 
@@ -319,7 +319,7 @@ def inject(problem: Problem, ast: DesignAst, op: MutationOperator, seed: int) ->
     and elaborated in place; the edit is undone before the next
     candidate, so a candidate design is valid only until then.
     """
-    reference, signature, interface = problem.design, problem.signature, problem.interface
+    reference, signature = problem.design, problem.signature
     sites = _collect_sites(op, ast, reference, signature)
     if not sites:
         raise NoApplicableSite(f"{op.bc_id} ({op.kind}): no applicable site")
@@ -334,7 +334,7 @@ def inject(problem: Problem, ast: DesignAst, op: MutationOperator, seed: int) ->
             candidate_src = DesignSource(ast_to_source(ast), f"mutant {op.bc_id}")
             try:
                 candidate = elaborate(ast, candidate_src)
-                if extract_signature(candidate, interface.clock) != interface:
+                if not problem.keeps_interface(candidate):
                     continue
             except SvLoopError:
                 continue

@@ -3,9 +3,12 @@
 Categories: line (executed statements), branch (taken if/case arms),
 toggle (signal bits observed at both 0 and 1 across samples), and
 FSM state (distinct observed values of state registers over their
-declared constant sets). The scalar is the arithmetic mean of the
-categories that are defined for the design; commercial simulators mix
-categories differently, so reports label this reduction explicitly.
+declared constant sets). The line and branch points are the probes of
+the design's instrumented lowering (``lower``), keyed by statement id or
+``(id, arm)``; a collector holds the keys of those reached. The scalar
+is the arithmetic mean of the categories that are defined for the
+design; commercial simulators mix categories differently, so reports
+label this reduction explicitly.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ class CoverageReport:
     fsm_state: Optional[Fraction]
     scalar: Fraction
     uncovered: tuple[str, ...]
-    note: str = SCALAR_NOTE
 
     def as_dict(self) -> dict:
         def ratio(x):
@@ -46,7 +48,7 @@ class CoverageReport:
             "toggle": ratio(self.toggle),
             "fsm_state": ratio(self.fsm_state),
             "scalar": float(self.scalar),
-            "note": self.note,
+            "note": SCALAR_NOTE,
         }
 
 
@@ -55,9 +57,11 @@ class CoverageCollector:
     result is independent of test order."""
 
     def __init__(self, design: ElaboratedDesign, signature: DesignSignature):
+        from .engine import _bound      # here, so importing this module loads no simulator
+
         self.design = design
-        self.stmts: set[int] = set()
-        self.arms: set[tuple] = set()
+        self.probes = _bound(design, signature, True)[3]    # each probe's (key, line)
+        self.hit: set = set()                               # the keys of the probes reached
         self.ones = {name: 0 for name in design.signals if name != signature.clock}
         self.zeros = dict(self.ones)
         self.fsm_seen: dict[str, set[int]] = {reg: set() for reg in design.fsm_registers}
@@ -69,8 +73,7 @@ class CoverageCollector:
         """A collector holding the same events; folding a run into either
         leaves the other unchanged."""
         twin = copy.copy(self)
-        twin.stmts = set(self.stmts)
-        twin.arms = set(self.arms)
+        twin.hit = set(self.hit)
         twin.ones = dict(self.ones)
         twin.zeros = dict(self.zeros)
         twin.fsm_seen = {reg: set(seen) for reg, seen in self.fsm_seen.items()}
@@ -90,23 +93,16 @@ class CoverageCollector:
 
     def report(self) -> CoverageReport:
         design = self.design
-        uncovered: list[str] = []
-
-        lines = design.statement_lines
-        line = None
-        if lines:
-            ids = set(range(len(lines)))
-            line = Fraction(len(self.stmts & ids), len(lines))
-            for sid in sorted(ids - self.stmts):
-                uncovered.append(f"statement at line {lines[sid]} never executed")
-
-        branch = None
-        if design.branch_arms:
-            taken = self.arms & set(design.branch_arms)
-            branch = Fraction(len(taken), len(design.branch_arms))
-            for sid, arm in sorted(set(design.branch_arms) - taken, key=str):
-                label = arm if isinstance(arm, str) else f"case arm {arm + 1}"
-                uncovered.append(f"branch '{label}' at line {lines[sid]} never taken")
+        stmts = sorted(p for p in self.probes if type(p[0]) is int)
+        arms = sorted((p for p in self.probes if type(p[0]) is tuple), key=lambda p: str(p[0]))
+        uncovered = [f"statement at line {at} never executed"
+                     for sid, at in stmts if sid not in self.hit]
+        line = Fraction(len(stmts) - len(uncovered), len(stmts)) if stmts else None
+        missed = [(arm, at) for (sid, arm), at in arms if (sid, arm) not in self.hit]
+        branch = Fraction(len(arms) - len(missed), len(arms)) if arms else None
+        for arm, at in missed:
+            label = arm if isinstance(arm, str) else f"case arm {arm + 1}"
+            uncovered.append(f"branch '{label}' at line {at} never taken")
 
         toggle = None
         total_bits = sum(design.signals[name].width for name in self.ones)

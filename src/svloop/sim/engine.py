@@ -30,9 +30,9 @@ class Trace:
 def _bound(design: ElaboratedDesign, signature: DesignSignature, instrumented: bool):
     """``(step, start, index, probes, hits, cleared)`` of one variant: the
     harness cycle bound to the design's lowered code, the settled all-zero
-    state every run starts from, the signal index map, the probe keys, the
-    hit list the instrumented step stores into and its state after the
-    settling sweep. Built once, with the variant's lowering, and cached on
+    state every run starts from, the signal index map, each probe's
+    ``(key, line)``, the hit list the instrumented step stores into and its
+    state after the settling sweep. Built once, with the variant's lowering, and cached on
     the design: a mutation candidate is valid only while its edit is
     applied, and so are the edge lists its harness is made from."""
     cache = design._lowered_cache
@@ -85,10 +85,7 @@ def run(
         append(state)
     trace = Trace(dict(zip(design.signals, zip(*samples))), test.cycles)
     if collector is not None:
-        # a probe's key is a statement id or a (statement id, arm) pair
-        hit = [key for key, h in zip(probes, hits) if h]
-        collector.stmts.update(key for key in hit if type(key) is int)
-        collector.arms.update(key for key in hit if type(key) is tuple)
+        collector.hit.update(key for (key, _), h in zip(probes, hits) if h)
         collector.observe(trace.values)
     return trace
 

@@ -23,11 +23,20 @@ of arithmetic and bitwise operators, a ternary's two arms and a shift's
 left side inherit their parent's width. A condition, a logical operand
 and a shift amount are evaluated at their own width, a comparison's two
 operands at the wider of theirs, and a case's subject and labels at the
-widest of them all. The instrumented
-variant's ``bind`` takes a list ``H`` of hits, one per coverage probe:
-probe ``k`` is the store ``H[k] = 1`` where its statement runs or its
-arm is taken, and ``lower`` returns each probe's coverage key beside
-``bind``. The plain variant holds no probes at all.
+widest of them all.
+
+The instrumented variant's probes are the design's coverage points, and
+the only inventory of them. ``bind`` takes a list ``H`` of hits, one per
+probe: probe ``k`` is the store ``H[k] = 1`` where its point is reached.
+There is one probe per statement and continuous assign, keyed by the
+statement's id, and one per ``then`` and ``else`` of every ``if`` (an
+absent else is probed too), each case arm (``0, 1, ...``) and a
+``default``, keyed ``(id, arm)``. Ids number the continuous assigns in
+declaration order, then the statements of each combinational and then
+each clocked process in preorder, whatever order the sweep runs them in.
+``lower`` returns each probe's ``(key, line)`` beside ``bind``, the line
+of an arm's probe being its statement's. The plain variant holds no
+probes at all.
 
 ``harness(design, signature)`` generates the harness cycle around that
 module: ``make(sweep, processes)`` returns ``step(v, row)``, which
@@ -78,7 +87,11 @@ class _Writer:
         self.lines: list[str] = []       # the function being written
         self.helpers: list[list[str]] = []
         self.temps = 0
-        self.probes: list = []           # probe k's coverage key: stmt id or (id, arm)
+        self.probes: list = []           # probe k's (key, line); key is id or (id, arm)
+        if instrumented:
+            procs = design.comb_processes + design.seq_processes
+            stmts = design.cont_assigns + [s for proc in procs for s in walk_stmts(proc.body)]
+            self.ids = {id(stmt): n for n, stmt in enumerate(stmts)}    # statement ids
 
     def fresh(self, prefix: str) -> str:
         self.temps += 1
@@ -165,10 +178,12 @@ class _Writer:
     def emit(self, indent: int, text: str):
         self.lines.append("    " * indent + text)
 
-    def probe(self, indent: int, key):
+    def probe(self, indent: int, stmt, arm=None):
+        """Probe ``stmt``, or its ``arm`` when one is given."""
         if self.instrumented:
             self.emit(indent, f"H[{len(self.probes)}] = 1")
-            self.probes.append(key)
+            sid = self.ids[id(stmt)]
+            self.probes.append((sid if arm is None else (sid, arm), stmt.line))
 
     def body(self, stmts, indent: int, depth: int):
         if not stmts:
@@ -191,7 +206,7 @@ class _Writer:
         return name
 
     def statement(self, stmt, indent: int, depth: int):
-        self.probe(indent, stmt.stmt_id)
+        self.probe(indent, stmt)
         pre: list[str] = []
         if isinstance(stmt, Assignment):
             value = self.assigned(stmt.target, stmt.expr, pre)
@@ -205,11 +220,11 @@ class _Writer:
             for line in pre:
                 self.emit(indent, line)
             self.emit(indent, f"if {cond}:")
-            self.probe(indent + 1, (stmt.stmt_id, "then"))
+            self.probe(indent + 1, stmt, "then")
             self.body(stmt.then_body, indent + 1, depth + 1)
             if stmt.else_body is not None or self.instrumented:
                 self.emit(indent, "else:")
-                self.probe(indent + 1, (stmt.stmt_id, "else"))
+                self.probe(indent + 1, stmt, "else")
                 self.body(stmt.else_body or [], indent + 1, depth + 1)
         elif isinstance(stmt, Case):
             # the subject and every label at the widest of their widths
@@ -224,11 +239,11 @@ class _Writer:
                 self.emit(indent, line)
             for i, (item, test) in enumerate(zip(stmt.items, tests)):
                 self.emit(indent, f"{'elif' if i else 'if'} {test}:")
-                self.probe(indent + 1, (stmt.stmt_id, i))
+                self.probe(indent + 1, stmt, i)
                 self.body(item.body, indent + 1, depth + 1)
             if stmt.default_body is not None:
                 self.emit(indent, "else:" if stmt.items else "if True:")
-                self.probe(indent + 1, (stmt.stmt_id, "default"))
+                self.probe(indent + 1, stmt, "default")
                 self.body(stmt.default_body, indent + 1, depth + 1)
         else:
             raise TypeError(type(stmt).__name__)
@@ -247,7 +262,7 @@ class _Writer:
                 pre: list[str] = []
                 value = self.assigned(item.target, item.expr, pre)
                 target = self.index[item.target]
-                self.probe(1, item.stmt_id)
+                self.probe(1, item)
                 for line in pre:
                     self.emit(1, line)
                 self.emit(1, f"v[{target}] = {value} & {self.masks[target]}")
@@ -291,7 +306,7 @@ def lowered_source(design: ElaboratedDesign, instrumented: bool) -> str:
 
 def lower(design: ElaboratedDesign, instrumented: bool = False):
     """``(bind, probes)`` of ``design``: the compiled ``bind`` of one
-    variant and the coverage key of each of its probes."""
+    variant and the ``(key, line)`` of each of its probes."""
     writer = _Writer(design, instrumented)
     return _compile(writer.module(), "bind"), tuple(writer.probes)
 

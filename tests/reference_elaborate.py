@@ -4,13 +4,16 @@ This is ``elaborate`` as it was before each item's statements were walked
 once into one node table: the width checks, the single-driver rule, the
 dependency graph, the evaluation order and the coverage inventory each
 walked the items again, through ``reads_of`` and ``writes_of``. Its code
-is unchanged apart from its imports and two edits. The self-read check
+is unchanged apart from its imports and three edits. The self-read check
 visits a node's reads in sorted order, where it took whatever order the
 set of names gave, so the signal it names no longer depends on
-``PYTHONHASHSEED``. The context-width annotation moved out of it into
-``annotate_widths``, because lowering now works out each width itself
-and elaboration writes none onto the tree. ``elaborate`` mirrors
-``svloop.frontend.elaborate.elaborate``.
+``PYTHONHASHSEED``. A parameter's literals are checked after its width,
+as in ``elaborate``, so an unsized literal past the width cap is named
+as the parameter it makes. The context-width annotation moved out of it
+into ``annotate_widths``, and the coverage inventory into
+``number_statements``, because lowering now works out each width and
+numbers each statement itself, and elaboration writes nothing onto the
+tree. ``elaborate`` mirrors ``svloop.frontend.elaborate.elaborate``.
 """
 
 from __future__ import annotations
@@ -141,6 +144,37 @@ def annotate_widths(design: ElaboratedDesign):
                         _annotate(lbl, opw, widths)
 
 
+# --- the coverage inventory, as elaboration numbered it before lowering ------
+# Its loops are copied unchanged from the elaboration that wrote each
+# statement's id onto the tree as ``stmt_id``; ``reference_sim`` reads those
+# ids, and ``test_compiled`` checks lowering's probes against this numbering.
+
+def number_statements(design: ElaboratedDesign) -> tuple[list[int], list[tuple]]:
+    """Write each statement's coverage id onto ``design``'s tree as
+    ``stmt_id``; ``(statement_lines, branch_arms)``: each id's source line
+    and every branch arm's ``(id, arm)``."""
+    # statement and branch-arm inventories for coverage; a statement's id is
+    # its index in statement_lines
+    statement_lines: list[int] = []
+    branch_arms: list[tuple] = []
+    for item in design.cont_assigns:
+        item.stmt_id = len(statement_lines)
+        statement_lines.append(item.line)
+    for proc in design.comb_processes + design.seq_processes:
+        for stmt in walk_stmts(proc.body):
+            stmt.stmt_id = sid = len(statement_lines)
+            statement_lines.append(stmt.line)
+            if isinstance(stmt, If):
+                branch_arms.append((sid, "then"))
+                branch_arms.append((sid, "else"))
+            elif isinstance(stmt, Case):
+                for i in range(len(stmt.items)):
+                    branch_arms.append((sid, i))
+                if stmt.default_body is not None:
+                    branch_arms.append((sid, "default"))
+    return statement_lines, branch_arms
+
+
 def reads_of(body: list[Stmt]):
     """All identifiers read anywhere in a statement body."""
     for stmt in walk_stmts(body):
@@ -157,16 +191,14 @@ def writes_of(body: list[Stmt]):
 def elaborate(ast: DesignAst, source: DesignSource) -> ElaboratedDesign:
     """Resolve a parsed design into an executable form.
 
-    The returned design shares the nodes of ``ast``. Elaboration writes
-    only ``stmt_id`` onto its statements, a field that neither equality
-    nor the printer reads, so ``ast`` still prints and compares as
-    parsed; parameters stay identifiers, valued in ``params``.
+    The returned design shares the nodes of ``ast`` and writes nothing
+    onto them, so ``ast`` stays as parsed; parameters stay identifiers,
+    valued in ``params``.
     """
     params: dict[str, tuple[int, int]] = {}
     for item in ast.items:
         if isinstance(item, ParamDecl):
             value = _const_eval(item.value, params, f"parameter {item.name!r}")
-            _check_literals(item.value, item.line)
             if isinstance(item.value, Literal) and item.value.size is not None:
                 width = item.value.size
             else:
@@ -174,6 +206,7 @@ def elaborate(ast: DesignAst, source: DesignSource) -> ElaboratedDesign:
             if width > MAX_WIDTH:
                 raise WidthMismatch(f"parameter {item.name!r} is wider than the "
                                     f"{MAX_WIDTH}-bit limit", item.line, 0)
+            _check_literals(item.value, item.line)
             params[item.name] = (mask(value, width) if value >= 0 else mask(value, 32), width)
 
     signals: dict[str, SignalInfo] = {}
@@ -307,26 +340,6 @@ def elaborate(ast: DesignAst, source: DesignSource) -> ElaboratedDesign:
         raise CombinationalLoop(f"combinational loop through {', '.join(names)}", line, 0)
     comb_order = [nodes[idx] for idx in order]
 
-    # statement and branch-arm inventories for coverage; a statement's id is
-    # its index in statement_lines
-    statement_lines: list[int] = []
-    branch_arms: list[tuple] = []
-    for item in cont_assigns:
-        item.stmt_id = len(statement_lines)
-        statement_lines.append(item.line)
-    for proc in comb_processes + seq_processes:
-        for stmt in walk_stmts(proc.body):
-            stmt.stmt_id = sid = len(statement_lines)
-            statement_lines.append(stmt.line)
-            if isinstance(stmt, If):
-                branch_arms.append((sid, "then"))
-                branch_arms.append((sid, "else"))
-            elif isinstance(stmt, Case):
-                for i in range(len(stmt.items)):
-                    branch_arms.append((sid, i))
-                if stmt.default_body is not None:
-                    branch_arms.append((sid, "default"))
-
     return ElaboratedDesign(
         name=ast.name,
         source=source,
@@ -338,8 +351,6 @@ def elaborate(ast: DesignAst, source: DesignSource) -> ElaboratedDesign:
         comb_processes=comb_processes,
         seq_processes=seq_processes,
         comb_order=comb_order,
-        statement_lines=statement_lines,
-        branch_arms=branch_arms,
         fsm_registers=fsm_registers,
     )
 

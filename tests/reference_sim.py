@@ -6,7 +6,8 @@ it evaluates an expression, keeps signal values in a dict, settles by
 sweeping until nothing changes and samples toggle and FSM coverage on
 every cycle. It reads each expression's evaluation width from the
 ``eval_width`` that ``reference_elaborate.annotate_widths`` writes onto
-the tree. ``run_reference`` and ``product_search_reference`` mirror
+the tree, and each statement's coverage id from the ``stmt_id`` that
+``reference_elaborate.number_statements`` writes. ``run_reference`` and ``product_search_reference`` mirror
 ``svloop.sim.engine.run`` and ``product_search`` on top of it.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 
-from reference_elaborate import annotate_widths
+from reference_elaborate import annotate_widths, number_statements
 from svloop.errors import StimulusMismatch
 from svloop.frontend.ast import Assignment, Case, If
 from svloop.sim.engine import Trace
@@ -28,6 +29,7 @@ class ReferenceMachine:
 
     def __init__(self, design: ElaboratedDesign, signature: DesignSignature, collector=None):
         annotate_widths(design)
+        number_statements(design)
         self.design = design
         self.signals = design.signals
         self.values = {name: 0 for name in design.signals}
@@ -125,7 +127,7 @@ class ReferenceMachine:
         collector = self.collector
         for stmt in body:
             if collector is not None:
-                collector.stmts.add(stmt.stmt_id)
+                collector.hit.add(stmt.stmt_id)
             if isinstance(stmt, Assignment):
                 value = self.eval(stmt.expr)
                 if stmt.blocking:
@@ -135,7 +137,7 @@ class ReferenceMachine:
             elif isinstance(stmt, If):
                 taken = bool(self.eval(stmt.cond))
                 if collector is not None:
-                    collector.arms.add((stmt.stmt_id, "then" if taken else "else"))
+                    collector.hit.add((stmt.stmt_id, "then" if taken else "else"))
                 if taken:
                     self.exec_body(stmt.then_body, nba)
                 elif stmt.else_body is not None:
@@ -145,13 +147,13 @@ class ReferenceMachine:
                 for i, item in enumerate(stmt.items):
                     if any(self.eval(lbl) == subject for lbl in item.labels):
                         if collector is not None:
-                            collector.arms.add((stmt.stmt_id, i))
+                            collector.hit.add((stmt.stmt_id, i))
                         self.exec_body(item.body, nba)
                         break
                 else:
                     if stmt.default_body is not None:
                         if collector is not None:
-                            collector.arms.add((stmt.stmt_id, "default"))
+                            collector.hit.add((stmt.stmt_id, "default"))
                         self.exec_body(stmt.default_body, nba)
             else:
                 raise TypeError(type(stmt).__name__)
@@ -161,7 +163,7 @@ class ReferenceMachine:
         if kind == "assign":
             item = self.design.cont_assigns[idx]
             if self.collector is not None:
-                self.collector.stmts.add(item.stmt_id)
+                self.collector.hit.add(item.stmt_id)
             self.write(item.target, self.eval(item.expr))
         else:
             nba: dict = {}

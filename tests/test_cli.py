@@ -405,6 +405,29 @@ class TestLoopCommands:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_debug_target_with_other_ports(self, cli_corpus, tmp_path, capsys):
+        # adder4's BC03 with its input cin renamed elaborates, but no
+        # stimulus of the problem fits it
+        corpus = tmp_path / "corpus"
+        shutil.copytree(cli_corpus, corpus)
+        problem_dir = corpus / "problems" / "adder4"
+        manifest = json.loads((problem_dir / "manifest.json").read_text())
+        witness = next(r["witness"] for r in manifest["records"] if r["bc_id"] == "BC03")
+        (tmp_path / "suite").mkdir()
+        (tmp_path / "suite" / "w.stim").write_text(witness)
+        (tmp_path / "script").mkdir()
+        mutant = problem_dir / "bc03.sv"
+        mutant.write_text(mutant.read_text().replace("cin", "cix"))
+        code = main([
+            "debug", "adder4", "--problems", str(corpus), "--target", "BC03",
+            "--tests", str(tmp_path / "suite"), "--out", str(tmp_path / "out"),
+            "--mock-script", str(tmp_path / "script"),
+        ])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == \
+            "error: mutant BC03 does not keep the interface of adder4\n"
+        assert not (tmp_path / "out").exists()
+
     def test_mock_without_script_is_provider_error(self, cli_corpus, tmp_path, capsys):
         code = main([
             "gen-tests", "arbiter2", "--problems", cli_corpus, "--source", "BC01",

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_elaborate
 from reference_sim import ReferenceMachine, product_search_reference, run_reference
 from svloop import mutate
 from svloop.errors import NoApplicableSite, NoDistinctMutant, ParseError
+from svloop.frontend.ast import DesignSource
 from svloop.frontend.elaborate import MAX_WIDTH, elaborate_source
 from svloop.frontend.parser import MAX_EXPR_DEPTH, MAX_STMT_DEPTH, parse_design
 from svloop.frontend.printer import ast_to_source
@@ -268,9 +270,11 @@ def simulate(text, rows):
     return assert_same(design, signature, [test])
 
 
-@pytest.mark.parametrize("text", [SHIFT, MASKS, LOGIC, HOLD, DEFAULT_ONLY, EMPTY_THEN,
-                                  COMB_NBA, NEGEDGE, TWO_ASYNC, NEG_ASYNC, UNCLOCKED,
-                                  WIDTHS])
+EDGES = [SHIFT, MASKS, LOGIC, HOLD, DEFAULT_ONLY, EMPTY_THEN, COMB_NBA, NEGEDGE, TWO_ASYNC,
+         NEG_ASYNC, UNCLOCKED, WIDTHS]
+
+
+@pytest.mark.parametrize("text", EDGES)
 @given(data=st.data())
 @settings(max_examples=20)
 def test_lowering_edges_match_interpreter_on_fuzzed_stimuli(text, data):
@@ -380,8 +384,7 @@ def run_every_cycle(design, test, signature, collector=None):
         samples.append(tuple(values))
     trace = Trace(dict(zip(design.signals, zip(*samples))), test.cycles)
     if collector is not None:
-        collector.stmts.update(key for key, h in zip(probes, hits) if h and type(key) is int)
-        collector.arms.update(key for key, h in zip(probes, hits) if h and type(key) is tuple)
+        collector.hit.update(key for (key, _), h in zip(probes, hits) if h)
         for name in collector.ones:
             for value in trace.values[name]:
                 collector.ones[name] |= value
@@ -392,7 +395,7 @@ def run_every_cycle(design, test, signature, collector=None):
 
 
 def fields(collector):
-    return (collector.stmts, collector.arms, collector.ones, collector.zeros,
+    return (collector.hit, collector.ones, collector.zeros,
             collector.fsm_seen)
 
 
@@ -699,3 +702,22 @@ class TestLoweredTextPinned:
                 digest.update(lowered_source(design, instrumented).encode())
         assert len(texts) == 172
         assert digest.hexdigest() == LOWERED_DIGEST
+
+
+class TestProbeInventory:
+    def test_probes_are_the_statements_and_arms_elaboration_numbered(self, fresh_corpus):
+        # the coverage points and their keys and lines, as lowering's probes
+        # give them, against the numbering elaboration wrote onto the tree
+        texts = (pinned_designs(load_corpus(fresh_corpus)) + EDGES + [WIDE]
+                 + [stmt_capped_design(shape, "parentheses", MAX_STMT_DEPTH)
+                    for shape in ("if", "else", "begin", "case")])
+        arms = 0
+        for text in texts:
+            _, probes = lower(elaborate_source(text), True)
+            source = DesignSource(text)
+            lines, branch_arms = reference_elaborate.number_statements(
+                reference_elaborate.elaborate(parse_design(source), source))
+            expected = [*enumerate(lines), *((arm, lines[arm[0]]) for arm in branch_arms)]
+            assert sorted(probes, key=repr) == sorted(expected, key=repr), text
+            arms += len(branch_arms)
+        assert len(texts) == 189 and arms == 2716

@@ -2,8 +2,8 @@
 elaboration that walked each item up to five times (``reference_elaborate.py``).
 
 Separate parses of one text are elaborated by each. Both must give equal
-``ElaboratedDesign`` fields and leave every node with the same attributes,
-the ``stmt_id`` each writes included, or raise the same error type,
+``ElaboratedDesign`` fields and leave every node with the same attributes
+(neither writes any), or raise the same error type,
 message, line and column: elaboration errors reach ``svloop parse`` and the debug loop's
 patch rejections, which ``state.json`` records.
 """
@@ -29,8 +29,8 @@ from svloop.mutate import OPERATORS, NoApplicableSite, NoDistinctMutant, inject
 
 
 def dump(node):
-    """A node as nested tuples, with every attribute, positions and
-    ``stmt_id`` included (equality leaves them out)."""
+    """A node as nested tuples, with every attribute, positions included
+    (equality leaves them out)."""
     if dataclasses.is_dataclass(node):
         return (type(node).__name__,) + tuple(
             (name, dump(value)) for name, value in vars(node).items())

@@ -13,7 +13,7 @@ from svloop.errors import (
     UnsupportedConstruct,
     WidthMismatch,
 )
-from svloop.frontend.ast import DesignSource, Expr, Ident
+from svloop.frontend.ast import DesignSource, Ident
 from svloop.frontend.elaborate import elaborate, elaborate_source
 from svloop.frontend.parser import parse_design
 from svloop.frontend.printer import ast_to_source
@@ -222,6 +222,16 @@ class TestElaborate:
         with pytest.raises(WidthMismatch):
             elaborate_source(text)
 
+    @pytest.mark.parametrize("port", ["input [4'd20:0] a", "input [4'd31:2'd1] a",
+                                      "output [100000'd1:0] y"])
+    def test_literal_overflow_in_a_range_bound(self, port):
+        # a range bound is held to the rule every other literal is
+        text = f"module m ({port}, input b, output z);\n assign z = b;\nendmodule"
+        with pytest.raises(WidthMismatch) as caught:
+            elaborate_source(text)
+        assert caught.value.line == 1
+        assert "literal" in caught.value.message
+
     def test_parameter_resolution(self):
         text = """
         module m (input [3:0] a, output y);
@@ -246,14 +256,15 @@ class TestElaborate:
         ast = parse_design(source)
         printed = ast_to_source(ast)
         design = elaborate(ast, source)
-        # the design shares the given nodes and writes nothing onto an
-        # expression: every one holds what a fresh parse holds
+        lowered_source(design, True)
+        # the design shares the given nodes, and neither elaboration nor
+        # lowering writes onto any node: every one holds what a fresh parse holds
         assert design.seq_processes[0] is ast.items[-1]
         assert ast_to_source(ast) == printed
         assert ast == parse_design(source)
-        elaborated, fresh = expr_nodes(ast), expr_nodes(parse_design(source))
-        assert len(elaborated) == len(fresh) == 14
-        assert [vars(e) for e in elaborated] == [vars(e) for e in fresh]
+        elaborated, fresh = parse_nodes(ast), parse_nodes(parse_design(source))
+        assert len(elaborated) == len(fresh) == 35
+        assert [vars(node) for node in elaborated] == [vars(node) for node in fresh]
         # lowering folds the reset value IDLE in as a 2-bit constant
         reset_state = design.seq_processes[0].body[0].then_body[0]
         assert reset_state.expr == Ident("IDLE")
@@ -261,14 +272,14 @@ class TestElaborate:
         assert f"n[{state}] = 0 & 3\n" in lowered_source(design, False)
 
 
-def expr_nodes(node) -> list[Expr]:
-    """Every expression node under ``node``, in field order."""
+def parse_nodes(node) -> list:
+    """Every node of the parse under ``node``, ``node`` included, in field order."""
     if isinstance(node, list):
-        return [e for item in node for e in expr_nodes(item)]
+        return [sub for item in node for sub in parse_nodes(item)]
     if not dataclasses.is_dataclass(node):
         return []
-    below = [e for f in dataclasses.fields(node) for e in expr_nodes(getattr(node, f.name))]
-    return [node] + below if isinstance(node, Expr) else below
+    return [node] + [sub for f in dataclasses.fields(node)
+                     for sub in parse_nodes(getattr(node, f.name))]
 
 
 class TestNoAstCopies:

@@ -215,6 +215,21 @@ class TestEvaluateProblem:
         assert "does not elaborate" in result.skipped[bad[0]]
         assert result.debug_outcomes["BC02"].get("skipped")
 
+    def test_mutant_with_other_ports_isolates_to_its_cells(self, corpus_dir, tmp_path):
+        # adder4's BC03 with its input cin renamed: its interface is not the
+        # problem's, so no stimulus fits it and its cells and debug unit are skipped
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        mutant = corpus / "problems" / "adder4" / "bc03.sv"
+        mutant.write_text(mutant.read_text().replace("cin", "cix"))
+        result = run_one({p.id: p for p in load_corpus(corpus)}, "adder4", tmp_path / "x")
+        assert result.error is None and "BC03" in result.mutants
+        reason = "target does not keep the problem's interface"
+        assert {key: reason for key in result.skipped} == {
+            (src, "BC03"): reason for src in result.mutants}
+        assert len(result.cells) == len(result.mutants) * (len(result.mutants) - 1)
+        assert result.debug_outcomes["BC03"] == {"skipped": reason}
+
     def test_nls_strategy_generates_without_source(self, problems, tmp_path):
         responder = OracleBackedResponder(list(problems.values()))
         config = RunConfig(strategy="nls", provider="mock", script_dir="(in-memory)", seed=1)

@@ -22,7 +22,7 @@ from svloop.mutate import (
     make_corpus,
 )
 from svloop.sim.engine import product_search, run
-from svloop.sim.lower import harness_source, lowered_source
+from svloop.sim.lower import harness_source, lower, lowered_source
 
 # applicability audit of the desk corpus, derived by hand from the designs
 # and re-checked here against the real catalog
@@ -228,14 +228,14 @@ class TestCandidateIsolation:
 def design_facts(design):
     """What simulation, coverage and the corpus read of an elaborated design.
     Statement lines follow the text that was parsed, and an edited reference
-    parse keeps the reference's, so only the number of statements counts."""
+    parse keeps the reference's, so only the coverage probes' keys count."""
     try:
         signature = extract_signature(design)
         harness = harness_source(design, signature)
     except SvLoopError as error:
         signature = harness = type(error)
     return (lowered_source(design, False), lowered_source(design, True), signature, harness,
-            design.fsm_registers, len(design.statement_lines), design.branch_arms)
+            design.fsm_registers, [key for key, _ in lower(design, True)[1]])
 
 
 class TestInPlaceCandidates:

@@ -101,6 +101,21 @@ class TestExpressionWidths:
         trace = simulate(text, [(1, 1), (1, 0), (1, 3)])
         assert trace.values["y"] == (1, 8, 4)
 
+    def test_unsized_literal_is_as_wide_as_its_value(self):
+        # 4294967296 needs 33 bits: as a shift amount it is not cut to 32
+        # bits (a shift by 0), and it keeps its value wherever it is read
+        text = """
+        module unsized (input [7:0] a, output [7:0] y, output [63:0] z, output [7:0] w);
+          assign y = a << 4294967296;
+          assign z = 4294967296;
+          assign w = 4294967296 >> 32;
+        endmodule
+        """
+        trace = simulate(text, [(1,), (255,)])
+        assert trace.values["y"] == (0, 0)
+        assert trace.values["z"] == (1 << 32,) * 2
+        assert trace.values["w"] == (1, 1)
+
     def test_case_subject_and_labels_share_the_widest_width(self):
         # a + b is taken at the 5 bits of the label: 8 + 8 matches 16, 0 + 0 does not
         text = """

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_signature
-from svloop import mutate
+from svloop import manifest, mutate
 from svloop.errors import SvLoopError
 from svloop.frontend.elaborate import elaborate_source
 from svloop.frontend.parser import parse_design
@@ -95,7 +95,8 @@ class TestDeskAndFixtures:
             checked.append(assert_same(design, clock))
             return extract_signature(design, clock)
 
-        monkeypatch.setattr(mutate, "extract_signature", checking)
+        # inject checks each candidate's interface through Problem.keeps_interface
+        monkeypatch.setattr(manifest, "extract_signature", checking)
         monkeypatch.setattr(mutate, "find_witness", lambda *args: None)
         for seed in (1, 2):
             for problem in problems.values():

@@ -32,6 +32,8 @@ ESCAPES = {
                   "parameter 'P' is wider than the 4096-bit limit"),
     "literal": (f"assign w = r1 + 32'h{F5000};\n  wire w;",
                 "literal value of 20000 bits does not fit in 32 bits"),
+    "unsized-literal": (f"assign w = r1 + 'h{F5000};\n  wire w;",
+                        "unsized literal of 20000 bits exceeds the 4096-bit limit"),
     "negative-shl": ("localparam P = 1 << (0 - 1);",
                      "parameter 'P' shifts by an amount outside 0..4096"),
     "negative-shr": ("localparam P = 1 >> (0 - 1);",
