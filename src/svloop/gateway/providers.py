@@ -232,10 +232,10 @@ def _content(payload) -> str:
 
 
 def _retry_delay(response, attempt: int) -> float:
-    """Seconds to wait before retrying a throttled or failed request: an
-    integer ``Retry-After`` header, else exponential backoff."""
+    """Seconds to wait before retrying a throttled or failed request: a
+    ``Retry-After`` header of ASCII digits, else exponential backoff."""
     retry_after = response.headers.get("Retry-After", "")
-    if retry_after.isdigit():
+    if retry_after.isascii() and retry_after.isdigit():
         return int(retry_after)
     return RETRY_BACKOFF_S * 2 ** attempt
 

@@ -82,6 +82,14 @@ def _load_exemplars(path: Path) -> tuple[Exemplar, ...]:
         )
 
 
+def _flag(record: dict, name: str, default: bool) -> bool:
+    """The JSON boolean ``record[name]``, ``default`` when it is absent."""
+    value = record.get(name, default)
+    if type(value) is not bool:
+        raise ValueError(f"{name!r} {value!r} (not true or false)")
+    return value
+
+
 def load_problem(problem_dir) -> Problem:
     problem_dir = Path(problem_dir)
     manifest_file = problem_dir / PROBLEM_MANIFEST
@@ -93,11 +101,12 @@ def load_problem(problem_dir) -> Problem:
         description_file = problem_dir / raw["description"]
         reference_file = problem_dir / raw["reference"]
         exemplars_path = raw.get("exemplars")
+        exemplar_file = (problem_dir / exemplars_path).resolve() if exemplars_path else None
         reset = None
         if raw.get("reset"):
             r = raw["reset"]
-            reset = ResetSpec(r["name"], bool(r.get("active_high", True)),
-                              bool(r.get("synchronous", False)))
+            reset = ResetSpec(r["name"], _flag(r, "active_high", True),
+                              _flag(r, "synchronous", False))
     if kind not in ("combinational", "sequential"):
         raise ManifestError(f"{problem_id}: kind must be combinational or sequential")
 
@@ -122,8 +131,7 @@ def load_problem(problem_dir) -> Problem:
         signature = replace(signature, reset=reset)
 
     exemplars: tuple[Exemplar, ...] = ()
-    if exemplars_path:
-        exemplar_file = (problem_dir / exemplars_path).resolve()
+    if exemplar_file is not None:
         if not exemplar_file.exists():
             raise ManifestError(f"{problem_id}: exemplar library {exemplar_file} missing")
         exemplars = _load_exemplars(exemplar_file)

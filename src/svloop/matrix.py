@@ -21,7 +21,6 @@ from __future__ import annotations
 import fcntl
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -42,26 +41,10 @@ from .frontend.elaborate import elaborate_source
 from .gateway.providers import build_provider
 from .loops import DebugState, TestGenState, debug, generate_tests, run_suite
 from .manifest import Problem, RunConfig
-from .metrics import PairResult, divergence_rate, divergent_attack, stored_ratio
+from .metrics import divergence_rate, divergent_attack, stored_pair, stored_ratio
 from .sim.engine import Trace, run
 from .sim.stimulus import UnitTest, parse_stimulus
 from .sim.vcd import export_vcd
-
-
-@dataclass
-class EvalRun:
-    problem_id: str
-    kind: str
-    mutants: list[str]
-    cells: dict[tuple[str, str], PairResult] = field(default_factory=dict)
-    skipped: dict[tuple[str, str], str] = field(default_factory=dict)
-    debug_outcomes: dict[str, dict] = field(default_factory=dict)
-    gen_summaries: dict[str, dict] = field(default_factory=dict)
-    error: Optional[str] = None
-
-
-def _fraction_pair(f: Fraction) -> list[int]:
-    return [f.numerator, f.denominator]
 
 
 def _write_exchanges(dirpath: str, prefix: str, exchanges) -> None:
@@ -75,8 +58,8 @@ def _write_exchanges(dirpath: str, prefix: str, exchanges) -> None:
 def _gen_state_summary(state: TestGenState) -> dict:
     return {
         "tests": [t.id for t in state.tests],
-        "best_coverage": _fraction_pair(state.best_coverage),
-        "accepted_coverage": [_fraction_pair(c) for c in state.accepted_coverage],
+        "best_coverage": stored_pair(state.best_coverage),
+        "accepted_coverage": [stored_pair(c) for c in state.accepted_coverage],
         "iterations": state.iterations,
         "provider_calls": state.provider_calls,
         "rejections": [vars(r) for r in state.rejections],
@@ -85,14 +68,14 @@ def _gen_state_summary(state: TestGenState) -> dict:
 
 def _debug_state_summary(state: DebugState) -> dict:
     return {
-        "initial_pass": _fraction_pair(state.initial_pass),
-        "best_pass": _fraction_pair(state.best_pass),
+        "initial_pass": stored_pair(state.initial_pass),
+        "best_pass": stored_pair(state.best_pass),
         "solved": state.solved,
         "iterations": state.iterations,
         "provider_calls": state.provider_calls,
         "history": [
             {**vars(h), "pass_fraction": None if h.pass_fraction is None
-             else _fraction_pair(h.pass_fraction)}
+             else stored_pair(h.pass_fraction)}
             for h in state.history
         ],
         "rejections": [vars(r) for r in state.rejections],
@@ -131,12 +114,15 @@ def _skipped(record: dict) -> bool:
     return "skipped" in record
 
 
-def _cell_outcome(record: dict, src_id: str, tgt_id: str):
-    """result.json: the cell's PairResult, or the reason it was skipped."""
+def _cell_outcome(record: dict):
+    """result.json: the cell's matrix.json entry, whose DA is its DR gated by
+    its AR, or the reason it was skipped."""
     if _skipped(record):
         return record["skipped"]
     ar, dr, da = (stored_ratio(record[name], name) for name in ("ar", "dr", "da"))
-    return PairResult(src_id, tgt_id, int(ar), dr, da)
+    if da != divergent_attack(int(ar), dr):
+        raise ValueError(f"da {record['da']!r} (not dr gated by ar)")
+    return {"ar": int(ar), "dr": stored_pair(dr), "da": stored_pair(da)}
 
 
 def _debug_record(record: dict) -> dict:
@@ -146,14 +132,19 @@ def _debug_record(record: dict) -> dict:
     return record
 
 
-def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Path) -> EvalRun:
-    """Evaluate one problem; artifacts land under ``out_dir``."""
+def evaluate_problem(problem: Problem, config: RunConfig, provider,
+                     out_dir: Path) -> Optional[dict]:
+    """Evaluate one problem; artifacts land under ``out_dir``. The problem's
+    matrix.json document, which its units fill as each is read or made;
+    None for a problem with no mutant corpus."""
     out = os.fspath(Path(out_dir))
     mutants = problem.mutants()
-    result = EvalRun(problem.id, problem.kind, [m[0] for m in mutants])
     if not mutants:
-        result.error = "no mutant corpus on disk (run `svloop mutate` first)"
-        return result
+        return None
+    document = {"problem": problem.id, "kind": problem.kind,
+                "mutants": [bc_id for bc_id, _, _ in mutants],
+                "cells": {}, "skipped": {}, "debug": {}, "gen": {}}
+    gen = document["gen"]
 
     signature = problem.signature
     outputs = [p.name for p in signature.outputs]
@@ -177,7 +168,7 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
             tests_dir = f"{out}/sources/{src_id.lower()}/tests"
             tests = [parse_stimulus(_read_text(Path(f"{tests_dir}/{tid}.stim"), CheckpointError),
                                     signature, tid)
-                     for tid in result.gen_summaries[src_id]["tests"]]
+                     for tid in gen[src_id]["tests"]]
             suites[src_id] = tests, {t.id: run(problem.design, t, signature) for t in tests}
         return suites[src_id]
 
@@ -196,7 +187,7 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
                 _write_bytes(f"{src_dir}/tests/{test.id}.stim", test.to_text().encode())
             if tests:
                 # the first source with tests makes oracle/
-                if not any(gen["tests"] for gen in result.gen_summaries.values()):
+                if not any(record["tests"] for record in gen.values()):
                     _mkdir(f"{out}/oracle")
                 vcd_dir = f"{out}/oracle/{src_id.lower()}"
                 _mkdir(vcd_dir)
@@ -204,7 +195,7 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
                     _write_bytes(f"{vcd_dir}/{tid}.vcd", export_vcd(trace, signature))
             _write_exchanges(f"{src_dir}/prompts", "gen", state.exchanges)
             return _gen_state_summary(state)
-        result.gen_summaries[src_id] = _unit(
+        gen[src_id] = _unit(
             f"{out}/sources/{src_id.lower()}/genstate.json", generated, _gen_record)
 
     _mkdir(f"{out}/cells")
@@ -216,7 +207,7 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
                 design = target(tgt_id)
                 if isinstance(design, str):
                     cell["skipped"] = design
-                elif not result.gen_summaries[src_id]["tests"]:
+                elif not gen[src_id]["tests"]:
                     cell["skipped"] = "no tests generated from this source"
                 else:
                     tests, traces = suite(src_id)  # unreadable tests fail the whole problem
@@ -227,9 +218,9 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
                         cell["skipped"] = f"{type(exc).__name__}: {exc}"
                 return cell
             outcome = _unit(f"{out}/cells/{src_id.lower()}/{tgt_id.lower()}/result.json",
-                            evaluated, lambda record: _cell_outcome(record, src_id, tgt_id))
-            outcomes = result.cells if isinstance(outcome, PairResult) else result.skipped
-            outcomes[(src_id, tgt_id)] = outcome
+                            evaluated, _cell_outcome)
+            outcomes = document["skipped"] if isinstance(outcome, str) else document["cells"]
+            outcomes[f"{src_id}->{tgt_id}"] = outcome
 
     _mkdir(f"{out}/debug")
     for tgt_id, _, _ in mutants:
@@ -237,18 +228,18 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider, out_dir: Pat
             design = target(tgt_id)
             if isinstance(design, str):
                 return {"skipped": design}
-            if not result.gen_summaries[tgt_id]["tests"]:
+            if not gen[tgt_id]["tests"]:
                 return {"skipped": "no tests generated for this target"}
             tests, traces = suite(tgt_id)
             state = debug(problem, design, tests, traces, config, provider)
             _write_bytes(f"{debug_dir}/final.sv", state.design.text.encode())
             _write_exchanges(f"{debug_dir}/prompts", "debug", state.exchanges)
             return _debug_state_summary(state)
-        result.debug_outcomes[tgt_id] = _unit(f"{out}/debug/{tgt_id.lower()}/state.json",
-                                              debugged, _debug_record)
+        document["debug"][tgt_id] = _unit(f"{out}/debug/{tgt_id.lower()}/state.json",
+                                          debugged, _debug_record)
 
-    _write_matrix_files(result, out)
-    return result
+    _write_matrix_files(document, out)
+    return document
 
 
 def _evaluate_cell(tests, oracle_traces, target, signature, outputs, cell_dir) -> dict:
@@ -264,8 +255,8 @@ def _evaluate_cell(tests, oracle_traces, target, signature, outputs, cell_dir) -
     dr = divergence_rate(verdicts[first]) if ar else Fraction(0)
     return {
         "ar": ar,
-        "dr": _fraction_pair(dr),
-        "da": _fraction_pair(divergent_attack(ar, dr)),
+        "dr": stored_pair(dr),
+        "da": stored_pair(divergent_attack(ar, dr)),
         "first_failing": tests[first].id if ar else None,
         "tests": [{"id": test.id, "outcome": v.outcome,
                    "mismatch_cycles": v.mismatch_count, "cycles": v.cycles}
@@ -273,60 +264,40 @@ def _evaluate_cell(tests, oracle_traces, target, signature, outputs, cell_dir) -
     }
 
 
-def _write_matrix_files(result: EvalRun, out: str) -> None:
+def _write_matrix_files(document: dict, out: str) -> None:
+    """matrix.csv, a row per cell with a skipped cell's ratios empty, then
+    matrix.json, the document itself."""
     rows = ["source,target,ar,dr,da"]
-    for src in result.mutants:
-        for tgt in result.mutants:
-            key = (src, tgt)
-            if key in result.cells:
-                cell = result.cells[key]
-                rows.append(
-                    f"{src},{tgt},{cell.ar},{float(cell.dr)!r},{float(cell.da)!r}"
-                )
-            elif key in result.skipped:
+    for src in document["mutants"]:
+        for tgt in document["mutants"]:
+            cell = document["cells"].get(f"{src}->{tgt}")
+            if cell is None:
                 rows.append(f"{src},{tgt},,,")
+            else:
+                (dr_n, dr_d), (da_n, da_d) = cell["dr"], cell["da"]
+                rows.append(f"{src},{tgt},{cell['ar']},{dr_n / dr_d!r},{da_n / da_d!r}")
     _write_bytes(f"{out}/matrix.csv", ("\n".join(rows) + "\n").encode())
-    cells_json = {
-        f"{src}->{tgt}": {"ar": c.ar, "dr": _fraction_pair(c.dr), "da": _fraction_pair(c.da)}
-        for (src, tgt), c in sorted(result.cells.items())
-    }
-    skipped_json = {f"{src}->{tgt}": reason for (src, tgt), reason in sorted(result.skipped.items())}
-    _write_json(
-        f"{out}/matrix.json",
-        {
-            "problem": result.problem_id,
-            "kind": result.kind,
-            "mutants": result.mutants,
-            "cells": cells_json,
-            "skipped": skipped_json,
-            "debug": {k: result.debug_outcomes[k] for k in sorted(result.debug_outcomes)},
-            "gen": {k: result.gen_summaries[k] for k in sorted(result.gen_summaries)},
-        },
-    )
+    _write_json(f"{out}/matrix.json", document)
 
 
 def _problem_entry(problem: Problem, config: RunConfig, provider, out_dir: Path) -> dict:
     """Evaluate one problem; its summary entry, an error entry if it fails."""
     try:
-        result = evaluate_problem(problem, config, provider, out_dir)
+        document = evaluate_problem(problem, config, provider, out_dir)
     except (SvLoopError, OSError) as exc:
-        return _error_entry(exc)
-    entry = {
-        "mutants": len(result.mutants),
-        "cells": len(result.cells),
-        "skipped_cells": len(result.skipped),
-        "debug_solved": sum(
-            1 for d in result.debug_outcomes.values() if d.get("solved") is True
-        ),
+        return _error_entry(f"{type(exc).__name__}: {exc}")
+    if document is None:
+        return _error_entry("no mutant corpus on disk (run `svloop mutate` first)")
+    return {
+        "mutants": len(document["mutants"]),
+        "cells": len(document["cells"]),
+        "skipped_cells": len(document["skipped"]),
+        "debug_solved": sum(d.get("solved") is True for d in document["debug"].values()),
     }
-    if result.error:
-        entry["error"] = result.error
-    return entry
 
 
-def _error_entry(exc: Exception) -> dict:
-    return {"mutants": 0, "cells": 0, "skipped_cells": 0, "debug_solved": 0,
-            "error": f"{type(exc).__name__}: {exc}"}
+def _error_entry(error: str) -> dict:
+    return {"mutants": 0, "cells": 0, "skipped_cells": 0, "debug_solved": 0, "error": error}
 
 
 def _evaluate_problem_task(problem: Problem, config: RunConfig, out_dir: Path) -> dict:
@@ -404,7 +375,7 @@ def evaluate_matrix(problems: list[Problem], config: RunConfig, out_root) -> dic
                     try:
                         summary["problems"][pid] = future.result()
                     except BrokenProcessPool as exc:
-                        summary["problems"][pid] = _error_entry(exc)
+                        summary["problems"][pid] = _error_entry(f"{type(exc).__name__}: {exc}")
         else:
             for problem in ordered:
                 summary["problems"][problem.id] = _problem_entry(

@@ -19,23 +19,6 @@ if TYPE_CHECKING:
 
 
 @dataclass(frozen=True)
-class PairResult:
-    source: str
-    target: str
-    ar: int                      # 0 or 1
-    dr: Fraction
-    da: Fraction
-
-    def __post_init__(self):
-        if self.ar not in (0, 1):
-            raise ValueError("ar must be 0 or 1")
-        if self.ar == 0 and self.da != 0:
-            raise ValueError("no attack implies zero divergent attack")
-        if self.ar == 1 and self.da != self.dr:
-            raise ValueError("attacked pair must carry da == dr")
-
-
-@dataclass(frozen=True)
 class BinnedDistribution:
     counts: tuple[int, int, int, int, int]
     median: Fraction
@@ -90,6 +73,11 @@ def stored_ratio(value, name: str) -> Fraction:
     if not 0 <= ratio <= 1:
         raise ValueError(f"{name} {value!r} (outside [0, 1])")
     return ratio
+
+
+def stored_pair(ratio: Fraction) -> list[int]:
+    """The ``[numerator, denominator]`` pair that ``stored_ratio`` reads."""
+    return [ratio.numerator, ratio.denominator]
 
 
 def bin_index(value) -> int:

@@ -21,9 +21,14 @@ _ID_CHARS = (
 
 
 def _var_id(index: int) -> str:
-    if index < len(_ID_CHARS):
-        return _ID_CHARS[index]
-    return _ID_CHARS[index // len(_ID_CHARS) - 1] + _ID_CHARS[index % len(_ID_CHARS)]
+    """The ``index``-th identifier, bijective base 83 over ``_ID_CHARS``:
+    ``!`` to ``~``, then ``!!`` to ``~~``, then ``!!!`` and on, without end."""
+    digits = ""
+    index += 1
+    while index:
+        index, digit = divmod(index - 1, len(_ID_CHARS))
+        digits = _ID_CHARS[digit] + digits
+    return digits
 
 
 def export_vcd(trace: Trace, signature: DesignSignature) -> bytes:

@@ -84,6 +84,25 @@ class TestParseCommand:
         assert main(["parse", str(bad)]) == EXIT_DATA
         assert capsys.readouterr().err == f"{bad}:2:18: unexpected character '\u00b2'\n"
 
+    # an elaboration error is positioned at its literal, on the line after its
+    # statement's, or at column 0 of the declaration that is too wide
+    @pytest.mark.parametrize("declaration, expression, position, message", [
+        ("", "4'd20", "3:5", "literal value of 5 bits does not fit in 4 bits"),
+        ("", "0'd0", "3:5", "literal size must be positive"),
+        ("", "4097'd0", "3:5", "literal size exceeds the 4096-bit limit"),
+        ("", "'h" + "f" * 1100, "3:5", "unsized literal of 4400 bits exceeds the 4096-bit limit"),
+        ("wire [4096:0] big;", "a", "4:0", "'big' is wider than the 4096-bit limit"),
+        ("parameter P = 'h" + "f" * 1100 + ";", "a", "4:0",
+         "parameter 'P' is wider than the 4096-bit limit"),
+    ])
+    def test_elaboration_errors_are_positioned_diagnostics(self, tmp_path, capsys, declaration,
+                                                          expression, position, message):
+        bad = tmp_path / "bad.sv"
+        bad.write_text(f"module m (input a, output [3:0] y);\n  assign y =\n    {expression};\n"
+                       f"{declaration}\nendmodule\n")
+        assert main(["parse", str(bad)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"{bad}:{position}: {message}\n"
+
     def test_statements_past_the_nesting_cap_are_a_positioned_diagnostic(self, tmp_path, capsys):
         deep = tmp_path / "deep.sv"
         deep.write_text("module m (input a, output reg y);\n"
@@ -341,6 +360,17 @@ class TestMutateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(manifest) in err
 
+
+    @pytest.mark.parametrize("field, value", [
+        ("exemplars", 5), ("reset", {"name": "rst", "active_high": "false"})])
+    def test_wrongly_typed_problem_json_field_is_data_error(self, fresh_corpus, capsys,
+                                                           field, value):
+        manifest = fresh_corpus / "problems" / "seq_detect" / "problem.json"
+        raw = json.loads(manifest.read_text())
+        raw[field] = value
+        manifest.write_text(json.dumps(raw))
+        assert main(["mutate", "seq_detect", "--problems", str(fresh_corpus)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: {manifest} is malformed: ")
 
 class TestLoopCommands:
     def test_gen_tests(self, cli_corpus, tmp_path, capsys):
@@ -644,6 +674,11 @@ class TestEvaluateAndReport:
          '{"source": "BC02", "target": "BC02", "ar": 1, "dr": [1, 0], "da": [1, 0]}'),
         ("cells/bc02/bc02/result.json",
          '{"source": "BC02", "target": "BC02", "ar": 0, "dr": [1, 2], "da": [1, 2]}'),
+        # da is divergent_attack(ar, dr): an attack diverges on some cycle and carries da == dr
+        ("cells/bc02/bc02/result.json",
+         '{"source": "BC02", "target": "BC02", "ar": 1, "dr": [0, 1], "da": [0, 1]}'),
+        ("cells/bc02/bc02/result.json",
+         '{"source": "BC02", "target": "BC02", "ar": 1, "dr": [1, 2], "da": [1, 4]}'),
         ("sources/bc02/genstate.json", '{"tests": [5]}'),
         # a ratio is an int or a pair of ints, never a string or a bool; ar is 0 or 1
         ("cells/bc02/bc02/result.json",

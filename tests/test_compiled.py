@@ -552,6 +552,22 @@ class TestDepthCap:
         rows = [(0, 0), (1, 2), (255, 7), (3, 0)]
         assert_same(design, signature, [UnitTest("t", signature.stimulus_inputs, tuple(rows))])
 
+    def test_a_logic_chain_over_an_arithmetic_chain_runs(self):
+        # each logic operator's left operand is one level deeper, or the 97
+        # operand sum under 52 ``&&`` lowers to more nested parentheses than
+        # Python compiles
+        chain = " + ".join(["a"] * 97) + " && b" * 52
+        text = (f"module m (input [3:0] a, input [3:0] b, output y, output reg z);\n"
+                f"  assign y = {chain};\n  always @(*) if ({chain}) z = 1; else z = 0;\n"
+                "endmodule\n")
+        design = elaborate_source(text)
+        signature = extract_signature(design)
+        rows = [(0, 0), (1, 2), (15, 7), (3, 0), (0, 15)]
+        trace, _ = assert_same(design, signature,
+                               [UnitTest("t", signature.stimulus_inputs, tuple(rows))])
+        expected = tuple(int(a * 97 % 16 != 0 and b != 0) for a, b in rows)
+        assert trace.values["y"] == trace.values["z"] == expected
+
     # a level is refused where it opens, at the token after its operator or
     # parenthesis, or where it closes past the cap, at its operator (the
     # left chain's 151st ``+``); far past the cap the error is the same

@@ -69,13 +69,41 @@ def test_load_corpus_requires_problems_dir(tmp_path):
         load_corpus(tmp_path)
 
 
-def test_clock_reset_overrides_flow_into_signature(fresh_corpus):
+# an absent flag keeps its default: active-high, asynchronous
+@pytest.mark.parametrize("flags, active_high, synchronous", [
+    ({"active_high": False, "synchronous": True}, False, True),
+    ({}, True, False),
+    ({"active_high": False}, False, False),
+    ({"synchronous": True}, True, True),
+])
+def test_clock_reset_overrides_flow_into_signature(fresh_corpus, flags, active_high, synchronous):
     problem_dir = fresh_corpus / "problems" / "seq_detect"
     manifest = json.loads((problem_dir / "problem.json").read_text())
-    manifest["reset"] = {"name": "rst", "active_high": False, "synchronous": True}
+    manifest["reset"] = {"name": "rst", **flags}
     (problem_dir / "problem.json").write_text(json.dumps(manifest))
-    problem = load_problem(problem_dir)
-    assert problem.signature.reset.active_high is False
+    reset = load_problem(problem_dir).signature.reset
+    assert (reset.active_high, reset.synchronous) == (active_high, synchronous)
+
+
+@pytest.mark.parametrize("name", ["active_high", "synchronous"])
+@pytest.mark.parametrize("value", ["false", "true", None, 0, 1, []])
+def test_reset_flag_other_than_a_boolean_names_the_file(fresh_corpus, name, value):
+    problem_dir = fresh_corpus / "problems" / "seq_detect"
+    manifest = json.loads((problem_dir / "problem.json").read_text())
+    manifest["reset"] = {"name": "rst", name: value}
+    (problem_dir / "problem.json").write_text(json.dumps(manifest))
+    with pytest.raises(ManifestError, match=f"problem.json is malformed: .*'{name}'"):
+        load_problem(problem_dir)
+
+
+@pytest.mark.parametrize("exemplars", [5, ["exemplars.json"], {"file": "x"}, True])
+def test_exemplars_other_than_a_path_names_the_file(fresh_corpus, exemplars):
+    problem_dir = fresh_corpus / "problems" / "adder4"
+    manifest = json.loads((problem_dir / "problem.json").read_text())
+    manifest["exemplars"] = exemplars
+    (problem_dir / "problem.json").write_text(json.dumps(manifest))
+    with pytest.raises(ManifestError, match="problem.json is malformed"):
+        load_problem(problem_dir)
 
 
 def test_mutants_empty_before_mutation(fresh_corpus):

@@ -43,34 +43,34 @@ def assert_same_tree(a, b):
 class TestEvaluateProblem:
     def test_matrix_is_complete(self, problems, tmp_path):
         result = run_one(problems, "full_adder", tmp_path / "fa")
-        n = len(result.mutants)
-        assert len(result.cells) + len(result.skipped) == n * n
-        assert not result.skipped
+        n = len(result["mutants"])
+        assert len(result["cells"]) + len(result["skipped"]) == n * n
+        assert not result["skipped"]
 
     def test_diagonal_consistency(self, problems, tmp_path):
         # a suite that attacks its seeding mutant yields ar=1 on the diagonal
         result = run_one(problems, "arbiter2", tmp_path / "arb")
-        for bc in result.mutants:
-            cell = result.cells[(bc, bc)]
-            assert cell.ar in (0, 1)
-            assert cell.da == divergent_attack(cell.ar, cell.dr)
+        for bc in result["mutants"]:
+            cell = result["cells"][f"{bc}->{bc}"]
+            assert cell["ar"] in (0, 1)
+            assert Fraction(*cell["da"]) == divergent_attack(cell["ar"], Fraction(*cell["dr"]))
 
     def test_unsensitized_cell_has_zero_da(self, problems, tmp_path):
         result = run_one(problems, "seq_detect", tmp_path / "sd")
-        passing = [c for c in result.cells.values() if c.ar == 0]
+        passing = [c for c in result["cells"].values() if c["ar"] == 0]
         for cell in passing:
-            assert cell.dr == 0 and cell.da == 0
+            assert Fraction(*cell["dr"]) == 0 and Fraction(*cell["da"]) == 0
 
     def test_artifacts_exist(self, problems, tmp_path):
         out = tmp_path / "fa"
         result = run_one(problems, "full_adder", out)
-        src = result.mutants[0].lower()
+        src = result["mutants"][0].lower()
         assert (out / "matrix.csv").exists()
         assert (out / "matrix.json").exists()
         assert (out / "sources" / src / "genstate.json").exists()
         assert list((out / "sources" / src / "tests").glob("*.stim"))
         assert list((out / "oracle" / src).glob("*.vcd"))
-        cell_dir = out / "cells" / src / result.mutants[1].lower()
+        cell_dir = out / "cells" / src / result["mutants"][1].lower()
         assert (cell_dir / "result.json").exists()
         assert list((cell_dir / "traces").glob("*.vcd"))
         assert (out / "debug" / src / "state.json").exists()
@@ -81,11 +81,12 @@ class TestEvaluateProblem:
         result = run_one(problems, "arbiter2", out)
         p = problems["arbiter2"]
         outputs = [q.name for q in p.signature.outputs]
-        for (src, tgt), cell in result.cells.items():
+        for key, cell in result["cells"].items():
+            src, tgt = key.split("->")
             cell_file = out / "cells" / src.lower() / tgt.lower() / "result.json"
             stored = json.loads(cell_file.read_text())
-            assert stored["ar"] == cell.ar
-            assert Fraction(*stored["dr"]) == cell.dr
+            assert stored["ar"] == cell["ar"]
+            assert Fraction(*stored["dr"]) == Fraction(*cell["dr"])
             if stored["first_failing"]:
                 tid = stored["first_failing"]
                 target_trace, _ = read_vcd(
@@ -102,7 +103,7 @@ class TestEvaluateProblem:
                         for o in outputs
                     )
                 )
-                assert Fraction(divergent, target_trace.cycles) == cell.dr
+                assert Fraction(divergent, target_trace.cycles) == Fraction(*cell["dr"])
 
     def test_rerun_is_byte_identical(self, problems, tmp_path):
         a = tmp_path / "a"
@@ -159,11 +160,11 @@ class TestEvaluateProblem:
         assert_same_tree(full, resumed)
 
         # one unfinished cell needs its target and its source's suite, nothing else
-        src = next(bc for bc in result.mutants if result.gen_summaries[bc]["tests"])
-        tgt = result.mutants[-1]
+        src = next(bc for bc in result["mutants"] if result["gen"][bc]["tests"])
+        tgt = result["mutants"][-1]
         shutil.rmtree(resumed / "cells" / src.lower() / tgt.lower())
         run_one(problems, "counter3", resumed)
-        suite = result.gen_summaries[src]["tests"]
+        suite = result["gen"][src]["tests"]
         assert elaborated == [sources[-1]]
         assert oracle_runs == other_runs == suite
         assert_same_tree(full, resumed)
@@ -191,8 +192,12 @@ class TestEvaluateProblem:
 
     def test_no_corpus_reports_error(self, problems, tmp_path, fresh_corpus):
         pristine = {p.id: p for p in load_corpus(fresh_corpus)}
-        result = run_one(pristine, "full_adder", tmp_path / "x")
-        assert result.error and "mutant corpus" in result.error
+        assert run_one(pristine, "full_adder", tmp_path / "x") is None
+        assert not (tmp_path / "x").exists()
+        config = RunConfig(provider="mock", script_dir="(in-memory)", seed=1)
+        entry = matrix._problem_entry(pristine["full_adder"], config, None, tmp_path / "x")
+        assert entry == {"mutants": 0, "cells": 0, "skipped_cells": 0, "debug_solved": 0,
+                         "error": "no mutant corpus on disk (run `svloop mutate` first)"}
 
     def test_corrupted_mutant_isolates_to_its_cells(self, tmp_path, fresh_corpus):
         from svloop.manifest import write_mutation_corpus
@@ -207,13 +212,13 @@ class TestEvaluateProblem:
         (problem_dir / "bc02.sv").write_text("module broken (((\n")
         reloaded = {p.id: p for p in load_corpus(fresh_corpus)}
         result = run_one(reloaded, "full_adder", tmp_path / "x")
-        assert result.error is None
-        bad = [key for key in result.skipped if key[1] == "BC02"]
-        good = [key for key in result.cells if key[1] != "BC02"]
-        assert len(bad) == len(result.mutants)
+        assert result is not None
+        bad = [key for key in result["skipped"] if key.endswith("->BC02")]
+        good = [key for key in result["cells"] if not key.endswith("->BC02")]
+        assert len(bad) == len(result["mutants"])
         assert good
-        assert "does not elaborate" in result.skipped[bad[0]]
-        assert result.debug_outcomes["BC02"].get("skipped")
+        assert "does not elaborate" in result["skipped"][bad[0]]
+        assert result["debug"]["BC02"].get("skipped")
 
     def test_mutant_with_other_ports_isolates_to_its_cells(self, corpus_dir, tmp_path):
         # adder4's BC03 with its input cin renamed: its interface is not the
@@ -223,28 +228,54 @@ class TestEvaluateProblem:
         mutant = corpus / "problems" / "adder4" / "bc03.sv"
         mutant.write_text(mutant.read_text().replace("cin", "cix"))
         result = run_one({p.id: p for p in load_corpus(corpus)}, "adder4", tmp_path / "x")
-        assert result.error is None and "BC03" in result.mutants
+        assert result is not None and "BC03" in result["mutants"]
         reason = "target does not keep the problem's interface"
-        assert {key: reason for key in result.skipped} == {
-            (src, "BC03"): reason for src in result.mutants}
-        assert len(result.cells) == len(result.mutants) * (len(result.mutants) - 1)
-        assert result.debug_outcomes["BC03"] == {"skipped": reason}
+        assert result["skipped"] == {f"{src}->BC03": reason for src in result["mutants"]}
+        assert len(result["cells"]) == len(result["mutants"]) * (len(result["mutants"]) - 1)
+        assert result["debug"]["BC03"] == {"skipped": reason}
 
     def test_nls_strategy_generates_without_source(self, problems, tmp_path):
         responder = OracleBackedResponder(list(problems.values()))
         config = RunConfig(strategy="nls", provider="mock", script_dir="(in-memory)", seed=1)
         result = evaluate_problem(problems["full_adder"], config, responder, tmp_path / "nls")
-        assert result.cells
+        assert result["cells"]
         # identical NLS prompts across sources yield identical suites
         state = json.loads(
-            (tmp_path / "nls" / "sources" / result.mutants[0].lower() / "genstate.json").read_text()
+            (tmp_path / "nls" / "sources" / result["mutants"][0].lower() / "genstate.json").read_text()
         )
         assert state["tests"]
         prompt = (
-            tmp_path / "nls" / "sources" / result.mutants[0].lower() / "prompts" /
+            tmp_path / "nls" / "sources" / result["mutants"][0].lower() / "prompts" /
             "gen-01.prompt.txt"
         ).read_text()
         assert "Implementation under test" not in prompt
+
+
+class TestCellOutcome:
+    """result.json decodes to its matrix.json entry exactly when its DA is
+    ``divergent_attack`` of its AR and DR."""
+
+    def test_consistent_record_is_its_matrix_entry(self):
+        record = {"source": "BC01", "target": "BC02", "ar": 1, "dr": [6, 8], "da": [3, 4]}
+        entry = matrix._cell_outcome(record)
+        assert entry == {"ar": 1, "dr": [3, 4], "da": [3, 4]}
+        da = Fraction(*entry["da"])
+        assert da <= Fraction(*entry["dr"]) and da <= entry["ar"]
+        assert matrix._cell_outcome({"ar": 0, "dr": 0, "da": 0}) == {
+            "ar": 0, "dr": [0, 1], "da": [0, 1]}
+
+    @pytest.mark.parametrize("ar, dr, da", [
+        (0, [1, 2], [1, 2]),   # no attack carries no divergent attack
+        (1, [1, 2], [1, 4]),   # an attacked pair carries da == dr
+        (1, [0, 1], [0, 1]),   # an attack diverges on at least one cycle
+        (2, [1, 2], [1, 2]),   # ar is 0 or 1
+    ])
+    def test_any_other_record_is_refused(self, ar, dr, da):
+        with pytest.raises(ValueError):
+            matrix._cell_outcome({"ar": ar, "dr": dr, "da": da})
+
+    def test_a_skipped_cell_is_its_reason(self):
+        assert matrix._cell_outcome({"skipped": "no tests"}) == "no tests"
 
 
 def test_a_cell_compares_each_test_once(problems, tmp_path, monkeypatch):
@@ -303,7 +334,7 @@ class TestWriteBudget:
         # generation's candidate runs are the only oracle simulations
         scored = sum(
             len(gen["tests"]) + sum(r["reason"] == "coverage" for r in gen["rejections"])
-            for gen in result.gen_summaries.values()
+            for gen in result["gen"].values()
         )
         assert scored and len(oracle_runs) == scored
 

@@ -8,12 +8,12 @@ from support import naive_divergent_fraction
 from svloop.errors import TraceShapeMismatch
 from svloop.frontend.elaborate import elaborate_source
 from svloop.metrics import (
-    PairResult,
     attack_rate,
     bin_index,
     bin_values,
     divergence_rate,
     divergent_attack,
+    stored_pair,
     stored_ratio,
 )
 from svloop.sim.engine import Trace, run
@@ -97,14 +97,6 @@ class TestDivergentAttack:
         with pytest.raises(ValueError, match=r"dr must lie in \[0, 1\]"):
             divergent_attack(1, dr)
 
-    def test_pair_result_invariants(self):
-        cell = PairResult("BC01", "BC02", 1, Fraction(3, 4), Fraction(3, 4))
-        assert cell.da <= cell.dr and cell.da <= cell.ar
-        with pytest.raises(ValueError):
-            PairResult("BC01", "BC02", 0, Fraction(1, 2), Fraction(1, 2))
-        with pytest.raises(ValueError):
-            PairResult("BC01", "BC02", 1, Fraction(1, 2), Fraction(1, 4))
-
 
 class TestStoredRatio:
     @pytest.mark.parametrize("value, ratio", [
@@ -131,6 +123,10 @@ class TestStoredRatio:
     def test_a_zero_denominator_is_refused(self):
         with pytest.raises(ZeroDivisionError):
             stored_ratio([1, 0], "dr")
+
+    @pytest.mark.parametrize("ratio", [Fraction(0), Fraction(1), Fraction(3, 4)])
+    def test_stored_pair_is_read_back(self, ratio):
+        assert stored_ratio(stored_pair(ratio), "dr") == ratio
 
 
 class TestBinning:

@@ -109,12 +109,19 @@ def test_persistent_server_error_rejects_after_budget(monkeypatch):
     assert sleeps == [backoff, 2 * backoff, 4 * backoff]  # none after the last attempt
 
 
-def test_retry_after_header_sets_the_wait(monkeypatch):
+# requests decodes header bytes as latin-1: b"\xb2" arrives as a superscript
+# two, which str.isdigit accepts and int refuses; anything but ASCII digits
+# waits the backoff
+@pytest.mark.parametrize("retry_after, wait", [
+    ("7", 7), ("\u00b2", None), ("\u0663", None), ("7s", None), ("-1", None), ("1.5", None),
+    ("", None),
+])
+def test_retry_after_header_sets_the_wait(monkeypatch, retry_after, wait):
     ok = FakeResponse(200, {"choices": [{"message": {"content": "ok"}}]})
-    throttled = FakeResponse(429, text="slow down", headers={"Retry-After": "7"})
+    throttled = FakeResponse(429, text="slow down", headers={"Retry-After": retry_after})
     posts, sleeps = scripted_posts(monkeypatch, throttled, ok)
     assert live_provider(monkeypatch).complete("p", CFG) == "ok"
-    assert sleeps == [7]
+    assert sleeps == [providers.RETRY_BACKOFF_S if wait is None else wait]
 
 
 def test_retry_after_wait_is_capped_at_the_timeout(monkeypatch):

@@ -27,6 +27,17 @@ class TestExpressionWidths:
         trace = simulate(text, [(1, 1, 1), (1, 1, 0), (0, 0, 0)])
         assert trace.values["y"] == (3, 2, 0)
 
+    def test_a_negative_unsized_parameter_is_32_bits_wide(self):
+        # P + P is evaluated at P's 32 bits, so its carry is lost and the shift leaves 0
+        text = """
+        module neg_param (input a, output [7:0] y);
+          parameter P = -1;
+          assign y = (P + P) >> 32;
+        endmodule
+        """
+        assert elaborate_source(text).params["P"] == ((1 << 32) - 1, 32)
+        assert simulate(text, [(0,), (1,)]).values["y"] == (0, 0)
+
     def test_addition_wraps_at_target_width(self):
         text = """
         module wrap_add (input [1:0] a, input [1:0] b, output [1:0] y);

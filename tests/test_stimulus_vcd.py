@@ -22,7 +22,7 @@ from svloop.frontend.signature import DesignSignature, SignaturePort
 from svloop.sim import stimulus
 from svloop.sim.engine import Trace
 from svloop.sim.stimulus import UnitTest, parse_stimulus
-from svloop.sim.vcd import export_vcd
+from svloop.sim.vcd import _ID_CHARS, _var_id, export_vcd
 
 DESK = ["adder4", "arbiter2", "counter3", "full_adder", "seq_detect"]
 
@@ -365,6 +365,23 @@ class TestVcdMatchesReference:
         signature = DesignSignature("m", ports[:2], ports[2:])
         text = self.check(trace, signature).decode()
         assert text.endswith("#0\n$dumpvars\n0!\nb1 \"\nb10 #\n1$\n$end\n")
+
+    def test_ids_extend_the_two_character_ones_without_end(self):
+        def two_characters(index):  # the ids of the first 83 + 83 * 83 ports, fixed in VCD bytes
+            if index < len(_ID_CHARS):
+                return _ID_CHARS[index]
+            return _ID_CHARS[index // len(_ID_CHARS) - 1] + _ID_CHARS[index % len(_ID_CHARS)]
+
+        assert [_var_id(i) for i in range(6972)] == [two_characters(i) for i in range(6972)]
+        ids = [_var_id(i) for i in range(20_000)]
+        assert len(set(ids)) == len(ids)
+        assert ids[6971:6973] == ["~~", "!!!"]
+
+    def test_a_signature_past_the_two_character_ids_exports(self):
+        ports = tuple(SignaturePort(f"p{i}", 1) for i in range(6973))
+        trace = Trace({p.name: (i % 2,) for i, p in enumerate(ports)}, 1)
+        text = export_vcd(trace, DesignSignature("m", ports, ())).decode()
+        assert "$var wire 1 !!! p6972 $end" in text and text.endswith("\n0!!!\n$end\n")
 
     def test_no_cycles_is_the_header_alone(self):
         ports = (SignaturePort("a", 1), SignaturePort("y", 4))
