@@ -216,5 +216,5 @@ def _required_keys(path, error=ManifestError):
     ``error`` (a ManifestError unless given) that names the file."""
     try:
         yield
-    except (LookupError, TypeError, AttributeError, ValueError, ZeroDivisionError) as exc:
+    except (LookupError, TypeError, AttributeError, ValueError, ArithmeticError) as exc:
         raise error(f"{path} is malformed: missing or invalid {exc}") from exc

@@ -137,10 +137,6 @@ class _Parser:
     def parse_module(self) -> DesignAst:
         if self.cur.kind == "eof":
             raise ParseError("no module found in source", 1, 1)
-        while not self.check("module"):
-            if self.cur.kind == "eof":
-                raise ParseError("no module found in source", self.cur.line, self.cur.col)
-            self.fail(f"expected 'module', found {self.cur.text!r}")
         mod_tok = self.expect("module")
         name = self.expect_ident("module name")
         self.guard_unsupported_ident(name)

@@ -21,6 +21,7 @@ from .gateway.config import NLSC
 from .gateway.extract import parse_patch, parse_unit_test
 from .gateway.prompts import build_debug_prompt, build_testgen_prompt
 from .manifest import Problem, RunConfig
+from .metrics import unit_test_id
 from .sim.coverage import CoverageCollector, collect_coverage
 from .sim.engine import Trace, run
 from .sim.stimulus import UnitTest
@@ -55,10 +56,12 @@ class TestGenState:
 
 @dataclass(frozen=True)
 class PatchAttempt:
+    """One repair iteration: whether its patch was accepted, and the patch's
+    pass fraction, None when there was no patch to simulate (the rejection
+    of the iteration says why)."""
     iteration: int
     accepted: bool
     pass_fraction: Optional[Fraction]
-    reason: str
 
 
 @dataclass
@@ -128,9 +131,7 @@ def generate_tests(
         if response is None:
             continue
         try:
-            test = parse_unit_test(
-                response, signature, f"{test_prefix}{iteration:02d}"
-            )
+            test = parse_unit_test(response, signature, unit_test_id(test_prefix, iteration))
         except GatewayError as exc:
             state.rejections.append(Rejection(iteration, "parse", str(exc)))
             continue
@@ -209,12 +210,11 @@ def debug(
             prompt = build_debug_prompt(problem, state.design, tests[failing_at], summary)
         except GatewayError as exc:
             state.rejections.append(Rejection(iteration, "prompt", str(exc)))
-            state.history.append(PatchAttempt(iteration, False, None, f"prompt: {exc}"))
+            state.history.append(PatchAttempt(iteration, False, None))
             continue
         response = _complete(state, provider, prompt, cfg, iteration)
         if response is None:
-            reason = f"provider: {state.rejections[-1].detail}"
-            state.history.append(PatchAttempt(iteration, False, None, reason))
+            state.history.append(PatchAttempt(iteration, False, None))
             continue
         try:
             patched = parse_patch(response, problem.interface)
@@ -223,26 +223,16 @@ def debug(
             )
         except SvLoopError as exc:
             state.rejections.append(Rejection(iteration, "patch", str(exc)))
-            state.history.append(PatchAttempt(iteration, False, None, f"patch: {exc}"))
+            state.history.append(PatchAttempt(iteration, False, None))
             continue
         fraction = pass_fraction(new_verdicts)
-        if fraction > state.best_pass:
+        accepted = fraction > state.best_pass
+        state.history.append(PatchAttempt(iteration, accepted, fraction))
+        if accepted:
             verdicts, traces = new_verdicts, new_traces
             state.best_pass = fraction
             state.design = patched.source
-            state.history.append(
-                PatchAttempt(iteration, True, fraction, "pass fraction increased")
-            )
         else:
-            state.history.append(
-                PatchAttempt(
-                    iteration,
-                    False,
-                    fraction,
-                    f"pass fraction {float(fraction):.3f} did not improve on "
-                    f"{float(state.best_pass):.3f}",
-                )
-            )
             state.rejections.append(
                 Rejection(iteration, "pass-fraction", "patch did not improve pass fraction")
             )

@@ -98,6 +98,10 @@ def load_problem(problem_dir) -> Problem:
     raw = _read_json(manifest_file)
     with _required_keys(manifest_file):
         problem_id, kind = raw["id"], raw["kind"]
+        # the id names the problem's directory in a run directory
+        if (type(problem_id) is not str or problem_id in ("", ".", "..")
+                or "/" in problem_id or "\0" in problem_id):
+            raise ValueError(f"'id' {problem_id!r} (not the name of one path component)")
         description_file = problem_dir / raw["description"]
         reference_file = problem_dir / raw["reference"]
         exemplars_path = raw.get("exemplars")
@@ -139,18 +143,23 @@ def load_problem(problem_dir) -> Problem:
 
 
 def load_corpus(corpus_root) -> list[Problem]:
-    """All problems under <root>/problems, sorted by id."""
+    """All problems under <root>/problems, in the order of their directory
+    names; two with one id are a ManifestError naming both."""
     corpus_root = Path(corpus_root)
     problems_dir = corpus_root / "problems"
     if not problems_dir.is_dir():
         raise ManifestError(f"{corpus_root} has no problems/ directory")
-    problems = []
+    problems = {}
     for sub in sorted(problems_dir.iterdir()):
         if sub.is_dir() and (sub / PROBLEM_MANIFEST).exists():
-            problems.append(load_problem(sub))
+            problem = load_problem(sub)
+            if problem.id in problems:
+                raise ManifestError(f"{problems[problem.id].root / PROBLEM_MANIFEST} and "
+                                    f"{sub / PROBLEM_MANIFEST} both have id {problem.id!r}")
+            problems[problem.id] = problem
     if not problems:
         raise ManifestError(f"no problems found under {problems_dir}")
-    return problems
+    return list(problems.values())
 
 
 def write_mutation_corpus(

@@ -10,7 +10,8 @@ which ``_unit`` reads or makes: its files, then its JSON checkpoint
 (``genstate.json``, ``result.json``, ``state.json``), renamed into place.
 A resume trusts a unit exactly when its checkpoint exists and rewrites it
 otherwise: consistent across a process crash at any write, not across
-power loss. A record read and one just made pass the same decoder. Only a
+power loss. A record is made by its encoder in ``metrics``, and one read
+is accepted exactly when that encoder gives it back. Only a
 unit that must be rewritten elaborates a target, or reads and simulates a
 checkpointed source's tests. A fresh source writes its oracle VCDs from
 generation's traces. Artifacts carry no timestamp; a rerun is byte-identical.
@@ -21,7 +22,6 @@ from __future__ import annotations
 import fcntl
 import os
 from contextlib import contextmanager
-from fractions import Fraction
 from functools import cache
 from pathlib import Path
 from typing import Optional
@@ -39,9 +39,17 @@ from .errors import (
 )
 from .frontend.elaborate import elaborate_source
 from .gateway.providers import build_provider
-from .loops import DebugState, TestGenState, debug, generate_tests, run_suite
+from .loops import debug, generate_tests, run_suite
 from .manifest import Problem, RunConfig
-from .metrics import divergence_rate, divergent_attack, stored_pair, stored_ratio
+from .metrics import (
+    METRICS,
+    cell_record,
+    debug_record,
+    gen_record,
+    read_cell_record,
+    read_debug_record,
+    read_gen_record,
+)
 from .sim.engine import Trace, run
 from .sim.stimulus import UnitTest, parse_stimulus
 from .sim.vcd import export_vcd
@@ -55,81 +63,22 @@ def _write_exchanges(dirpath: str, prefix: str, exchanges) -> None:
                 _write_bytes(f"{dirpath}/{prefix}-{ex.iteration:02d}.{kind}.txt", text.encode())
 
 
-def _gen_state_summary(state: TestGenState) -> dict:
-    return {
-        "tests": [t.id for t in state.tests],
-        "best_coverage": stored_pair(state.best_coverage),
-        "accepted_coverage": [stored_pair(c) for c in state.accepted_coverage],
-        "iterations": state.iterations,
-        "provider_calls": state.provider_calls,
-        "rejections": [vars(r) for r in state.rejections],
-    }
-
-
-def _debug_state_summary(state: DebugState) -> dict:
-    return {
-        "initial_pass": stored_pair(state.initial_pass),
-        "best_pass": stored_pair(state.best_pass),
-        "solved": state.solved,
-        "iterations": state.iterations,
-        "provider_calls": state.provider_calls,
-        "history": [
-            {**vars(h), "pass_fraction": None if h.pass_fraction is None
-             else stored_pair(h.pass_fraction)}
-            for h in state.history
-        ],
-        "rejections": [vars(r) for r in state.rejections],
-    }
-
-
-def _unit(checkpoint: str, make, decode):
-    """``decode`` of the unit's checkpoint record: the one on disk, or the one
-    ``make(unit_dir)`` returns after writing the unit's files, saved last.
-    A wrongly shaped record is a CheckpointError naming the checkpoint."""
-    if os.path.exists(checkpoint):
-        record = _read_json(Path(checkpoint), CheckpointError)
-    else:
+def _unit(checkpoint: str, make, read) -> dict:
+    """The unit's checkpoint record: the one on disk, which ``read`` must
+    accept, or the one ``make(unit_dir)`` returns after writing the unit's
+    files, saved last. A record that ``read`` refuses is a CheckpointError
+    naming the checkpoint."""
+    if not os.path.exists(checkpoint):
         unit_dir = os.path.dirname(checkpoint)
         _mkdir(unit_dir)
         record = make(unit_dir)
         _write_json(checkpoint, record)
+        return record
+    record = _read_json(Path(checkpoint), CheckpointError)
     if not isinstance(record, dict):
         raise CheckpointError(f"{checkpoint} is malformed: not a JSON object")
     with _required_keys(checkpoint, CheckpointError):
-        return decode(record)
-
-
-def _gen_record(record: dict) -> dict:
-    """genstate.json: the record, whose ``tests`` lists the source's test ids."""
-    if not (type(record["tests"]) is list and all(type(t) is str for t in record["tests"])):
-        raise ValueError("'tests' (not a list of ids)")
-    return record
-
-
-def _skipped(record: dict) -> bool:
-    """Whether a result.json or state.json record is of a skipped unit,
-    whose reason is a string."""
-    if "skipped" in record and type(record["skipped"]) is not str:
-        raise ValueError("'skipped' (not a string)")
-    return "skipped" in record
-
-
-def _cell_outcome(record: dict):
-    """result.json: the cell's matrix.json entry, whose DA is its DR gated by
-    its AR, or the reason it was skipped."""
-    if _skipped(record):
-        return record["skipped"]
-    ar, dr, da = (stored_ratio(record[name], name) for name in ("ar", "dr", "da"))
-    if da != divergent_attack(int(ar), dr):
-        raise ValueError(f"da {record['da']!r} (not dr gated by ar)")
-    return {"ar": int(ar), "dr": stored_pair(dr), "da": stored_pair(da)}
-
-
-def _debug_record(record: dict) -> dict:
-    """state.json: the record of a skipped target or of one with a best pass."""
-    if not _skipped(record):
-        stored_ratio(record["best_pass"], "best_pass")
-    return record
+        return read(record)
 
 
 def evaluate_problem(problem: Problem, config: RunConfig, provider,
@@ -177,10 +126,11 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider,
     _mkdir(out, parents=True)
     _mkdir(f"{out}/sources")
     for src_id, src_source, _ in mutants:
+        prefix = f"{src_id.lower()}-t"
+
         def generated(src_dir: str) -> dict:
             # generate_tests shows the source mutant only under NLSC
-            state = generate_tests(problem, src_source, config, provider,
-                                   test_prefix=f"{src_id.lower()}-t")
+            state = generate_tests(problem, src_source, config, provider, test_prefix=prefix)
             tests, traces = suites[src_id] = state.tests, state.traces
             _mkdir(f"{src_dir}/tests")
             for test in tests:
@@ -194,74 +144,67 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider,
                 for tid, trace in traces.items():
                     _write_bytes(f"{vcd_dir}/{tid}.vcd", export_vcd(trace, signature))
             _write_exchanges(f"{src_dir}/prompts", "gen", state.exchanges)
-            return _gen_state_summary(state)
-        gen[src_id] = _unit(
-            f"{out}/sources/{src_id.lower()}/genstate.json", generated, _gen_record)
+            return gen_record(prefix, state.accepted_coverage, map(vars, state.rejections))
+        gen[src_id] = _unit(f"{out}/sources/{src_id.lower()}/genstate.json", generated,
+                            lambda record: read_gen_record(record, prefix))
 
     _mkdir(f"{out}/cells")
     for src_id, _, _ in mutants:
         _mkdir(f"{out}/cells/{src_id.lower()}")
         for tgt_id, _, _ in mutants:
             def evaluated(cell_dir: str) -> dict:
-                cell = {"source": src_id, "target": tgt_id}
                 design = target(tgt_id)
                 if isinstance(design, str):
-                    cell["skipped"] = design
+                    outcome = design
                 elif not gen[src_id]["tests"]:
-                    cell["skipped"] = "no tests generated from this source"
+                    outcome = "no tests generated from this source"
                 else:
                     tests, traces = suite(src_id)  # unreadable tests fail the whole problem
                     try:
-                        cell.update(_evaluate_cell(tests, traces, design, signature, outputs,
-                                                   cell_dir))
+                        outcome = _evaluate_cell(tests, traces, design, signature, outputs,
+                                                 cell_dir)
                     except SvLoopError as exc:
-                        cell["skipped"] = f"{type(exc).__name__}: {exc}"
-                return cell
-            outcome = _unit(f"{out}/cells/{src_id.lower()}/{tgt_id.lower()}/result.json",
-                            evaluated, _cell_outcome)
-            outcomes = document["skipped"] if isinstance(outcome, str) else document["cells"]
-            outcomes[f"{src_id}->{tgt_id}"] = outcome
+                        outcome = f"{type(exc).__name__}: {exc}"
+                return cell_record(src_id, tgt_id, outcome)
+            cell = _unit(f"{out}/cells/{src_id.lower()}/{tgt_id.lower()}/result.json",
+                         evaluated, lambda record: read_cell_record(record, src_id, tgt_id))
+            key = f"{src_id}->{tgt_id}"
+            if "skipped" in cell:
+                document["skipped"][key] = cell["skipped"]
+            else:
+                document["cells"][key] = {name: cell[name] for name in METRICS}
 
     _mkdir(f"{out}/debug")
     for tgt_id, _, _ in mutants:
         def debugged(debug_dir: str) -> dict:
             design = target(tgt_id)
             if isinstance(design, str):
-                return {"skipped": design}
+                return debug_record(design)
             if not gen[tgt_id]["tests"]:
-                return {"skipped": "no tests generated for this target"}
+                return debug_record("no tests generated for this target")
             tests, traces = suite(tgt_id)
             state = debug(problem, design, tests, traces, config, provider)
             _write_bytes(f"{debug_dir}/final.sv", state.design.text.encode())
             _write_exchanges(f"{debug_dir}/prompts", "debug", state.exchanges)
-            return _debug_state_summary(state)
+            return debug_record((state.initial_pass,
+                                 [(h.accepted, h.pass_fraction) for h in state.history],
+                                 map(vars, state.rejections)))
         document["debug"][tgt_id] = _unit(f"{out}/debug/{tgt_id.lower()}/state.json",
-                                          debugged, _debug_record)
+                                          debugged, read_debug_record)
 
     _write_matrix_files(document, out)
     return document
 
 
-def _evaluate_cell(tests, oracle_traces, target, signature, outputs, cell_dir) -> dict:
+def _evaluate_cell(tests, oracle_traces, target, signature, outputs, cell_dir) -> list:
     """Run a non-empty suite on the target, writing its VCDs under
-    ``cell_dir``; the cell's AR/DR/DA and per-test verdicts."""
+    ``cell_dir``; each test's id and verdict."""
     traces_dir = f"{cell_dir}/traces"
     _mkdir(traces_dir)
     verdicts, traces = run_suite(target, tests, oracle_traces, outputs, signature)
     for test, trace in zip(tests, traces):
         _write_bytes(f"{traces_dir}/{test.id}.vcd", export_vcd(trace, signature))
-    first = next((i for i, v in enumerate(verdicts) if not v.passed), None)
-    ar = int(first is not None)
-    dr = divergence_rate(verdicts[first]) if ar else Fraction(0)
-    return {
-        "ar": ar,
-        "dr": stored_pair(dr),
-        "da": stored_pair(divergent_attack(ar, dr)),
-        "first_failing": tests[first].id if ar else None,
-        "tests": [{"id": test.id, "outcome": v.outcome,
-                   "mismatch_cycles": v.mismatch_count, "cycles": v.cycles}
-                  for test, v in zip(tests, verdicts)],
-    }
+    return [(test.id, v) for test, v in zip(tests, verdicts)]
 
 
 def _write_matrix_files(document: dict, out: str) -> None:

@@ -1,4 +1,5 @@
-"""Attack rate, divergence rate, divergent attack, and 5-bin histograms.
+"""Attack rate, divergence rate, divergent attack, 5-bin histograms, and
+the records of the run directory that hold them.
 
 AR is the fraction of targets whose suite produced a failing trace.
 DR is read off the verdict of the suite's first failing test: the
@@ -6,16 +7,23 @@ fraction of its cycles on which any output disagrees with the oracle.
 DA gates DR by attack success: the set-intersection notation in the
 source material has no formal definition, so the gating reading lives
 entirely behind ``divergent_attack``.
+
+Each record (``genstate.json``, ``result.json``, ``state.json`` and a
+``matrix.json`` cell) has one encoder here, and a resume and ``report``
+accept a record exactly when encoding the facts read from it gives it back.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .verdict import Verdict
+
+METRICS = ("ar", "dr", "da")
 
 
 @dataclass(frozen=True)
@@ -62,14 +70,12 @@ def divergent_attack(ar: int, dr: Fraction) -> Fraction:
 
 
 def stored_ratio(value, name: str) -> Fraction:
-    """Decode the ratio ``name`` as the run directory stores it: an int or
-    an ``[numerator, denominator]`` pair of ints, in [0, 1], where a bool
-    is not an int; ``ar`` is the int 0 or 1."""
-    parts = value if isinstance(value, list) and len(value) == 2 and name != "ar" else [value]
-    if not all(type(part) is int for part in parts):
-        raise ValueError(f"{name} {value!r} (not an integer"
-                         f"{'' if name == 'ar' else ' or a pair of integers'})")
-    ratio = Fraction(*parts)
+    """Decode the ratio ``name`` as ``stored_pair`` writes it: an
+    ``[numerator, denominator]`` pair of ints in [0, 1], where a bool is
+    not an int."""
+    if not (type(value) is list and len(value) == 2 and all(type(part) is int for part in value)):
+        raise ValueError(f"{name} {value!r} (not a pair of integers)")
+    ratio = Fraction(*value)
     if not 0 <= ratio <= 1:
         raise ValueError(f"{name} {value!r} (outside [0, 1])")
     return ratio
@@ -78,6 +84,168 @@ def stored_ratio(value, name: str) -> Fraction:
 def stored_pair(ratio: Fraction) -> list[int]:
     """The ``[numerator, denominator]`` pair that ``stored_ratio`` reads."""
     return [ratio.numerator, ratio.denominator]
+
+
+# --- the records of the run directory --------------------------------------
+# A fresh run writes each record with its encoder. A reader reads only the
+# record's facts and works out every other field again from them.
+
+def unit_test_id(prefix: str, iteration: int) -> str:
+    """The id of the test that generation iteration ``iteration`` accepts."""
+    return f"{prefix}{iteration:02d}"
+
+
+def _same(a, b) -> bool:
+    """Whether the JSON values ``a`` and ``b`` are equal and of one type
+    throughout: a ``true`` is not a ``1``, nor a ``1`` a ``1.0``."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(_same(a[key], b[key]) for key in a)
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def _given_back(record, encoded: dict) -> dict:
+    """``record``, when ``encoded``, the encoding of the facts read from it,
+    is ``record`` exactly; otherwise a ValueError naming the first field, in
+    sorted order, that differs."""
+    if not _same(record, encoded):
+        name = next(name for name in sorted(record.keys() | encoded.keys())
+                    if name not in record or name not in encoded
+                    or not _same(record[name], encoded[name]))
+        raise ValueError(f"{name!r} (not what a fresh run writes with the rest of the record)")
+    return record
+
+
+def _rejections(entries) -> list[dict]:
+    """Each rejection as a record holds it, each field converted to the type a
+    fresh run writes, so that an entry read with another type does not come
+    back."""
+    return [{"iteration": int(r["iteration"]), "reason": str(r["reason"]),
+             "detail": str(r["detail"])} for r in entries]
+
+
+def _unanswered(rejections: list[dict]) -> int:
+    """The iterations that made no provider call: their prompt was refused,
+    or the provider failed."""
+    return sum(r["reason"] in ("prompt", "provider") for r in rejections)
+
+
+def gen_record(prefix: str, coverage, rejections) -> dict:
+    """genstate.json of a source whose tests are named ``prefix`` and their
+    iteration: each accepted test's scalar coverage, in order, and the
+    rejections, one per rejected iteration. Every other iteration accepted
+    a test, and the best coverage is the last test's."""
+    rejections = _rejections(rejections)
+    rejected = {r["iteration"] for r in rejections}
+    iterations = len(coverage) + len(rejections)
+    return {
+        "tests": [unit_test_id(prefix, i) for i in range(1, iterations + 1) if i not in rejected],
+        "best_coverage": stored_pair(coverage[-1] if coverage else Fraction(0)),
+        "accepted_coverage": [stored_pair(c) for c in coverage],
+        "iterations": iterations,
+        "provider_calls": iterations - _unanswered(rejections),
+        "rejections": rejections,
+    }
+
+
+def read_gen_record(record: dict, prefix: str) -> dict:
+    """The genstate.json ``record`` of the source whose tests are named
+    ``prefix``."""
+    coverage = [stored_ratio(c, "accepted_coverage") for c in record["accepted_coverage"]]
+    return _given_back(record, gen_record(prefix, coverage, record["rejections"]))
+
+
+def cell_entry(ar: int, dr: Fraction) -> dict:
+    """A cell's matrix.json entry: its AR and DR, and the DA they give."""
+    return {"ar": ar, "dr": stored_pair(dr), "da": stored_pair(divergent_attack(ar, dr))}
+
+
+def read_cell_entry(entry: dict) -> dict[str, Fraction]:
+    """The AR, DR and DA of the matrix.json cell ``entry``."""
+    ar, dr = int(entry["ar"]), stored_ratio(entry["dr"], "dr")
+    _given_back(entry, cell_entry(ar, dr))
+    return {"ar": Fraction(ar), "dr": dr, "da": divergent_attack(ar, dr)}
+
+
+def cell_record(source: str, target: str, outcome) -> dict:
+    """result.json of the cell ``source`` -> ``target``: ``outcome`` is the
+    reason the cell was skipped, or each test's ``(id, verdict)`` in suite
+    order. The cell is attacked when a test fails, and its DR is the first
+    failing test's divergence rate."""
+    if isinstance(outcome, str):
+        return {"source": source, "target": target, "skipped": outcome}
+    first = next(((tid, v) for tid, v in outcome if not v.passed), None)
+    ar = int(first is not None)
+    return {
+        "source": source,
+        "target": target,
+        **cell_entry(ar, divergence_rate(first[1]) if ar else Fraction(0)),
+        "first_failing": first[0] if ar else None,
+        "tests": [{"id": tid, "outcome": v.outcome, "mismatch_cycles": v.mismatch_count,
+                   "cycles": v.cycles} for tid, v in outcome],
+    }
+
+
+def read_cell_record(record: dict, source: str, target: str) -> dict:
+    """The result.json ``record`` of the cell ``source`` -> ``target``."""
+    from .verdict import Verdict  # not at the top: report loads this module, never verdict
+
+    if "skipped" in record:
+        outcome = str(record["skipped"])
+    else:
+        outcome = [(str(t["id"]), Verdict(int(t["mismatch_cycles"]), int(t["cycles"])))
+                   for t in record["tests"]]
+    return _given_back(record, cell_record(source, target, outcome))
+
+
+def debug_record(outcome) -> dict:
+    """state.json of a debug target: ``outcome`` is the reason the target was
+    skipped, or its initial pass fraction, each repair iteration's
+    ``(accepted, pass fraction or None)`` and the rejections. An accepted
+    patch sets the best pass fraction; an iteration without a pass fraction
+    failed as its rejection says."""
+    if isinstance(outcome, str):
+        return {"skipped": outcome}
+    initial_pass, attempts, rejections = outcome
+    rejections = _rejections(rejections)
+    failures = {r["iteration"]: f"{r['reason']}: {r['detail']}" for r in rejections}
+    best, history = initial_pass, []
+    for iteration, (accepted, fraction) in enumerate(attempts, 1):
+        if accepted:
+            reason = "pass fraction increased"
+        elif fraction is not None:
+            reason = (f"pass fraction {float(fraction):.3f} did not improve on "
+                      f"{float(best):.3f}")
+        else:
+            reason = failures[iteration]
+        history.append({"iteration": iteration, "accepted": accepted, "reason": reason,
+                        "pass_fraction": None if fraction is None else stored_pair(fraction)})
+        if accepted:
+            best = fraction
+    return {
+        "initial_pass": stored_pair(initial_pass),
+        "best_pass": stored_pair(best),
+        "solved": best == 1,
+        "iterations": len(history),
+        "provider_calls": len(history) - _unanswered(rejections),
+        "history": history,
+        "rejections": rejections,
+    }
+
+
+def read_debug_record(record: dict) -> dict:
+    """The state.json ``record`` of a debug target, which matrix.json holds
+    too."""
+    if "skipped" in record:
+        return _given_back(record, debug_record(str(record["skipped"])))
+    attempts = [(bool(h["accepted"]), None if h["pass_fraction"] is None
+                 else stored_ratio(h["pass_fraction"], "pass_fraction"))
+                for h in record["history"]]
+    initial_pass = stored_ratio(record["initial_pass"], "initial_pass")
+    return _given_back(record, debug_record((initial_pass, attempts, record["rejections"])))
 
 
 def bin_index(value) -> int:

@@ -19,10 +19,9 @@ from typing import NamedTuple
 
 from . import __version__
 from .errors import ReportError, _mkdir, _read_json, _required_keys, _write_bytes, _write_json
-from .metrics import bin_values, stored_ratio
+from .metrics import METRICS, bin_values, read_cell_entry, read_debug_record
 from .sim.coverage import SCALAR_NOTE
 
-METRICS = ("ar", "dr", "da")
 KINDS = ("combinational", "sequential")
 
 
@@ -33,25 +32,20 @@ class _Matrix(NamedTuple):
     debug_rates: list[tuple[str, Fraction]]  # (target, best pass fraction), by target
 
 
-def _of_type(kind: type, value, what: str):
-    if not isinstance(value, kind):
-        raise TypeError(f"{what} {value!r} (not a JSON {'object' if kind is dict else 'string'})")
-    return value
-
-
 def _load_matrix(matrix_file: Path) -> _Matrix:
     matrix = _read_json(matrix_file, ReportError)
     with _required_keys(matrix_file, ReportError):
         if matrix["kind"] not in KINDS:
             raise ReportError(f"{matrix_file} is malformed: kind {matrix['kind']!r} "
                               f"is not one of {KINDS}")
-        cells = {key: {metric: stored_ratio(cell[metric], metric) for metric in METRICS}
-                 for key, cell in matrix["cells"].items()}
-        debug_rates = [(target, stored_ratio(outcome["best_pass"], "best_pass"))
-                       for target, outcome in sorted(matrix.get("debug", {}).items())
-                       if "skipped" not in _of_type(dict, outcome, f"debug outcome {target!r}")]
-        return _Matrix(_of_type(str, matrix["problem"], "problem"), matrix["kind"], cells,
-                       debug_rates)
+        if matrix["problem"] != matrix_file.parent.name:
+            raise ValueError(f"problem {matrix['problem']!r} (not its directory's name)")
+        cells = {key: read_cell_entry(cell) for key, cell in matrix["cells"].items()}
+        debug = {target: read_debug_record(record)
+                 for target, record in matrix.get("debug", {}).items()}
+        debug_rates = [(target, Fraction(*record["best_pass"]))
+                       for target, record in sorted(debug.items()) if "skipped" not in record]
+        return _Matrix(matrix["problem"], matrix["kind"], cells, debug_rates)
 
 
 def _load_matrix_files(run_dir: Path) -> list[_Matrix]:

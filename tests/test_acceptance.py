@@ -32,7 +32,7 @@ from svloop.frontend.elaborate import elaborate_source
 from svloop.frontend.signature import extract_signature
 from svloop.loops import debug, generate_tests
 from svloop.manifest import RunConfig, load_corpus, write_mutation_corpus
-from svloop.metrics import attack_rate, bin_values, divergence_rate, divergent_attack
+from svloop.metrics import attack_rate, bin_values, debug_record, divergence_rate, divergent_attack
 from svloop.mutate import make_corpus
 from svloop.report import build_report
 from svloop.sim.engine import run
@@ -371,7 +371,10 @@ def test_criterion_9_robustness_fuzz(problems):
         assert state.iterations == 5
         assert state.best_pass == passing[patch]
         assert state.history[0].accepted
-        assert [h.reason.split(":")[0] for h in state.history[1:]] == ["prompt"] * 4
+        record = debug_record((state.initial_pass,
+                               [(h.accepted, h.pass_fraction) for h in state.history],
+                               map(vars, state.rejections)))
+        assert [h["reason"].split(":")[0] for h in record["history"][1:]] == ["prompt"] * 4
         assert [r.reason for r in state.rejections] == ["prompt"] * 4
         assert all("input window" in r.detail for r in state.rejections)
         overflows += 1

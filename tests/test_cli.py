@@ -1,8 +1,11 @@
 import argparse
+import copy
 import fcntl
+import functools
 import hashlib
 import importlib
 import json
+import operator
 import os
 import random
 import shutil
@@ -23,6 +26,7 @@ from svloop.cli import (
 )
 from svloop import matrix
 from svloop.data import default_corpus_root
+from svloop.errors import CheckpointError
 from svloop.gateway.providers import ENV_ENDPOINT, ENV_KEY, ENV_MODEL
 from svloop.manifest import RunConfig, load_corpus
 from svloop.report import build_report
@@ -51,6 +55,47 @@ def finished_run(corpus_dir, tmp_path_factory):
         "--mock-script", str(script), "--seed", "1",
     ]) == 0
     return corpus, script, run_dir
+
+
+def _assigning(expression, declaration=""):
+    """A design that assigns ``expression`` on the line after its statement's,
+    with ``declaration`` after it."""
+    return (f"module m (input a, output [3:0] y);\n  assign y =\n    {expression};\n"
+            f"{declaration}\nendmodule\n")
+
+
+# one design per front-end diagnostic that no other test reaches, with the
+# position and message `svloop parse` prints for it. An elaboration error is
+# positioned at its literal, or at column 0 of the declaration that is too wide.
+FRONT_END_DIAGNOSTICS = [
+    (_assigning("4'd20"), "3:5: literal value of 5 bits does not fit in 4 bits"),
+    (_assigning("0'd0"), "3:5: literal size must be positive"),
+    (_assigning("4097'd0"), "3:5: literal size exceeds the 4096-bit limit"),
+    (_assigning("'h" + "f" * 1100),
+     "3:5: unsized literal of 4400 bits exceeds the 4096-bit limit"),
+    (_assigning("a", "wire [4096:0] big;"), "4:0: 'big' is wider than the 4096-bit limit"),
+    (_assigning("a", "parameter P = 'h" + "f" * 1100 + ";"),
+     "4:0: parameter 'P' is wider than the 4096-bit limit"),
+    ("// no design here\n", "1:1: no module found in source"),
+    ("module m (inout a);\nendmodule\n", "1:11: unsupported construct: inout port"),
+    ("module m (input a, output reg y);\n  always @(*) begin\n    y = a;\n",
+     "2:15: missing 'end'"),
+    ("module m (input a, output reg y);\n  always @(*)\n    case (a)\n      1'b0: y = a;\n",
+     "3:5: missing 'endcase'"),
+    ("module m (input a, output reg y);\n  always @(*)\n    case (a)\n"
+     "      default: y = a;\n      default: y = 0;\n    endcase\nendmodule\n",
+     "3:5: duplicate default arm"),
+    ("module m (input a, output reg y);\n  always @(*)\n    #5 y = a;\nendmodule\n",
+     "3:5: unsupported construct: delay control"),
+    ("module m (input a, output y);\n  assign y = f(a);\nendmodule\n",
+     "2:15: unsupported construct: function call"),
+    ("module m (input a, output y);\n  wire w = a;\n  assign y = w;\nendmodule\n",
+     "2:12: unsupported construct: declaration initializer"),
+    ("module m (input a, output [1:0] y);\n  assign y[0] = a;\nendmodule\n",
+     "2:11: unsupported construct: bit/part-select assignment target"),
+    ("module m (input a, output reg [1:0] y);\n  always @(*)\n    y[0] = a;\nendmodule\n",
+     "3:6: unsupported construct: bit/part-select assignment target"),
+]
 
 
 class TestParseCommand:
@@ -84,24 +129,13 @@ class TestParseCommand:
         assert main(["parse", str(bad)]) == EXIT_DATA
         assert capsys.readouterr().err == f"{bad}:2:18: unexpected character '\u00b2'\n"
 
-    # an elaboration error is positioned at its literal, on the line after its
-    # statement's, or at column 0 of the declaration that is too wide
-    @pytest.mark.parametrize("declaration, expression, position, message", [
-        ("", "4'd20", "3:5", "literal value of 5 bits does not fit in 4 bits"),
-        ("", "0'd0", "3:5", "literal size must be positive"),
-        ("", "4097'd0", "3:5", "literal size exceeds the 4096-bit limit"),
-        ("", "'h" + "f" * 1100, "3:5", "unsized literal of 4400 bits exceeds the 4096-bit limit"),
-        ("wire [4096:0] big;", "a", "4:0", "'big' is wider than the 4096-bit limit"),
-        ("parameter P = 'h" + "f" * 1100 + ";", "a", "4:0",
-         "parameter 'P' is wider than the 4096-bit limit"),
-    ])
-    def test_elaboration_errors_are_positioned_diagnostics(self, tmp_path, capsys, declaration,
-                                                          expression, position, message):
+    @pytest.mark.parametrize("text, diagnostic", FRONT_END_DIAGNOSTICS)
+    def test_front_end_errors_are_positioned_diagnostics(self, tmp_path, capsys, text,
+                                                         diagnostic):
         bad = tmp_path / "bad.sv"
-        bad.write_text(f"module m (input a, output [3:0] y);\n  assign y =\n    {expression};\n"
-                       f"{declaration}\nendmodule\n")
+        bad.write_text(text)
         assert main(["parse", str(bad)]) == EXIT_DATA
-        assert capsys.readouterr().err == f"{bad}:{position}: {message}\n"
+        assert capsys.readouterr().err == f"{bad}:{diagnostic}\n"
 
     def test_statements_past_the_nesting_cap_are_a_positioned_diagnostic(self, tmp_path, capsys):
         deep = tmp_path / "deep.sv"
@@ -362,15 +396,37 @@ class TestMutateCommand:
 
 
     @pytest.mark.parametrize("field, value", [
-        ("exemplars", 5), ("reset", {"name": "rst", "active_high": "false"})])
-    def test_wrongly_typed_problem_json_field_is_data_error(self, fresh_corpus, capsys,
-                                                           field, value):
+        ("exemplars", 5), ("reset", {"name": "rst", "active_high": "false"}),
+        # the id names the problem's directory in a run directory
+        *[("id", value) for value in ("../../escaped", "a/b", "..", ".", "", "nul\0", ["x"], 5,
+                                      None)],
+    ])
+    def test_wrongly_typed_problem_json_field_is_data_error(self, fresh_corpus, tmp_path,
+                                                           capsys, field, value):
         manifest = fresh_corpus / "problems" / "seq_detect" / "problem.json"
         raw = json.loads(manifest.read_text())
         raw[field] = value
         manifest.write_text(json.dumps(raw))
         assert main(["mutate", "seq_detect", "--problems", str(fresh_corpus)]) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"error: {manifest} is malformed: ")
+        run_dir = tmp_path / "a" / "run"
+        assert main(["evaluate", "--problems", str(fresh_corpus), "--out", str(run_dir)]) \
+            == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: {manifest} is malformed: ")
+        assert not (tmp_path / "a").exists()
+
+    def test_two_problems_with_one_id_are_a_data_error_naming_both(self, corpus_dir, tmp_path,
+                                                                    capsys):
+        corpus = shutil.copytree(corpus_dir, tmp_path / "corpus")
+        shutil.copytree(corpus / "problems" / "full_adder", corpus / "problems" / "zz_copy")
+        run_dir = tmp_path / "run"
+        assert main(["evaluate", "--problems", str(corpus), "--out", str(run_dir)]) \
+            == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {corpus}/problems/full_adder/problem.json and "
+            f"{corpus}/problems/zz_copy/problem.json both have id 'full_adder'\n")
+        assert not run_dir.exists()
+
 
 class TestLoopCommands:
     def test_gen_tests(self, cli_corpus, tmp_path, capsys):
@@ -694,6 +750,11 @@ class TestEvaluateAndReport:
         ("cells/bc02/bc03/result.json", '{"source": "BC02", "target": "BC03", "skipped": 5}'),
         ("cells/bc02/bc03/result.json", '{"source": "BC02", "target": "BC03", "skipped": null}'),
         ("debug/bc02/state.json", '{"skipped": ["no tests"]}'),
+        # a count too large for an int is malformed, not an OverflowError
+        ("cells/bc02/bc03/result.json",
+         '{"source": "BC02", "target": "BC03", "ar": 1, "dr": [1, 1], "da": [1, 1],'
+         ' "first_failing": "t", "tests": [{"id": "t", "outcome": "fail",'
+         ' "mismatch_cycles": 1, "cycles": Infinity}]}'),
     ])
     def test_wrongly_valued_checkpoint_isolates_to_its_problem(
             self, finished_run, tmp_path, capsys, checkpoint, text):
@@ -713,6 +774,67 @@ class TestEvaluateAndReport:
         assert entry == {"mutants": 0, "cells": 0, "skipped_cells": 0, "debug_solved": 0,
                          "error": entry["error"]}
         assert "error" not in problems["full_adder"]
+
+    @pytest.mark.parametrize("checkpoint, path, value, field", [
+        ("debug/bc02/state.json", ["solved"], False, "solved"),
+        ("debug/bc02/state.json", ["best_pass"], [2, 2], "best_pass"),
+        ("debug/bc02/state.json", ["iterations"], "x", "iterations"),
+        ("debug/bc02/state.json", ["x"], 1, "x"),
+        ("sources/bc02/genstate.json", ["best_coverage"], [7, 0], "best_coverage"),
+        ("sources/bc02/genstate.json", ["tests", 0], "x", "tests"),
+        ("cells/bc02/bc03/result.json", ["first_failing"], None, "first_failing"),
+    ])
+    def test_a_resumed_record_is_refused_naming_its_first_wrong_field(
+            self, finished_run, tmp_path, capsys, checkpoint, path, value, field):
+        # each field that is not one of the record's facts is worked out again from them
+        corpus, script, finished = finished_run
+        run_dir = shutil.copytree(finished, tmp_path / "run")
+        broken = run_dir / "problems" / "adder4" / checkpoint
+        record = json.loads(broken.read_text())
+        *parents, key = path
+        functools.reduce(operator.getitem, parents, record)[key] = value
+        broken.write_text(json.dumps(record))
+        assert main(["evaluate", "--problems", str(corpus), "--out", str(run_dir),
+                     "--mock-script", str(script), "--seed", "1"]) == EXIT_DATA
+        problems = json.loads((run_dir / "summary.json").read_text())["problems"]
+        assert problems["adder4"]["error"] == (
+            f"CheckpointError: {broken} is malformed: missing or invalid {field!r} "
+            f"(not what a fresh run writes with the rest of the record)")
+
+    @pytest.mark.parametrize("checkpoint", [
+        "sources/bc02/genstate.json", "cells/bc02/bc03/result.json", "debug/bc02/state.json",
+    ])
+    def test_every_single_node_checkpoint_edit_is_refused_or_changes_nothing(
+            self, finished_run, tmp_path, checkpoint):
+        # a resume reuses only a record that a fresh run could have written
+        corpus, script, finished = finished_run
+        run_dir = shutil.copytree(finished, tmp_path / "run")
+        out = run_dir / "problems" / "adder4"
+        adder4 = next(p for p in load_corpus(corpus) if p.id == "adder4")
+        config = RunConfig(provider="mock", script_dir=str(script), seed=1)
+        edited = out / checkpoint
+        original = edited.read_text()
+        record = json.loads(original)
+        before, report = tree_listing(run_dir), build_report(run_dir)
+        refused, accepted = 0, []
+        for changed in single_node_edits(record):
+            text = json.dumps(changed, indent=2, sort_keys=True) + "\n"
+            edited.write_text(text)
+            try:
+                matrix.evaluate_problem(adder4, config, None, out)
+            except CheckpointError as error:
+                assert str(error).startswith(f"{edited} is malformed: "), error
+                refused += 1
+                continue
+            edit = edited.relative_to(run_dir).as_posix()
+            assert tree_listing(run_dir) == {**before, edit: text.encode()}, changed
+            assert build_report(run_dir) == report, changed
+            accepted.append(changed)
+        edited.write_text(original)
+        # the edits accepted are the ones that put a value back in its own place
+        assert refused > 100
+        assert [json.dumps(c, sort_keys=True) for c in accepted] == (
+            [json.dumps(record, sort_keys=True)] * len(accepted))
 
     def test_resume_with_another_configuration_is_refused_and_writes_nothing(
             self, finished_run, tmp_path, capsys):
@@ -793,6 +915,24 @@ class TestEvaluateAndReport:
         broken.write_text(text)
         assert main(["report", str(run_dir), "--out", str(tmp_path / "report")]) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"error: {broken} is malformed")
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("group, key, change, field", [
+        ("cells", "BC02->BC03", {"ar": 0, "dr": [1, 2], "da": [1, 2]}, "da"),
+        ("debug", "BC02", {"solved": "maybe"}, "solved"),
+        ("debug", "BC02", {"best_pass": [2, 4]}, "best_pass"),
+    ])
+    def test_report_refuses_a_matrix_record_its_writer_would_not_write(
+            self, finished_run, tmp_path, capsys, group, key, change, field):
+        run_dir = shutil.copytree(finished_run[2], tmp_path / "run")
+        broken = run_dir / "problems" / "adder4" / "matrix.json"
+        document = json.loads(broken.read_text())
+        document[group][key].update(change)
+        broken.write_text(json.dumps(document))
+        assert main(["report", str(run_dir), "--out", str(tmp_path / "report")]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {broken} is malformed: missing or invalid {field!r} "
+            f"(not what a fresh run writes with the rest of the record)\n")
         assert not (tmp_path / "report").exists()
 
     @pytest.mark.parametrize("change, field", [
@@ -954,6 +1094,34 @@ def test_every_non_utf8_text_file_is_a_data_error_naming_it(finished_run, tmp_pa
         assert problems["full_adder"] == before["full_adder"]
     else:
         assert err == f"error: {message}\n"
+
+
+# the single-node edits of a record: a value replaced by each of these, or a key deleted
+NODE_REPLACEMENTS = [None, True, 5, -1, 2.5, "x", [], {}]
+
+
+def node_paths(node, path=()):
+    """The path of every value below ``node``."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from node_paths(child, path + (key,))
+
+
+def single_node_edits(record):
+    """Every record one edit away from ``record``."""
+    for *parents, key in node_paths(record):
+        for replacement in [*NODE_REPLACEMENTS, "delete"]:
+            edited = copy.deepcopy(record)
+            parent = functools.reduce(operator.getitem, parents, edited)
+            if replacement != "delete":
+                parent[key] = copy.deepcopy(replacement)
+            elif isinstance(parent, dict):
+                del parent[key]
+            else:
+                continue
+            yield edited
 
 
 def _task_dying_on_seq_detect(problem, config, out_dir):

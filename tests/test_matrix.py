@@ -21,9 +21,12 @@ from svloop import errors, loops, matrix, verdict
 from svloop.frontend.elaborate import elaborate_source
 from svloop.manifest import RunConfig, load_corpus
 from svloop.matrix import evaluate_matrix, evaluate_problem
-from svloop.metrics import divergent_attack
+from svloop.metrics import (
+    cell_entry, cell_record, divergent_attack, read_cell_entry, read_cell_record,
+)
 from svloop.sim.engine import run
 from svloop.sim.stimulus import UnitTest
+from svloop.verdict import Verdict
 
 
 def run_one(problems, pid, out_dir, seed=0):
@@ -252,30 +255,52 @@ class TestEvaluateProblem:
 
 
 class TestCellOutcome:
-    """result.json decodes to its matrix.json entry exactly when its DA is
-    ``divergent_attack`` of its AR and DR."""
+    """result.json is read as its tests' ids and verdicts, and accepted
+    exactly when ``cell_record`` gives it back: AR, DR, DA (``divergent_attack``
+    of the two), the first failing test and each outcome follow from them."""
+
+    RECORD = cell_record("BC01", "BC02", [("t1", Verdict(0, 8)), ("t2", Verdict(6, 8))])
 
     def test_consistent_record_is_its_matrix_entry(self):
-        record = {"source": "BC01", "target": "BC02", "ar": 1, "dr": [6, 8], "da": [3, 4]}
-        entry = matrix._cell_outcome(record)
+        assert self.RECORD == {
+            "source": "BC01", "target": "BC02", "ar": 1, "dr": [3, 4], "da": [3, 4],
+            "first_failing": "t2",
+            "tests": [{"id": "t1", "outcome": "pass", "mismatch_cycles": 0, "cycles": 8},
+                      {"id": "t2", "outcome": "fail", "mismatch_cycles": 6, "cycles": 8}]}
+        assert read_cell_record(self.RECORD, "BC01", "BC02") == self.RECORD
+        entry = cell_entry(1, Fraction(3, 4))
         assert entry == {"ar": 1, "dr": [3, 4], "da": [3, 4]}
+        assert read_cell_entry(entry) == {"ar": 1, "dr": Fraction(3, 4), "da": Fraction(3, 4)}
         da = Fraction(*entry["da"])
         assert da <= Fraction(*entry["dr"]) and da <= entry["ar"]
-        assert matrix._cell_outcome({"ar": 0, "dr": 0, "da": 0}) == {
-            "ar": 0, "dr": [0, 1], "da": [0, 1]}
 
     @pytest.mark.parametrize("ar, dr, da", [
         (0, [1, 2], [1, 2]),   # no attack carries no divergent attack
         (1, [1, 2], [1, 4]),   # an attacked pair carries da == dr
         (1, [0, 1], [0, 1]),   # an attack diverges on at least one cycle
         (2, [1, 2], [1, 2]),   # ar is 0 or 1
+        (1, [6, 8], [3, 4]),   # a ratio is stored in lowest terms
+        (0, 0, 0),             # a ratio is a pair, never a bare integer
     ])
     def test_any_other_record_is_refused(self, ar, dr, da):
+        changed = {**self.RECORD, "ar": ar, "dr": dr, "da": da}
         with pytest.raises(ValueError):
-            matrix._cell_outcome({"ar": ar, "dr": dr, "da": da})
+            read_cell_record(changed, "BC01", "BC02")
+        with pytest.raises(ValueError):
+            read_cell_entry({"ar": ar, "dr": dr, "da": da})
+
+    @pytest.mark.parametrize("ar", [[1, 1], [0, 1], True, 1.0, 2, "1"])
+    def test_ar_is_the_int_0_or_1(self, ar):
+        assert read_cell_entry({"ar": 0, "dr": [0, 1], "da": [0, 1]})["ar"] == 0
+        with pytest.raises((TypeError, ValueError)):  # each a malformed record to its reader
+            read_cell_entry({"ar": ar, "dr": [1, 2], "da": [1, 2]})
 
     def test_a_skipped_cell_is_its_reason(self):
-        assert matrix._cell_outcome({"skipped": "no tests"}) == "no tests"
+        record = cell_record("BC01", "BC02", "no tests")
+        assert record == {"source": "BC01", "target": "BC02", "skipped": "no tests"}
+        assert read_cell_record(record, "BC01", "BC02") == record
+        with pytest.raises(ValueError, match="^'target' "):
+            read_cell_record(record, "BC01", "BC03")
 
 
 def test_a_cell_compares_each_test_once(problems, tmp_path, monkeypatch):
@@ -295,7 +320,8 @@ def test_a_cell_compares_each_test_once(problems, tmp_path, monkeypatch):
         if name.startswith("svloop") and getattr(module, "compare", None) is real:
             monkeypatch.setattr(module, "compare", counting)
     target = elaborate_source(mutants[0][1])
-    cell = matrix._evaluate_cell(tests, oracle_traces, target, p.signature, outputs, tmp_path)
+    cell = cell_record("BC01", "BC01", matrix._evaluate_cell(tests, oracle_traces, target,
+                                                             p.signature, outputs, tmp_path))
     assert cell["ar"] == 1 and Fraction(*cell["dr"]) > 0
     assert len(calls) == len(tests)
 
