@@ -226,6 +226,7 @@ def _gen_tests_arguments(p):
 def cmd_gen_tests(args) -> int:
     from .gateway.providers import build_provider
     from .loops import generate_tests
+    from .metrics import gen_record, stored_ratio
 
     problem = _problem_by_name(args.problems, args.problem)
     mutants = {bc: src for bc, src, _ in problem.mutants()}
@@ -240,10 +241,12 @@ def cmd_gen_tests(args) -> int:
     _mkdir(out, parents=True)
     for test in state.tests:
         _write_bytes(out / f"{test.id}.stim", test.to_text().encode())
-    print(f"{problem.id}/{args.source}: accepted {len(state.tests)} tests in "
-          f"{state.iterations} iterations (bCov {float(state.best_coverage):.4f})")
-    for r in state.rejections:
-        print(f"  rejected iteration {r.iteration} [{r.reason}]: {r.detail}")
+    record = gen_record("t", state.accepted_coverage, state.rejections)
+    best = stored_ratio(record["best_coverage"], "best_coverage")
+    print(f"{problem.id}/{args.source}: accepted {len(record['tests'])} tests in "
+          f"{record['iterations']} iterations (bCov {float(best):.4f})")
+    for r in record["rejections"]:
+        print(f"  rejected iteration {r['iteration']} [{r['reason']}]: {r['detail']}")
     return EXIT_OK
 
 
@@ -260,6 +263,7 @@ def cmd_debug(args) -> int:
     from .frontend.elaborate import elaborate_source
     from .gateway.providers import build_provider
     from .loops import debug as debug_loop
+    from .metrics import debug_record, stored_ratio
     from .sim.engine import run as run_sim
 
     problem = _problem_by_name(args.problems, args.problem)
@@ -284,10 +288,12 @@ def cmd_debug(args) -> int:
     out = Path(args.out)
     _mkdir(out, parents=True)
     _write_bytes(out / "final.sv", state.design.text.encode())
+    record = debug_record(state.initial_pass, state.history)
+    best = stored_ratio(record["best_pass"], "best_pass")
     print(f"{problem.id}/{args.target}: pass fraction "
-          f"{float(state.initial_pass):.3f} -> {float(state.best_pass):.3f} "
-          f"in {state.iterations} iterations "
-          f"({'repaired' if state.solved else 'not fully repaired'})")
+          f"{float(state.initial_pass):.3f} -> {float(best):.3f} "
+          f"in {record['iterations']} iterations "
+          f"({'repaired' if record['solved'] else 'not fully repaired'})")
     return EXIT_OK
 
 

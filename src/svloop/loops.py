@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import GatewayError, SvLoopError
 from .frontend.ast import DesignSource
@@ -28,9 +28,8 @@ from .sim.stimulus import UnitTest
 from .verdict import compare, pass_fraction, summarize
 
 
-@dataclass(frozen=True)
-class Rejection:
-    iteration: int
+class Rejection(NamedTuple):
+    """Why an iteration was rejected: its ``reason`` and the ``detail``."""
     reason: str
     detail: str
 
@@ -46,49 +45,38 @@ class Exchange:
 class TestGenState:
     tests: list[UnitTest] = field(default_factory=list)
     traces: dict[str, Trace] = field(default_factory=dict)  # oracle trace per accepted test id
-    best_coverage: Fraction = Fraction(0)
     accepted_coverage: list[Fraction] = field(default_factory=list)
-    iterations: int = 0
     provider_calls: int = 0
-    rejections: list[Rejection] = field(default_factory=list)
+    rejections: dict[int, Rejection] = field(default_factory=dict)  # by iteration
     exchanges: list[Exchange] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class PatchAttempt:
-    """One repair iteration: whether its patch was accepted, and the patch's
-    pass fraction, None when there was no patch to simulate (the rejection
-    of the iteration says why)."""
-    iteration: int
+class PatchAttempt(NamedTuple):
+    """One repair iteration: whether its patch was accepted, the patch's
+    pass fraction, and the rejection of an iteration that had no patch to
+    simulate, whose pass fraction is None."""
     accepted: bool
     pass_fraction: Optional[Fraction]
+    rejection: Optional[Rejection] = None
 
 
 @dataclass
 class DebugState:
     design: DesignSource
-    best_pass: Fraction
     initial_pass: Fraction
-    iterations: int = 0
     provider_calls: int = 0
-    history: list[PatchAttempt] = field(default_factory=list)
-    rejections: list[Rejection] = field(default_factory=list)
+    history: list[PatchAttempt] = field(default_factory=list)  # one per iteration
     exchanges: list[Exchange] = field(default_factory=list)
 
-    @property
-    def solved(self) -> bool:
-        return self.best_pass == 1
 
-
-def _complete(state, provider, prompt: str, cfg: RunConfig, iteration: int) -> Optional[str]:
+def _complete(state, provider, prompt: str, cfg: RunConfig, iteration: int) -> str:
     """One provider call, counted and recorded in ``state.exchanges``; a
-    failed call is a ``provider`` rejection and returns None."""
+    failed call is recorded too, and its GatewayError raised."""
     try:
         response = provider.complete(prompt, cfg)
-    except GatewayError as exc:
+    except GatewayError:
         state.exchanges.append(Exchange(iteration, prompt, None))
-        state.rejections.append(Rejection(iteration, "provider", str(exc)))
-        return None
+        raise
     state.provider_calls += 1
     state.exchanges.append(Exchange(iteration, prompt, response))
     return response
@@ -116,50 +104,48 @@ def generate_tests(
 
     state = TestGenState()
     covered = CoverageCollector(oracle, signature)
+    best = Fraction(0)
     one_shot = not oracle.is_sequential
     rounds = 1 if one_shot else cfg.iteration_cap
     feedback = None
 
     for iteration in range(1, rounds + 1):
-        state.iterations = iteration
         try:
             prompt = build_testgen_prompt(cfg, problem, buggy, feedback)
         except GatewayError as exc:
-            state.rejections.append(Rejection(iteration, "prompt", str(exc)))
+            state.rejections[iteration] = Rejection("prompt", str(exc))
             continue
-        response = _complete(state, provider, prompt, cfg, iteration)
-        if response is None:
+        try:
+            response = _complete(state, provider, prompt, cfg, iteration)
+        except GatewayError as exc:
+            state.rejections[iteration] = Rejection("provider", str(exc))
             continue
         try:
             test = parse_unit_test(response, signature, unit_test_id(test_prefix, iteration))
         except GatewayError as exc:
-            state.rejections.append(Rejection(iteration, "parse", str(exc)))
+            state.rejections[iteration] = Rejection("parse", str(exc))
             continue
         trial = covered.copy()
         try:
             # the instrumented run yields the plain trace the matrix stores
             trace = run(oracle, test, signature, trial)
         except SvLoopError as exc:
-            state.rejections.append(Rejection(iteration, "simulate", str(exc)))
+            state.rejections[iteration] = Rejection("simulate", str(exc))
             continue
         report = collect_coverage(oracle, (), signature, trial)
-        if one_shot or report.scalar > state.best_coverage:
+        if one_shot or report.scalar > best:
             covered = trial
             state.tests.append(test)
             state.traces[test.id] = trace
-            state.best_coverage = report.scalar
-            state.accepted_coverage.append(report.scalar)
+            best = report.scalar
+            state.accepted_coverage.append(best)
         else:
-            state.rejections.append(
-                Rejection(
-                    iteration,
-                    "coverage",
-                    f"scalar {float(report.scalar):.4f} did not improve on "
-                    f"{float(state.best_coverage):.4f}",
-                )
+            state.rejections[iteration] = Rejection(
+                "coverage",
+                f"scalar {float(report.scalar):.4f} did not improve on {float(best):.4f}",
             )
         feedback = (report, test)
-        if one_shot or state.best_coverage == 1:
+        if one_shot or best == 1:
             break
     return state
 
@@ -197,24 +183,23 @@ def debug(
 
     verdicts, traces = run_suite(buggy, tests, oracle_traces, outputs, signature)
     best = pass_fraction(verdicts)
-    state = DebugState(design=buggy.source, best_pass=best, initial_pass=best)
+    state = DebugState(design=buggy.source, initial_pass=best)
 
     for iteration in range(1, cfg.iteration_cap + 1):
-        if state.best_pass == 1:
+        if best == 1:
             break
-        state.iterations = iteration
         failing_at = next(i for i, v in enumerate(verdicts) if not v.passed)
         summary = summarize(traces[failing_at], oracle_traces[tests[failing_at].id],
                             verdicts[failing_at], outputs, cfg.mismatch_limit)
         try:
             prompt = build_debug_prompt(problem, state.design, tests[failing_at], summary)
         except GatewayError as exc:
-            state.rejections.append(Rejection(iteration, "prompt", str(exc)))
-            state.history.append(PatchAttempt(iteration, False, None))
+            state.history.append(PatchAttempt(False, None, Rejection("prompt", str(exc))))
             continue
-        response = _complete(state, provider, prompt, cfg, iteration)
-        if response is None:
-            state.history.append(PatchAttempt(iteration, False, None))
+        try:
+            response = _complete(state, provider, prompt, cfg, iteration)
+        except GatewayError as exc:
+            state.history.append(PatchAttempt(False, None, Rejection("provider", str(exc))))
             continue
         try:
             patched = parse_patch(response, problem.interface)
@@ -222,18 +207,13 @@ def debug(
                 patched, tests, oracle_traces, outputs, signature
             )
         except SvLoopError as exc:
-            state.rejections.append(Rejection(iteration, "patch", str(exc)))
-            state.history.append(PatchAttempt(iteration, False, None))
+            state.history.append(PatchAttempt(False, None, Rejection("patch", str(exc))))
             continue
         fraction = pass_fraction(new_verdicts)
-        accepted = fraction > state.best_pass
-        state.history.append(PatchAttempt(iteration, accepted, fraction))
+        accepted = fraction > best
+        state.history.append(PatchAttempt(accepted, fraction))
         if accepted:
             verdicts, traces = new_verdicts, new_traces
-            state.best_pass = fraction
+            best = fraction
             state.design = patched.source
-        else:
-            state.rejections.append(
-                Rejection(iteration, "pass-fraction", "patch did not improve pass fraction")
-            )
     return state

@@ -144,7 +144,7 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider,
                 for tid, trace in traces.items():
                     _write_bytes(f"{vcd_dir}/{tid}.vcd", export_vcd(trace, signature))
             _write_exchanges(f"{src_dir}/prompts", "gen", state.exchanges)
-            return gen_record(prefix, state.accepted_coverage, map(vars, state.rejections))
+            return gen_record(prefix, state.accepted_coverage, state.rejections)
         gen[src_id] = _unit(f"{out}/sources/{src_id.lower()}/genstate.json", generated,
                             lambda record: read_gen_record(record, prefix))
 
@@ -167,7 +167,9 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider,
                         outcome = f"{type(exc).__name__}: {exc}"
                 return cell_record(src_id, tgt_id, outcome)
             cell = _unit(f"{out}/cells/{src_id.lower()}/{tgt_id.lower()}/result.json",
-                         evaluated, lambda record: read_cell_record(record, src_id, tgt_id))
+                         evaluated,
+                         lambda record: read_cell_record(record, src_id, tgt_id,
+                                                         gen[src_id]["tests"]))
             key = f"{src_id}->{tgt_id}"
             if "skipped" in cell:
                 document["skipped"][key] = cell["skipped"]
@@ -186,9 +188,7 @@ def evaluate_problem(problem: Problem, config: RunConfig, provider,
             state = debug(problem, design, tests, traces, config, provider)
             _write_bytes(f"{debug_dir}/final.sv", state.design.text.encode())
             _write_exchanges(f"{debug_dir}/prompts", "debug", state.exchanges)
-            return debug_record((state.initial_pass,
-                                 [(h.accepted, h.pass_fraction) for h in state.history],
-                                 map(vars, state.rejections)))
+            return debug_record(state.initial_pass, state.history)
         document["debug"][tgt_id] = _unit(f"{out}/debug/{tgt_id.lower()}/state.json",
                                           debugged, read_debug_record)
 

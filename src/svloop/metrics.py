@@ -119,12 +119,10 @@ def _given_back(record, encoded: dict) -> dict:
     return record
 
 
-def _rejections(entries) -> list[dict]:
-    """Each rejection as a record holds it, each field converted to the type a
-    fresh run writes, so that an entry read with another type does not come
-    back."""
-    return [{"iteration": int(r["iteration"]), "reason": str(r["reason"]),
-             "detail": str(r["detail"])} for r in entries]
+def _rejection(iteration: int, reason, detail) -> dict:
+    """A rejection as a record holds it, each field of the type a fresh run
+    writes, so that one read with another type does not come back."""
+    return {"iteration": iteration, "reason": str(reason), "detail": str(detail)}
 
 
 def _unanswered(rejections: list[dict]) -> int:
@@ -133,21 +131,26 @@ def _unanswered(rejections: list[dict]) -> int:
     return sum(r["reason"] in ("prompt", "provider") for r in rejections)
 
 
+def _by_iteration(rejections) -> dict:
+    """Each stored rejection's ``(reason, detail)``, keyed by its iteration."""
+    return {r["iteration"]: (r["reason"], r["detail"]) for r in rejections}
+
+
 def gen_record(prefix: str, coverage, rejections) -> dict:
     """genstate.json of a source whose tests are named ``prefix`` and their
-    iteration: each accepted test's scalar coverage, in order, and the
-    rejections, one per rejected iteration. Every other iteration accepted
-    a test, and the best coverage is the last test's."""
-    rejections = _rejections(rejections)
-    rejected = {r["iteration"] for r in rejections}
-    iterations = len(coverage) + len(rejections)
+    iteration: each accepted test's scalar coverage, in order, and each
+    rejected iteration's ``(reason, detail)``, keyed by iteration. Every
+    other iteration accepted a test, and the best coverage is the last
+    test's."""
+    iterations = range(1, len(coverage) + len(rejections) + 1)
+    rejected = [_rejection(i, *rejections[i]) for i in iterations if i in rejections]
     return {
-        "tests": [unit_test_id(prefix, i) for i in range(1, iterations + 1) if i not in rejected],
+        "tests": [unit_test_id(prefix, i) for i in iterations if i not in rejections],
         "best_coverage": stored_pair(coverage[-1] if coverage else Fraction(0)),
         "accepted_coverage": [stored_pair(c) for c in coverage],
-        "iterations": iterations,
-        "provider_calls": iterations - _unanswered(rejections),
-        "rejections": rejections,
+        "iterations": len(iterations),
+        "provider_calls": len(iterations) - _unanswered(rejected),
+        "rejections": rejected,
     }
 
 
@@ -155,7 +158,7 @@ def read_gen_record(record: dict, prefix: str) -> dict:
     """The genstate.json ``record`` of the source whose tests are named
     ``prefix``."""
     coverage = [stored_ratio(c, "accepted_coverage") for c in record["accepted_coverage"]]
-    return _given_back(record, gen_record(prefix, coverage, record["rejections"]))
+    return _given_back(record, gen_record(prefix, coverage, _by_iteration(record["rejections"])))
 
 
 def cell_entry(ar: int, dr: Fraction) -> dict:
@@ -189,44 +192,46 @@ def cell_record(source: str, target: str, outcome) -> dict:
     }
 
 
-def read_cell_record(record: dict, source: str, target: str) -> dict:
-    """The result.json ``record`` of the cell ``source`` -> ``target``."""
+def read_cell_record(record: dict, source: str, target: str, test_ids) -> dict:
+    """The result.json ``record`` of the cell ``source`` -> ``target``, whose
+    suite is the tests ``test_ids`` of its source, in order."""
     from .verdict import Verdict  # not at the top: report loads this module, never verdict
 
     if "skipped" in record:
         outcome = str(record["skipped"])
     else:
-        outcome = [(str(t["id"]), Verdict(int(t["mismatch_cycles"]), int(t["cycles"])))
-                   for t in record["tests"]]
+        outcome = [(tid, Verdict(int(t["mismatch_cycles"]), int(t["cycles"])))
+                   for tid, t in zip(test_ids, record["tests"])]
     return _given_back(record, cell_record(source, target, outcome))
 
 
-def debug_record(outcome) -> dict:
+def debug_record(outcome, attempts=()) -> dict:
     """state.json of a debug target: ``outcome`` is the reason the target was
-    skipped, or its initial pass fraction, each repair iteration's
-    ``(accepted, pass fraction or None)`` and the rejections. An accepted
-    patch sets the best pass fraction; an iteration without a pass fraction
-    failed as its rejection says."""
+    skipped, or its initial pass fraction, with each repair iteration's
+    ``(accepted, pass fraction, rejection)`` in ``attempts``. An accepted
+    patch sets the best pass fraction, and one that is not is a
+    ``pass-fraction`` rejection; an iteration without a pass fraction failed
+    as its ``(reason, detail)`` rejection says."""
     if isinstance(outcome, str):
         return {"skipped": outcome}
-    initial_pass, attempts, rejections = outcome
-    rejections = _rejections(rejections)
-    failures = {r["iteration"]: f"{r['reason']}: {r['detail']}" for r in rejections}
-    best, history = initial_pass, []
-    for iteration, (accepted, fraction) in enumerate(attempts, 1):
+    best, history, rejections = outcome, [], []
+    for iteration, (accepted, fraction, rejection) in enumerate(attempts, 1):
         if accepted:
             reason = "pass fraction increased"
         elif fraction is not None:
+            rejections.append(_rejection(iteration, "pass-fraction",
+                                         "patch did not improve pass fraction"))
             reason = (f"pass fraction {float(fraction):.3f} did not improve on "
                       f"{float(best):.3f}")
         else:
-            reason = failures[iteration]
+            rejections.append(_rejection(iteration, *rejection))
+            reason = f"{rejections[-1]['reason']}: {rejections[-1]['detail']}"
         history.append({"iteration": iteration, "accepted": accepted, "reason": reason,
                         "pass_fraction": None if fraction is None else stored_pair(fraction)})
         if accepted:
             best = fraction
     return {
-        "initial_pass": stored_pair(initial_pass),
+        "initial_pass": stored_pair(outcome),
         "best_pass": stored_pair(best),
         "solved": best == 1,
         "iterations": len(history),
@@ -238,14 +243,16 @@ def debug_record(outcome) -> dict:
 
 def read_debug_record(record: dict) -> dict:
     """The state.json ``record`` of a debug target, which matrix.json holds
-    too."""
+    too: an iteration's rejection is read only for an iteration without a
+    pass fraction, and every other is worked out again."""
     if "skipped" in record:
         return _given_back(record, debug_record(str(record["skipped"])))
-    attempts = [(bool(h["accepted"]), None if h["pass_fraction"] is None
-                 else stored_ratio(h["pass_fraction"], "pass_fraction"))
-                for h in record["history"]]
+    failures = _by_iteration(record["rejections"])
+    attempts = [(bool(h["accepted"]), None, failures[i]) if h["pass_fraction"] is None
+                else (bool(h["accepted"]), stored_ratio(h["pass_fraction"], "pass_fraction"), None)
+                for i, h in enumerate(record["history"], 1)]
     initial_pass = stored_ratio(record["initial_pass"], "initial_pass")
-    return _given_back(record, debug_record((initial_pass, attempts, record["rejections"])))
+    return _given_back(record, debug_record(initial_pass, attempts))
 
 
 def bin_index(value) -> int:

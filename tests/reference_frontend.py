@@ -479,10 +479,11 @@ class _Parser:
             while not self.check("endcase"):
                 if self.cur.kind == "eof":
                     raise ParseError("missing 'endcase'", tok.line, tok.col)
+                arm = self.cur
                 if self.accept("default"):
                     self.accept(":")
                     if default_body is not None:
-                        raise ParseError("duplicate default arm", tok.line, tok.col)
+                        raise ParseError("duplicate default arm", arm.line, arm.col)
                     default_body = self.parse_stmt_as_body()
                     continue
                 labels = [self.parse_expr()]

@@ -32,7 +32,9 @@ from svloop.frontend.elaborate import elaborate_source
 from svloop.frontend.signature import extract_signature
 from svloop.loops import debug, generate_tests
 from svloop.manifest import RunConfig, load_corpus, write_mutation_corpus
-from svloop.metrics import attack_rate, bin_values, debug_record, divergence_rate, divergent_attack
+from svloop.metrics import (
+    attack_rate, bin_values, debug_record, divergence_rate, divergent_attack, stored_pair,
+)
 from svloop.mutate import make_corpus
 from svloop.report import build_report
 from svloop.sim.engine import run
@@ -234,7 +236,7 @@ def test_criterion_6_testgen_loop_contract(problems):
     history = state.accepted_coverage
     assert len(state.tests) == 3
     assert all(b > a for a, b in zip(history, history[1:])), history
-    assert any(r.reason == "coverage" and r.iteration == 2 for r in state.rejections)
+    assert state.rejections[2].reason == "coverage"
 
     fa = problems["full_adder"]
     one_shot = ListProvider([
@@ -259,15 +261,17 @@ def test_criterion_7_debug_loop_contract(problems):
     # (a) reference patch terminates in one iteration at pass fraction 1.0
     state_a = debug(p, elaborate_source(source), [witness],
                     oracle_traces(p, [witness]), CFG, ListProvider([p.reference.text]))
-    assert state_a.solved and state_a.iterations == 1 and state_a.best_pass == 1
+    record_a = debug_record(state_a.initial_pass, state_a.history)
+    assert record_a["solved"] and record_a["iterations"] == 1 and record_a["best_pass"] == [1, 1]
 
     # (b) useless patches: exactly 5 iterations, original retained,
     #     bPass non-decreasing throughout
     state_b = debug(p, elaborate_source(source), [witness],
                     oracle_traces(p, [witness]), CFG, ListProvider([source.text] * 5))
-    assert state_b.iterations == 5
+    record_b = debug_record(state_b.initial_pass, state_b.history)
+    assert record_b["iterations"] == 5
     assert state_b.design is source
-    assert state_b.best_pass == state_b.initial_pass
+    assert record_b["best_pass"] == record_b["initial_pass"]
     floor = state_b.initial_pass
     for attempt in state_b.history:
         if attempt.accepted:
@@ -331,9 +335,10 @@ def test_criterion_9_robustness_fuzz(problems):
         state = generate_tests(p, source, CFG, provider)
         assert state.tests == []
         assert len(state.rejections) == 5
-        assert all(r.reason and r.detail for r in state.rejections)
+        assert all(r.reason and r.detail for r in state.rejections.values())
         consumed += provider.calls_made
-        rejections += sum(1 for r in state.rejections if r.reason in ("parse", "provider"))
+        rejections += sum(1 for r in state.rejections.values()
+                          if r.reason in ("parse", "provider"))
 
     patch_garbage = malformed_patch_responses(rng, 500, source.text)
     target = elaborate_source(source)
@@ -342,12 +347,13 @@ def test_criterion_9_robustness_fuzz(problems):
         batch = patch_garbage[start:start + 5]
         provider = ListProvider(batch)
         state = debug(p, target, [witness], expected, CFG, provider)
-        assert state.iterations == 5
+        record = debug_record(state.initial_pass, state.history)
+        assert record["iterations"] == 5
         assert state.design is source
-        assert len(state.rejections) == 5
-        assert all(r.reason and r.detail for r in state.rejections)
+        assert len(record["rejections"]) == 5
+        assert all(r["reason"] and r["detail"] for r in record["rejections"])
         consumed += provider.calls_made
-        rejections += len(state.rejections)
+        rejections += len(record["rejections"])
 
     assert consumed == 1000
 
@@ -368,15 +374,13 @@ def test_criterion_9_robustness_fuzz(problems):
         provider = ListProvider([long_patch] * 5)
         state = debug(p, designs[tgt], suite, expected, CFG, provider)
         assert provider.calls_made == 1
-        assert state.iterations == 5
-        assert state.best_pass == passing[patch]
+        record = debug_record(state.initial_pass, state.history)
+        assert record["iterations"] == 5
+        assert record["best_pass"] == stored_pair(passing[patch])
         assert state.history[0].accepted
-        record = debug_record((state.initial_pass,
-                               [(h.accepted, h.pass_fraction) for h in state.history],
-                               map(vars, state.rejections)))
         assert [h["reason"].split(":")[0] for h in record["history"][1:]] == ["prompt"] * 4
-        assert [r.reason for r in state.rejections] == ["prompt"] * 4
-        assert all("input window" in r.detail for r in state.rejections)
+        assert [r["reason"] for r in record["rejections"]] == ["prompt"] * 4
+        assert all("input window" in r["detail"] for r in record["rejections"])
         overflows += 1
     assert overflows
 

@@ -19,7 +19,8 @@ import pytest
 
 import svloop
 from support import (
-    REPORT_SCHEMA, record_mock_script, tree_digest, tree_listing, valid_arbiter_stimulus,
+    REPORT_SCHEMA, OracleBackedResponder, record_mock_script, tree_digest, tree_listing,
+    valid_arbiter_stimulus,
 )
 from svloop.cli import (
     EXIT_DATA, EXIT_PROVIDER, EXIT_USAGE, _COMMANDS, _run_config, main, make_parser,
@@ -57,6 +58,39 @@ def finished_run(corpus_dir, tmp_path_factory):
     return corpus, script, run_dir
 
 
+class StallingResponder(OracleBackedResponder):
+    """Answers a debug prompt with the design it shows, a patch that does not
+    improve the pass fraction, and the same prompt again with the reference."""
+
+    def __init__(self, problems):
+        super().__init__(problems)
+        self.answered = set()
+
+    def complete(self, prompt, cfg):
+        if "corrected SystemVerilog module" not in prompt or prompt in self.answered:
+            return super().complete(prompt, cfg)
+        self.answered.add(prompt)
+        return next(source.text for _, source, _ in self._problem_of(prompt).mutants()
+                    if source.text.rstrip("\n") in prompt)
+
+
+@pytest.fixture(scope="module")
+def stalled_run(problems, tmp_path_factory):
+    """(arbiter2, its run configuration, run directory) of an evaluate in
+    which each debug target's first patch does not improve, so that its
+    record holds a ``pass-fraction`` rejection, and whose sources generate
+    suites of two and three tests, with rejected iterations."""
+    arbiter2 = problems["arbiter2"]
+    run_dir = tmp_path_factory.mktemp("stalled") / "run"
+    config = RunConfig(provider="mock", script_dir=str(run_dir.parent / "script"), seed=1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrix, "build_provider",
+                      lambda config, log_dir: StallingResponder([arbiter2]))
+        summary = matrix.evaluate_matrix([arbiter2], config, run_dir)
+    assert summary["problems"]["arbiter2"]["debug_solved"] == 10
+    return arbiter2, config, run_dir
+
+
 def _assigning(expression, declaration=""):
     """A design that assigns ``expression`` on the line after its statement's,
     with ``declaration`` after it."""
@@ -84,7 +118,7 @@ FRONT_END_DIAGNOSTICS = [
      "3:5: missing 'endcase'"),
     ("module m (input a, output reg y);\n  always @(*)\n    case (a)\n"
      "      default: y = a;\n      default: y = 0;\n    endcase\nendmodule\n",
-     "3:5: duplicate default arm"),
+     "5:7: duplicate default arm"),
     ("module m (input a, output reg y);\n  always @(*)\n    #5 y = a;\nendmodule\n",
      "3:5: unsupported construct: delay control"),
     ("module m (input a, output y);\n  assign y = f(a);\nendmodule\n",
@@ -809,32 +843,71 @@ class TestEvaluateAndReport:
         # a resume reuses only a record that a fresh run could have written
         corpus, script, finished = finished_run
         run_dir = shutil.copytree(finished, tmp_path / "run")
-        out = run_dir / "problems" / "adder4"
         adder4 = next(p for p in load_corpus(corpus) if p.id == "adder4")
         config = RunConfig(provider="mock", script_dir=str(script), seed=1)
-        edited = out / checkpoint
-        original = edited.read_text()
-        record = json.loads(original)
-        before, report = tree_listing(run_dir), build_report(run_dir)
-        refused, accepted = 0, []
-        for changed in single_node_edits(record):
-            text = json.dumps(changed, indent=2, sort_keys=True) + "\n"
-            edited.write_text(text)
-            try:
-                matrix.evaluate_problem(adder4, config, None, out)
-            except CheckpointError as error:
-                assert str(error).startswith(f"{edited} is malformed: "), error
-                refused += 1
-                continue
-            edit = edited.relative_to(run_dir).as_posix()
-            assert tree_listing(run_dir) == {**before, edit: text.encode()}, changed
-            assert build_report(run_dir) == report, changed
-            accepted.append(changed)
-        edited.write_text(original)
-        # the edits accepted are the ones that put a value back in its own place
-        assert refused > 100
-        assert [json.dumps(c, sort_keys=True) for c in accepted] == (
-            [json.dumps(record, sort_keys=True)] * len(accepted))
+        assert_each_edit_refused_or_a_no_op(adder4, config, run_dir, checkpoint)
+
+    def test_every_single_node_edit_of_a_pass_fraction_rejection_is_refused_or_a_no_op(
+            self, stalled_run, tmp_path):
+        # a debug record with an iteration whose patch did not improve
+        arbiter2, config, stalled = stalled_run
+        run_dir = shutil.copytree(stalled, tmp_path / "run")
+        assert_each_edit_refused_or_a_no_op(arbiter2, config, run_dir, "debug/bc02/state.json")
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda rejections: [], id="deleted"),
+        pytest.param(lambda rejections: rejections * 2, id="duplicated"),
+        pytest.param(lambda rejections: rejections + [{**rejections[0], "iteration": 2}],
+                     id="added"),
+        pytest.param(lambda rejections: [{**rejections[0], "iteration": 2}], id="moved"),
+    ])
+    def test_a_debug_record_whose_rejections_are_not_its_historys_is_refused(
+            self, stalled_run, tmp_path, capsys, edit):
+        # iteration 1 did not improve the pass fraction, iteration 2 solved
+        arbiter2, config, stalled = stalled_run
+        run_dir = shutil.copytree(stalled, tmp_path / "run")
+        out = run_dir / "problems" / "arbiter2"
+        state_file = out / "debug" / "bc02" / "state.json"
+        record = json.loads(state_file.read_text())
+        assert [r["reason"] for r in record["rejections"]] == ["pass-fraction"]
+        assert [h["accepted"] for h in record["history"]] == [False, True]
+        refusal = ("is malformed: missing or invalid 'rejections' "
+                   "(not what a fresh run writes with the rest of the record)")
+
+        state_file.write_text(json.dumps({**record, "rejections": edit(record["rejections"])}))
+        with pytest.raises(CheckpointError) as refused:
+            matrix.evaluate_problem(arbiter2, config, None, out)
+        assert str(refused.value) == f"{state_file} {refusal}"
+
+        matrix_file = out / "matrix.json"
+        document = json.loads(matrix_file.read_text())
+        document["debug"]["BC02"]["rejections"] = edit(record["rejections"])
+        matrix_file.write_text(json.dumps(document))
+        assert main(["report", str(run_dir), "--out", str(tmp_path / "report")]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {matrix_file} {refusal}\n"
+
+    @pytest.mark.parametrize("edit, field", [
+        pytest.param(lambda tests: [{**tests[0], "id": "nosuch"}, *tests[1:]], "tests",
+                     id="foreign"),
+        pytest.param(lambda tests: tests[1:], "first_failing", id="dropped"),
+        pytest.param(lambda tests: [tests[0], *tests], "first_failing", id="duplicated"),
+    ])
+    def test_a_cell_record_whose_tests_are_not_its_sources_is_refused(
+            self, stalled_run, tmp_path, edit, field):
+        # BC03's suite is bc03-t01, bc03-t02 and bc03-t05, of which BC01 passes the first
+        arbiter2, config, stalled = stalled_run
+        run_dir = shutil.copytree(stalled, tmp_path / "run")
+        out = run_dir / "problems" / "arbiter2"
+        result_file = out / "cells" / "bc03" / "bc01" / "result.json"
+        record = json.loads(result_file.read_text())
+        assert [(t["id"], t["outcome"]) for t in record["tests"]] == [
+            ("bc03-t01", "pass"), ("bc03-t02", "fail"), ("bc03-t05", "fail")]
+        result_file.write_text(json.dumps({**record, "tests": edit(record["tests"])}))
+        with pytest.raises(CheckpointError) as refused:
+            matrix.evaluate_problem(arbiter2, config, None, out)
+        assert str(refused.value) == (
+            f"{result_file} is malformed: missing or invalid {field!r} "
+            f"(not what a fresh run writes with the rest of the record)")
 
     def test_resume_with_another_configuration_is_refused_and_writes_nothing(
             self, finished_run, tmp_path, capsys):
@@ -1110,18 +1183,51 @@ def node_paths(node, path=()):
 
 
 def single_node_edits(record):
-    """Every record one edit away from ``record``."""
+    """Every record one edit away from ``record``: a value replaced, a key or
+    list element deleted, or a list element duplicated in place."""
     for *parents, key in node_paths(record):
-        for replacement in [*NODE_REPLACEMENTS, "delete"]:
+        for replacement in [*NODE_REPLACEMENTS, "delete", "duplicate"]:
             edited = copy.deepcopy(record)
             parent = functools.reduce(operator.getitem, parents, edited)
-            if replacement != "delete":
-                parent[key] = copy.deepcopy(replacement)
-            elif isinstance(parent, dict):
+            if replacement == "delete":
                 del parent[key]
+            elif replacement != "duplicate":
+                parent[key] = copy.deepcopy(replacement)
+            elif isinstance(parent, list):
+                parent.insert(key, copy.deepcopy(parent[key]))
             else:
                 continue
             yield edited
+
+
+def assert_each_edit_refused_or_a_no_op(problem, config, run_dir, checkpoint):
+    """Make each single-node edit of ``problem``'s ``checkpoint`` in the
+    finished run directory ``run_dir`` and resume: each edit is refused
+    naming the file, or puts a value back in its own place and changes no
+    other byte of the run directory, nor its report."""
+    out = run_dir / "problems" / problem.id
+    edited = out / checkpoint
+    original = edited.read_text()
+    record = json.loads(original)
+    before, report = tree_listing(run_dir), build_report(run_dir)
+    refused, accepted = 0, []
+    for changed in single_node_edits(record):
+        text = json.dumps(changed, indent=2, sort_keys=True) + "\n"
+        edited.write_text(text)
+        try:
+            matrix.evaluate_problem(problem, config, None, out)
+        except CheckpointError as error:
+            assert str(error).startswith(f"{edited} is malformed: "), error
+            refused += 1
+            continue
+        edit = edited.relative_to(run_dir).as_posix()
+        assert tree_listing(run_dir) == {**before, edit: text.encode()}, changed
+        assert build_report(run_dir) == report, changed
+        accepted.append(changed)
+    edited.write_text(original)
+    assert refused > 100
+    assert [json.dumps(c, sort_keys=True) for c in accepted] == (
+        [json.dumps(record, sort_keys=True)] * len(accepted))
 
 
 def _task_dying_on_seq_detect(problem, config, out_dir):

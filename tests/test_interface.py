@@ -22,6 +22,7 @@ from svloop.frontend.signature import extract_signature
 from svloop.gateway.extract import parse_patch
 from svloop.loops import debug
 from svloop.manifest import RunConfig, load_problem
+from svloop.metrics import debug_record
 from svloop.sim.engine import run
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -67,7 +68,8 @@ def test_debug_accepts_the_reference_as_the_fix(mutated, tmp_path):
         state = debug(mutated, elaborate_source(source), [witness], {witness.id: oracle_trace},
                       config, ReferenceResponder(mutated))
         assert state.initial_pass == 0, bc_id
-        assert state.solved and state.history[0].accepted, (bc_id, state.rejections)
+        record = debug_record(state.initial_pass, state.history)
+        assert record["solved"] and state.history[0].accepted, (bc_id, record["rejections"])
 
 
 def test_a_clock_that_drives_no_process_is_refused(problems):

@@ -13,6 +13,7 @@ from svloop.frontend.signature import extract_signature
 from svloop.gateway.prompts import build_testgen_prompt
 from svloop.loops import debug, generate_tests
 from svloop.manifest import Problem, RunConfig
+from svloop.metrics import debug_record, gen_record
 from svloop.sim.coverage import collect_coverage
 from svloop.sim.engine import run
 from svloop.sim.stimulus import UnitTest, parse_stimulus
@@ -65,7 +66,7 @@ class TestGenerateLoop:
         state = generate_tests(p, p.reference, CFG, provider)
         assert provider.calls_made == 1
         assert len(state.tests) == 1
-        assert state.iterations == 1
+        assert gen_record("t", state.accepted_coverage, state.rejections)["iterations"] == 1
 
     def test_combinational_accepts_if_parseable(self, problems):
         p = problems["full_adder"]
@@ -73,8 +74,9 @@ class TestGenerateLoop:
         provider = ListProvider(["garbage", "inputs: a[1], b[1], c[1]\n0 0 0\n"])
         state = generate_tests(p, p.reference, CFG, provider)
         assert state.tests == []
-        assert state.rejections and state.rejections[0].reason == "parse"
-        assert provider.calls_made == 1 and state.iterations == 1
+        assert state.rejections[1].reason == "parse"
+        record = gen_record("t", state.accepted_coverage, state.rejections)
+        assert provider.calls_made == 1 and record["iterations"] == 1
 
     def test_rising_flat_rising(self, problems, monkeypatch):
         p = problems["arbiter2"]
@@ -98,8 +100,8 @@ class TestGenerateLoop:
         assert len(state.tests) == 3
         history = state.accepted_coverage
         assert all(b > a for a, b in zip(history, history[1:]))
-        flat = [r for r in state.rejections if r.reason == "coverage"]
-        assert flat and flat[0].iteration == 2
+        flat = [i for i, r in state.rejections.items() if r.reason == "coverage"]
+        assert flat and flat[0] == 2
         # recompute the accepted coverage independently
         accepted = []
         for i, test in enumerate(state.tests):
@@ -124,7 +126,7 @@ class TestGenerateLoop:
         p = problems["arbiter2"]
         provider = ListProvider([RISING_A] * 9)
         state = generate_tests(p, p.reference, replace(CFG, iteration_cap=5), provider)
-        assert state.iterations == 5
+        assert gen_record("t", state.accepted_coverage, state.rejections)["iterations"] == 5
         assert provider.calls_made == 5
         assert len(state.tests) == 1
 
@@ -133,7 +135,8 @@ class TestGenerateLoop:
         states = [generate_tests(p, p.reference, replace(CFG, iteration_cap=cap),
                                  ListProvider([RISING_A, RISING_C, RISING_D]))
                   for cap in (2.0, 2)]
-        assert states[0] == states[1] and states[0].iterations == 2
+        assert states[0] == states[1]
+        assert gen_record("t", states[0].accepted_coverage, states[0].rejections)["iterations"] == 2
         assert (build_testgen_prompt(RunConfig(strategy="nls", shots=5.0), p)
                 == build_testgen_prompt(RunConfig(strategy="nls", shots=5), p))
 
@@ -142,7 +145,7 @@ class TestGenerateLoop:
         provider = ListProvider([RISING_A])  # exhausts after one call
         state = generate_tests(p, p.reference, replace(CFG, iteration_cap=3), provider)
         assert len(state.tests) == 1
-        assert sum(1 for r in state.rejections if r.reason == "provider") == 2
+        assert sum(1 for r in state.rejections.values() if r.reason == "provider") == 2
 
     def test_nls_ignores_source(self, problems):
         p = problems["full_adder"]
@@ -164,19 +167,21 @@ class TestDebugLoop:
         provider = ListProvider([p.reference.text])
         state = debug(p, elaborate_source(source), tests, oracle_traces(p, tests), CFG,
                       provider)
-        assert state.solved
-        assert state.iterations == 1
-        assert state.best_pass == 1
+        record = debug_record(state.initial_pass, state.history)
+        assert record["solved"]
+        assert record["iterations"] == 1
+        assert record["best_pass"] == [1, 1]
 
     def test_useless_patches_run_the_full_budget(self, problems):
         p, source, tests = self.failing_suite(problems)
         provider = ListProvider([source.text] * 5)
         state = debug(p, elaborate_source(source), tests, oracle_traces(p, tests), CFG,
                       provider)
-        assert state.iterations == 5
+        record = debug_record(state.initial_pass, state.history)
+        assert record["iterations"] == 5
         assert state.provider_calls == 5
         assert state.design is source
-        assert state.best_pass == state.initial_pass
+        assert record["best_pass"] == record["initial_pass"]
         fractions = [h.pass_fraction for h in state.history]
         assert all(f is not None and f <= state.initial_pass for f in fractions)
 
@@ -189,7 +194,8 @@ class TestDebugLoop:
         assert state.initial_pass == Fraction(2, 5)
         accepted = [h.pass_fraction for h in state.history if h.accepted]
         assert accepted == [Fraction(7, 10), Fraction(1)]
-        assert state.solved and state.iterations == 2
+        record = debug_record(state.initial_pass, state.history)
+        assert record["solved"] and record["iterations"] == 2
 
     def test_best_pass_monotone_under_noise(self, problems):
         p, source, tests = self.failing_suite(problems)
@@ -198,7 +204,8 @@ class TestDebugLoop:
         )
         state = debug(p, elaborate_source(source), tests, oracle_traces(p, tests), CFG,
                       provider)
-        assert state.solved and state.iterations == 3
+        record = debug_record(state.initial_pass, state.history)
+        assert record["solved"] and record["iterations"] == 3
         seen = state.initial_pass
         for h in state.history:
             if h.accepted:
@@ -211,9 +218,10 @@ class TestDebugLoop:
         provider = ListProvider([garbled, p.reference.text])
         state = debug(p, elaborate_source(source), tests, oracle_traces(p, tests), CFG,
                       provider)
-        assert state.solved and state.iterations == 2
-        assert [r.reason for r in state.rejections] == ["patch"]
-        assert "patch rejected (parse)" in state.rejections[0].detail
+        record = debug_record(state.initial_pass, state.history)
+        assert record["solved"] and record["iterations"] == 2
+        assert [r["reason"] for r in record["rejections"]] == ["patch"]
+        assert "patch rejected (parse)" in record["rejections"][0]["detail"]
 
     def test_literal_past_the_int_string_limit_is_a_logged_rejection(self, problems):
         p, source, tests = self.failing_suite(problems)
@@ -221,9 +229,10 @@ class TestDebugLoop:
         provider = ListProvider([huge, p.reference.text])
         state = debug(p, elaborate_source(source), tests, oracle_traces(p, tests), CFG,
                       provider)
-        assert state.solved and state.iterations == 2
-        assert [r.reason for r in state.rejections] == ["patch"]
-        assert "exceeds Python's 4300-digit limit" in state.rejections[0].detail
+        record = debug_record(state.initial_pass, state.history)
+        assert record["solved"] and record["iterations"] == 2
+        assert [r["reason"] for r in record["rejections"]] == ["patch"]
+        assert "exceeds Python's 4300-digit limit" in record["rejections"][0]["detail"]
 
     @pytest.mark.parametrize("deep", ["(" * 200 + "2'd0" + ")" * 200,
                                       " + ".join(["2'd0"] * 1000)])
@@ -233,10 +242,11 @@ class TestDebugLoop:
         provider = ListProvider([nested, p.reference.text])
         state = debug(p, elaborate_source(source), tests, oracle_traces(p, tests), CFG,
                       provider)
-        assert state.solved and state.iterations == 2
-        assert [r.reason for r in state.rejections] == ["patch"]
-        assert "patch rejected (parse)" in state.rejections[0].detail
-        assert "nests deeper than 150 levels" in state.rejections[0].detail
+        record = debug_record(state.initial_pass, state.history)
+        assert record["solved"] and record["iterations"] == 2
+        assert [r["reason"] for r in record["rejections"]] == ["patch"]
+        assert "patch rejected (parse)" in record["rejections"][0]["detail"]
+        assert "nests deeper than 150 levels" in record["rejections"][0]["detail"]
 
     def test_statements_past_the_nesting_cap_are_a_logged_rejection(self, problems):
         p, source, tests = self.failing_suite(problems)
@@ -245,10 +255,11 @@ class TestDebugLoop:
         provider = ListProvider([nested, p.reference.text])
         state = debug(p, elaborate_source(source), tests, oracle_traces(p, tests), CFG,
                       provider)
-        assert state.solved and state.iterations == 2
-        assert [r.reason for r in state.rejections] == ["patch"]
-        assert "patch rejected (parse)" in state.rejections[0].detail
-        assert "statements nest deeper than 128 levels" in state.rejections[0].detail
+        record = debug_record(state.initial_pass, state.history)
+        assert record["solved"] and record["iterations"] == 2
+        assert [r["reason"] for r in record["rejections"]] == ["patch"]
+        assert "patch rejected (parse)" in record["rejections"][0]["detail"]
+        assert "statements nest deeper than 128 levels" in record["rejections"][0]["detail"]
 
     def test_budget_is_at_most_five_provider_calls(self, problems):
         p, source, tests = self.failing_suite(problems)
@@ -269,7 +280,8 @@ class TestDebugLoop:
         provider = ListProvider([])
         state = debug(p, elaborate_source(mutants["BC06"]), [quiet],
                       oracle_traces(p, [quiet]), CFG, provider)
-        assert state.solved and state.iterations == 0 and state.provider_calls == 0
+        record = debug_record(state.initial_pass, state.history)
+        assert record["solved"] and record["iterations"] == 0 and state.provider_calls == 0
 
 
 class TestElaborationCount:
@@ -312,7 +324,8 @@ class TestElaborationCount:
         ]
         state = debug(p, target, [witness], oracle_traces(p, [witness]), CFG,
                       ListProvider(responses))
-        assert state.solved and state.iterations == 4
+        record = debug_record(state.initial_pass, state.history)
+        assert record["solved"] and record["iterations"] == 4
         assert elaborations == ["arbiter2", "arbiter2"]
 
 

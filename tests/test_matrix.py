@@ -21,8 +21,10 @@ from svloop import errors, loops, matrix, verdict
 from svloop.frontend.elaborate import elaborate_source
 from svloop.manifest import RunConfig, load_corpus
 from svloop.matrix import evaluate_matrix, evaluate_problem
+from svloop.loops import PatchAttempt, Rejection
 from svloop.metrics import (
-    cell_entry, cell_record, divergent_attack, read_cell_entry, read_cell_record,
+    cell_entry, cell_record, debug_record, divergent_attack, gen_record, read_cell_entry,
+    read_cell_record, read_debug_record, read_gen_record,
 )
 from svloop.sim.engine import run
 from svloop.sim.stimulus import UnitTest
@@ -259,6 +261,7 @@ class TestCellOutcome:
     exactly when ``cell_record`` gives it back: AR, DR, DA (``divergent_attack``
     of the two), the first failing test and each outcome follow from them."""
 
+    SUITE = ["t1", "t2"]  # the source's tests
     RECORD = cell_record("BC01", "BC02", [("t1", Verdict(0, 8)), ("t2", Verdict(6, 8))])
 
     def test_consistent_record_is_its_matrix_entry(self):
@@ -267,7 +270,7 @@ class TestCellOutcome:
             "first_failing": "t2",
             "tests": [{"id": "t1", "outcome": "pass", "mismatch_cycles": 0, "cycles": 8},
                       {"id": "t2", "outcome": "fail", "mismatch_cycles": 6, "cycles": 8}]}
-        assert read_cell_record(self.RECORD, "BC01", "BC02") == self.RECORD
+        assert read_cell_record(self.RECORD, "BC01", "BC02", self.SUITE) == self.RECORD
         entry = cell_entry(1, Fraction(3, 4))
         assert entry == {"ar": 1, "dr": [3, 4], "da": [3, 4]}
         assert read_cell_entry(entry) == {"ar": 1, "dr": Fraction(3, 4), "da": Fraction(3, 4)}
@@ -285,7 +288,7 @@ class TestCellOutcome:
     def test_any_other_record_is_refused(self, ar, dr, da):
         changed = {**self.RECORD, "ar": ar, "dr": dr, "da": da}
         with pytest.raises(ValueError):
-            read_cell_record(changed, "BC01", "BC02")
+            read_cell_record(changed, "BC01", "BC02", self.SUITE)
         with pytest.raises(ValueError):
             read_cell_entry({"ar": ar, "dr": dr, "da": da})
 
@@ -298,9 +301,79 @@ class TestCellOutcome:
     def test_a_skipped_cell_is_its_reason(self):
         record = cell_record("BC01", "BC02", "no tests")
         assert record == {"source": "BC01", "target": "BC02", "skipped": "no tests"}
-        assert read_cell_record(record, "BC01", "BC02") == record
+        assert read_cell_record(record, "BC01", "BC02", []) == record
         with pytest.raises(ValueError, match="^'target' "):
-            read_cell_record(record, "BC01", "BC03")
+            read_cell_record(record, "BC01", "BC03", [])
+
+    @pytest.mark.parametrize("tests", [
+        pytest.param(lambda tests: [{**tests[0], "id": "nosuch"}, tests[1]], id="foreign"),
+        pytest.param(lambda tests: tests[1:], id="dropped"),
+        pytest.param(lambda tests: tests[:1] + tests, id="duplicated"),
+        pytest.param(lambda tests: tests[::-1], id="reordered"),
+    ])
+    def test_the_tests_are_its_sources_suite(self, tests):
+        changed = {**self.RECORD, "tests": tests(self.RECORD["tests"])}
+        with pytest.raises(ValueError):
+            read_cell_record(changed, "BC01", "BC02", self.SUITE)
+
+
+class TestLoopOutcome:
+    """A loop's record holds one outcome per iteration: its rejections are
+    worked out from the iterations, and a record whose rejections are not
+    exactly those is refused, whatever their order."""
+
+    DEBUG = debug_record(Fraction(1, 2), [
+        PatchAttempt(False, Fraction(1, 2)),                  # did not improve
+        PatchAttempt(False, None, Rejection("patch", "no module found")),
+        PatchAttempt(True, Fraction(1)),
+    ])
+    GEN = gen_record("bc01-t", [Fraction(1, 4), Fraction(1, 2)],
+                     {2: Rejection("coverage", "did not improve"),
+                      3: Rejection("parse", "no stimulus")})
+
+    def test_a_debug_record_works_out_its_rejections(self):
+        assert self.DEBUG["rejections"] == [
+            {"iteration": 1, "reason": "pass-fraction",
+             "detail": "patch did not improve pass fraction"},
+            {"iteration": 2, "reason": "patch", "detail": "no module found"}]
+        assert [h["reason"] for h in self.DEBUG["history"]] == [
+            "pass fraction 0.500 did not improve on 0.500", "patch: no module found",
+            "pass fraction increased"]
+        assert (self.DEBUG["best_pass"], self.DEBUG["solved"]) == ([1, 1], True)
+        assert (self.DEBUG["iterations"], self.DEBUG["provider_calls"]) == (3, 3)
+        assert read_debug_record(self.DEBUG) == self.DEBUG
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda rejections: rejections[1:], id="pass-fraction-deleted"),
+        pytest.param(lambda rejections: rejections[:1] + rejections, id="duplicated"),
+        pytest.param(lambda rejections: [*rejections, {**rejections[0], "iteration": 3}],
+                     id="added-at-an-accepted-iteration"),
+        pytest.param(lambda rejections: rejections[::-1], id="reordered"),
+        pytest.param(lambda rejections: rejections[:1], id="failure-deleted"),
+        pytest.param(lambda rejections: [rejections[0], {**rejections[1], "iteration": 2.0}],
+                     id="float-iteration"),
+    ])
+    def test_a_debug_record_with_other_rejections_is_refused(self, edit):
+        changed = {**self.DEBUG, "rejections": edit(self.DEBUG["rejections"])}
+        with pytest.raises((LookupError, ValueError)):
+            read_debug_record(changed)
+
+    def test_a_gen_record_is_its_iterations(self):
+        assert self.GEN["tests"] == ["bc01-t01", "bc01-t04"]
+        assert [r["iteration"] for r in self.GEN["rejections"]] == [2, 3]
+        assert (self.GEN["iterations"], self.GEN["provider_calls"]) == (4, 4)
+        assert read_gen_record(self.GEN, "bc01-t") == self.GEN
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda rejections: rejections[::-1], id="reordered"),
+        pytest.param(lambda rejections: rejections[:1] * 2, id="duplicated"),
+        pytest.param(lambda rejections: [rejections[0], {**rejections[1], "iteration": 5}],
+                     id="moved-past-the-last-iteration"),
+    ])
+    def test_a_gen_record_with_other_rejections_is_refused(self, edit):
+        changed = {**self.GEN, "rejections": edit(self.GEN["rejections"])}
+        with pytest.raises(ValueError):
+            read_gen_record(changed, "bc01-t")
 
 
 def test_a_cell_compares_each_test_once(problems, tmp_path, monkeypatch):

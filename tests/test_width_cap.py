@@ -18,6 +18,7 @@ from svloop.gateway.extract import parse_patch
 from svloop.loops import debug
 from svloop.manifest import RunConfig
 from svloop.matrix import evaluate_matrix
+from svloop.metrics import debug_record
 from svloop.sim.engine import run
 
 CFG = RunConfig(strategy="nlsc", shots=0)
@@ -98,9 +99,10 @@ class TestDebug:
                                  p.reference.text])
         state = debug(p, elaborate_source(source), [witness],
                       oracle_traces(p, [witness]), CFG, provider)
-        assert state.solved and state.iterations == 2
-        assert [r.reason for r in state.rejections] == ["patch"]
-        assert message in state.rejections[0].detail
+        record = debug_record(state.initial_pass, state.history)
+        assert record["solved"] and record["iterations"] == 2
+        assert [r["reason"] for r in record["rejections"]] == ["patch"]
+        assert message in record["rejections"][0]["detail"]
 
 
 class PastTheCapResponder(OracleBackedResponder):
